@@ -20,10 +20,10 @@ from .core import (DEFAULT_SKELETON, HypothesisSet, JOINT_NAMES_17, PoseSeq2D,
                    load_skeleton, save_skeleton, skeleton_from_dict,
                    skeleton_to_dict)
 from .dataset import Dataset, Sequence, load_dataset, save_dataset
-from .denoise import (Denoiser, DenoiserParams, MlpDenoiser, RegressionTarget,
+from .denoise import (ContractiveOracle, Denoiser, DenoiserParams,
+                      MlpDenoiser, NoisyOracle, PerfectOracle, RegressionTarget,
                       TrainConfig, TrainResult, denoise, init_params,
-                      load_checkpoint, oracle_contractive, oracle_noisy,
-                      oracle_perfect, save_checkpoint, timestep_embedding,
+                      load_checkpoint, save_checkpoint, timestep_embedding,
                       train)
 from .errors import (AggregationError, BehindCameraError, ConfigError,
                      DegenerateAlignmentError, MissingGroundTruthError,
@@ -36,8 +36,7 @@ from .poseio import load_poses, save_poses
 from .render import render_frame, render_sequence
 from .rng import RngStream, stream_id
 from .sampler import (DdimDiagnostics, FlipMode, SamplerConfig, SigmaMode,
-                      ddim_step, run_sampler, sample, sample_flipped,
-                      sample_trace, timestep_ladder)
+                      ddim_step, run_sampler, timestep_ladder)
 from .schedule import (DEFAULT_SIGNAL_SCALE, MM_PER_UNIT, NoiseSchedule,
                        diffuse, make_cosine_schedule, save_schedule_csv,
                        to_millimeters, to_signal_units)

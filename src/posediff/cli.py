@@ -17,6 +17,7 @@ import csv
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -28,8 +29,8 @@ from .config import (RunConfig, apply_overrides, config_sha256,
                      config_to_dict, load_config)
 from .core import (DEFAULT_SKELETON, HypothesisSet, PoseSeq3D, load_skeleton)
 from .dataset import Dataset, Sequence, load_dataset, save_dataset
-from .denoise import (Denoiser, MlpDenoiser, oracle_contractive,
-                      oracle_noisy, oracle_perfect, save_checkpoint, train)
+from .denoise import (ContractiveOracle, Denoiser, MlpDenoiser, NoisyOracle,
+                      PerfectOracle, save_checkpoint, train)
 from .errors import (ConfigError, MissingGroundTruthError, PoseDiffError,
                      TrainingDivergedError)
 from .metrics import compute_metrics
@@ -130,11 +131,11 @@ def _make_denoiser(cfg: RunConfig, oracle: str | None, seq: Sequence,
             f"oracle denoiser '{oracle}' needs ground truth, sequence "
             f"{seq.name} has none")
     if oracle == "perfect":
-        return oracle_perfect(seq.gt)
+        return PerfectOracle(seq.gt)
     if oracle == "contractive":
-        return oracle_contractive(seq.gt, cfg.denoiser.oracle_lambda)
-    return oracle_noisy(seq.gt, cfg.denoiser.oracle_sigma_mm,
-                        seed=_oracle_seed(cfg.seed, seq_index))
+        return ContractiveOracle(seq.gt, cfg.denoiser.oracle_lambda)
+    return NoisyOracle(seq.gt, cfg.denoiser.oracle_sigma_mm,
+                       seed=_oracle_seed(cfg.seed, seq_index))
 
 
 def _load_shared_denoiser(cfg: RunConfig, checkpoint: str | None,
@@ -170,7 +171,7 @@ def _infer_once(cfg: RunConfig, ds: Dataset, checkpoint: str | None,
     reports: dict[str, list] = {m: [] for m in methods}
     for i, seq in enumerate(ds.sequences):
         den = _make_denoiser(cfg, oracle, seq, i, shared)
-        scfg = cfg.sampler_config(seed=_sequence_seed(cfg.seed, i))
+        scfg = replace(cfg.sampler, seed=_sequence_seed(cfg.seed, i))
         hs = run_sampler(seq.keypoints, den, scfg, sched, cfg.skeleton,
                          float(cfg.image_width))
         all_hs.append(hs)
@@ -245,9 +246,9 @@ def train_cmd(config_path, seed, out_dir, data_dir):
     root.mkdir(parents=True, exist_ok=True)
     sched = make_cosine_schedule(cfg.t_max)
     result = train([(s.keypoints, s.gt) for s in ds.sequences],
-                   cfg.train_config(), sched)
+                   cfg.train, sched)
     ckpt = root / "model.ckpt"
-    save_checkpoint(ckpt, result.params, cfg.denoiser.target,
+    save_checkpoint(ckpt, result.params, cfg.train.target,
                     t_max=cfg.t_max, signal_scale=cfg.signal_scale)
     with open(root / "loss.csv", "w", newline="") as f:
         writer = csv.writer(f)
@@ -372,6 +373,9 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     ks_values = parse_ints(iterations_set, "iterations")
     cfg = _load_cfg(config_path, seed=seed, out_dir=out_dir,
                     flip_mode=flip_mode, sigma_mode=sigma_mode)
+    # Every cell is checked before the first one is sampled.
+    cells = [apply_overrides(cfg, hypotheses=h, iterations=k)
+             for h in hs_values for k in ks_values]
     ds = load_dataset(data_dir)
     if not ds.has_gt:
         raise MissingGroundTruthError("bench needs ground truth for metrics")
@@ -380,14 +384,12 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     root.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for h in hs_values:
-        for k in ks_values:
-            cell = apply_overrides(cfg, hypotheses=h, iterations=k)
-            _, reports = _infer_once(cell, ds, checkpoint, oracle, methods)
-            for m in methods:
-                pooled = _pooled_metrics(cell, ds,
-                                         [r.pose for r in reports[m]])
-                rows.append(_metric_row(m, h, k, pooled))
+    for cell in cells:
+        h, k = cell.sampler.hypotheses, cell.sampler.iterations
+        _, reports = _infer_once(cell, ds, checkpoint, oracle, methods)
+        for m in methods:
+            pooled = _pooled_metrics(cell, ds, [r.pose for r in reports[m]])
+            rows.append(_metric_row(m, h, k, pooled))
     _write_metric_rows(root / "bench.csv", rows)
     _write_config_copy(root, cfg)
     _write_manifest(root, "bench", cfg, data=str(data_dir),

@@ -2,9 +2,9 @@
 
 The document is a nested object with optional sections; anything not
 given falls back to package defaults, and unknown keys are rejected so
-typos fail loudly. Sub-configs for the library modules are built on
-demand so cross-cutting values (seed, t_max, signal scale, skeleton,
-camera) stay consistent by construction.
+typos fail loudly. The library configs (scenario, sampler, training)
+are held directly, built with the top-level cross-cutting values
+(seed, t_max, signal scale, skeleton, camera) put in.
 """
 from __future__ import annotations
 
@@ -72,30 +72,10 @@ def _model_to_dict(m: HypothesisModel) -> dict:
 
 @dataclass(frozen=True)
 class DenoiserSettings:
-    hidden_width: int = 128
-    hidden_layers: int = 2
-    target: RegressionTarget = RegressionTarget.PREDICT_Y0
-    pixel_scale: float = DEFAULT_PIXEL_SCALE
+    """Oracle knobs; the network's own settings live in ``TrainConfig``."""
+
     oracle_lambda: float = 0.5
     oracle_sigma_mm: float = 20.0
-
-
-@dataclass(frozen=True)
-class TrainSettings:
-    steps: int = 2000
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    weight_decay: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-
-
-@dataclass(frozen=True)
-class SamplerSettings:
-    hypotheses: int = 20
-    iterations: int = 10
-    sigma_mode: SigmaMode = SigmaMode.STOCHASTIC
-    flip_mode: FlipMode = FlipMode.NONE
 
 
 @dataclass(frozen=True)
@@ -116,37 +96,20 @@ class RunConfig:
     camera: CameraIntrinsics = DEFAULT_CAMERA
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     denoiser: DenoiserSettings = DenoiserSettings()
-    train: TrainSettings = TrainSettings()
-    sampler: SamplerSettings = SamplerSettings()
+    train: TrainConfig = TrainConfig()
+    sampler: SamplerConfig = SamplerConfig()
     metrics: MetricSettings = MetricSettings()
 
-    def sampler_config(self, *, seed: int | None = None) -> SamplerConfig:
-        return SamplerConfig(
-            hypotheses=self.sampler.hypotheses,
-            iterations=self.sampler.iterations,
-            t_max=self.t_max,
-            sigma_mode=self.sampler.sigma_mode,
-            flip_mode=self.sampler.flip_mode,
-            seed=self.seed if seed is None else seed,
-            signal_scale=self.signal_scale,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            steps=self.train.steps,
-            batch_size=self.train.batch_size,
-            learning_rate=self.train.learning_rate,
-            beta1=self.train.beta1,
-            beta2=self.train.beta2,
-            weight_decay=self.train.weight_decay,
-            seed=self.seed,
-            t_max=self.t_max,
-            signal_scale=self.signal_scale,
-            target=self.denoiser.target,
-            hidden_width=self.denoiser.hidden_width,
-            hidden_layers=self.denoiser.hidden_layers,
-            pixel_scale=self.denoiser.pixel_scale,
-        )
+    def __post_init__(self):
+        # The library configs carry their own copies of these values;
+        # copies that disagree would run with other values than
+        # config.json records.
+        top = (self.seed, self.t_max, self.signal_scale)
+        for name in ("sampler", "train"):
+            part = getattr(self, name)
+            if (part.seed, part.t_max, part.signal_scale) != top:
+                raise ConfigError(f"{name} seed, t_max and signal_scale "
+                                  f"must equal the top-level {top}")
 
 
 def _scenario_from_dict(d: dict, skeleton: Skeleton, camera: CameraIntrinsics,
@@ -231,34 +194,37 @@ def config_from_dict(doc: dict, *, base_dir: Path | None = None) -> RunConfig:
         else:
             raise ConfigError("camera must be null, a path, or an object")
 
+        signal_scale = float(v["signal_scale"])
         den = _take(v["denoiser"], {
             "hidden_width": 128, "hidden_layers": 2, "target": "predict_y0",
             "pixel_scale": DEFAULT_PIXEL_SCALE, "oracle_lambda": 0.5,
             "oracle_sigma_mm": 20.0}, "denoiser")
         denoiser = DenoiserSettings(
-            hidden_width=int(den["hidden_width"]),
-            hidden_layers=int(den["hidden_layers"]),
-            target=RegressionTarget(den["target"]),
-            pixel_scale=float(den["pixel_scale"]),
             oracle_lambda=float(den["oracle_lambda"]),
             oracle_sigma_mm=float(den["oracle_sigma_mm"]))
 
         tr = _take(v["train"], {
             "steps": 2000, "batch_size": 32, "learning_rate": 1e-3,
             "weight_decay": 0.1, "beta1": 0.9, "beta2": 0.999}, "train")
-        train = TrainSettings(
+        train = TrainConfig(
             steps=int(tr["steps"]), batch_size=int(tr["batch_size"]),
             learning_rate=float(tr["learning_rate"]),
             weight_decay=float(tr["weight_decay"]),
-            beta1=float(tr["beta1"]), beta2=float(tr["beta2"]))
+            beta1=float(tr["beta1"]), beta2=float(tr["beta2"]),
+            seed=seed, t_max=t_max, signal_scale=signal_scale,
+            target=RegressionTarget(den["target"]),
+            hidden_width=int(den["hidden_width"]),
+            hidden_layers=int(den["hidden_layers"]),
+            pixel_scale=float(den["pixel_scale"]))
 
         sa = _take(v["sampler"], {
             "hypotheses": 20, "iterations": 10, "sigma_mode": "stochastic",
             "flip_mode": "none"}, "sampler")
-        sampler = SamplerSettings(
+        sampler = SamplerConfig(
             hypotheses=int(sa["hypotheses"]), iterations=int(sa["iterations"]),
-            sigma_mode=SigmaMode(sa["sigma_mode"]),
-            flip_mode=FlipMode(sa["flip_mode"]))
+            t_max=t_max, sigma_mode=SigmaMode(sa["sigma_mode"]),
+            flip_mode=FlipMode(sa["flip_mode"]), seed=seed,
+            signal_scale=signal_scale)
 
         me = _take(v["metrics"], {"pck_threshold_mm": 150.0,
                                   "pmpjpe_scale": True}, "metrics")
@@ -267,7 +233,7 @@ def config_from_dict(doc: dict, *, base_dir: Path | None = None) -> RunConfig:
 
         cfg = RunConfig(
             seed=seed, out_dir=str(v["out_dir"]), t_max=t_max,
-            signal_scale=float(v["signal_scale"]),
+            signal_scale=signal_scale,
             image_width=int(v["image_width"]),
             image_height=int(v["image_height"]),
             skeleton=skeleton, camera=camera,
@@ -277,10 +243,6 @@ def config_from_dict(doc: dict, *, base_dir: Path | None = None) -> RunConfig:
         raise
     except (PoseDiffError, ValueError, TypeError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
-    # Cross-checks that individual constructors cannot see.
-    if cfg.sampler.iterations > cfg.t_max:
-        raise ConfigError(f"sampler iterations {cfg.sampler.iterations} "
-                          f"exceed t_max {cfg.t_max}")
     return cfg
 
 
@@ -318,10 +280,10 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "max_swing_deg": sc.max_swing_deg,
         },
         "denoiser": {
-            "hidden_width": cfg.denoiser.hidden_width,
-            "hidden_layers": cfg.denoiser.hidden_layers,
-            "target": cfg.denoiser.target.value,
-            "pixel_scale": cfg.denoiser.pixel_scale,
+            "hidden_width": cfg.train.hidden_width,
+            "hidden_layers": cfg.train.hidden_layers,
+            "target": cfg.train.target.value,
+            "pixel_scale": cfg.train.pixel_scale,
             "oracle_lambda": cfg.denoiser.oracle_lambda,
             "oracle_sigma_mm": cfg.denoiser.oracle_sigma_mm,
         },
@@ -365,24 +327,16 @@ def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
     if updates:
         raise ConfigError(f"unknown override(s): {', '.join(sorted(updates))}")
     try:
-        if "hypotheses" in samp:
-            samp["hypotheses"] = int(samp["hypotheses"])
-        if "iterations" in samp:
-            samp["iterations"] = int(samp["iterations"])
-        if "sigma_mode" in samp:
-            samp["sigma_mode"] = SigmaMode(samp["sigma_mode"])
-        if "flip_mode" in samp:
-            samp["flip_mode"] = FlipMode(samp["flip_mode"])
+        for key, kind in (("hypotheses", int), ("iterations", int),
+                          ("sigma_mode", SigmaMode), ("flip_mode", FlipMode)):
+            if key in samp:
+                samp[key] = kind(samp[key])
+        if "seed" in top:
+            seed = top["seed"] = samp["seed"] = int(top["seed"])
+            top["train"] = replace(cfg.train, seed=seed)
+            top["scenario"] = replace(cfg.scenario, seed=seed)
+        if "out_dir" in top:
+            top["out_dir"] = str(top["out_dir"])
+        return replace(cfg, sampler=replace(cfg.sampler, **samp), **top)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if samp:
-        cfg = replace(cfg, sampler=replace(cfg.sampler, **samp))
-    if "seed" in top:
-        cfg = replace(cfg, seed=int(top["seed"]),
-                      scenario=replace(cfg.scenario, seed=int(top["seed"])))
-    if "out_dir" in top:
-        cfg = replace(cfg, out_dir=str(top["out_dir"]))
-    if cfg.sampler.iterations > cfg.t_max:
-        raise ConfigError(f"sampler iterations {cfg.sampler.iterations} "
-                          f"exceed t_max {cfg.t_max}")
-    return cfg

@@ -37,27 +37,19 @@ class RegressionTarget(Enum):
     PREDICT_EPS = "predict_eps"
 
 
-def timestep_embedding(t: float, dim: int) -> np.ndarray:
-    """Sinusoidal embedding of a timestep.
+def timestep_embedding(ts: float | np.ndarray, dim: int) -> np.ndarray:
+    """Sinusoidal embedding of one timestep (dim,) or an array (B, dim).
 
     Entry 2i is sin(t / 10000^(2i/dim)), entry 2i+1 the matching cos.
     """
     if dim < 2 or dim % 2 != 0:
         raise ValueError(f"embedding dim must be even and >= 2, got {dim}")
     i = np.arange(dim // 2, dtype=np.float64)
-    angles = t / np.power(10000.0, 2.0 * i / dim)
-    emb = np.empty(dim, dtype=np.float64)
-    emb[0::2] = np.sin(angles)
-    emb[1::2] = np.cos(angles)
-    return emb
-
-
-def _timestep_embedding_batch(ts: np.ndarray, dim: int) -> np.ndarray:
-    i = np.arange(dim // 2, dtype=np.float64)
-    angles = np.asarray(ts, dtype=np.float64)[:, None] / np.power(10000.0, 2.0 * i / dim)
-    emb = np.empty((len(ts), dim), dtype=np.float64)
-    emb[:, 0::2] = np.sin(angles)
-    emb[:, 1::2] = np.cos(angles)
+    angles = (np.asarray(ts, dtype=np.float64)[..., None]
+              / np.power(10000.0, 2.0 * i / dim))
+    emb = np.empty(angles.shape[:-1] + (dim,), dtype=np.float64)
+    emb[..., 0::2] = np.sin(angles)
+    emb[..., 1::2] = np.cos(angles)
     return emb
 
 
@@ -148,7 +140,7 @@ def _forward(params: DenoiserParams, inputs: np.ndarray, ts: np.ndarray,
     hidden layer i. With ``check`` the layers are screened for
     non-finite values (used by the training path).
     """
-    emb = _timestep_embedding_batch(ts, params.embed_dim)
+    emb = timestep_embedding(ts, params.embed_dim)
     acts = [inputs]
     h = inputs
     last = params.num_layers - 1
@@ -577,15 +569,3 @@ class NoisyOracle(_OracleBase):
             out[i] = gt + scale * rng.standard_normal((n, j, 3))
         return out
 
-
-def oracle_perfect(gt: PoseSeq3D) -> Denoiser:
-    return PerfectOracle(gt)
-
-
-def oracle_contractive(gt: PoseSeq3D, lam: float) -> Denoiser:
-    return ContractiveOracle(gt, lam)
-
-
-def oracle_noisy(gt: PoseSeq3D, sigma_mm: float | np.ndarray,
-                 seed: int = 0) -> Denoiser:
-    return NoisyOracle(gt, sigma_mm, seed)

@@ -154,20 +154,13 @@ def _step_noise(cfg: SamplerConfig, t: int, n: int, j: int, hyp_offset: int,
     return eps
 
 
-def _check_denoiser_scale(denoiser: Denoiser, cfg: SamplerConfig) -> None:
-    scale = getattr(denoiser, "signal_scale", None)
-    if scale is not None and scale != cfg.signal_scale:
-        raise ValueError(
-            f"denoiser was trained at signal scale {scale}, sampler is "
-            f"configured for {cfg.signal_scale}")
-
-
 def _run_chain(x: np.ndarray, denoiser: Denoiser, cfg: SamplerConfig,
-               sched: NoiseSchedule, *, hyp_offset: int, branch: int,
-               mirrored: Skeleton | None, flip_each_step: Skeleton | None,
-               image_width: float | None,
-               trace: list[np.ndarray] | None,
-               diagnostics: DdimDiagnostics | None) -> np.ndarray:
+               sched: NoiseSchedule, *, hyp_offset: int, branch: int = 0,
+               mirrored: Skeleton | None = None,
+               flip_each_step: Skeleton | None = None,
+               image_width: float | None = None,
+               trace: list[HypothesisSet] | None = None,
+               diagnostics: DdimDiagnostics | None = None) -> np.ndarray:
     """Run one reverse chain; returns the final clean estimate in mm.
 
     ``mirrored`` marks a chain that works on pre-flipped inputs (the
@@ -195,7 +188,7 @@ def _run_chain(x: np.ndarray, denoiser: Denoiser, cfg: SamplerConfig,
                 hyp_offset=hyp_offset, mirrored=flip_each_step)
             y0_mm = (plain + flip_array3d(other, flip_each_step)) / 2.0
         if trace is not None:
-            trace.append(y0_mm)
+            trace.append(HypothesisSet(y0_mm))
         if k + 1 < len(ladder):
             eps = None
             if cfg.sigma_mode is SigmaMode.STOCHASTIC:
@@ -205,89 +198,55 @@ def _run_chain(x: np.ndarray, denoiser: Denoiser, cfg: SamplerConfig,
     return y0_mm
 
 
-def _validate_schedule(cfg: SamplerConfig, sched: NoiseSchedule) -> None:
+def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
+                sched: NoiseSchedule, skeleton: Skeleton | None = None,
+                image_width: float | None = None, *, hyp_offset: int = 0,
+                trace: list[HypothesisSet] | None = None,
+                diagnostics: DdimDiagnostics | None = None) -> HypothesisSet:
+    """Generate H hypotheses for a 2D sequence.
+
+    ``cfg.flip_mode`` selects the flip augmentation, which needs a
+    ``skeleton`` with mirror pairs and the ``image_width``. ``none``
+    runs one chain. ``once`` runs a second, independent chain on the
+    flipped inputs and averages the two at the end. ``diffusion`` runs
+    one chain that denoises both orientations every iteration and
+    averages before the reverse update.
+
+    Given a list, ``trace`` receives every iteration's clean estimate;
+    the last one equals the result bitwise. ``once`` has two chains and
+    so no single trace; it rejects one.
+    """
     if sched.t_max != cfg.t_max:
         raise ValueError(f"schedule t_max {sched.t_max} != sampler t_max "
                          f"{cfg.t_max}")
+    scale = getattr(denoiser, "signal_scale", None)
+    if scale is not None and scale != cfg.signal_scale:
+        raise ValueError(
+            f"denoiser was trained at signal scale {scale}, sampler is "
+            f"configured for {cfg.signal_scale}")
+    mode = cfg.flip_mode
+    if mode is not FlipMode.NONE:
+        if skeleton is None or image_width is None:
+            raise ValueError("flip augmentation needs a skeleton and image width")
+        if not skeleton.mirror_pairs:
+            raise ValueError("skeleton defines no mirror pairs, cannot flip")
+        if not image_width > 0:
+            raise ValueError(f"image_width must be positive, got {image_width}")
+    if mode is FlipMode.ONCE and trace is not None:
+        raise ValueError("flip mode 'once' runs two chains, it has no "
+                         "single trace")
 
-
-def sample(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
-           sched: NoiseSchedule, *, hyp_offset: int = 0,
-           diagnostics: DdimDiagnostics | None = None) -> HypothesisSet:
-    """Generate H hypotheses for a 2D sequence (no flip augmentation)."""
-    if cfg.flip_mode is not FlipMode.NONE:
-        raise ValueError("config requests flip augmentation; use sample_flipped")
-    _validate_schedule(cfg, sched)
-    _check_denoiser_scale(denoiser, cfg)
-    out = _run_chain(x.joints, denoiser, cfg, sched, hyp_offset=hyp_offset,
-                     branch=0, mirrored=None, flip_each_step=None,
-                     image_width=None, trace=None, diagnostics=diagnostics)
-    return HypothesisSet(out)
-
-
-def sample_trace(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
-                 sched: NoiseSchedule, *, hyp_offset: int = 0
-                 ) -> list[HypothesisSet]:
-    """Like sample(), but returns every iteration's clean estimate.
-
-    The last element equals the sample() output bitwise.
-    """
-    if cfg.flip_mode is not FlipMode.NONE:
-        raise ValueError("config requests flip augmentation; use sample_flipped")
-    _validate_schedule(cfg, sched)
-    _check_denoiser_scale(denoiser, cfg)
-    steps: list[np.ndarray] = []
-    _run_chain(x.joints, denoiser, cfg, sched, hyp_offset=hyp_offset,
-               branch=0, mirrored=None, flip_each_step=None, image_width=None,
-               trace=steps, diagnostics=None)
-    return [HypothesisSet(s) for s in steps]
-
-
-def sample_flipped(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
-                   sched: NoiseSchedule, skeleton: Skeleton,
-                   image_width: float, *, hyp_offset: int = 0,
-                   diagnostics: DdimDiagnostics | None = None) -> HypothesisSet:
-    """Generate hypotheses with flip augmentation.
-
-    ``once``: two independent chains, one on flipped inputs, averaged
-    at the end. ``diffusion``: a single chain that denoises both
-    orientations each iteration and averages before the reverse update.
-    """
-    if cfg.flip_mode is FlipMode.NONE:
-        raise ValueError("flip mode is none; use sample()")
-    if not skeleton.mirror_pairs:
-        raise ValueError("skeleton defines no mirror pairs, cannot flip")
-    if not image_width > 0:
-        raise ValueError(f"image_width must be positive, got {image_width}")
-    _validate_schedule(cfg, sched)
-    _check_denoiser_scale(denoiser, cfg)
-
-    if cfg.flip_mode is FlipMode.DIFFUSION:
-        out = _run_chain(x.joints, denoiser, cfg, sched,
-                         hyp_offset=hyp_offset, branch=0, mirrored=None,
+    common = dict(hyp_offset=hyp_offset, diagnostics=diagnostics)
+    if mode is FlipMode.NONE:
+        out = _run_chain(x.joints, denoiser, cfg, sched, trace=trace, **common)
+    elif mode is FlipMode.DIFFUSION:
+        out = _run_chain(x.joints, denoiser, cfg, sched, trace=trace,
                          flip_each_step=skeleton, image_width=image_width,
-                         trace=None, diagnostics=diagnostics)
-        return HypothesisSet(out)
-
-    plain = _run_chain(x.joints, denoiser, cfg, sched, hyp_offset=hyp_offset,
-                       branch=0, mirrored=None, flip_each_step=None,
-                       image_width=None, trace=None, diagnostics=diagnostics)
-    x_flipped = flip_array2d(x.joints, skeleton, image_width)
-    other = _run_chain(x_flipped, denoiser, cfg, sched, hyp_offset=hyp_offset,
-                       branch=1, mirrored=skeleton, flip_each_step=None,
-                       image_width=None, trace=None, diagnostics=diagnostics)
-    out = (plain + flip_array3d(other, skeleton)) / 2.0
+                         **common)
+    else:
+        plain = _run_chain(x.joints, denoiser, cfg, sched, **common)
+        x_flipped = flip_array2d(x.joints, skeleton, image_width)
+        other = _run_chain(x_flipped, denoiser, cfg, sched, branch=1,
+                           mirrored=skeleton, **common)
+        out = (plain + flip_array3d(other, skeleton)) / 2.0
     return HypothesisSet(out)
-
-
-def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
-                sched: NoiseSchedule, skeleton: Skeleton | None = None,
-                image_width: float | None = None, *,
-                hyp_offset: int = 0) -> HypothesisSet:
-    """Dispatch on cfg.flip_mode; the entry point used by the CLI."""
-    if cfg.flip_mode is FlipMode.NONE:
-        return sample(x, denoiser, cfg, sched, hyp_offset=hyp_offset)
-    if skeleton is None or image_width is None:
-        raise ValueError("flip augmentation needs a skeleton and image width")
-    return sample_flipped(x, denoiser, cfg, sched, skeleton, image_width,
-                          hyp_offset=hyp_offset)

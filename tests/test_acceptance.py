@@ -14,13 +14,12 @@ from posediff.aggregate import (agg_average, agg_jbest, agg_jpma, agg_pbest,
                                 METHOD_NAMES, run_aggregator)
 from posediff.camera import CameraIntrinsics, project
 from posediff.core import DEFAULT_SKELETON, PoseSeq3D
-from posediff.denoise import (DenoiserParams, TrainBatch, eps_to_y0,
-                              grad_loss, init_params, oracle_contractive,
-                              oracle_noisy, oracle_perfect, y0_to_eps)
+from posediff.denoise import (ContractiveOracle, DenoiserParams, NoisyOracle,
+                              PerfectOracle, TrainBatch, eps_to_y0, grad_loss,
+                              init_params, y0_to_eps)
 from posediff.metrics import compute_metrics, mpjpe, pck, pmpjpe
 from posediff.rng import RngStream, stream_id
-from posediff.sampler import (FlipMode, run_sampler, sample, sample_trace,
-                              SamplerConfig, SigmaMode)
+from posediff.sampler import FlipMode, run_sampler, SamplerConfig, SigmaMode
 from posediff.schedule import diffuse_array, make_cosine_schedule
 from posediff.synth import (Bimodal, gen_poses, gen_scenarios, IidGaussian,
                             ScenarioConfig)
@@ -39,12 +38,12 @@ def test_a01_perfect_oracle_recovers_ground_truth():
     sched = make_cosine_schedule(1000)
     gt, x = gen_poses(ScenarioConfig(pose_count=1, frames_per_pose=2,
                                      seed=3))[0]
-    den = oracle_perfect(gt)
+    den = PerfectOracle(gt)
     worst = 0.0
     for h in (1, 5, 20):
         for k in (1, 5, 10):
             cfg = SamplerConfig(hypotheses=h, iterations=k, seed=5)
-            hs = sample(x, den, cfg, sched)
+            hs = run_sampler(x, den, cfg, sched)
             worst = max(worst, float(np.abs(hs.poses - gt.joints).max()))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-9
@@ -271,7 +270,8 @@ def test_a10_regression_target_duality():
                                      seed=7))[0]
     cfg = SamplerConfig(hypotheses=4, iterations=10,
                         sigma_mode=SigmaMode.DETERMINISTIC, seed=13)
-    trace = sample_trace(x, oracle_contractive(gt, 0.5), cfg, sched)
+    trace = []
+    run_sampler(x, ContractiveOracle(gt, 0.5), cfg, sched, trace=trace)
     errs = [float(_per_hypothesis_mpjpe(hs, gt).mean()) for hs in trace]
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     print(f"A10 PASS conversions round-trip; error {errs[0]:.1f} mm -> "
@@ -287,7 +287,7 @@ def test_a11_flip_mode_error_ordering():
                                      seed=47))
     errs = {mode: np.empty(len(poses)) for mode in FlipMode}
     for i, (gt, x) in enumerate(poses):
-        den = oracle_noisy(gt, 20.0, seed=stream_id("accept_flip", i))
+        den = NoisyOracle(gt, 20.0, seed=stream_id("accept_flip", i))
         for mode in FlipMode:
             cfg = SamplerConfig(hypotheses=4, iterations=3, t_max=200,
                                 flip_mode=mode,

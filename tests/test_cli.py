@@ -1,6 +1,7 @@
 import csv
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from posediff.poseio import load_poses
 from posediff.rng import stream_id
 from posediff.sampler import run_sampler
 from posediff.schedule import make_cosine_schedule
-from posediff.denoise import oracle_noisy
+from posediff.denoise import NoisyOracle
 
 
 # Tiny scenario: fast end to end, still multi-pose and multi-frame.
@@ -169,9 +170,9 @@ def test_infer_matches_library_exactly(runner, tmp_path):
     ds = load_dataset(data)
     sched = make_cosine_schedule(cfg.t_max)
     for i, seq in enumerate(ds.sequences):
-        den = oracle_noisy(seq.gt, cfg.denoiser.oracle_sigma_mm,
-                           seed=stream_id("oracle", cfg.seed, i))
-        scfg = cfg.sampler_config(seed=stream_id("sequence", cfg.seed, i))
+        den = NoisyOracle(seq.gt, cfg.denoiser.oracle_sigma_mm,
+                          seed=stream_id("oracle", cfg.seed, i))
+        scfg = replace(cfg.sampler, seed=stream_id("sequence", cfg.seed, i))
         hs = run_sampler(seq.keypoints, den, scfg, sched, cfg.skeleton,
                          float(cfg.image_width))
         for h in range(hs.count):
@@ -305,6 +306,29 @@ def test_bench_empty_grid_exit_2(runner, tmp_path):
         "bench", "--config", str(cfg), "--data", str(data), "--oracle",
         "noisy", "--out", str(tmp_path / "y"), "--hypotheses", "2;3"])
     assert res.exit_code == 2
+
+
+def test_invalid_counts_exit_2(runner, tmp_path):
+    cfg, data = _gen(runner, tmp_path)
+    common = ["--config", str(cfg), "--data", str(data)]
+    for flag in ("--hypotheses", "--iterations"):
+        out = tmp_path / f"infer{flag}"
+        res = runner.invoke(main, ["infer", *common, "--oracle", "noisy",
+                                   flag, "0", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "must be >= 1" in res.output
+        assert not out.exists()
+    # the bad cell is last; no cell may be sampled before it is refused
+    out = tmp_path / "bench"
+    res = runner.invoke(main, ["bench", *common, "--oracle", "noisy",
+                               "--hypotheses", "5,0", "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert not out.exists()
+    doc = dict(SMALL_CFG, train={"steps": 0})
+    res = runner.invoke(main, ["train", "--config",
+                               str(_write_cfg(tmp_path, doc)), "--data",
+                               str(data), "--out", str(tmp_path / "run")])
+    assert res.exit_code == 2, res.output
 
 
 def test_bench_deterministic(runner, tmp_path):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -6,9 +7,9 @@ from posediff.camera import CameraIntrinsics, save_camera
 from posediff.config import (RunConfig, apply_overrides, config_from_dict,
                              config_sha256, config_to_dict, load_config)
 from posediff.core import DEFAULT_SKELETON
-from posediff.denoise import RegressionTarget
+from posediff.denoise import RegressionTarget, TrainConfig
 from posediff.errors import ConfigError
-from posediff.sampler import FlipMode, SigmaMode
+from posediff.sampler import FlipMode, SamplerConfig, SigmaMode
 from posediff.synth import Bimodal, DepthRay, IidGaussian
 
 
@@ -21,7 +22,7 @@ def test_defaults_from_empty_document():
     assert cfg.sampler.hypotheses == 20
     assert cfg.sampler.iterations == 10
     assert cfg.sampler.sigma_mode is SigmaMode.STOCHASTIC
-    assert cfg.denoiser.target is RegressionTarget.PREDICT_Y0
+    assert cfg.train.target is RegressionTarget.PREDICT_Y0
     assert cfg.metrics.pck_threshold_mm == 150.0
     assert isinstance(cfg.scenario.hypothesis_model, IidGaussian)
     assert config_from_dict({}) == RunConfig()
@@ -50,7 +51,7 @@ def test_enum_and_model_parsing():
     })
     assert cfg.sampler.sigma_mode is SigmaMode.DETERMINISTIC
     assert cfg.sampler.flip_mode is FlipMode.DIFFUSION
-    assert cfg.denoiser.target is RegressionTarget.PREDICT_EPS
+    assert cfg.train.target is RegressionTarget.PREDICT_EPS
     assert cfg.scenario.hypothesis_model == Bimodal(p_wrong=0.2)
 
     with pytest.raises(ConfigError):
@@ -140,12 +141,13 @@ def test_builders_inject_cross_cutting_values():
                             "sampler": {"hypotheses": 3, "iterations": 7},
                             "train": {"steps": 13},
                             "denoiser": {"hidden_width": 16}})
-    scfg = cfg.sampler_config()
+    scfg = cfg.sampler
+    assert isinstance(scfg, SamplerConfig)
     assert (scfg.seed, scfg.t_max, scfg.signal_scale) == (5, 200, 1.0)
     assert (scfg.hypotheses, scfg.iterations) == (3, 7)
-    assert cfg.sampler_config(seed=77).seed == 77
 
-    tcfg = cfg.train_config()
+    tcfg = cfg.train
+    assert isinstance(tcfg, TrainConfig)
     assert (tcfg.seed, tcfg.t_max, tcfg.signal_scale) == (5, 200, 1.0)
     assert tcfg.steps == 13
     assert tcfg.hidden_width == 16
@@ -153,6 +155,11 @@ def test_builders_inject_cross_cutting_values():
     assert cfg.scenario.seed == 5
     assert cfg.scenario.skeleton == cfg.skeleton
     assert cfg.scenario.camera == cfg.camera
+    # copies that disagree with the top level are refused
+    with pytest.raises(ConfigError, match="sampler"):
+        RunConfig(seed=5)
+    with pytest.raises(ConfigError, match="train"):
+        replace(cfg, train=replace(cfg.train, t_max=100))
 
 
 def test_apply_overrides():
@@ -165,7 +172,8 @@ def test_apply_overrides():
                           sigma_mode="deterministic", flip_mode="once",
                           out_dir="elsewhere")
     assert out.seed == 42
-    assert out.scenario.seed == 42  # seed override reaches the scenario
+    # a seed override reaches every library config
+    assert out.scenario.seed == out.sampler.seed == out.train.seed == 42
     assert out.sampler.hypotheses == 3
     assert out.sampler.sigma_mode is SigmaMode.DETERMINISTIC
     assert out.sampler.flip_mode is FlipMode.ONCE
@@ -177,6 +185,9 @@ def test_apply_overrides():
         apply_overrides(cfg, sigma_mode="never")
     with pytest.raises(ConfigError):
         apply_overrides(config_from_dict({"t_max": 10}), iterations=11)
+    for bad in ({"hypotheses": 0}, {"iterations": 0}, {"hypotheses": "x"}):
+        with pytest.raises(ConfigError):
+            apply_overrides(cfg, **bad)
 
 
 def test_scenario_box_parsing():

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from posediff.core import HypothesisSet, PoseSeq2D, PoseSeq3D
-from posediff.denoise import (DenoiserParams, MlpDenoiser, RegressionTarget,
+from posediff.denoise import (ContractiveOracle, DenoiserParams, MlpDenoiser,
+                              NoisyOracle, PerfectOracle, RegressionTarget,
                               TrainConfig, denoise, eps_to_y0, grad_loss,
                               init_params, load_checkpoint, loss_mse,
-                              oracle_contractive, oracle_noisy,
-                              oracle_perfect, save_checkpoint,
-                              timestep_embedding, train, TrainBatch,
-                              y0_to_eps)
+                              save_checkpoint, timestep_embedding, train,
+                              TrainBatch, y0_to_eps)
 from posediff.errors import ShapeError, TrainingDivergedError
 from posediff.rng import RngStream, stream_id
 from posediff.schedule import diffuse_array, make_cosine_schedule
@@ -370,7 +369,7 @@ def test_mlp_denoiser_from_checkpoint(tmp_path):
 
 def test_perfect_oracle_returns_gt(tri_skeleton):
     gt = random_pose(np.random.default_rng(12), frames=2, joints=3)
-    den = oracle_perfect(gt)
+    den = PerfectOracle(gt)
     y_t = np.random.default_rng(13).normal(size=(4, 2, 3, 3))
     out = den.predict_clean(y_t, None, 5)
     assert out.shape == (4, 2, 3, 3)
@@ -381,7 +380,7 @@ def test_perfect_oracle_returns_gt(tri_skeleton):
 def test_perfect_oracle_mirrored_branch(tri_skeleton):
     from posediff.core import flip_array3d
     gt = random_pose(np.random.default_rng(14), frames=1, joints=3)
-    den = oracle_perfect(gt)
+    den = PerfectOracle(gt)
     y_t = np.zeros((1, 1, 3, 3))
     out = den.predict_clean(y_t, None, 5, mirrored=tri_skeleton)
     assert np.array_equal(out[0], flip_array3d(gt.joints, tri_skeleton))
@@ -390,24 +389,24 @@ def test_perfect_oracle_mirrored_branch(tri_skeleton):
 def test_oracle_shape_check():
     gt = random_pose(np.random.default_rng(15), frames=2, joints=3)
     with pytest.raises(ShapeError):
-        oracle_perfect(gt).predict_clean(np.zeros((1, 2, 4, 3)), None, 5)
+        PerfectOracle(gt).predict_clean(np.zeros((1, 2, 4, 3)), None, 5)
 
 
 def test_contractive_oracle_blend():
     gt = random_pose(np.random.default_rng(16), frames=1, joints=3)
-    den = oracle_contractive(gt, 0.25)
+    den = ContractiveOracle(gt, 0.25)
     y_t = np.random.default_rng(17).normal(size=(2, 1, 3, 3))
     out = den.predict_clean(y_t, None, 3)
     np.testing.assert_allclose(out, 0.25 * gt.joints + 0.75 * y_t, rtol=1e-15)
     with pytest.raises(ValueError):
-        oracle_contractive(gt, 1.0)
+        ContractiveOracle(gt, 1.0)
     with pytest.raises(ValueError):
-        oracle_contractive(gt, -0.1)
+        ContractiveOracle(gt, -0.1)
 
 
 def test_noisy_oracle_keyed_reproducibility():
     gt = random_pose(np.random.default_rng(18), frames=2, joints=3)
-    den = oracle_noisy(gt, 20.0, seed=5)
+    den = NoisyOracle(gt, 20.0, seed=5)
     y_t = np.zeros((4, 2, 3, 3))
     full = den.predict_clean(y_t, None, 9)
     again = den.predict_clean(y_t, None, 9)
@@ -423,7 +422,7 @@ def test_noisy_oracle_keyed_reproducibility():
 
 def test_noisy_oracle_mirror_branch_distinct(tri_skeleton):
     gt = random_pose(np.random.default_rng(19), frames=1, joints=3)
-    den = oracle_noisy(gt, 10.0, seed=6)
+    den = NoisyOracle(gt, 10.0, seed=6)
     y_t = np.zeros((1, 1, 3, 3))
     plain = den.predict_clean(y_t, None, 4)
     mirrored = den.predict_clean(y_t, None, 4, mirrored=tri_skeleton)
@@ -433,15 +432,16 @@ def test_noisy_oracle_mirror_branch_distinct(tri_skeleton):
 def test_noisy_oracle_sigma_validation():
     gt = random_pose(np.random.default_rng(20), frames=1, joints=3)
     assert np.array_equal(
-        oracle_noisy(gt, 0.0).predict_clean(np.zeros((1, 1, 3, 3)), None, 2)[0],
+        NoisyOracle(gt, 0.0).predict_clean(np.zeros((1, 1, 3, 3)), None,
+                                           2)[0],
         gt.joints)
     with pytest.raises(ValueError):
-        oracle_noisy(gt, -1.0)
+        NoisyOracle(gt, -1.0)
     with pytest.raises(ShapeError):
-        oracle_noisy(gt, np.zeros((2, 2)))
+        NoisyOracle(gt, np.zeros((2, 2)))
     with pytest.raises(ShapeError):
-        oracle_noisy(gt, np.zeros(4))
-    per_joint = oracle_noisy(gt, np.array([0.0, 50.0, 0.0]), seed=1)
+        NoisyOracle(gt, np.zeros(4))
+    per_joint = NoisyOracle(gt, np.array([0.0, 50.0, 0.0]), seed=1)
     out = per_joint.predict_clean(np.zeros((1, 1, 3, 3)), None, 2)
     err = out[0] - gt.joints
     assert np.all(err[:, 0] == 0.0) and np.all(err[:, 2] == 0.0)

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from posediff.core import HypothesisSet, PoseSeq2D, flip_array3d
-from posediff.denoise import (oracle_contractive, oracle_noisy,
-                              oracle_perfect)
+from posediff.denoise import ContractiveOracle, NoisyOracle, PerfectOracle
 from posediff.errors import ShapeError
 from posediff.metrics import mpjpe
 from posediff.rng import RngStream, stream_id
 from posediff.sampler import (DdimDiagnostics, FlipMode, SamplerConfig,
-                              SigmaMode, ddim_step, run_sampler, sample,
-                              sample_flipped, sample_trace, timestep_ladder)
+                              SigmaMode, ddim_step, run_sampler,
+                              timestep_ladder)
 from posediff.schedule import diffuse_array, make_cosine_schedule
 
 from conftest import random_keypoints, random_pose
@@ -138,17 +137,18 @@ def _setup(seed=0, frames=2, joints=3):
 def test_sample_repeatable_and_batch_invariant():
     sched = make_cosine_schedule(100)
     gt, x = _setup(3)
-    den = oracle_noisy(gt, 15.0, seed=4)
+    den = NoisyOracle(gt, 15.0, seed=4)
     cfg = SamplerConfig(hypotheses=6, iterations=5, t_max=100, seed=7)
-    full = sample(x, den, cfg, sched)
-    again = sample(x, den, cfg, sched)
+    full = run_sampler(x, den, cfg, sched)
+    again = run_sampler(x, den, cfg, sched)
     assert np.array_equal(full.poses, again.poses)
 
     # hypothesis h must not depend on the batch it was computed in
     parts = []
     for off in (0, 2, 4):
         part_cfg = SamplerConfig(hypotheses=2, iterations=5, t_max=100, seed=7)
-        parts.append(sample(x, den, part_cfg, sched, hyp_offset=off).poses)
+        parts.append(run_sampler(x, den, part_cfg, sched,
+                                 hyp_offset=off).poses)
     assert np.array_equal(np.concatenate(parts), full.poses)
 
 
@@ -156,33 +156,34 @@ def test_sample_prefix_stability():
     # growing H leaves earlier hypotheses bitwise unchanged
     sched = make_cosine_schedule(60)
     gt, x = _setup(4)
-    den = oracle_noisy(gt, 25.0, seed=1)
-    small = sample(x, den, SamplerConfig(hypotheses=3, iterations=4, t_max=60,
-                                         seed=5), sched)
-    large = sample(x, den, SamplerConfig(hypotheses=8, iterations=4, t_max=60,
-                                         seed=5), sched)
+    den = NoisyOracle(gt, 25.0, seed=1)
+    small = run_sampler(x, den, SamplerConfig(hypotheses=3, iterations=4,
+                                              t_max=60, seed=5), sched)
+    large = run_sampler(x, den, SamplerConfig(hypotheses=8, iterations=4,
+                                              t_max=60, seed=5), sched)
     assert np.array_equal(large.poses[:3], small.poses)
 
 
 def test_sample_trace_last_equals_sample():
     sched = make_cosine_schedule(80)
     gt, x = _setup(5)
-    den = oracle_contractive(gt, 0.4)
+    den = ContractiveOracle(gt, 0.4)
     cfg = SamplerConfig(hypotheses=3, iterations=6, t_max=80, seed=2)
-    trace = sample_trace(x, den, cfg, sched)
+    trace = []
+    final = run_sampler(x, den, cfg, sched, trace=trace)
     assert len(trace) == 6
-    final = sample(x, den, cfg, sched)
     assert np.array_equal(trace[-1].poses, final.poses)
+    assert np.array_equal(run_sampler(x, den, cfg, sched).poses, final.poses)
 
 
 def test_perfect_oracle_collapses_immediately():
     sched = make_cosine_schedule(100)
     gt, x = _setup(6)
-    den = oracle_perfect(gt)
+    den = PerfectOracle(gt)
     for mode in (SigmaMode.STOCHASTIC, SigmaMode.DETERMINISTIC):
         cfg = SamplerConfig(hypotheses=4, iterations=3, t_max=100, seed=3,
                             sigma_mode=mode)
-        hs = sample(x, den, cfg, sched)
+        hs = run_sampler(x, den, cfg, sched)
         for h in range(4):
             assert np.array_equal(hs.poses[h], gt.joints)
 
@@ -190,11 +191,12 @@ def test_perfect_oracle_collapses_immediately():
 def test_contractive_error_decreases_over_iterations():
     sched = make_cosine_schedule(1000)
     gt, x = _setup(7)
-    den = oracle_contractive(gt, 0.5)
+    den = ContractiveOracle(gt, 0.5)
     for mode in (SigmaMode.STOCHASTIC, SigmaMode.DETERMINISTIC):
         cfg = SamplerConfig(hypotheses=4, iterations=10, t_max=1000, seed=11,
                             sigma_mode=mode)
-        trace = sample_trace(x, den, cfg, sched)
+        trace = []
+        run_sampler(x, den, cfg, sched, trace=trace)
         errs = [np.mean([mpjpe(step[h], gt)
                          for h in range(cfg.hypotheses)]) for step in trace]
         assert all(a > b for a, b in zip(errs, errs[1:]))
@@ -213,10 +215,10 @@ def test_sampler_config_validation():
 
 def test_schedule_mismatch_rejected():
     gt, x = _setup(8)
-    den = oracle_perfect(gt)
+    den = PerfectOracle(gt)
     cfg = SamplerConfig(hypotheses=1, iterations=2, t_max=100)
     with pytest.raises(ValueError):
-        sample(x, den, cfg, make_cosine_schedule(50))
+        run_sampler(x, den, cfg, make_cosine_schedule(50))
 
 
 def test_signal_scale_mismatch_rejected():
@@ -232,16 +234,16 @@ def test_signal_scale_mismatch_rejected():
     cfg = SamplerConfig(hypotheses=1, iterations=2, t_max=40,
                         signal_scale=2.0)
     with pytest.raises(ValueError):
-        sample(x, ScaledOracle(), cfg, sched)
+        run_sampler(x, ScaledOracle(), cfg, sched)
 
 
 def test_diagnostics_counter_is_plumbed():
     sched = make_cosine_schedule(100)
     gt, x = _setup(10)
-    den = oracle_contractive(gt, 0.3)
+    den = ContractiveOracle(gt, 0.3)
     diag = DdimDiagnostics()
     cfg = SamplerConfig(hypotheses=2, iterations=5, t_max=100, seed=1)
-    sample(x, den, cfg, sched, diagnostics=diag)
+    run_sampler(x, den, cfg, sched, diagnostics=diag)
     assert diag.clamp_events >= 0  # counter exists and never goes negative
 
 
@@ -250,18 +252,28 @@ def test_diagnostics_counter_is_plumbed():
 def test_flip_dispatch_and_validation(tri_skeleton):
     sched = make_cosine_schedule(50)
     gt, x = _setup(11)
-    den = oracle_perfect(gt)
+    den = PerfectOracle(gt)
     none_cfg = SamplerConfig(hypotheses=2, iterations=3, t_max=50)
     once_cfg = SamplerConfig(hypotheses=2, iterations=3, t_max=50,
                              flip_mode=FlipMode.ONCE)
-    with pytest.raises(ValueError):
-        sample(x, den, once_cfg, sched)
-    with pytest.raises(ValueError):
-        sample_flipped(x, den, none_cfg, sched, tri_skeleton, 1000.0)
-    with pytest.raises(ValueError):
-        run_sampler(x, den, once_cfg, sched)  # needs skeleton and width
-    with pytest.raises(ValueError):
-        sample_flipped(x, den, once_cfg, sched, tri_skeleton, 0.0)
+    with pytest.raises(ValueError, match="skeleton and image width"):
+        run_sampler(x, den, once_cfg, sched)
+    with pytest.raises(ValueError, match="image_width"):
+        run_sampler(x, den, once_cfg, sched, tri_skeleton, 0.0)
+    # two chains have no single trace; one chain with flipping has one
+    with pytest.raises(ValueError, match="trace"):
+        run_sampler(x, den, once_cfg, sched, tri_skeleton, 1000.0, trace=[])
+    diffusion_cfg = SamplerConfig(hypotheses=2, iterations=3, t_max=50,
+                                  flip_mode=FlipMode.DIFFUSION)
+    trace = []
+    out = run_sampler(x, den, diffusion_cfg, sched, tri_skeleton, 1000.0,
+                      trace=trace)
+    assert len(trace) == 3 and np.array_equal(trace[-1].poses, out.poses)
+    # flip mode none ignores the flip arguments
+    noisy = NoisyOracle(gt, 10.0, seed=2)
+    assert np.array_equal(
+        run_sampler(x, noisy, none_cfg, sched, tri_skeleton, 1000.0).poses,
+        run_sampler(x, noisy, none_cfg, sched).poses)
 
 
 def test_flip_requires_mirror_pairs(chain_skeleton):
@@ -272,29 +284,18 @@ def test_flip_requires_mirror_pairs(chain_skeleton):
     cfg = SamplerConfig(hypotheses=1, iterations=2, t_max=50,
                         flip_mode=FlipMode.ONCE)
     with pytest.raises(ValueError):
-        sample_flipped(x, oracle_perfect(gt), cfg, sched, chain_skeleton,
-                       1000.0)
-
-
-def test_run_sampler_none_equals_sample(tri_skeleton):
-    sched = make_cosine_schedule(50)
-    gt, x = _setup(13)
-    den = oracle_noisy(gt, 10.0, seed=2)
-    cfg = SamplerConfig(hypotheses=3, iterations=4, t_max=50, seed=6)
-    a = run_sampler(x, den, cfg, sched, tri_skeleton, 1000.0)
-    b = sample(x, den, cfg, sched)
-    assert np.array_equal(a.poses, b.poses)
+        run_sampler(x, PerfectOracle(gt), cfg, sched, chain_skeleton, 1000.0)
 
 
 def test_flip_modes_with_perfect_oracle(tri_skeleton):
     # flip(flip(gt)) == gt bitwise, so every flip mode returns gt exactly
     sched = make_cosine_schedule(50)
     gt, x = _setup(14)
-    den = oracle_perfect(gt)
+    den = PerfectOracle(gt)
     for mode in (FlipMode.ONCE, FlipMode.DIFFUSION):
         cfg = SamplerConfig(hypotheses=2, iterations=3, t_max=50, seed=4,
                             flip_mode=mode)
-        hs = sample_flipped(x, den, cfg, sched, tri_skeleton, 1000.0)
+        hs = run_sampler(x, den, cfg, sched, tri_skeleton, 1000.0)
         for h in range(2):
             assert np.array_equal(hs.poses[h], gt.joints)
 
@@ -305,7 +306,7 @@ def test_input_blind_noisy_oracle_makes_flip_modes_coincide(tri_skeleton):
     # float operations and must agree bitwise; both differ from no-flip
     sched = make_cosine_schedule(60)
     gt, x = _setup(15)
-    den = oracle_noisy(gt, 20.0, seed=8)
+    den = NoisyOracle(gt, 20.0, seed=8)
 
     def run(mode):
         cfg = SamplerConfig(hypotheses=4, iterations=5, t_max=60, seed=10,
@@ -324,10 +325,10 @@ def test_flip_average_formula(tri_skeleton):
     # oracle branches, the mirrored one flipped back
     sched = make_cosine_schedule(50)
     gt, x = _setup(16, frames=1)
-    den = oracle_noisy(gt, 20.0, seed=3)
+    den = NoisyOracle(gt, 20.0, seed=3)
     cfg = SamplerConfig(hypotheses=1, iterations=1, t_max=50, seed=1,
                         flip_mode=FlipMode.ONCE)
-    out = sample_flipped(x, den, cfg, sched, tri_skeleton, 1000.0).poses
+    out = run_sampler(x, den, cfg, sched, tri_skeleton, 1000.0).poses
 
     shape = (1, 1, 3, 3)
     plain = den.predict_clean(np.zeros(shape), x.joints, 50, hyp_offset=0)
@@ -345,6 +346,6 @@ def test_sample_shape_and_finiteness(seed):
     gt = random_pose(rng, frames=1, joints=3)
     x = random_keypoints(rng, frames=1, joints=3)
     cfg = SamplerConfig(hypotheses=2, iterations=3, t_max=30, seed=seed)
-    hs = sample(x, oracle_contractive(gt, 0.5), cfg, sched)
+    hs = run_sampler(x, ContractiveOracle(gt, 0.5), cfg, sched)
     assert hs.poses.shape == (2, 1, 3, 3)
     assert np.all(np.isfinite(hs.poses))

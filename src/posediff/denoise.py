@@ -134,7 +134,9 @@ def init_params(num_joints: int, *, hidden_width: int = 128,
 
 def _forward(params: DenoiserParams, inputs: np.ndarray, ts: np.ndarray,
              *, check: bool = False):
-    """Run the MLP on (B, J*5) inputs; returns (output, activations).
+    """Run the MLP on (..., J*5) inputs; returns (output, activations).
+
+    ``ts`` holds one timestep per input row, or a single one for all.
 
     ``activations[0]`` is the input, ``activations[i]`` the output of
     hidden layer i. With ``check`` the layers are screened for
@@ -198,9 +200,11 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
                          f"got {y_t.num_joints}")
     h, n, j = y_t.count, y_t.num_frames, y_t.num_joints
     x_tiled = np.broadcast_to(x.joints, (h, n, j, 2))
-    inputs = _assemble_inputs(y_t.poses, x_tiled, model.pixel_scale)
-    ts = np.full(h * n, t, dtype=np.float64)
-    out, _ = _forward(model, inputs, ts)
+    # One N-row product per hypothesis, so that BLAS rounding cannot
+    # depend on H: H=5 gives the first five hypotheses of H=20 bitwise.
+    inputs = _assemble_inputs(y_t.poses, x_tiled,
+                              model.pixel_scale).reshape(h, n, j * 5)
+    out, _ = _forward(model, inputs, np.array([float(t)]))
     out = out.reshape(h, n, j, 3)
     if target is RegressionTarget.PREDICT_EPS:
         # At t=0 this reduces to y_t exactly: sqrt(1-alpha_bar) is 0.

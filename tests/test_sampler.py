@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posediff.core import HypothesisSet, PoseSeq2D, flip_array3d
-from posediff.denoise import ContractiveOracle, NoisyOracle, PerfectOracle
+from posediff.core import (DEFAULT_SKELETON, HypothesisSet, PoseSeq2D,
+                           flip_array3d)
+from posediff.denoise import (ContractiveOracle, MlpDenoiser, NoisyOracle,
+                              PerfectOracle, RegressionTarget, init_params)
 from posediff.errors import ShapeError
 from posediff.metrics import mpjpe
 from posediff.rng import RngStream, stream_id
@@ -11,6 +13,7 @@ from posediff.sampler import (DdimDiagnostics, FlipMode, SamplerConfig,
                               SigmaMode, ddim_step, run_sampler,
                               timestep_ladder)
 from posediff.schedule import diffuse_array, make_cosine_schedule
+from posediff.synth import ScenarioConfig, gen_poses
 
 from conftest import random_keypoints, random_pose
 
@@ -162,6 +165,22 @@ def test_sample_prefix_stability():
     large = run_sampler(x, den, SamplerConfig(hypotheses=8, iterations=4,
                                               t_max=60, seed=5), sched)
     assert np.array_equal(large.poses[:3], small.poses)
+
+
+def test_mlp_prefix_stability_every_flip_mode():
+    # the prefix promise must hold with a network too, whose matmuls
+    # round differently for different row counts
+    sched = make_cosine_schedule(200)
+    _, x = gen_poses(ScenarioConfig(pose_count=1, frames_per_pose=4,
+                                    seed=2))[0]
+    den = MlpDenoiser(init_params(x.num_joints), RegressionTarget.PREDICT_Y0,
+                      sched)
+    for mode in FlipMode:
+        out = {h: run_sampler(x, den, SamplerConfig(
+                   hypotheses=h, iterations=10, t_max=200, seed=3,
+                   flip_mode=mode), sched, DEFAULT_SKELETON, 1000.0).poses
+               for h in (5, 20)}
+        assert np.array_equal(out[20][:5], out[5]), mode
 
 
 def test_sample_trace_last_equals_sample():

@@ -34,6 +34,14 @@ def test_embedding_bounded():
         assert np.all(np.abs(emb) <= 1.0)
 
 
+def test_embedding_of_array_stacks_scalar_embeddings():
+    ts = np.array([0.0, 1.0, 57.0, 999.0])
+    emb = timestep_embedding(ts, 64)
+    assert emb.shape == (4, 64)
+    for row, t in zip(emb, ts):
+        assert np.array_equal(row, timestep_embedding(float(t), 64))
+
+
 def test_embedding_rejects_odd_or_tiny_dim():
     with pytest.raises(ValueError):
         timestep_embedding(1.0, 7)

@@ -342,6 +342,49 @@ def test_bench_deterministic(runner, tmp_path):
     assert (out1 / "bench.csv").read_bytes() == (out2 / "bench.csv").read_bytes()
 
 
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A small dataset and a checkpoint trained on it, shared by tests."""
+    root = tmp_path_factory.mktemp("small_run")
+    runner = CliRunner()
+    cfg, data = _gen(runner, root)
+    run = root / "run"
+    res = runner.invoke(main, ["train", "--config", str(cfg), "--data",
+                               str(data), "--out", str(run)])
+    assert res.exit_code == 0, res.output
+    return cfg, data, run / "model.ckpt"
+
+
+@pytest.mark.parametrize("flip", ["none", "once", "diffusion"])
+@pytest.mark.parametrize("source", ["oracle", "checkpoint"])
+def test_bench_rows_equal_infer_metrics(runner, tmp_path, small_run, flip,
+                                        source):
+    # every bench cell must be exactly what infer reports at that (H, K),
+    # and the rows keep the grid order: H outer, K inner, as given
+    cfg, data, ckpt = small_run
+    den = (["--oracle", "noisy"] if source == "oracle"
+           else ["--checkpoint", str(ckpt)])
+    common = ["--config", str(cfg), "--data", str(data), *den,
+              "--flip", flip, "--aggregator", "avg,jpma,ppma,pbest,jbest"]
+    out = tmp_path / "bench"
+    res = runner.invoke(main, ["bench", *common, "--hypotheses", "3,1,2",
+                               "--iterations", "3,2", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    rows = _read_rows(out / "bench.csv")
+    grid = [(h, k) for h in ("3", "1", "2") for k in ("3", "2")]
+    assert [(r["H"], r["K"]) for r in rows[::5]] == grid
+
+    expected = []
+    for h, k in grid:
+        inf = tmp_path / f"infer_{h}_{k}"
+        res = runner.invoke(main, ["infer", *common, "--hypotheses", h,
+                                   "--iterations", k, "--out", str(inf),
+                                   "--no-save-hypotheses"])
+        assert res.exit_code == 0, res.output
+        expected += _read_rows(inf / "metrics.csv")
+    assert rows == expected
+
+
 def test_render_command(runner, tmp_path):
     cfg, data = _gen(runner, tmp_path)
     out = tmp_path / "svg"

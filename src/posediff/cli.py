@@ -160,25 +160,26 @@ def _load_shared_denoiser(cfg: RunConfig, checkpoint: str | None,
     return den
 
 
-def _infer_once(cfg: RunConfig, ds: Dataset, checkpoint: str | None,
-                oracle: str | None, methods: list[str],
-                ) -> tuple[list[HypothesisSet], dict[str, list]]:
-    """Sample and aggregate every sequence; returns (hypothesis sets,
-    method -> list of AggregationReport)."""
+def _sample_all(cfg: RunConfig, ds: Dataset, shared: MlpDenoiser | None,
+                oracle: str | None) -> list[HypothesisSet]:
+    """Sample every sequence at ``cfg``, each with its own seed."""
     sched = make_cosine_schedule(cfg.t_max)
-    shared = _load_shared_denoiser(cfg, checkpoint, oracle)
-    all_hs: list[HypothesisSet] = []
-    reports: dict[str, list] = {m: [] for m in methods}
+    all_hs = []
     for i, seq in enumerate(ds.sequences):
         den = _make_denoiser(cfg, oracle, seq, i, shared)
         scfg = replace(cfg.sampler, seed=_sequence_seed(cfg.seed, i))
-        hs = run_sampler(seq.keypoints, den, scfg, sched, cfg.skeleton,
-                         float(cfg.image_width))
-        all_hs.append(hs)
-        for m in methods:
-            reports[m].append(run_aggregator(
-                m, hs, x=seq.keypoints, cam=ds.camera, gt=seq.gt))
-    return all_hs, reports
+        all_hs.append(run_sampler(seq.keypoints, den, scfg, sched,
+                                  cfg.skeleton, float(cfg.image_width)))
+    return all_hs
+
+
+def _aggregate_all(ds: Dataset, all_hs: list[HypothesisSet],
+                   methods: list[str]) -> dict[str, list]:
+    """Method -> one AggregationReport per sequence."""
+    return {m: [run_aggregator(m, hs, x=seq.keypoints, cam=ds.camera,
+                               gt=seq.gt)
+                for seq, hs in zip(ds.sequences, all_hs)]
+            for m in methods}
 
 
 def _pooled_metrics(cfg: RunConfig, ds: Dataset, poses: list[PoseSeq3D]):
@@ -297,7 +298,9 @@ def infer(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     root = Path(cfg.out_dir)
     root.mkdir(parents=True, exist_ok=True)
 
-    all_hs, reports = _infer_once(cfg, ds, checkpoint, oracle, methods)
+    shared = _load_shared_denoiser(cfg, checkpoint, oracle)
+    all_hs = _sample_all(cfg, ds, shared, oracle)
+    reports = _aggregate_all(ds, all_hs, methods)
 
     if save_hypotheses:
         for seq, hs in zip(ds.sequences, all_hs):
@@ -383,13 +386,28 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     root = Path(cfg.out_dir)
     root.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    for cell in cells:
-        h, k = cell.sampler.hypotheses, cell.sampler.iterations
-        _, reports = _infer_once(cell, ds, checkpoint, oracle, methods)
-        for m in methods:
-            pooled = _pooled_metrics(cell, ds, [r.pose for r in reports[m]])
-            rows.append(_metric_row(m, h, k, pooled))
+    # One sample per K at the largest H serves every H: the sampler
+    # gives H=h as the first h hypotheses of any larger H, bitwise.
+    # K is the outer loop, and each K's hypotheses are dropped before
+    # the next K is sampled, so one K's hypotheses are alive at a time.
+    shared = _load_shared_denoiser(cfg, checkpoint, oracle)
+    h_max = max(hs_values)
+    cell_rows: dict[tuple[int, int], list[dict]] = {}
+    for k in dict.fromkeys(ks_values):
+        all_hs = _sample_all(apply_overrides(cfg, hypotheses=h_max,
+                                             iterations=k),
+                             ds, shared, oracle)
+        for h in dict.fromkeys(hs_values):
+            prefixes = [HypothesisSet(hs.poses[:h].copy()) for hs in all_hs]
+            reports = _aggregate_all(ds, prefixes, methods)
+            cell_rows[h, k] = [
+                _metric_row(m, h, k, _pooled_metrics(
+                    cfg, ds, [r.pose for r in reports[m]]))
+                for m in methods]
+        del all_hs, prefixes, reports
+    rows = [row for cell in cells
+            for row in cell_rows[cell.sampler.hypotheses,
+                                 cell.sampler.iterations]]
     _write_metric_rows(root / "bench.csv", rows)
     _write_config_copy(root, cfg)
     _write_manifest(root, "bench", cfg, data=str(data_dir),

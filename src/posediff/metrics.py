@@ -48,54 +48,70 @@ def per_frame_mpjpe(pred: PoseSeq3D, gt: PoseSeq3D) -> np.ndarray:
 
 def align_frame(pred: np.ndarray, gt: np.ndarray, *,
                 with_scale: bool = True) -> np.ndarray:
-    """Similarity-align one (J, 3) predicted frame onto its ground truth.
+    """Similarity-align predicted frames onto their ground truth.
 
-    Finds rotation R (reflections excluded), translation, and optionally
-    a uniform scale minimizing the summed squared joint error, and
-    returns the transformed prediction. Raises when either cloud is
-    collinear, where the rotation is not identifiable.
+    Takes one (J, 3) frame or an (F, J, 3) stack aligned frame by frame
+    in one batched pass. For each frame finds rotation R (reflections
+    excluded), translation, and optionally a uniform scale minimizing
+    the summed squared joint error, and returns the transformed
+    prediction in the input's shape. Raises when either cloud of some
+    frame is coincident or collinear, where the rotation is not
+    identifiable; for a stack the message names the first such frame.
     """
-    if pred.shape != gt.shape or pred.ndim != 2 or pred.shape[1] != 3:
+    if (pred.shape != gt.shape or pred.ndim not in (2, 3)
+            or pred.shape[-1] != 3):
         raise ShapeError(f"align_frame: bad shapes {pred.shape} vs {gt.shape}")
-    if pred.shape[0] < 3:
+    if pred.shape[-2] < 3:
         raise DegenerateAlignmentError(
-            f"alignment needs at least 3 joints, got {pred.shape[0]}")
+            f"alignment needs at least 3 joints, got {pred.shape[-2]}")
+    stacked = pred.ndim == 3
+    if not stacked:
+        pred, gt = pred[None], gt[None]
 
-    mu_p = pred.mean(axis=0)
-    mu_g = gt.mean(axis=0)
+    mu_p = pred.mean(axis=1, keepdims=True)
+    mu_g = gt.mean(axis=1, keepdims=True)
     p0 = pred - mu_p
     g0 = gt - mu_g
-    norm_p = np.linalg.norm(p0)
-    norm_g = np.linalg.norm(g0)
-    if norm_p == 0.0 or norm_g == 0.0:
-        raise DegenerateAlignmentError("all joints coincide, alignment undefined")
-    for cloud, who in ((p0, "prediction"), (g0, "ground truth")):
-        s = np.linalg.svd(cloud, compute_uv=False)
-        if s[1] <= _COLLINEAR_RTOL * s[0]:
-            raise DegenerateAlignmentError(f"{who} joints are collinear")
+    norm_p = np.linalg.norm(p0, axis=(1, 2))
+    norm_g = np.linalg.norm(g0, axis=(1, 2))
+    sv_p = np.linalg.svd(p0, compute_uv=False)
+    sv_g = np.linalg.svd(g0, compute_uv=False)
+    # Checked in this order within a frame; the first bad frame is named.
+    problems = (
+        ((norm_p == 0.0) | (norm_g == 0.0),
+         "all joints coincide, alignment undefined"),
+        (sv_p[:, 1] <= _COLLINEAR_RTOL * sv_p[:, 0],
+         "prediction joints are collinear"),
+        (sv_g[:, 1] <= _COLLINEAR_RTOL * sv_g[:, 0],
+         "ground truth joints are collinear"),
+    )
+    bad = np.any([mask for mask, _ in problems], axis=0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        message = next(msg for mask, msg in problems if mask[k])
+        raise DegenerateAlignmentError(
+            f"frame {k}: {message}" if stacked else message)
 
-    pn = p0 / norm_p
-    gn = g0 / norm_g
-    m = pn.T @ gn
-    u, s, vt = np.linalg.svd(m)
+    pn = p0 / norm_p[:, None, None]
+    gn = g0 / norm_g[:, None, None]
+    u, s, vt = np.linalg.svd(pn.transpose(0, 2, 1) @ gn)
     rot = u @ vt
-    if np.linalg.det(rot) < 0:
-        # Flip the axis with the smallest singular value to stay in SO(3).
-        u[:, -1] = -u[:, -1]
-        s[-1] = -s[-1]
-        rot = u @ vt
-    scale = s.sum() * norm_g / norm_p if with_scale else 1.0
-    return scale * p0 @ rot + mu_g
+    # Where that is a reflection, flip the axis with the smallest
+    # singular value to stay in SO(3).
+    flip = np.linalg.det(rot) < 0
+    u[flip, :, -1] *= -1.0
+    s[flip, -1] *= -1.0
+    rot[flip] = u[flip] @ vt[flip]
+    scale = s.sum(axis=1) * norm_g / norm_p if with_scale else np.ones(len(p0))
+    aligned = scale[:, None, None] * p0 @ rot + mu_g
+    return aligned if stacked else aligned[0]
 
 
 def pmpjpe(pred: PoseSeq3D, gt: PoseSeq3D, *, with_scale: bool = True) -> float:
     """MPJPE after per-frame similarity alignment of pred onto gt."""
     p, g = _paired(pred, gt)
-    total = 0.0
-    for k in range(p.shape[0]):
-        aligned = align_frame(p[k], g[k], with_scale=with_scale)
-        total += float(np.linalg.norm(aligned - g[k], axis=-1).mean())
-    return total / p.shape[0]
+    aligned = align_frame(p, g, with_scale=with_scale)
+    return float(np.linalg.norm(aligned - g, axis=-1).mean(axis=1).mean())
 
 
 def pck(pred: PoseSeq3D, gt: PoseSeq3D,

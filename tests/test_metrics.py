@@ -129,6 +129,66 @@ def test_align_frame_recovers_target():
     np.testing.assert_allclose(aligned, gt.joints[0], atol=1e-8)
 
 
+def _stack(rng, frames=12, joints=9):
+    gt = random_pose(rng, frames=frames, joints=joints).joints.copy()
+    pred = gt + rng.normal(scale=60.0, size=gt.shape)
+    pred[::3, :, 0] *= -1.0  # some frames need the reflection fix
+    return pred, gt
+
+
+@pytest.mark.parametrize("with_scale", [True, False])
+def test_align_stack_matches_single_frames(with_scale):
+    pred, gt = _stack(np.random.default_rng(12))
+    stacked = align_frame(pred, gt, with_scale=with_scale)
+    assert stacked.shape == pred.shape
+    for k in range(pred.shape[0]):
+        single = align_frame(pred[k], gt[k], with_scale=with_scale)
+        assert np.abs(stacked[k] - single).max() <= 1e-12
+
+
+def _reference_pmpjpe(pred, gt, with_scale):
+    # textbook per-frame Umeyama alignment, one frame at a time
+    total = 0.0
+    for p, g in zip(pred, gt):
+        p0, g0 = p - p.mean(axis=0), g - g.mean(axis=0)
+        u, s, vt = np.linalg.svd(p0.T @ g0)
+        d = np.sign(np.linalg.det(u @ vt))
+        fix = np.diag([1.0, 1.0, d])
+        rot = u @ fix @ vt
+        scale = (s * np.diag(fix)).sum() / (p0 ** 2).sum() if with_scale else 1.0
+        aligned = scale * p0 @ rot + g.mean(axis=0)
+        total += np.linalg.norm(aligned - g, axis=-1).mean()
+    return total / len(pred)
+
+
+@pytest.mark.parametrize("with_scale", [True, False])
+def test_pmpjpe_matches_per_frame_reference(with_scale):
+    pred, gt = _stack(np.random.default_rng(13), frames=40, joints=17)
+    got = pmpjpe(PoseSeq3D(pred), PoseSeq3D(gt), with_scale=with_scale)
+    want = _reference_pmpjpe(pred, gt, with_scale)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("which, kind, message", [
+    ("pred", "collinear", "prediction joints are collinear"),
+    ("gt", "collinear", "ground truth joints are collinear"),
+    ("pred", "coincident", "all joints coincide"),
+    ("gt", "coincident", "all joints coincide"),
+])
+def test_degenerate_frame_in_stack_is_named(which, kind, message):
+    pred, gt = _stack(np.random.default_rng(14), frames=9, joints=6)
+    target = pred if which == "pred" else gt
+    if kind == "collinear":
+        target[4] = np.outer(np.arange(6.0), [1.0, 2.0, -0.5]) + 100.0
+    else:
+        target[4] = 250.0
+    with pytest.raises(DegenerateAlignmentError,
+                       match=f"^frame 4: {message}"):
+        align_frame(pred, gt)
+    with pytest.raises(DegenerateAlignmentError, match="frame 4"):
+        pmpjpe(PoseSeq3D(pred), PoseSeq3D(gt))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_pmpjpe_never_exceeds_mpjpe(seed):

@@ -25,12 +25,34 @@ from .synth import (Bimodal, DepthRay, HypothesisModel, IidGaussian,
                     ScenarioConfig, DEFAULT_CAMERA)
 
 
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string"}
+
+
+def _typed(value, kind: type, where: str):
+    """``value`` as ``kind``, refusing a value of another JSON type.
+
+    A bool takes only a bool, an int only an int (not a bool), a float
+    an int or a float (not a bool), a str only a str.
+    """
+    ok = isinstance(value, (int, float) if kind is float else kind)
+    if not ok or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, "
+                          f"got {value!r}")
+    return kind(value)
+
+
 def _take(d: dict, known: dict, where: str) -> dict:
+    """Merge ``d`` over the defaults ``known``; a given value whose
+    default is a bool, int, float or str must have that type."""
     unknown = set(d) - set(known)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
     merged = dict(known)
-    merged.update(d)
+    for key, value in d.items():
+        kind = type(known[key])
+        merged[key] = (_typed(value, kind, f"{where}.{key}")
+                       if kind in _TYPE_NAMES else value)
     return merged
 
 
@@ -40,20 +62,20 @@ def _model_from_dict(d: dict) -> HypothesisModel:
         if kind == "iid_gaussian":
             rest = _take({k: v for k, v in d.items() if k != "kind"},
                          {"sigma_mm": 30.0}, "hypothesis_model")
-            return IidGaussian(sigma_mm=float(rest["sigma_mm"]))
+            return IidGaussian(sigma_mm=rest["sigma_mm"])
         if kind == "depth_ray":
             rest = _take({k: v for k, v in d.items() if k != "kind"},
                          {"sigma_ray_mm": 80.0, "sigma_perp_mm": 5.0},
                          "hypothesis_model")
-            return DepthRay(sigma_ray_mm=float(rest["sigma_ray_mm"]),
-                            sigma_perp_mm=float(rest["sigma_perp_mm"]))
+            return DepthRay(sigma_ray_mm=rest["sigma_ray_mm"],
+                            sigma_perp_mm=rest["sigma_perp_mm"])
         if kind == "bimodal":
             rest = _take({k: v for k, v in d.items() if k != "kind"},
                          {"offset_mm": 150.0, "p_wrong": 0.3,
                           "sigma_correct_mm": 5.0}, "hypothesis_model")
-            return Bimodal(offset_mm=float(rest["offset_mm"]),
-                           p_wrong=float(rest["p_wrong"]),
-                           sigma_correct_mm=float(rest["sigma_correct_mm"]))
+            return Bimodal(offset_mm=rest["offset_mm"],
+                           p_wrong=rest["p_wrong"],
+                           sigma_correct_mm=rest["sigma_correct_mm"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad hypothesis_model: {exc}") from exc
     raise ConfigError(f"hypothesis_model.kind must be one of iid_gaussian, "
@@ -129,17 +151,18 @@ def _scenario_from_dict(d: dict, skeleton: Skeleton, camera: CameraIntrinsics,
         model = _model_from_dict(model)
     box = v["root_box_mm"]
     try:
-        box = (tuple(float(x) for x in box[0]), tuple(float(x) for x in box[1]))
+        box = tuple(tuple(_typed(x, float, "scenario.root_box_mm")
+                          for x in corner) for corner in (box[0], box[1]))
         if len(box[0]) != 3 or len(box[1]) != 3:
             raise ValueError("root_box_mm needs two 3-vectors")
         return ScenarioConfig(
             skeleton=skeleton, camera=camera,
-            pose_count=int(v["pose_count"]),
-            frames_per_pose=int(v["frames_per_pose"]),
-            noise_2d_px=float(v["noise_2d_px"]),
-            hypothesis_count=int(v["hypothesis_count"]),
+            pose_count=v["pose_count"],
+            frames_per_pose=v["frames_per_pose"],
+            noise_2d_px=v["noise_2d_px"],
+            hypothesis_count=v["hypothesis_count"],
             hypothesis_model=model, seed=seed,
-            root_box_mm=box, max_swing_deg=float(v["max_swing_deg"]))
+            root_box_mm=box, max_swing_deg=v["max_swing_deg"])
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"bad scenario section: {exc}") from exc
 
@@ -163,8 +186,7 @@ def config_from_dict(doc: dict, *, base_dir: Path | None = None) -> RunConfig:
     }
     v = _take(doc, defaults, "config")
     try:
-        seed = int(v["seed"])
-        t_max = int(v["t_max"])
+        seed, t_max = v["seed"], v["t_max"]
 
         skeleton = v["skeleton"]
         if skeleton is None:
@@ -194,48 +216,48 @@ def config_from_dict(doc: dict, *, base_dir: Path | None = None) -> RunConfig:
         else:
             raise ConfigError("camera must be null, a path, or an object")
 
-        signal_scale = float(v["signal_scale"])
+        signal_scale = v["signal_scale"]
         den = _take(v["denoiser"], {
             "hidden_width": 128, "hidden_layers": 2, "target": "predict_y0",
             "pixel_scale": DEFAULT_PIXEL_SCALE, "oracle_lambda": 0.5,
             "oracle_sigma_mm": 20.0}, "denoiser")
         denoiser = DenoiserSettings(
-            oracle_lambda=float(den["oracle_lambda"]),
-            oracle_sigma_mm=float(den["oracle_sigma_mm"]))
+            oracle_lambda=den["oracle_lambda"],
+            oracle_sigma_mm=den["oracle_sigma_mm"])
 
         tr = _take(v["train"], {
             "steps": 2000, "batch_size": 32, "learning_rate": 1e-3,
             "weight_decay": 0.1, "beta1": 0.9, "beta2": 0.999}, "train")
         train = TrainConfig(
-            steps=int(tr["steps"]), batch_size=int(tr["batch_size"]),
-            learning_rate=float(tr["learning_rate"]),
-            weight_decay=float(tr["weight_decay"]),
-            beta1=float(tr["beta1"]), beta2=float(tr["beta2"]),
+            steps=tr["steps"], batch_size=tr["batch_size"],
+            learning_rate=tr["learning_rate"],
+            weight_decay=tr["weight_decay"],
+            beta1=tr["beta1"], beta2=tr["beta2"],
             seed=seed, t_max=t_max, signal_scale=signal_scale,
             target=RegressionTarget(den["target"]),
-            hidden_width=int(den["hidden_width"]),
-            hidden_layers=int(den["hidden_layers"]),
-            pixel_scale=float(den["pixel_scale"]))
+            hidden_width=den["hidden_width"],
+            hidden_layers=den["hidden_layers"],
+            pixel_scale=den["pixel_scale"])
 
         sa = _take(v["sampler"], {
             "hypotheses": 20, "iterations": 10, "sigma_mode": "stochastic",
             "flip_mode": "none"}, "sampler")
         sampler = SamplerConfig(
-            hypotheses=int(sa["hypotheses"]), iterations=int(sa["iterations"]),
+            hypotheses=sa["hypotheses"], iterations=sa["iterations"],
             t_max=t_max, sigma_mode=SigmaMode(sa["sigma_mode"]),
             flip_mode=FlipMode(sa["flip_mode"]), seed=seed,
             signal_scale=signal_scale)
 
         me = _take(v["metrics"], {"pck_threshold_mm": 150.0,
                                   "pmpjpe_scale": True}, "metrics")
-        metrics = MetricSettings(pck_threshold_mm=float(me["pck_threshold_mm"]),
-                                 pmpjpe_scale=bool(me["pmpjpe_scale"]))
+        metrics = MetricSettings(pck_threshold_mm=me["pck_threshold_mm"],
+                                 pmpjpe_scale=me["pmpjpe_scale"])
 
         cfg = RunConfig(
-            seed=seed, out_dir=str(v["out_dir"]), t_max=t_max,
+            seed=seed, out_dir=v["out_dir"], t_max=t_max,
             signal_scale=signal_scale,
-            image_width=int(v["image_width"]),
-            image_height=int(v["image_height"]),
+            image_width=v["image_width"],
+            image_height=v["image_height"],
             skeleton=skeleton, camera=camera,
             scenario=_scenario_from_dict(v["scenario"], skeleton, camera, seed),
             denoiser=denoiser, train=train, sampler=sampler, metrics=metrics)
@@ -330,9 +352,11 @@ def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
         for key, kind in (("hypotheses", int), ("iterations", int),
                           ("sigma_mode", SigmaMode), ("flip_mode", FlipMode)):
             if key in samp:
-                samp[key] = kind(samp[key])
+                samp[key] = (_typed(samp[key], int, key) if kind is int
+                             else kind(samp[key]))
         if "seed" in top:
-            seed = top["seed"] = samp["seed"] = int(top["seed"])
+            seed = top["seed"] = samp["seed"] = _typed(top["seed"], int,
+                                                       "seed")
             top["train"] = replace(cfg.train, seed=seed)
             top["scenario"] = replace(cfg.scenario, seed=seed)
         if "out_dir" in top:

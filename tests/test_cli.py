@@ -95,6 +95,13 @@ def test_bad_config_key_exit_2(runner, tmp_path):
     assert "seeed" in res.output
 
 
+def test_bad_config_type_exit_2(runner, tmp_path):
+    cfg = _write_cfg(tmp_path, {"metrics": {"pmpjpe_scale": "false"}})
+    res = runner.invoke(main, ["gen", "--config", str(cfg)])
+    assert res.exit_code == 2
+    assert "pmpjpe_scale" in res.output
+
+
 def test_train_then_infer_checkpoint(runner, tmp_path):
     cfg, data = _gen(runner, tmp_path)
     run = tmp_path / "run"

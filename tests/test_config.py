@@ -190,6 +190,49 @@ def test_apply_overrides():
             apply_overrides(cfg, **bad)
 
 
+@pytest.mark.parametrize("doc", [
+    {"metrics": {"pmpjpe_scale": "false"}},
+    {"metrics": {"pmpjpe_scale": 0}},
+    {"sampler": {"hypotheses": 2.9}},
+    {"sampler": {"hypotheses": 2.0}},
+    {"sampler": {"iterations": True}},
+    {"seed": "7"},
+    {"t_max": None},
+    {"image_width": 1000.5},
+    {"train": {"learning_rate": "0.001"}},
+    {"train": {"beta1": True}},
+    {"denoiser": {"hidden_width": 16.0}},
+    {"denoiser": {"target": 1}},
+    {"scenario": {"pose_count": 3.0}},
+    {"scenario": {"root_box_mm": [["0", 0, 1000], [10, 10, 2000]]}},
+    {"scenario": {"hypothesis_model": {"kind": "iid_gaussian",
+                                       "sigma_mm": "5"}}},
+    {"out_dir": 5},
+])
+def test_wrong_json_types_rejected(doc):
+    # no silent coercion: "false" is not False, 2.9 is not 2
+    with pytest.raises(ConfigError, match="must be"):
+        config_from_dict(doc)
+
+
+def test_float_fields_take_integers():
+    as_int = config_from_dict({"signal_scale": 2, "train": {"beta2": 1},
+                               "metrics": {"pck_threshold_mm": 150}})
+    as_float = config_from_dict({"signal_scale": 2.0, "train": {"beta2": 1.0},
+                                 "metrics": {"pck_threshold_mm": 150.0}})
+    assert as_int == as_float
+    assert isinstance(as_int.signal_scale, float)
+    assert json.dumps(config_to_dict(as_int)) == json.dumps(
+        config_to_dict(as_float))
+    assert config_sha256(as_int) == config_sha256(as_float)
+
+
+def test_override_counts_must_be_integers():
+    for bad in ({"hypotheses": 2.9}, {"iterations": True}, {"seed": "3"}):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            apply_overrides(RunConfig(), **bad)
+
+
 def test_scenario_box_parsing():
     cfg = config_from_dict({"scenario": {
         "root_box_mm": [[0, 0, 1000], [10, 10, 2000]]}})

@@ -14,6 +14,7 @@ gradients, not capacity.
 from __future__ import annotations
 
 import abc
+import copy
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -321,6 +322,12 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
 
     weights = [w.copy() for w in params.weights]
     biases = [b.copy() for b in params.biases]
+    # The optimizer updates these arrays in place; ``live`` sees them
+    # without the copy and validation of a new DenoiserParams per step.
+    # The per-step guard below screens the loss and gradients instead.
+    live = copy.copy(params)
+    object.__setattr__(live, "weights", tuple(weights))
+    object.__setattr__(live, "biases", tuple(biases))
     m_w = [np.zeros_like(w) for w in weights]
     v_w = [np.zeros_like(w) for w in weights]
     m_b = [np.zeros_like(b) for b in biases]
@@ -349,7 +356,6 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
             timesteps=ts.astype(np.float64),
             targets=targets.reshape(b, j * 3),
         )
-        live = replace(params, weights=tuple(weights), biases=tuple(biases))
         try:
             loss, g_w, g_b = grad_loss(live, batch)
         except NumericError as exc:

@@ -39,7 +39,10 @@ def _typed(value, kind: type, where: str):
     if not ok or (kind is not bool and isinstance(value, bool)):
         raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, "
                           f"got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError as exc:  # an integer too large for a float
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _take(d: dict, known: dict, where: str) -> dict:

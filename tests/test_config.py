@@ -225,6 +225,8 @@ def test_float_fields_take_integers():
     assert json.dumps(config_to_dict(as_int)) == json.dumps(
         config_to_dict(as_float))
     assert config_sha256(as_int) == config_sha256(as_float)
+    with pytest.raises(ConfigError, match="learning_rate"):
+        config_from_dict({"train": {"learning_rate": 10 ** 400}})
 
 
 def test_override_counts_must_be_integers():

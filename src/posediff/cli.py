@@ -377,8 +377,9 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     cfg = _load_cfg(config_path, seed=seed, out_dir=out_dir,
                     flip_mode=flip_mode, sigma_mode=sigma_mode)
     # Every cell is checked before the first one is sampled.
-    cells = [apply_overrides(cfg, hypotheses=h, iterations=k)
-             for h in hs_values for k in ks_values]
+    for h in hs_values:
+        for k in ks_values:
+            apply_overrides(cfg, hypotheses=h, iterations=k)
     ds = load_dataset(data_dir)
     if not ds.has_gt:
         raise MissingGroundTruthError("bench needs ground truth for metrics")
@@ -405,9 +406,8 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
                     cfg, ds, [r.pose for r in reports[m]]))
                 for m in methods]
         del all_hs, prefixes, reports
-    rows = [row for cell in cells
-            for row in cell_rows[cell.sampler.hypotheses,
-                                 cell.sampler.iterations]]
+    rows = [row for h in hs_values for k in ks_values
+            for row in cell_rows[h, k]]
     _write_metric_rows(root / "bench.csv", rows)
     _write_config_copy(root, cfg)
     _write_manifest(root, "bench", cfg, data=str(data_dir),

@@ -7,17 +7,15 @@ reverse process to generate H candidate poses; an aggregator collapses
 them into one final pose, optionally using per-joint reprojection onto
 the 2D evidence.
 """
-from .aggregate import (AggregationReport, GT_METHODS, METHOD_NAMES,
-                        agg_average, agg_jbest, agg_jpma, agg_pbest, agg_ppma,
+from .aggregate import (AggregationReport, METHOD_NAMES, agg_average,
+                        agg_jbest, agg_jpma, agg_pbest, agg_ppma,
                         run_aggregator)
 from .camera import (CameraIntrinsics, DEFAULT_Z_MIN, camera_from_dict,
-                     camera_to_dict, load_camera, project, project_with_mask,
-                     ray_point, save_camera)
+                     camera_to_dict, load_camera, project, project_with_mask)
 from .config import (RunConfig, apply_overrides, config_from_dict,
                      config_sha256, config_to_dict, load_config)
 from .core import (DEFAULT_SKELETON, HypothesisSet, JOINT_NAMES_17, PoseSeq2D,
-                   PoseSeq3D, Skeleton, flip_pose2d, flip_pose3d,
-                   load_skeleton, save_skeleton, skeleton_from_dict,
+                   PoseSeq3D, Skeleton, load_skeleton, skeleton_from_dict,
                    skeleton_to_dict)
 from .dataset import Dataset, Sequence, load_dataset, save_dataset
 from .denoise import (ContractiveOracle, Denoiser, DenoiserParams,
@@ -31,15 +29,15 @@ from .errors import (AggregationError, BehindCameraError, ConfigError,
                      PoseFileSchemaError, ShapeError, SkeletonError,
                      TrainingDivergedError)
 from .metrics import (MetricReport, align_frame, auc, compute_metrics,
-                      joint_errors, mpjpe, pck, per_frame_mpjpe, pmpjpe)
+                      joint_errors, mpjpe, pck, pmpjpe)
 from .poseio import load_poses, save_poses
 from .render import render_frame, render_sequence
-from .rng import RngStream, stream_id
+from .rng import RngStream, hypothesis_normals, stream_id
 from .sampler import (DdimDiagnostics, FlipMode, SamplerConfig, SigmaMode,
-                      ddim_step, run_sampler, timestep_ladder)
+                      run_sampler, timestep_ladder)
 from .schedule import (DEFAULT_SIGNAL_SCALE, MM_PER_UNIT, NoiseSchedule,
-                       diffuse, make_cosine_schedule, save_schedule_csv,
-                       to_millimeters, to_signal_units)
+                       make_cosine_schedule, save_schedule_csv, to_millimeters,
+                       to_signal_units)
 from .synth import (Bimodal, DEFAULT_CAMERA, DepthRay, IidGaussian,
                     ScenarioConfig, gen_hypotheses, gen_poses, gen_scenarios)
 

@@ -156,7 +156,6 @@ def agg_jbest(hs: HypothesisSet, gt: PoseSeq3D) -> AggregationReport:
 
 # Aggregator names accepted by the CLI, in output order.
 METHOD_NAMES = ("avg", "jpma", "ppma", "pbest", "jbest")
-GT_METHODS = ("pbest", "jbest")
 
 
 def run_aggregator(method: str, hs: HypothesisSet, *,

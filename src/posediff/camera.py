@@ -16,7 +16,7 @@ one for the other when porting calibration values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,9 +65,6 @@ class CameraIntrinsics:
                   p1: float = 0.0, p2: float = 0.0) -> "CameraIntrinsics":
         return cls(fx=fx, fy=fy, cx=cx, cy=cy,
                    k1=k1, k2=k2, k3=k3, p1=p1, p2=p2, model=DISTORTED)
-
-    def without_distortion(self) -> "CameraIntrinsics":
-        return replace(self, k1=0.0, k2=0.0, k3=0.0, p1=0.0, p2=0.0, model=PINHOLE)
 
 
 def project_array(points: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
@@ -120,21 +117,6 @@ def project_with_mask(points: np.ndarray, cam: CameraIntrinsics, *,
     return uv, valid
 
 
-def ray_point(u: float, v: float, z: float, cam: CameraIntrinsics) -> np.ndarray:
-    """The 3D point at depth z whose pinhole projection is (u, v).
-
-    Only defined for the pinhole model; inverting the distortion
-    polynomial has no closed form.
-    """
-    if cam.model != PINHOLE:
-        raise ValueError("ray_point requires a pinhole camera")
-    if not z > 0:
-        raise ValueError(f"depth must be positive, got {z}")
-    x = (u - cam.cx) / cam.fx * z
-    y = (v - cam.cy) / cam.fy * z
-    return np.array([x, y, z], dtype=np.float64)
-
-
 def camera_to_dict(cam: CameraIntrinsics) -> dict:
     return {
         "model": cam.model,
@@ -156,10 +138,6 @@ def camera_from_dict(d: dict) -> CameraIntrinsics:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed camera record: {exc}") from exc
-
-
-def save_camera(cam: CameraIntrinsics, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(camera_to_dict(cam), indent=2) + "\n")
 
 
 def load_camera(path: str | Path) -> CameraIntrinsics:

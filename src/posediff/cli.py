@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import sys
 from dataclasses import replace
 from pathlib import Path
 

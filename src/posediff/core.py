@@ -131,10 +131,6 @@ class PoseSeq3D:
     def num_joints(self) -> int:
         return self.joints.shape[1]
 
-    def in_front_of_camera(self, z_min: float = 0.0) -> bool:
-        """True when every joint has depth strictly greater than z_min."""
-        return bool(np.all(self.joints[..., 2] > z_min))
-
 
 @dataclass(frozen=True, eq=False)
 class PoseSeq2D:
@@ -231,17 +227,6 @@ def flip_array2d(a: np.ndarray, skeleton: Skeleton, image_width: float) -> np.nd
     return out
 
 
-def flip_pose3d(pose: PoseSeq3D, skeleton: Skeleton) -> PoseSeq3D:
-    """Left/right mirror of a 3D sequence. Involutive."""
-    return PoseSeq3D(flip_array3d(pose.joints, skeleton))
-
-
-def flip_pose2d(pose: PoseSeq2D, skeleton: Skeleton,
-                image_width: float) -> PoseSeq2D:
-    """Left/right mirror of a 2D sequence within an image of given width."""
-    return PoseSeq2D(flip_array2d(pose.joints, skeleton, image_width))
-
-
 # 17-joint skeleton in the usual capture order: pelvis root, right leg,
 # left leg, spine to head, left arm, right arm. Lengths are rounded
 # adult-scale values in millimeters.
@@ -280,20 +265,16 @@ def skeleton_from_dict(d: dict) -> Skeleton:
         parents = tuple(int(p) for p in d["parents"])
         pairs = tuple((int(a), int(b)) for a, b in d["mirror_pairs"])
         lengths = tuple(float(x) for x in d["bone_lengths"])
+        names = d.get("joint_names")
+        names = None if names is None else tuple(str(n) for n in names)
+        count = int(d.get("num_joints", len(parents)))
     except (KeyError, TypeError, ValueError) as exc:
         raise SkeletonError(f"malformed skeleton record: {exc}") from exc
-    names = d.get("joint_names")
-    if names is not None:
-        names = tuple(str(n) for n in names)
-    if "num_joints" in d and int(d["num_joints"]) != len(parents):
+    if count != len(parents):
         raise SkeletonError(
-            f"num_joints={d['num_joints']} disagrees with {len(parents)} parents")
+            f"num_joints={count} disagrees with {len(parents)} parents")
     return Skeleton(parents=parents, mirror_pairs=pairs,
                     bone_lengths=lengths, joint_names=names)
-
-
-def save_skeleton(skeleton: Skeleton, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(skeleton_to_dict(skeleton), indent=2) + "\n")
 
 
 def load_skeleton(path: str | Path) -> Skeleton:

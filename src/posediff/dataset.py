@@ -18,7 +18,7 @@ from pathlib import Path
 from .camera import CameraIntrinsics, camera_from_dict, camera_to_dict
 from .core import PoseSeq2D, PoseSeq3D, Skeleton, skeleton_from_dict, \
     skeleton_to_dict
-from .errors import PoseFileSchemaError
+from .errors import PoseFileSchemaError, require_field
 from .poseio import load_poses, save_poses
 
 MANIFEST_NAME = "manifest.json"
@@ -95,42 +95,46 @@ def load_dataset(root: str | Path) -> Dataset:
     except json.JSONDecodeError as exc:
         raise PoseFileSchemaError(f"invalid manifest JSON: {exc}",
                                   line=exc.lineno) from exc
-    if manifest.get("format") != _MANIFEST_MAGIC:
+    if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_MAGIC:
         raise PoseFileSchemaError(f"{path} is not a dataset manifest", line=1)
-    skeleton = skeleton_from_dict(manifest["skeleton"])
-    camera = camera_from_dict(manifest["camera"])
-    num_joints = int(manifest["num_joints"])
+
+    def need(record, key, kind, where=str(path)):
+        return require_field(record, key, kind, where, PoseFileSchemaError)
+    skeleton = skeleton_from_dict(need(manifest, "skeleton", dict))
+    camera = camera_from_dict(need(manifest, "camera", dict))
+    num_joints = need(manifest, "num_joints", int)
     if num_joints != skeleton.num_joints:
         raise PoseFileSchemaError(
             f"manifest num_joints {num_joints} does not match skeleton "
             f"({skeleton.num_joints})", line=1)
     sequences = []
-    for entry in manifest["sequences"]:
-        kp = load_poses(root / entry["keypoints"])
+    for i, entry in enumerate(need(manifest, "sequences", list)):
+        where = f"{path}: sequence {i}"
+        name = need(entry, "name", str, where)
+        kp = load_poses(root / need(entry, "keypoints", str, where))
         if not isinstance(kp, PoseSeq2D):
             raise PoseFileSchemaError(
-                f"sequence {entry['name']}: keypoint file holds 3D data",
-                line=1)
+                f"sequence {name}: keypoint file holds 3D data", line=1)
         gt = None
         if "gt" in entry:
-            gt = load_poses(root / entry["gt"])
+            gt = load_poses(root / need(entry, "gt", str, where))
             if not isinstance(gt, PoseSeq3D):
                 raise PoseFileSchemaError(
-                    f"sequence {entry['name']}: gt file holds 2D data", line=1)
+                    f"sequence {name}: gt file holds 2D data", line=1)
             if gt.num_frames != kp.num_frames:
                 raise PoseFileSchemaError(
-                    f"sequence {entry['name']}: gt frame count "
+                    f"sequence {name}: gt frame count "
                     f"{gt.num_frames} != keypoint frame count {kp.num_frames}",
                     line=0)
         if kp.num_joints != num_joints:
             raise PoseFileSchemaError(
-                f"sequence {entry['name']}: joint count {kp.num_joints} "
+                f"sequence {name}: joint count {kp.num_joints} "
                 f"does not match manifest ({num_joints})", line=0)
-        if int(entry["frames"]) != kp.num_frames:
+        if need(entry, "frames", int, where) != kp.num_frames:
             raise PoseFileSchemaError(
-                f"sequence {entry['name']}: manifest says {entry['frames']} "
+                f"sequence {name}: manifest says {entry['frames']} "
                 f"frames, file holds {kp.num_frames}", line=0)
-        sequences.append(Sequence(name=str(entry["name"]), keypoints=kp, gt=gt))
+        sequences.append(Sequence(name=name, keypoints=kp, gt=gt))
     return Dataset(skeleton=skeleton, camera=camera,
                    sequences=tuple(sequences),
                    config_sha256=manifest.get("config_sha256"))

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import HypothesisSet, PoseSeq2D, PoseSeq3D, Skeleton, flip_array3d
-from .errors import (NumericError, ShapeError, TrainingDivergedError)
-from .rng import RngStream, stream_id
+from .errors import NumericError, ShapeError, TrainingDivergedError, require_field
+from .rng import RngStream, hypothesis_normals, stream_id
 from .schedule import (DEFAULT_SIGNAL_SCALE, NoiseSchedule,
                        make_cosine_schedule, to_millimeters, to_signal_units)
 
@@ -213,16 +213,6 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
     return HypothesisSet(out)
 
 
-def loss_mse(pred: HypothesisSet, gt: PoseSeq3D) -> float:
-    """Mean squared coordinate difference, averaged over everything."""
-    if (pred.num_frames, pred.num_joints) != (gt.num_frames, gt.num_joints):
-        raise ShapeError(
-            f"prediction ({pred.num_frames}, {pred.num_joints}) vs "
-            f"ground truth ({gt.num_frames}, {gt.num_joints})")
-    diff = pred.poses - gt.joints[None]
-    return float(np.mean(diff * diff))
-
-
 @dataclass(frozen=True)
 class TrainBatch:
     """One optimizer step's worth of flattened per-frame samples."""
@@ -386,6 +376,9 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
 # --- checkpoint I/O ---------------------------------------------------------
 
 _CHECKPOINT_MAGIC = "posediff-denoiser"
+# Header fields the loaders read, with the JSON types they must have.
+_HEADER_FIELDS = {"tensors": list, "embed_dim": int, "pixel_scale": (int, float),
+                  "target": str, "t_max": int, "signal_scale": (int, float)}
 
 
 def save_checkpoint(path: str | Path, params: DenoiserParams,
@@ -426,26 +419,31 @@ def load_checkpoint(path: str | Path
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: bad checkpoint header: {exc}") from exc
-    if header.get("format") != _CHECKPOINT_MAGIC:
+    if not isinstance(header, dict) or header.get("format") != _CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a denoiser checkpoint")
+    for key, kind in _HEADER_FIELDS.items():
+        require_field(header, key, kind, f"{path}: checkpoint header")
     flat = np.frombuffer(raw[nl + 1:], dtype="<f8")
-    shapes = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
-    need = sum(int(np.prod(s)) for _, s in shapes)
-    if flat.size != need:
-        raise ValueError(f"{path}: payload holds {flat.size} floats, header "
-                         f"promises {need}")
-    arrays, off = {}, 0
-    for name, shape in shapes:
-        n = int(np.prod(shape))
-        arrays[name] = flat[off:off + n].reshape(shape).copy()
-        off += n
-    layers = len(shapes) // 2
-    params = DenoiserParams(
-        weights=tuple(arrays[f"w{i}"] for i in range(layers)),
-        biases=tuple(arrays[f"b{i}"] for i in range(layers)),
-        embed_dim=int(header["embed_dim"]),
-        pixel_scale=float(header["pixel_scale"]),
-    )
+    try:
+        shapes = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
+        need = sum(int(np.prod(s)) for _, s in shapes)
+        if flat.size != need:
+            raise ValueError(f"{path}: payload holds {flat.size} floats, "
+                             f"header promises {need}")
+        arrays, off = {}, 0
+        for name, shape in shapes:
+            n = int(np.prod(shape))
+            arrays[name] = flat[off:off + n].reshape(shape).copy()
+            off += n
+        layers = len(shapes) // 2
+        weights = tuple(arrays[f"w{i}"] for i in range(layers))
+        biases = tuple(arrays[f"b{i}"] for i in range(layers))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: checkpoint header: 'tensors' is malformed "
+                         f"({type(exc).__name__}: {exc})") from exc
+    params = DenoiserParams(weights=weights, biases=biases,
+                            embed_dim=int(header["embed_dim"]),
+                            pixel_scale=float(header["pixel_scale"]))
     return params, RegressionTarget(header["target"]), header
 
 
@@ -569,13 +567,10 @@ class NoisyOracle(_OracleBase):
     def predict_clean(self, y_t, x, t, *, hyp_offset=0, mirrored=None):
         self._check(y_t)
         gt = self._gt_for(mirrored)
-        h, n, j = y_t.shape[0], y_t.shape[1], y_t.shape[2]
-        branch = 0 if mirrored is None else 1
-        out = np.empty_like(y_t)
+        hyps = range(hyp_offset, hyp_offset + y_t.shape[0])
+        noise = hypothesis_normals(self.seed, hyps, y_t.shape[1:],
+                                   "oracle_noisy", int(t),
+                                   branch=0 if mirrored is None else 1)
         scale = self.sigma if self.sigma.ndim == 0 else self.sigma[:, None]
-        for i in range(h):
-            rng = RngStream(self.seed,
-                            stream_id("oracle_noisy", int(t), hyp_offset + i, branch))
-            out[i] = gt + scale * rng.standard_normal((n, j, 3))
-        return out
+        return gt + scale * noise
 

@@ -85,3 +85,13 @@ class MissingGroundTruthError(PoseDiffError, ValueError):
 
 class ConfigError(PoseDiffError, ValueError):
     """Run configuration is missing, malformed, or inconsistent."""
+
+
+def require_field(record, key: str, kind, where: str, error=ValueError):
+    """``record[key]`` if it has type ``kind`` (never bool), else ``error``."""
+    present = isinstance(record, dict) and key in record
+    value = record[key] if present else None
+    if isinstance(value, bool) or not isinstance(value, kind):
+        state = "has the wrong type" if present else "is missing"
+        raise error(f"{where}: {key!r} {state}")
+    return value

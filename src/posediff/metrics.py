@@ -42,10 +42,6 @@ def mpjpe(pred: PoseSeq3D, gt: PoseSeq3D) -> float:
     return float(joint_errors(pred, gt).mean())
 
 
-def per_frame_mpjpe(pred: PoseSeq3D, gt: PoseSeq3D) -> np.ndarray:
-    return joint_errors(pred, gt).mean(axis=1)
-
-
 def align_frame(pred: np.ndarray, gt: np.ndarray, *,
                 with_scale: bool = True) -> np.ndarray:
     """Similarity-align predicted frames onto their ground truth.
@@ -137,13 +133,12 @@ def auc(pred: PoseSeq3D, gt: PoseSeq3D) -> float:
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Bundle of the four standard metrics plus a per-frame breakdown."""
+    """Bundle of the four standard metrics."""
 
     mpjpe_mm: float
     pmpjpe_mm: float
     pck150: float
     auc: float
-    per_frame_mpjpe_mm: tuple[float, ...]
 
 
 def compute_metrics(pred: PoseSeq3D, gt: PoseSeq3D, *,
@@ -154,5 +149,4 @@ def compute_metrics(pred: PoseSeq3D, gt: PoseSeq3D, *,
         pmpjpe_mm=pmpjpe(pred, gt, with_scale=with_scale),
         pck150=pck(pred, gt, pck_threshold_mm),
         auc=auc(pred, gt),
-        per_frame_mpjpe_mm=tuple(float(x) for x in per_frame_mpjpe(pred, gt)),
     )

@@ -85,3 +85,18 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, sid={self.sid})"
+
+
+def hypothesis_normals(seed: int, hyps: range, shape: tuple[int, ...],
+                       *label: int | str, branch: int) -> np.ndarray:
+    """Standard normals of shape ``(len(hyps),) + shape``, one stream each.
+
+    Row i is hypothesis ``hyps[i]``, drawn from
+    ``RngStream(seed, stream_id(*label, hyps[i], branch))``, so a row
+    depends only on its global hypothesis index: ``range(a, b)`` gives
+    exactly rows ``a:b`` of ``range(0, b)``.
+    """
+    out = np.empty((len(hyps),) + shape)
+    for i, h in enumerate(hyps):
+        out[i] = RngStream(seed, stream_id(*label, h, branch)).standard_normal(shape)
+    return out

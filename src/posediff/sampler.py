@@ -22,8 +22,7 @@ import numpy as np
 from .core import (HypothesisSet, PoseSeq2D, Skeleton, flip_array2d,
                    flip_array3d)
 from .denoise import Denoiser
-from .errors import ShapeError
-from .rng import RngStream, stream_id
+from .rng import hypothesis_normals
 from .schedule import DEFAULT_SIGNAL_SCALE, MM_PER_UNIT, NoiseSchedule
 
 
@@ -115,45 +114,6 @@ def _ddim_core(y: np.ndarray, y0_hat: np.ndarray, t: int, t_next: int,
     return out
 
 
-def ddim_step(y_t: HypothesisSet, y0_hat: HypothesisSet, t: int, t_next: int,
-              sched: NoiseSchedule, sigma_mode: SigmaMode, rng: RngStream,
-              diagnostics: DdimDiagnostics | None = None) -> HypothesisSet:
-    """One reverse update from timestep t to t_next (signal units)."""
-    if not (t > t_next >= 0):
-        raise ValueError(f"need t > t_next >= 0, got t={t}, t_next={t_next}")
-    if t > sched.t_max:
-        raise ValueError(f"t={t} outside schedule range {sched.t_max}")
-    if y_t.poses.shape != y0_hat.poses.shape:
-        raise ShapeError(f"state {y_t.poses.shape} vs estimate "
-                         f"{y0_hat.poses.shape}")
-    eps = None
-    if sigma_mode is SigmaMode.STOCHASTIC:
-        eps = rng.standard_normal(y_t.poses.shape)
-    out = _ddim_core(y_t.poses, y0_hat.poses, t, t_next, sched, sigma_mode,
-                     eps, diagnostics)
-    return HypothesisSet(out)
-
-
-def _init_state(cfg: SamplerConfig, n: int, j: int, hyp_offset: int,
-                branch: int) -> np.ndarray:
-    ys = np.empty((cfg.hypotheses, n, j, 3))
-    for h in range(cfg.hypotheses):
-        rng = RngStream(cfg.seed,
-                        stream_id("sampler_init", hyp_offset + h, branch))
-        ys[h] = rng.standard_normal((n, j, 3))
-    return ys
-
-
-def _step_noise(cfg: SamplerConfig, t: int, n: int, j: int, hyp_offset: int,
-                branch: int) -> np.ndarray:
-    eps = np.empty((cfg.hypotheses, n, j, 3))
-    for h in range(cfg.hypotheses):
-        rng = RngStream(cfg.seed,
-                        stream_id("sampler_ddim", t, hyp_offset + h, branch))
-        eps[h] = rng.standard_normal((n, j, 3))
-    return eps
-
-
 def _run_chain(x: np.ndarray, denoiser: Denoiser, cfg: SamplerConfig,
                sched: NoiseSchedule, *, hyp_offset: int, branch: int = 0,
                mirrored: Skeleton | None = None,
@@ -170,7 +130,9 @@ def _run_chain(x: np.ndarray, denoiser: Denoiser, cfg: SamplerConfig,
     n, j = x.shape[0], x.shape[1]
     to_mm = MM_PER_UNIT / cfg.signal_scale
     ladder = timestep_ladder(cfg.t_max, cfg.iterations)
-    y = _init_state(cfg, n, j, hyp_offset, branch)
+    hyps = range(hyp_offset, hyp_offset + cfg.hypotheses)
+    y = hypothesis_normals(cfg.seed, hyps, (n, j, 3), "sampler_init",
+                           branch=branch)
     if flip_each_step is not None:
         x_flipped = flip_array2d(x, flip_each_step, image_width)
 
@@ -192,7 +154,8 @@ def _run_chain(x: np.ndarray, denoiser: Denoiser, cfg: SamplerConfig,
         if k + 1 < len(ladder):
             eps = None
             if cfg.sigma_mode is SigmaMode.STOCHASTIC:
-                eps = _step_noise(cfg, t, n, j, hyp_offset, branch)
+                eps = hypothesis_normals(cfg.seed, hyps, (n, j, 3),
+                                         "sampler_ddim", t, branch=branch)
             y = _ddim_core(y, y0_mm / to_mm, t, ladder[k + 1], sched,
                            cfg.sigma_mode, eps, diagnostics)
     return y0_mm

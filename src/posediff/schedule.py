@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PoseSeq3D
 from .errors import ShapeError
 
 MM_PER_UNIT = 1000.0
@@ -100,12 +99,6 @@ def diffuse_array(y0: np.ndarray, t: int, sched: NoiseSchedule,
     return np.sqrt(ab) * y0 + np.sqrt(1.0 - ab) * eps
 
 
-def diffuse(y0: PoseSeq3D, t: int, sched: NoiseSchedule,
-            eps: np.ndarray) -> PoseSeq3D:
-    """Forward-diffuse a pose sequence (already in signal units)."""
-    return PoseSeq3D(diffuse_array(y0.joints, t, sched, eps))
-
-
 def to_signal_units(mm: np.ndarray, signal_scale: float = DEFAULT_SIGNAL_SCALE) -> np.ndarray:
     if not signal_scale > 0:
         raise ValueError(f"signal_scale must be positive, got {signal_scale}")
@@ -116,16 +109,6 @@ def to_millimeters(units: np.ndarray, signal_scale: float = DEFAULT_SIGNAL_SCALE
     if not signal_scale > 0:
         raise ValueError(f"signal_scale must be positive, got {signal_scale}")
     return np.asarray(units, dtype=np.float64) / (signal_scale / MM_PER_UNIT)
-
-
-def scale_signal(pose: PoseSeq3D, signal_scale: float = DEFAULT_SIGNAL_SCALE) -> PoseSeq3D:
-    """Millimeter pose -> dimensionless diffusion signal."""
-    return PoseSeq3D(to_signal_units(pose.joints, signal_scale))
-
-
-def unscale_signal(pose: PoseSeq3D, signal_scale: float = DEFAULT_SIGNAL_SCALE) -> PoseSeq3D:
-    """Dimensionless diffusion signal -> millimeter pose."""
-    return PoseSeq3D(to_millimeters(pose.joints, signal_scale))
 
 
 def save_schedule_csv(sched: NoiseSchedule, path: str | Path) -> None:

@@ -303,6 +303,43 @@ def test_bench_grid_and_jbest_monotone(runner, tmp_path):
     assert h1["avg"] == h1["jbest"]
 
 
+def _assert_clean_exit(res, code: int, key: str) -> None:
+    """Exit ``code`` through the error handler, naming ``key``."""
+    assert res.exit_code == code, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert key in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("key", ["tensors", "embed_dim"])
+def test_checkpoint_missing_header_key_exit_2(runner, tmp_path, key):
+    cfg, data = _gen(runner, tmp_path)
+    run = tmp_path / "run"
+    res = runner.invoke(main, ["train", "--config", str(cfg), "--data",
+                               str(data), "--out", str(run)])
+    assert res.exit_code == 0, res.output
+    ckpt = run / "model.ckpt"
+    header, payload = ckpt.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    del doc[key]
+    ckpt.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+    res = runner.invoke(main, [
+        "infer", "--config", str(cfg), "--data", str(data), "--checkpoint",
+        str(ckpt), "--out", str(tmp_path / "out")])
+    _assert_clean_exit(res, 2, key)
+
+
+@pytest.mark.parametrize("key", ["camera", "frames"])
+def test_manifest_missing_key_exit_1(runner, tmp_path, key):
+    cfg, data = _gen(runner, tmp_path)
+    manifest = json.loads((data / "manifest.json").read_text())
+    del (manifest if key == "camera" else manifest["sequences"][1])[key]
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    res = runner.invoke(main, [
+        "infer", "--config", str(cfg), "--data", str(data), "--oracle",
+        "noisy", "--out", str(tmp_path / "out")])
+    _assert_clean_exit(res, 1, key)
+
+
 def test_bench_empty_grid_exit_2(runner, tmp_path):
     cfg, data = _gen(runner, tmp_path)
     res = runner.invoke(main, [

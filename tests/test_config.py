@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from posediff.camera import CameraIntrinsics, save_camera
+from posediff.camera import CameraIntrinsics, camera_to_dict
 from posediff.config import (RunConfig, apply_overrides, config_from_dict,
                              config_sha256, config_to_dict, load_config)
 from posediff.core import DEFAULT_SKELETON
@@ -87,7 +87,7 @@ def load_config_path(tmp_path, doc):
 
 def test_camera_and_skeleton_sources(tmp_path):
     cam = CameraIntrinsics.pinhole(fx=900.0, fy=901.0, cx=1.0, cy=2.0)
-    save_camera(cam, tmp_path / "cam.json")
+    (tmp_path / "cam.json").write_text(json.dumps(camera_to_dict(cam)))
     cfg = load_config_path(tmp_path, {"camera": "cam.json"})
     assert cfg.camera == cam
     inline = config_from_dict({"camera": {"model": "pinhole", "fx": 900.0,

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from posediff.core import (DEFAULT_SKELETON, HypothesisSet, JOINT_NAMES_17,
-                           PoseSeq2D, PoseSeq3D, Skeleton, flip_pose2d,
-                           flip_pose3d, load_skeleton, save_skeleton,
-                           skeleton_from_dict, skeleton_to_dict)
+                           PoseSeq2D, PoseSeq3D, Skeleton, flip_array2d,
+                           flip_array3d, load_skeleton, skeleton_from_dict,
+                           skeleton_to_dict)
 from posediff.errors import ShapeError, SkeletonError
 
 
@@ -80,7 +80,7 @@ def test_mirror_permutation_is_involution():
 
 def test_skeleton_json_round_trip(tmp_path):
     path = tmp_path / "skel.json"
-    save_skeleton(DEFAULT_SKELETON, path)
+    path.write_text(json.dumps(skeleton_to_dict(DEFAULT_SKELETON)))
     loaded = load_skeleton(path)
     assert loaded == DEFAULT_SKELETON
 
@@ -93,6 +93,15 @@ def test_skeleton_dict_joint_count_cross_check(tri_skeleton):
     doc = skeleton_to_dict(tri_skeleton)
     doc["num_joints"] = 5
     with pytest.raises(SkeletonError):
+        skeleton_from_dict(doc)
+
+
+@pytest.mark.parametrize("key, value", [("joint_names", 5),
+                                        ("num_joints", [3])])
+def test_skeleton_dict_wrong_types_rejected(tri_skeleton, key, value):
+    doc = skeleton_to_dict(tri_skeleton)
+    doc[key] = value
+    with pytest.raises(SkeletonError, match="malformed"):
         skeleton_from_dict(doc)
 
 
@@ -134,17 +143,6 @@ def test_poseseq_does_not_mutate_caller_array():
     arr[0, 0, 0] = 7.0  # caller's copy must stay writable
 
 
-def test_in_front_of_camera():
-    good = PoseSeq3D(np.full((1, 2, 3), 100.0))
-    assert good.in_front_of_camera()
-    at_plane = np.full((1, 2, 3), 100.0)
-    at_plane[0, 1, 2] = 0.0
-    assert not PoseSeq3D(at_plane).in_front_of_camera()
-    shallow = np.full((1, 2, 3), 100.0)
-    shallow[0, 1, 2] = 0.5
-    assert not PoseSeq3D(shallow).in_front_of_camera(z_min=1.0)
-
-
 def test_hypothesis_set_indexing():
     arr = np.arange(2 * 3 * 2 * 3, dtype=float).reshape(2, 3, 2, 3)
     hs = HypothesisSet(arr)
@@ -170,42 +168,39 @@ def test_hypothesis_set_needs_one():
 
 def test_flip3d_unpaired_joint_negates_x():
     skel = Skeleton(parents=(0,), mirror_pairs=(), bone_lengths=(0.0,))
-    p = PoseSeq3D(np.array([[[3.0, 1.0, 2.0]]]))
-    out = flip_pose3d(p, skel)
-    assert np.array_equal(out.joints, [[[-3.0, 1.0, 2.0]]])
+    out = flip_array3d(np.array([[[3.0, 1.0, 2.0]]]), skel)
+    assert np.array_equal(out, [[[-3.0, 1.0, 2.0]]])
 
 
 def test_flip3d_pair_swap_hand_traced(tri_skeleton):
     # pair (1,2): negate x then swap -> joint1=(2,0,0), joint2=(-1,0,0)
-    p = PoseSeq3D(np.array([[[0.0, 0.0, 5.0],
-                             [1.0, 0.0, 0.0],
-                             [-2.0, 0.0, 0.0]]]))
-    out = flip_pose3d(p, tri_skeleton)
-    assert np.array_equal(out.joints[0, 1], [2.0, 0.0, 0.0])
-    assert np.array_equal(out.joints[0, 2], [-1.0, 0.0, 0.0])
-    assert np.array_equal(out.joints[0, 0], [0.0, 0.0, 5.0])
+    p = np.array([[[0.0, 0.0, 5.0],
+                   [1.0, 0.0, 0.0],
+                   [-2.0, 0.0, 0.0]]])
+    out = flip_array3d(p, tri_skeleton)
+    assert np.array_equal(out[0, 1], [2.0, 0.0, 0.0])
+    assert np.array_equal(out[0, 2], [-1.0, 0.0, 0.0])
+    assert np.array_equal(out[0, 0], [0.0, 0.0, 5.0])
 
 
 def test_flip2d_reflects_around_width():
     skel = Skeleton(parents=(0,), mirror_pairs=(), bone_lengths=(0.0,))
-    p = PoseSeq2D(np.array([[[100.0, 40.0]]]))
-    out = flip_pose2d(p, skel, image_width=1000.0)
-    assert np.array_equal(out.joints, [[[900.0, 40.0]]])
+    out = flip_array2d(np.array([[[100.0, 40.0]]]), skel, image_width=1000.0)
+    assert np.array_equal(out, [[[900.0, 40.0]]])
 
 
 def test_flip2d_requires_positive_width(tri_skeleton):
-    p = PoseSeq2D(np.zeros((1, 3, 2)))
     with pytest.raises(ValueError):
-        flip_pose2d(p, tri_skeleton, image_width=0.0)
+        flip_array2d(np.zeros((1, 3, 2)), tri_skeleton, image_width=0.0)
 
 
 @settings(max_examples=30)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_flip3d_involution(seed):
     rng = np.random.default_rng(seed)
-    p = PoseSeq3D(rng.normal(size=(2, 17, 3)))
-    out = flip_pose3d(flip_pose3d(p, DEFAULT_SKELETON), DEFAULT_SKELETON)
-    assert np.array_equal(out.joints, p.joints)
+    p = rng.normal(size=(2, 17, 3))
+    out = flip_array3d(flip_array3d(p, DEFAULT_SKELETON), DEFAULT_SKELETON)
+    assert np.array_equal(out, p)
 
 
 @settings(max_examples=30)
@@ -214,7 +209,7 @@ def test_flip2d_involution(seed):
     # u -> w - u is an involution in exact arithmetic; in float64 the
     # double reflection lands within one rounding step of the input.
     rng = np.random.default_rng(seed)
-    p = PoseSeq2D(rng.uniform(0, 1000, size=(2, 17, 2)))
-    once = flip_pose2d(p, DEFAULT_SKELETON, image_width=1000.0)
-    twice = flip_pose2d(once, DEFAULT_SKELETON, image_width=1000.0)
-    np.testing.assert_allclose(twice.joints, p.joints, rtol=0, atol=1e-9)
+    p = rng.uniform(0, 1000, size=(2, 17, 2))
+    once = flip_array2d(p, DEFAULT_SKELETON, image_width=1000.0)
+    twice = flip_array2d(once, DEFAULT_SKELETON, image_width=1000.0)
+    np.testing.assert_allclose(twice, p, rtol=0, atol=1e-9)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from posediff.core import HypothesisSet, PoseSeq2D, PoseSeq3D
+from posediff.core import HypothesisSet, PoseSeq2D
 from posediff.denoise import (ContractiveOracle, DenoiserParams, MlpDenoiser,
                               NoisyOracle, PerfectOracle, RegressionTarget,
                               TrainConfig, denoise, eps_to_y0, grad_loss,
-                              init_params, load_checkpoint, loss_mse,
-                              save_checkpoint, timestep_embedding, train,
-                              TrainBatch, y0_to_eps)
+                              init_params, load_checkpoint, save_checkpoint,
+                              timestep_embedding, train, TrainBatch, y0_to_eps)
 from posediff.errors import ShapeError, TrainingDivergedError
 from posediff.rng import RngStream, stream_id
 from posediff.schedule import diffuse_array, make_cosine_schedule
@@ -193,17 +192,6 @@ def test_y0_to_eps_undefined_at_zero():
 
 
 # --- loss and gradients ------------------------------------------------------
-
-def test_loss_mse_values():
-    gt = PoseSeq3D(np.zeros((1, 2, 3)))
-    assert loss_mse(HypothesisSet(np.zeros((2, 1, 2, 3))), gt) == 0.0
-    assert loss_mse(HypothesisSet(np.ones((2, 1, 2, 3))), gt) == 1.0
-    poses = np.zeros((1, 1, 2, 3))
-    poses[0, 0, 1, 2] = 3.0
-    assert loss_mse(HypothesisSet(poses), gt) == pytest.approx(9.0 / 6.0)
-    with pytest.raises(ShapeError):
-        loss_mse(HypothesisSet(np.zeros((1, 1, 3, 3))), gt)
-
 
 def _random_batch(rng, j, b):
     return TrainBatch(inputs=rng.normal(size=(b, j * 5)),

@@ -6,8 +6,8 @@ from posediff.core import PoseSeq3D
 from posediff.errors import DegenerateAlignmentError, ShapeError
 from posediff.metrics import (AUC_MAX_MM, AUC_STEP_MM,
                               PCK_DEFAULT_THRESHOLD_MM, align_frame, auc,
-                              compute_metrics, joint_errors, mpjpe,
-                              per_frame_mpjpe, pck, pmpjpe)
+                              compute_metrics, joint_errors, mpjpe, pck,
+                              pmpjpe)
 
 from conftest import random_pose
 
@@ -48,14 +48,6 @@ def test_joint_errors_shape_and_values():
     assert e.shape == (2, 3)
     assert e[1, 2] == 4.0
     assert e[0].sum() == 0.0
-
-
-def test_per_frame_mpjpe():
-    gt = PoseSeq3D(np.zeros((2, 2, 3)))
-    pred = np.zeros((2, 2, 3))
-    pred[1, :, 2] = 6.0
-    np.testing.assert_allclose(per_frame_mpjpe(PoseSeq3D(pred), gt),
-                               [0.0, 6.0])
 
 
 def test_mpjpe_shape_mismatch():
@@ -274,8 +266,6 @@ def test_compute_metrics_bundle():
     assert m.pck150 == pytest.approx(pck(pred, gt))
     assert m.auc == pytest.approx(auc(pred, gt))
     assert m.pmpjpe_mm <= m.mpjpe_mm
-    assert len(m.per_frame_mpjpe_mm) == 4
-    assert np.mean(m.per_frame_mpjpe_mm) == pytest.approx(m.mpjpe_mm)
 
 
 def test_compute_metrics_respects_options():

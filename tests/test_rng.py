@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from posediff.rng import RngStream, stream_id
+from posediff.rng import RngStream, hypothesis_normals, stream_id
 
 
 def test_same_key_same_draws():
@@ -101,3 +101,27 @@ def test_unit_vectors_cover_directions():
     s = RngStream(seed=11, sid=1)
     v = s.unit_vectors((20_000,))
     assert np.abs(v.mean(axis=0)).max() < 0.02
+
+
+@pytest.mark.parametrize("seed, label, shape, branch", [
+    (0, ("sampler_init",), (2, 3, 3), 0),
+    (7, ("sampler_ddim", 640), (4, 17, 3), 1),
+    (2 ** 40 + 3, ("oracle_noisy", 0), (1, 2, 3), 0),
+    (5, ("a", 1, "b"), (), 1),
+])
+def test_hypothesis_normals_match_fresh_streams(seed, label, shape, branch):
+    hyps = range(3, 8)
+    out = hypothesis_normals(seed, hyps, shape, *label, branch=branch)
+    assert out.shape == (len(hyps),) + shape
+    for i, h in enumerate(hyps):
+        ref = RngStream(seed, stream_id(*label, h, branch)).standard_normal(shape)
+        assert np.array_equal(out[i], ref)
+
+
+@given(st.integers(0, 2 ** 32), st.integers(0, 6), st.integers(0, 6))
+def test_hypothesis_normals_split_is_slice(seed, a, extra):
+    # the batch-split promise: hypotheses a..b alone are rows a:b of 0..b
+    b = a + extra
+    whole = hypothesis_normals(seed, range(0, b), (2, 3), "split", 4, branch=1)
+    part = hypothesis_normals(seed, range(a, b), (2, 3), "split", 4, branch=1)
+    assert np.array_equal(part, whole[a:b])

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posediff.core import (DEFAULT_SKELETON, HypothesisSet, PoseSeq2D,
-                           flip_array3d)
+from posediff.core import DEFAULT_SKELETON, flip_array3d
 from posediff.denoise import (ContractiveOracle, MlpDenoiser, NoisyOracle,
                               PerfectOracle, RegressionTarget, init_params)
-from posediff.errors import ShapeError
 from posediff.metrics import mpjpe
 from posediff.rng import RngStream, stream_id
 from posediff.sampler import (DdimDiagnostics, FlipMode, SamplerConfig,
-                              SigmaMode, ddim_step, run_sampler,
+                              SigmaMode, _ddim_core, run_sampler,
                               timestep_ladder)
 from posediff.schedule import diffuse_array, make_cosine_schedule
 from posediff.synth import ScenarioConfig, gen_poses
@@ -50,47 +48,45 @@ def test_ddim_step_zero_signal():
     # y0_hat = 0 makes the update pure noise handling: eps_t = y/sqrt(1-ab_t)
     sched = make_cosine_schedule(100)
     rng = np.random.default_rng(0)
-    y = HypothesisSet(rng.normal(size=(2, 1, 3, 3)))
-    zero = HypothesisSet(np.zeros((2, 1, 3, 3)))
+    y = rng.normal(size=(2, 1, 3, 3))
+    zero = np.zeros((2, 1, 3, 3))
     t, t_next = 80, 60
     ab_t, ab_n = sched.alpha_bar[t], sched.alpha_bar[t_next]
-    eps_t = y.poses / np.sqrt(1 - ab_t)
+    eps_t = y / np.sqrt(1 - ab_t)
 
     # deterministic mode keeps the full eps coefficient sqrt(1-ab')
-    out_d = ddim_step(y, zero, t, t_next, sched, SigmaMode.DETERMINISTIC,
-                      RngStream(0, stream_id("unused")))
-    np.testing.assert_allclose(out_d.poses, np.sqrt(1 - ab_n) * eps_t,
-                               rtol=1e-12)
+    out_d = _ddim_core(y, zero, t, t_next, sched, SigmaMode.DETERMINISTIC,
+                       None, None)
+    np.testing.assert_allclose(out_d, np.sqrt(1 - ab_n) * eps_t, rtol=1e-12)
 
     # stochastic mode shrinks that coefficient and adds sigma * eps
     sigma = np.sqrt((1 - ab_n) / (1 - ab_t)) * np.sqrt(1 - ab_t / ab_n)
     eps = RngStream(3, stream_id("zsig")).standard_normal((2, 1, 3, 3))
-    out_p = ddim_step(y, zero, t, t_next, sched, SigmaMode.STOCHASTIC,
-                      RngStream(3, stream_id("zsig")))
+    out_p = _ddim_core(y, zero, t, t_next, sched, SigmaMode.STOCHASTIC,
+                       eps, None)
     np.testing.assert_allclose(
-        out_p.poses, np.sqrt(1 - ab_n - sigma ** 2) * eps_t + sigma * eps,
+        out_p, np.sqrt(1 - ab_n - sigma ** 2) * eps_t + sigma * eps,
         rtol=1e-12)
 
 
 def test_ddim_step_deterministic_consistency():
     # a perfect y0_hat moves the state onto the exact forward trajectory:
-    # update(diffuse(y0, t, eps), y0) == diffuse(y0, t_next, eps)
+    # update(diffuse_array(y0, t, eps), y0) == diffuse_array(y0, t_next, eps)
     sched = make_cosine_schedule(200)
     rng = np.random.default_rng(1)
     y0 = rng.normal(size=(1, 2, 4, 3))
     eps = rng.normal(size=(1, 2, 4, 3))
     for t, t_next in ((200, 150), (150, 60), (60, 1)):
         y_t = diffuse_array(y0, t, sched, eps)
-        stepped = ddim_step(HypothesisSet(y_t), HypothesisSet(y0), t, t_next,
-                            sched, SigmaMode.DETERMINISTIC,
-                            RngStream(0, stream_id("unused")))
-        np.testing.assert_allclose(stepped.poses,
+        stepped = _ddim_core(y_t, y0, t, t_next, sched,
+                             SigmaMode.DETERMINISTIC, None, None)
+        np.testing.assert_allclose(stepped,
                                    diffuse_array(y0, t_next, sched, eps),
                                    rtol=1e-12, atol=1e-12)
 
 
 def test_ddim_step_stochastic_sigma_formula():
-    # with a fixed rng the stochastic term must be exactly sigma_t * eps
+    # with given noise the stochastic term must be exactly sigma_t * eps
     sched = make_cosine_schedule(100)
     gen = np.random.default_rng(2)
     y = gen.normal(size=(1, 1, 2, 3))
@@ -99,33 +95,19 @@ def test_ddim_step_stochastic_sigma_formula():
     ab_t, ab_n = sched.alpha_bar[t], sched.alpha_bar[t_next]
     sigma = np.sqrt((1 - ab_n) / (1 - ab_t)) * np.sqrt(1 - ab_t / ab_n)
 
-    seed_rng = RngStream(9, stream_id("sigma_test"))
     eps = RngStream(9, stream_id("sigma_test")).standard_normal((1, 1, 2, 3))
-    out_p = ddim_step(HypothesisSet(y), HypothesisSet(y0), t, t_next, sched,
-                      SigmaMode.STOCHASTIC, seed_rng)
-    out_d = ddim_step(HypothesisSet(y), HypothesisSet(y0), t, t_next, sched,
-                      SigmaMode.DETERMINISTIC, RngStream(0, stream_id("u")))
+    out_p = _ddim_core(y, y0, t, t_next, sched, SigmaMode.STOCHASTIC, eps,
+                       None)
+    out_d = _ddim_core(y, y0, t, t_next, sched, SigmaMode.DETERMINISTIC, None,
+                       None)
     eps_t = (y - np.sqrt(ab_t) * y0) / np.sqrt(1 - ab_t)
     base = (np.sqrt(ab_n) * y0
             + np.sqrt(1 - ab_n - sigma ** 2) * eps_t)
-    np.testing.assert_allclose(out_p.poses, base + sigma * eps, rtol=1e-12)
+    np.testing.assert_allclose(out_p, base + sigma * eps, rtol=1e-12)
     # the deterministic update differs: full sqrt(1-ab') on eps_t, no noise
-    np.testing.assert_allclose(out_d.poses,
+    np.testing.assert_allclose(out_d,
                                np.sqrt(ab_n) * y0 + np.sqrt(1 - ab_n) * eps_t,
                                rtol=1e-12)
-
-
-def test_ddim_step_validation():
-    sched = make_cosine_schedule(50)
-    y = HypothesisSet(np.zeros((1, 1, 2, 3)))
-    rng = RngStream(0, stream_id("v"))
-    with pytest.raises(ValueError):
-        ddim_step(y, y, 10, 10, sched, SigmaMode.STOCHASTIC, rng)
-    with pytest.raises(ValueError):
-        ddim_step(y, y, 51, 10, sched, SigmaMode.STOCHASTIC, rng)
-    with pytest.raises(ShapeError):
-        ddim_step(y, HypothesisSet(np.zeros((2, 1, 2, 3))), 10, 5, sched,
-                  SigmaMode.STOCHASTIC, rng)
 
 
 # --- full sampling runs ------------------------------------------------------

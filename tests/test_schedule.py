@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posediff.core import PoseSeq3D
 from posediff.schedule import (DEFAULT_SIGNAL_SCALE, MM_PER_UNIT,
-                               NoiseSchedule, diffuse, diffuse_array,
+                               NoiseSchedule, diffuse_array,
                                make_cosine_schedule, save_schedule_csv,
-                               scale_signal, to_millimeters, to_signal_units,
-                               unscale_signal)
+                               to_millimeters, to_signal_units)
 
 # Closed form of the schedule at the midpoint, evaluated with a
 # 50-digit independent calculation: f(t) = cos^2(((t/T+0.008)/1.008)*pi/2),
@@ -121,16 +119,6 @@ def test_diffuse_affine_superposition():
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
-def test_diffuse_pose_wrapper():
-    sched = make_cosine_schedule(50)
-    y0 = PoseSeq3D(np.ones((1, 2, 3)))
-    eps = np.zeros((1, 2, 3))
-    out = diffuse(y0, 10, sched, eps)
-    assert isinstance(out, PoseSeq3D)
-    np.testing.assert_array_equal(out.joints,
-                                  np.sqrt(sched.alpha_bar[10]) * y0.joints)
-
-
 # --- signal scaling ----------------------------------------------------------
 
 def test_unit_conversion_round_trip():
@@ -148,30 +136,29 @@ def test_unit_conversion_values():
 
 def test_scale_signal_elementwise():
     # normalized-unit payload (1, -0.5, 2) doubled by scale=2
-    pose = PoseSeq3D(np.array([[[1.0, -0.5, 2.0]]]) * MM_PER_UNIT)
-    out = scale_signal(pose, 2.0)
-    np.testing.assert_array_equal(out.joints, [[[2.0, -1.0, 4.0]]])
+    mm = np.array([[[1.0, -0.5, 2.0]]]) * MM_PER_UNIT
+    np.testing.assert_array_equal(to_signal_units(mm, 2.0), [[[2.0, -1.0, 4.0]]])
 
 
 def test_scale_unscale_inverse():
     rng = np.random.default_rng(2)
-    pose = PoseSeq3D(rng.normal(scale=1000.0, size=(2, 3, 3)))
-    out = unscale_signal(scale_signal(pose, 1.7), 1.7)
-    np.testing.assert_allclose(out.joints, pose.joints, rtol=1e-15)
+    mm = rng.normal(scale=1000.0, size=(2, 3, 3))
+    out = to_millimeters(to_signal_units(mm, 1.7), 1.7)
+    np.testing.assert_allclose(out, mm, rtol=1e-15)
 
 
 def test_scale_one_is_pure_unit_change():
-    pose = PoseSeq3D(np.array([[[3000.0, -500.0, 1000.0]]]))
-    out = scale_signal(pose, 1.0)
-    np.testing.assert_array_equal(out.joints, [[[3.0, -0.5, 1.0]]])
+    out = to_signal_units(np.array([[[3000.0, -500.0, 1000.0]]]), 1.0)
+    np.testing.assert_array_equal(out, [[[3.0, -0.5, 1.0]]])
 
 
 def test_scale_rejects_nonpositive():
-    pose = PoseSeq3D(np.zeros((1, 1, 3)))
-    with pytest.raises(ValueError):
-        scale_signal(pose, 0.0)
-    with pytest.raises(ValueError):
-        scale_signal(pose, -2.0)
+    zeros = np.zeros((1, 1, 3))
+    for convert in (to_signal_units, to_millimeters):
+        with pytest.raises(ValueError):
+            convert(zeros, 0.0)
+        with pytest.raises(ValueError):
+            convert(zeros, -2.0)
 
 
 def test_schedule_rejects_tampered_alpha_bar():

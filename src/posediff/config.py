@@ -1,8 +1,8 @@
 """Run configuration: one JSON document driving every CLI command.
 
-The document is a nested object with optional sections; anything not
-given falls back to package defaults, and unknown keys are rejected so
-typos fail loudly. The library configs (scenario, sampler, training)
+The document is a nested object with optional sections; a value not
+given takes the default of the dataclass that holds it, and unknown
+keys are rejected so typos fail loudly. The library configs (scenario, sampler, training)
 are held directly, built with the top-level cross-cutting values
 (seed, t_max, signal scale, skeleton, camera) put in.
 """
@@ -11,13 +11,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from pathlib import Path
 
 from .camera import (CameraIntrinsics, camera_from_dict, camera_to_dict,
                      load_camera)
 from .core import (DEFAULT_SKELETON, Skeleton, load_skeleton,
                    skeleton_from_dict, skeleton_to_dict)
-from .denoise import DEFAULT_PIXEL_SCALE, RegressionTarget, TrainConfig
+from .denoise import RegressionTarget, TrainConfig
 from .errors import ConfigError, PoseDiffError
 from .sampler import FlipMode, SamplerConfig, SigmaMode
 from .schedule import DEFAULT_SIGNAL_SCALE
@@ -137,138 +138,71 @@ class RunConfig:
                                   f"must equal the top-level {top}")
 
 
-def _scenario_from_dict(d: dict, skeleton: Skeleton, camera: CameraIntrinsics,
-                        seed: int) -> ScenarioConfig:
-    defaults = {
-        "pose_count": 100,
-        "frames_per_pose": 1,
-        "noise_2d_px": 0.0,
-        "hypothesis_count": 20,
-        "hypothesis_model": {"kind": "iid_gaussian", "sigma_mm": 30.0},
-        "root_box_mm": [[-800.0, -600.0, 3500.0], [800.0, 600.0, 6500.0]],
-        "max_swing_deg": 35.0,
-    }
-    v = _take(d, defaults, "scenario")
-    model = v["hypothesis_model"]
-    if isinstance(model, dict):
-        model = _model_from_dict(model)
+def _source(value, base_dir: Path | None, what: str, default, load,
+            from_dict):
+    """A skeleton or camera given as null, a file path or an object."""
+    if value is None:
+        return default
+    if isinstance(value, dict):
+        return from_dict(value)
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be null, a path, or an object")
+    path = Path(value)
+    if base_dir is not None and not path.is_absolute():
+        path = base_dir / path
+    if not path.exists():
+        raise ConfigError(f"{what} file not found: {path}")
+    return load(path)
+
+
+def _scenario_from_dict(d: dict, **given) -> ScenarioConfig:
+    v = _take(d, _DEFAULTS["scenario"], "scenario")
+    if isinstance(v["hypothesis_model"], dict):
+        v["hypothesis_model"] = _model_from_dict(v["hypothesis_model"])
     box = v["root_box_mm"]
     try:
-        box = tuple(tuple(_typed(x, float, "scenario.root_box_mm")
-                          for x in corner) for corner in (box[0], box[1]))
+        v["root_box_mm"] = box = tuple(
+            tuple(_typed(x, float, "scenario.root_box_mm") for x in corner)
+            for corner in (box[0], box[1]))
         if len(box[0]) != 3 or len(box[1]) != 3:
             raise ValueError("root_box_mm needs two 3-vectors")
-        return ScenarioConfig(
-            skeleton=skeleton, camera=camera,
-            pose_count=v["pose_count"],
-            frames_per_pose=v["frames_per_pose"],
-            noise_2d_px=v["noise_2d_px"],
-            hypothesis_count=v["hypothesis_count"],
-            hypothesis_model=model, seed=seed,
-            root_box_mm=box, max_swing_deg=v["max_swing_deg"])
+        return ScenarioConfig(**v, **given)
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"bad scenario section: {exc}") from exc
 
 
 def config_from_dict(doc: dict, *, base_dir: Path | None = None) -> RunConfig:
     """Build a RunConfig from a parsed JSON document."""
-    defaults = {
-        "seed": 0,
-        "out_dir": "out",
-        "t_max": 1000,
-        "signal_scale": DEFAULT_SIGNAL_SCALE,
-        "image_width": 1000,
-        "image_height": 1000,
-        "skeleton": None,
-        "camera": None,
-        "scenario": {},
-        "denoiser": {},
-        "train": {},
-        "sampler": {},
-        "metrics": {},
-    }
-    v = _take(doc, defaults, "config")
+    v = _take(doc, _DEFAULTS, "config")
     try:
-        seed, t_max = v["seed"], v["t_max"]
-
-        skeleton = v["skeleton"]
-        if skeleton is None:
-            skeleton = DEFAULT_SKELETON
-        elif isinstance(skeleton, str):
-            path = Path(skeleton)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            skeleton = load_skeleton(path)
-        elif isinstance(skeleton, dict):
-            skeleton = skeleton_from_dict(skeleton)
-        else:
-            raise ConfigError("skeleton must be null, a path, or an object")
-
-        camera = v["camera"]
-        if camera is None:
-            camera = DEFAULT_CAMERA
-        elif isinstance(camera, str):
-            path = Path(camera)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            if not path.exists():
-                raise ConfigError(f"camera file not found: {path}")
-            camera = load_camera(path)
-        elif isinstance(camera, dict):
-            camera = camera_from_dict(camera)
-        else:
-            raise ConfigError("camera must be null, a path, or an object")
-
-        signal_scale = v["signal_scale"]
-        den = _take(v["denoiser"], {
-            "hidden_width": 128, "hidden_layers": 2, "target": "predict_y0",
-            "pixel_scale": DEFAULT_PIXEL_SCALE, "oracle_lambda": 0.5,
-            "oracle_sigma_mm": 20.0}, "denoiser")
-        denoiser = DenoiserSettings(
-            oracle_lambda=den["oracle_lambda"],
-            oracle_sigma_mm=den["oracle_sigma_mm"])
-
-        tr = _take(v["train"], {
-            "steps": 2000, "batch_size": 32, "learning_rate": 1e-3,
-            "weight_decay": 0.1, "beta1": 0.9, "beta2": 0.999}, "train")
-        train = TrainConfig(
-            steps=tr["steps"], batch_size=tr["batch_size"],
-            learning_rate=tr["learning_rate"],
-            weight_decay=tr["weight_decay"],
-            beta1=tr["beta1"], beta2=tr["beta2"],
-            seed=seed, t_max=t_max, signal_scale=signal_scale,
-            target=RegressionTarget(den["target"]),
-            hidden_width=den["hidden_width"],
-            hidden_layers=den["hidden_layers"],
-            pixel_scale=den["pixel_scale"])
-
-        sa = _take(v["sampler"], {
-            "hypotheses": 20, "iterations": 10, "sigma_mode": "stochastic",
-            "flip_mode": "none"}, "sampler")
-        sampler = SamplerConfig(
-            hypotheses=sa["hypotheses"], iterations=sa["iterations"],
-            t_max=t_max, sigma_mode=SigmaMode(sa["sigma_mode"]),
-            flip_mode=FlipMode(sa["flip_mode"]), seed=seed,
-            signal_scale=signal_scale)
-
-        me = _take(v["metrics"], {"pck_threshold_mm": 150.0,
-                                  "pmpjpe_scale": True}, "metrics")
-        metrics = MetricSettings(pck_threshold_mm=me["pck_threshold_mm"],
-                                 pmpjpe_scale=me["pmpjpe_scale"])
-
-        cfg = RunConfig(
-            seed=seed, out_dir=v["out_dir"], t_max=t_max,
-            signal_scale=signal_scale,
-            image_width=v["image_width"],
-            image_height=v["image_height"],
-            skeleton=skeleton, camera=camera,
-            scenario=_scenario_from_dict(v["scenario"], skeleton, camera, seed),
-            denoiser=denoiser, train=train, sampler=sampler, metrics=metrics)
+        shared = {k: v[k] for k in ("seed", "t_max", "signal_scale")}
+        skeleton = v["skeleton"] = _source(
+            v["skeleton"], base_dir, "skeleton", DEFAULT_SKELETON,
+            load_skeleton, skeleton_from_dict)
+        camera = v["camera"] = _source(
+            v["camera"], base_dir, "camera", DEFAULT_CAMERA, load_camera,
+            camera_from_dict)
+        # The denoiser section holds the network's settings, which
+        # TrainConfig carries, and the oracles' own.
+        den = _take(v["denoiser"], _DEFAULTS["denoiser"], "denoiser")
+        v["denoiser"] = DenoiserSettings(
+            **{k: den.pop(k) for k in ("oracle_lambda", "oracle_sigma_mm")})
+        den["target"] = RegressionTarget(den["target"])
+        v["train"] = TrainConfig(**_take(v["train"], _DEFAULTS["train"],
+                                         "train"), **den, **shared)
+        sa = _take(v["sampler"], _DEFAULTS["sampler"], "sampler")
+        sa["sigma_mode"] = SigmaMode(sa["sigma_mode"])
+        sa["flip_mode"] = FlipMode(sa["flip_mode"])
+        v["sampler"] = SamplerConfig(**sa, **shared)
+        v["metrics"] = MetricSettings(**_take(v["metrics"],
+                                              _DEFAULTS["metrics"], "metrics"))
+        v["scenario"] = _scenario_from_dict(
+            v["scenario"], skeleton=skeleton, camera=camera, seed=v["seed"])
+        return RunConfig(**v)
     except ConfigError:
         raise
     except (PoseDiffError, ValueError, TypeError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -284,53 +218,42 @@ def load_config(path: str | Path) -> RunConfig:
     return config_from_dict(doc, base_dir=path.parent)
 
 
+def _pick(obj, *names) -> dict:
+    """The named fields of ``obj``, enums as their JSON values."""
+    values = {name: getattr(obj, name) for name in names}
+    return {k: v.value if isinstance(v, Enum) else v
+            for k, v in values.items()}
+
+
 def config_to_dict(cfg: RunConfig) -> dict:
     sc = cfg.scenario
     return {
-        "seed": cfg.seed,
-        "out_dir": cfg.out_dir,
-        "t_max": cfg.t_max,
-        "signal_scale": cfg.signal_scale,
-        "image_width": cfg.image_width,
-        "image_height": cfg.image_height,
+        **_pick(cfg, "seed", "out_dir", "t_max", "signal_scale",
+                "image_width", "image_height"),
         "skeleton": skeleton_to_dict(cfg.skeleton),
         "camera": camera_to_dict(cfg.camera),
         "scenario": {
-            "pose_count": sc.pose_count,
-            "frames_per_pose": sc.frames_per_pose,
-            "noise_2d_px": sc.noise_2d_px,
-            "hypothesis_count": sc.hypothesis_count,
+            **_pick(sc, "pose_count", "frames_per_pose", "noise_2d_px",
+                    "hypothesis_count", "max_swing_deg"),
             "hypothesis_model": _model_to_dict(sc.hypothesis_model),
             "root_box_mm": [list(sc.root_box_mm[0]), list(sc.root_box_mm[1])],
-            "max_swing_deg": sc.max_swing_deg,
         },
         "denoiser": {
-            "hidden_width": cfg.train.hidden_width,
-            "hidden_layers": cfg.train.hidden_layers,
-            "target": cfg.train.target.value,
-            "pixel_scale": cfg.train.pixel_scale,
-            "oracle_lambda": cfg.denoiser.oracle_lambda,
-            "oracle_sigma_mm": cfg.denoiser.oracle_sigma_mm,
+            **_pick(cfg.train, "hidden_width", "hidden_layers", "target",
+                    "pixel_scale"),
+            **_pick(cfg.denoiser, "oracle_lambda", "oracle_sigma_mm"),
         },
-        "train": {
-            "steps": cfg.train.steps,
-            "batch_size": cfg.train.batch_size,
-            "learning_rate": cfg.train.learning_rate,
-            "weight_decay": cfg.train.weight_decay,
-            "beta1": cfg.train.beta1,
-            "beta2": cfg.train.beta2,
-        },
-        "sampler": {
-            "hypotheses": cfg.sampler.hypotheses,
-            "iterations": cfg.sampler.iterations,
-            "sigma_mode": cfg.sampler.sigma_mode.value,
-            "flip_mode": cfg.sampler.flip_mode.value,
-        },
-        "metrics": {
-            "pck_threshold_mm": cfg.metrics.pck_threshold_mm,
-            "pmpjpe_scale": cfg.metrics.pmpjpe_scale,
-        },
+        "train": _pick(cfg.train, "steps", "batch_size", "learning_rate",
+                       "weight_decay", "beta1", "beta2"),
+        "sampler": _pick(cfg.sampler, "hypotheses", "iterations",
+                         "sigma_mode", "flip_mode"),
+        "metrics": _pick(cfg.metrics, "pck_threshold_mm", "pmpjpe_scale"),
     }
+
+
+# Every default as the document spells it. Skeleton and camera stay
+# None here: a given path or object is read by ``_source``.
+_DEFAULTS = {**config_to_dict(RunConfig()), "skeleton": None, "camera": None}
 
 
 def config_sha256(cfg: RunConfig) -> str:

@@ -2,9 +2,10 @@
 
 The document is a nested object with optional sections; a value not
 given takes the default of the dataclass that holds it, and unknown
-keys are rejected so typos fail loudly. The library configs (scenario, sampler, training)
-are held directly, built with the top-level cross-cutting values
-(seed, t_max, signal scale, skeleton, camera) put in.
+keys are rejected so typos fail loudly. The library configs (scenario,
+sampler, training) are held directly, built with the top-level
+cross-cutting values (seed, t_max, signal scale, skeleton, camera) put
+in.
 """
 from __future__ import annotations
 
@@ -22,8 +23,7 @@ from .denoise import RegressionTarget, TrainConfig
 from .errors import ConfigError, PoseDiffError
 from .sampler import FlipMode, SamplerConfig, SigmaMode
 from .schedule import DEFAULT_SIGNAL_SCALE
-from .synth import (Bimodal, DepthRay, HypothesisModel, IidGaussian,
-                    ScenarioConfig, DEFAULT_CAMERA)
+from .synth import DEFAULT_CAMERA, ScenarioConfig
 
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
@@ -60,42 +60,6 @@ def _take(d: dict, known: dict, where: str) -> dict:
     return merged
 
 
-def _model_from_dict(d: dict) -> HypothesisModel:
-    kind = d.get("kind")
-    try:
-        if kind == "iid_gaussian":
-            rest = _take({k: v for k, v in d.items() if k != "kind"},
-                         {"sigma_mm": 30.0}, "hypothesis_model")
-            return IidGaussian(sigma_mm=rest["sigma_mm"])
-        if kind == "depth_ray":
-            rest = _take({k: v for k, v in d.items() if k != "kind"},
-                         {"sigma_ray_mm": 80.0, "sigma_perp_mm": 5.0},
-                         "hypothesis_model")
-            return DepthRay(sigma_ray_mm=rest["sigma_ray_mm"],
-                            sigma_perp_mm=rest["sigma_perp_mm"])
-        if kind == "bimodal":
-            rest = _take({k: v for k, v in d.items() if k != "kind"},
-                         {"offset_mm": 150.0, "p_wrong": 0.3,
-                          "sigma_correct_mm": 5.0}, "hypothesis_model")
-            return Bimodal(offset_mm=rest["offset_mm"],
-                           p_wrong=rest["p_wrong"],
-                           sigma_correct_mm=rest["sigma_correct_mm"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad hypothesis_model: {exc}") from exc
-    raise ConfigError(f"hypothesis_model.kind must be one of iid_gaussian, "
-                      f"depth_ray, bimodal; got {kind!r}")
-
-
-def _model_to_dict(m: HypothesisModel) -> dict:
-    if isinstance(m, IidGaussian):
-        return {"kind": "iid_gaussian", "sigma_mm": m.sigma_mm}
-    if isinstance(m, DepthRay):
-        return {"kind": "depth_ray", "sigma_ray_mm": m.sigma_ray_mm,
-                "sigma_perp_mm": m.sigma_perp_mm}
-    return {"kind": "bimodal", "offset_mm": m.offset_mm, "p_wrong": m.p_wrong,
-            "sigma_correct_mm": m.sigma_correct_mm}
-
-
 @dataclass(frozen=True)
 class DenoiserSettings:
     """Oracle knobs; the network's own settings live in ``TrainConfig``."""
@@ -117,7 +81,6 @@ class RunConfig:
     t_max: int = 1000
     signal_scale: float = DEFAULT_SIGNAL_SCALE
     image_width: int = 1000
-    image_height: int = 1000
     skeleton: Skeleton = DEFAULT_SKELETON
     camera: CameraIntrinsics = DEFAULT_CAMERA
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
@@ -157,8 +120,6 @@ def _source(value, base_dir: Path | None, what: str, default, load,
 
 def _scenario_from_dict(d: dict, **given) -> ScenarioConfig:
     v = _take(d, _DEFAULTS["scenario"], "scenario")
-    if isinstance(v["hypothesis_model"], dict):
-        v["hypothesis_model"] = _model_from_dict(v["hypothesis_model"])
     box = v["root_box_mm"]
     try:
         v["root_box_mm"] = box = tuple(
@@ -229,13 +190,12 @@ def config_to_dict(cfg: RunConfig) -> dict:
     sc = cfg.scenario
     return {
         **_pick(cfg, "seed", "out_dir", "t_max", "signal_scale",
-                "image_width", "image_height"),
+                "image_width"),
         "skeleton": skeleton_to_dict(cfg.skeleton),
         "camera": camera_to_dict(cfg.camera),
         "scenario": {
             **_pick(sc, "pose_count", "frames_per_pose", "noise_2d_px",
-                    "hypothesis_count", "max_swing_deg"),
-            "hypothesis_model": _model_to_dict(sc.hypothesis_model),
+                    "max_swing_deg"),
             "root_box_mm": [list(sc.root_box_mm[0]), list(sc.root_box_mm[1])],
         },
         "denoiser": {

@@ -22,8 +22,7 @@ from posediff.denoise import NoisyOracle
 SMALL_CFG = {
     "seed": 7,
     "t_max": 50,
-    "scenario": {"pose_count": 3, "frames_per_pose": 2,
-                 "hypothesis_count": 4},
+    "scenario": {"pose_count": 3, "frames_per_pose": 2},
     "sampler": {"hypotheses": 4, "iterations": 5},
     "train": {"steps": 40, "batch_size": 4},
 }

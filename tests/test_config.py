@@ -10,7 +10,6 @@ from posediff.core import DEFAULT_SKELETON
 from posediff.denoise import RegressionTarget, TrainConfig
 from posediff.errors import ConfigError
 from posediff.sampler import FlipMode, SamplerConfig, SigmaMode
-from posediff.synth import Bimodal, DepthRay, IidGaussian
 
 
 def test_defaults_from_empty_document():
@@ -24,7 +23,6 @@ def test_defaults_from_empty_document():
     assert cfg.sampler.sigma_mode is SigmaMode.STOCHASTIC
     assert cfg.train.target is RegressionTarget.PREDICT_Y0
     assert cfg.metrics.pck_threshold_mm == 150.0
-    assert isinstance(cfg.scenario.hypothesis_model, IidGaussian)
     assert config_from_dict({}) == RunConfig()
 
 
@@ -41,35 +39,26 @@ def test_unknown_keys_rejected_everywhere():
         config_from_dict({"denoiser": {"width": 32}})
     with pytest.raises(ConfigError):
         config_from_dict({"metrics": {"pck": 1}})
+    # keys that configured nothing and were removed
+    with pytest.raises(ConfigError, match="image_height"):
+        config_from_dict({"image_height": 1000})
+    for key, value in (("hypothesis_count", 20),
+                       ("hypothesis_model", {"kind": "iid_gaussian"})):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({"scenario": {key: value}})
 
 
 def test_enum_and_model_parsing():
     cfg = config_from_dict({
         "sampler": {"sigma_mode": "deterministic", "flip_mode": "diffusion"},
         "denoiser": {"target": "predict_eps"},
-        "scenario": {"hypothesis_model": {"kind": "bimodal", "p_wrong": 0.2}},
     })
     assert cfg.sampler.sigma_mode is SigmaMode.DETERMINISTIC
     assert cfg.sampler.flip_mode is FlipMode.DIFFUSION
     assert cfg.train.target is RegressionTarget.PREDICT_EPS
-    assert cfg.scenario.hypothesis_model == Bimodal(p_wrong=0.2)
 
     with pytest.raises(ConfigError):
         config_from_dict({"sampler": {"sigma_mode": "sometimes"}})
-    with pytest.raises(ConfigError):
-        config_from_dict({"scenario": {"hypothesis_model": {"kind": "laplace"}}})
-    with pytest.raises(ConfigError):
-        config_from_dict({"scenario": {"hypothesis_model":
-                                       {"kind": "depth_ray", "sigma_mm": 1}}})
-
-
-def test_model_kinds_round_trip():
-    for model in (IidGaussian(17.0), DepthRay(60.0, 2.0),
-                  Bimodal(120.0, 0.25, 4.0)):
-        doc = {"scenario": {"hypothesis_model": None}}
-        from posediff.config import _model_to_dict
-        doc["scenario"]["hypothesis_model"] = _model_to_dict(model)
-        assert config_from_dict(doc).scenario.hypothesis_model == model
 
 
 def test_cross_check_iterations_vs_t_max():
@@ -117,8 +106,7 @@ def test_load_config_errors(tmp_path):
 def test_dict_round_trip():
     cfg = config_from_dict({
         "seed": 9, "t_max": 300,
-        "scenario": {"pose_count": 7, "noise_2d_px": 1.5,
-                     "hypothesis_model": {"kind": "depth_ray"}},
+        "scenario": {"pose_count": 7, "noise_2d_px": 1.5},
         "sampler": {"hypotheses": 5, "iterations": 4, "flip_mode": "once"},
         "train": {"steps": 11},
         "metrics": {"pmpjpe_scale": False},
@@ -205,8 +193,6 @@ def test_apply_overrides():
     {"denoiser": {"target": 1}},
     {"scenario": {"pose_count": 3.0}},
     {"scenario": {"root_box_mm": [["0", 0, 1000], [10, 10, 2000]]}},
-    {"scenario": {"hypothesis_model": {"kind": "iid_gaussian",
-                                       "sigma_mm": "5"}}},
     {"out_dir": 5},
 ])
 def test_wrong_json_types_rejected(doc):

@@ -24,9 +24,9 @@ GOLDEN_CFG = {
 }
 
 GOLDEN = {
-    "none": "a3040ccf9dc27569374ded616cdf7fb5b46dd65e999b3d30702cd0c3e927ec69",
-    "once": "f4460cd1dcbbd51c13fb06974949f1fc1decab806a8b97fd909e0b4c052d287f",
-    "diffusion": "3b17b78de750cb7703759ec466807748be893a80c75918f9084d005d66b80ff4",
+    "none": "0a9eaf80a8a11f8be19b733f9bedfe0845860792b8781658dd1cf1a5d920ac41",
+    "once": "36fa9465cc8156df9e81bae57ab156a8895fa6d3c030297076a956b87e2c41f7",
+    "diffusion": "8e307157a146fce996206678081013cba820270e73ddb08b43412206996c3e7a",
 }
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import PoseSeq2D, PoseSeq3D
-from .errors import BehindCameraError
+from .errors import BehindCameraError, require_field
 
 # Joints closer than this to the image plane do not project meaningfully.
 DEFAULT_Z_MIN = 1.0  # mm
@@ -126,18 +126,15 @@ def camera_to_dict(cam: CameraIntrinsics) -> dict:
     }
 
 
-def camera_from_dict(d: dict) -> CameraIntrinsics:
-    try:
-        return CameraIntrinsics(
-            fx=float(d["fx"]), fy=float(d["fy"]),
-            cx=float(d["cx"]), cy=float(d["cy"]),
-            k1=float(d.get("k1", 0.0)), k2=float(d.get("k2", 0.0)),
-            k3=float(d.get("k3", 0.0)),
-            p1=float(d.get("p1", 0.0)), p2=float(d.get("p2", 0.0)),
-            model=str(d.get("model", PINHOLE)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed camera record: {exc}") from exc
+def camera_from_dict(d: dict, where: str = "camera") -> CameraIntrinsics:
+    """Intrinsics from a JSON object; a value of the wrong JSON type
+    raises ``ValueError`` naming ``where`` and the key."""
+    required = ("fx", "fy", "cx", "cy")
+    numbers = {key: require_field(d, key, float, where)
+               for key in (*required, "k1", "k2", "k3", "p1", "p2")
+               if key in d or key in required}
+    model = require_field(d, "model", str, where) if "model" in d else PINHOLE
+    return CameraIntrinsics(**numbers, model=model)
 
 
 def load_camera(path: str | Path) -> CameraIntrinsics:
@@ -147,4 +144,4 @@ def load_camera(path: str | Path) -> CameraIntrinsics:
         raise ValueError(f"invalid camera JSON in {path}: {exc}") from exc
     if not isinstance(d, dict):
         raise ValueError(f"camera file {path} must hold a JSON object")
-    return camera_from_dict(d)
+    return camera_from_dict(d, str(path))

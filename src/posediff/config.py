@@ -20,7 +20,7 @@ from .camera import (CameraIntrinsics, camera_from_dict, camera_to_dict,
 from .core import (DEFAULT_SKELETON, Skeleton, load_skeleton,
                    skeleton_from_dict, skeleton_to_dict)
 from .denoise import RegressionTarget, TrainConfig
-from .errors import ConfigError, PoseDiffError
+from .errors import ConfigError, PoseDiffError, reject_non_finite
 from .sampler import FlipMode, SamplerConfig, SigmaMode
 from .schedule import DEFAULT_SIGNAL_SCALE
 from .synth import DEFAULT_CAMERA, ScenarioConfig
@@ -47,8 +47,10 @@ def _typed(value, kind: type, where: str):
 
 
 def _take(d: dict, known: dict, where: str) -> dict:
-    """Merge ``d`` over the defaults ``known``; a given value whose
-    default is a bool, int, float or str must have that type."""
+    """Merge the section ``d`` over the defaults ``known``; a given value
+    whose default is a bool, int, float or str must have that type."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
     unknown = set(d) - set(known)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
@@ -171,8 +173,8 @@ def load_config(path: str | Path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(path.read_text(), parse_constant=reject_non_finite)
+    except ValueError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must hold a JSON object")

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ShapeError, SkeletonError
+from .errors import ShapeError, SkeletonError, finite_number, require_field
 
 
 def _frozen_f64(a, ndim: int, last: int, what: str) -> np.ndarray:
@@ -261,20 +261,34 @@ def skeleton_to_dict(skeleton: Skeleton) -> dict:
 
 
 def skeleton_from_dict(d: dict) -> Skeleton:
-    try:
-        parents = tuple(int(p) for p in d["parents"])
-        pairs = tuple((int(a), int(b)) for a, b in d["mirror_pairs"])
-        lengths = tuple(float(x) for x in d["bone_lengths"])
-        names = d.get("joint_names")
-        names = None if names is None else tuple(str(n) for n in names)
-        count = int(d.get("num_joints", len(parents)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SkeletonError(f"malformed skeleton record: {exc}") from exc
+    """A skeleton from a JSON object; a list, or an item of one, of the
+    wrong JSON type raises ``SkeletonError`` naming the key."""
+    where = "malformed skeleton record"
+
+    def items(key: str, ok) -> list:
+        value = require_field(d, key, list, where, SkeletonError)
+        bad = [item for item in value if not ok(item)]
+        if bad:
+            raise SkeletonError(f"{where}: {key!r} holds {bad[0]!r}")
+        return value
+
+    def is_int(x) -> bool:
+        return type(x) is int
+
+    parents = items("parents", is_int)
+    pairs = items("mirror_pairs", lambda p: isinstance(p, list)
+                  and len(p) == 2 and all(map(is_int, p)))
+    lengths = items("bone_lengths", lambda x: finite_number(x) is not None)
+    names = (None if d.get("joint_names") is None
+             else tuple(items("joint_names", lambda n: isinstance(n, str))))
+    count = (require_field(d, "num_joints", int, where, SkeletonError)
+             if "num_joints" in d else len(parents))
     if count != len(parents):
         raise SkeletonError(
             f"num_joints={count} disagrees with {len(parents)} parents")
-    return Skeleton(parents=parents, mirror_pairs=pairs,
-                    bone_lengths=lengths, joint_names=names)
+    return Skeleton(parents=tuple(parents),
+                    mirror_pairs=tuple((a, b) for a, b in pairs),
+                    bone_lengths=tuple(map(float, lengths)), joint_names=names)
 
 
 def load_skeleton(path: str | Path) -> Skeleton:

@@ -18,7 +18,7 @@ from pathlib import Path
 from .camera import CameraIntrinsics, camera_from_dict, camera_to_dict
 from .core import PoseSeq2D, PoseSeq3D, Skeleton, skeleton_from_dict, \
     skeleton_to_dict
-from .errors import PoseFileSchemaError, require_field
+from .errors import PoseFileSchemaError, reject_non_finite, require_field
 from .poseio import load_poses, save_poses
 
 MANIFEST_NAME = "manifest.json"
@@ -91,17 +91,19 @@ def load_dataset(root: str | Path) -> Dataset:
     if not path.exists():
         raise PoseFileSchemaError(f"no {MANIFEST_NAME} under {root}", line=0)
     try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(path.read_text(),
+                              parse_constant=reject_non_finite)
+    except ValueError as exc:
         raise PoseFileSchemaError(f"invalid manifest JSON: {exc}",
-                                  line=exc.lineno) from exc
+                                  line=getattr(exc, "lineno", 0)) from exc
     if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_MAGIC:
         raise PoseFileSchemaError(f"{path} is not a dataset manifest", line=1)
 
     def need(record, key, kind, where=str(path)):
         return require_field(record, key, kind, where, PoseFileSchemaError)
     skeleton = skeleton_from_dict(need(manifest, "skeleton", dict))
-    camera = camera_from_dict(need(manifest, "camera", dict))
+    camera = camera_from_dict(need(manifest, "camera", dict),
+                              f"{path}: camera")
     num_joints = need(manifest, "num_joints", int)
     if num_joints != skeleton.num_joints:
         raise PoseFileSchemaError(

@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import HypothesisSet, PoseSeq2D, PoseSeq3D, Skeleton, flip_array3d
-from .errors import NumericError, ShapeError, TrainingDivergedError, require_field
+from .errors import (NumericError, ShapeError, TrainingDivergedError,
+                     reject_non_finite, require_field)
 from .rng import RngStream, hypothesis_normals, stream_id
 from .schedule import (DEFAULT_SIGNAL_SCALE, NoiseSchedule,
                        make_cosine_schedule, to_millimeters, to_signal_units)
@@ -377,8 +378,8 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
 
 _CHECKPOINT_MAGIC = "posediff-denoiser"
 # Header fields the loaders read, with the JSON types they must have.
-_HEADER_FIELDS = {"tensors": list, "embed_dim": int, "pixel_scale": (int, float),
-                  "target": str, "t_max": int, "signal_scale": (int, float)}
+_HEADER_FIELDS = {"tensors": list, "embed_dim": int, "pixel_scale": float,
+                  "target": str, "t_max": int, "signal_scale": float}
 
 
 def save_checkpoint(path: str | Path, params: DenoiserParams,
@@ -416,13 +417,17 @@ def load_checkpoint(path: str | Path
     if nl < 0:
         raise ValueError(f"{path}: missing checkpoint header")
     try:
-        header = json.loads(raw[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = json.loads(raw[:nl].decode("utf-8"),
+                            parse_constant=reject_non_finite)
+    except ValueError as exc:  # also a bad UTF-8 byte
         raise ValueError(f"{path}: bad checkpoint header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != _CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a denoiser checkpoint")
     for key, kind in _HEADER_FIELDS.items():
         require_field(header, key, kind, f"{path}: checkpoint header")
+    if (len(raw) - nl - 1) % 8:
+        raise ValueError(f"{path}: payload of {len(raw) - nl - 1} bytes is "
+                         f"not a whole number of float64 values")
     flat = np.frombuffer(raw[nl + 1:], dtype="<f8")
     try:
         shapes = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]

@@ -2,9 +2,12 @@
 
 Errors that carry structural information (frame/joint indices, line
 numbers, training step) expose it as attributes so callers can react
-programmatically instead of parsing messages.
+programmatically instead of parsing messages. The helpers at the end
+check parsed JSON, so that every loader refuses the same things.
 """
 from __future__ import annotations
+
+import math
 
 
 class PoseDiffError(Exception):
@@ -87,11 +90,34 @@ class ConfigError(PoseDiffError, ValueError):
     """Run configuration is missing, malformed, or inconsistent."""
 
 
+def reject_non_finite(token: str):
+    """``parse_constant`` for ``json.loads``: NaN and Infinity are not
+    JSON, and a file posediff writes never holds them."""
+    raise ValueError(f"non-finite constant {token}")
+
+
+def finite_number(value) -> float | None:
+    """``value`` as a float if it is a finite JSON number, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:  # an integer too large for a float
+        return None
+    return value if math.isfinite(value) else None
+
+
 def require_field(record, key: str, kind, where: str, error=ValueError):
-    """``record[key]`` if it has type ``kind`` (never bool), else ``error``."""
+    """``record[key]`` if it has type ``kind`` (never bool), else ``error``.
+
+    ``float`` takes any finite JSON number and gives it as a float.
+    """
     present = isinstance(record, dict) and key in record
     value = record[key] if present else None
+    if kind is float:
+        value = finite_number(value)
     if isinstance(value, bool) or not isinstance(value, kind):
-        state = "has the wrong type" if present else "is missing"
+        state = ("is missing" if not present else "is not a finite number"
+                 if kind is float else "has the wrong type")
         raise error(f"{where}: {key!r} {state}")
     return value

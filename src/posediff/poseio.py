@@ -16,17 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .core import PoseSeq2D, PoseSeq3D
-from .errors import PoseFileParseError, PoseFileSchemaError
-
-
-def _reject_constant(token: str):
-    # json's NaN/Infinity extension would smuggle non-finite values in.
-    raise ValueError(f"non-finite constant {token}")
+from .errors import (PoseFileParseError, PoseFileSchemaError,
+                     reject_non_finite, require_field)
 
 
 def _parse_line(text: str, line_no: int) -> dict:
     try:
-        obj = json.loads(text, parse_constant=_reject_constant)
+        obj = json.loads(text, parse_constant=reject_non_finite)
     except ValueError as exc:
         raise PoseFileParseError(str(exc), line=line_no) from exc
     if not isinstance(obj, dict):
@@ -49,11 +45,10 @@ def load_poses(path: str | Path) -> PoseSeq3D | PoseSeq2D:
         raise PoseFileParseError(f"{path}: empty pose file")
 
     header = _parse_line(lines[0], 1)
-    try:
-        num_joints = int(header["J"])
-        dims = int(header["dims"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PoseFileSchemaError(f"bad header {header!r}: {exc}", line=1) from exc
+    num_joints, dims = (
+        require_field(header, key, int, f"{path}: header",
+                      lambda message: PoseFileSchemaError(message, line=1))
+        for key in ("J", "dims"))
     if num_joints < 1:
         raise PoseFileSchemaError(f"header J must be >= 1, got {num_joints}", line=1)
     if dims not in (2, 3):
@@ -66,7 +61,7 @@ def load_poses(path: str | Path) -> PoseSeq3D | PoseSeq2D:
         rec = _parse_line(text, idx)
         if "frame" not in rec or "joints" not in rec:
             raise PoseFileParseError("record needs 'frame' and 'joints'", line=idx)
-        if rec["frame"] != len(frames):
+        if type(rec["frame"]) is not int or rec["frame"] != len(frames):
             raise PoseFileSchemaError(
                 f"expected frame {len(frames)}, got {rec['frame']!r}", line=idx)
         joints = rec["joints"]

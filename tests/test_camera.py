@@ -116,6 +116,19 @@ def test_camera_dict_round_trip(simple_camera):
     assert camera_from_dict(camera_to_dict(simple_camera)) == simple_camera
 
 
+@pytest.mark.parametrize("key, value", [
+    ("fx", "900"), ("fx", True), ("fx", "abc"), ("cy", None), ("k1", "0"),
+    ("model", 1), ("cx", "missing")])
+def test_camera_dict_wrong_types_name_the_key(simple_camera, key, value):
+    # no coercion: "900" is not 900.0 and true is not 1.0
+    doc = camera_to_dict(simple_camera)
+    doc[key] = value
+    if value == "missing":
+        del doc[key]
+    with pytest.raises(ValueError, match=f"^cam.json: '{key}'"):
+        camera_from_dict(doc, "cam.json")
+
+
 @settings(max_examples=40)
 @given(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4),
        st.floats(100.0, 10000.0))

@@ -339,6 +339,25 @@ def test_manifest_missing_key_exit_1(runner, tmp_path, key):
     _assert_clean_exit(res, 1, key)
 
 
+def test_camera_wrong_type_exit_codes(runner, tmp_path):
+    # a config camera is a config problem (2), a manifest one a data
+    # problem (1); both name the key
+    cfg, data = _gen(runner, tmp_path)
+    cam = {"model": "pinhole", "fx": "900", "fy": 900.0, "cx": 1.0,
+           "cy": 2.0}
+    bad_cfg = _write_cfg(tmp_path / "data", {**SMALL_CFG, "camera": cam})
+    res = runner.invoke(main, ["gen", "--config", str(bad_cfg), "--out",
+                               str(tmp_path / "other")])
+    _assert_clean_exit(res, 2, "'fx'")
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["camera"]["cy"] = True
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    res = runner.invoke(main, [
+        "infer", "--config", str(cfg), "--data", str(data), "--oracle",
+        "noisy", "--out", str(tmp_path / "out")])
+    _assert_clean_exit(res, 1, "camera: 'cy'")
+
+
 def test_bench_empty_grid_exit_2(runner, tmp_path):
     cfg, data = _gen(runner, tmp_path)
     res = runner.invoke(main, [

@@ -1,5 +1,7 @@
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +61,23 @@ def test_enum_and_model_parsing():
 
     with pytest.raises(ConfigError):
         config_from_dict({"sampler": {"sigma_mode": "sometimes"}})
+
+
+@pytest.mark.parametrize("section, value", [
+    ("train", 5), ("scenario", [1]), ("sampler", "x"), ("metrics", None),
+    ("denoiser", 3.5)])
+def test_sections_must_be_objects(section, value):
+    with pytest.raises(ConfigError, match=f"^{section} must be a JSON object"):
+        config_from_dict({section: value})
+
+
+def test_readme_config_example_loads():
+    # the docs may not name a key that the loader refuses
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"cat > cfg.json <<'EOF'\n(.*?)\nEOF", readme,
+                        re.S).group(1)
+    cfg = config_from_dict(json.loads(example))
+    assert (cfg.seed, cfg.sampler.hypotheses, cfg.train.steps) == (7, 8, 2000)
 
 
 def test_cross_check_iterations_vs_t_max():

@@ -151,3 +151,26 @@ def test_integer_coordinates_accepted(tmp_path):
     out = load_poses(path)
     assert out.joints.dtype == np.float64
     assert np.array_equal(out.joints, [[[1.0, 2.0]]])
+
+
+@pytest.mark.parametrize("header", ['{"J": 1.9, "dims": 3}',
+                                    '{"J": 1, "dims": "3"}',
+                                    '{"J": true, "dims": 3}',
+                                    '{"dims": 3}'])
+def test_header_counts_must_be_integers(tmp_path, header):
+    # no coercion: 1.9 is not 1 and "3" is not 3
+    path = _write(tmp_path, [header,
+                             '{"frame": 0, "joints": [[1.0, 2.0, 3.0]]}'])
+    with pytest.raises(PoseFileSchemaError, match="'(J|dims)'") as info:
+        load_poses(path)
+    assert info.value.line == 1
+
+
+@pytest.mark.parametrize("frame", ["false", "0.0", '"0"'])
+def test_frame_index_must_be_an_integer(tmp_path, frame):
+    path = _write(tmp_path, ['{"J": 1, "dims": 3}',
+                             '{"frame": %s, "joints": [[1.0, 2.0, 3.0]]}'
+                             % frame])
+    with pytest.raises(PoseFileSchemaError) as info:
+        load_poses(path)
+    assert info.value.line == 2

@@ -96,21 +96,13 @@ def test_skeleton_dict_joint_count_cross_check(tri_skeleton):
         skeleton_from_dict(doc)
 
 
-@pytest.mark.parametrize("key, value", [("joint_names", 5),
-                                        ("num_joints", [3])])
-def test_skeleton_dict_wrong_types_rejected(tri_skeleton, key, value):
-    doc = skeleton_to_dict(tri_skeleton)
-    doc[key] = value
-    with pytest.raises(SkeletonError, match="malformed"):
-        skeleton_from_dict(doc)
-
-
 @pytest.mark.parametrize("key, value", [
+    ("joint_names", 5), ("num_joints", [3]),
     ("parents", "000"), ("parents", [0, True, 0]), ("parents", [0, 0.0, 0]),
     ("mirror_pairs", [[1, 2, 0]]), ("mirror_pairs", [["1", 2]]),
     ("bone_lengths", [0.0, "100", 100.0]), ("bone_lengths", "0"),
     ("joint_names", ["a", 2, "c"]), ("num_joints", 3.0)])
-def test_skeleton_dict_items_keep_their_json_types(tri_skeleton, key, value):
+def test_skeleton_dict_wrong_types_rejected(tri_skeleton, key, value):
     # no coercion: "000" is not [0, 0, 0], 3.0 is not 3
     doc = skeleton_to_dict(tri_skeleton)
     doc[key] = value

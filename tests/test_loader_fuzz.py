@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from posediff.cli import main
 
@@ -26,8 +26,7 @@ TINY_CFG = {
     "denoiser": {"hidden_width": 8, "hidden_layers": 1},
 }
 
-FUZZ = settings(max_examples=30, deadline=None,
-                suppress_health_check=[HealthCheck.function_scoped_fixture])
+FUZZ = settings(max_examples=30, deadline=None)
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
@@ -81,17 +80,17 @@ def _numbers(obj, path=()):
         yield from _numbers(value, path + (key,))
 
 
-def _set(doc, path, value):
+def _update(doc, path, change) -> None:
+    """Replace the value at ``path`` in ``doc`` with ``change(value)``."""
     for key in path[:-1]:
         doc = doc[key]
-    doc[path[-1]] = value
+    doc[path[-1]] = change(doc[path[-1]])
 
 
-def _replace_number(doc, pick: int, value):
-    """``doc`` with its ``pick``-th number (modulo the count) replaced."""
+def _replace_number(doc, pick: int, value) -> None:
+    """Replace the ``pick``-th number of ``doc`` (modulo the count)."""
     paths = list(_numbers(doc))
-    _set(doc, paths[pick % len(paths)], value)
-    return doc
+    _update(doc, paths[pick % len(paths)], lambda _: value)
 
 
 def _pose_files(root: Path) -> list[Path]:
@@ -112,14 +111,9 @@ def test_manifest_fuzz(clean, kind, pick, frac, bad, delta):
         if kind == "non_finite":
             _replace_number(doc, pick, bad)
         else:
-            seqs = doc["sequences"]
-            counts = [("num_joints",)] + [("sequences", i, "frames")
-                                          for i in range(len(seqs))]
-            where = counts[pick % len(counts)]
-            entry = doc
-            for key in where[:-1]:
-                entry = entry[key]
-            entry[where[-1]] += delta
+            counts = [("num_joints",)] + [
+                ("sequences", i, "frames") for i in range(len(doc["sequences"]))]
+            _update(doc, counts[pick % len(counts)], lambda n: n + delta)
         path.write_text(json.dumps(doc, indent=2))
     _fails_cleanly(clean, corrupt)
 

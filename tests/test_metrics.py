@@ -183,11 +183,16 @@ def test_degenerate_frame_in_stack_is_named(which, kind, message):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
-def test_pmpjpe_never_exceeds_mpjpe(seed):
+def test_pmpjpe_never_exceeds_rms_error(seed):
+    # The alignment minimises the squared error, and the identity is one
+    # of the transforms it searches, so P-MPJPE is at most the unaligned
+    # RMS joint error. It is not always at most MPJPE: about 1 in 400
+    # of these poses has P-MPJPE > MPJPE (seed 209048783).
     rng = np.random.default_rng(seed)
     gt = random_pose(rng, frames=1, joints=7)
     pred = _perturb(gt, rng, 40.0)
-    assert pmpjpe(pred, gt) <= mpjpe(pred, gt) + 1e-9
+    rms = np.sqrt(np.mean(np.sum((pred.joints - gt.joints) ** 2, axis=-1)))
+    assert pmpjpe(pred, gt) <= rms + 1e-9
 
 
 def test_pck_half_inside():

@@ -213,6 +213,7 @@ def test_apply_overrides():
     {"scenario": {"pose_count": 3.0}},
     {"scenario": {"root_box_mm": [["0", 0, 1000], [10, 10, 2000]]}},
     {"out_dir": 5},
+    {"scenario": {"noise_2d_px": "0.5"}},
 ])
 def test_wrong_json_types_rejected(doc):
     # no silent coercion: "false" is not False, 2.9 is not 2

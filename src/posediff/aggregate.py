@@ -47,34 +47,56 @@ class AggregationReport:
         object.__setattr__(self, "chosen", chosen)
 
 
-def _check_keypoints(hs: HypothesisSet, x: PoseSeq2D) -> None:
-    if (hs.num_frames, hs.num_joints) != (x.num_frames, x.num_joints):
+def _check_shape(hs: HypothesisSet, other: PoseSeq2D | PoseSeq3D,
+                 what: str) -> None:
+    if (hs.num_frames, hs.num_joints) != (other.num_frames, other.num_joints):
         raise ShapeError(
-            f"hypotheses are ({hs.num_frames}, {hs.num_joints}) but keypoints "
-            f"are ({x.num_frames}, {x.num_joints})")
-
-
-def _check_gt(hs: HypothesisSet, gt: PoseSeq3D) -> None:
-    if (hs.num_frames, hs.num_joints) != (gt.num_frames, gt.num_joints):
-        raise ShapeError(
-            f"hypotheses are ({hs.num_frames}, {hs.num_joints}) but ground "
-            f"truth is ({gt.num_frames}, {gt.num_joints})")
-
-
-def _gather_joints(hs: HypothesisSet, chosen: np.ndarray) -> np.ndarray:
-    """Select joints[n, j] from hypothesis chosen[n, j]."""
-    idx = chosen[None, ..., None]
-    return np.take_along_axis(hs.poses, idx, axis=0)[0]
+            f"hypotheses are ({hs.num_frames}, {hs.num_joints}) but {what} "
+            f"({other.num_frames}, {other.num_joints})")
 
 
 def _reprojection_errors(hs: HypothesisSet, x: PoseSeq2D,
                          cam: CameraIntrinsics,
                          z_min: float) -> np.ndarray:
     """Per-hypothesis pixel errors, (H, N, J); excluded joints are +inf."""
+    _check_shape(hs, x, "keypoints are")
     uv, valid = project_with_mask(hs.poses, cam, z_min=z_min)
     err = np.linalg.norm(uv - x.joints[None], axis=-1)
     err[~valid] = np.inf
     return err
+
+
+def _distances(hs: HypothesisSet, gt: PoseSeq3D) -> np.ndarray:
+    """Per-hypothesis joint distances to the ground truth, (H, N, J)."""
+    _check_shape(hs, gt, "ground truth is")
+    return np.linalg.norm(hs.poses - gt.joints[None], axis=-1)
+
+
+# The message for a joint (H, N, J cost) or a frame (H, N cost) that no
+# hypothesis may be chosen for.
+_DEAD = {3: "every hypothesis is behind the camera for frame {}, joint {}",
+         2: "every hypothesis has a behind-camera joint in frame {}"}
+
+
+def _select(method: str, hs: HypothesisSet, cost: np.ndarray,
+            err: np.ndarray | None = None) -> AggregationReport:
+    """Keep the lowest-cost hypothesis per joint of an (H, N, J) cost,
+    or per frame of an (H, N) cost; ties go to the lowest index. An
+    infinite cost excludes a hypothesis. ``err`` is the (H, N, J) pixel
+    error reported for the chosen joints."""
+    dead = np.all(np.isinf(cost), axis=0)
+    if np.any(dead):
+        raise AggregationError(_DEAD[cost.ndim].format(
+            *map(int, np.argwhere(dead)[0])))
+    chosen = cost.argmin(axis=0)
+    if chosen.ndim == 1:
+        chosen = np.repeat(chosen[:, None], hs.num_joints, axis=1)
+    pose = np.take_along_axis(hs.poses, chosen[None, ..., None], axis=0)[0]
+    if err is not None:
+        err = np.take_along_axis(err, chosen[None], axis=0)[0]
+    return AggregationReport(method=method, pose=PoseSeq3D(pose),
+                             chosen=chosen, reproj_error_px=err,
+                             feasible="gt" not in METHOD_INPUTS[method])
 
 
 def agg_average(hs: HypothesisSet) -> PoseSeq3D:
@@ -91,20 +113,8 @@ def agg_jpma(hs: HypothesisSet, x: PoseSeq2D, cam: CameraIntrinsics, *,
     input. Behind-camera joints are skipped; a joint with no surviving
     hypothesis is an error.
     """
-    _check_keypoints(hs, x)
     err = _reprojection_errors(hs, x, cam, z_min)
-    dead = np.all(np.isinf(err), axis=0)
-    if np.any(dead):
-        frame, joint = map(int, np.argwhere(dead)[0])
-        raise AggregationError(
-            f"every hypothesis is behind the camera for frame {frame}, "
-            f"joint {joint}")
-    chosen = err.argmin(axis=0)
-    best_err = np.take_along_axis(err, chosen[None], axis=0)[0]
-    return AggregationReport(method="jpma",
-                             pose=PoseSeq3D(_gather_joints(hs, chosen)),
-                             chosen=chosen, reproj_error_px=best_err,
-                             feasible=True)
+    return _select("jpma", hs, err, err)
 
 
 def agg_ppma(hs: HypothesisSet, x: PoseSeq2D, cam: CameraIntrinsics, *,
@@ -114,48 +124,26 @@ def agg_ppma(hs: HypothesisSet, x: PoseSeq2D, cam: CameraIntrinsics, *,
     A hypothesis with any behind-camera joint in a frame is excluded
     for that whole frame (its total is not comparable).
     """
-    _check_keypoints(hs, x)
     err = _reprojection_errors(hs, x, cam, z_min)
-    totals = err.sum(axis=2)  # over joints -> (H, N)
-    dead = np.all(np.isinf(totals), axis=0)
-    if np.any(dead):
-        frame = int(np.argwhere(dead)[0][0])
-        raise AggregationError(
-            f"every hypothesis has a behind-camera joint in frame {frame}")
-    pick = totals.argmin(axis=0)  # (N,)
-    chosen = np.repeat(pick[:, None], hs.num_joints, axis=1)
-    best_err = np.take_along_axis(err, chosen[None], axis=0)[0]
-    return AggregationReport(method="ppma",
-                             pose=PoseSeq3D(_gather_joints(hs, chosen)),
-                             chosen=chosen, reproj_error_px=best_err,
-                             feasible=True)
+    return _select("ppma", hs, err.sum(axis=2), err)
 
 
 def agg_pbest(hs: HypothesisSet, gt: PoseSeq3D) -> AggregationReport:
     """Oracle: per frame, the hypothesis with the lowest mean joint error."""
-    _check_gt(hs, gt)
-    dist = np.linalg.norm(hs.poses - gt.joints[None], axis=-1)  # (H, N, J)
-    pick = dist.mean(axis=2).argmin(axis=0)  # (N,)
-    chosen = np.repeat(pick[:, None], hs.num_joints, axis=1)
-    return AggregationReport(method="pbest",
-                             pose=PoseSeq3D(_gather_joints(hs, chosen)),
-                             chosen=chosen, reproj_error_px=None,
-                             feasible=False)
+    return _select("pbest", hs, _distances(hs, gt).mean(axis=2))
 
 
 def agg_jbest(hs: HypothesisSet, gt: PoseSeq3D) -> AggregationReport:
     """Oracle: per joint, the hypothesis closest to the ground truth."""
-    _check_gt(hs, gt)
-    dist = np.linalg.norm(hs.poses - gt.joints[None], axis=-1)
-    chosen = dist.argmin(axis=0)
-    return AggregationReport(method="jbest",
-                             pose=PoseSeq3D(_gather_joints(hs, chosen)),
-                             chosen=chosen, reproj_error_px=None,
-                             feasible=False)
+    return _select("jbest", hs, _distances(hs, gt))
 
 
-# Aggregator names accepted by the CLI, in output order.
-METHOD_NAMES = ("avg", "jpma", "ppma", "pbest", "jbest")
+# Aggregator names accepted by the CLI, in output order, with the inputs
+# each reads besides the hypotheses: keypoints x and camera cam, or the
+# ground truth gt. Only the methods without gt are usable in production.
+METHOD_INPUTS = {"avg": (), "jpma": ("x", "cam"), "ppma": ("x", "cam"),
+                 "pbest": ("gt",), "jbest": ("gt",)}
+METHOD_NAMES = tuple(METHOD_INPUTS)
 
 
 def run_aggregator(method: str, hs: HypothesisSet, *,
@@ -164,25 +152,21 @@ def run_aggregator(method: str, hs: HypothesisSet, *,
                    gt: PoseSeq3D | None = None,
                    z_min: float = DEFAULT_Z_MIN) -> AggregationReport:
     """Uniform entry point; wraps agg_average in a report."""
+    if method not in METHOD_INPUTS:
+        raise ValueError(f"unknown aggregator {method!r}, expected one of "
+                         f"{', '.join(METHOD_NAMES)}")
+    given = {"x": x, "cam": cam, "gt": gt}
+    missing = [k for k in METHOD_INPUTS[method] if given[k] is None]
+    if missing:
+        raise ValueError(f"{method} needs {' and '.join(missing)}")
     if method == "avg":
         return AggregationReport(method="avg", pose=agg_average(hs),
                                  chosen=None, reproj_error_px=None,
                                  feasible=True)
     if method == "jpma":
-        if x is None or cam is None:
-            raise ValueError("jpma needs keypoints and a camera")
         return agg_jpma(hs, x, cam, z_min=z_min)
     if method == "ppma":
-        if x is None or cam is None:
-            raise ValueError("ppma needs keypoints and a camera")
         return agg_ppma(hs, x, cam, z_min=z_min)
     if method == "pbest":
-        if gt is None:
-            raise ValueError("pbest needs ground truth")
         return agg_pbest(hs, gt)
-    if method == "jbest":
-        if gt is None:
-            raise ValueError("jbest needs ground truth")
-        return agg_jbest(hs, gt)
-    raise ValueError(f"unknown aggregator {method!r}, expected one of "
-                     f"{', '.join(METHOD_NAMES)}")
+    return agg_jbest(hs, gt)

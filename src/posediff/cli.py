@@ -16,13 +16,13 @@ from __future__ import annotations
 import csv
 import functools
 import json
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import click
 import numpy as np
 
-from .aggregate import METHOD_NAMES, run_aggregator
+from .aggregate import METHOD_INPUTS, METHOD_NAMES, run_aggregator
 from .camera import load_camera
 from .config import (RunConfig, apply_overrides, config_sha256,
                      config_to_dict, load_config)
@@ -32,7 +32,7 @@ from .denoise import (ContractiveOracle, Denoiser, MlpDenoiser, NoisyOracle,
                       PerfectOracle, save_checkpoint, train)
 from .errors import (ConfigError, MissingGroundTruthError, PoseDiffError,
                      TrainingDivergedError)
-from .metrics import compute_metrics
+from .metrics import MetricReport, compute_metrics
 from .poseio import load_poses, save_poses
 from .render import render_sequence
 from .rng import stream_id
@@ -41,7 +41,7 @@ from .schedule import make_cosine_schedule, save_schedule_csv
 from .synth import DEFAULT_CAMERA, gen_poses
 
 DEFAULT_AGGREGATORS = "avg,jpma,ppma"
-CSV_COLUMNS = ("method", "H", "K", "mpjpe_mm", "pmpjpe_mm", "pck150", "auc")
+CSV_COLUMNS = ("method", "H", "K", *(f.name for f in fields(MetricReport)))
 
 
 def _guard(fn):
@@ -113,7 +113,7 @@ def _parse_aggregators(text: str, has_gt: bool) -> list[str]:
             raise ConfigError(f"unknown aggregator {m!r}, expected one of "
                               f"{', '.join(METHOD_NAMES)}")
     if not has_gt:
-        needy = [m for m in methods if m in ("pbest", "jbest")]
+        needy = [m for m in methods if "gt" in METHOD_INPUTS[m]]
         if needy:
             raise MissingGroundTruthError(
                 f"aggregator(s) {', '.join(needy)} need ground truth, "
@@ -172,20 +172,28 @@ def _sample_all(cfg: RunConfig, ds: Dataset, shared: MlpDenoiser | None,
     return all_hs
 
 
-def _aggregate_all(ds: Dataset, all_hs: list[HypothesisSet],
-                   methods: list[str]) -> dict[str, list]:
-    """Method -> one AggregationReport per sequence."""
-    return {m: [run_aggregator(m, hs, x=seq.keypoints, cam=ds.camera,
-                               gt=seq.gt)
-                for seq, hs in zip(ds.sequences, all_hs)]
-            for m in methods}
-
-
-def _pooled_metrics(cfg: RunConfig, ds: Dataset, poses: list[PoseSeq3D]):
-    pred = PoseSeq3D(np.concatenate([p.joints for p in poses], axis=0))
-    gt = PoseSeq3D(np.concatenate([s.gt.joints for s in ds.sequences], axis=0))
-    return compute_metrics(pred, gt, with_scale=cfg.metrics.pmpjpe_scale,
-                           pck_threshold_mm=cfg.metrics.pck_threshold_mm)
+def _score(cfg: RunConfig, ds: Dataset, all_hs: list[HypothesisSet],
+           methods: list[str]) -> tuple[dict[str, list], list[dict]]:
+    """Aggregate every sequence with each method. Returns method -> one
+    AggregationReport per sequence, and one metric row per method over
+    all frames pooled (no rows without ground truth)."""
+    reports = {m: [run_aggregator(m, hs, x=seq.keypoints, cam=ds.camera,
+                                  gt=seq.gt)
+                   for seq, hs in zip(ds.sequences, all_hs)]
+               for m in methods}
+    if not ds.has_gt:
+        return reports, []
+    gt = PoseSeq3D(np.concatenate([s.gt.joints for s in ds.sequences]))
+    h, k = all_hs[0].count, cfg.sampler.iterations
+    rows = []
+    for m in methods:
+        pred = np.concatenate([r.pose.joints for r in reports[m]])
+        pooled = compute_metrics(PoseSeq3D(pred), gt,
+                                 with_scale=cfg.metrics.pmpjpe_scale,
+                                 pck_threshold_mm=cfg.metrics.pck_threshold_mm)
+        rows.append({"method": m, "H": h, "K": k, **{
+            name: repr(value) for name, value in asdict(pooled).items()}})
+    return reports, rows
 
 
 def _write_metric_rows(path: Path, rows: list[dict]) -> None:
@@ -193,14 +201,6 @@ def _write_metric_rows(path: Path, rows: list[dict]) -> None:
         writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
-
-
-def _metric_row(method: str, h: int, k: int, report) -> dict:
-    return {"method": method, "H": h, "K": k,
-            "mpjpe_mm": repr(report.mpjpe_mm),
-            "pmpjpe_mm": repr(report.pmpjpe_mm),
-            "pck150": repr(report.pck150),
-            "auc": repr(report.auc)}
 
 
 @click.group()
@@ -299,7 +299,7 @@ def infer(config_path, seed, out_dir, data_dir, checkpoint, oracle,
 
     shared = _load_shared_denoiser(cfg, checkpoint, oracle)
     all_hs = _sample_all(cfg, ds, shared, oracle)
-    reports = _aggregate_all(ds, all_hs, methods)
+    reports, rows = _score(cfg, ds, all_hs, methods)
 
     if save_hypotheses:
         for seq, hs in zip(ds.sequences, all_hs):
@@ -316,12 +316,7 @@ def infer(config_path, seed, out_dir, data_dir, checkpoint, oracle,
             {"method": m, "feasible_in_production": reports[m][0].feasible},
             indent=2, sort_keys=True) + "\n")
 
-    h, k = cfg.sampler.hypotheses, cfg.sampler.iterations
     if ds.has_gt:
-        rows = []
-        for m in methods:
-            pooled = _pooled_metrics(cfg, ds, [r.pose for r in reports[m]])
-            rows.append(_metric_row(m, h, k, pooled))
         _write_metric_rows(root / "metrics.csv", rows)
         for row in rows:
             click.echo(f"{row['method']}: mpjpe "
@@ -334,8 +329,9 @@ def infer(config_path, seed, out_dir, data_dir, checkpoint, oracle,
                           root / "schedule.csv")
     _write_config_copy(root, cfg)
     _write_manifest(root, "infer", cfg, data=str(data_dir),
-                    checkpoint=checkpoint, oracle=oracle, hypotheses=h,
-                    iterations=k, aggregators=methods,
+                    checkpoint=checkpoint, oracle=oracle,
+                    hypotheses=cfg.sampler.hypotheses,
+                    iterations=cfg.sampler.iterations, aggregators=methods,
                     sigma_mode=cfg.sampler.sigma_mode.value,
                     flip_mode=cfg.sampler.flip_mode.value)
 
@@ -394,17 +390,12 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     h_max = max(hs_values)
     cell_rows: dict[tuple[int, int], list[dict]] = {}
     for k in dict.fromkeys(ks_values):
-        all_hs = _sample_all(apply_overrides(cfg, hypotheses=h_max,
-                                             iterations=k),
-                             ds, shared, oracle)
+        kcfg = apply_overrides(cfg, hypotheses=h_max, iterations=k)
+        all_hs = _sample_all(kcfg, ds, shared, oracle)
         for h in dict.fromkeys(hs_values):
-            prefixes = [HypothesisSet(hs.poses[:h].copy()) for hs in all_hs]
-            reports = _aggregate_all(ds, prefixes, methods)
-            cell_rows[h, k] = [
-                _metric_row(m, h, k, _pooled_metrics(
-                    cfg, ds, [r.pose for r in reports[m]]))
-                for m in methods]
-        del all_hs, prefixes, reports
+            prefixes = [HypothesisSet(hs.poses[:h]) for hs in all_hs]
+            cell_rows[h, k] = _score(kcfg, ds, prefixes, methods)[1]
+        del all_hs, prefixes
     rows = [row for h in hs_values for k in ks_values
             for row in cell_rows[h, k]]
     _write_metric_rows(root / "bench.csv", rows)

@@ -14,6 +14,8 @@ never re-noised after the last denoiser call.
 """
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .core import (HypothesisSet, PoseSeq2D, Skeleton, flip_array2d,
                    flip_array3d)
-from .denoise import Denoiser
+from .denoise import Denoiser, y0_to_eps
 from .rng import hypothesis_normals
 from .schedule import DEFAULT_SIGNAL_SCALE, MM_PER_UNIT, NoiseSchedule
 
@@ -94,11 +96,10 @@ def _ddim_core(y: np.ndarray, y0_hat: np.ndarray, t: int, t_next: int,
                sched: NoiseSchedule, sigma_mode: SigmaMode,
                eps: np.ndarray | None,
                diagnostics: DdimDiagnostics | None) -> np.ndarray:
-    ab_t = sched.alpha_bar[t]
     ab_next = sched.alpha_bar[t_next]
-    eps_t = (y - np.sqrt(ab_t) * y0_hat) / np.sqrt(1.0 - ab_t)
+    eps_t = y0_to_eps(y, y0_hat, t, sched)
     if sigma_mode is SigmaMode.STOCHASTIC:
-        sigma = _sigma_stochastic(ab_t, ab_next)
+        sigma = _sigma_stochastic(sched.alpha_bar[t], ab_next)
     else:
         sigma = 0.0
     coef = 1.0 - ab_next - sigma * sigma
@@ -114,47 +115,25 @@ def _ddim_core(y: np.ndarray, y0_hat: np.ndarray, t: int, t_next: int,
     return out
 
 
-def _run_chain(x: np.ndarray, denoiser: Denoiser, cfg: SamplerConfig,
-               sched: NoiseSchedule, *, hyp_offset: int, branch: int = 0,
-               mirrored: Skeleton | None = None,
-               flip_each_step: Skeleton | None = None,
-               image_width: float | None = None,
+def _run_chain(predict: Callable[[np.ndarray, int], np.ndarray],
+               shape: tuple[int, ...], cfg: SamplerConfig,
+               sched: NoiseSchedule, hyps: range, *, branch: int = 0,
                trace: list[HypothesisSet] | None = None,
                diagnostics: DdimDiagnostics | None = None) -> np.ndarray:
-    """Run one reverse chain; returns the final clean estimate in mm.
-
-    ``mirrored`` marks a chain that works on pre-flipped inputs (the
-    flipping-once side branch). ``flip_each_step`` enables the
-    flip-denoise-flip average inside every iteration.
-    """
-    n, j = x.shape[0], x.shape[1]
+    """Run one reverse chain of K steps; returns the final clean estimate
+    in mm. ``predict(y_mm, t)`` is the denoiser query of every step."""
     to_mm = MM_PER_UNIT / cfg.signal_scale
     ladder = timestep_ladder(cfg.t_max, cfg.iterations)
-    hyps = range(hyp_offset, hyp_offset + cfg.hypotheses)
-    y = hypothesis_normals(cfg.seed, hyps, (n, j, 3), "sampler_init",
+    y = hypothesis_normals(cfg.seed, hyps, shape, "sampler_init",
                            branch=branch)
-    if flip_each_step is not None:
-        x_flipped = flip_array2d(x, flip_each_step, image_width)
-
-    y0_mm = None
     for k, t in enumerate(ladder):
-        y_mm = y * to_mm
-        if flip_each_step is None:
-            y0_mm = denoiser.predict_clean(y_mm, x, t, hyp_offset=hyp_offset,
-                                           mirrored=mirrored)
-        else:
-            plain = denoiser.predict_clean(y_mm, x, t, hyp_offset=hyp_offset,
-                                           mirrored=None)
-            other = denoiser.predict_clean(
-                flip_array3d(y_mm, flip_each_step), x_flipped, t,
-                hyp_offset=hyp_offset, mirrored=flip_each_step)
-            y0_mm = (plain + flip_array3d(other, flip_each_step)) / 2.0
+        y0_mm = predict(y * to_mm, t)
         if trace is not None:
             trace.append(HypothesisSet(y0_mm))
         if k + 1 < len(ladder):
             eps = None
             if cfg.sigma_mode is SigmaMode.STOCHASTIC:
-                eps = hypothesis_normals(cfg.seed, hyps, (n, j, 3),
+                eps = hypothesis_normals(cfg.seed, hyps, shape,
                                          "sampler_ddim", t, branch=branch)
             y = _ddim_core(y, y0_mm / to_mm, t, ladder[k + 1], sched,
                            cfg.sigma_mode, eps, diagnostics)
@@ -199,17 +178,23 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
         raise ValueError("flip mode 'once' runs two chains, it has no "
                          "single trace")
 
-    common = dict(hyp_offset=hyp_offset, diagnostics=diagnostics)
+    def query(x2d, mirrored=None):
+        return lambda y_mm, t: denoiser.predict_clean(
+            y_mm, x2d, t, hyp_offset=hyp_offset, mirrored=mirrored)
+
+    chain = functools.partial(
+        _run_chain, shape=x.joints.shape[:2] + (3,), cfg=cfg, sched=sched,
+        hyps=range(hyp_offset, hyp_offset + cfg.hypotheses),
+        diagnostics=diagnostics)
+    plain = query(x.joints)
     if mode is FlipMode.NONE:
-        out = _run_chain(x.joints, denoiser, cfg, sched, trace=trace, **common)
-    elif mode is FlipMode.DIFFUSION:
-        out = _run_chain(x.joints, denoiser, cfg, sched, trace=trace,
-                         flip_each_step=skeleton, image_width=image_width,
-                         **common)
-    else:
-        plain = _run_chain(x.joints, denoiser, cfg, sched, **common)
-        x_flipped = flip_array2d(x.joints, skeleton, image_width)
-        other = _run_chain(x_flipped, denoiser, cfg, sched, branch=1,
-                           mirrored=skeleton, **common)
-        out = (plain + flip_array3d(other, skeleton)) / 2.0
-    return HypothesisSet(out)
+        return HypothesisSet(chain(plain, trace=trace))
+    flipped = query(flip_array2d(x.joints, skeleton, image_width), skeleton)
+    if mode is FlipMode.DIFFUSION:
+        def both(y_mm, t):
+            y0_mm = plain(y_mm, t)
+            other = flipped(flip_array3d(y_mm, skeleton), t)
+            return (y0_mm + flip_array3d(other, skeleton)) / 2.0
+        return HypothesisSet(chain(both, trace=trace))
+    out = chain(plain) + flip_array3d(chain(flipped, branch=1), skeleton)
+    return HypothesisSet(out / 2.0)

@@ -78,6 +78,28 @@ def _common(fn):
     return fn
 
 
+def _sampling(fn):
+    """Options of the commands that sample and aggregate."""
+    fn = click.option("--sigma-mode", default=None,
+                      type=click.Choice(["stochastic", "deterministic"]),
+                      help="DDIM noise injection mode.")(fn)
+    fn = click.option("--flip", "flip_mode", default=None,
+                      type=click.Choice(["none", "once", "diffusion"]),
+                      help="Flip augmentation mode.")(fn)
+    fn = click.option("--aggregator", "aggregators",
+                      default=DEFAULT_AGGREGATORS, show_default=True,
+                      help="Comma-separated aggregator list.")(fn)
+    fn = click.option("--oracle", default=None,
+                      type=click.Choice(["perfect", "contractive", "noisy"]),
+                      help="Use a ground-truth oracle instead of a "
+                           "checkpoint.")(fn)
+    fn = click.option("--checkpoint", type=click.Path(), default=None,
+                      help="Denoiser checkpoint from 'train'.")(fn)
+    fn = click.option("--data", "data_dir", required=True, type=click.Path(),
+                      help="Dataset directory from 'gen'.")(fn)
+    return fn
+
+
 def _load_cfg(config_path: str | None, **overrides) -> RunConfig:
     cfg = load_config(config_path) if config_path else RunConfig()
     return apply_overrides(cfg, **overrides)
@@ -264,22 +286,9 @@ def train_cmd(config_path, seed, out_dir, data_dir):
 
 @main.command()
 @_common
-@click.option("--data", "data_dir", required=True, type=click.Path(),
-              help="Dataset directory from 'gen'.")
-@click.option("--checkpoint", type=click.Path(), default=None,
-              help="Denoiser checkpoint from 'train'.")
-@click.option("--oracle", type=click.Choice(["perfect", "contractive",
-                                             "noisy"]), default=None,
-              help="Use a ground-truth oracle instead of a checkpoint.")
+@_sampling
 @click.option("--hypotheses", type=int, default=None, help="Hypotheses H.")
 @click.option("--iterations", type=int, default=None, help="DDIM steps K.")
-@click.option("--aggregator", "aggregators", default=DEFAULT_AGGREGATORS,
-              show_default=True, help="Comma-separated aggregator list.")
-@click.option("--flip", "flip_mode", type=click.Choice(["none", "once",
-                                                        "diffusion"]),
-              default=None, help="Flip augmentation mode.")
-@click.option("--sigma-mode", type=click.Choice(["stochastic", "deterministic"]),
-              default=None, help="DDIM noise injection mode.")
 @click.option("--save-hypotheses/--no-save-hypotheses", default=True,
               help="Write each hypothesis as a pose file.")
 @click.option("--dump-schedule", is_flag=True,
@@ -338,22 +347,11 @@ def infer(config_path, seed, out_dir, data_dir, checkpoint, oracle,
 
 @main.command()
 @_common
-@click.option("--data", "data_dir", required=True, type=click.Path(),
-              help="Dataset directory from 'gen'.")
-@click.option("--checkpoint", type=click.Path(), default=None)
-@click.option("--oracle", type=click.Choice(["perfect", "contractive",
-                                             "noisy"]), default=None)
+@_sampling
 @click.option("--hypotheses", "hypotheses_set", default="1,5,10,20",
               show_default=True, help="Comma-separated H values.")
 @click.option("--iterations", "iterations_set", default="10",
               show_default=True, help="Comma-separated K values.")
-@click.option("--aggregator", "aggregators", default=DEFAULT_AGGREGATORS,
-              show_default=True, help="Comma-separated aggregator list.")
-@click.option("--flip", "flip_mode", type=click.Choice(["none", "once",
-                                                        "diffusion"]),
-              default=None)
-@click.option("--sigma-mode", type=click.Choice(["stochastic", "deterministic"]),
-              default=None)
 @_guard
 def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
           hypotheses_set, iterations_set, aggregators, flip_mode, sigma_mode):

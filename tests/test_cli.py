@@ -358,6 +358,18 @@ def test_camera_wrong_type_exit_codes(runner, tmp_path):
     _assert_clean_exit(res, 1, "camera: 'cy'")
 
 
+def test_sampling_options_documented_alike(runner):
+    texts = ("Dataset directory from 'gen'.",
+             "Denoiser checkpoint from 'train'.",
+             "Use a ground-truth oracle", "Comma-separated aggregator list.",
+             "Flip augmentation mode.", "DDIM noise injection mode.")
+    for command in ("infer", "bench"):
+        res = runner.invoke(main, [command, "--help"], terminal_width=200)
+        assert res.exit_code == 0
+        for text in texts:
+            assert text in res.output, (command, text)
+
+
 def test_bench_empty_grid_exit_2(runner, tmp_path):
     cfg, data = _gen(runner, tmp_path)
     res = runner.invoke(main, [

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import PoseSeq2D, PoseSeq3D
-from .errors import BehindCameraError, require_field
+from .errors import (BehindCameraError, reject_non_finite,
+                     reject_unknown_keys, require_field)
 
 # Joints closer than this to the image plane do not project meaningfully.
 DEFAULT_Z_MIN = 1.0  # mm
@@ -127,11 +128,13 @@ def camera_to_dict(cam: CameraIntrinsics) -> dict:
 
 
 def camera_from_dict(d: dict, where: str = "camera") -> CameraIntrinsics:
-    """Intrinsics from a JSON object; a value of the wrong JSON type
-    raises ``ValueError`` naming ``where`` and the key."""
+    """Intrinsics from a JSON object; an unknown key or a value of the
+    wrong JSON type raises ``ValueError`` naming ``where`` and the key."""
     required = ("fx", "fy", "cx", "cy")
+    optional = ("k1", "k2", "k3", "p1", "p2")
+    reject_unknown_keys(d, ("model", *required, *optional), where)
     numbers = {key: require_field(d, key, float, where)
-               for key in (*required, "k1", "k2", "k3", "p1", "p2")
+               for key in (*required, *optional)
                if key in d or key in required}
     model = require_field(d, "model", str, where) if "model" in d else PINHOLE
     return CameraIntrinsics(**numbers, model=model)
@@ -139,8 +142,9 @@ def camera_from_dict(d: dict, where: str = "camera") -> CameraIntrinsics:
 
 def load_camera(path: str | Path) -> CameraIntrinsics:
     try:
-        d = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        d = json.loads(Path(path).read_text(),
+                       parse_constant=reject_non_finite)
+    except ValueError as exc:
         raise ValueError(f"invalid camera JSON in {path}: {exc}") from exc
     if not isinstance(d, dict):
         raise ValueError(f"camera file {path} must hold a JSON object")

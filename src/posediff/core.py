@@ -18,7 +18,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ShapeError, SkeletonError, finite_number, require_field
+from .errors import (ShapeError, SkeletonError, finite_number,
+                     reject_non_finite, reject_unknown_keys, require_field)
 
 
 def _frozen_f64(a, ndim: int, last: int, what: str) -> np.ndarray:
@@ -261,9 +262,13 @@ def skeleton_to_dict(skeleton: Skeleton) -> dict:
 
 
 def skeleton_from_dict(d: dict) -> Skeleton:
-    """A skeleton from a JSON object; a list, or an item of one, of the
-    wrong JSON type raises ``SkeletonError`` naming the key."""
+    """A skeleton from a JSON object; an unknown key, or a list or an
+    item of one of the wrong JSON type, raises ``SkeletonError`` naming
+    the key."""
     where = "malformed skeleton record"
+    reject_unknown_keys(d, ("num_joints", "parents", "mirror_pairs",
+                            "bone_lengths", "joint_names"), where,
+                        SkeletonError)
 
     def items(key: str, ok) -> list:
         value = require_field(d, key, list, where, SkeletonError)
@@ -293,8 +298,9 @@ def skeleton_from_dict(d: dict) -> Skeleton:
 
 def load_skeleton(path: str | Path) -> Skeleton:
     try:
-        d = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        d = json.loads(Path(path).read_text(),
+                       parse_constant=reject_non_finite)
+    except ValueError as exc:
         raise SkeletonError(f"invalid skeleton JSON in {path}: {exc}") from exc
     if not isinstance(d, dict):
         raise SkeletonError(f"skeleton file {path} must hold a JSON object")

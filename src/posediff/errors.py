@@ -96,6 +96,14 @@ def reject_non_finite(token: str):
     raise ValueError(f"non-finite constant {token}")
 
 
+def reject_unknown_keys(record: dict, known, where: str,
+                        error=ValueError) -> None:
+    """Raise ``error`` naming the keys of ``record`` not in ``known``."""
+    unknown = sorted(set(record) - set(known))
+    if unknown:
+        raise error(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 def finite_number(value) -> float | None:
     """``value`` as a float if it is a finite JSON number, else None."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):

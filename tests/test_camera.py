@@ -129,6 +129,21 @@ def test_camera_dict_wrong_types_name_the_key(simple_camera, key, value):
         camera_from_dict(doc, "cam.json")
 
 
+def test_camera_dict_unknown_key_named(simple_camera):
+    # a misspelled k1 must not load as k1 = 0
+    doc = {**camera_to_dict(simple_camera), "k_1": 0.3}
+    with pytest.raises(ValueError, match="^cam.json: unknown key.*'k_1'"):
+        camera_from_dict(doc, "cam.json")
+
+
+def test_camera_file_non_finite_token(simple_camera, tmp_path):
+    path = tmp_path / "cam.json"
+    path.write_text(json.dumps(camera_to_dict(simple_camera))
+                    .replace('"k1": 0.0', '"k1": NaN'))
+    with pytest.raises(ValueError, match="cam.json.*NaN"):
+        load_camera(path)
+
+
 @settings(max_examples=40)
 @given(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4),
        st.floats(100.0, 10000.0))

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -356,6 +357,33 @@ def test_camera_wrong_type_exit_codes(runner, tmp_path):
         "infer", "--config", str(cfg), "--data", str(data), "--oracle",
         "noisy", "--out", str(tmp_path / "out")])
     _assert_clean_exit(res, 1, "camera: 'cy'")
+
+
+def test_unknown_camera_and_skeleton_keys_exit_codes(runner, tmp_path):
+    # refused and named: in a config (2), a manifest (1), and a render
+    # --camera or --skeleton file (2)
+    cfg, data = _gen(runner, tmp_path)
+    manifest = json.loads((data / "manifest.json").read_text())
+    for part, key in (("camera", "k_1"), ("skeleton", "bone_length")):
+        doc = {**manifest[part], key: 0.3}
+        bad_cfg = _write_cfg(tmp_path / "data", {**SMALL_CFG, part: doc})
+        res = runner.invoke(main, ["gen", "--config", str(bad_cfg), "--out",
+                                   str(tmp_path / f"gen_{part}")])
+        _assert_clean_exit(res, 2, f"'{key}'")
+        path = tmp_path / f"{part}.json"
+        path.write_text(json.dumps(doc))
+        res = runner.invoke(main, [
+            "render", "--gt", str(data / "gt" / "seq_0000.jsonl"),
+            f"--{part}", str(path), "--out", str(tmp_path / f"svg_{part}")])
+        _assert_clean_exit(res, 2, f"'{key}'")
+        bad_data = tmp_path / f"data_{part}"
+        shutil.copytree(data, bad_data)
+        (bad_data / "manifest.json").write_text(
+            json.dumps({**manifest, part: doc}))
+        res = runner.invoke(main, [
+            "infer", "--config", str(cfg), "--data", str(bad_data),
+            "--oracle", "noisy", "--out", str(tmp_path / f"inf_{part}")])
+        _assert_clean_exit(res, 1, f"'{key}'")
 
 
 def test_sampling_options_documented_alike(runner):

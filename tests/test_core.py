@@ -110,6 +110,21 @@ def test_skeleton_dict_wrong_types_rejected(tri_skeleton, key, value):
         skeleton_from_dict(doc)
 
 
+def test_skeleton_dict_unknown_key_named(tri_skeleton):
+    # a misspelled key must not be dropped silently
+    doc = {**skeleton_to_dict(tri_skeleton), "bone_length": [0.0, 1.0, 1.0]}
+    with pytest.raises(SkeletonError, match="unknown key.*'bone_length'"):
+        skeleton_from_dict(doc)
+
+
+def test_skeleton_file_non_finite_token(tri_skeleton, tmp_path):
+    path = tmp_path / "skel.json"
+    path.write_text(json.dumps(skeleton_to_dict(tri_skeleton))
+                    .replace("100.0", "Infinity", 1))
+    with pytest.raises(SkeletonError, match="skel.json.*Infinity"):
+        load_skeleton(path)
+
+
 # --- pose sequence containers ----------------------------------------------
 
 def test_poseseq3d_rejects_nan():

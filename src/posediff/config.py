@@ -101,6 +101,11 @@ class RunConfig:
             if (part.seed, part.t_max, part.signal_scale) != top:
                 raise ConfigError(f"{name} seed, t_max and signal_scale "
                                   f"must equal the top-level {top}")
+        sc = self.scenario
+        if (sc.seed, sc.skeleton, sc.camera) != (self.seed, self.skeleton,
+                                                 self.camera):
+            raise ConfigError("scenario seed, skeleton and camera must equal "
+                              "the top-level ones")
 
 
 def _source(value, base_dir: Path | None, what: str, default, load,

@@ -72,8 +72,7 @@ def _distances(hs: HypothesisSet, gt: PoseSeq3D) -> np.ndarray:
     return np.linalg.norm(hs.poses - gt.joints[None], axis=-1)
 
 
-# The message for a joint (H, N, J cost) or a frame (H, N cost) that no
-# hypothesis may be chosen for.
+# Why no hypothesis may be chosen, for an (H, N, J) or an (H, N) cost.
 _DEAD = {3: "every hypothesis is behind the camera for frame {}, joint {}",
          2: "every hypothesis has a behind-camera joint in frame {}"}
 
@@ -94,9 +93,8 @@ def _select(method: str, hs: HypothesisSet, cost: np.ndarray,
     pose = np.take_along_axis(hs.poses, chosen[None, ..., None], axis=0)[0]
     if err is not None:
         err = np.take_along_axis(err, chosen[None], axis=0)[0]
-    return AggregationReport(method=method, pose=PoseSeq3D(pose),
-                             chosen=chosen, reproj_error_px=err,
-                             feasible="gt" not in METHOD_INPUTS[method])
+    feasible = "ground truth" not in METHOD_INPUTS[method]
+    return AggregationReport(method, PoseSeq3D(pose), chosen, err, feasible)
 
 
 def agg_average(hs: HypothesisSet) -> PoseSeq3D:
@@ -139,10 +137,11 @@ def agg_jbest(hs: HypothesisSet, gt: PoseSeq3D) -> AggregationReport:
 
 
 # Aggregator names accepted by the CLI, in output order, with the inputs
-# each reads besides the hypotheses: keypoints x and camera cam, or the
-# ground truth gt. Only the methods without gt are usable in production.
-METHOD_INPUTS = {"avg": (), "jpma": ("x", "cam"), "ppma": ("x", "cam"),
-                 "pbest": ("gt",), "jbest": ("gt",)}
+# each reads besides the hypotheses. Only the methods that do not read
+# the ground truth are usable in production.
+METHOD_INPUTS = {"avg": (), "jpma": ("keypoints", "camera"),
+                 "ppma": ("keypoints", "camera"),
+                 "pbest": ("ground truth",), "jbest": ("ground truth",)}
 METHOD_NAMES = tuple(METHOD_INPUTS)
 
 
@@ -155,7 +154,7 @@ def run_aggregator(method: str, hs: HypothesisSet, *,
     if method not in METHOD_INPUTS:
         raise ValueError(f"unknown aggregator {method!r}, expected one of "
                          f"{', '.join(METHOD_NAMES)}")
-    given = {"x": x, "cam": cam, "gt": gt}
+    given = {"keypoints": x, "camera": cam, "ground truth": gt}
     missing = [k for k in METHOD_INPUTS[method] if given[k] is None]
     if missing:
         raise ValueError(f"{method} needs {' and '.join(missing)}")

@@ -135,7 +135,7 @@ def _parse_aggregators(text: str, has_gt: bool) -> list[str]:
             raise ConfigError(f"unknown aggregator {m!r}, expected one of "
                               f"{', '.join(METHOD_NAMES)}")
     if not has_gt:
-        needy = [m for m in methods if "gt" in METHOD_INPUTS[m]]
+        needy = [m for m in methods if "ground truth" in METHOD_INPUTS[m]]
         if needy:
             raise MissingGroundTruthError(
                 f"aggregator(s) {', '.join(needy)} need ground truth, "

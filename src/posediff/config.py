@@ -20,7 +20,8 @@ from .camera import (CameraIntrinsics, camera_from_dict, camera_to_dict,
 from .core import (DEFAULT_SKELETON, Skeleton, load_skeleton,
                    skeleton_from_dict, skeleton_to_dict)
 from .denoise import RegressionTarget, TrainConfig
-from .errors import ConfigError, PoseDiffError, reject_non_finite
+from .errors import (ConfigError, PoseDiffError, reject_non_finite,
+                     reject_unknown_keys)
 from .sampler import FlipMode, SamplerConfig, SigmaMode
 from .schedule import DEFAULT_SIGNAL_SCALE
 from .synth import DEFAULT_CAMERA, ScenarioConfig
@@ -51,9 +52,7 @@ def _take(d: dict, known: dict, where: str) -> dict:
     whose default is a bool, int, float or str must have that type."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object, got {d!r}")
-    unknown = set(d) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+    reject_unknown_keys(d, known, where, ConfigError)
     merged = dict(known)
     for key, value in d.items():
         kind = type(known[key])

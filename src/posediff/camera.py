@@ -15,15 +15,14 @@ one for the other when porting calibration values.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import PoseSeq2D, PoseSeq3D
-from .errors import (BehindCameraError, reject_non_finite,
-                     reject_unknown_keys, require_field)
+from .errors import (BehindCameraError, json_object, reject_unknown_keys,
+                     require_field)
 
 # Joints closer than this to the image plane do not project meaningfully.
 DEFAULT_Z_MIN = 1.0  # mm
@@ -141,11 +140,5 @@ def camera_from_dict(d: dict, where: str = "camera") -> CameraIntrinsics:
 
 
 def load_camera(path: str | Path) -> CameraIntrinsics:
-    try:
-        d = json.loads(Path(path).read_text(),
-                       parse_constant=reject_non_finite)
-    except ValueError as exc:
-        raise ValueError(f"invalid camera JSON in {path}: {exc}") from exc
-    if not isinstance(d, dict):
-        raise ValueError(f"camera file {path} must hold a JSON object")
-    return camera_from_dict(d, str(path))
+    return camera_from_dict(json_object(Path(path).read_text(), str(path)),
+                            str(path))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -20,31 +20,11 @@ from .camera import (CameraIntrinsics, camera_from_dict, camera_to_dict,
 from .core import (DEFAULT_SKELETON, Skeleton, load_skeleton,
                    skeleton_from_dict, skeleton_to_dict)
 from .denoise import RegressionTarget, TrainConfig
-from .errors import (ConfigError, PoseDiffError, reject_non_finite,
-                     reject_unknown_keys)
+from .errors import (ConfigError, PoseDiffError, finite_number, json_object,
+                     reject_unknown_keys, require_field)
 from .sampler import FlipMode, SamplerConfig, SigmaMode
 from .schedule import DEFAULT_SIGNAL_SCALE
 from .synth import DEFAULT_CAMERA, ScenarioConfig
-
-
-_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
-               str: "a string"}
-
-
-def _typed(value, kind: type, where: str):
-    """``value`` as ``kind``, refusing a value of another JSON type.
-
-    A bool takes only a bool, an int only an int (not a bool), a float
-    an int or a float (not a bool), a str only a str.
-    """
-    ok = isinstance(value, (int, float) if kind is float else kind)
-    if not ok or (kind is not bool and isinstance(value, bool)):
-        raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, "
-                          f"got {value!r}")
-    try:
-        return kind(value)
-    except OverflowError as exc:  # an integer too large for a float
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _take(d: dict, known: dict, where: str) -> dict:
@@ -56,8 +36,8 @@ def _take(d: dict, known: dict, where: str) -> dict:
     merged = dict(known)
     for key, value in d.items():
         kind = type(known[key])
-        merged[key] = (_typed(value, kind, f"{where}.{key}")
-                       if kind in _TYPE_NAMES else value)
+        merged[key] = (require_field(d, key, kind, where, ConfigError)
+                       if kind in (bool, int, float, str) else value)
     return merged
 
 
@@ -127,15 +107,13 @@ def _source(value, base_dir: Path | None, what: str, default, load,
 def _scenario_from_dict(d: dict, **given) -> ScenarioConfig:
     v = _take(d, _DEFAULTS["scenario"], "scenario")
     box = v["root_box_mm"]
-    try:
-        v["root_box_mm"] = box = tuple(
-            tuple(_typed(x, float, "scenario.root_box_mm") for x in corner)
-            for corner in (box[0], box[1]))
-        if len(box[0]) != 3 or len(box[1]) != 3:
-            raise ValueError("root_box_mm needs two 3-vectors")
-        return ScenarioConfig(**v, **given)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"bad scenario section: {exc}") from exc
+    shaped = (isinstance(box, list) and len(box) == 2
+              and all(isinstance(c, list) and len(c) == 3 for c in box))
+    corners = shaped and tuple(tuple(map(finite_number, c)) for c in box)
+    if not shaped or None in corners[0] + corners[1]:
+        raise ConfigError(f"scenario: 'root_box_mm' must be two lists of 3 "
+                          f"numbers, got {box!r}")
+    return ScenarioConfig(**{**v, "root_box_mm": corners}, **given)
 
 
 def config_from_dict(doc: dict, *, base_dir: Path | None = None) -> RunConfig:
@@ -176,12 +154,7 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(), parse_constant=reject_non_finite)
-    except ValueError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
+    doc = json_object(path.read_text(), str(path), ConfigError)
     return config_from_dict(doc, base_dir=path.parent)
 
 
@@ -232,27 +205,20 @@ def config_sha256(cfg: RunConfig) -> str:
 
 
 def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
-    """Apply CLI flag overrides; None values are 'not given'."""
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    top = {k: updates.pop(k) for k in ("seed", "out_dir") if k in updates}
-    samp = {k: updates.pop(k) for k in
-            ("hypotheses", "iterations", "sigma_mode", "flip_mode")
-            if k in updates}
-    if updates:
-        raise ConfigError(f"unknown override(s): {', '.join(sorted(updates))}")
-    try:
-        for key, kind in (("hypotheses", int), ("iterations", int),
-                          ("sigma_mode", SigmaMode), ("flip_mode", FlipMode)):
-            if key in samp:
-                samp[key] = (_typed(samp[key], int, key) if kind is int
-                             else kind(samp[key]))
-        if "seed" in top:
-            seed = top["seed"] = samp["seed"] = _typed(top["seed"], int,
-                                                       "seed")
-            top["train"] = replace(cfg.train, seed=seed)
-            top["scenario"] = replace(cfg.scenario, seed=seed)
-        if "out_dir" in top:
-            top["out_dir"] = str(top["out_dir"])
-        return replace(cfg, sampler=replace(cfg.sampler, **samp), **top)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """Apply CLI flag overrides; None values are 'not given'.
+
+    The overrides are written into ``config_to_dict(cfg)`` and read back
+    with ``config_from_dict``, so they are checked like document values.
+    Fields no document sets (``TrainConfig.adam_eps``,
+    ``ScenarioConfig.hypothesis_count`` and ``hypothesis_model``) come
+    back at their defaults: the CLI overrides only configs built from a
+    document or ``RunConfig()``.
+    """
+    given = {k: v for k, v in overrides.items() if v is not None}
+    sampler = ("hypotheses", "iterations", "sigma_mode", "flip_mode")
+    reject_unknown_keys(given, ("seed", "out_dir", *sampler), "overrides",
+                        ConfigError)
+    doc = config_to_dict(cfg)
+    for key, value in given.items():
+        (doc["sampler"] if key in sampler else doc)[key] = value
+    return config_from_dict(doc)

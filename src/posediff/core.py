@@ -11,15 +11,14 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .errors import (ShapeError, SkeletonError, finite_number,
-                     reject_non_finite, reject_unknown_keys, require_field)
+from .errors import (ShapeError, SkeletonError, finite_number, json_object,
+                     reject_unknown_keys, require_field)
 
 
 def _frozen_f64(a, ndim: int, last: int, what: str) -> np.ndarray:
@@ -261,11 +260,11 @@ def skeleton_to_dict(skeleton: Skeleton) -> dict:
     return d
 
 
-def skeleton_from_dict(d: dict) -> Skeleton:
+def skeleton_from_dict(d: dict,
+                       where: str = "malformed skeleton record") -> Skeleton:
     """A skeleton from a JSON object; an unknown key, or a list or an
     item of one of the wrong JSON type, raises ``SkeletonError`` naming
-    the key."""
-    where = "malformed skeleton record"
+    ``where`` and the key."""
     reject_unknown_keys(d, ("num_joints", "parents", "mirror_pairs",
                             "bone_lengths", "joint_names"), where,
                         SkeletonError)
@@ -289,19 +288,13 @@ def skeleton_from_dict(d: dict) -> Skeleton:
     count = (require_field(d, "num_joints", int, where, SkeletonError)
              if "num_joints" in d else len(parents))
     if count != len(parents):
-        raise SkeletonError(
-            f"num_joints={count} disagrees with {len(parents)} parents")
+        raise SkeletonError(f"{where}: num_joints={count} disagrees with "
+                            f"{len(parents)} parents")
     return Skeleton(parents=tuple(parents),
                     mirror_pairs=tuple((a, b) for a, b in pairs),
                     bone_lengths=tuple(map(float, lengths)), joint_names=names)
 
 
 def load_skeleton(path: str | Path) -> Skeleton:
-    try:
-        d = json.loads(Path(path).read_text(),
-                       parse_constant=reject_non_finite)
-    except ValueError as exc:
-        raise SkeletonError(f"invalid skeleton JSON in {path}: {exc}") from exc
-    if not isinstance(d, dict):
-        raise SkeletonError(f"skeleton file {path} must hold a JSON object")
-    return skeleton_from_dict(d)
+    d = json_object(Path(path).read_text(), str(path), SkeletonError)
+    return skeleton_from_dict(d, str(path))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import HypothesisSet, PoseSeq2D, PoseSeq3D, Skeleton, flip_array3d
 from .errors import (NumericError, ShapeError, TrainingDivergedError,
-                     reject_non_finite, require_field)
+                     json_object, require_field)
 from .rng import RngStream, hypothesis_normals, stream_id
 from .schedule import (DEFAULT_SIGNAL_SCALE, NoiseSchedule,
                        make_cosine_schedule, to_millimeters, to_signal_units)
@@ -416,12 +416,8 @@ def load_checkpoint(path: str | Path
     nl = raw.find(b"\n")
     if nl < 0:
         raise ValueError(f"{path}: missing checkpoint header")
-    try:
-        header = json.loads(raw[:nl].decode("utf-8"),
-                            parse_constant=reject_non_finite)
-    except ValueError as exc:  # also a bad UTF-8 byte
-        raise ValueError(f"{path}: bad checkpoint header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != _CHECKPOINT_MAGIC:
+    header = json_object(raw[:nl], f"{path}: checkpoint header")
+    if header.get("format") != _CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a denoiser checkpoint")
     for key, kind in _HEADER_FIELDS.items():
         require_field(header, key, kind, f"{path}: checkpoint header")

@@ -3,11 +3,13 @@
 Errors that carry structural information (frame/joint indices, line
 numbers, training step) expose it as attributes so callers can react
 programmatically instead of parsing messages. The helpers at the end
-check parsed JSON, so that every loader refuses the same things.
+turn outside JSON into typed values, for every loader and the config.
 """
 from __future__ import annotations
 
+import json
 import math
+import reprlib
 
 
 class PoseDiffError(Exception):
@@ -90,10 +92,21 @@ class ConfigError(PoseDiffError, ValueError):
     """Run configuration is missing, malformed, or inconsistent."""
 
 
-def reject_non_finite(token: str):
-    """``parse_constant`` for ``json.loads``: NaN and Infinity are not
-    JSON, and a file posediff writes never holds them."""
+def _reject_non_finite(token: str):
     raise ValueError(f"non-finite constant {token}")
+
+
+def json_object(text: str | bytes, where: str, error=ValueError) -> dict:
+    """``text`` parsed as a JSON object, else ``error`` naming ``where``.
+    NaN and Infinity are not JSON, and no file posediff writes has them."""
+    try:
+        value = json.loads(text, parse_constant=_reject_non_finite)
+    except ValueError as exc:  # also a bad UTF-8 byte
+        raise error(f"{where}: invalid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise error(f"{where}: must hold a JSON object, got "
+                    f"{reprlib.repr(value)}")
+    return value
 
 
 def reject_unknown_keys(record: dict, known, where: str,
@@ -115,17 +128,22 @@ def finite_number(value) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def require_field(record, key: str, kind, where: str, error=ValueError):
-    """``record[key]`` if it has type ``kind`` (never bool), else ``error``.
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", list: "a list", dict: "an object"}
 
-    ``float`` takes any finite JSON number and gives it as a float.
+
+def require_field(record, key: str, kind, where: str, error=ValueError):
+    """``record[key]`` if it is a JSON value of type ``kind``, else
+    ``error`` naming ``where``, the key, the type and the value given.
+
+    ``bool`` takes only true or false, ``int`` an integer but not a
+    bool, and ``float`` any finite JSON number, given as a float.
     """
-    present = isinstance(record, dict) and key in record
-    value = record[key] if present else None
-    if kind is float:
-        value = finite_number(value)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        state = ("is missing" if not present else "is not a finite number"
-                 if kind is float else "has the wrong type")
-        raise error(f"{where}: {key!r} {state}")
-    return value
+    if not (isinstance(record, dict) and key in record):
+        raise error(f"{where}: {key!r} is missing")
+    value = record[key]
+    typed = finite_number(value) if kind is float else value
+    if not isinstance(typed, kind) or isinstance(typed, bool) != (kind is bool):
+        raise error(f"{where}: {key!r} must be {_KIND_NAMES[kind]}, "
+                    f"got {reprlib.repr(value)}")
+    return typed

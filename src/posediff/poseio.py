@@ -16,18 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .core import PoseSeq2D, PoseSeq3D
-from .errors import (PoseFileParseError, PoseFileSchemaError,
-                     reject_non_finite, require_field)
+from .errors import (PoseFileParseError, PoseFileSchemaError, json_object,
+                     require_field)
 
 
-def _parse_line(text: str, line_no: int) -> dict:
-    try:
-        obj = json.loads(text, parse_constant=reject_non_finite)
-    except ValueError as exc:
-        raise PoseFileParseError(str(exc), line=line_no) from exc
-    if not isinstance(obj, dict):
-        raise PoseFileParseError("expected a JSON object", line=line_no)
-    return obj
+def _parse_line(text: str, line_no: int, path: str | Path) -> dict:
+    return json_object(text, str(path),
+                       lambda message: PoseFileParseError(message, line_no))
 
 
 def save_poses(pose: PoseSeq3D | PoseSeq2D, path: str | Path) -> None:
@@ -44,7 +39,7 @@ def load_poses(path: str | Path) -> PoseSeq3D | PoseSeq2D:
     if not lines or not any(line.strip() for line in lines):
         raise PoseFileParseError(f"{path}: empty pose file")
 
-    header = _parse_line(lines[0], 1)
+    header = _parse_line(lines[0], 1, path)
     num_joints, dims = (
         require_field(header, key, int, f"{path}: header",
                       lambda message: PoseFileSchemaError(message, line=1))
@@ -58,7 +53,7 @@ def load_poses(path: str | Path) -> PoseSeq3D | PoseSeq2D:
     for idx, text in enumerate(lines[1:], start=2):
         if not text.strip():
             continue
-        rec = _parse_line(text, idx)
+        rec = _parse_line(text, idx, path)
         if "frame" not in rec or "joints" not in rec:
             raise PoseFileParseError("record needs 'frame' and 'joints'", line=idx)
         if type(rec["frame"]) is not int or rec["frame"] != len(frames):

@@ -136,7 +136,10 @@ def camera_from_dict(d: dict, where: str = "camera") -> CameraIntrinsics:
                for key in (*required, *optional)
                if key in d or key in required}
     model = require_field(d, "model", str, where) if "model" in d else PINHOLE
-    return CameraIntrinsics(**numbers, model=model)
+    try:
+        return CameraIntrinsics(**numbers, model=model)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def load_camera(path: str | Path) -> CameraIntrinsics:

@@ -130,10 +130,12 @@ def _parse_aggregators(text: str, has_gt: bool) -> list[str]:
     methods = [m.strip() for m in text.split(",") if m.strip()]
     if not methods:
         raise ConfigError("empty aggregator list")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHOD_NAMES:
             raise ConfigError(f"unknown aggregator {m!r}, expected one of "
                               f"{', '.join(METHOD_NAMES)}")
+        if m in methods[:i]:
+            raise ConfigError(f"aggregator {m!r} is given twice")
     if not has_gt:
         needy = [m for m in methods if "ground truth" in METHOD_INPUTS[m]]
         if needy:
@@ -183,14 +185,15 @@ def _load_shared_denoiser(cfg: RunConfig, checkpoint: str | None,
 
 def _sample_all(cfg: RunConfig, ds: Dataset, shared: MlpDenoiser | None,
                 oracle: str | None) -> list[HypothesisSet]:
-    """Sample every sequence at ``cfg``, each with its own seed."""
+    """Sample every sequence at ``cfg``, each with its own seed. Flips
+    mirror with the dataset's skeleton, which made the keypoints."""
     sched = make_cosine_schedule(cfg.t_max)
     all_hs = []
     for i, seq in enumerate(ds.sequences):
         den = _make_denoiser(cfg, oracle, seq, i, shared)
         scfg = replace(cfg.sampler, seed=_sequence_seed(cfg.seed, i))
         all_hs.append(run_sampler(seq.keypoints, den, scfg, sched,
-                                  cfg.skeleton, float(cfg.image_width)))
+                                  ds.skeleton, float(cfg.image_width)))
     return all_hs
 
 

@@ -48,11 +48,24 @@ class DenoiserSettings:
     oracle_lambda: float = 0.5
     oracle_sigma_mm: float = 20.0
 
+    def __post_init__(self):
+        if not 0.0 <= self.oracle_lambda < 1.0:
+            raise ValueError(f"oracle_lambda must be in [0, 1), got "
+                             f"{self.oracle_lambda}")
+        if not self.oracle_sigma_mm >= 0:
+            raise ValueError(f"oracle_sigma_mm must be >= 0, got "
+                             f"{self.oracle_sigma_mm}")
+
 
 @dataclass(frozen=True)
 class MetricSettings:
     pck_threshold_mm: float = 150.0
     pmpjpe_scale: bool = True
+
+    def __post_init__(self):
+        if not self.pck_threshold_mm > 0:
+            raise ValueError(f"pck_threshold_mm must be positive, got "
+                             f"{self.pck_threshold_mm}")
 
 
 @dataclass(frozen=True)

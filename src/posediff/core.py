@@ -290,9 +290,13 @@ def skeleton_from_dict(d: dict,
     if count != len(parents):
         raise SkeletonError(f"{where}: num_joints={count} disagrees with "
                             f"{len(parents)} parents")
-    return Skeleton(parents=tuple(parents),
-                    mirror_pairs=tuple((a, b) for a, b in pairs),
-                    bone_lengths=tuple(map(float, lengths)), joint_names=names)
+    try:
+        return Skeleton(parents=tuple(parents),
+                        mirror_pairs=tuple((a, b) for a, b in pairs),
+                        bone_lengths=tuple(map(float, lengths)),
+                        joint_names=names)
+    except SkeletonError as exc:
+        raise SkeletonError(f"{where}: {exc}") from exc
 
 
 def load_skeleton(path: str | Path) -> Skeleton:

@@ -272,6 +272,16 @@ class TrainConfig:
             raise ValueError("steps and batch_size must be >= 1")
         if not self.learning_rate >= 0:
             raise ValueError("learning rate must be >= 0")
+        for name, ok, rule in (
+                ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+                ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+                ("hidden_layers", self.hidden_layers >= 1, ">= 1"),
+                ("hidden_width", self.hidden_width >= 2
+                 and self.hidden_width % 2 == 0, "even and >= 2"),
+                ("pixel_scale", self.pixel_scale > 0, "positive")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got "
+                                 f"{getattr(self, name)}")
 
 
 @dataclass(frozen=True)

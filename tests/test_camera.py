@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,15 @@ def test_camera_dict_unknown_key_named(simple_camera):
     doc = {**camera_to_dict(simple_camera), "k_1": 0.3}
     with pytest.raises(ValueError, match="^cam.json: unknown key.*'k_1'"):
         camera_from_dict(doc, "cam.json")
+
+
+def test_camera_value_errors_name_the_file(simple_camera, tmp_path):
+    path = tmp_path / "cam.json"
+    for key, value in (("fx", -5.0), ("k1", 0.1), ("model", "fisheye")):
+        path.write_text(json.dumps({**camera_to_dict(simple_camera),
+                                    key: value}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_camera(path)
 
 
 def test_camera_file_non_finite_token(simple_camera, tmp_path):

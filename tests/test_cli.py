@@ -11,10 +11,11 @@ from click.testing import CliRunner
 
 from posediff.cli import main
 from posediff.config import config_from_dict, config_sha256
+from posediff.core import DEFAULT_SKELETON, skeleton_to_dict
 from posediff.dataset import load_dataset
 from posediff.poseio import load_poses
 from posediff.rng import stream_id
-from posediff.sampler import run_sampler
+from posediff.sampler import FlipMode, run_sampler
 from posediff.schedule import make_cosine_schedule
 from posediff.denoise import NoisyOracle
 
@@ -165,26 +166,42 @@ def test_infer_single_hypothesis_methods_agree(runner, tmp_path):
 
 def test_infer_matches_library_exactly(runner, tmp_path):
     # the CLI is a binding, not a reimplementation: hypothesis files must
-    # equal a direct library run using the documented per-sequence seeds
+    # equal a direct library run using the documented per-sequence seeds.
+    # The second dataset's skeleton keeps three of the six mirror pairs,
+    # and the config names none: flips use the skeleton that made the
+    # keypoints.
     cfg_path, data = _gen(runner, tmp_path)
-    out = tmp_path / "inf"
-    res = runner.invoke(main, [
-        "infer", "--config", str(cfg_path), "--data", str(data),
-        "--oracle", "noisy", "--out", str(out)])
+    pairs = DEFAULT_SKELETON.mirror_pairs[:3]
+    skel = skeleton_to_dict(replace(DEFAULT_SKELETON, mirror_pairs=pairs))
+    (tmp_path / "custom").mkdir()
+    custom_cfg = _write_cfg(tmp_path / "custom", {**SMALL_CFG,
+                                                  "skeleton": skel})
+    custom = tmp_path / "custom" / "data"
+    res = runner.invoke(main, ["gen", "--config", str(custom_cfg), "--out",
+                               str(custom)])
     assert res.exit_code == 0, res.output
 
     cfg = config_from_dict(SMALL_CFG)
-    ds = load_dataset(data)
     sched = make_cosine_schedule(cfg.t_max)
-    for i, seq in enumerate(ds.sequences):
-        den = NoisyOracle(seq.gt, cfg.denoiser.oracle_sigma_mm,
-                          seed=stream_id("oracle", cfg.seed, i))
-        scfg = replace(cfg.sampler, seed=stream_id("sequence", cfg.seed, i))
-        hs = run_sampler(seq.keypoints, den, scfg, sched, cfg.skeleton,
-                         float(cfg.image_width))
-        for h in range(hs.count):
-            on_disk = load_poses(out / "hyp" / seq.name / f"h_{h:03d}.jsonl")
-            assert np.array_equal(on_disk.joints, hs[h].joints)
+    for data_dir, flip in ((data, "none"), (custom, "diffusion")):
+        out = tmp_path / f"inf_{flip}"
+        res = runner.invoke(main, [
+            "infer", "--config", str(cfg_path), "--data", str(data_dir),
+            "--oracle", "noisy", "--flip", flip, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        ds = load_dataset(data_dir)
+        for i, seq in enumerate(ds.sequences):
+            den = NoisyOracle(seq.gt, cfg.denoiser.oracle_sigma_mm,
+                              seed=stream_id("oracle", cfg.seed, i))
+            scfg = replace(cfg.sampler, flip_mode=FlipMode(flip),
+                           seed=stream_id("sequence", cfg.seed, i))
+            hs = run_sampler(seq.keypoints, den, scfg, sched, ds.skeleton,
+                             float(cfg.image_width))
+            for h in range(hs.count):
+                on_disk = load_poses(out / "hyp" / seq.name
+                                     / f"h_{h:03d}.jsonl")
+                assert np.array_equal(on_disk.joints, hs[h].joints)
+    assert load_dataset(custom).skeleton.mirror_pairs == pairs
 
 
 def test_infer_requires_exactly_one_denoiser_source(runner, tmp_path):
@@ -269,6 +286,18 @@ def test_unknown_aggregator_exit_2(runner, tmp_path):
         "infer", "--config", str(cfg), "--data", str(data), "--oracle",
         "perfect", "--out", str(tmp_path / "x"), "--aggregator", "median"])
     assert res.exit_code == 2
+
+
+def test_repeated_aggregator_exit_2(runner, tmp_path):
+    # a repeated name would print and write its rows twice
+    cfg, data = _gen(runner, tmp_path)
+    for command in ("infer", "bench"):
+        out = tmp_path / command
+        res = runner.invoke(main, [
+            command, "--config", str(cfg), "--data", str(data), "--oracle",
+            "noisy", "--out", str(out), "--aggregator", "avg,jpma,avg"])
+        _assert_clean_exit(res, 2, "'avg'")
+        assert not out.exists()
 
 
 def test_train_divergence_exit_3(runner, tmp_path):
@@ -361,29 +390,34 @@ def test_camera_wrong_type_exit_codes(runner, tmp_path):
 
 def test_unknown_camera_and_skeleton_keys_exit_codes(runner, tmp_path):
     # refused and named: in a config (2), a manifest (1), and a render
-    # --camera or --skeleton file (2)
+    # --camera or --skeleton file (2); the files and the manifest are
+    # named too. The last case is a bad value rather than an unknown key.
     cfg, data = _gen(runner, tmp_path)
     manifest = json.loads((data / "manifest.json").read_text())
-    for part, key in (("camera", "k_1"), ("skeleton", "bone_length")):
-        doc = {**manifest[part], key: 0.3}
+    for part, key, value in (("camera", "k_1", 0.3),
+                             ("skeleton", "bone_length", 0.3),
+                             ("skeleton", "parents", ["x"] * 17)):
+        doc, case = {**manifest[part], key: value}, f"{part}_{key}"
         bad_cfg = _write_cfg(tmp_path / "data", {**SMALL_CFG, part: doc})
         res = runner.invoke(main, ["gen", "--config", str(bad_cfg), "--out",
-                                   str(tmp_path / f"gen_{part}")])
+                                   str(tmp_path / f"gen_{case}")])
         _assert_clean_exit(res, 2, f"'{key}'")
-        path = tmp_path / f"{part}.json"
+        path = tmp_path / f"{case}.json"
         path.write_text(json.dumps(doc))
         res = runner.invoke(main, [
             "render", "--gt", str(data / "gt" / "seq_0000.jsonl"),
-            f"--{part}", str(path), "--out", str(tmp_path / f"svg_{part}")])
+            f"--{part}", str(path), "--out", str(tmp_path / f"svg_{case}")])
         _assert_clean_exit(res, 2, f"'{key}'")
-        bad_data = tmp_path / f"data_{part}"
+        assert f"error: {path}: " in res.stderr
+        bad_data = tmp_path / f"data_{case}"
         shutil.copytree(data, bad_data)
         (bad_data / "manifest.json").write_text(
             json.dumps({**manifest, part: doc}))
         res = runner.invoke(main, [
             "infer", "--config", str(cfg), "--data", str(bad_data),
-            "--oracle", "noisy", "--out", str(tmp_path / f"inf_{part}")])
+            "--oracle", "noisy", "--out", str(tmp_path / f"inf_{case}")])
         _assert_clean_exit(res, 1, f"'{key}'")
+        assert f"error: {bad_data / 'manifest.json'}: {part}: " in res.stderr
 
 
 def test_sampling_options_documented_alike(runner):

@@ -81,6 +81,15 @@ def test_readme_config_example_loads():
     assert (cfg.seed, cfg.sampler.hypotheses, cfg.train.steps) == (7, 8, 2000)
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"## Library use\n\n```python\n(.*?)```", readme,
+                        re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    mpjpe = float(capsys.readouterr().out)
+    assert 0 < mpjpe < 100
+
+
 def test_cross_check_iterations_vs_t_max():
     with pytest.raises(ConfigError, match="iterations"):
         config_from_dict({"t_max": 5, "sampler": {"iterations": 10}})
@@ -230,10 +239,24 @@ def test_wrong_json_types_rejected(doc):
         config_from_dict(doc)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("denoiser", "oracle_lambda", 1.5), ("denoiser", "oracle_lambda", -0.1),
+    ("denoiser", "oracle_sigma_mm", -2), ("metrics", "pck_threshold_mm", -1),
+    ("metrics", "pck_threshold_mm", 0), ("denoiser", "hidden_width", 3),
+    ("denoiser", "hidden_width", 0), ("denoiser", "hidden_layers", 0),
+    ("denoiser", "pixel_scale", -1), ("train", "beta1", 1.5),
+    ("train", "beta1", -0.5), ("train", "beta2", 1)])
+def test_out_of_range_values_rejected_at_load(section, key, value):
+    # refused when the config loads, not once an oracle, the metrics or
+    # training first use the value
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        config_from_dict({section: {key: value}})
+
+
 def test_float_fields_take_integers():
-    as_int = config_from_dict({"signal_scale": 2, "train": {"beta2": 1},
+    as_int = config_from_dict({"signal_scale": 2, "train": {"beta2": 0},
                                "metrics": {"pck_threshold_mm": 150}})
-    as_float = config_from_dict({"signal_scale": 2.0, "train": {"beta2": 1.0},
+    as_float = config_from_dict({"signal_scale": 2.0, "train": {"beta2": 0.0},
                                  "metrics": {"pck_threshold_mm": 150.0}})
     assert as_int == as_float
     assert isinstance(as_int.signal_scale, float)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,19 @@ def test_skeleton_dict_wrong_types_rejected(tri_skeleton, key, value):
     doc[key] = value
     with pytest.raises(SkeletonError, match=f"malformed.*'{key}'"):
         skeleton_from_dict(doc)
+    # a file or manifest passes its path, which heads the message
+    with pytest.raises(SkeletonError, match=f"^skel.json: .*'{key}'"):
+        skeleton_from_dict(doc, "skel.json")
+
+
+def test_skeleton_file_errors_name_the_file(tri_skeleton, tmp_path):
+    path = tmp_path / "skel.json"
+    for key, value in (("parents", ["x", 0, 0]), ("parents", [0, 1, 0]),
+                       ("num_joints", 4)):
+        path.write_text(json.dumps({**skeleton_to_dict(tri_skeleton),
+                                    key: value}))
+        with pytest.raises(SkeletonError, match=f"^{re.escape(str(path))}: "):
+            load_skeleton(path)
 
 
 def test_skeleton_file_non_finite_token(tri_skeleton, tmp_path):

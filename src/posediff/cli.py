@@ -56,9 +56,7 @@ def _guard(fn):
             _fail(3, str(exc))
         except MissingGroundTruthError as exc:
             _fail(4, str(exc))
-        except PoseDiffError as exc:
-            _fail(1, str(exc))
-        except (ValueError, OSError) as exc:
+        except (PoseDiffError, ValueError, OSError) as exc:
             _fail(1, str(exc))
     return wrapper
 
@@ -118,14 +116,6 @@ def _write_config_copy(root: Path, cfg: RunConfig) -> None:
         json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
 
 
-def _sequence_seed(base: int, index: int) -> int:
-    return stream_id("sequence", base, index)
-
-
-def _oracle_seed(base: int, index: int) -> int:
-    return stream_id("oracle", base, index)
-
-
 def _parse_aggregators(text: str, has_gt: bool) -> list[str]:
     methods = [m.strip() for m in text.split(",") if m.strip()]
     if not methods:
@@ -158,7 +148,7 @@ def _make_denoiser(cfg: RunConfig, oracle: str | None, seq: Sequence,
     if oracle == "contractive":
         return ContractiveOracle(seq.gt, cfg.denoiser.oracle_lambda)
     return NoisyOracle(seq.gt, cfg.denoiser.oracle_sigma_mm,
-                       seed=_oracle_seed(cfg.seed, seq_index))
+                       seed=stream_id("oracle", cfg.seed, seq_index))
 
 
 def _load_shared_denoiser(cfg: RunConfig, checkpoint: str | None,
@@ -191,7 +181,7 @@ def _sample_all(cfg: RunConfig, ds: Dataset, shared: MlpDenoiser | None,
     all_hs = []
     for i, seq in enumerate(ds.sequences):
         den = _make_denoiser(cfg, oracle, seq, i, shared)
-        scfg = replace(cfg.sampler, seed=_sequence_seed(cfg.seed, i))
+        scfg = replace(cfg.sampler, seed=stream_id("sequence", cfg.seed, i))
         all_hs.append(run_sampler(seq.keypoints, den, scfg, sched,
                                   ds.skeleton, float(cfg.image_width)))
     return all_hs

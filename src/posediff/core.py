@@ -114,14 +114,14 @@ class Skeleton:
 
 
 @dataclass(frozen=True, eq=False)
-class PoseSeq3D:
-    """A sequence of 3D poses, shape (frames, joints, 3), millimeters."""
+class _PoseSeq:
+    """Poses of shape (frames, joints, coords); subclasses set ``coords``."""
 
     joints: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "joints",
-                           _frozen_f64(self.joints, 3, 3, "PoseSeq3D"))
+        object.__setattr__(self, "joints", _frozen_f64(
+            self.joints, 3, self.coords, type(self).__name__))
 
     @property
     def num_frames(self) -> int:
@@ -133,22 +133,17 @@ class PoseSeq3D:
 
 
 @dataclass(frozen=True, eq=False)
-class PoseSeq2D:
+class PoseSeq3D(_PoseSeq):
+    """A sequence of 3D poses, shape (frames, joints, 3), millimeters."""
+
+    coords = 3
+
+
+@dataclass(frozen=True, eq=False)
+class PoseSeq2D(_PoseSeq):
     """A sequence of 2D keypoint frames, shape (frames, joints, 2), pixels."""
 
-    joints: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "joints",
-                           _frozen_f64(self.joints, 3, 2, "PoseSeq2D"))
-
-    @property
-    def num_frames(self) -> int:
-        return self.joints.shape[0]
-
-    @property
-    def num_joints(self) -> int:
-        return self.joints.shape[1]
+    coords = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,17 +196,17 @@ class HypothesisSet:
             yield self[h]
 
 
-def _check_joint_count(num_joints: int, skeleton: Skeleton) -> None:
-    if skeleton.num_joints != num_joints:
+def _mirrored(a: np.ndarray, skeleton: Skeleton) -> np.ndarray:
+    """A copy of a (..., J, D) array with each mirror pair swapped."""
+    if skeleton.num_joints != a.shape[-2]:
         raise SkeletonError(
-            f"skeleton has {skeleton.num_joints} joints, pose has {num_joints}")
+            f"skeleton has {skeleton.num_joints} joints, pose has {a.shape[-2]}")
+    return np.ascontiguousarray(a[..., skeleton.mirror_permutation(), :])
 
 
 def flip_array3d(a: np.ndarray, skeleton: Skeleton) -> np.ndarray:
     """Mirror a (..., J, 3) array: negate x, swap left/right joints."""
-    _check_joint_count(a.shape[-2], skeleton)
-    perm = skeleton.mirror_permutation()
-    out = np.ascontiguousarray(a[..., perm, :])
+    out = _mirrored(a, skeleton)
     out[..., 0] = -out[..., 0]
     return out
 
@@ -220,9 +215,7 @@ def flip_array2d(a: np.ndarray, skeleton: Skeleton, image_width: float) -> np.nd
     """Mirror a (..., J, 2) keypoint array about the vertical image axis."""
     if not image_width > 0:
         raise ValueError(f"image_width must be positive, got {image_width}")
-    _check_joint_count(a.shape[-2], skeleton)
-    perm = skeleton.mirror_permutation()
-    out = np.ascontiguousarray(a[..., perm, :])
+    out = _mirrored(a, skeleton)
     out[..., 0] = image_width - out[..., 0]
     return out
 

@@ -26,7 +26,7 @@ from .core import HypothesisSet, PoseSeq2D, PoseSeq3D, Skeleton, flip_array3d
 from .errors import (NumericError, ShapeError, TrainingDivergedError,
                      json_object, require_field)
 from .rng import RngStream, hypothesis_normals, stream_id
-from .schedule import (DEFAULT_SIGNAL_SCALE, NoiseSchedule,
+from .schedule import (DEFAULT_SIGNAL_SCALE, NoiseSchedule, diffuse_array,
                        make_cosine_schedule, to_millimeters, to_signal_units)
 
 DEFAULT_PIXEL_SCALE = 1e-3
@@ -329,10 +329,9 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
     live = copy.copy(params)
     object.__setattr__(live, "weights", tuple(weights))
     object.__setattr__(live, "biases", tuple(biases))
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    tensors = weights + biases
+    m_p = [np.zeros_like(p) for p in tensors]
+    v_p = [np.zeros_like(p) for p in tensors]
 
     history = np.empty(config.steps)
     order = np.empty(0, dtype=np.int64)
@@ -346,8 +345,7 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
 
         ts = rng_t.integers(0, config.t_max + 1, b)
         eps = rng_eps.standard_normal((b, j, 3))
-        ab = sched.alpha_bar[ts][:, None, None]
-        y_noisy = np.sqrt(ab) * y_units[idx] + np.sqrt(1.0 - ab) * eps
+        y_noisy = diffuse_array(y_units[idx], ts, sched, eps)
         if config.target is RegressionTarget.PREDICT_Y0:
             targets = y_units[idx]
         else:
@@ -368,16 +366,13 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
         lr, b1, b2 = config.learning_rate, config.beta1, config.beta2
         corr1 = 1.0 - b1 ** (step + 1)
         corr2 = 1.0 - b2 ** (step + 1)
-        for i in range(len(weights)):
-            m_w[i] = b1 * m_w[i] + (1 - b1) * g_w[i]
-            v_w[i] = b2 * v_w[i] + (1 - b2) * g_w[i] ** 2
-            weights[i] -= lr * ((m_w[i] / corr1) / (np.sqrt(v_w[i] / corr2)
-                                                    + config.adam_eps))
-            weights[i] -= lr * config.weight_decay * weights[i]
-            m_b[i] = b1 * m_b[i] + (1 - b1) * g_b[i]
-            v_b[i] = b2 * v_b[i] + (1 - b2) * g_b[i] ** 2
-            biases[i] -= lr * ((m_b[i] / corr1) / (np.sqrt(v_b[i] / corr2)
-                                                   + config.adam_eps))
+        for i, (p, g) in enumerate(zip(tensors, g_w + g_b)):
+            m_p[i] = b1 * m_p[i] + (1 - b1) * g
+            v_p[i] = b2 * v_p[i] + (1 - b2) * g ** 2
+            p -= lr * ((m_p[i] / corr1) / (np.sqrt(v_p[i] / corr2)
+                                           + config.adam_eps))
+            if i < len(weights):
+                p -= lr * config.weight_decay * p
 
     final = replace(params, weights=tuple(weights), biases=tuple(biases))
     return TrainResult(params=final, loss_history=history,
@@ -509,28 +504,25 @@ class MlpDenoiser(Denoiser):
 
 
 class _OracleBase(Denoiser):
-    """Shared plumbing: broadcast gt, honor the mirrored flag."""
+    """Shared plumbing: check the chain's shape, honor the mirrored flag."""
 
     def __init__(self, gt: PoseSeq3D):
         self.gt = gt
 
-    def _gt_for(self, mirrored: Skeleton | None) -> np.ndarray:
-        if mirrored is None:
-            return self.gt.joints
-        return flip_array3d(self.gt.joints, mirrored)
-
-    def _check(self, y_t: np.ndarray) -> None:
+    def _gt_for(self, y_t, mirrored: Skeleton | None) -> np.ndarray:
         if y_t.shape[1:3] != self.gt.joints.shape[:2]:
             raise ShapeError(f"oracle ground truth is {self.gt.joints.shape[:2]}, "
                              f"chain state is {y_t.shape[1:3]}")
+        if mirrored is None:
+            return self.gt.joints
+        return flip_array3d(self.gt.joints, mirrored)
 
 
 class PerfectOracle(_OracleBase):
     """Returns the ground truth regardless of input."""
 
     def predict_clean(self, y_t, x, t, *, hyp_offset=0, mirrored=None):
-        self._check(y_t)
-        gt = self._gt_for(mirrored)
+        gt = self._gt_for(y_t, mirrored)
         return np.broadcast_to(gt, y_t.shape).copy()
 
 
@@ -548,8 +540,7 @@ class ContractiveOracle(_OracleBase):
         self.lam = lam
 
     def predict_clean(self, y_t, x, t, *, hyp_offset=0, mirrored=None):
-        self._check(y_t)
-        gt = self._gt_for(mirrored)
+        gt = self._gt_for(y_t, mirrored)
         return self.lam * gt[None] + (1.0 - self.lam) * y_t
 
 
@@ -576,8 +567,7 @@ class NoisyOracle(_OracleBase):
         self.seed = seed
 
     def predict_clean(self, y_t, x, t, *, hyp_offset=0, mirrored=None):
-        self._check(y_t)
-        gt = self._gt_for(mirrored)
+        gt = self._gt_for(y_t, mirrored)
         hyps = range(hyp_offset, hyp_offset + y_t.shape[0])
         noise = hypothesis_normals(self.seed, hyps, y_t.shape[1:],
                                    "oracle_noisy", int(t),

@@ -24,24 +24,22 @@ class ShapeError(PoseDiffError, ValueError):
     """Array arguments have incompatible shapes."""
 
 
-class PoseFileParseError(PoseDiffError, ValueError):
+class _PoseFileError(PoseDiffError, ValueError):
+    """An error in a pose file, at line ``line`` if one is known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+class PoseFileParseError(_PoseFileError):
     """A pose file line is not valid JSON or not a valid record."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
-
-class PoseFileSchemaError(PoseDiffError, ValueError):
+class PoseFileSchemaError(_PoseFileError):
     """A pose file record disagrees with the file header."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class BehindCameraError(PoseDiffError, ValueError):

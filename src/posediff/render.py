@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .camera import DEFAULT_Z_MIN, CameraIntrinsics, project_array
+from .camera import DEFAULT_Z_MIN, CameraIntrinsics, project_with_mask
 from .core import HypothesisSet, PoseSeq3D, Skeleton
 
 GT_COLOR = "#1f77b4"
@@ -29,12 +29,9 @@ def _fmt(v: float) -> str:
 def _draw_pose(parts: list[str], joints3d: np.ndarray, cam: CameraIntrinsics,
                skeleton: Skeleton, *, color: str, dashed: bool, width: float,
                z_min: float, label: str, warnings: list[str]) -> None:
-    visible = joints3d[:, 2] > z_min
+    uv, visible = project_with_mask(joints3d, cam, z_min=z_min)
     for j in np.nonzero(~visible)[0]:
         warnings.append(f"{label}: joint {int(j)} behind camera, omitted")
-    uv = np.zeros((len(joints3d), 2))
-    if np.any(visible):
-        uv[visible] = project_array(joints3d[visible], cam)
     dash = ' stroke-dasharray="6 4"' if dashed else ""
     for j, parent in enumerate(skeleton.parents):
         if j == parent or not (visible[j] and visible[parent]):

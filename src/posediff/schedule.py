@@ -87,15 +87,19 @@ def make_cosine_schedule(t_max: int, *, offset: float = COSINE_OFFSET,
     )
 
 
-def diffuse_array(y0: np.ndarray, t: int, sched: NoiseSchedule,
+def diffuse_array(y0: np.ndarray, t: int | np.ndarray, sched: NoiseSchedule,
                   eps: np.ndarray) -> np.ndarray:
-    """Forward-diffuse a signal-unit array to step t with given noise."""
-    if not 0 <= t <= sched.t_max:
-        raise ValueError(f"t={t} outside [0, {sched.t_max}]")
+    """Forward-diffuse a signal-unit array to step t with given noise; ``t``
+    is one step, or an integer array of one step per leading row of ``y0``."""
+    t = np.asarray(t)
+    bad = (t < 0) | (t > sched.t_max)
+    if np.any(bad):
+        raise ValueError(f"t={t[bad][0]} outside [0, {sched.t_max}]")
     eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != y0.shape:
-        raise ShapeError(f"noise shape {eps.shape} != signal shape {y0.shape}")
-    ab = sched.alpha_bar[t]
+    if eps.shape != y0.shape or t.shape not in ((), y0.shape[:1]):
+        raise ShapeError(f"noise shape {eps.shape} and steps shape {t.shape} "
+                         f"do not fit signal shape {y0.shape}")
+    ab = sched.alpha_bar[t].reshape(t.shape + (1,) * (y0.ndim - t.ndim))
     return np.sqrt(ab) * y0 + np.sqrt(1.0 - ab) * eps
 
 

@@ -84,6 +84,9 @@ class RunConfig:
     metrics: MetricSettings = MetricSettings()
 
     def __post_init__(self):
+        if not self.image_width > 0:
+            raise ConfigError(f"image_width must be positive, got "
+                              f"{self.image_width}")
         # The library configs carry their own copies of these values;
         # copies that disagree would run with other values than
         # config.json records.

@@ -275,6 +275,7 @@ class TrainConfig:
         for name, ok, rule in (
                 ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
                 ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+                ("weight_decay", self.weight_decay >= 0, ">= 0"),
                 ("hidden_layers", self.hidden_layers >= 1, ">= 1"),
                 ("hidden_width", self.hidden_width >= 2
                  and self.hidden_width % 2 == 0, "even and >= 2"),

@@ -45,9 +45,11 @@ def load_poses(path: str | Path) -> PoseSeq3D | PoseSeq2D:
                       lambda message: PoseFileSchemaError(message, line=1))
         for key in ("J", "dims"))
     if num_joints < 1:
-        raise PoseFileSchemaError(f"header J must be >= 1, got {num_joints}", line=1)
+        raise PoseFileSchemaError(
+            f"{path}: header J must be >= 1, got {num_joints}", line=1)
     if dims not in (2, 3):
-        raise PoseFileSchemaError(f"header dims must be 2 or 3, got {dims}", line=1)
+        raise PoseFileSchemaError(
+            f"{path}: header dims must be 2 or 3, got {dims}", line=1)
 
     frames: list[list[list[float]]] = []
     for idx, text in enumerate(lines[1:], start=2):
@@ -55,27 +57,29 @@ def load_poses(path: str | Path) -> PoseSeq3D | PoseSeq2D:
             continue
         rec = _parse_line(text, idx, path)
         if "frame" not in rec or "joints" not in rec:
-            raise PoseFileParseError("record needs 'frame' and 'joints'", line=idx)
+            raise PoseFileParseError(
+                f"{path}: record needs 'frame' and 'joints'", line=idx)
         if type(rec["frame"]) is not int or rec["frame"] != len(frames):
             raise PoseFileSchemaError(
-                f"expected frame {len(frames)}, got {rec['frame']!r}", line=idx)
+                f"{path}: expected frame {len(frames)}, got {rec['frame']!r}",
+                line=idx)
         joints = rec["joints"]
         if not isinstance(joints, list) or len(joints) != num_joints:
             raise PoseFileSchemaError(
-                f"expected {num_joints} joints, got "
+                f"{path}: expected {num_joints} joints, got "
                 f"{len(joints) if isinstance(joints, list) else type(joints).__name__}",
                 line=idx)
         for row in joints:
             if not isinstance(row, list) or len(row) != dims:
                 raise PoseFileSchemaError(
-                    f"expected {dims} coordinates per joint", line=idx)
+                    f"{path}: expected {dims} coordinates per joint", line=idx)
             for v in row:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise PoseFileParseError(
-                        f"non-numeric coordinate {v!r}", line=idx)
+                        f"{path}: non-numeric coordinate {v!r}", line=idx)
                 if not math.isfinite(v):
                     raise PoseFileParseError(
-                        f"non-finite coordinate {v!r}", line=idx)
+                        f"{path}: non-finite coordinate {v!r}", line=idx)
         frames.append(joints)
     if not frames:
         raise PoseFileParseError(f"{path}: no frame records after header")

@@ -245,12 +245,14 @@ def test_wrong_json_types_rejected(doc):
     ("metrics", "pck_threshold_mm", 0), ("denoiser", "hidden_width", 3),
     ("denoiser", "hidden_width", 0), ("denoiser", "hidden_layers", 0),
     ("denoiser", "pixel_scale", -1), ("train", "beta1", 1.5),
-    ("train", "beta1", -0.5), ("train", "beta2", 1)])
+    ("train", "beta1", -0.5), ("train", "beta2", 1),
+    ("train", "weight_decay", -5), (None, "image_width", 0)])
 def test_out_of_range_values_rejected_at_load(section, key, value):
     # refused when the config loads, not once an oracle, the metrics or
     # training first use the value
+    doc = {key: value} if section is None else {section: {key: value}}
     with pytest.raises(ConfigError, match=f"^{key} must be"):
-        config_from_dict({section: {key: value}})
+        config_from_dict(doc)
 
 
 def test_float_fields_take_integers():

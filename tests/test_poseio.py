@@ -64,6 +64,7 @@ def test_wrong_coord_count_is_schema_error(tmp_path):
     with pytest.raises(PoseFileSchemaError) as info:
         load_poses(path)
     assert info.value.line == 2
+    assert str(info.value).startswith(f"line 2: {path}: ")
 
 
 def test_wrong_joint_count_is_schema_error(tmp_path):
@@ -71,8 +72,9 @@ def test_wrong_joint_count_is_schema_error(tmp_path):
         '{"J": 2, "dims": 3}',
         '{"frame": 0, "joints": [[1.0, 2.0, 3.0]]}',
     ])
-    with pytest.raises(PoseFileSchemaError):
+    with pytest.raises(PoseFileSchemaError) as info:
         load_poses(path)
+    assert str(info.value).startswith(f"line 2: {path}: expected 2 joints")
 
 
 def test_out_of_order_frames_rejected(tmp_path):
@@ -80,8 +82,9 @@ def test_out_of_order_frames_rejected(tmp_path):
         '{"J": 1, "dims": 3}',
         '{"frame": 1, "joints": [[1.0, 2.0, 3.0]]}',
     ])
-    with pytest.raises(PoseFileSchemaError):
+    with pytest.raises(PoseFileSchemaError) as info:
         load_poses(path)
+    assert str(info.value).startswith(f"line 2: {path}: ")
 
 
 def test_malformed_json_names_line(tmp_path):
@@ -120,8 +123,9 @@ def test_boolean_coordinate_rejected(tmp_path):
         '{"J": 1, "dims": 3}',
         '{"frame": 0, "joints": [[true, 2.0, 3.0]]}',
     ])
-    with pytest.raises(PoseFileParseError):
+    with pytest.raises(PoseFileParseError) as info:
         load_poses(path)
+    assert str(info.value).startswith(f"line 2: {path}: ")
 
 
 def test_bad_header_dims(tmp_path):
@@ -132,6 +136,7 @@ def test_bad_header_dims(tmp_path):
     with pytest.raises(PoseFileSchemaError) as info:
         load_poses(path)
     assert info.value.line == 1
+    assert str(info.value).startswith(f"line 1: {path}: ")
 
 
 def test_missing_keys_rejected(tmp_path):
@@ -139,8 +144,9 @@ def test_missing_keys_rejected(tmp_path):
         '{"J": 1, "dims": 3}',
         '{"joints": [[1.0, 2.0, 3.0]]}',
     ])
-    with pytest.raises(PoseFileParseError):
+    with pytest.raises(PoseFileParseError) as info:
         load_poses(path)
+    assert str(info.value).startswith(f"line 2: {path}: ")
 
 
 def test_integer_coordinates_accepted(tmp_path):
@@ -174,3 +180,4 @@ def test_frame_index_must_be_an_integer(tmp_path, frame):
     with pytest.raises(PoseFileSchemaError) as info:
         load_poses(path)
     assert info.value.line == 2
+    assert str(info.value).startswith(f"line 2: {path}: ")

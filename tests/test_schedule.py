@@ -83,12 +83,29 @@ def test_diffuse_t_out_of_range():
         diffuse_array(y0, 11, sched, y0)
     with pytest.raises(ValueError):
         diffuse_array(y0, -1, sched, y0)
+    with pytest.raises(ValueError, match="t=11"):
+        diffuse_array(np.zeros((3, 1, 3)), np.array([0, 11, 5]), sched,
+                      np.zeros((3, 1, 3)))
+
+
+def test_diffuse_per_row_steps_match_scalar_calls():
+    sched = make_cosine_schedule(50)
+    rng = np.random.default_rng(2)
+    y0, eps = rng.normal(size=(2, 6, 4, 3))
+    ts = np.array([0, 1, 17, 25, 49, 50])
+    out = diffuse_array(y0, ts, sched, eps)
+    for row, t in enumerate(ts):
+        scalar = diffuse_array(y0[row], int(t), sched, eps[row])
+        assert out[row].tobytes() == scalar.tobytes()
 
 
 def test_diffuse_shape_mismatch():
     sched = make_cosine_schedule(10)
     with pytest.raises(ValueError):
         diffuse_array(np.zeros((1, 2, 3)), 5, sched, np.zeros((1, 1, 3)))
+    with pytest.raises(ValueError):
+        diffuse_array(np.zeros((2, 1, 3)), np.array([1, 2, 3]), sched,
+                      np.zeros((2, 1, 3)))
 
 
 def test_diffuse_monte_carlo_moments():

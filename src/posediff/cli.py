@@ -27,7 +27,8 @@ from .camera import load_camera
 from .config import (RunConfig, apply_overrides, config_sha256,
                      config_to_dict, load_config)
 from .core import (DEFAULT_SKELETON, HypothesisSet, PoseSeq3D, load_skeleton)
-from .dataset import Dataset, Sequence, load_dataset, save_dataset
+from .dataset import (MANIFEST_NAME, Dataset, Sequence, load_dataset,
+                      save_dataset)
 from .denoise import (ContractiveOracle, Denoiser, MlpDenoiser, NoisyOracle,
                       PerfectOracle, save_checkpoint, train)
 from .errors import (ConfigError, MissingGroundTruthError, PoseDiffError,
@@ -151,6 +152,15 @@ def _make_denoiser(cfg: RunConfig, oracle: str | None, seq: Sequence,
                        seed=stream_id("oracle", cfg.seed, seq_index))
 
 
+def _load_data(data_dir: str) -> Dataset:
+    """The dataset under ``data_dir``. A missing manifest is a usage
+    error, as a missing config or checkpoint is."""
+    path = Path(data_dir) / MANIFEST_NAME
+    if not path.exists():
+        raise ConfigError(f"dataset manifest not found: {path}")
+    return load_dataset(data_dir)
+
+
 def _load_shared_denoiser(cfg: RunConfig, checkpoint: str | None,
                           oracle: str | None) -> MlpDenoiser | None:
     if (checkpoint is None) == (oracle is None):
@@ -254,7 +264,7 @@ def gen(config_path, seed, out_dir, dump_schedule):
 def train_cmd(config_path, seed, out_dir, data_dir):
     """Train the MLP denoiser on a dataset with ground truth."""
     cfg = _load_cfg(config_path, seed=seed, out_dir=out_dir)
-    ds = load_dataset(data_dir)
+    ds = _load_data(data_dir)
     if not ds.has_gt:
         raise MissingGroundTruthError("training needs ground truth poses")
     root = Path(cfg.out_dir)
@@ -294,7 +304,7 @@ def infer(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     cfg = _load_cfg(config_path, seed=seed, out_dir=out_dir,
                     hypotheses=hypotheses, iterations=iterations,
                     flip_mode=flip_mode, sigma_mode=sigma_mode)
-    ds = load_dataset(data_dir)
+    ds = _load_data(data_dir)
     methods = _parse_aggregators(aggregators, ds.has_gt)
     root = Path(cfg.out_dir)
     root.mkdir(parents=True, exist_ok=True)
@@ -366,7 +376,7 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     for h in hs_values:
         for k in ks_values:
             apply_overrides(cfg, hypotheses=h, iterations=k)
-    ds = load_dataset(data_dir)
+    ds = _load_data(data_dir)
     if not ds.has_gt:
         raise MissingGroundTruthError("bench needs ground truth for metrics")
     methods = _parse_aggregators(aggregators, ds.has_gt)

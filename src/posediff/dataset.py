@@ -89,10 +89,10 @@ def load_dataset(root: str | Path) -> Dataset:
     root = Path(root)
     path = root / MANIFEST_NAME
     if not path.exists():
-        raise PoseFileSchemaError(f"no {MANIFEST_NAME} under {root}", line=0)
+        raise PoseFileSchemaError(f"{path}: not found")
     manifest = json_object(path.read_text(), str(path), PoseFileSchemaError)
     if manifest.get("format") != _MANIFEST_MAGIC:
-        raise PoseFileSchemaError(f"{path} is not a dataset manifest", line=1)
+        raise PoseFileSchemaError(f"{path}: not a dataset manifest")
 
     def need(record, key, kind, where=str(path)):
         return require_field(record, key, kind, where, PoseFileSchemaError)
@@ -103,35 +103,33 @@ def load_dataset(root: str | Path) -> Dataset:
     num_joints = need(manifest, "num_joints", int)
     if num_joints != skeleton.num_joints:
         raise PoseFileSchemaError(
-            f"manifest num_joints {num_joints} does not match skeleton "
-            f"({skeleton.num_joints})", line=1)
+            f"{path}: num_joints {num_joints} does not match skeleton "
+            f"({skeleton.num_joints})")
     sequences = []
     for i, entry in enumerate(need(manifest, "sequences", list)):
         where = f"{path}: sequence {i}"
         name = need(entry, "name", str, where)
+        seq = f"{path}: sequence {name}"
         kp = load_poses(root / need(entry, "keypoints", str, where))
         if not isinstance(kp, PoseSeq2D):
-            raise PoseFileSchemaError(
-                f"sequence {name}: keypoint file holds 3D data", line=1)
+            raise PoseFileSchemaError(f"{seq}: keypoint file holds 3D data")
         gt = None
         if "gt" in entry:
             gt = load_poses(root / need(entry, "gt", str, where))
             if not isinstance(gt, PoseSeq3D):
-                raise PoseFileSchemaError(
-                    f"sequence {name}: gt file holds 2D data", line=1)
+                raise PoseFileSchemaError(f"{seq}: gt file holds 2D data")
             if gt.num_frames != kp.num_frames:
                 raise PoseFileSchemaError(
-                    f"sequence {name}: gt frame count "
-                    f"{gt.num_frames} != keypoint frame count {kp.num_frames}",
-                    line=0)
+                    f"{seq}: gt frame count {gt.num_frames} != keypoint "
+                    f"frame count {kp.num_frames}")
         if kp.num_joints != num_joints:
             raise PoseFileSchemaError(
-                f"sequence {name}: joint count {kp.num_joints} "
-                f"does not match manifest ({num_joints})", line=0)
+                f"{seq}: joint count {kp.num_joints} does not match "
+                f"manifest ({num_joints})")
         if need(entry, "frames", int, where) != kp.num_frames:
             raise PoseFileSchemaError(
-                f"sequence {name}: manifest says {entry['frames']} "
-                f"frames, file holds {kp.num_frames}", line=0)
+                f"{seq}: manifest says {entry['frames']} frames, file "
+                f"holds {kp.num_frames}")
         sequences.append(Sequence(name=name, keypoints=kp, gt=gt))
     return Dataset(skeleton=skeleton, camera=camera,
                    sequences=tuple(sequences),

@@ -268,11 +268,10 @@ class TrainConfig:
     pixel_scale: float = DEFAULT_PIXEL_SCALE
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 1:
-            raise ValueError("steps and batch_size must be >= 1")
-        if not self.learning_rate >= 0:
-            raise ValueError("learning rate must be >= 0")
         for name, ok, rule in (
+                ("steps", self.steps >= 1, ">= 1"),
+                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("learning_rate", self.learning_rate >= 0, ">= 0"),
                 ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
                 ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
                 ("weight_decay", self.weight_decay >= 0, ">= 0"),

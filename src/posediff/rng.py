@@ -9,11 +9,16 @@ labels instead of sharing a sequential generator.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+# Philox's counter and buffer at the start of every stream. The state
+# setter copies them, so one read-only array serves every re-key.
+_ZEROS4 = np.zeros(4, dtype=np.uint64)
+_ZEROS4.setflags(write=False)
 
 
 def stream_id(*parts: int | str) -> int:
@@ -23,7 +28,12 @@ def stream_id(*parts: int | str) -> int:
     tags plus terminators), so ("a", 1) and ("a1",) cannot collide by
     construction, only by hash.
     """
-    h = hashlib.blake2b(digest_size=8)
+    return _digest(_absorb(hashlib.blake2b(digest_size=8), parts))
+
+
+def _absorb(h, parts):
+    """Feed the encoding of ``parts`` into the hash ``h``; returns ``h``.
+    ``stream_id(*a, *b)`` is the digest of ``a`` absorbed, then ``b``."""
     for part in parts:
         if isinstance(part, (bool, float)):
             raise TypeError(f"stream_id parts must be int or str, got {part!r}")
@@ -36,6 +46,10 @@ def stream_id(*parts: int | str) -> int:
             h.update(b"\x00")
         else:
             raise TypeError(f"stream_id parts must be int or str, got {part!r}")
+    return h
+
+
+def _digest(h) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
@@ -51,6 +65,22 @@ class RngStream:
         self.sid = int(sid) & _MASK64
         key = np.array([self.seed, self.sid], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
+
+    def _rekey(self, seed: int, sid: int) -> None:
+        """Reset to the state of a fresh ``RngStream(seed, sid)``.
+
+        Philox is counter-based: counter 0 under key ``[seed, sid]``
+        with an empty output buffer is exactly where a new generator
+        starts, so no object is built.
+        """
+        self.seed = int(seed) & _MASK64
+        self.sid = int(sid) & _MASK64
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZEROS4,
+                      "key": np.array([self.seed, self.sid], dtype=np.uint64)},
+            "buffer": _ZEROS4, "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
 
     def spawn(self, *parts: int | str) -> "RngStream":
         """Child stream whose id mixes this stream's id with ``parts``."""
@@ -87,6 +117,13 @@ class RngStream:
         return f"RngStream(seed={self.seed}, sid={self.sid})"
 
 
+@functools.cache
+def _shared_stream() -> RngStream:
+    # Built on first use: numpy loads numpy.random lazily, and importing
+    # the CLI should not pay for it.
+    return RngStream(0)
+
+
 def hypothesis_normals(seed: int, hyps: range, shape: tuple[int, ...],
                        *label: int | str, branch: int) -> np.ndarray:
     """Standard normals of shape ``(len(hyps),) + shape``, one stream each.
@@ -95,8 +132,15 @@ def hypothesis_normals(seed: int, hyps: range, shape: tuple[int, ...],
     ``RngStream(seed, stream_id(*label, hyps[i], branch))``, so a row
     depends only on its global hypothesis index: ``range(a, b)`` gives
     exactly rows ``a:b`` of ``range(0, b)``.
+
+    The rows are drawn by re-keying one stream shared by every call,
+    which gives the same numbers as fresh streams without building any.
+    So the function is not reentrant; the package starts no threads.
     """
+    stream = _shared_stream()
+    prefix = _absorb(hashlib.blake2b(digest_size=8), label)
     out = np.empty((len(hyps),) + shape)
     for i, h in enumerate(hyps):
-        out[i] = RngStream(seed, stream_id(*label, h, branch)).standard_normal(shape)
+        stream._rekey(seed, _digest(_absorb(prefix.copy(), (h, branch))))
+        out[i] = stream.standard_normal(shape)
     return out

@@ -369,6 +369,32 @@ def test_manifest_missing_key_exit_1(runner, tmp_path, key):
     _assert_clean_exit(res, 1, key)
 
 
+@pytest.mark.parametrize("command, source", [
+    ("infer", ["--oracle", "noisy"]), ("bench", ["--oracle", "noisy"]),
+    ("train", [])])
+def test_missing_dataset_exit_2(runner, tmp_path, command, source):
+    # a missing dataset is a usage error, as a missing config is
+    cfg = _write_cfg(tmp_path)
+    absent = tmp_path / "nonexistent_dir"
+    res = runner.invoke(main, [command, "--config", str(cfg), "--data",
+                               str(absent), *source, "--out",
+                               str(tmp_path / "out")])
+    _assert_clean_exit(res, 2, str(absent / "manifest.json"))
+    assert "line " not in res.stderr
+
+
+def test_manifest_errors_name_the_manifest_exit_1(runner, tmp_path):
+    cfg, data = _gen(runner, tmp_path)
+    manifest = json.loads((data / "manifest.json").read_text())
+    (data / "manifest.json").write_text(
+        json.dumps({**manifest, "num_joints": 5}, indent=2))
+    res = runner.invoke(main, [
+        "infer", "--config", str(cfg), "--data", str(data), "--oracle",
+        "noisy", "--out", str(tmp_path / "out")])
+    _assert_clean_exit(res, 1, f"error: {data / 'manifest.json'}: num_joints")
+    assert "line " not in res.stderr
+
+
 def test_camera_wrong_type_exit_codes(runner, tmp_path):
     # a config camera is a config problem (2), a manifest one a data
     # problem (1); both name the key

@@ -246,7 +246,9 @@ def test_wrong_json_types_rejected(doc):
     ("denoiser", "hidden_width", 0), ("denoiser", "hidden_layers", 0),
     ("denoiser", "pixel_scale", -1), ("train", "beta1", 1.5),
     ("train", "beta1", -0.5), ("train", "beta2", 1),
-    ("train", "weight_decay", -5), (None, "image_width", 0)])
+    ("train", "weight_decay", -5), (None, "image_width", 0),
+    ("train", "steps", 0), ("train", "batch_size", 0),
+    ("train", "learning_rate", -1)])
 def test_out_of_range_values_rejected_at_load(section, key, value):
     # refused when the config loads, not once an oracle, the metrics or
     # training first use the value

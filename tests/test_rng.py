@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import posediff
 from posediff.rng import RngStream, hypothesis_normals, stream_id
 
 
@@ -125,3 +131,26 @@ def test_hypothesis_normals_split_is_slice(seed, a, extra):
     whole = hypothesis_normals(seed, range(0, b), (2, 3), "split", 4, branch=1)
     part = hypothesis_normals(seed, range(a, b), (2, 3), "split", 4, branch=1)
     assert np.array_equal(part, whole[a:b])
+
+
+@pytest.mark.parametrize("first_shape", [(1,), (3,), (5, 7)])
+def test_hypothesis_normals_after_a_part_used_buffer(first_shape):
+    # An odd-sized draw leaves the shared Philox's output buffer part
+    # used; the next call must still start every row on a fresh stream.
+    hypothesis_normals(11, range(2), first_shape, "unrelated", branch=0)
+    hyps = range(1, 4)
+    out = hypothesis_normals(3, hyps, (2, 3), "after", 9, branch=1)
+    for i, h in enumerate(hyps):
+        ref = RngStream(3, stream_id("after", 9, h, 1)).standard_normal((2, 3))
+        assert np.array_equal(out[i], ref)
+
+
+def test_cli_import_does_not_load_numpy_random():
+    # numpy.random is loaded on the first draw, not by an import.
+    src = str(Path(posediff.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, posediff.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          check=True)
+    assert done.stdout.strip() == "False"

@@ -1,11 +1,12 @@
 """Golden reproducibility check: fixed inputs give fixed output bytes.
 
 ``gen`` and ``infer --oracle noisy`` run on a small config for each flip
-mode, and the hypothesis files, aggregated poses and config copy are
-hashed. The oracle path uses only elementwise numpy and seeded RNG
-draws, so its bytes do not depend on BLAS. A refactor that moves any
-number, or any key of ``config.json``, changes a hash here. Re-baseline
-only for a deliberate change of the numbers, and say so in CHANGES.md.
+mode. The hypothesis files and aggregated poses are hashed apart from
+the config copy, so a change of config keys re-baselines only the
+``config.json`` digest while the unchanged output digest shows that no
+number moved. The oracle path uses only elementwise numpy and seeded
+RNG draws, so its bytes do not depend on BLAS. Re-baseline only for a
+deliberate change, and say so in CHANGES.md.
 """
 import hashlib
 import json
@@ -24,17 +25,18 @@ GOLDEN_CFG = {
 }
 
 GOLDEN = {
-    "none": "0a9eaf80a8a11f8be19b733f9bedfe0845860792b8781658dd1cf1a5d920ac41",
-    "once": "36fa9465cc8156df9e81bae57ab156a8895fa6d3c030297076a956b87e2c41f7",
-    "diffusion": "8e307157a146fce996206678081013cba820270e73ddb08b43412206996c3e7a",
+    # flip: (digest of hyp/ and agg/, digest of config.json)
+    "none": ("2740b2792ac32576a2b60f3d9591430df7649a799a944ada4a7e2f594a85f5dc",
+             "69d7cd1c16ce133c3d015cb6865a4e5387d08526a195e1cec5cff8d3ef60c794"),
+    "once": ("2f6285f55bf16cb183ec51f053cb475b28630d232a5bc217c607b33df411d9e8",
+             "43e58e6a20f7c679ceca4390a576650729fabb8384b8b2a3bcf519f38582352a"),
+    "diffusion": ("2f6285f55bf16cb183ec51f053cb475b28630d232a5bc217c607b33df411d9e8",
+                  "a3d32a144ab6148226bd646e57b5a4131e349dfa9c3c0a76b9b9bb7b4e86c526"),
 }
 
 
-def _digest(root: Path) -> str:
-    """One sha256 over the relative path and bytes of every hashed file."""
-    files = sorted(p for sub in ("hyp", "agg") for p in (root / sub).rglob("*")
-                   if p.is_file())
-    files.append(root / "config.json")
+def _digest(root: Path, files) -> str:
+    """One sha256 over the relative path and bytes of each given file."""
     h = hashlib.sha256()
     for path in files:
         h.update(path.relative_to(root).as_posix().encode() + b"\0")
@@ -54,4 +56,9 @@ def test_golden_infer_outputs(flip, tmp_path, monkeypatch):
                                "data", "--oracle", "noisy", "--flip", flip,
                                "--out", "out"])
     assert res.exit_code == 0, res.output
-    assert _digest(Path("out")) == GOLDEN[flip]
+    out = Path("out")
+    outputs = sorted(p for sub in ("hyp", "agg") for p in (out / sub).rglob("*")
+                     if p.is_file())
+    assert outputs
+    assert (_digest(out, outputs), _digest(out, [out / "config.json"])) \
+        == GOLDEN[flip]

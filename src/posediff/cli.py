@@ -174,9 +174,9 @@ def _load_shared_denoiser(cfg: RunConfig, checkpoint: str | None,
         den = MlpDenoiser.from_checkpoint(path)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if den.sched.t_max != cfg.t_max:
+    if den.t_max != cfg.t_max:
         raise ConfigError(f"checkpoint was trained with t_max "
-                          f"{den.sched.t_max}, config says {cfg.t_max}")
+                          f"{den.t_max}, config says {cfg.t_max}")
     if den.signal_scale != cfg.signal_scale:
         raise ConfigError(f"checkpoint signal scale {den.signal_scale} does "
                           f"not match config {cfg.signal_scale}")
@@ -273,8 +273,8 @@ def train_cmd(config_path, seed, out_dir, data_dir):
     result = train([(s.keypoints, s.gt) for s in ds.sequences],
                    cfg.train, sched)
     ckpt = root / "model.ckpt"
-    save_checkpoint(ckpt, result.params, cfg.train.target,
-                    t_max=cfg.t_max, signal_scale=cfg.signal_scale)
+    save_checkpoint(ckpt, result.params, t_max=cfg.t_max,
+                    signal_scale=cfg.signal_scale)
     with open(root / "loss.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["step", "loss"])

@@ -19,7 +19,7 @@ from .camera import (CameraIntrinsics, camera_from_dict, camera_to_dict,
                      load_camera)
 from .core import (DEFAULT_SKELETON, Skeleton, load_skeleton,
                    skeleton_from_dict, skeleton_to_dict)
-from .denoise import RegressionTarget, TrainConfig
+from .denoise import TrainConfig
 from .errors import (ConfigError, PoseDiffError, finite_number, json_object,
                      reject_unknown_keys, require_field)
 from .sampler import FlipMode, SamplerConfig, SigmaMode
@@ -148,7 +148,6 @@ def config_from_dict(doc: dict, *, base_dir: Path | None = None) -> RunConfig:
         den = _take(v["denoiser"], _DEFAULTS["denoiser"], "denoiser")
         v["denoiser"] = DenoiserSettings(
             **{k: den.pop(k) for k in ("oracle_lambda", "oracle_sigma_mm")})
-        den["target"] = RegressionTarget(den["target"])
         v["train"] = TrainConfig(**_take(v["train"], _DEFAULTS["train"],
                                          "train"), **den, **shared)
         sa = _take(v["sampler"], _DEFAULTS["sampler"], "sampler")
@@ -194,8 +193,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "root_box_mm": [list(sc.root_box_mm[0]), list(sc.root_box_mm[1])],
         },
         "denoiser": {
-            **_pick(cfg.train, "hidden_width", "hidden_layers", "target",
-                    "pixel_scale"),
+            **_pick(cfg.train, "hidden_width", "hidden_layers", "pixel_scale"),
             **_pick(cfg.denoiser, "oracle_lambda", "oracle_sigma_mm"),
         },
         "train": _pick(cfg.train, "steps", "batch_size", "learning_rate",

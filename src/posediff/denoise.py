@@ -17,7 +17,6 @@ import abc
 import copy
 import json
 from dataclasses import dataclass, replace
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -27,16 +26,9 @@ from .errors import (NumericError, ShapeError, TrainingDivergedError,
                      json_object, require_field)
 from .rng import RngStream, hypothesis_normals, stream_id
 from .schedule import (DEFAULT_SIGNAL_SCALE, NoiseSchedule, diffuse_array,
-                       make_cosine_schedule, to_millimeters, to_signal_units)
+                       to_millimeters, to_signal_units)
 
 DEFAULT_PIXEL_SCALE = 1e-3
-
-
-class RegressionTarget(Enum):
-    """What the network regresses: the clean pose or the noise."""
-
-    PREDICT_Y0 = "predict_y0"
-    PREDICT_EPS = "predict_eps"
 
 
 def timestep_embedding(ts: float | np.ndarray, dim: int) -> np.ndarray:
@@ -184,15 +176,14 @@ def y0_to_eps(y_t: np.ndarray, y0_hat: np.ndarray, t: int,
 
 
 def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
-            target: RegressionTarget, sched: NoiseSchedule) -> HypothesisSet:
+            t_max: int) -> HypothesisSet:
     """Apply the MLP to every hypothesis; returns clean-pose estimates.
 
-    ``y_t`` is in diffusion signal units. With the eps target the raw
-    network output is converted back to a clean-pose estimate through
-    the schedule.
+    ``y_t`` is in diffusion signal units, and so is the output: the
+    network regresses the clean pose directly, for t in [0, t_max].
     """
-    if not 0 <= t <= sched.t_max:
-        raise ValueError(f"t={t} outside [0, {sched.t_max}]")
+    if not 0 <= t <= t_max:
+        raise ValueError(f"t={t} outside [0, {t_max}]")
     if (y_t.num_frames, y_t.num_joints) != (x.num_frames, x.num_joints):
         raise ShapeError(
             f"hypotheses are ({y_t.num_frames}, {y_t.num_joints}) but keypoints "
@@ -207,11 +198,7 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
     inputs = _assemble_inputs(y_t.poses, x_tiled,
                               model.pixel_scale).reshape(h, n, j * 5)
     out, _ = _forward(model, inputs, np.array([float(t)]))
-    out = out.reshape(h, n, j, 3)
-    if target is RegressionTarget.PREDICT_EPS:
-        # At t=0 this reduces to y_t exactly: sqrt(1-alpha_bar) is 0.
-        out = eps_to_y0(y_t.poses, out, t, sched)
-    return HypothesisSet(out)
+    return HypothesisSet(out.reshape(h, n, j, 3))
 
 
 @dataclass(frozen=True)
@@ -262,7 +249,6 @@ class TrainConfig:
     seed: int = 0
     t_max: int = 1000
     signal_scale: float = DEFAULT_SIGNAL_SCALE
-    target: RegressionTarget = RegressionTarget.PREDICT_Y0
     hidden_width: int = 128
     hidden_layers: int = 2
     pixel_scale: float = DEFAULT_PIXEL_SCALE
@@ -298,9 +284,9 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
     Frames are flattened into independent samples and visited in
     seeded epoch permutations without replacement. Each sample gets its
     own uniform timestep in [0, t_max] and fresh unit noise; the
-    regression target is the scaled clean pose or that noise. The
-    optimizer is adaptive-moment with decoupled weight decay applied to
-    weight matrices only.
+    regression target is the scaled clean pose. The optimizer is
+    adaptive-moment with decoupled weight decay applied to weight
+    matrices only.
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
@@ -345,11 +331,8 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
 
         ts = rng_t.integers(0, config.t_max + 1, b)
         eps = rng_eps.standard_normal((b, j, 3))
-        y_noisy = diffuse_array(y_units[idx], ts, sched, eps)
-        if config.target is RegressionTarget.PREDICT_Y0:
-            targets = y_units[idx]
-        else:
-            targets = eps
+        targets = y_units[idx]
+        y_noisy = diffuse_array(targets, ts, sched, eps)
         batch = TrainBatch(
             inputs=_assemble_inputs(y_noisy, xs[idx], config.pixel_scale),
             timesteps=ts.astype(np.float64),
@@ -383,12 +366,13 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
 
 _CHECKPOINT_MAGIC = "posediff-denoiser"
 # Header fields the loaders read, with the JSON types they must have.
-_HEADER_FIELDS = {"tensors": list, "embed_dim": int, "pixel_scale": float,
-                  "target": str, "t_max": int, "signal_scale": float}
+_HEADER_FIELDS = {"version": int, "num_joints": int, "tensors": list,
+                  "embed_dim": int, "pixel_scale": float, "t_max": int,
+                  "signal_scale": float}
+_CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path: str | Path, params: DenoiserParams,
-                    target: RegressionTarget, *, t_max: int,
+def save_checkpoint(path: str | Path, params: DenoiserParams, *, t_max: int,
                     signal_scale: float = DEFAULT_SIGNAL_SCALE) -> None:
     """JSON header line plus flat little-endian float64 payload."""
     tensors = []
@@ -397,11 +381,10 @@ def save_checkpoint(path: str | Path, params: DenoiserParams,
         tensors.append({"name": f"b{i}", "shape": list(b.shape)})
     header = {
         "format": _CHECKPOINT_MAGIC,
-        "version": 1,
+        "version": _CHECKPOINT_VERSION,
         "num_joints": params.num_joints,
         "embed_dim": params.embed_dim,
         "pixel_scale": params.pixel_scale,
-        "target": target.value,
         "t_max": t_max,
         "signal_scale": signal_scale,
         "loss_units": "signal",
@@ -414,9 +397,12 @@ def save_checkpoint(path: str | Path, params: DenoiserParams,
         f.write(payload.astype("<f8").tobytes())
 
 
-def load_checkpoint(path: str | Path
-                    ) -> tuple[DenoiserParams, RegressionTarget, dict]:
-    """Returns (params, target, header). Raises ValueError on bad files."""
+def load_checkpoint(path: str | Path) -> tuple[DenoiserParams, dict]:
+    """Returns (params, header). Raises ValueError on bad files.
+
+    Older headers carry ``"target": "predict_y0"``, which loads as if
+    absent; a model trained to predict the noise is refused.
+    """
     raw = Path(path).read_bytes()
     nl = raw.find(b"\n")
     if nl < 0:
@@ -426,6 +412,13 @@ def load_checkpoint(path: str | Path
         raise ValueError(f"{path}: not a denoiser checkpoint")
     for key, kind in _HEADER_FIELDS.items():
         require_field(header, key, kind, f"{path}: checkpoint header")
+    if header["version"] != _CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: checkpoint version {header['version']} is "
+                         f"not supported (expected {_CHECKPOINT_VERSION})")
+    if header.get("target", "predict_y0") != "predict_y0":
+        raise ValueError(f"{path}: the model predicts noise (target "
+                         f"{header['target']!r}); only clean-pose "
+                         f"(predict_y0) models are supported")
     if (len(raw) - nl - 1) % 8:
         raise ValueError(f"{path}: payload of {len(raw) - nl - 1} bytes is "
                          f"not a whole number of float64 values")
@@ -450,7 +443,10 @@ def load_checkpoint(path: str | Path
     params = DenoiserParams(weights=weights, biases=biases,
                             embed_dim=int(header["embed_dim"]),
                             pixel_scale=float(header["pixel_scale"]))
-    return params, RegressionTarget(header["target"]), header
+    if header["num_joints"] != params.num_joints:
+        raise ValueError(f"{path}: header says {header['num_joints']} joints, "
+                         f"tensors hold {params.num_joints}")
+    return params, header
 
 
 # --- the sampler-facing contract -------------------------------------------
@@ -475,23 +471,21 @@ class Denoiser(abc.ABC):
 
 
 class MlpDenoiser(Denoiser):
-    """Trained-MLP denoiser; converts to its own signal units internally."""
+    """Trained-MLP denoiser; converts to its own signal units internally.
 
-    def __init__(self, params: DenoiserParams, target: RegressionTarget,
-                 sched: NoiseSchedule,
+    ``t_max`` bounds the timesteps it accepts: the one it was trained to.
+    """
+
+    def __init__(self, params: DenoiserParams, t_max: int,
                  signal_scale: float = DEFAULT_SIGNAL_SCALE):
         self.params = params
-        self.target = target
-        self.sched = sched
+        self.t_max = t_max
         self.signal_scale = signal_scale
 
     @classmethod
-    def from_checkpoint(cls, path: str | Path,
-                        sched: NoiseSchedule | None = None) -> "MlpDenoiser":
-        params, target, header = load_checkpoint(path)
-        if sched is None:
-            sched = make_cosine_schedule(int(header["t_max"]))
-        return cls(params, target, sched,
+    def from_checkpoint(cls, path: str | Path) -> "MlpDenoiser":
+        params, header = load_checkpoint(path)
+        return cls(params, header["t_max"],
                    signal_scale=float(header["signal_scale"]))
 
     def predict_clean(self, y_t: np.ndarray, x: np.ndarray, t: int, *,
@@ -499,7 +493,7 @@ class MlpDenoiser(Denoiser):
                       mirrored: Skeleton | None = None) -> np.ndarray:
         units = to_signal_units(y_t, self.signal_scale)
         out = denoise(HypothesisSet(units), PoseSeq2D(x), t, self.params,
-                      self.target, self.sched)
+                      self.t_max)
         return to_millimeters(out.poses, self.signal_scale)
 
 

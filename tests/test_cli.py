@@ -547,6 +547,28 @@ def test_bench_rows_equal_infer_metrics(runner, tmp_path, small_run, flip,
     assert rows == expected
 
 
+@pytest.mark.parametrize("command", ["infer", "bench"])
+@pytest.mark.parametrize("field, value, words", [
+    ("target", "predict_eps", "predicts noise"),
+    ("version", 99, "version 99"),
+    ("num_joints", 5, "5 joints")])
+def test_checkpoint_refused_exit_2(runner, tmp_path, small_run, command,
+                                   field, value, words):
+    # a noise-target, wrong-version or joint-mismatched checkpoint must
+    # never load; the error names the file
+    cfg, data, ckpt = small_run
+    bad = tmp_path / "bad.ckpt"
+    header, payload = ckpt.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    doc[field] = value
+    bad.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+    res = runner.invoke(main, [
+        command, "--config", str(cfg), "--data", str(data), "--checkpoint",
+        str(bad), "--out", str(tmp_path / "out")])
+    _assert_clean_exit(res, 2, words)
+    assert str(bad) in res.stderr
+
+
 def test_render_command(runner, tmp_path):
     cfg, data = _gen(runner, tmp_path)
     out = tmp_path / "svg"

@@ -9,7 +9,7 @@ from posediff.camera import CameraIntrinsics, camera_to_dict
 from posediff.config import (RunConfig, apply_overrides, config_from_dict,
                              config_sha256, config_to_dict, load_config)
 from posediff.core import DEFAULT_SKELETON, Skeleton
-from posediff.denoise import RegressionTarget, TrainConfig
+from posediff.denoise import TrainConfig
 from posediff.errors import ConfigError
 from posediff.sampler import FlipMode, SamplerConfig, SigmaMode
 from posediff.synth import ScenarioConfig
@@ -24,7 +24,6 @@ def test_defaults_from_empty_document():
     assert cfg.sampler.hypotheses == 20
     assert cfg.sampler.iterations == 10
     assert cfg.sampler.sigma_mode is SigmaMode.STOCHASTIC
-    assert cfg.train.target is RegressionTarget.PREDICT_Y0
     assert cfg.metrics.pck_threshold_mm == 150.0
     assert config_from_dict({}) == RunConfig()
 
@@ -45,20 +44,21 @@ def test_unknown_keys_rejected_everywhere():
     # keys that configured nothing and were removed
     with pytest.raises(ConfigError, match="image_height"):
         config_from_dict({"image_height": 1000})
-    for key, value in (("hypothesis_count", 20),
-                       ("hypothesis_model", {"kind": "iid_gaussian"})):
+    for section, key, value in (
+            ("scenario", "hypothesis_count", 20),
+            ("scenario", "hypothesis_model", {"kind": "iid_gaussian"}),
+            ("denoiser", "target", "predict_eps"),
+            ("denoiser", "target", "predict_y0")):
         with pytest.raises(ConfigError, match=key):
-            config_from_dict({"scenario": {key: value}})
+            config_from_dict({section: {key: value}})
 
 
 def test_enum_and_model_parsing():
     cfg = config_from_dict({
         "sampler": {"sigma_mode": "deterministic", "flip_mode": "diffusion"},
-        "denoiser": {"target": "predict_eps"},
     })
     assert cfg.sampler.sigma_mode is SigmaMode.DETERMINISTIC
     assert cfg.sampler.flip_mode is FlipMode.DIFFUSION
-    assert cfg.train.target is RegressionTarget.PREDICT_EPS
 
     with pytest.raises(ConfigError):
         config_from_dict({"sampler": {"sigma_mode": "sometimes"}})
@@ -227,7 +227,6 @@ def test_apply_overrides():
     {"train": {"learning_rate": "0.001"}},
     {"train": {"beta1": True}},
     {"denoiser": {"hidden_width": 16.0}},
-    {"denoiser": {"target": 1}},
     {"scenario": {"pose_count": 3.0}},
     {"scenario": {"root_box_mm": [["0", 0, 1000], [10, 10, 2000]]}},
     {"out_dir": 5},

@@ -1,10 +1,12 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from posediff.core import HypothesisSet, PoseSeq2D
 from posediff.denoise import (ContractiveOracle, DenoiserParams, MlpDenoiser,
-                              NoisyOracle, PerfectOracle, RegressionTarget,
-                              TrainConfig, denoise, eps_to_y0, grad_loss,
+                              NoisyOracle, PerfectOracle, TrainConfig, denoise, eps_to_y0, grad_loss,
                               init_params, load_checkpoint, save_checkpoint,
                               timestep_embedding, train, TrainBatch, y0_to_eps)
 from posediff.errors import ShapeError, TrainingDivergedError
@@ -106,67 +108,36 @@ def test_init_params_deterministic():
 # --- forward pass ------------------------------------------------------------
 
 def test_zero_weights_emit_output_bias():
-    sched = make_cosine_schedule(10)
     bias = np.arange(6.0)
     params = _tiny_params(out_bias=bias)
     y_t = HypothesisSet(np.random.default_rng(0).normal(size=(3, 2, 2, 3)))
     x = random_keypoints(np.random.default_rng(1), frames=2, joints=2)
-    out = denoise(y_t, x, 4, params, RegressionTarget.PREDICT_Y0, sched)
+    out = denoise(y_t, x, 4, params, 10)
     expect = np.broadcast_to(bias.reshape(2, 3), (3, 2, 2, 3))
     np.testing.assert_array_equal(out.poses, expect)
 
 
-def test_eps_target_routes_through_schedule():
-    # with all-zero weights the net emits a constant eps_hat, so the
-    # clean estimate must be (y_t - sqrt(1-ab)*c) / sqrt(ab) exactly
-    sched = make_cosine_schedule(10)
-    bias = np.linspace(-1.0, 1.0, 6)
-    params = _tiny_params(out_bias=bias)
-    y = np.random.default_rng(2).normal(size=(1, 1, 2, 3))
-    x = random_keypoints(np.random.default_rng(3), frames=1, joints=2)
-    t = 7
-    out = denoise(HypothesisSet(y), x, t, params,
-                  RegressionTarget.PREDICT_EPS, sched)
-    ab = sched.alpha_bar[t]
-    expect = (y - np.sqrt(1.0 - ab) * bias.reshape(2, 3)) / np.sqrt(ab)
-    np.testing.assert_allclose(out.poses, expect, rtol=1e-15)
-
-
-def test_eps_target_at_t0_returns_input():
-    sched = make_cosine_schedule(10)
-    params = _tiny_params(out_bias=np.arange(6.0))
-    y = np.random.default_rng(4).normal(size=(2, 1, 2, 3))
-    x = random_keypoints(np.random.default_rng(5), frames=1, joints=2)
-    out = denoise(HypothesisSet(y), x, 0, params,
-                  RegressionTarget.PREDICT_EPS, sched)
-    np.testing.assert_array_equal(out.poses, y)
-
-
 def test_denoise_validates_shapes():
-    sched = make_cosine_schedule(10)
     params = _tiny_params()
     y = HypothesisSet(np.zeros((1, 2, 2, 3)))
     x = PoseSeq2D(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
-        denoise(y, x, 11, params, RegressionTarget.PREDICT_Y0, sched)
+        denoise(y, x, 11, params, 10)
     with pytest.raises(ShapeError):
-        denoise(y, PoseSeq2D(np.zeros((3, 2, 2))), 1, params,
-                RegressionTarget.PREDICT_Y0, sched)
+        denoise(y, PoseSeq2D(np.zeros((3, 2, 2))), 1, params, 10)
     with pytest.raises(ShapeError):
         denoise(HypothesisSet(np.zeros((1, 2, 3, 3))),
-                PoseSeq2D(np.zeros((2, 3, 2))), 1, params,
-                RegressionTarget.PREDICT_Y0, sched)
+                PoseSeq2D(np.zeros((2, 3, 2))), 1, params, 10)
 
 
 def test_network_reads_its_conditioning():
-    sched = make_cosine_schedule(10)
     params = init_params(2, hidden_width=8,
                          rng=RngStream(1, stream_id("cond")))
     y = HypothesisSet(np.zeros((1, 1, 2, 3)))
     xa = PoseSeq2D(np.full((1, 2, 2), 100.0))
     xb = PoseSeq2D(np.full((1, 2, 2), 900.0))
-    oa = denoise(y, xa, 3, params, RegressionTarget.PREDICT_Y0, sched)
-    ob = denoise(y, xb, 3, params, RegressionTarget.PREDICT_Y0, sched)
+    oa = denoise(y, xa, 3, params, 10)
+    ob = denoise(y, xb, 3, params, 10)
     assert not np.allclose(oa.poses, ob.poses)
 
 
@@ -309,10 +280,9 @@ def test_checkpoint_round_trip(tmp_path):
     params = init_params(3, hidden_width=8,
                          rng=RngStream(7, stream_id("ckpt")))
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, params, RegressionTarget.PREDICT_EPS, t_max=123,
-                    signal_scale=1.5)
-    loaded, target, header = load_checkpoint(path)
-    assert target is RegressionTarget.PREDICT_EPS
+    save_checkpoint(path, params, t_max=123, signal_scale=1.5)
+    loaded, header = load_checkpoint(path)
+    assert "target" not in header
     assert header["t_max"] == 123
     assert header["signal_scale"] == 1.5
     for a, b in zip(loaded.weights, params.weights):
@@ -320,6 +290,13 @@ def test_checkpoint_round_trip(tmp_path):
     for a, b in zip(loaded.biases, params.biases):
         assert np.array_equal(a, b)
     assert loaded.pixel_scale == params.pixel_scale
+
+
+def _edit_header(path, **fields):
+    """Rewrite the checkpoint's header with ``fields`` set."""
+    header, payload = path.read_bytes().split(b"\n", 1)
+    doc = {**json.loads(header), **fields}
+    path.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -333,13 +310,40 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p.write_bytes(b"no newline at all")
     with pytest.raises(ValueError):
         load_checkpoint(p)
+    # a real checkpoint whose header misstates its version or joints,
+    # or says the network predicts the noise
+    save_checkpoint(p, init_params(3, hidden_width=4), t_max=10)
+    raw = p.read_bytes()
+    for fields, words in (({"version": 99}, "version 99"),
+                          ({"num_joints": 5}, "5 joints"),
+                          ({"target": "predict_eps"}, "predicts noise")):
+        p.write_bytes(raw)
+        _edit_header(p, **fields)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: .*{words}"):
+            load_checkpoint(p)
+
+
+def test_checkpoint_old_y0_target_field_loads(tmp_path):
+    # headers written before the field was dropped say "predict_y0"
+    params = init_params(3, hidden_width=8,
+                         rng=RngStream(12, stream_id("old_header")))
+    new, old = tmp_path / "new.ckpt", tmp_path / "old.ckpt"
+    save_checkpoint(new, params, t_max=10)
+    save_checkpoint(old, params, t_max=10)
+    _edit_header(old, target="predict_y0")
+    (a, header), (b, old_header) = load_checkpoint(new), load_checkpoint(old)
+    assert old_header.pop("target") == "predict_y0"
+    assert header == old_header
+    for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
+        assert np.array_equal(wa, wb)
+    assert (a.embed_dim, a.pixel_scale) == (b.embed_dim, b.pixel_scale)
 
 
 def test_checkpoint_rejects_truncated_payload(tmp_path):
     params = init_params(2, hidden_width=4,
                          rng=RngStream(8, stream_id("trunc")))
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, params, RegressionTarget.PREDICT_Y0, t_max=10)
+    save_checkpoint(path, params, t_max=10)
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])
     with pytest.raises(ValueError):
@@ -350,9 +354,9 @@ def test_mlp_denoiser_from_checkpoint(tmp_path):
     params = init_params(2, hidden_width=4,
                          rng=RngStream(9, stream_id("facade")))
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, params, RegressionTarget.PREDICT_Y0, t_max=40)
+    save_checkpoint(path, params, t_max=40)
     den = MlpDenoiser.from_checkpoint(path)
-    assert den.sched.t_max == 40
+    assert den.t_max == 40
     assert den.signal_scale == 2.0
     y_t = np.random.default_rng(10).normal(scale=500.0, size=(2, 1, 2, 3))
     x = np.random.default_rng(11).uniform(0, 1000, size=(1, 2, 2))

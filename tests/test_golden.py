@@ -27,11 +27,11 @@ GOLDEN_CFG = {
 GOLDEN = {
     # flip: (digest of hyp/ and agg/, digest of config.json)
     "none": ("2740b2792ac32576a2b60f3d9591430df7649a799a944ada4a7e2f594a85f5dc",
-             "69d7cd1c16ce133c3d015cb6865a4e5387d08526a195e1cec5cff8d3ef60c794"),
+             "2f85395f342f9ebc7af9f3035c8106c50d38c6214a8964b942f06ff379e9c234"),
     "once": ("2f6285f55bf16cb183ec51f053cb475b28630d232a5bc217c607b33df411d9e8",
-             "43e58e6a20f7c679ceca4390a576650729fabb8384b8b2a3bcf519f38582352a"),
+             "990874cec21174601ce1f9a2aa17dddb76d6632b89d764625679e720f798498c"),
     "diffusion": ("2f6285f55bf16cb183ec51f053cb475b28630d232a5bc217c607b33df411d9e8",
-                  "a3d32a144ab6148226bd646e57b5a4131e349dfa9c3c0a76b9b9bb7b4e86c526"),
+                  "0a30e130d193a470eb9500e63df076b586b45d2109e84a718c4bc8edaeb355f0"),
 }
 
 

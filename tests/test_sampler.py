@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from posediff.core import DEFAULT_SKELETON, flip_array3d
 from posediff.denoise import (ContractiveOracle, MlpDenoiser, NoisyOracle,
-                              PerfectOracle, RegressionTarget, init_params)
+                              PerfectOracle, init_params)
 from posediff.metrics import mpjpe
 from posediff.rng import RngStream, stream_id
 from posediff.sampler import (DdimDiagnostics, FlipMode, SamplerConfig,
@@ -155,8 +155,7 @@ def test_mlp_prefix_stability_every_flip_mode():
     sched = make_cosine_schedule(200)
     _, x = gen_poses(ScenarioConfig(pose_count=1, frames_per_pose=4,
                                     seed=2))[0]
-    den = MlpDenoiser(init_params(x.num_joints), RegressionTarget.PREDICT_Y0,
-                      sched)
+    den = MlpDenoiser(init_params(x.num_joints), 200)
     for mode in FlipMode:
         out = {h: run_sampler(x, den, SamplerConfig(
                    hypotheses=h, iterations=10, t_max=200, seed=3,

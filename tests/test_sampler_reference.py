@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from posediff.core import PoseSeq2D, Skeleton
-from posediff.denoise import DenoiserParams, MlpDenoiser, RegressionTarget
+from posediff.denoise import DenoiserParams, MlpDenoiser
 from posediff.rng import RngStream, stream_id
 from posediff.sampler import FlipMode, SamplerConfig, SigmaMode, run_sampler
 from posediff.schedule import MM_PER_UNIT, make_cosine_schedule
@@ -102,8 +102,7 @@ def _reference(x, den, cfg, sched, hyp_offset):
 def test_run_sampler_matches_textbook_ddim(flip_mode, hypotheses, hyp_offset):
     frames = 5  # odd, so no product splits into equal halves
     sched = make_cosine_schedule(T_MAX)
-    den = MlpDenoiser(_model(SKELETON.num_joints),
-                      RegressionTarget.PREDICT_Y0, sched)
+    den = MlpDenoiser(_model(SKELETON.num_joints), T_MAX)
     x = np.random.default_rng(8).uniform(
         100.0, 900.0, size=(frames, SKELETON.num_joints, 2))
     cfg = SamplerConfig(hypotheses=hypotheses, iterations=ITERATIONS,

@@ -34,7 +34,7 @@ from .render import render_frame, render_sequence
 from .rng import RngStream, hypothesis_normals, stream_id
 from .sampler import (DdimDiagnostics, FlipMode, SamplerConfig, SigmaMode,
                       run_sampler, timestep_ladder)
-from .schedule import (DEFAULT_SIGNAL_SCALE, MM_PER_UNIT, NoiseSchedule,
+from .schedule import (MM_PER_UNIT, SIGNAL_SCALE, NoiseSchedule,
                        make_cosine_schedule, save_schedule_csv, to_millimeters,
                        to_signal_units)
 from .synth import (Bimodal, DEFAULT_CAMERA, DepthRay, IidGaussian,

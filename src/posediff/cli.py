@@ -27,8 +27,7 @@ from .camera import load_camera
 from .config import (RunConfig, apply_overrides, config_sha256,
                      config_to_dict, load_config)
 from .core import (DEFAULT_SKELETON, HypothesisSet, PoseSeq3D, load_skeleton)
-from .dataset import (MANIFEST_NAME, Dataset, Sequence, load_dataset,
-                      save_dataset)
+from .dataset import MANIFEST_NAME, Dataset, load_dataset, save_dataset
 from .denoise import (ContractiveOracle, Denoiser, MlpDenoiser, NoisyOracle,
                       PerfectOracle, save_checkpoint, train)
 from .errors import (ConfigError, MissingGroundTruthError, PoseDiffError,
@@ -136,22 +135,6 @@ def _parse_aggregators(text: str, has_gt: bool) -> list[str]:
     return methods
 
 
-def _make_denoiser(cfg: RunConfig, oracle: str | None, seq: Sequence,
-                   seq_index: int, shared: MlpDenoiser | None) -> Denoiser:
-    if shared is not None:
-        return shared
-    if seq.gt is None:
-        raise MissingGroundTruthError(
-            f"oracle denoiser '{oracle}' needs ground truth, sequence "
-            f"{seq.name} has none")
-    if oracle == "perfect":
-        return PerfectOracle(seq.gt)
-    if oracle == "contractive":
-        return ContractiveOracle(seq.gt, cfg.denoiser.oracle_lambda)
-    return NoisyOracle(seq.gt, cfg.denoiser.oracle_sigma_mm,
-                       seed=stream_id("oracle", cfg.seed, seq_index))
-
-
 def _load_data(data_dir: str) -> Dataset:
     """The dataset under ``data_dir``. A missing manifest is a usage
     error, as a missing config or checkpoint is."""
@@ -161,39 +144,52 @@ def _load_data(data_dir: str) -> Dataset:
     return load_dataset(data_dir)
 
 
-def _load_shared_denoiser(cfg: RunConfig, checkpoint: str | None,
-                          oracle: str | None) -> MlpDenoiser | None:
+def _denoisers(cfg: RunConfig, ds: Dataset, checkpoint: str | None,
+               oracle: str | None) -> list[Denoiser]:
+    """One denoiser per sequence of ``ds``: the checkpoint's model for
+    every sequence, or an oracle on each sequence's ground truth."""
     if (checkpoint is None) == (oracle is None):
         raise ConfigError("give exactly one of --checkpoint or --oracle")
-    if checkpoint is None:
-        return None
-    path = Path(checkpoint)
-    if not path.exists():
-        raise ConfigError(f"checkpoint not found: {path}")
-    try:
-        den = MlpDenoiser.from_checkpoint(path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if den.t_max != cfg.t_max:
-        raise ConfigError(f"checkpoint was trained with t_max "
-                          f"{den.t_max}, config says {cfg.t_max}")
-    if den.signal_scale != cfg.signal_scale:
-        raise ConfigError(f"checkpoint signal scale {den.signal_scale} does "
-                          f"not match config {cfg.signal_scale}")
-    return den
+    if checkpoint is not None:
+        path = Path(checkpoint)
+        if not path.exists():
+            raise ConfigError(f"checkpoint not found: {path}")
+        try:
+            den = MlpDenoiser.from_checkpoint(path)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if den.t_max != cfg.t_max:
+            raise ConfigError(f"checkpoint was trained with t_max "
+                              f"{den.t_max}, config says {cfg.t_max}")
+        return [den] * len(ds.sequences)
+    dens = []
+    for i, seq in enumerate(ds.sequences):
+        if seq.gt is None:
+            raise MissingGroundTruthError(
+                f"oracle denoiser '{oracle}' needs ground truth, sequence "
+                f"{seq.name} has none")
+        if oracle == "perfect":
+            dens.append(PerfectOracle(seq.gt))
+        elif oracle == "contractive":
+            dens.append(ContractiveOracle(seq.gt,
+                                          cfg.denoiser.oracle_lambda))
+        else:
+            dens.append(NoisyOracle(seq.gt, cfg.denoiser.oracle_sigma_mm,
+                                    seed=stream_id("oracle", cfg.seed, i)))
+    return dens
 
 
-def _sample_all(cfg: RunConfig, ds: Dataset, shared: MlpDenoiser | None,
-                oracle: str | None) -> list[HypothesisSet]:
+def _sample_all(cfg: RunConfig, ds: Dataset,
+                denoisers: list[Denoiser]) -> list[HypothesisSet]:
     """Sample every sequence at ``cfg``, each with its own seed. Flips
-    mirror with the dataset's skeleton, which made the keypoints."""
+    mirror with the dataset's skeleton and about its camera's principal
+    point, which made the keypoints."""
     sched = make_cosine_schedule(cfg.t_max)
     all_hs = []
-    for i, seq in enumerate(ds.sequences):
-        den = _make_denoiser(cfg, oracle, seq, i, shared)
+    for i, (seq, den) in enumerate(zip(ds.sequences, denoisers)):
         scfg = replace(cfg.sampler, seed=stream_id("sequence", cfg.seed, i))
         all_hs.append(run_sampler(seq.keypoints, den, scfg, sched,
-                                  ds.skeleton, float(cfg.image_width)))
+                                  ds.skeleton, 2.0 * ds.camera.cx))
     return all_hs
 
 
@@ -273,8 +269,7 @@ def train_cmd(config_path, seed, out_dir, data_dir):
     result = train([(s.keypoints, s.gt) for s in ds.sequences],
                    cfg.train, sched)
     ckpt = root / "model.ckpt"
-    save_checkpoint(ckpt, result.params, t_max=cfg.t_max,
-                    signal_scale=cfg.signal_scale)
+    save_checkpoint(ckpt, result.params, t_max=cfg.t_max)
     with open(root / "loss.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["step", "loss"])
@@ -306,11 +301,11 @@ def infer(config_path, seed, out_dir, data_dir, checkpoint, oracle,
                     flip_mode=flip_mode, sigma_mode=sigma_mode)
     ds = _load_data(data_dir)
     methods = _parse_aggregators(aggregators, ds.has_gt)
+    denoisers = _denoisers(cfg, ds, checkpoint, oracle)
     root = Path(cfg.out_dir)
     root.mkdir(parents=True, exist_ok=True)
 
-    shared = _load_shared_denoiser(cfg, checkpoint, oracle)
-    all_hs = _sample_all(cfg, ds, shared, oracle)
+    all_hs = _sample_all(cfg, ds, denoisers)
     reports, rows = _score(cfg, ds, all_hs, methods)
 
     if save_hypotheses:
@@ -380,6 +375,7 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     if not ds.has_gt:
         raise MissingGroundTruthError("bench needs ground truth for metrics")
     methods = _parse_aggregators(aggregators, ds.has_gt)
+    denoisers = _denoisers(cfg, ds, checkpoint, oracle)
     root = Path(cfg.out_dir)
     root.mkdir(parents=True, exist_ok=True)
 
@@ -387,12 +383,11 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     # gives H=h as the first h hypotheses of any larger H, bitwise.
     # K is the outer loop, and each K's hypotheses are dropped before
     # the next K is sampled, so one K's hypotheses are alive at a time.
-    shared = _load_shared_denoiser(cfg, checkpoint, oracle)
     h_max = max(hs_values)
     cell_rows: dict[tuple[int, int], list[dict]] = {}
     for k in dict.fromkeys(ks_values):
         kcfg = apply_overrides(cfg, hypotheses=h_max, iterations=k)
-        all_hs = _sample_all(kcfg, ds, shared, oracle)
+        all_hs = _sample_all(kcfg, ds, denoisers)
         for h in dict.fromkeys(hs_values):
             prefixes = [HypothesisSet(hs.poses[:h]) for hs in all_hs]
             cell_rows[h, k] = _score(kcfg, ds, prefixes, methods)[1]

@@ -4,8 +4,7 @@ The document is a nested object with optional sections; a value not
 given takes the default of the dataclass that holds it, and unknown
 keys are rejected so typos fail loudly. The library configs (scenario,
 sampler, training) are held directly, built with the top-level
-cross-cutting values (seed, t_max, signal scale, skeleton, camera) put
-in.
+cross-cutting values (seed, t_max, skeleton, camera) put in.
 """
 from __future__ import annotations
 
@@ -23,7 +22,6 @@ from .denoise import TrainConfig
 from .errors import (ConfigError, PoseDiffError, finite_number, json_object,
                      reject_unknown_keys, require_field)
 from .sampler import FlipMode, SamplerConfig, SigmaMode
-from .schedule import DEFAULT_SIGNAL_SCALE
 from .synth import DEFAULT_CAMERA, ScenarioConfig
 
 
@@ -73,8 +71,6 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "out"
     t_max: int = 1000
-    signal_scale: float = DEFAULT_SIGNAL_SCALE
-    image_width: int = 1000
     skeleton: Skeleton = DEFAULT_SKELETON
     camera: CameraIntrinsics = DEFAULT_CAMERA
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
@@ -84,18 +80,15 @@ class RunConfig:
     metrics: MetricSettings = MetricSettings()
 
     def __post_init__(self):
-        if not self.image_width > 0:
-            raise ConfigError(f"image_width must be positive, got "
-                              f"{self.image_width}")
         # The library configs carry their own copies of these values;
         # copies that disagree would run with other values than
         # config.json records.
-        top = (self.seed, self.t_max, self.signal_scale)
+        top = (self.seed, self.t_max)
         for name in ("sampler", "train"):
             part = getattr(self, name)
-            if (part.seed, part.t_max, part.signal_scale) != top:
-                raise ConfigError(f"{name} seed, t_max and signal_scale "
-                                  f"must equal the top-level {top}")
+            if (part.seed, part.t_max) != top:
+                raise ConfigError(f"{name} seed and t_max must equal the "
+                                  f"top-level {top}")
         sc = self.scenario
         if (sc.seed, sc.skeleton, sc.camera) != (self.seed, self.skeleton,
                                                  self.camera):
@@ -136,7 +129,7 @@ def config_from_dict(doc: dict, *, base_dir: Path | None = None) -> RunConfig:
     """Build a RunConfig from a parsed JSON document."""
     v = _take(doc, _DEFAULTS, "config")
     try:
-        shared = {k: v[k] for k in ("seed", "t_max", "signal_scale")}
+        shared = {k: v[k] for k in ("seed", "t_max")}
         skeleton = v["skeleton"] = _source(
             v["skeleton"], base_dir, "skeleton", DEFAULT_SKELETON,
             load_skeleton, skeleton_from_dict)
@@ -183,8 +176,7 @@ def _pick(obj, *names) -> dict:
 def config_to_dict(cfg: RunConfig) -> dict:
     sc = cfg.scenario
     return {
-        **_pick(cfg, "seed", "out_dir", "t_max", "signal_scale",
-                "image_width"),
+        **_pick(cfg, "seed", "out_dir", "t_max"),
         "skeleton": skeleton_to_dict(cfg.skeleton),
         "camera": camera_to_dict(cfg.camera),
         "scenario": {

@@ -25,7 +25,7 @@ from .core import HypothesisSet, PoseSeq2D, PoseSeq3D, Skeleton, flip_array3d
 from .errors import (NumericError, ShapeError, TrainingDivergedError,
                      json_object, require_field)
 from .rng import RngStream, hypothesis_normals, stream_id
-from .schedule import (DEFAULT_SIGNAL_SCALE, NoiseSchedule, diffuse_array,
+from .schedule import (SIGNAL_SCALE, NoiseSchedule, diffuse_array,
                        to_millimeters, to_signal_units)
 
 DEFAULT_PIXEL_SCALE = 1e-3
@@ -248,7 +248,6 @@ class TrainConfig:
     weight_decay: float = 0.1
     seed: int = 0
     t_max: int = 1000
-    signal_scale: float = DEFAULT_SIGNAL_SCALE
     hidden_width: int = 128
     hidden_layers: int = 2
     pixel_scale: float = DEFAULT_PIXEL_SCALE
@@ -297,7 +296,7 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
     if xs.shape[:2] != ys.shape[:2]:
         raise ShapeError("2D and 3D sequences must pair frame-for-frame")
     m, j = xs.shape[0], xs.shape[1]
-    y_units = to_signal_units(ys, config.signal_scale)
+    y_units = to_signal_units(ys)
 
     params = init_params(j, hidden_width=config.hidden_width,
                          hidden_layers=config.hidden_layers,
@@ -372,8 +371,8 @@ _HEADER_FIELDS = {"version": int, "num_joints": int, "tensors": list,
 _CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path: str | Path, params: DenoiserParams, *, t_max: int,
-                    signal_scale: float = DEFAULT_SIGNAL_SCALE) -> None:
+def save_checkpoint(path: str | Path, params: DenoiserParams, *,
+                    t_max: int) -> None:
     """JSON header line plus flat little-endian float64 payload."""
     tensors = []
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -386,7 +385,7 @@ def save_checkpoint(path: str | Path, params: DenoiserParams, *, t_max: int,
         "embed_dim": params.embed_dim,
         "pixel_scale": params.pixel_scale,
         "t_max": t_max,
-        "signal_scale": signal_scale,
+        "signal_scale": SIGNAL_SCALE,
         "loss_units": "signal",
         "tensors": tensors,
     }
@@ -400,8 +399,10 @@ def save_checkpoint(path: str | Path, params: DenoiserParams, *, t_max: int,
 def load_checkpoint(path: str | Path) -> tuple[DenoiserParams, dict]:
     """Returns (params, header). Raises ValueError on bad files.
 
-    Older headers carry ``"target": "predict_y0"``, which loads as if
-    absent; a model trained to predict the noise is refused.
+    A model trained at a signal scale other than ``SIGNAL_SCALE`` is
+    refused: its outputs would be read in the wrong units. Older
+    headers carry ``"target": "predict_y0"``, which loads as if absent;
+    a model trained to predict the noise is refused.
     """
     raw = Path(path).read_bytes()
     nl = raw.find(b"\n")
@@ -415,6 +416,10 @@ def load_checkpoint(path: str | Path) -> tuple[DenoiserParams, dict]:
     if header["version"] != _CHECKPOINT_VERSION:
         raise ValueError(f"{path}: checkpoint version {header['version']} is "
                          f"not supported (expected {_CHECKPOINT_VERSION})")
+    if header["signal_scale"] != SIGNAL_SCALE:
+        raise ValueError(f"{path}: the model was trained at signal scale "
+                         f"{header['signal_scale']}; only {SIGNAL_SCALE} is "
+                         f"supported")
     if header.get("target", "predict_y0") != "predict_y0":
         raise ValueError(f"{path}: the model predicts noise (target "
                          f"{header['target']!r}); only clean-pose "
@@ -471,30 +476,28 @@ class Denoiser(abc.ABC):
 
 
 class MlpDenoiser(Denoiser):
-    """Trained-MLP denoiser; converts to its own signal units internally.
+    """Trained-MLP denoiser; converts millimeters to signal units
+    internally.
 
     ``t_max`` bounds the timesteps it accepts: the one it was trained to.
     """
 
-    def __init__(self, params: DenoiserParams, t_max: int,
-                 signal_scale: float = DEFAULT_SIGNAL_SCALE):
+    def __init__(self, params: DenoiserParams, t_max: int):
         self.params = params
         self.t_max = t_max
-        self.signal_scale = signal_scale
 
     @classmethod
     def from_checkpoint(cls, path: str | Path) -> "MlpDenoiser":
         params, header = load_checkpoint(path)
-        return cls(params, header["t_max"],
-                   signal_scale=float(header["signal_scale"]))
+        return cls(params, header["t_max"])
 
     def predict_clean(self, y_t: np.ndarray, x: np.ndarray, t: int, *,
                       hyp_offset: int = 0,
                       mirrored: Skeleton | None = None) -> np.ndarray:
-        units = to_signal_units(y_t, self.signal_scale)
+        units = to_signal_units(y_t)
         out = denoise(HypothesisSet(units), PoseSeq2D(x), t, self.params,
                       self.t_max)
-        return to_millimeters(out.poses, self.signal_scale)
+        return to_millimeters(out.poses)
 
 
 class _OracleBase(Denoiser):

@@ -25,7 +25,7 @@ from .core import (HypothesisSet, PoseSeq2D, Skeleton, flip_array2d,
                    flip_array3d)
 from .denoise import Denoiser, y0_to_eps
 from .rng import hypothesis_normals
-from .schedule import DEFAULT_SIGNAL_SCALE, MM_PER_UNIT, NoiseSchedule
+from .schedule import MM_PER_UNIT, SIGNAL_SCALE, NoiseSchedule
 
 
 class SigmaMode(Enum):
@@ -51,7 +51,6 @@ class SamplerConfig:
     sigma_mode: SigmaMode = SigmaMode.STOCHASTIC
     flip_mode: FlipMode = FlipMode.NONE
     seed: int = 0
-    signal_scale: float = DEFAULT_SIGNAL_SCALE
 
     def __post_init__(self):
         if self.hypotheses < 1:
@@ -60,8 +59,6 @@ class SamplerConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.t_max < self.iterations:
             raise ValueError(f"t_max {self.t_max} < iterations {self.iterations}")
-        if not self.signal_scale > 0:
-            raise ValueError("signal_scale must be positive")
 
 
 @dataclass
@@ -122,7 +119,7 @@ def _run_chain(predict: Callable[[np.ndarray, int], np.ndarray],
                diagnostics: DdimDiagnostics | None = None) -> np.ndarray:
     """Run one reverse chain of K steps; returns the final clean estimate
     in mm. ``predict(y_mm, t)`` is the denoiser query of every step."""
-    to_mm = MM_PER_UNIT / cfg.signal_scale
+    to_mm = MM_PER_UNIT / SIGNAL_SCALE
     ladder = timestep_ladder(cfg.t_max, cfg.iterations)
     y = hypothesis_normals(cfg.seed, hyps, shape, "sampler_init",
                            branch=branch)
@@ -148,11 +145,15 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
     """Generate H hypotheses for a 2D sequence.
 
     ``cfg.flip_mode`` selects the flip augmentation, which needs a
-    ``skeleton`` with mirror pairs and the ``image_width``. ``none``
-    runs one chain. ``once`` runs a second, independent chain on the
-    flipped inputs and averages the two at the end. ``diffusion`` runs
-    one chain that denoises both orientations every iteration and
-    averages before the reverse update.
+    ``skeleton`` with mirror pairs and the ``image_width``: keypoints
+    are mirrored as u -> image_width - u. For keypoints projected by a
+    pinhole camera, pass ``2.0 * cx``; then the flipped keypoints are
+    the projection of the mirrored pose (x -> -x in camera space), as
+    the CLI does with the dataset's camera. ``none`` runs one chain.
+    ``once`` runs a second, independent chain on the flipped inputs and
+    averages the two at the end. ``diffusion`` runs one chain that
+    denoises both orientations every iteration and averages before the
+    reverse update.
 
     Given a list, ``trace`` receives every iteration's clean estimate;
     the last one equals the result bitwise. ``once`` has two chains and
@@ -161,11 +162,6 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
     if sched.t_max != cfg.t_max:
         raise ValueError(f"schedule t_max {sched.t_max} != sampler t_max "
                          f"{cfg.t_max}")
-    scale = getattr(denoiser, "signal_scale", None)
-    if scale is not None and scale != cfg.signal_scale:
-        raise ValueError(
-            f"denoiser was trained at signal scale {scale}, sampler is "
-            f"configured for {cfg.signal_scale}")
     mode = cfg.flip_mode
     if mode is not FlipMode.NONE:
         if skeleton is None or image_width is None:

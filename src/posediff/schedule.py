@@ -6,9 +6,9 @@ product alpha_bar_t for t = 0 .. t_max. Index 0 is the identity step
 unchanged; real steps start at t=1.
 
 Poses enter the diffusion process in dimensionless signal units: divide
-millimeter coordinates by ``MM_PER_UNIT`` and multiply by the signal
-scale, so a 2000 mm coordinate at the default scale maps to 4.0. The
-inverse restores millimeters exactly (it is the same two factors).
+millimeter coordinates by ``MM_PER_UNIT`` and multiply by
+``SIGNAL_SCALE``, so a 2000 mm coordinate maps to 4.0. The inverse
+restores millimeters exactly (it is the same two factors).
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ShapeError
 
 MM_PER_UNIT = 1000.0
-DEFAULT_SIGNAL_SCALE = 2.0
+SIGNAL_SCALE = 2.0
 COSINE_OFFSET = 0.008
 MAX_BETA = 0.999
 
@@ -103,16 +103,12 @@ def diffuse_array(y0: np.ndarray, t: int | np.ndarray, sched: NoiseSchedule,
     return np.sqrt(ab) * y0 + np.sqrt(1.0 - ab) * eps
 
 
-def to_signal_units(mm: np.ndarray, signal_scale: float = DEFAULT_SIGNAL_SCALE) -> np.ndarray:
-    if not signal_scale > 0:
-        raise ValueError(f"signal_scale must be positive, got {signal_scale}")
-    return np.asarray(mm, dtype=np.float64) * (signal_scale / MM_PER_UNIT)
+def to_signal_units(mm: np.ndarray) -> np.ndarray:
+    return np.asarray(mm, dtype=np.float64) * (SIGNAL_SCALE / MM_PER_UNIT)
 
 
-def to_millimeters(units: np.ndarray, signal_scale: float = DEFAULT_SIGNAL_SCALE) -> np.ndarray:
-    if not signal_scale > 0:
-        raise ValueError(f"signal_scale must be positive, got {signal_scale}")
-    return np.asarray(units, dtype=np.float64) / (signal_scale / MM_PER_UNIT)
+def to_millimeters(units: np.ndarray) -> np.ndarray:
+    return np.asarray(units, dtype=np.float64) / (SIGNAL_SCALE / MM_PER_UNIT)
 
 
 def save_schedule_csv(sched: NoiseSchedule, path: str | Path) -> None:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from posediff.camera import camera_to_dict
 from posediff.cli import main
 from posediff.config import config_from_dict, config_sha256
 from posediff.core import DEFAULT_SKELETON, skeleton_to_dict
@@ -17,7 +18,8 @@ from posediff.poseio import load_poses
 from posediff.rng import stream_id
 from posediff.sampler import FlipMode, run_sampler
 from posediff.schedule import make_cosine_schedule
-from posediff.denoise import NoisyOracle
+from posediff.denoise import MlpDenoiser, NoisyOracle
+from posediff.synth import DEFAULT_CAMERA
 
 
 # Tiny scenario: fast end to end, still multi-pose and multi-frame.
@@ -164,44 +166,56 @@ def test_infer_single_hypothesis_methods_agree(runner, tmp_path):
     assert all(f == files[0] for f in files)
 
 
-def test_infer_matches_library_exactly(runner, tmp_path):
+def test_infer_matches_library_exactly(runner, tmp_path, small_run):
     # the CLI is a binding, not a reimplementation: hypothesis files must
     # equal a direct library run using the documented per-sequence seeds.
-    # The second dataset's skeleton keeps three of the six mirror pairs,
-    # and the config names none: flips use the skeleton that made the
-    # keypoints.
+    # The config names no skeleton or camera: flips use the ones that
+    # made the keypoints. The second dataset's skeleton keeps three of
+    # the six mirror pairs; the third dataset's camera has its principal
+    # point off the image centre, and the trained model reads the
+    # flipped keypoints, so a mirror about another axis changes them.
     cfg_path, data = _gen(runner, tmp_path)
     pairs = DEFAULT_SKELETON.mirror_pairs[:3]
     skel = skeleton_to_dict(replace(DEFAULT_SKELETON, mirror_pairs=pairs))
-    (tmp_path / "custom").mkdir()
-    custom_cfg = _write_cfg(tmp_path / "custom", {**SMALL_CFG,
-                                                  "skeleton": skel})
-    custom = tmp_path / "custom" / "data"
-    res = runner.invoke(main, ["gen", "--config", str(custom_cfg), "--out",
-                               str(custom)])
-    assert res.exit_code == 0, res.output
+    cam = camera_to_dict(replace(DEFAULT_CAMERA, cx=400.0))
+    made = {}
+    for name, extra in (("custom", {"skeleton": skel}),
+                        ("shifted", {"camera": cam})):
+        (tmp_path / name).mkdir()
+        doc_path = _write_cfg(tmp_path / name, {**SMALL_CFG, **extra})
+        made[name] = tmp_path / name / "data"
+        res = runner.invoke(main, ["gen", "--config", str(doc_path),
+                                   "--out", str(made[name])])
+        assert res.exit_code == 0, res.output
 
     cfg = config_from_dict(SMALL_CFG)
     sched = make_cosine_schedule(cfg.t_max)
-    for data_dir, flip in ((data, "none"), (custom, "diffusion")):
-        out = tmp_path / f"inf_{flip}"
+    ckpt = small_run[2]
+    for data_dir, flip, source in ((data, "none", "oracle"),
+                                   (made["custom"], "diffusion", "oracle"),
+                                   (made["shifted"], "diffusion", "ckpt")):
+        out = tmp_path / f"inf_{data_dir.parent.name}_{flip}"
+        den_args = (["--oracle", "noisy"] if source == "oracle"
+                    else ["--checkpoint", str(ckpt)])
         res = runner.invoke(main, [
             "infer", "--config", str(cfg_path), "--data", str(data_dir),
-            "--oracle", "noisy", "--flip", flip, "--out", str(out)])
+            *den_args, "--flip", flip, "--out", str(out)])
         assert res.exit_code == 0, res.output
         ds = load_dataset(data_dir)
         for i, seq in enumerate(ds.sequences):
-            den = NoisyOracle(seq.gt, cfg.denoiser.oracle_sigma_mm,
-                              seed=stream_id("oracle", cfg.seed, i))
+            den = (MlpDenoiser.from_checkpoint(ckpt) if source == "ckpt"
+                   else NoisyOracle(seq.gt, cfg.denoiser.oracle_sigma_mm,
+                                    seed=stream_id("oracle", cfg.seed, i)))
             scfg = replace(cfg.sampler, flip_mode=FlipMode(flip),
                            seed=stream_id("sequence", cfg.seed, i))
             hs = run_sampler(seq.keypoints, den, scfg, sched, ds.skeleton,
-                             float(cfg.image_width))
+                             2.0 * ds.camera.cx)
             for h in range(hs.count):
                 on_disk = load_poses(out / "hyp" / seq.name
                                      / f"h_{h:03d}.jsonl")
                 assert np.array_equal(on_disk.joints, hs[h].joints)
-    assert load_dataset(custom).skeleton.mirror_pairs == pairs
+    assert load_dataset(made["custom"]).skeleton.mirror_pairs == pairs
+    assert load_dataset(made["shifted"]).camera.cx == 400.0
 
 
 def test_infer_requires_exactly_one_denoiser_source(runner, tmp_path):
@@ -256,6 +270,8 @@ def test_gt_needing_requests_exit_4(runner, tmp_path):
         "bench", "--config", str(cfg), "--data", str(data), "--oracle",
         "noisy", "--out", str(tmp_path / "c")])
     assert res.exit_code == 4
+    # refused before the output directory is made
+    assert not any((tmp_path / d).exists() for d in "abc")
 
 
 def test_infer_without_gt_still_writes_poses(runner, tmp_path):
@@ -551,11 +567,13 @@ def test_bench_rows_equal_infer_metrics(runner, tmp_path, small_run, flip,
 @pytest.mark.parametrize("field, value, words", [
     ("target", "predict_eps", "predicts noise"),
     ("version", 99, "version 99"),
-    ("num_joints", 5, "5 joints")])
+    ("num_joints", 5, "5 joints"),
+    ("signal_scale", 1.5, "signal scale 1.5")])
 def test_checkpoint_refused_exit_2(runner, tmp_path, small_run, command,
                                    field, value, words):
-    # a noise-target, wrong-version or joint-mismatched checkpoint must
-    # never load; the error names the file
+    # a noise-target, wrong-version, joint-mismatched or other-scale
+    # checkpoint must never load; the error names the file, and no
+    # output directory is left behind
     cfg, data, ckpt = small_run
     bad = tmp_path / "bad.ckpt"
     header, payload = ckpt.read_bytes().split(b"\n", 1)
@@ -567,6 +585,7 @@ def test_checkpoint_refused_exit_2(runner, tmp_path, small_run, command,
         str(bad), "--out", str(tmp_path / "out")])
     _assert_clean_exit(res, 2, words)
     assert str(bad) in res.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_render_command(runner, tmp_path):

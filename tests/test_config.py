@@ -19,7 +19,6 @@ def test_defaults_from_empty_document():
     cfg = config_from_dict({})
     assert cfg.seed == 0
     assert cfg.t_max == 1000
-    assert cfg.signal_scale == 2.0
     assert cfg.skeleton == DEFAULT_SKELETON
     assert cfg.sampler.hypotheses == 20
     assert cfg.sampler.iterations == 10
@@ -41,16 +40,19 @@ def test_unknown_keys_rejected_everywhere():
         config_from_dict({"denoiser": {"width": 32}})
     with pytest.raises(ConfigError):
         config_from_dict({"metrics": {"pck": 1}})
-    # keys that configured nothing and were removed
-    with pytest.raises(ConfigError, match="image_height"):
-        config_from_dict({"image_height": 1000})
+    # keys that configured nothing, or a value that the method or the
+    # dataset fixes, and were removed
     for section, key, value in (
+            (None, "image_height", 1000),
+            (None, "image_width", 1000),
+            (None, "signal_scale", 2.0),
             ("scenario", "hypothesis_count", 20),
             ("scenario", "hypothesis_model", {"kind": "iid_gaussian"}),
             ("denoiser", "target", "predict_eps"),
             ("denoiser", "target", "predict_y0")):
+        doc = {key: value} if section is None else {section: {key: value}}
         with pytest.raises(ConfigError, match=key):
-            config_from_dict({section: {key: value}})
+            config_from_dict(doc)
 
 
 def test_enum_and_model_parsing():
@@ -154,18 +156,18 @@ def test_hash_stable_and_ignores_out_dir():
 
 
 def test_builders_inject_cross_cutting_values():
-    cfg = config_from_dict({"seed": 5, "t_max": 200, "signal_scale": 1.0,
+    cfg = config_from_dict({"seed": 5, "t_max": 200,
                             "sampler": {"hypotheses": 3, "iterations": 7},
                             "train": {"steps": 13},
                             "denoiser": {"hidden_width": 16}})
     scfg = cfg.sampler
     assert isinstance(scfg, SamplerConfig)
-    assert (scfg.seed, scfg.t_max, scfg.signal_scale) == (5, 200, 1.0)
+    assert (scfg.seed, scfg.t_max) == (5, 200)
     assert (scfg.hypotheses, scfg.iterations) == (3, 7)
 
     tcfg = cfg.train
     assert isinstance(tcfg, TrainConfig)
-    assert (tcfg.seed, tcfg.t_max, tcfg.signal_scale) == (5, 200, 1.0)
+    assert (tcfg.seed, tcfg.t_max) == (5, 200)
     assert tcfg.steps == 13
     assert tcfg.hidden_width == 16
     # scenario inherits seed, skeleton, and camera
@@ -223,7 +225,7 @@ def test_apply_overrides():
     {"sampler": {"iterations": True}},
     {"seed": "7"},
     {"t_max": None},
-    {"image_width": 1000.5},
+    {"t_max": 1000.5},
     {"train": {"learning_rate": "0.001"}},
     {"train": {"beta1": True}},
     {"denoiser": {"hidden_width": 16.0}},
@@ -245,24 +247,24 @@ def test_wrong_json_types_rejected(doc):
     ("denoiser", "hidden_width", 0), ("denoiser", "hidden_layers", 0),
     ("denoiser", "pixel_scale", -1), ("train", "beta1", 1.5),
     ("train", "beta1", -0.5), ("train", "beta2", 1),
-    ("train", "weight_decay", -5), (None, "image_width", 0),
-    ("train", "steps", 0), ("train", "batch_size", 0),
-    ("train", "learning_rate", -1)])
+    ("train", "weight_decay", -5), ("train", "steps", 0),
+    ("train", "batch_size", 0), ("train", "learning_rate", -1)])
 def test_out_of_range_values_rejected_at_load(section, key, value):
     # refused when the config loads, not once an oracle, the metrics or
     # training first use the value
-    doc = {key: value} if section is None else {section: {key: value}}
     with pytest.raises(ConfigError, match=f"^{key} must be"):
-        config_from_dict(doc)
+        config_from_dict({section: {key: value}})
 
 
 def test_float_fields_take_integers():
-    as_int = config_from_dict({"signal_scale": 2, "train": {"beta2": 0},
+    as_int = config_from_dict({"denoiser": {"oracle_sigma_mm": 20},
+                               "train": {"beta2": 0},
                                "metrics": {"pck_threshold_mm": 150}})
-    as_float = config_from_dict({"signal_scale": 2.0, "train": {"beta2": 0.0},
+    as_float = config_from_dict({"denoiser": {"oracle_sigma_mm": 20.0},
+                                 "train": {"beta2": 0.0},
                                  "metrics": {"pck_threshold_mm": 150.0}})
     assert as_int == as_float
-    assert isinstance(as_int.signal_scale, float)
+    assert isinstance(as_int.denoiser.oracle_sigma_mm, float)
     assert json.dumps(config_to_dict(as_int)) == json.dumps(
         config_to_dict(as_float))
     assert config_sha256(as_int) == config_sha256(as_float)

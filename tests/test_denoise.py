@@ -280,16 +280,21 @@ def test_checkpoint_round_trip(tmp_path):
     params = init_params(3, hidden_width=8,
                          rng=RngStream(7, stream_id("ckpt")))
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, params, t_max=123, signal_scale=1.5)
+    save_checkpoint(path, params, t_max=123)
     loaded, header = load_checkpoint(path)
     assert "target" not in header
     assert header["t_max"] == 123
-    assert header["signal_scale"] == 1.5
+    assert header["signal_scale"] == 2.0
     for a, b in zip(loaded.weights, params.weights):
         assert np.array_equal(a, b)
     for a, b in zip(loaded.biases, params.biases):
         assert np.array_equal(a, b)
     assert loaded.pixel_scale == params.pixel_scale
+    # the signal scale is fixed: a model trained at another is refused
+    _edit_header(path, signal_scale=1.5)
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}: .*signal scale 1.5"):
+        load_checkpoint(path)
 
 
 def _edit_header(path, **fields):
@@ -357,7 +362,6 @@ def test_mlp_denoiser_from_checkpoint(tmp_path):
     save_checkpoint(path, params, t_max=40)
     den = MlpDenoiser.from_checkpoint(path)
     assert den.t_max == 40
-    assert den.signal_scale == 2.0
     y_t = np.random.default_rng(10).normal(scale=500.0, size=(2, 1, 2, 3))
     x = np.random.default_rng(11).uniform(0, 1000, size=(1, 2, 2))
     out = den.predict_clean(y_t, x, 5)

@@ -27,11 +27,11 @@ GOLDEN_CFG = {
 GOLDEN = {
     # flip: (digest of hyp/ and agg/, digest of config.json)
     "none": ("2740b2792ac32576a2b60f3d9591430df7649a799a944ada4a7e2f594a85f5dc",
-             "2f85395f342f9ebc7af9f3035c8106c50d38c6214a8964b942f06ff379e9c234"),
+             "37d9c7f675349168cccaeb2544ba9b50f834c5b5827e3fe55e1aeeb69cc23835"),
     "once": ("2f6285f55bf16cb183ec51f053cb475b28630d232a5bc217c607b33df411d9e8",
-             "990874cec21174601ce1f9a2aa17dddb76d6632b89d764625679e720f798498c"),
+             "43007b78b610b88c9ec1c07b87f1ccd3985c9504978a44318acd69f5863346ea"),
     "diffusion": ("2f6285f55bf16cb183ec51f053cb475b28630d232a5bc217c607b33df411d9e8",
-                  "0a30e130d193a470eb9500e63df076b586b45d2109e84a718c4bc8edaeb355f0"),
+                  "bf707e1855dc23f2b4106b83f588c4e5b1abb9cdce4907bfb52b63b31fb9948b"),
 }
 
 

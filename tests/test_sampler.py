@@ -209,8 +209,6 @@ def test_sampler_config_validation():
         SamplerConfig(iterations=0)
     with pytest.raises(ValueError):
         SamplerConfig(iterations=20, t_max=10)
-    with pytest.raises(ValueError):
-        SamplerConfig(signal_scale=0.0)
 
 
 def test_schedule_mismatch_rejected():
@@ -219,22 +217,6 @@ def test_schedule_mismatch_rejected():
     cfg = SamplerConfig(hypotheses=1, iterations=2, t_max=100)
     with pytest.raises(ValueError):
         run_sampler(x, den, cfg, make_cosine_schedule(50))
-
-
-def test_signal_scale_mismatch_rejected():
-    sched = make_cosine_schedule(40)
-
-    class ScaledOracle:
-        signal_scale = 1.0
-
-        def predict_clean(self, y_t, x, t, *, hyp_offset=0, mirrored=None):
-            return y_t
-
-    gt, x = _setup(9)
-    cfg = SamplerConfig(hypotheses=1, iterations=2, t_max=40,
-                        signal_scale=2.0)
-    with pytest.raises(ValueError):
-        run_sampler(x, ScaledOracle(), cfg, sched)
 
 
 def test_diagnostics_counter_is_plumbed():

@@ -16,7 +16,7 @@ from posediff.core import PoseSeq2D, Skeleton
 from posediff.denoise import DenoiserParams, MlpDenoiser
 from posediff.rng import RngStream, stream_id
 from posediff.sampler import FlipMode, SamplerConfig, SigmaMode, run_sampler
-from posediff.schedule import MM_PER_UNIT, make_cosine_schedule
+from posediff.schedule import MM_PER_UNIT, SIGNAL_SCALE, make_cosine_schedule
 
 SKELETON = Skeleton(parents=(0, 0, 1, 0, 3), mirror_pairs=((1, 3), (2, 4)),
                     bone_lengths=(0.0, 100.0, 90.0, 100.0, 90.0))
@@ -50,7 +50,7 @@ def _mirror(a, image_width=None):
 
 def _reference_chain(predict, shape, cfg, sched, h, branch):
     """One hypothesis through K DDIM steps; the last clean estimate, mm."""
-    to_mm = MM_PER_UNIT / cfg.signal_scale
+    to_mm = MM_PER_UNIT / SIGNAL_SCALE
     ladder = [int(np.floor(cfg.t_max * (1.0 - k / cfg.iterations) + 0.5))
               for k in range(cfg.iterations)]
     y = RngStream(cfg.seed, stream_id("sampler_init", h, branch)

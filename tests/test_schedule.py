@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posediff.schedule import (DEFAULT_SIGNAL_SCALE, MM_PER_UNIT,
-                               NoiseSchedule, diffuse_array,
-                               make_cosine_schedule, save_schedule_csv,
-                               to_millimeters, to_signal_units)
+from posediff.schedule import (MM_PER_UNIT, SIGNAL_SCALE, NoiseSchedule,
+                               diffuse_array, make_cosine_schedule,
+                               save_schedule_csv, to_millimeters,
+                               to_signal_units)
 
 # Closed form of the schedule at the midpoint, evaluated with a
 # 50-digit independent calculation: f(t) = cos^2(((t/T+0.008)/1.008)*pi/2),
@@ -141,41 +141,27 @@ def test_diffuse_affine_superposition():
 def test_unit_conversion_round_trip():
     mm = np.array([1234.5, -0.25, 8000.0])
     np.testing.assert_allclose(
-        to_millimeters(to_signal_units(mm, 2.0), 2.0), mm, rtol=1e-15)
+        to_millimeters(to_signal_units(mm)), mm, rtol=1e-15)
 
 
 def test_unit_conversion_values():
     # 1000 mm at scale 2 -> 2.0 units
-    assert to_signal_units(np.array(1000.0), 2.0) == 2.0
-    assert to_millimeters(np.array(2.0), 2.0) == 1000.0
-    assert MM_PER_UNIT == 1000.0 and DEFAULT_SIGNAL_SCALE == 2.0
+    assert to_signal_units(np.array(1000.0)) == 2.0
+    assert to_millimeters(np.array(2.0)) == 1000.0
+    assert MM_PER_UNIT == 1000.0 and SIGNAL_SCALE == 2.0
 
 
 def test_scale_signal_elementwise():
     # normalized-unit payload (1, -0.5, 2) doubled by scale=2
     mm = np.array([[[1.0, -0.5, 2.0]]]) * MM_PER_UNIT
-    np.testing.assert_array_equal(to_signal_units(mm, 2.0), [[[2.0, -1.0, 4.0]]])
+    np.testing.assert_array_equal(to_signal_units(mm), [[[2.0, -1.0, 4.0]]])
 
 
 def test_scale_unscale_inverse():
     rng = np.random.default_rng(2)
     mm = rng.normal(scale=1000.0, size=(2, 3, 3))
-    out = to_millimeters(to_signal_units(mm, 1.7), 1.7)
+    out = to_millimeters(to_signal_units(mm))
     np.testing.assert_allclose(out, mm, rtol=1e-15)
-
-
-def test_scale_one_is_pure_unit_change():
-    out = to_signal_units(np.array([[[3000.0, -500.0, 1000.0]]]), 1.0)
-    np.testing.assert_array_equal(out, [[[3.0, -0.5, 1.0]]])
-
-
-def test_scale_rejects_nonpositive():
-    zeros = np.zeros((1, 1, 3))
-    for convert in (to_signal_units, to_millimeters):
-        with pytest.raises(ValueError):
-            convert(zeros, 0.0)
-        with pytest.raises(ValueError):
-            convert(zeros, -2.0)
 
 
 def test_schedule_rejects_tampered_alpha_bar():

@@ -1,0 +1,150 @@
+"""The MLP forward pass and the training loop against textbook code,
+bitwise.
+
+The forward reference runs one hypothesis at a time and builds a fresh
+array for every step: ``h @ w.T + b``, then ``+ emb`` on the first
+layer, then ``tanh``. The training reference is a per-tensor loop:
+forward, exact backward pass, and adaptive-moment updates (Kingma & Ba,
+2015) with decoupled weight decay (Loshchilov & Hutter, 2019) on the
+weight matrices only, each tensor with its own moment arrays. Both run
+on the same machine as the library, so any reordering of a
+floating-point operation in the library shows as a changed bit.
+"""
+import numpy as np
+import pytest
+
+from posediff.core import HypothesisSet, PoseSeq2D, PoseSeq3D
+from posediff.denoise import (DenoiserParams, TrainConfig, denoise,
+                              init_params, timestep_embedding, train)
+from posediff.rng import RngStream, stream_id
+from posediff.schedule import diffuse_array, make_cosine_schedule, to_signal_units
+
+J = 5
+
+
+def _model(width: int = 16) -> DenoiserParams:
+    rng = np.random.default_rng(11)
+    dims = [J * 5, width, width, J * 3]
+    weights = [rng.normal(size=(o, i)) / np.sqrt(i)
+               for i, o in zip(dims[:-1], dims[1:])]
+    biases = [rng.normal(scale=0.3, size=o) for o in dims[1:]]
+    return DenoiserParams(weights=tuple(weights), biases=tuple(biases),
+                          embed_dim=width, pixel_scale=2e-3)
+
+
+def _reference_forward(model, inputs, emb):
+    """Fresh arrays for every step; ``inputs`` is (rows, J*5)."""
+    h = inputs
+    last = model.num_layers - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = h @ w.T + b
+        if i == 0:
+            z = z + emb
+        h = z if i == last else np.tanh(z)
+    return h
+
+
+@pytest.mark.parametrize("hypotheses", [1, 3])
+@pytest.mark.parametrize("t", [0, 7, 40])
+def test_denoise_matches_textbook_forward(hypotheses, t):
+    frames = 7  # odd, so no product splits into equal halves
+    rng = np.random.default_rng(3)
+    model = _model()
+    y = rng.normal(size=(hypotheses, frames, J, 3))
+    x = rng.uniform(0.0, 1000.0, size=(frames, J, 2))
+    got = denoise(HypothesisSet(y), PoseSeq2D(x), t, model, 40).poses
+    emb = timestep_embedding(float(t), model.embed_dim)
+    for h in range(hypotheses):
+        feats = np.concatenate([y[h], x * model.pixel_scale], axis=-1)
+        want = _reference_forward(model, feats.reshape(frames, J * 5), emb)
+        assert np.array_equal(got[h], want.reshape(frames, J, 3))
+
+
+def _reference_train(dataset, cfg, sched):
+    """(weights, biases, loss history) of a per-tensor training loop."""
+    xs = np.concatenate([x.joints for x, _ in dataset])
+    ys = to_signal_units(np.concatenate([y.joints for _, y in dataset]))
+    m = xs.shape[0]
+    params = init_params(J, hidden_width=cfg.hidden_width,
+                         hidden_layers=cfg.hidden_layers,
+                         pixel_scale=cfg.pixel_scale,
+                         rng=RngStream(cfg.seed, stream_id("train", "init")))
+    weights = [w.copy() for w in params.weights]
+    biases = [b.copy() for b in params.biases]
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+    rng_perm = RngStream(cfg.seed, stream_id("train", "shuffle"))
+    rng_t = RngStream(cfg.seed, stream_id("train", "timesteps"))
+    rng_eps = RngStream(cfg.seed, stream_id("train", "noise"))
+    lr, b1, b2 = cfg.learning_rate, cfg.beta1, cfg.beta2
+    history, order, epoch = [], np.empty(0, dtype=np.int64), 0
+    layers = len(weights)
+    for step in range(cfg.steps):
+        while order.size < cfg.batch_size:
+            order = np.concatenate([order, rng_perm.spawn(epoch).permutation(m)])
+            epoch += 1
+        idx, order = order[:cfg.batch_size], order[cfg.batch_size:]
+        b = len(idx)
+        ts = rng_t.integers(0, cfg.t_max + 1, b)
+        eps = rng_eps.standard_normal((b, J, 3))
+        targets = ys[idx].reshape(b, J * 3)
+        noisy = diffuse_array(ys[idx], ts, sched, eps)
+        inputs = np.concatenate([noisy, xs[idx] * cfg.pixel_scale],
+                                axis=-1).reshape(b, J * 5)
+        emb = timestep_embedding(ts.astype(np.float64), cfg.hidden_width)
+
+        acts = [inputs]
+        h = inputs
+        for i in range(layers):
+            z = h @ weights[i].T + biases[i]
+            if i == 0:
+                z = z + emb
+            h = z if i == layers - 1 else np.tanh(z)
+            if i != layers - 1:
+                acts.append(h)
+        diff = h - targets
+        history.append(float(np.mean(diff * diff)))
+
+        g = 2.0 * diff / diff.size
+        grad_w, grad_b = [None] * layers, [None] * layers
+        for i in range(layers - 1, -1, -1):
+            grad_w[i] = g.T @ acts[i]
+            grad_b[i] = g.sum(axis=0)
+            if i > 0:
+                g = (g @ weights[i]) * (1.0 - acts[i] * acts[i])
+
+        corr1 = 1.0 - b1 ** (step + 1)
+        corr2 = 1.0 - b2 ** (step + 1)
+        for i in range(layers):
+            for p, g_, mom, var, decay in (
+                    (weights[i], grad_w[i], m_w, v_w, True),
+                    (biases[i], grad_b[i], m_b, v_b, False)):
+                mom[i] = b1 * mom[i] + (1 - b1) * g_
+                var[i] = b2 * var[i] + (1 - b2) * g_ ** 2
+                step_size = (mom[i] / corr1) / (np.sqrt(var[i] / corr2)
+                                                + cfg.adam_eps)
+                p -= lr * step_size
+                if decay:
+                    p -= lr * cfg.weight_decay * p
+    return weights, biases, np.array(history)
+
+
+def test_train_matches_per_tensor_adam():
+    rng = np.random.default_rng(4)
+    dataset = []
+    for _ in range(3):
+        gt = rng.normal(scale=300.0, size=(5, J, 3))
+        gt[..., 2] += 3000.0
+        kp = rng.uniform(0.0, 1000.0, size=(5, J, 2))
+        dataset.append((PoseSeq2D(kp), PoseSeq3D(gt)))
+    sched = make_cosine_schedule(20)
+    cfg = TrainConfig(steps=30, batch_size=7, learning_rate=1e-2,
+                      weight_decay=0.3, t_max=20, hidden_width=16,
+                      hidden_layers=2, seed=5)
+    got = train(dataset, cfg, sched)
+    weights, biases, history = _reference_train(dataset, cfg, sched)
+    assert np.array_equal(got.loss_history, history)
+    for a, b in zip(got.params.weights + got.params.biases, weights + biases):
+        assert np.array_equal(a, b)

@@ -30,13 +30,13 @@ from .core import (DEFAULT_SKELETON, HypothesisSet, PoseSeq3D, load_skeleton)
 from .dataset import MANIFEST_NAME, Dataset, load_dataset, save_dataset
 from .denoise import (ContractiveOracle, Denoiser, MlpDenoiser, NoisyOracle,
                       PerfectOracle, save_checkpoint, train)
-from .errors import (ConfigError, MissingGroundTruthError, PoseDiffError,
-                     TrainingDivergedError)
+from .errors import (ConfigError, MissingGroundTruthError, NumericError,
+                     PoseDiffError, TrainingDivergedError)
 from .metrics import MetricReport, compute_metrics
 from .poseio import load_poses, save_poses
 from .render import render_sequence
 from .rng import stream_id
-from .sampler import run_sampler
+from .sampler import FlipMode, run_sampler
 from .schedule import make_cosine_schedule, save_schedule_csv
 from .synth import DEFAULT_CAMERA, gen_poses
 
@@ -144,6 +144,16 @@ def _load_data(data_dir: str) -> Dataset:
     return load_dataset(data_dir)
 
 
+def _check_flip_camera(cfg: RunConfig, data_dir: str, ds: Dataset) -> None:
+    """Flips mirror keypoints about the camera's principal point,
+    ``u -> 2*cx - u``, so they need a camera with a positive ``cx``."""
+    if cfg.sampler.flip_mode is not FlipMode.NONE and not ds.camera.cx > 0:
+        raise ValueError(
+            f"{Path(data_dir) / MANIFEST_NAME}: camera cx must be positive "
+            f"to flip keypoints about 2*cx (flip mode "
+            f"'{cfg.sampler.flip_mode.value}'), got {ds.camera.cx}")
+
+
 def _denoisers(cfg: RunConfig, ds: Dataset, checkpoint: str | None,
                oracle: str | None) -> list[Denoiser]:
     """One denoiser per sequence of ``ds``: the checkpoint's model for
@@ -188,8 +198,12 @@ def _sample_all(cfg: RunConfig, ds: Dataset,
     all_hs = []
     for i, (seq, den) in enumerate(zip(ds.sequences, denoisers)):
         scfg = replace(cfg.sampler, seed=stream_id("sequence", cfg.seed, i))
-        all_hs.append(run_sampler(seq.keypoints, den, scfg, sched,
-                                  ds.skeleton, 2.0 * ds.camera.cx))
+        try:
+            all_hs.append(run_sampler(seq.keypoints, den, scfg, sched,
+                                      ds.skeleton, 2.0 * ds.camera.cx))
+        except NumericError as exc:
+            raise NumericError(f"sampling sequence {i} ({seq.name}): {exc}",
+                               hypothesis=exc.hypothesis) from exc
     return all_hs
 
 
@@ -300,6 +314,7 @@ def infer(config_path, seed, out_dir, data_dir, checkpoint, oracle,
                     hypotheses=hypotheses, iterations=iterations,
                     flip_mode=flip_mode, sigma_mode=sigma_mode)
     ds = _load_data(data_dir)
+    _check_flip_camera(cfg, data_dir, ds)
     methods = _parse_aggregators(aggregators, ds.has_gt)
     denoisers = _denoisers(cfg, ds, checkpoint, oracle)
     root = Path(cfg.out_dir)
@@ -372,6 +387,7 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
         for k in ks_values:
             apply_overrides(cfg, hypotheses=h, iterations=k)
     ds = _load_data(data_dir)
+    _check_flip_camera(cfg, data_dir, ds)
     if not ds.has_gt:
         raise MissingGroundTruthError("bench needs ground truth for metrics")
     methods = _parse_aggregators(aggregators, ds.has_gt)

@@ -126,25 +126,29 @@ def init_params(num_joints: int, *, hidden_width: int = 128,
                           embed_dim=hidden_width, pixel_scale=pixel_scale)
 
 
-def _forward(params: DenoiserParams, inputs: np.ndarray, ts: np.ndarray,
+def _forward(params: DenoiserParams, inputs: np.ndarray, emb: np.ndarray,
              *, check: bool = False):
     """Run the MLP on (..., J*5) inputs; returns (output, activations).
 
-    ``ts`` holds one timestep per input row, or a single one for all.
+    ``emb`` is the timestep embedding: one row per input row, or a
+    single (embed_dim,) row for all.
 
     ``activations[0]`` is the input, ``activations[i]`` the output of
     hidden layer i. With ``check`` the layers are screened for
-    non-finite values (used by the training path).
+    non-finite values (used by the training path). Each layer works in
+    place on its own fresh product, in the order ``h @ w.T``, ``+ b``,
+    ``+ emb`` (first layer), ``tanh``, which fixes every rounding.
     """
-    emb = timestep_embedding(ts, params.embed_dim)
     acts = [inputs]
     h = inputs
     last = params.num_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w.T + b
+        h = h @ w.T
+        h += b
         if i == 0:
-            z = z + emb
-        h = z if i == last else np.tanh(z)
+            h += emb
+        if i != last:
+            np.tanh(h, out=h)
         if check and not np.all(np.isfinite(h)):
             raise NumericError("non-finite activation", layer=i)
         if i != last:
@@ -152,11 +156,21 @@ def _forward(params: DenoiserParams, inputs: np.ndarray, ts: np.ndarray,
     return h, acts
 
 
-def _assemble_inputs(y_t: np.ndarray, x: np.ndarray, pixel_scale: float) -> np.ndarray:
-    """Interleave (..., J, 3) signal and (..., J, 2) pixels into (B, J*5)."""
+def _assemble_inputs(y_t: np.ndarray, x_scaled: np.ndarray) -> np.ndarray:
+    """Interleave (..., J, 3) signal and (..., J, 2) keypoints, already
+    multiplied by the pixel scale, into (B, J*5)."""
     j = y_t.shape[-2]
-    feats = np.concatenate([y_t, x * pixel_scale], axis=-1)
+    feats = np.concatenate([y_t, x_scaled], axis=-1)
     return feats.reshape(-1, j * 5)
+
+
+def _first_non_finite(a: np.ndarray) -> int | None:
+    """Index along the first axis of the first entry of ``a`` that holds
+    a non-finite value; None when every value is finite."""
+    finite = np.isfinite(a)
+    if finite.all():
+        return None
+    return int(np.argmin(finite.reshape(len(a), -1).all(axis=1)))
 
 
 def eps_to_y0(y_t: np.ndarray, eps_hat: np.ndarray, t: int,
@@ -192,13 +206,17 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
         raise ShapeError(f"model expects {model.num_joints} joints, "
                          f"got {y_t.num_joints}")
     h, n, j = y_t.count, y_t.num_frames, y_t.num_joints
-    x_tiled = np.broadcast_to(x.joints, (h, n, j, 2))
+    x_tiled = np.broadcast_to(x.joints * model.pixel_scale, (h, n, j, 2))
     # One N-row product per hypothesis, so that BLAS rounding cannot
     # depend on H: H=5 gives the first five hypotheses of H=20 bitwise.
-    inputs = _assemble_inputs(y_t.poses, x_tiled,
-                              model.pixel_scale).reshape(h, n, j * 5)
-    out, _ = _forward(model, inputs, np.array([float(t)]))
-    return HypothesisSet(out.reshape(h, n, j, 3))
+    inputs = _assemble_inputs(y_t.poses, x_tiled).reshape(h, n, j * 5)
+    out, _ = _forward(model, inputs,
+                      timestep_embedding(float(t), model.embed_dim))
+    try:  # the set's finite screen is this output's only one
+        return HypothesisSet(out.reshape(h, n, j, 3))
+    except ValueError:
+        raise NumericError(f"t={t}: clean estimate is not finite",
+                           hypothesis=_first_non_finite(out)) from None
 
 
 @dataclass(frozen=True)
@@ -210,6 +228,38 @@ class TrainBatch:
     targets: np.ndarray   # (B, J*3)
 
 
+def _flat_views(flat: np.ndarray, params: DenoiserParams
+                ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Views of ``flat`` shaped as ``params``' weights, then its biases,
+    laid end to end in that order: the weights are a prefix."""
+    views, off = [], 0
+    for a in params.weights + params.biases:
+        views.append(flat[off:off + a.size].reshape(a.shape))
+        off += a.size
+    return views[:params.num_layers], views[params.num_layers:]
+
+
+def _backward(model: DenoiserParams, inputs: np.ndarray, emb: np.ndarray,
+              targets: np.ndarray, weight_grads: list[np.ndarray],
+              bias_grads: list[np.ndarray]) -> float:
+    """Mean squared error of the raw network output against ``targets``;
+    its exact gradients are written into the given arrays."""
+    # Overflow here is an expected divergence signal, screened by the
+    # caller; keep numpy from warning about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, acts = _forward(model, inputs, emb, check=True)
+        diff = out - targets
+        loss = float(np.mean(diff * diff))
+        g = 2.0 * diff / diff.size
+        for i in range(model.num_layers - 1, -1, -1):
+            np.matmul(g.T, acts[i], out=weight_grads[i])
+            np.sum(g, axis=0, out=bias_grads[i])
+            if i > 0:
+                g = g @ model.weights[i]
+                g *= 1.0 - acts[i] * acts[i]  # tanh'
+    return loss
+
+
 def grad_loss(model: DenoiserParams, batch: TrainBatch
               ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Loss and exact gradients for one batch.
@@ -217,22 +267,41 @@ def grad_loss(model: DenoiserParams, batch: TrainBatch
     Returns (loss, weight_grads, bias_grads) where loss is the mean
     squared error of the raw network output against the batch targets.
     """
-    # Overflow here is an expected divergence signal, screened by the
-    # caller; keep numpy from warning about it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, acts = _forward(model, batch.inputs, batch.timesteps, check=True)
-        diff = out - batch.targets
-        loss = float(np.mean(diff * diff))
-        g = 2.0 * diff / diff.size
-        weight_grads: list[np.ndarray] = [None] * model.num_layers  # type: ignore
-        bias_grads: list[np.ndarray] = [None] * model.num_layers  # type: ignore
-        for i in range(model.num_layers - 1, -1, -1):
-            weight_grads[i] = g.T @ acts[i]
-            bias_grads[i] = g.sum(axis=0)
-            if i > 0:
-                gh = g @ model.weights[i]
-                g = gh * (1.0 - acts[i] * acts[i])  # tanh'
+    weight_grads, bias_grads = _flat_views(
+        np.empty(sum(a.size for a in model.weights + model.biases)), model)
+    loss = _backward(model, batch.inputs,
+                     timestep_embedding(batch.timesteps, model.embed_dim),
+                     batch.targets, weight_grads, bias_grads)
     return loss, weight_grads, bias_grads
+
+
+def _adam_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
+               step: int, config: "TrainConfig",
+               scratch: tuple[np.ndarray, np.ndarray]) -> None:
+    """One adaptive-moment update of ``p`` in place, from gradient ``g``
+    and the moments ``m`` and ``v``, which it updates too. ``scratch``
+    holds two arrays shaped like ``p``; no other array is allocated."""
+    lr, b1, b2 = config.learning_rate, config.beta1, config.beta2
+    corr1 = 1.0 - b1 ** (step + 1)
+    corr2 = 1.0 - b2 ** (step + 1)
+    t1, t2 = scratch
+    # m = b1 * m + (1 - b1) * g
+    np.multiply(m, b1, out=m)
+    np.multiply(g, 1 - b1, out=t1)
+    m += t1
+    # v = b2 * v + (1 - b2) * g ** 2
+    np.square(g, out=t1)
+    t1 *= 1 - b2
+    np.multiply(v, b2, out=v)
+    v += t1
+    # p -= lr * ((m / corr1) / (sqrt(v / corr2) + eps))
+    np.divide(v, corr2, out=t1)
+    np.sqrt(t1, out=t1)
+    t1 += config.adam_eps
+    np.divide(m, corr1, out=t2)
+    t2 /= t1
+    t2 *= lr
+    p -= t2
 
 
 @dataclass(frozen=True)
@@ -306,17 +375,25 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
     rng_t = RngStream(config.seed, stream_id("train", "timesteps"))
     rng_eps = RngStream(config.seed, stream_id("train", "noise"))
 
-    weights = [w.copy() for w in params.weights]
-    biases = [b.copy() for b in params.biases]
-    # The optimizer updates these arrays in place; ``live`` sees them
-    # without the copy and validation of a new DenoiserParams per step.
-    # The per-step guard below screens the loss and gradients instead.
+    # Weights and biases are views into one flat buffer, weights first,
+    # and so are the gradients: one finite check, one optimizer pass,
+    # and weight decay on the prefix. ``live`` sees the buffer without
+    # the copy and validation of a new DenoiserParams per step; the
+    # per-step guard below screens the loss and gradients instead.
+    flat = np.concatenate([a.ravel() for a in params.weights + params.biases])
+    weights, biases = _flat_views(flat, params)
     live = copy.copy(params)
     object.__setattr__(live, "weights", tuple(weights))
     object.__setattr__(live, "biases", tuple(biases))
-    tensors = weights + biases
-    m_p = [np.zeros_like(p) for p in tensors]
-    v_p = [np.zeros_like(p) for p in tensors]
+    grad = np.empty_like(flat)
+    grad_w, grad_b = _flat_views(grad, params)
+    m_p, v_p = np.zeros_like(flat), np.zeros_like(flat)
+    scratch = (np.empty_like(flat), np.empty_like(flat))
+    n_w = sum(w.size for w in weights)
+    decay = config.learning_rate * config.weight_decay
+    emb_table = timestep_embedding(np.arange(config.t_max + 1, dtype=np.float64),
+                                   config.hidden_width)
+    xs_scaled = xs * config.pixel_scale
 
     history = np.empty(config.steps)
     order = np.empty(0, dtype=np.int64)
@@ -332,29 +409,21 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
         eps = rng_eps.standard_normal((b, j, 3))
         targets = y_units[idx]
         y_noisy = diffuse_array(targets, ts, sched, eps)
-        batch = TrainBatch(
-            inputs=_assemble_inputs(y_noisy, xs[idx], config.pixel_scale),
-            timesteps=ts.astype(np.float64),
-            targets=targets.reshape(b, j * 3),
-        )
         try:
-            loss, g_w, g_b = grad_loss(live, batch)
+            loss = _backward(live, _assemble_inputs(y_noisy, xs_scaled[idx]),
+                             emb_table[ts], targets.reshape(b, j * 3),
+                             grad_w, grad_b)
         except NumericError as exc:
             raise TrainingDivergedError(step, str(exc)) from exc
-        if not np.isfinite(loss) or any(not np.all(np.isfinite(g)) for g in g_w + g_b):
+        if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
             raise TrainingDivergedError(step)
         history[step] = loss
 
-        lr, b1, b2 = config.learning_rate, config.beta1, config.beta2
-        corr1 = 1.0 - b1 ** (step + 1)
-        corr2 = 1.0 - b2 ** (step + 1)
-        for i, (p, g) in enumerate(zip(tensors, g_w + g_b)):
-            m_p[i] = b1 * m_p[i] + (1 - b1) * g
-            v_p[i] = b2 * v_p[i] + (1 - b2) * g ** 2
-            p -= lr * ((m_p[i] / corr1) / (np.sqrt(v_p[i] / corr2)
-                                           + config.adam_eps))
-            if i < len(weights):
-                p -= lr * config.weight_decay * p
+        _adam_step(flat, grad, m_p, v_p, step, config, scratch)
+        # decoupled weight decay: p -= lr * weight_decay * p, weights only
+        t1 = scratch[0][:n_w]
+        np.multiply(flat[:n_w], decay, out=t1)
+        flat[:n_w] -= t1
 
     final = replace(params, weights=tuple(weights), biases=tuple(biases))
     return TrainResult(params=final, loss_history=history,
@@ -474,6 +543,20 @@ class Denoiser(abc.ABC):
                       mirrored: Skeleton | None = None) -> np.ndarray:
         """(H, N, J, 3) mm noisy poses plus (N, J, 2) px -> (H, N, J, 3) mm."""
 
+    def predict_screened(self, y_t: np.ndarray, x: np.ndarray, t: int, *,
+                         hyp_offset: int = 0,
+                         mirrored: Skeleton | None = None) -> np.ndarray:
+        """``predict_clean``, refused unless finite: a non-finite estimate
+        raises ``NumericError`` whose ``hypothesis`` is the index, within
+        this batch, of the first hypothesis holding one."""
+        out = self.predict_clean(y_t, x, t, hyp_offset=hyp_offset,
+                                 mirrored=mirrored)
+        bad = _first_non_finite(out)
+        if bad is not None:
+            raise NumericError(f"t={t}: clean estimate is not finite",
+                               hypothesis=bad)
+        return out
+
 
 class MlpDenoiser(Denoiser):
     """Trained-MLP denoiser; converts millimeters to signal units
@@ -498,6 +581,13 @@ class MlpDenoiser(Denoiser):
         out = denoise(HypothesisSet(units), PoseSeq2D(x), t, self.params,
                       self.t_max)
         return to_millimeters(out.poses)
+
+    def predict_screened(self, y_t: np.ndarray, x: np.ndarray, t: int, *,
+                         hyp_offset: int = 0,
+                         mirrored: Skeleton | None = None) -> np.ndarray:
+        # denoise() screens its output already, and raises as promised
+        return self.predict_clean(y_t, x, t, hyp_offset=hyp_offset,
+                                  mirrored=mirrored)
 
 
 class _OracleBase(Denoiser):

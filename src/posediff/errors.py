@@ -64,13 +64,19 @@ class DegenerateAlignmentError(PoseDiffError, ValueError):
 
 
 class NumericError(PoseDiffError, ArithmeticError):
-    """A computation produced non-finite values."""
+    """A computation produced non-finite values.
 
-    def __init__(self, message: str, layer: int | None = None):
+    ``layer`` is the network layer and ``hypothesis`` the index of the
+    first hypothesis affected, where known.
+    """
+
+    def __init__(self, message: str, layer: int | None = None,
+                 hypothesis: int | None = None):
         if layer is not None:
             message = f"layer {layer}: {message}"
         super().__init__(message)
         self.layer = layer
+        self.hypothesis = hypothesis
 
 
 class TrainingDivergedError(PoseDiffError, RuntimeError):

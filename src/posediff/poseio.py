@@ -26,12 +26,12 @@ def _parse_line(text: str, line_no: int, path: str | Path) -> dict:
 
 
 def save_poses(pose: PoseSeq3D | PoseSeq2D, path: str | Path) -> None:
-    dims = pose.joints.shape[-1]
+    """Write ``pose`` as a pose file, built whole and written at once."""
+    lines = [json.dumps({"J": pose.num_joints, "dims": pose.joints.shape[-1]})]
+    lines += [json.dumps({"frame": k, "joints": joints})
+              for k, joints in enumerate(pose.joints.tolist())]
     with open(path, "w") as f:
-        f.write(json.dumps({"J": pose.num_joints, "dims": dims}) + "\n")
-        for k in range(pose.num_frames):
-            rec = {"frame": k, "joints": pose.joints[k].tolist()}
-            f.write(json.dumps(rec) + "\n")
+        f.write("\n".join(lines) + "\n")
 
 
 def load_poses(path: str | Path) -> PoseSeq3D | PoseSeq2D:

@@ -24,6 +24,7 @@ import numpy as np
 from .core import (HypothesisSet, PoseSeq2D, Skeleton, flip_array2d,
                    flip_array3d)
 from .denoise import Denoiser, y0_to_eps
+from .errors import NumericError
 from .rng import hypothesis_normals
 from .schedule import MM_PER_UNIT, SIGNAL_SCALE, NoiseSchedule
 
@@ -124,7 +125,14 @@ def _run_chain(predict: Callable[[np.ndarray, int], np.ndarray],
     y = hypothesis_normals(cfg.seed, hyps, shape, "sampler_init",
                            branch=branch)
     for k, t in enumerate(ladder):
-        y0_mm = predict(y * to_mm, t)
+        try:
+            y0_mm = predict(y * to_mm, t)
+        except NumericError as exc:
+            if exc.hypothesis is None:
+                raise
+            h = hyps[exc.hypothesis]
+            raise NumericError(f"step t={t}: hypothesis {h}: clean estimate "
+                               f"is not finite", hypothesis=h) from exc
         if trace is not None:
             trace.append(HypothesisSet(y0_mm))
         if k + 1 < len(ladder):
@@ -158,6 +166,9 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
     Given a list, ``trace`` receives every iteration's clean estimate;
     the last one equals the result bitwise. ``once`` has two chains and
     so no single trace; it rejects one.
+
+    A non-finite clean estimate raises ``NumericError`` naming the step
+    and the global index of the first hypothesis holding one.
     """
     if sched.t_max != cfg.t_max:
         raise ValueError(f"schedule t_max {sched.t_max} != sampler t_max "
@@ -175,7 +186,7 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
                          "single trace")
 
     def query(x2d, mirrored=None):
-        return lambda y_mm, t: denoiser.predict_clean(
+        return lambda y_mm, t: denoiser.predict_screened(
             y_mm, x2d, t, hyp_offset=hyp_offset, mirrored=mirrored)
 
     chain = functools.partial(

@@ -18,7 +18,8 @@ from posediff.poseio import load_poses
 from posediff.rng import stream_id
 from posediff.sampler import FlipMode, run_sampler
 from posediff.schedule import make_cosine_schedule
-from posediff.denoise import MlpDenoiser, NoisyOracle
+from posediff import cli
+from posediff.denoise import Denoiser, MlpDenoiser, NoisyOracle, PerfectOracle
 from posediff.synth import DEFAULT_CAMERA
 
 
@@ -642,3 +643,50 @@ def test_flip_modes_run_end_to_end(runner, tmp_path):
             "contractive", "--flip", mode, "--out", str(out)])
         assert res.exit_code == 0, res.output
         assert (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "bench"])
+def test_flip_refuses_camera_without_positive_cx(runner, tmp_path, command):
+    # flips mirror about u = cx; a dataset camera with cx <= 0 is refused,
+    # naming the manifest and the value, before any output is made
+    cam = camera_to_dict(replace(DEFAULT_CAMERA, cx=-10.0))
+    cfg = _write_cfg(tmp_path, {**SMALL_CFG, "camera": cam})
+    data = tmp_path / "data"
+    res = runner.invoke(main, ["gen", "--config", str(cfg), "--out",
+                               str(data)])
+    assert res.exit_code == 0, res.output
+    args = [command, "--config", str(cfg), "--data", str(data), "--oracle",
+            "noisy", "--out", str(tmp_path / "out")]
+    res = runner.invoke(main, [*args, "--flip", "diffusion"])
+    _assert_clean_exit(res, 1, f"error: {data / 'manifest.json'}: camera cx")
+    assert "-10.0" in res.stderr
+    assert not (tmp_path / "out").exists()
+    res = runner.invoke(main, [*args, "--flip", "none"])
+    assert res.exit_code == 0, res.output
+
+
+class _NanStub(Denoiser):
+    """Zeros, except NaN for hypothesis 2 at the second step."""
+
+    def predict_clean(self, y_t, x, t, *, hyp_offset=0, mirrored=None):
+        out = np.zeros_like(y_t)
+        if t == 40:
+            out[2 - hyp_offset] = np.nan
+        return out
+
+
+def test_non_finite_estimate_exit_1_names_sequence(runner, tmp_path,
+                                                   monkeypatch):
+    cfg, data = _gen(runner, tmp_path)
+
+    def denoisers(cfg, ds, checkpoint, oracle):
+        # the second sequence's denoiser fails
+        return [PerfectOracle(ds.sequences[0].gt), _NanStub(),
+                PerfectOracle(ds.sequences[2].gt)]
+    monkeypatch.setattr(cli, "_denoisers", denoisers)
+    res = runner.invoke(main, ["infer", "--config", str(cfg), "--data",
+                               str(data), "--oracle", "perfect", "--out",
+                               str(tmp_path / "out")])
+    _assert_clean_exit(res, 1, "error: sampling sequence 1 (seq_0001): "
+                               "step t=40: hypothesis 2: clean estimate is "
+                               "not finite")

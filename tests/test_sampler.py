@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from posediff.core import DEFAULT_SKELETON, flip_array3d
-from posediff.denoise import (ContractiveOracle, MlpDenoiser, NoisyOracle,
-                              PerfectOracle, init_params)
+from posediff.denoise import (ContractiveOracle, Denoiser, MlpDenoiser,
+                              NoisyOracle, PerfectOracle, init_params)
+from posediff.errors import NumericError
 from posediff.metrics import mpjpe
 from posediff.rng import RngStream, stream_id
 from posediff.sampler import (DdimDiagnostics, FlipMode, SamplerConfig,
@@ -331,3 +332,49 @@ def test_sample_shape_and_finiteness(seed):
     hs = run_sampler(x, ContractiveOracle(gt, 0.5), cfg, sched)
     assert hs.poses.shape == (2, 1, 3, 3)
     assert np.all(np.isfinite(hs.poses))
+
+
+# --- non-finite denoiser output ----------------------------------------------
+
+class _NanAt(Denoiser):
+    """Zeros, except one NaN for global hypothesis ``hyp`` at step ``t``."""
+
+    def __init__(self, hyp: int, t: int):
+        self.hyp, self.t = hyp, t
+
+    def predict_clean(self, y_t, x, t, *, hyp_offset=0, mirrored=None):
+        out = np.zeros_like(y_t)
+        if t == self.t and hyp_offset <= self.hyp < hyp_offset + len(out):
+            out[self.hyp - hyp_offset, -1, 1, 2] = np.nan
+        return out
+
+
+@pytest.mark.parametrize("flip_mode", list(FlipMode))
+def test_non_finite_estimate_names_step_and_hypothesis(tri_skeleton,
+                                                       flip_mode):
+    sched = make_cosine_schedule(50)
+    _, x = _setup(5)
+    cfg = SamplerConfig(hypotheses=3, iterations=4, t_max=50,
+                        flip_mode=flip_mode)
+    t = timestep_ladder(50, 4)[2]
+    with pytest.raises(NumericError,
+                       match=f"^step t={t}: hypothesis 6: ") as info:
+        run_sampler(x, _NanAt(6, t), cfg, sched, tri_skeleton, 1000.0,
+                    hyp_offset=5)
+    assert info.value.hypothesis == 6
+
+
+def test_non_finite_mlp_output_names_step_and_hypothesis():
+    # a last layer that overflows: every output is non-finite, so the
+    # first bad hypothesis is the batch's first
+    sched = make_cosine_schedule(50)
+    _, x = _setup(6)
+    params = init_params(x.num_joints, hidden_width=8, hidden_layers=1)
+    params = type(params)(
+        weights=(params.weights[0], np.full_like(params.weights[1], 1e308)),
+        biases=params.biases, embed_dim=params.embed_dim)
+    cfg = SamplerConfig(hypotheses=2, iterations=3, t_max=50)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericError, match="^step t=50: hypothesis 4: ") as info:
+        run_sampler(x, MlpDenoiser(params, 50), cfg, sched, hyp_offset=4)
+    assert info.value.hypothesis == 4

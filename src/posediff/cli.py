@@ -314,9 +314,9 @@ def infer(config_path, seed, out_dir, data_dir, checkpoint, oracle,
                     hypotheses=hypotheses, iterations=iterations,
                     flip_mode=flip_mode, sigma_mode=sigma_mode)
     ds = _load_data(data_dir)
-    _check_flip_camera(cfg, data_dir, ds)
     methods = _parse_aggregators(aggregators, ds.has_gt)
     denoisers = _denoisers(cfg, ds, checkpoint, oracle)
+    _check_flip_camera(cfg, data_dir, ds)
     root = Path(cfg.out_dir)
     root.mkdir(parents=True, exist_ok=True)
 
@@ -387,11 +387,11 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
         for k in ks_values:
             apply_overrides(cfg, hypotheses=h, iterations=k)
     ds = _load_data(data_dir)
-    _check_flip_camera(cfg, data_dir, ds)
     if not ds.has_gt:
         raise MissingGroundTruthError("bench needs ground truth for metrics")
     methods = _parse_aggregators(aggregators, ds.has_gt)
     denoisers = _denoisers(cfg, ds, checkpoint, oracle)
+    _check_flip_camera(cfg, data_dir, ds)
     root = Path(cfg.out_dir)
     root.mkdir(parents=True, exist_ok=True)
 

@@ -212,7 +212,9 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
     inputs = _assemble_inputs(y_t.poses, x_tiled).reshape(h, n, j * 5)
     out, _ = _forward(model, inputs,
                       timestep_embedding(float(t), model.embed_dim))
-    try:  # the set's finite screen is this output's only one
+    # HypothesisSet screens the output for non-finite values, the one
+    # screen on this path; a failure is located only after it.
+    try:
         return HypothesisSet(out.reshape(h, n, j, 3))
     except ValueError:
         raise NumericError(f"t={t}: clean estimate is not finite",
@@ -534,7 +536,8 @@ class Denoiser(abc.ABC):
     of a larger batch. ``mirrored`` tells input-blind oracles that the
     query is for the left/right-flipped problem; implementations that
     actually read their inputs can ignore it because the sampler flips
-    the inputs themselves.
+    the inputs themselves. The sampler queries ``predict_screened``,
+    which refuses a non-finite estimate.
     """
 
     @abc.abstractmethod

@@ -376,6 +376,9 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
             raise ConfigError(f"bad {what} list {text!r}") from exc
         if not values:
             raise ConfigError(f"empty {what} grid")
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ConfigError(f"{what} {v} is given twice")
         return values
 
     hs_values = parse_ints(hypotheses_set, "hypotheses")
@@ -401,10 +404,10 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     # the next K is sampled, so one K's hypotheses are alive at a time.
     h_max = max(hs_values)
     cell_rows: dict[tuple[int, int], list[dict]] = {}
-    for k in dict.fromkeys(ks_values):
+    for k in ks_values:
         kcfg = apply_overrides(cfg, hypotheses=h_max, iterations=k)
         all_hs = _sample_all(kcfg, ds, denoisers)
-        for h in dict.fromkeys(hs_values):
+        for h in hs_values:
             prefixes = [HypothesisSet(hs.poses[:h]) for hs in all_hs]
             cell_rows[h, k] = _score(kcfg, ds, prefixes, methods)[1]
         del all_hs, prefixes

@@ -3,8 +3,8 @@
 The document is a nested object with optional sections; a value not
 given takes the default of the dataclass that holds it, and unknown
 keys are rejected so typos fail loudly. The library configs (scenario,
-sampler, training) are held directly, built with the top-level
-cross-cutting values (seed, t_max, skeleton, camera) put in.
+sampler, training) are held directly, built with the top-level seed
+put in; the document's skeleton and camera are the scenario's.
 """
 from __future__ import annotations
 
@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .camera import (CameraIntrinsics, camera_from_dict, camera_to_dict,
-                     load_camera)
-from .core import (DEFAULT_SKELETON, Skeleton, load_skeleton,
-                   skeleton_from_dict, skeleton_to_dict)
+from .camera import camera_from_dict, camera_to_dict, load_camera
+from .core import (DEFAULT_SKELETON, load_skeleton, skeleton_from_dict,
+                   skeleton_to_dict)
 from .denoise import TrainConfig
 from .errors import (ConfigError, PoseDiffError, finite_number, json_object,
                      reject_unknown_keys, require_field)
@@ -71,8 +70,6 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "out"
     t_max: int = 1000
-    skeleton: Skeleton = DEFAULT_SKELETON
-    camera: CameraIntrinsics = DEFAULT_CAMERA
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     denoiser: DenoiserSettings = DenoiserSettings()
     train: TrainConfig = TrainConfig()
@@ -80,20 +77,15 @@ class RunConfig:
     metrics: MetricSettings = MetricSettings()
 
     def __post_init__(self):
-        # The library configs carry their own copies of these values;
-        # copies that disagree would run with other values than
-        # config.json records.
-        top = (self.seed, self.t_max)
-        for name in ("sampler", "train"):
-            part = getattr(self, name)
-            if (part.seed, part.t_max) != top:
-                raise ConfigError(f"{name} seed and t_max must equal the "
-                                  f"top-level {top}")
-        sc = self.scenario
-        if (sc.seed, sc.skeleton, sc.camera) != (self.seed, self.skeleton,
-                                                 self.camera):
-            raise ConfigError("scenario seed, skeleton and camera must equal "
-                              "the top-level ones")
+        # The library configs carry their own seeds; one that disagreed
+        # would run with another seed than config.json records.
+        for name in ("sampler", "train", "scenario"):
+            if getattr(self, name).seed != self.seed:
+                raise ConfigError(f"{name} seed must equal the top-level "
+                                  f"{self.seed}")
+        if self.sampler.iterations > self.t_max:
+            raise ConfigError(f"sampler iterations {self.sampler.iterations} "
+                              f"exceeds t_max {self.t_max}")
 
 
 def _source(value, base_dir: Path | None, what: str, default, load,
@@ -129,24 +121,21 @@ def config_from_dict(doc: dict, *, base_dir: Path | None = None) -> RunConfig:
     """Build a RunConfig from a parsed JSON document."""
     v = _take(doc, _DEFAULTS, "config")
     try:
-        shared = {k: v[k] for k in ("seed", "t_max")}
-        skeleton = v["skeleton"] = _source(
-            v["skeleton"], base_dir, "skeleton", DEFAULT_SKELETON,
-            load_skeleton, skeleton_from_dict)
-        camera = v["camera"] = _source(
-            v["camera"], base_dir, "camera", DEFAULT_CAMERA, load_camera,
-            camera_from_dict)
+        skeleton = _source(v.pop("skeleton"), base_dir, "skeleton",
+                           DEFAULT_SKELETON, load_skeleton, skeleton_from_dict)
+        camera = _source(v.pop("camera"), base_dir, "camera", DEFAULT_CAMERA,
+                         load_camera, camera_from_dict)
         # The denoiser section holds the network's settings, which
         # TrainConfig carries, and the oracles' own.
         den = _take(v["denoiser"], _DEFAULTS["denoiser"], "denoiser")
         v["denoiser"] = DenoiserSettings(
             **{k: den.pop(k) for k in ("oracle_lambda", "oracle_sigma_mm")})
         v["train"] = TrainConfig(**_take(v["train"], _DEFAULTS["train"],
-                                         "train"), **den, **shared)
+                                         "train"), **den, seed=v["seed"])
         sa = _take(v["sampler"], _DEFAULTS["sampler"], "sampler")
         sa["sigma_mode"] = SigmaMode(sa["sigma_mode"])
         sa["flip_mode"] = FlipMode(sa["flip_mode"])
-        v["sampler"] = SamplerConfig(**sa, **shared)
+        v["sampler"] = SamplerConfig(**sa, seed=v["seed"])
         v["metrics"] = MetricSettings(**_take(v["metrics"],
                                               _DEFAULTS["metrics"], "metrics"))
         v["scenario"] = _scenario_from_dict(
@@ -177,8 +166,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
     sc = cfg.scenario
     return {
         **_pick(cfg, "seed", "out_dir", "t_max"),
-        "skeleton": skeleton_to_dict(cfg.skeleton),
-        "camera": camera_to_dict(cfg.camera),
+        "skeleton": skeleton_to_dict(sc.skeleton),
+        "camera": camera_to_dict(sc.camera),
         "scenario": {
             **_pick(sc, "pose_count", "frames_per_pose", "noise_2d_px",
                     "max_swing_deg"),

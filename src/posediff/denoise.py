@@ -14,8 +14,8 @@ gradients, not capacity.
 from __future__ import annotations
 
 import abc
-import copy
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -54,13 +54,12 @@ class DenoiserParams:
     ``weights[i]`` has shape (fan_out, fan_in); layer 0 consumes the
     J*5 per-frame feature vector, the final layer emits J*3. The
     timestep embedding is added to the first pre-activation, so
-    ``embed_dim`` must equal the first hidden width. 2D keypoints are
+    ``embed_dim`` is the first hidden width. 2D keypoints are
     multiplied by ``pixel_scale`` before entering the network.
     """
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
-    embed_dim: int
     pixel_scale: float = DEFAULT_PIXEL_SCALE
 
     def __post_init__(self):
@@ -88,9 +87,6 @@ class DenoiserParams:
         j = self.weights[0].shape[1] // 5
         if self.weights[-1].shape[0] != j * 3:
             raise ShapeError(f"last layer must emit {j * 3} values for {j} joints")
-        if self.embed_dim != self.weights[0].shape[0]:
-            raise ShapeError("embed_dim must equal the first hidden width "
-                             "(the embedding is added to that pre-activation)")
         if not self.pixel_scale > 0:
             raise ValueError(f"pixel_scale must be positive, got {self.pixel_scale}")
 
@@ -101,6 +97,11 @@ class DenoiserParams:
     @property
     def hidden_width(self) -> int:
         return self.weights[0].shape[0]
+
+    @property
+    def embed_dim(self) -> int:
+        """Width of the timestep embedding: the first hidden width."""
+        return self.hidden_width
 
     @property
     def num_layers(self) -> int:
@@ -123,12 +124,13 @@ def init_params(num_joints: int, *, hidden_width: int = 128,
         weights.append(w)
         biases.append(np.zeros(fan_out))
     return DenoiserParams(weights=tuple(weights), biases=tuple(biases),
-                          embed_dim=hidden_width, pixel_scale=pixel_scale)
+                          pixel_scale=pixel_scale)
 
 
-def _forward(params: DenoiserParams, inputs: np.ndarray, emb: np.ndarray,
-             *, check: bool = False):
-    """Run the MLP on (..., J*5) inputs; returns (output, activations).
+def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
+             inputs: np.ndarray, emb: np.ndarray, *, check: bool = False):
+    """Run the MLP with ``weights`` and ``biases`` on (..., J*5) inputs;
+    returns (output, activations).
 
     ``emb`` is the timestep embedding: one row per input row, or a
     single (embed_dim,) row for all.
@@ -141,8 +143,8 @@ def _forward(params: DenoiserParams, inputs: np.ndarray, emb: np.ndarray,
     """
     acts = [inputs]
     h = inputs
-    last = params.num_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
         h = h @ w.T
         h += b
         if i == 0:
@@ -210,7 +212,7 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
     # One N-row product per hypothesis, so that BLAS rounding cannot
     # depend on H: H=5 gives the first five hypotheses of H=20 bitwise.
     inputs = _assemble_inputs(y_t.poses, x_tiled).reshape(h, n, j * 5)
-    out, _ = _forward(model, inputs,
+    out, _ = _forward(model.weights, model.biases, inputs,
                       timestep_embedding(float(t), model.embed_dim))
     # HypothesisSet screens the output for non-finite values, the one
     # screen on this path; a failure is located only after it.
@@ -241,23 +243,24 @@ def _flat_views(flat: np.ndarray, params: DenoiserParams
     return views[:params.num_layers], views[params.num_layers:]
 
 
-def _backward(model: DenoiserParams, inputs: np.ndarray, emb: np.ndarray,
-              targets: np.ndarray, weight_grads: list[np.ndarray],
+def _backward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
+              inputs: np.ndarray, emb: np.ndarray, targets: np.ndarray,
+              weight_grads: list[np.ndarray],
               bias_grads: list[np.ndarray]) -> float:
     """Mean squared error of the raw network output against ``targets``;
     its exact gradients are written into the given arrays."""
     # Overflow here is an expected divergence signal, screened by the
     # caller; keep numpy from warning about it.
     with np.errstate(over="ignore", invalid="ignore"):
-        out, acts = _forward(model, inputs, emb, check=True)
+        out, acts = _forward(weights, biases, inputs, emb, check=True)
         diff = out - targets
         loss = float(np.mean(diff * diff))
         g = 2.0 * diff / diff.size
-        for i in range(model.num_layers - 1, -1, -1):
+        for i in range(len(weights) - 1, -1, -1):
             np.matmul(g.T, acts[i], out=weight_grads[i])
             np.sum(g, axis=0, out=bias_grads[i])
             if i > 0:
-                g = g @ model.weights[i]
+                g = g @ weights[i]
                 g *= 1.0 - acts[i] * acts[i]  # tanh'
     return loss
 
@@ -271,7 +274,7 @@ def grad_loss(model: DenoiserParams, batch: TrainBatch
     """
     weight_grads, bias_grads = _flat_views(
         np.empty(sum(a.size for a in model.weights + model.biases)), model)
-    loss = _backward(model, batch.inputs,
+    loss = _backward(model.weights, model.biases, batch.inputs,
                      timestep_embedding(batch.timesteps, model.embed_dim),
                      batch.targets, weight_grads, bias_grads)
     return loss, weight_grads, bias_grads
@@ -318,7 +321,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     weight_decay: float = 0.1
     seed: int = 0
-    t_max: int = 1000
     hidden_width: int = 128
     hidden_layers: int = 2
     pixel_scale: float = DEFAULT_PIXEL_SCALE
@@ -353,15 +355,13 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
 
     Frames are flattened into independent samples and visited in
     seeded epoch permutations without replacement. Each sample gets its
-    own uniform timestep in [0, t_max] and fresh unit noise; the
+    own uniform timestep in [0, sched.t_max] and fresh unit noise; the
     regression target is the scaled clean pose. The optimizer is
     adaptive-moment with decoupled weight decay applied to weight
     matrices only.
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
-    if sched.t_max != config.t_max:
-        raise ValueError(f"schedule t_max {sched.t_max} != config t_max {config.t_max}")
     xs = np.concatenate([x.joints for x, _ in dataset], axis=0)
     ys = np.concatenate([y.joints for _, y in dataset], axis=0)
     if xs.shape[:2] != ys.shape[:2]:
@@ -379,21 +379,18 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
 
     # Weights and biases are views into one flat buffer, weights first,
     # and so are the gradients: one finite check, one optimizer pass,
-    # and weight decay on the prefix. ``live`` sees the buffer without
+    # and weight decay on the prefix. The step reads the views without
     # the copy and validation of a new DenoiserParams per step; the
     # per-step guard below screens the loss and gradients instead.
     flat = np.concatenate([a.ravel() for a in params.weights + params.biases])
     weights, biases = _flat_views(flat, params)
-    live = copy.copy(params)
-    object.__setattr__(live, "weights", tuple(weights))
-    object.__setattr__(live, "biases", tuple(biases))
     grad = np.empty_like(flat)
     grad_w, grad_b = _flat_views(grad, params)
     m_p, v_p = np.zeros_like(flat), np.zeros_like(flat)
     scratch = (np.empty_like(flat), np.empty_like(flat))
     n_w = sum(w.size for w in weights)
     decay = config.learning_rate * config.weight_decay
-    emb_table = timestep_embedding(np.arange(config.t_max + 1, dtype=np.float64),
+    emb_table = timestep_embedding(np.arange(sched.t_max + 1, dtype=np.float64),
                                    config.hidden_width)
     xs_scaled = xs * config.pixel_scale
 
@@ -407,12 +404,13 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
         idx, order = order[:config.batch_size], order[config.batch_size:]
         b = len(idx)
 
-        ts = rng_t.integers(0, config.t_max + 1, b)
+        ts = rng_t.integers(0, sched.t_max + 1, b)
         eps = rng_eps.standard_normal((b, j, 3))
         targets = y_units[idx]
         y_noisy = diffuse_array(targets, ts, sched, eps)
         try:
-            loss = _backward(live, _assemble_inputs(y_noisy, xs_scaled[idx]),
+            loss = _backward(weights, biases,
+                             _assemble_inputs(y_noisy, xs_scaled[idx]),
                              emb_table[ts], targets.reshape(b, j * 3),
                              grad_w, grad_b)
         except NumericError as exc:
@@ -500,7 +498,13 @@ def load_checkpoint(path: str | Path) -> tuple[DenoiserParams, dict]:
                          f"not a whole number of float64 values")
     flat = np.frombuffer(raw[nl + 1:], dtype="<f8")
     try:
-        shapes = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
+        shapes = [(t["name"], t["shape"]) for t in header["tensors"]]
+        for name, shape in shapes:
+            if not (isinstance(shape, list) and all(
+                    type(n) is int and n >= 0 for n in shape)):
+                raise ValueError(f"{path}: checkpoint header: tensor "
+                                 f"{name!r} has shape {shape!r}, not a list "
+                                 f"of non-negative integers")
         need = sum(int(np.prod(s)) for _, s in shapes)
         if flat.size != need:
             raise ValueError(f"{path}: payload holds {flat.size} floats, "
@@ -516,12 +520,17 @@ def load_checkpoint(path: str | Path) -> tuple[DenoiserParams, dict]:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: checkpoint header: 'tensors' is malformed "
                          f"({type(exc).__name__}: {exc})") from exc
-    params = DenoiserParams(weights=weights, biases=biases,
-                            embed_dim=int(header["embed_dim"]),
-                            pixel_scale=float(header["pixel_scale"]))
+    try:
+        params = DenoiserParams(weights=weights, biases=biases,
+                                pixel_scale=float(header["pixel_scale"]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if header["num_joints"] != params.num_joints:
         raise ValueError(f"{path}: header says {header['num_joints']} joints, "
                          f"tensors hold {params.num_joints}")
+    if header["embed_dim"] != params.embed_dim:
+        raise ValueError(f"{path}: header says embed_dim {header['embed_dim']}, "
+                         f"tensors hold {params.embed_dim}")
     return params, header
 
 

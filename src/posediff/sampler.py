@@ -48,7 +48,6 @@ class FlipMode(Enum):
 class SamplerConfig:
     hypotheses: int = 20
     iterations: int = 10
-    t_max: int = 1000
     sigma_mode: SigmaMode = SigmaMode.STOCHASTIC
     flip_mode: FlipMode = FlipMode.NONE
     seed: int = 0
@@ -58,8 +57,6 @@ class SamplerConfig:
             raise ValueError(f"hypotheses must be >= 1, got {self.hypotheses}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.t_max < self.iterations:
-            raise ValueError(f"t_max {self.t_max} < iterations {self.iterations}")
 
 
 @dataclass
@@ -115,13 +112,13 @@ def _ddim_core(y: np.ndarray, y0_hat: np.ndarray, t: int, t_next: int,
 
 def _run_chain(predict: Callable[[np.ndarray, int], np.ndarray],
                shape: tuple[int, ...], cfg: SamplerConfig,
-               sched: NoiseSchedule, hyps: range, *, branch: int = 0,
-               trace: list[HypothesisSet] | None = None,
+               sched: NoiseSchedule, ladder: list[int], hyps: range, *,
+               branch: int = 0, trace: list[HypothesisSet] | None = None,
                diagnostics: DdimDiagnostics | None = None) -> np.ndarray:
-    """Run one reverse chain of K steps; returns the final clean estimate
-    in mm. ``predict(y_mm, t)`` is the denoiser query of every step."""
+    """Run one reverse chain over the K steps of ``ladder``; returns the
+    final clean estimate in mm. ``predict(y_mm, t)`` is the denoiser
+    query of every step."""
     to_mm = MM_PER_UNIT / SIGNAL_SCALE
-    ladder = timestep_ladder(cfg.t_max, cfg.iterations)
     y = hypothesis_normals(cfg.seed, hyps, shape, "sampler_init",
                            branch=branch)
     for k, t in enumerate(ladder):
@@ -167,20 +164,18 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
     the last one equals the result bitwise. ``once`` has two chains and
     so no single trace; it rejects one.
 
-    A non-finite clean estimate raises ``NumericError`` naming the step
-    and the global index of the first hypothesis holding one.
+    The timesteps run down from ``sched.t_max``, which must be at least
+    ``cfg.iterations``. A non-finite clean estimate raises
+    ``NumericError`` naming the step and the global index of the first
+    hypothesis holding one.
     """
-    if sched.t_max != cfg.t_max:
-        raise ValueError(f"schedule t_max {sched.t_max} != sampler t_max "
-                         f"{cfg.t_max}")
+    ladder = timestep_ladder(sched.t_max, cfg.iterations)
     mode = cfg.flip_mode
     if mode is not FlipMode.NONE:
         if skeleton is None or image_width is None:
             raise ValueError("flip augmentation needs a skeleton and image width")
         if not skeleton.mirror_pairs:
             raise ValueError("skeleton defines no mirror pairs, cannot flip")
-        if not image_width > 0:
-            raise ValueError(f"image_width must be positive, got {image_width}")
     if mode is FlipMode.ONCE and trace is not None:
         raise ValueError("flip mode 'once' runs two chains, it has no "
                          "single trace")
@@ -191,7 +186,7 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
 
     chain = functools.partial(
         _run_chain, shape=x.joints.shape[:2] + (3,), cfg=cfg, sched=sched,
-        hyps=range(hyp_offset, hyp_offset + cfg.hypotheses),
+        ladder=ladder, hyps=range(hyp_offset, hyp_offset + cfg.hypotheses),
         diagnostics=diagnostics)
     plain = query(x.joints)
     if mode is FlipMode.NONE:

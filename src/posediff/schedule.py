@@ -13,7 +13,7 @@ restores millimeters exactly (it is the same two factors).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,37 +28,41 @@ MAX_BETA = 0.999
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Tabulated forward-process coefficients, arrays of length t_max+1."""
+    """Forward-process coefficients tabulated for t = 0 .. t_max, built
+    from ``beta`` alone: ``alpha`` is 1 - beta and ``alpha_bar`` the
+    running product of alpha."""
 
-    t_max: int
     beta: np.ndarray
-    alpha: np.ndarray
-    alpha_bar: np.ndarray
+    alpha_bar: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("beta", "alpha", "alpha_bar"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != (self.t_max + 1,):
-                raise ShapeError(f"{name}: expected ({self.t_max + 1},), got {arr.shape}")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        beta = np.array(self.beta, dtype=np.float64)
+        if beta.ndim != 1:
+            raise ShapeError(f"beta: expected one dimension, got {beta.shape}")
+        beta.setflags(write=False)
+        object.__setattr__(self, "beta", beta)
         if self.t_max < 2:
             raise ValueError(f"t_max must be >= 2, got {self.t_max}")
-        if self.beta[0] != 0.0 or self.alpha_bar[0] != 1.0:
+        if beta[0] != 0.0:
             raise ValueError("index 0 must be the identity step")
-        if np.any(self.beta[1:] <= 0.0) or np.any(self.beta[1:] >= 1.0):
+        if np.any(beta[1:] <= 0.0) or np.any(beta[1:] >= 1.0):
             raise ValueError("beta_t must lie in (0, 1) for t >= 1")
-        if np.any(self.alpha != 1.0 - self.beta):
-            raise ValueError("alpha must equal 1 - beta")
-        if np.any(np.diff(self.alpha_bar) >= 0.0):
+        alpha_bar = np.cumprod(self.alpha)
+        alpha_bar.setflags(write=False)
+        object.__setattr__(self, "alpha_bar", alpha_bar)
+        if np.any(np.diff(alpha_bar) >= 0.0):
             raise ValueError("alpha_bar must be strictly decreasing")
-        if not self.alpha_bar[self.t_max] < 1e-3:
+        if not alpha_bar[-1] < 1e-3:
             raise ValueError(
-                f"alpha_bar at t_max must be < 1e-3, got {self.alpha_bar[self.t_max]:g}")
-        prod = self.alpha_bar[:-1] * self.alpha[1:]
-        if not np.allclose(self.alpha_bar[1:], prod, rtol=1e-9, atol=0.0):
-            raise ValueError("alpha_bar must be the running product of alpha")
+                f"alpha_bar at t_max must be < 1e-3, got {alpha_bar[-1]:g}")
+
+    @property
+    def t_max(self) -> int:
+        return len(self.beta) - 1
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return 1.0 - self.beta
 
 
 def make_cosine_schedule(t_max: int, *, offset: float = COSINE_OFFSET,
@@ -77,14 +81,7 @@ def make_cosine_schedule(t_max: int, *, offset: float = COSINE_OFFSET,
     ab_curve = f / f[0]
     beta = 1.0 - ab_curve[1:] / ab_curve[:-1]
     beta = np.minimum(beta, max_beta)
-    alpha = 1.0 - beta
-    alpha_bar = np.concatenate(([1.0], np.cumprod(alpha)))
-    return NoiseSchedule(
-        t_max=t_max,
-        beta=np.concatenate(([0.0], beta)),
-        alpha=np.concatenate(([1.0], alpha)),
-        alpha_bar=alpha_bar,
-    )
+    return NoiseSchedule(beta=np.concatenate(([0.0], beta)))
 
 
 def diffuse_array(y0: np.ndarray, t: int | np.ndarray, sched: NoiseSchedule,
@@ -116,7 +113,7 @@ def save_schedule_csv(sched: NoiseSchedule, path: str | Path) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["t", "beta", "alpha", "alpha_bar"])
+        alpha = sched.alpha
         for t in range(sched.t_max + 1):
-            w.writerow([t, repr(float(sched.beta[t])),
-                        repr(float(sched.alpha[t])),
+            w.writerow([t, repr(float(sched.beta[t])), repr(float(alpha[t])),
                         repr(float(sched.alpha_bar[t]))])

@@ -151,7 +151,6 @@ def _loss_with_param(params, batch, layer, which, idx, value) -> float:
     bs = [b.copy() for b in params.biases]
     (ws if which == "w" else bs)[layer][idx] = value
     tweaked = DenoiserParams(weights=tuple(ws), biases=tuple(bs),
-                             embed_dim=params.embed_dim,
                              pixel_scale=params.pixel_scale)
     return grad_loss(tweaked, batch)[0]
 
@@ -289,7 +288,7 @@ def test_a11_flip_mode_error_ordering():
     for i, (gt, x) in enumerate(poses):
         den = NoisyOracle(gt, 20.0, seed=stream_id("accept_flip", i))
         for mode in FlipMode:
-            cfg = SamplerConfig(hypotheses=4, iterations=3, t_max=200,
+            cfg = SamplerConfig(hypotheses=4, iterations=3,
                                 flip_mode=mode,
                                 seed=stream_id("accept_flip_s", i))
             hs = run_sampler(x, den, cfg, sched, DEFAULT_SKELETON,

@@ -306,14 +306,18 @@ def test_unknown_aggregator_exit_2(runner, tmp_path):
 
 
 def test_repeated_aggregator_exit_2(runner, tmp_path):
-    # a repeated name would print and write its rows twice
+    # a repeated name or grid value would write its rows twice
     cfg, data = _gen(runner, tmp_path)
-    for command in ("infer", "bench"):
+    for command, extra, words in (
+            ("infer", ["--aggregator", "avg,jpma,avg"], "'avg'"),
+            ("bench", ["--aggregator", "avg,jpma,avg"], "'avg'"),
+            ("bench", ["--hypotheses", "5,5"], "hypotheses 5"),
+            ("bench", ["--iterations", "3,2,3"], "iterations 3")):
         out = tmp_path / command
         res = runner.invoke(main, [
             command, "--config", str(cfg), "--data", str(data), "--oracle",
-            "noisy", "--out", str(out), "--aggregator", "avg,jpma,avg"])
-        _assert_clean_exit(res, 2, "'avg'")
+            "noisy", "--out", str(out), *extra])
+        _assert_clean_exit(res, 2, words)
         assert not out.exists()
 
 

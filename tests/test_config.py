@@ -8,7 +8,7 @@ import pytest
 from posediff.camera import CameraIntrinsics, camera_to_dict
 from posediff.config import (RunConfig, apply_overrides, config_from_dict,
                              config_sha256, config_to_dict, load_config)
-from posediff.core import DEFAULT_SKELETON, Skeleton
+from posediff.core import DEFAULT_SKELETON
 from posediff.denoise import TrainConfig
 from posediff.errors import ConfigError
 from posediff.sampler import FlipMode, SamplerConfig, SigmaMode
@@ -19,7 +19,7 @@ def test_defaults_from_empty_document():
     cfg = config_from_dict({})
     assert cfg.seed == 0
     assert cfg.t_max == 1000
-    assert cfg.skeleton == DEFAULT_SKELETON
+    assert cfg.scenario.skeleton == DEFAULT_SKELETON
     assert cfg.sampler.hypotheses == 20
     assert cfg.sampler.iterations == 10
     assert cfg.sampler.sigma_mode is SigmaMode.STOCHASTIC
@@ -109,10 +109,10 @@ def test_camera_and_skeleton_sources(tmp_path):
     cam = CameraIntrinsics.pinhole(fx=900.0, fy=901.0, cx=1.0, cy=2.0)
     (tmp_path / "cam.json").write_text(json.dumps(camera_to_dict(cam)))
     cfg = load_config_path(tmp_path, {"camera": "cam.json"})
-    assert cfg.camera == cam
+    assert cfg.scenario.camera == cam
     inline = config_from_dict({"camera": {"model": "pinhole", "fx": 900.0,
                                           "fy": 901.0, "cx": 1.0, "cy": 2.0}})
-    assert inline.camera == cam
+    assert inline.scenario.camera == cam
     with pytest.raises(ConfigError, match="not found"):
         config_from_dict({"camera": "missing.json"}, base_dir=tmp_path)
     with pytest.raises(ConfigError):
@@ -162,31 +162,24 @@ def test_builders_inject_cross_cutting_values():
                             "denoiser": {"hidden_width": 16}})
     scfg = cfg.sampler
     assert isinstance(scfg, SamplerConfig)
-    assert (scfg.seed, scfg.t_max) == (5, 200)
+    assert scfg.seed == 5
     assert (scfg.hypotheses, scfg.iterations) == (3, 7)
 
     tcfg = cfg.train
     assert isinstance(tcfg, TrainConfig)
-    assert (tcfg.seed, tcfg.t_max) == (5, 200)
+    assert tcfg.seed == 5
     assert tcfg.steps == 13
     assert tcfg.hidden_width == 16
-    # scenario inherits seed, skeleton, and camera
+    # scenario inherits the seed
     assert cfg.scenario.seed == 5
-    assert cfg.scenario.skeleton == cfg.skeleton
-    assert cfg.scenario.camera == cfg.camera
-    # copies that disagree with the top level are refused
+    # seeds that disagree with the top level are refused: the runs would
+    # draw with other seeds than config.json records
     with pytest.raises(ConfigError, match="sampler"):
         RunConfig(seed=5)
     with pytest.raises(ConfigError, match="train"):
-        replace(cfg, train=replace(cfg.train, t_max=100))
-    # gen draws with the scenario's seed, skeleton and camera, while
-    # config.json records the top-level ones
-    cam = CameraIntrinsics.pinhole(fx=500.0, fy=500.0, cx=1.0, cy=2.0)
-    pair = Skeleton(parents=(0, 0), mirror_pairs=(), bone_lengths=(0.0, 1.0))
-    for bad in ({"camera": cam}, {"skeleton": pair},
-                {"scenario": ScenarioConfig(seed=9)}):
-        with pytest.raises(ConfigError, match="scenario"):
-            RunConfig(**bad)
+        replace(cfg, train=replace(cfg.train, seed=6))
+    with pytest.raises(ConfigError, match="scenario"):
+        RunConfig(scenario=ScenarioConfig(seed=9))
 
 
 def test_apply_overrides():

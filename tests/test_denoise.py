@@ -56,34 +56,30 @@ def _tiny_params(j=2, w=4, out_bias=None):
     weights = (np.zeros((w, j * 5)), np.zeros((j * 3, w)))
     biases = (np.zeros(w),
               np.zeros(j * 3) if out_bias is None else np.asarray(out_bias, float))
-    return DenoiserParams(weights=weights, biases=biases, embed_dim=w)
+    return DenoiserParams(weights=weights, biases=biases)
 
 
 def test_params_validation():
     with pytest.raises(ShapeError):
-        DenoiserParams(weights=(np.zeros((4, 10)),), biases=(np.zeros(4),),
-                       embed_dim=4)
+        DenoiserParams(weights=(np.zeros((4, 10)),), biases=(np.zeros(4),))
     with pytest.raises(ShapeError):  # fan-in chain broken
         DenoiserParams(weights=(np.zeros((4, 10)), np.zeros((6, 5))),
-                       biases=(np.zeros(4), np.zeros(6)), embed_dim=4)
+                       biases=(np.zeros(4), np.zeros(6)))
     with pytest.raises(ShapeError):  # first fan-in not a multiple of 5
         DenoiserParams(weights=(np.zeros((4, 9)), np.zeros((6, 4))),
-                       biases=(np.zeros(4), np.zeros(6)), embed_dim=4)
+                       biases=(np.zeros(4), np.zeros(6)))
     with pytest.raises(ShapeError):  # wrong output width
         DenoiserParams(weights=(np.zeros((4, 10)), np.zeros((5, 4))),
-                       biases=(np.zeros(4), np.zeros(5)), embed_dim=4)
-    with pytest.raises(ShapeError):  # embedding must match first hidden width
-        DenoiserParams(weights=(np.zeros((4, 10)), np.zeros((6, 4))),
-                       biases=(np.zeros(4), np.zeros(6)), embed_dim=2)
+                       biases=(np.zeros(4), np.zeros(5)))
     with pytest.raises(ValueError):
         DenoiserParams(weights=(np.full((4, 10), np.nan), np.zeros((6, 4))),
-                       biases=(np.zeros(4), np.zeros(6)), embed_dim=4)
+                       biases=(np.zeros(4), np.zeros(6)))
 
 
 def test_params_are_frozen_copies():
     w0 = np.zeros((4, 10))
     p = DenoiserParams(weights=(w0, np.zeros((6, 4))),
-                       biases=(np.zeros(4), np.zeros(6)), embed_dim=4)
+                       biases=(np.zeros(4), np.zeros(6)))
     w0[0, 0] = 99.0  # caller's array, not the stored one
     assert p.weights[0][0, 0] == 0.0
     with pytest.raises(ValueError):
@@ -183,7 +179,6 @@ def test_grad_matches_finite_differences():
         bs = [b.copy() for b in params.biases]
         (ws if kind == "w" else bs)[layer][idx] += delta
         p = DenoiserParams(weights=tuple(ws), biases=tuple(bs),
-                           embed_dim=params.embed_dim,
                            pixel_scale=params.pixel_scale)
         return grad_loss(p, batch)[0]
 
@@ -223,7 +218,7 @@ def _one_frame_dataset(seed=0):
 
 def test_train_zero_lr_keeps_init():
     sched = make_cosine_schedule(20)
-    cfg = TrainConfig(steps=5, batch_size=2, learning_rate=0.0, t_max=20,
+    cfg = TrainConfig(steps=5, batch_size=2, learning_rate=0.0,
                       hidden_width=4, hidden_layers=1, seed=9)
     res = train(_one_frame_dataset(), cfg, sched)
     ref = init_params(3, hidden_width=4, hidden_layers=1,
@@ -234,7 +229,7 @@ def test_train_zero_lr_keeps_init():
 
 def test_train_deterministic():
     sched = make_cosine_schedule(20)
-    cfg = TrainConfig(steps=30, batch_size=4, t_max=20, hidden_width=8,
+    cfg = TrainConfig(steps=30, batch_size=4, hidden_width=8,
                       hidden_layers=1, seed=11)
     r1 = train(_one_frame_dataset(1), cfg, sched)
     r2 = train(_one_frame_dataset(1), cfg, sched)
@@ -248,7 +243,7 @@ def test_train_deterministic():
 def test_train_overfits_single_sample():
     sched = make_cosine_schedule(50)
     cfg = TrainConfig(steps=5000, batch_size=8, learning_rate=3e-3,
-                      t_max=50, hidden_width=32, hidden_layers=2, seed=2)
+                      hidden_width=32, hidden_layers=2, seed=2)
     res = train(_one_frame_dataset(2), cfg, sched)
     assert res.final_loss < 1e-3
 
@@ -256,7 +251,7 @@ def test_train_overfits_single_sample():
 def test_train_divergence_reports_step():
     sched = make_cosine_schedule(20)
     cfg = TrainConfig(steps=200, batch_size=4, learning_rate=1e18,
-                      t_max=20, hidden_width=4, hidden_layers=1, seed=3)
+                      hidden_width=4, hidden_layers=1, seed=3)
     with pytest.raises(TrainingDivergedError) as info:
         train(_one_frame_dataset(3), cfg, sched)
     assert 0 <= info.value.step < 200
@@ -265,9 +260,7 @@ def test_train_divergence_reports_step():
 def test_train_validates_inputs():
     sched = make_cosine_schedule(20)
     with pytest.raises(ValueError):
-        train([], TrainConfig(t_max=20), sched)
-    with pytest.raises(ValueError):
-        train(_one_frame_dataset(), TrainConfig(t_max=30), sched)
+        train([], TrainConfig(), sched)
     with pytest.raises(ValueError):
         TrainConfig(steps=0)
     with pytest.raises(ValueError):
@@ -315,12 +308,19 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p.write_bytes(b"no newline at all")
     with pytest.raises(ValueError):
         load_checkpoint(p)
-    # a real checkpoint whose header misstates its version or joints,
-    # or says the network predicts the noise
+    # a real checkpoint whose header misstates its version, joints,
+    # embedding width or a tensor shape, or says the network predicts
+    # the noise
     save_checkpoint(p, init_params(3, hidden_width=4), t_max=10)
     raw = p.read_bytes()
+    tensors = json.loads(raw.split(b"\n", 1)[0])["tensors"]
+    negative = [{**tensors[0], "shape": [-4, -15]}] + tensors[1:]
+    swapped = [{**tensors[0], "shape": [15, 4]}] + tensors[1:]
     for fields, words in (({"version": 99}, "version 99"),
                           ({"num_joints": 5}, "5 joints"),
+                          ({"embed_dim": 6}, "embed_dim 6"),
+                          ({"tensors": negative}, "'w0' has shape"),
+                          ({"tensors": swapped}, r"layer 0: weight \(15, 4\)"),
                           ({"target": "predict_eps"}, "predicts noise")):
         p.write_bytes(raw)
         _edit_header(p, **fields)

@@ -29,7 +29,7 @@ def _model(width: int = 16) -> DenoiserParams:
                for i, o in zip(dims[:-1], dims[1:])]
     biases = [rng.normal(scale=0.3, size=o) for o in dims[1:]]
     return DenoiserParams(weights=tuple(weights), biases=tuple(biases),
-                          embed_dim=width, pixel_scale=2e-3)
+                          pixel_scale=2e-3)
 
 
 def _reference_forward(model, inputs, emb):
@@ -87,7 +87,7 @@ def _reference_train(dataset, cfg, sched):
             epoch += 1
         idx, order = order[:cfg.batch_size], order[cfg.batch_size:]
         b = len(idx)
-        ts = rng_t.integers(0, cfg.t_max + 1, b)
+        ts = rng_t.integers(0, sched.t_max + 1, b)
         eps = rng_eps.standard_normal((b, J, 3))
         targets = ys[idx].reshape(b, J * 3)
         noisy = diffuse_array(ys[idx], ts, sched, eps)
@@ -141,7 +141,7 @@ def test_train_matches_per_tensor_adam():
         dataset.append((PoseSeq2D(kp), PoseSeq3D(gt)))
     sched = make_cosine_schedule(20)
     cfg = TrainConfig(steps=30, batch_size=7, learning_rate=1e-2,
-                      weight_decay=0.3, t_max=20, hidden_width=16,
+                      weight_decay=0.3, hidden_width=16,
                       hidden_layers=2, seed=5)
     got = train(dataset, cfg, sched)
     weights, biases, history = _reference_train(dataset, cfg, sched)

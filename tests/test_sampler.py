@@ -124,7 +124,7 @@ def test_sample_repeatable_and_batch_invariant():
     sched = make_cosine_schedule(100)
     gt, x = _setup(3)
     den = NoisyOracle(gt, 15.0, seed=4)
-    cfg = SamplerConfig(hypotheses=6, iterations=5, t_max=100, seed=7)
+    cfg = SamplerConfig(hypotheses=6, iterations=5, seed=7)
     full = run_sampler(x, den, cfg, sched)
     again = run_sampler(x, den, cfg, sched)
     assert np.array_equal(full.poses, again.poses)
@@ -132,7 +132,7 @@ def test_sample_repeatable_and_batch_invariant():
     # hypothesis h must not depend on the batch it was computed in
     parts = []
     for off in (0, 2, 4):
-        part_cfg = SamplerConfig(hypotheses=2, iterations=5, t_max=100, seed=7)
+        part_cfg = SamplerConfig(hypotheses=2, iterations=5, seed=7)
         parts.append(run_sampler(x, den, part_cfg, sched,
                                  hyp_offset=off).poses)
     assert np.array_equal(np.concatenate(parts), full.poses)
@@ -144,9 +144,9 @@ def test_sample_prefix_stability():
     gt, x = _setup(4)
     den = NoisyOracle(gt, 25.0, seed=1)
     small = run_sampler(x, den, SamplerConfig(hypotheses=3, iterations=4,
-                                              t_max=60, seed=5), sched)
+                                              seed=5), sched)
     large = run_sampler(x, den, SamplerConfig(hypotheses=8, iterations=4,
-                                              t_max=60, seed=5), sched)
+                                              seed=5), sched)
     assert np.array_equal(large.poses[:3], small.poses)
 
 
@@ -159,7 +159,7 @@ def test_mlp_prefix_stability_every_flip_mode():
     den = MlpDenoiser(init_params(x.num_joints), 200)
     for mode in FlipMode:
         out = {h: run_sampler(x, den, SamplerConfig(
-                   hypotheses=h, iterations=10, t_max=200, seed=3,
+                   hypotheses=h, iterations=10, seed=3,
                    flip_mode=mode), sched, DEFAULT_SKELETON, 1000.0).poses
                for h in (5, 20)}
         assert np.array_equal(out[20][:5], out[5]), mode
@@ -169,7 +169,7 @@ def test_sample_trace_last_equals_sample():
     sched = make_cosine_schedule(80)
     gt, x = _setup(5)
     den = ContractiveOracle(gt, 0.4)
-    cfg = SamplerConfig(hypotheses=3, iterations=6, t_max=80, seed=2)
+    cfg = SamplerConfig(hypotheses=3, iterations=6, seed=2)
     trace = []
     final = run_sampler(x, den, cfg, sched, trace=trace)
     assert len(trace) == 6
@@ -182,7 +182,7 @@ def test_perfect_oracle_collapses_immediately():
     gt, x = _setup(6)
     den = PerfectOracle(gt)
     for mode in (SigmaMode.STOCHASTIC, SigmaMode.DETERMINISTIC):
-        cfg = SamplerConfig(hypotheses=4, iterations=3, t_max=100, seed=3,
+        cfg = SamplerConfig(hypotheses=4, iterations=3, seed=3,
                             sigma_mode=mode)
         hs = run_sampler(x, den, cfg, sched)
         for h in range(4):
@@ -194,7 +194,7 @@ def test_contractive_error_decreases_over_iterations():
     gt, x = _setup(7)
     den = ContractiveOracle(gt, 0.5)
     for mode in (SigmaMode.STOCHASTIC, SigmaMode.DETERMINISTIC):
-        cfg = SamplerConfig(hypotheses=4, iterations=10, t_max=1000, seed=11,
+        cfg = SamplerConfig(hypotheses=4, iterations=10, seed=11,
                             sigma_mode=mode)
         trace = []
         run_sampler(x, den, cfg, sched, trace=trace)
@@ -208,15 +208,18 @@ def test_sampler_config_validation():
         SamplerConfig(hypotheses=0)
     with pytest.raises(ValueError):
         SamplerConfig(iterations=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(iterations=20, t_max=10)
 
 
-def test_schedule_mismatch_rejected():
+def test_schedule_mismatch_rejected(monkeypatch):
+    # a schedule shorter than the iterations is refused before any draw
     gt, x = _setup(8)
     den = PerfectOracle(gt)
-    cfg = SamplerConfig(hypotheses=1, iterations=2, t_max=100)
-    with pytest.raises(ValueError):
+    cfg = SamplerConfig(hypotheses=1, iterations=60)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before the check")
+    monkeypatch.setattr("posediff.sampler.hypothesis_normals", no_draw)
+    with pytest.raises(ValueError, match="iterations 60 exceeds t_max 50"):
         run_sampler(x, den, cfg, make_cosine_schedule(50))
 
 
@@ -225,7 +228,7 @@ def test_diagnostics_counter_is_plumbed():
     gt, x = _setup(10)
     den = ContractiveOracle(gt, 0.3)
     diag = DdimDiagnostics()
-    cfg = SamplerConfig(hypotheses=2, iterations=5, t_max=100, seed=1)
+    cfg = SamplerConfig(hypotheses=2, iterations=5, seed=1)
     run_sampler(x, den, cfg, sched, diagnostics=diag)
     assert diag.clamp_events >= 0  # counter exists and never goes negative
 
@@ -236,8 +239,8 @@ def test_flip_dispatch_and_validation(tri_skeleton):
     sched = make_cosine_schedule(50)
     gt, x = _setup(11)
     den = PerfectOracle(gt)
-    none_cfg = SamplerConfig(hypotheses=2, iterations=3, t_max=50)
-    once_cfg = SamplerConfig(hypotheses=2, iterations=3, t_max=50,
+    none_cfg = SamplerConfig(hypotheses=2, iterations=3)
+    once_cfg = SamplerConfig(hypotheses=2, iterations=3,
                              flip_mode=FlipMode.ONCE)
     with pytest.raises(ValueError, match="skeleton and image width"):
         run_sampler(x, den, once_cfg, sched)
@@ -246,7 +249,7 @@ def test_flip_dispatch_and_validation(tri_skeleton):
     # two chains have no single trace; one chain with flipping has one
     with pytest.raises(ValueError, match="trace"):
         run_sampler(x, den, once_cfg, sched, tri_skeleton, 1000.0, trace=[])
-    diffusion_cfg = SamplerConfig(hypotheses=2, iterations=3, t_max=50,
+    diffusion_cfg = SamplerConfig(hypotheses=2, iterations=3,
                                   flip_mode=FlipMode.DIFFUSION)
     trace = []
     out = run_sampler(x, den, diffusion_cfg, sched, tri_skeleton, 1000.0,
@@ -264,7 +267,7 @@ def test_flip_requires_mirror_pairs(chain_skeleton):
     rng = np.random.default_rng(12)
     gt = random_pose(rng, frames=1, joints=5)
     x = random_keypoints(rng, frames=1, joints=5)
-    cfg = SamplerConfig(hypotheses=1, iterations=2, t_max=50,
+    cfg = SamplerConfig(hypotheses=1, iterations=2,
                         flip_mode=FlipMode.ONCE)
     with pytest.raises(ValueError):
         run_sampler(x, PerfectOracle(gt), cfg, sched, chain_skeleton, 1000.0)
@@ -276,7 +279,7 @@ def test_flip_modes_with_perfect_oracle(tri_skeleton):
     gt, x = _setup(14)
     den = PerfectOracle(gt)
     for mode in (FlipMode.ONCE, FlipMode.DIFFUSION):
-        cfg = SamplerConfig(hypotheses=2, iterations=3, t_max=50, seed=4,
+        cfg = SamplerConfig(hypotheses=2, iterations=3, seed=4,
                             flip_mode=mode)
         hs = run_sampler(x, den, cfg, sched, tri_skeleton, 1000.0)
         for h in range(2):
@@ -292,7 +295,7 @@ def test_input_blind_noisy_oracle_makes_flip_modes_coincide(tri_skeleton):
     den = NoisyOracle(gt, 20.0, seed=8)
 
     def run(mode):
-        cfg = SamplerConfig(hypotheses=4, iterations=5, t_max=60, seed=10,
+        cfg = SamplerConfig(hypotheses=4, iterations=5, seed=10,
                             flip_mode=mode)
         return run_sampler(x, den, cfg, sched, tri_skeleton, 1000.0).poses
 
@@ -309,7 +312,7 @@ def test_flip_average_formula(tri_skeleton):
     sched = make_cosine_schedule(50)
     gt, x = _setup(16, frames=1)
     den = NoisyOracle(gt, 20.0, seed=3)
-    cfg = SamplerConfig(hypotheses=1, iterations=1, t_max=50, seed=1,
+    cfg = SamplerConfig(hypotheses=1, iterations=1, seed=1,
                         flip_mode=FlipMode.ONCE)
     out = run_sampler(x, den, cfg, sched, tri_skeleton, 1000.0).poses
 
@@ -328,7 +331,7 @@ def test_sample_shape_and_finiteness(seed):
     rng = np.random.default_rng(seed)
     gt = random_pose(rng, frames=1, joints=3)
     x = random_keypoints(rng, frames=1, joints=3)
-    cfg = SamplerConfig(hypotheses=2, iterations=3, t_max=30, seed=seed)
+    cfg = SamplerConfig(hypotheses=2, iterations=3, seed=seed)
     hs = run_sampler(x, ContractiveOracle(gt, 0.5), cfg, sched)
     assert hs.poses.shape == (2, 1, 3, 3)
     assert np.all(np.isfinite(hs.poses))
@@ -354,7 +357,7 @@ def test_non_finite_estimate_names_step_and_hypothesis(tri_skeleton,
                                                        flip_mode):
     sched = make_cosine_schedule(50)
     _, x = _setup(5)
-    cfg = SamplerConfig(hypotheses=3, iterations=4, t_max=50,
+    cfg = SamplerConfig(hypotheses=3, iterations=4,
                         flip_mode=flip_mode)
     t = timestep_ladder(50, 4)[2]
     with pytest.raises(NumericError,
@@ -372,8 +375,8 @@ def test_non_finite_mlp_output_names_step_and_hypothesis():
     params = init_params(x.num_joints, hidden_width=8, hidden_layers=1)
     params = type(params)(
         weights=(params.weights[0], np.full_like(params.weights[1], 1e308)),
-        biases=params.biases, embed_dim=params.embed_dim)
-    cfg = SamplerConfig(hypotheses=2, iterations=3, t_max=50)
+        biases=params.biases)
+    cfg = SamplerConfig(hypotheses=2, iterations=3)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             NumericError, match="^step t=50: hypothesis 4: ") as info:
         run_sampler(x, MlpDenoiser(params, 50), cfg, sched, hyp_offset=4)

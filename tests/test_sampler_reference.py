@@ -30,8 +30,7 @@ def _model(num_joints: int, width: int = 16) -> DenoiserParams:
     weights = [rng.normal(size=(o, i)) / np.sqrt(i)
                for i, o in zip(dims[:-1], dims[1:])]
     biases = [rng.normal(scale=0.1, size=o) for o in dims[1:]]
-    return DenoiserParams(weights=tuple(weights), biases=tuple(biases),
-                          embed_dim=width)
+    return DenoiserParams(weights=tuple(weights), biases=tuple(biases))
 
 
 def _mirror(a, image_width=None):
@@ -51,7 +50,7 @@ def _mirror(a, image_width=None):
 def _reference_chain(predict, shape, cfg, sched, h, branch):
     """One hypothesis through K DDIM steps; the last clean estimate, mm."""
     to_mm = MM_PER_UNIT / SIGNAL_SCALE
-    ladder = [int(np.floor(cfg.t_max * (1.0 - k / cfg.iterations) + 0.5))
+    ladder = [int(np.floor(sched.t_max * (1.0 - k / cfg.iterations) + 0.5))
               for k in range(cfg.iterations)]
     y = RngStream(cfg.seed, stream_id("sampler_init", h, branch)
                   ).standard_normal(shape)
@@ -106,7 +105,7 @@ def test_run_sampler_matches_textbook_ddim(flip_mode, hypotheses, hyp_offset):
     x = np.random.default_rng(8).uniform(
         100.0, 900.0, size=(frames, SKELETON.num_joints, 2))
     cfg = SamplerConfig(hypotheses=hypotheses, iterations=ITERATIONS,
-                        t_max=T_MAX, sigma_mode=SigmaMode.STOCHASTIC,
+                        sigma_mode=SigmaMode.STOCHASTIC,
                         flip_mode=flip_mode, seed=SEED)
     got = run_sampler(PoseSeq2D(x), den, cfg, sched, SKELETON, IMAGE_WIDTH,
                       hyp_offset=hyp_offset)

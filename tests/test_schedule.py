@@ -164,13 +164,23 @@ def test_scale_unscale_inverse():
     np.testing.assert_allclose(out, mm, rtol=1e-15)
 
 
-def test_schedule_rejects_tampered_alpha_bar():
+def test_schedule_from_betas_alone():
     sched = make_cosine_schedule(10)
-    bad = sched.alpha_bar.copy()
-    bad[5] = bad[4]  # breaks strict decrease
-    with pytest.raises(ValueError):
-        NoiseSchedule(t_max=10, beta=sched.beta, alpha=sched.alpha,
-                      alpha_bar=bad)
+    again = NoiseSchedule(beta=sched.beta)
+    assert again.t_max == 10
+    for name in ("beta", "alpha", "alpha_bar"):
+        assert getattr(again, name).tobytes() == getattr(sched, name).tobytes()
+    for t, value, words in ((0, 0.1, "identity step"),
+                            (5, 0.0, r"\(0, 1\)"),
+                            (5, 1.0, r"\(0, 1\)")):
+        bad = sched.beta.copy()
+        bad[t] = value
+        with pytest.raises(ValueError, match=words):
+            NoiseSchedule(beta=bad)
+    with pytest.raises(ValueError, match="t_max must be >= 2"):
+        NoiseSchedule(beta=sched.beta[:2])
+    with pytest.raises(ValueError, match="< 1e-3"):
+        NoiseSchedule(beta=sched.beta[:6])
 
 
 def test_schedule_csv_dump(tmp_path):

@@ -83,6 +83,9 @@ class RunConfig:
             if getattr(self, name).seed != self.seed:
                 raise ConfigError(f"{name} seed must equal the top-level "
                                   f"{self.seed}")
+        # the schedule needs one real step beyond the identity step 0
+        if self.t_max < 2:
+            raise ConfigError(f"t_max must be >= 2, got {self.t_max}")
         if self.sampler.iterations > self.t_max:
             raise ConfigError(f"sampler iterations {self.sampler.iterations} "
                               f"exceeds t_max {self.t_max}")

@@ -10,6 +10,10 @@ per-joint (noisy 3D, 2D keypoint) vector with a sinusoidal timestep
 embedding added to the first hidden pre-activation. It is deliberately
 small: the point is an end-to-end differentiable reference with exact
 gradients, not capacity.
+
+Training, the checkpoint on disk and everything the sampler does with
+an estimate are float64. Inference runs the network in float32, on
+copies of the weights made once per ``DenoiserParams``.
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ import abc
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +112,16 @@ class DenoiserParams:
     def num_layers(self) -> int:
         return len(self.weights)
 
+    @cached_property
+    def float32(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Read-only float32 copies of (weights, biases), made on first
+        use: the inference forward pass runs on these."""
+        def cast(a):
+            a = a.astype(np.float32)
+            a.setflags(write=False)
+            return a
+        return (tuple(map(cast, self.weights)), tuple(map(cast, self.biases)))
+
 
 def init_params(num_joints: int, *, hidden_width: int = 128,
                 hidden_layers: int = 2, pixel_scale: float = DEFAULT_PIXEL_SCALE,
@@ -158,14 +173,6 @@ def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
     return h, acts
 
 
-def _assemble_inputs(y_t: np.ndarray, x_scaled: np.ndarray) -> np.ndarray:
-    """Interleave (..., J, 3) signal and (..., J, 2) keypoints, already
-    multiplied by the pixel scale, into (B, J*5)."""
-    j = y_t.shape[-2]
-    feats = np.concatenate([y_t, x_scaled], axis=-1)
-    return feats.reshape(-1, j * 5)
-
-
 def _first_non_finite(a: np.ndarray) -> int | None:
     """Index along the first axis of the first entry of ``a`` that holds
     a non-finite value; None when every value is finite."""
@@ -196,7 +203,9 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
     """Apply the MLP to every hypothesis; returns clean-pose estimates.
 
     ``y_t`` is in diffusion signal units, and so is the output: the
-    network regresses the clean pose directly, for t in [0, t_max].
+    network regresses the clean pose directly, for t in [0, t_max]. The
+    network runs in float32 on ``model.float32``; the estimates are
+    returned as float64.
     """
     if not 0 <= t <= t_max:
         raise ValueError(f"t={t} outside [0, {t_max}]")
@@ -208,12 +217,17 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
         raise ShapeError(f"model expects {model.num_joints} joints, "
                          f"got {y_t.num_joints}")
     h, n, j = y_t.count, y_t.num_frames, y_t.num_joints
-    x_tiled = np.broadcast_to(x.joints * model.pixel_scale, (h, n, j, 2))
+    # Each joint's signal coordinates, then its scaled keypoint, cast to
+    # float32 as they are written.
+    feats = np.empty((h, n, j, 5), dtype=np.float32)
+    feats[..., :3] = y_t.poses
+    feats[..., 3:] = x.joints * model.pixel_scale
+    weights, biases = model.float32
     # One N-row product per hypothesis, so that BLAS rounding cannot
     # depend on H: H=5 gives the first five hypotheses of H=20 bitwise.
-    inputs = _assemble_inputs(y_t.poses, x_tiled).reshape(h, n, j * 5)
-    out, _ = _forward(model.weights, model.biases, inputs,
-                      timestep_embedding(float(t), model.embed_dim))
+    out, _ = _forward(weights, biases, feats.reshape(h, n, j * 5),
+                      timestep_embedding(float(t), model.embed_dim)
+                      .astype(np.float32))
     # HypothesisSet screens the output for non-finite values, the one
     # screen on this path; a failure is located only after it.
     try:
@@ -408,9 +422,10 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
         eps = rng_eps.standard_normal((b, j, 3))
         targets = y_units[idx]
         y_noisy = diffuse_array(targets, ts, sched, eps)
+        # each joint's signal coordinates, then its scaled keypoint
+        inputs = np.concatenate([y_noisy, xs_scaled[idx]], axis=-1)
         try:
-            loss = _backward(weights, biases,
-                             _assemble_inputs(y_noisy, xs_scaled[idx]),
+            loss = _backward(weights, biases, inputs.reshape(b, j * 5),
                              emb_table[ts], targets.reshape(b, j * 3),
                              grad_w, grad_b)
         except NumericError as exc:
@@ -471,7 +486,8 @@ def load_checkpoint(path: str | Path) -> tuple[DenoiserParams, dict]:
     A model trained at a signal scale other than ``SIGNAL_SCALE`` is
     refused: its outputs would be read in the wrong units. Older
     headers carry ``"target": "predict_y0"``, which loads as if absent;
-    a model trained to predict the noise is refused.
+    a model trained to predict the noise is refused. So is a weight or
+    bias beyond the float32 range, in which inference runs.
     """
     raw = Path(path).read_bytes()
     nl = raw.find(b"\n")
@@ -531,6 +547,14 @@ def load_checkpoint(path: str | Path) -> tuple[DenoiserParams, dict]:
     if header["embed_dim"] != params.embed_dim:
         raise ValueError(f"{path}: header says embed_dim {header['embed_dim']}, "
                          f"tensors hold {params.embed_dim}")
+    # The forward pass runs on float32 copies; a larger value would
+    # become infinite there.
+    limit = float(np.finfo(np.float32).max)
+    for name, a in arrays.items():
+        if np.any(np.abs(a) > limit):
+            raise ValueError(f"{path}: tensor {name!r} holds "
+                             f"{np.max(np.abs(a)):g}, beyond the float32 "
+                             f"range ({limit:g})")
     return params, header
 
 
@@ -590,6 +614,7 @@ class MlpDenoiser(Denoiser):
                       hyp_offset: int = 0,
                       mirrored: Skeleton | None = None) -> np.ndarray:
         units = to_signal_units(y_t)
+        units.setflags(write=False)  # so that HypothesisSet takes it uncopied
         out = denoise(HypothesisSet(units), PoseSeq2D(x), t, self.params,
                       self.t_max)
         return to_millimeters(out.poses)

@@ -19,7 +19,8 @@ from posediff.rng import stream_id
 from posediff.sampler import FlipMode, run_sampler
 from posediff.schedule import make_cosine_schedule
 from posediff import cli
-from posediff.denoise import Denoiser, MlpDenoiser, NoisyOracle, PerfectOracle
+from posediff.denoise import (Denoiser, MlpDenoiser, NoisyOracle,
+                              PerfectOracle, load_checkpoint, save_checkpoint)
 from posediff.synth import DEFAULT_CAMERA
 
 
@@ -514,6 +515,20 @@ def test_invalid_counts_exit_2(runner, tmp_path):
     assert res.exit_code == 2, res.output
 
 
+def test_t_max_below_two_exit_2_before_output(runner, tmp_path):
+    # refused when the config loads, before any command makes --out
+    _, data = _gen(runner, tmp_path)
+    bad = _write_cfg(tmp_path, dict(SMALL_CFG, t_max=1,
+                                    sampler={"iterations": 1}))
+    for command, extra in (("gen", ["--dump-schedule"]),
+                           ("train", ["--data", str(data)])):
+        out = tmp_path / command
+        res = runner.invoke(main, [command, "--config", str(bad),
+                                   "--out", str(out), *extra])
+        _assert_clean_exit(res, 2, "t_max must be >= 2, got 1")
+        assert not out.exists()
+
+
 def test_bench_deterministic(runner, tmp_path):
     cfg, data = _gen(runner, tmp_path)
     args = ["bench", "--config", str(cfg), "--data", str(data), "--oracle",
@@ -589,6 +604,26 @@ def test_checkpoint_refused_exit_2(runner, tmp_path, small_run, command,
         command, "--config", str(cfg), "--data", str(data), "--checkpoint",
         str(bad), "--out", str(tmp_path / "out")])
     _assert_clean_exit(res, 2, words)
+    assert str(bad) in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "bench"])
+def test_checkpoint_beyond_float32_exit_2(runner, tmp_path, small_run,
+                                          command):
+    # inference runs in float32, where this weight would be infinite
+    cfg, data, ckpt = small_run
+    params, header = load_checkpoint(ckpt)
+    w = params.weights[1].copy()
+    w[0, 0] = 1e39
+    bad = tmp_path / "big.ckpt"
+    save_checkpoint(bad, replace(params, weights=(params.weights[0], w,
+                                                  *params.weights[2:])),
+                    t_max=header["t_max"])
+    res = runner.invoke(main, [
+        command, "--config", str(cfg), "--data", str(data), "--checkpoint",
+        str(bad), "--out", str(tmp_path / "out")])
+    _assert_clean_exit(res, 2, "tensor 'w1' holds 1e+39, beyond the float32")
     assert str(bad) in res.stderr
     assert not (tmp_path / "out").exists()
 

@@ -99,6 +99,13 @@ def test_cross_check_iterations_vs_t_max():
     assert cfg.sampler.iterations == 10
 
 
+def test_t_max_below_two_refused():
+    for t_max in (1, 0, -3):
+        with pytest.raises(ConfigError, match=f"t_max must be >= 2, got {t_max}"):
+            config_from_dict({"t_max": t_max, "sampler": {"iterations": 1}})
+    assert config_from_dict({"t_max": 2, "sampler": {"iterations": 1}}).t_max == 2
+
+
 def load_config_path(tmp_path, doc):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(doc))

@@ -328,6 +328,31 @@ def test_checkpoint_rejects_garbage(tmp_path):
             load_checkpoint(p)
 
 
+def test_checkpoint_rejects_values_beyond_float32(tmp_path):
+    # inference casts the weights to float32; the largest float32 loads,
+    # anything larger in a weight or a bias is refused by name
+    params = init_params(3, hidden_width=4,
+                         rng=RngStream(13, stream_id("float32_range")))
+    top = float(np.finfo(np.float32).max)
+    path = tmp_path / "model.ckpt"
+    for layer, kind, value, refused in ((0, "w", top, False),
+                                        (1, "w", -np.nextafter(top, np.inf), True),
+                                        (2, "b", 1e300, True)):
+        weights, biases = list(params.weights), list(params.biases)
+        group = weights if kind == "w" else biases
+        group[layer] = group[layer].copy()
+        group[layer].flat[-1] = value
+        save_checkpoint(path, DenoiserParams(weights=tuple(weights),
+                                             biases=tuple(biases)), t_max=10)
+        if refused:
+            with pytest.raises(ValueError, match=(
+                    f"^{re.escape(str(path))}: tensor '{kind}{layer}' holds "
+                    f".*beyond the float32 range")):
+                load_checkpoint(path)
+        else:
+            assert load_checkpoint(path)[0].weights[layer].flat[-1] == value
+
+
 def test_checkpoint_old_y0_target_field_loads(tmp_path):
     # headers written before the field was dropped say "predict_y0"
     params = init_params(3, hidden_width=8,

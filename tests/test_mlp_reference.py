@@ -1,9 +1,11 @@
 """The MLP forward pass and the training loop against textbook code,
 bitwise.
 
-The forward reference runs one hypothesis at a time and builds a fresh
-array for every step: ``h @ w.T + b``, then ``+ emb`` on the first
-layer, then ``tanh``. The training reference is a per-tensor loop:
+The forward reference runs one hypothesis at a time, in float32, and
+builds a fresh array for every step: ``h @ w.T + b``, then ``+ emb`` on
+the first layer, then ``tanh``. A float64 run of the same loop bounds
+how far the float32 pass strays. The training reference, in float64,
+is a per-tensor loop:
 forward, exact backward pass, and adaptive-moment updates (Kingma & Ba,
 2015) with decoupled weight decay (Loshchilov & Hutter, 2019) on the
 weight matrices only, each tensor with its own moment arrays. Both run
@@ -22,9 +24,9 @@ from posediff.schedule import diffuse_array, make_cosine_schedule, to_signal_uni
 J = 5
 
 
-def _model(width: int = 16) -> DenoiserParams:
+def _model(width: int = 16, joints: int = J) -> DenoiserParams:
     rng = np.random.default_rng(11)
-    dims = [J * 5, width, width, J * 3]
+    dims = [joints * 5, width, width, joints * 3]
     weights = [rng.normal(size=(o, i)) / np.sqrt(i)
                for i, o in zip(dims[:-1], dims[1:])]
     biases = [rng.normal(scale=0.3, size=o) for o in dims[1:]]
@@ -32,32 +34,58 @@ def _model(width: int = 16) -> DenoiserParams:
                           pixel_scale=2e-3)
 
 
-def _reference_forward(model, inputs, emb):
-    """Fresh arrays for every step; ``inputs`` is (rows, J*5)."""
-    h = inputs
+def _reference_forward(model, inputs, emb, dtype=np.float32):
+    """Fresh arrays for every step, every value cast to ``dtype`` first;
+    ``inputs`` is (rows, J*5)."""
+    h = inputs.astype(dtype)
     last = model.num_layers - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w.T + b
+        z = h @ w.astype(dtype).T + b.astype(dtype)
         if i == 0:
-            z = z + emb
+            z = z + emb.astype(dtype)
         h = z if i == last else np.tanh(z)
     return h
 
 
-@pytest.mark.parametrize("hypotheses", [1, 3])
+def _inputs(hypotheses, frames, joints, seed=3):
+    rng = np.random.default_rng(seed)
+    y = rng.normal(scale=2.0, size=(hypotheses, frames, joints, 3))
+    x = rng.uniform(0.0, 1000.0, size=(frames, joints, 2))
+    return y, x
+
+
+def _features(model, y, x):
+    """(rows, J*5) inputs of one hypothesis ``y``, in float64."""
+    feats = np.concatenate([y, x * model.pixel_scale], axis=-1)
+    return feats.reshape(-1, feats.shape[-2] * 5)
+
+
+@pytest.mark.parametrize("hypotheses", [1, 3, 20])
 @pytest.mark.parametrize("t", [0, 7, 40])
 def test_denoise_matches_textbook_forward(hypotheses, t):
-    frames = 7  # odd, so no product splits into equal halves
-    rng = np.random.default_rng(3)
     model = _model()
-    y = rng.normal(size=(hypotheses, frames, J, 3))
-    x = rng.uniform(0.0, 1000.0, size=(frames, J, 2))
+    emb = timestep_embedding(float(t), model.embed_dim)
+    # 7 is odd, so no product splits into equal halves; BLAS blocks 256
+    # rows differently from a few
+    for frames in (4, 7, 256):
+        y, x = _inputs(hypotheses, frames, J)
+        got = denoise(HypothesisSet(y), PoseSeq2D(x), t, model, 40).poses
+        assert got.dtype == np.float64
+        for h in range(hypotheses):
+            want = _reference_forward(model, _features(model, y[h], x), emb)
+            assert np.array_equal(got[h], want.reshape(frames, J, 3)), frames
+
+
+def test_float32_denoise_stays_close_to_float64():
+    # a trained-size model: 17 joints, width 128, H=20, N=256
+    joints, t = 17, 7
+    model = _model(width=128, joints=joints)
+    y, x = _inputs(20, 256, joints)
     got = denoise(HypothesisSet(y), PoseSeq2D(x), t, model, 40).poses
     emb = timestep_embedding(float(t), model.embed_dim)
-    for h in range(hypotheses):
-        feats = np.concatenate([y[h], x * model.pixel_scale], axis=-1)
-        want = _reference_forward(model, feats.reshape(frames, J * 5), emb)
-        assert np.array_equal(got[h], want.reshape(frames, J, 3))
+    worst = max(np.max(np.abs(got[h].reshape(256, -1) - _reference_forward(
+        model, _features(model, y[h], x), emb, np.float64))) for h in range(20))
+    assert worst <= 1e-5
 
 
 def _reference_train(dataset, cfg, sched):

@@ -154,15 +154,17 @@ def test_mlp_prefix_stability_every_flip_mode():
     # the prefix promise must hold with a network too, whose matmuls
     # round differently for different row counts
     sched = make_cosine_schedule(200)
-    _, x = gen_poses(ScenarioConfig(pose_count=1, frames_per_pose=4,
-                                    seed=2))[0]
-    den = MlpDenoiser(init_params(x.num_joints), 200)
-    for mode in FlipMode:
-        out = {h: run_sampler(x, den, SamplerConfig(
-                   hypotheses=h, iterations=10, seed=3,
-                   flip_mode=mode), sched, DEFAULT_SKELETON, 1000.0).poses
-               for h in (5, 20)}
-        assert np.array_equal(out[20][:5], out[5]), mode
+    den = MlpDenoiser(init_params(DEFAULT_SKELETON.num_joints), 200)
+    # BLAS blocks 256 rows differently from 4
+    for frames in (4, 256):
+        _, x = gen_poses(ScenarioConfig(pose_count=1, frames_per_pose=frames,
+                                        seed=2))[0]
+        for mode in FlipMode:
+            out = {h: run_sampler(x, den, SamplerConfig(
+                       hypotheses=h, iterations=10, seed=3,
+                       flip_mode=mode), sched, DEFAULT_SKELETON, 1000.0).poses
+                   for h in (5, 20)}
+            assert np.array_equal(out[20][:5], out[5]), (frames, mode)
 
 
 def test_sample_trace_last_equals_sample():

@@ -32,12 +32,11 @@ from .metrics import (MetricReport, align_frame, auc, compute_metrics,
 from .poseio import load_poses, save_poses
 from .render import render_frame, render_sequence
 from .rng import RngStream, hypothesis_normals, stream_id
-from .sampler import (DdimDiagnostics, FlipMode, SamplerConfig, SigmaMode,
-                      run_sampler, timestep_ladder)
+from .sampler import (FlipMode, SamplerConfig, SigmaMode, run_sampler,
+                      timestep_ladder)
 from .schedule import (MM_PER_UNIT, SIGNAL_SCALE, NoiseSchedule,
                        make_cosine_schedule, save_schedule_csv, to_millimeters,
                        to_signal_units)
-from .synth import (Bimodal, DEFAULT_CAMERA, DepthRay, IidGaussian,
-                    ScenarioConfig, gen_hypotheses, gen_poses, gen_scenarios)
+from .synth import DEFAULT_CAMERA, ScenarioConfig, gen_poses
 
 __version__ = "0.1.0"

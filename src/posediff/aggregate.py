@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import DEFAULT_Z_MIN, CameraIntrinsics, project_with_mask
+from .camera import CameraIntrinsics, project_with_mask
 from .core import HypothesisSet, PoseSeq2D, PoseSeq3D
 from .errors import AggregationError, ShapeError
 
@@ -56,11 +56,10 @@ def _check_shape(hs: HypothesisSet, other: PoseSeq2D | PoseSeq3D,
 
 
 def _reprojection_errors(hs: HypothesisSet, x: PoseSeq2D,
-                         cam: CameraIntrinsics,
-                         z_min: float) -> np.ndarray:
+                         cam: CameraIntrinsics) -> np.ndarray:
     """Per-hypothesis pixel errors, (H, N, J); excluded joints are +inf."""
     _check_shape(hs, x, "keypoints are")
-    uv, valid = project_with_mask(hs.poses, cam, z_min=z_min)
+    uv, valid = project_with_mask(hs.poses, cam)
     err = np.linalg.norm(uv - x.joints[None], axis=-1)
     err[~valid] = np.inf
     return err
@@ -102,8 +101,8 @@ def agg_average(hs: HypothesisSet) -> PoseSeq3D:
     return PoseSeq3D(hs.poses.mean(axis=0))
 
 
-def agg_jpma(hs: HypothesisSet, x: PoseSeq2D, cam: CameraIntrinsics, *,
-             z_min: float = DEFAULT_Z_MIN) -> AggregationReport:
+def agg_jpma(hs: HypothesisSet, x: PoseSeq2D,
+             cam: CameraIntrinsics) -> AggregationReport:
     """Joint-level selection by reprojection error.
 
     For every frame and joint, reproject that joint of every hypothesis
@@ -111,18 +110,18 @@ def agg_jpma(hs: HypothesisSet, x: PoseSeq2D, cam: CameraIntrinsics, *,
     input. Behind-camera joints are skipped; a joint with no surviving
     hypothesis is an error.
     """
-    err = _reprojection_errors(hs, x, cam, z_min)
+    err = _reprojection_errors(hs, x, cam)
     return _select("jpma", hs, err, err)
 
 
-def agg_ppma(hs: HypothesisSet, x: PoseSeq2D, cam: CameraIntrinsics, *,
-             z_min: float = DEFAULT_Z_MIN) -> AggregationReport:
+def agg_ppma(hs: HypothesisSet, x: PoseSeq2D,
+             cam: CameraIntrinsics) -> AggregationReport:
     """Pose-level selection by total reprojection error.
 
     A hypothesis with any behind-camera joint in a frame is excluded
     for that whole frame (its total is not comparable).
     """
-    err = _reprojection_errors(hs, x, cam, z_min)
+    err = _reprojection_errors(hs, x, cam)
     return _select("ppma", hs, err.sum(axis=2), err)
 
 
@@ -148,8 +147,7 @@ METHOD_NAMES = tuple(METHOD_INPUTS)
 def run_aggregator(method: str, hs: HypothesisSet, *,
                    x: PoseSeq2D | None = None,
                    cam: CameraIntrinsics | None = None,
-                   gt: PoseSeq3D | None = None,
-                   z_min: float = DEFAULT_Z_MIN) -> AggregationReport:
+                   gt: PoseSeq3D | None = None) -> AggregationReport:
     """Uniform entry point; wraps agg_average in a report."""
     if method not in METHOD_INPUTS:
         raise ValueError(f"unknown aggregator {method!r}, expected one of "
@@ -163,9 +161,9 @@ def run_aggregator(method: str, hs: HypothesisSet, *,
                                  chosen=None, reproj_error_px=None,
                                  feasible=True)
     if method == "jpma":
-        return agg_jpma(hs, x, cam, z_min=z_min)
+        return agg_jpma(hs, x, cam)
     if method == "ppma":
-        return agg_ppma(hs, x, cam, z_min=z_min)
+        return agg_ppma(hs, x, cam)
     if method == "pbest":
         return agg_pbest(hs, gt)
     return agg_jbest(hs, gt)

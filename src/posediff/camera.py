@@ -90,26 +90,27 @@ def project_array(points: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
     return np.stack([u, v], axis=-1)
 
 
-def project(pose: PoseSeq3D, cam: CameraIntrinsics, *,
-            z_min: float = DEFAULT_Z_MIN) -> PoseSeq2D:
-    """Project a 3D sequence, rejecting joints at or behind the camera."""
+def project(pose: PoseSeq3D, cam: CameraIntrinsics) -> PoseSeq2D:
+    """Project a 3D sequence, rejecting joints at or behind
+    ``DEFAULT_Z_MIN``."""
     z = pose.joints[..., 2]
-    bad = z <= z_min
+    bad = z <= DEFAULT_Z_MIN
     if np.any(bad):
         frame, joint = map(int, np.argwhere(bad)[0])
         raise BehindCameraError(frame, joint, float(z[frame, joint]))
     return PoseSeq2D(project_array(pose.joints, cam))
 
 
-def project_with_mask(points: np.ndarray, cam: CameraIntrinsics, *,
-                      z_min: float = DEFAULT_Z_MIN) -> tuple[np.ndarray, np.ndarray]:
-    """Project (..., 3) points, masking invalid depths instead of raising.
+def project_with_mask(points: np.ndarray,
+                      cam: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Project (..., 3) points, masking depths at or behind
+    ``DEFAULT_Z_MIN`` instead of raising.
 
     Returns (pixels, valid) where ``valid`` is a boolean (...) array;
     pixel values for invalid entries are zeros, never inf or NaN.
     """
     points = np.asarray(points, dtype=np.float64)
-    valid = points[..., 2] > z_min
+    valid = points[..., 2] > DEFAULT_Z_MIN
     safe = points.copy()
     safe[..., 2] = np.where(valid, points[..., 2], 1.0)
     uv = project_array(safe, cam)

@@ -146,12 +146,20 @@ def _load_data(data_dir: str) -> Dataset:
 
 def _check_flip_camera(cfg: RunConfig, data_dir: str, ds: Dataset) -> None:
     """Flips mirror keypoints about the camera's principal point,
-    ``u -> 2*cx - u``, so they need a camera with a positive ``cx``."""
-    if cfg.sampler.flip_mode is not FlipMode.NONE and not ds.camera.cx > 0:
-        raise ValueError(
-            f"{Path(data_dir) / MANIFEST_NAME}: camera cx must be positive "
-            f"to flip keypoints about 2*cx (flip mode "
-            f"'{cfg.sampler.flip_mode.value}'), got {ds.camera.cx}")
+    ``u -> 2*cx - u``, so they need a camera with a positive ``cx``.
+    The flipped keypoints are the projection of the mirrored pose only
+    when ``p1`` is 0: mirroring negates x', but not the ``p1 r^2``
+    shift of the distorted x."""
+    if cfg.sampler.flip_mode is FlipMode.NONE:
+        return
+    for name, ok, rule in (("cx", ds.camera.cx > 0, "positive"),
+                           ("p1", ds.camera.p1 == 0.0, "0")):
+        if not ok:
+            raise ValueError(
+                f"{Path(data_dir) / MANIFEST_NAME}: camera {name} must be "
+                f"{rule} to flip keypoints about 2*cx (flip mode "
+                f"'{cfg.sampler.flip_mode.value}'), got "
+                f"{getattr(ds.camera, name)}")
 
 
 def _denoisers(cfg: RunConfig, ds: Dataset, checkpoint: str | None,

@@ -20,6 +20,7 @@ from .core import (DEFAULT_SKELETON, load_skeleton, skeleton_from_dict,
 from .denoise import TrainConfig
 from .errors import (ConfigError, PoseDiffError, finite_number, json_object,
                      reject_unknown_keys, require_field)
+from .metrics import PCK_DEFAULT_THRESHOLD_MM
 from .sampler import FlipMode, SamplerConfig, SigmaMode
 from .synth import DEFAULT_CAMERA, ScenarioConfig
 
@@ -60,8 +61,11 @@ class MetricSettings:
     pmpjpe_scale: bool = True
 
     def __post_init__(self):
-        if not self.pck_threshold_mm > 0:
-            raise ValueError(f"pck_threshold_mm must be positive, got "
+        # metrics.csv names the column pck150, and AUC spans 0-150 mm
+        if self.pck_threshold_mm != PCK_DEFAULT_THRESHOLD_MM:
+            raise ValueError(f"pck_threshold_mm must be "
+                             f"{PCK_DEFAULT_THRESHOLD_MM:g}, the threshold "
+                             f"of the pck150 column, got "
                              f"{self.pck_threshold_mm}")
 
 
@@ -177,7 +181,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "root_box_mm": [list(sc.root_box_mm[0]), list(sc.root_box_mm[1])],
         },
         "denoiser": {
-            **_pick(cfg.train, "hidden_width", "hidden_layers", "pixel_scale"),
+            **_pick(cfg.train, "hidden_width", "hidden_layers"),
             **_pick(cfg.denoiser, "oracle_lambda", "oracle_sigma_mm"),
         },
         "train": _pick(cfg.train, "steps", "batch_size", "learning_rate",
@@ -207,10 +211,9 @@ def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
 
     The overrides are written into ``config_to_dict(cfg)`` and read back
     with ``config_from_dict``, so they are checked like document values.
-    Fields no document sets (``TrainConfig.adam_eps``,
-    ``ScenarioConfig.hypothesis_count`` and ``hypothesis_model``) come
-    back at their defaults: the CLI overrides only configs built from a
-    document or ``RunConfig()``.
+    A field no document sets, ``TrainConfig.adam_eps``, comes back at
+    its default: the CLI overrides only configs built from a document
+    or ``RunConfig()``.
     """
     given = {k: v for k, v in overrides.items() if v is not None}
     sampler = ("hypotheses", "iterations", "sigma_mode", "flip_mode")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -33,7 +33,8 @@ from .rng import RngStream, hypothesis_normals, stream_id
 from .schedule import (SIGNAL_SCALE, NoiseSchedule, diffuse_array,
                        to_millimeters, to_signal_units)
 
-DEFAULT_PIXEL_SCALE = 1e-3
+# 2D keypoints are multiplied by this before entering the network.
+PIXEL_SCALE = 1e-3
 
 
 def timestep_embedding(ts: float | np.ndarray, dim: int) -> np.ndarray:
@@ -59,13 +60,11 @@ class DenoiserParams:
     ``weights[i]`` has shape (fan_out, fan_in); layer 0 consumes the
     J*5 per-frame feature vector, the final layer emits J*3. The
     timestep embedding is added to the first pre-activation, so
-    ``embed_dim`` is the first hidden width. 2D keypoints are
-    multiplied by ``pixel_scale`` before entering the network.
+    ``embed_dim`` is the first hidden width.
     """
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
-    pixel_scale: float = DEFAULT_PIXEL_SCALE
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or len(self.weights) < 2:
@@ -92,8 +91,6 @@ class DenoiserParams:
         j = self.weights[0].shape[1] // 5
         if self.weights[-1].shape[0] != j * 3:
             raise ShapeError(f"last layer must emit {j * 3} values for {j} joints")
-        if not self.pixel_scale > 0:
-            raise ValueError(f"pixel_scale must be positive, got {self.pixel_scale}")
 
     @property
     def num_joints(self) -> int:
@@ -124,7 +121,7 @@ class DenoiserParams:
 
 
 def init_params(num_joints: int, *, hidden_width: int = 128,
-                hidden_layers: int = 2, pixel_scale: float = DEFAULT_PIXEL_SCALE,
+                hidden_layers: int = 2,
                 rng: RngStream | None = None) -> DenoiserParams:
     """Random initialization, one stream per layer."""
     if hidden_layers < 1:
@@ -138,8 +135,7 @@ def init_params(num_joints: int, *, hidden_width: int = 128,
         w = rng.spawn("w", i).standard_normal((fan_out, fan_in)) / np.sqrt(fan_in)
         weights.append(w)
         biases.append(np.zeros(fan_out))
-    return DenoiserParams(weights=tuple(weights), biases=tuple(biases),
-                          pixel_scale=pixel_scale)
+    return DenoiserParams(weights=tuple(weights), biases=tuple(biases))
 
 
 def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
@@ -221,7 +217,7 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
     # float32 as they are written.
     feats = np.empty((h, n, j, 5), dtype=np.float32)
     feats[..., :3] = y_t.poses
-    feats[..., 3:] = x.joints * model.pixel_scale
+    feats[..., 3:] = x.joints * PIXEL_SCALE
     weights, biases = model.float32
     # One N-row product per hypothesis, so that BLAS rounding cannot
     # depend on H: H=5 gives the first five hypotheses of H=20 bitwise.
@@ -337,7 +333,6 @@ class TrainConfig:
     seed: int = 0
     hidden_width: int = 128
     hidden_layers: int = 2
-    pixel_scale: float = DEFAULT_PIXEL_SCALE
 
     def __post_init__(self):
         for name, ok, rule in (
@@ -349,8 +344,7 @@ class TrainConfig:
                 ("weight_decay", self.weight_decay >= 0, ">= 0"),
                 ("hidden_layers", self.hidden_layers >= 1, ">= 1"),
                 ("hidden_width", self.hidden_width >= 2
-                 and self.hidden_width % 2 == 0, "even and >= 2"),
-                ("pixel_scale", self.pixel_scale > 0, "positive")):
+                 and self.hidden_width % 2 == 0, "even and >= 2")):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got "
                                  f"{getattr(self, name)}")
@@ -385,7 +379,6 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
 
     params = init_params(j, hidden_width=config.hidden_width,
                          hidden_layers=config.hidden_layers,
-                         pixel_scale=config.pixel_scale,
                          rng=RngStream(config.seed, stream_id("train", "init")))
     rng_perm = RngStream(config.seed, stream_id("train", "shuffle"))
     rng_t = RngStream(config.seed, stream_id("train", "timesteps"))
@@ -406,7 +399,7 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
     decay = config.learning_rate * config.weight_decay
     emb_table = timestep_embedding(np.arange(sched.t_max + 1, dtype=np.float64),
                                    config.hidden_width)
-    xs_scaled = xs * config.pixel_scale
+    xs_scaled = xs * PIXEL_SCALE
 
     history = np.empty(config.steps)
     order = np.empty(0, dtype=np.int64)
@@ -440,7 +433,7 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
         np.multiply(flat[:n_w], decay, out=t1)
         flat[:n_w] -= t1
 
-    final = replace(params, weights=tuple(weights), biases=tuple(biases))
+    final = DenoiserParams(weights=tuple(weights), biases=tuple(biases))
     return TrainResult(params=final, loss_history=history,
                        final_loss=float(history[-1]))
 
@@ -467,7 +460,7 @@ def save_checkpoint(path: str | Path, params: DenoiserParams, *,
         "version": _CHECKPOINT_VERSION,
         "num_joints": params.num_joints,
         "embed_dim": params.embed_dim,
-        "pixel_scale": params.pixel_scale,
+        "pixel_scale": PIXEL_SCALE,
         "t_max": t_max,
         "signal_scale": SIGNAL_SCALE,
         "loss_units": "signal",
@@ -483,8 +476,9 @@ def save_checkpoint(path: str | Path, params: DenoiserParams, *,
 def load_checkpoint(path: str | Path) -> tuple[DenoiserParams, dict]:
     """Returns (params, header). Raises ValueError on bad files.
 
-    A model trained at a signal scale other than ``SIGNAL_SCALE`` is
-    refused: its outputs would be read in the wrong units. Older
+    A model trained at a signal scale other than ``SIGNAL_SCALE``, or
+    at a pixel scale other than ``PIXEL_SCALE``, is refused: its inputs
+    or outputs would be read in the wrong units. Older
     headers carry ``"target": "predict_y0"``, which loads as if absent;
     a model trained to predict the noise is refused. So is a weight or
     bias beyond the float32 range, in which inference runs.
@@ -501,10 +495,12 @@ def load_checkpoint(path: str | Path) -> tuple[DenoiserParams, dict]:
     if header["version"] != _CHECKPOINT_VERSION:
         raise ValueError(f"{path}: checkpoint version {header['version']} is "
                          f"not supported (expected {_CHECKPOINT_VERSION})")
-    if header["signal_scale"] != SIGNAL_SCALE:
-        raise ValueError(f"{path}: the model was trained at signal scale "
-                         f"{header['signal_scale']}; only {SIGNAL_SCALE} is "
-                         f"supported")
+    for key, scale in (("signal_scale", SIGNAL_SCALE),
+                       ("pixel_scale", PIXEL_SCALE)):
+        if header[key] != scale:
+            raise ValueError(f"{path}: the model was trained at "
+                             f"{key.replace('_', ' ')} {header[key]}; only "
+                             f"{scale} is supported")
     if header.get("target", "predict_y0") != "predict_y0":
         raise ValueError(f"{path}: the model predicts noise (target "
                          f"{header['target']!r}); only clean-pose "
@@ -537,8 +533,7 @@ def load_checkpoint(path: str | Path) -> tuple[DenoiserParams, dict]:
         raise ValueError(f"{path}: checkpoint header: 'tensors' is malformed "
                          f"({type(exc).__name__}: {exc})") from exc
     try:
-        params = DenoiserParams(weights=weights, biases=biases,
-                                pixel_scale=float(header["pixel_scale"]))
+        params = DenoiserParams(weights=weights, biases=biases)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     if header["num_joints"] != params.num_joints:

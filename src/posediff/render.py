@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .camera import DEFAULT_Z_MIN, CameraIntrinsics, project_with_mask
+from .camera import CameraIntrinsics, project_with_mask
 from .core import HypothesisSet, PoseSeq3D, Skeleton
 
 GT_COLOR = "#1f77b4"
@@ -28,8 +28,8 @@ def _fmt(v: float) -> str:
 
 def _draw_pose(parts: list[str], joints3d: np.ndarray, cam: CameraIntrinsics,
                skeleton: Skeleton, *, color: str, dashed: bool, width: float,
-               z_min: float, label: str, warnings: list[str]) -> None:
-    uv, visible = project_with_mask(joints3d, cam, z_min=z_min)
+               label: str, warnings: list[str]) -> None:
+    uv, visible = project_with_mask(joints3d, cam)
     for j in np.nonzero(~visible)[0]:
         warnings.append(f"{label}: joint {int(j)} behind camera, omitted")
     dash = ' stroke-dasharray="6 4"' if dashed else ""
@@ -48,8 +48,8 @@ def _draw_pose(parts: list[str], joints3d: np.ndarray, cam: CameraIntrinsics,
 
 def render_frame(gt: np.ndarray | None, hyps: np.ndarray | None,
                  cam: CameraIntrinsics, skeleton: Skeleton, *,
-                 width: int = 1000, height: int = 1000,
-                 z_min: float = DEFAULT_Z_MIN) -> tuple[str, list[str]]:
+                 width: int = 1000, height: int = 1000
+                 ) -> tuple[str, list[str]]:
     """Render one frame to an SVG string.
 
     ``gt`` is (J, 3) or None; ``hyps`` is (H, J, 3) or None. Returns
@@ -68,11 +68,11 @@ def render_frame(gt: np.ndarray | None, hyps: np.ndarray | None,
         for h, pose in enumerate(hyps):
             color = HYPOTHESIS_COLORS[h % len(HYPOTHESIS_COLORS)]
             _draw_pose(parts, pose, cam, skeleton, color=color, dashed=True,
-                       width=1.5, z_min=z_min, label=f"hypothesis {h}",
+                       width=1.5, label=f"hypothesis {h}",
                        warnings=warnings)
     if gt is not None:
         _draw_pose(parts, gt, cam, skeleton, color=GT_COLOR, dashed=False,
-                   width=2.5, z_min=z_min, label="ground truth",
+                   width=2.5, label="ground truth",
                    warnings=warnings)
     parts.append("</svg>")
     return "\n".join(parts) + "\n", warnings
@@ -80,8 +80,7 @@ def render_frame(gt: np.ndarray | None, hyps: np.ndarray | None,
 
 def render_sequence(gt: PoseSeq3D | None, hyps: HypothesisSet | None,
                     cam: CameraIntrinsics, skeleton: Skeleton, *,
-                    width: int = 1000, height: int = 1000,
-                    z_min: float = DEFAULT_Z_MIN
+                    width: int = 1000, height: int = 1000
                     ) -> tuple[list[str], list[str]]:
     """Render every frame; returns (svg strings, accumulated warnings)."""
     frames = gt.num_frames if gt is not None else hyps.num_frames
@@ -93,7 +92,7 @@ def render_sequence(gt: PoseSeq3D | None, hyps: HypothesisSet | None,
         svg, warns = render_frame(
             gt.joints[k] if gt is not None else None,
             hyps.poses[:, k] if hyps is not None else None,
-            cam, skeleton, width=width, height=height, z_min=z_min)
+            cam, skeleton, width=width, height=height)
         svgs.append(svg)
         warnings.extend(f"frame {k}, {w}" for w in warns)
     return svgs, warnings

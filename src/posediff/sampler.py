@@ -59,13 +59,6 @@ class SamplerConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
 
-@dataclass
-class DdimDiagnostics:
-    """Counters for numerical guards taken during sampling."""
-
-    clamp_events: int = 0
-
-
 def timestep_ladder(t_max: int, iterations: int) -> list[int]:
     """Timesteps t_k = t_max*(1 - k/K), k = 0..K-1, rounded to nearest.
 
@@ -89,21 +82,16 @@ def _sigma_stochastic(ab_t: float, ab_next: float) -> float:
 
 def _ddim_core(y: np.ndarray, y0_hat: np.ndarray, t: int, t_next: int,
                sched: NoiseSchedule, sigma_mode: SigmaMode,
-               eps: np.ndarray | None,
-               diagnostics: DdimDiagnostics | None) -> np.ndarray:
+               eps: np.ndarray | None) -> np.ndarray:
     ab_next = sched.alpha_bar[t_next]
     eps_t = y0_to_eps(y, y0_hat, t, sched)
     if sigma_mode is SigmaMode.STOCHASTIC:
         sigma = _sigma_stochastic(sched.alpha_bar[t], ab_next)
     else:
         sigma = 0.0
-    coef = 1.0 - ab_next - sigma * sigma
-    if coef < 0.0:
-        # Analytically coef = ab_t*(1-ab_next)^2 / ((1-ab_t)*ab_next) >= 0,
-        # so a negative value here is floating-point rounding.
-        coef = 0.0
-        if diagnostics is not None:
-            diagnostics.clamp_events += 1
+    # Analytically coef = ab_t*(1-ab_next)^2 / ((1-ab_t)*ab_next) >= 0,
+    # so a negative value here is floating-point rounding.
+    coef = max(1.0 - ab_next - sigma * sigma, 0.0)
     out = np.sqrt(ab_next) * y0_hat + np.sqrt(coef) * eps_t
     if sigma > 0.0:
         out = out + sigma * eps
@@ -113,8 +101,8 @@ def _ddim_core(y: np.ndarray, y0_hat: np.ndarray, t: int, t_next: int,
 def _run_chain(predict: Callable[[np.ndarray, int], np.ndarray],
                shape: tuple[int, ...], cfg: SamplerConfig,
                sched: NoiseSchedule, ladder: list[int], hyps: range, *,
-               branch: int = 0, trace: list[HypothesisSet] | None = None,
-               diagnostics: DdimDiagnostics | None = None) -> np.ndarray:
+               branch: int = 0,
+               trace: list[HypothesisSet] | None = None) -> np.ndarray:
     """Run one reverse chain over the K steps of ``ladder``; returns the
     final clean estimate in mm. ``predict(y_mm, t)`` is the denoiser
     query of every step."""
@@ -138,15 +126,14 @@ def _run_chain(predict: Callable[[np.ndarray, int], np.ndarray],
                 eps = hypothesis_normals(cfg.seed, hyps, shape,
                                          "sampler_ddim", t, branch=branch)
             y = _ddim_core(y, y0_mm / to_mm, t, ladder[k + 1], sched,
-                           cfg.sigma_mode, eps, diagnostics)
+                           cfg.sigma_mode, eps)
     return y0_mm
 
 
 def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
                 sched: NoiseSchedule, skeleton: Skeleton | None = None,
                 image_width: float | None = None, *, hyp_offset: int = 0,
-                trace: list[HypothesisSet] | None = None,
-                diagnostics: DdimDiagnostics | None = None) -> HypothesisSet:
+                trace: list[HypothesisSet] | None = None) -> HypothesisSet:
     """Generate H hypotheses for a 2D sequence.
 
     ``cfg.flip_mode`` selects the flip augmentation, which needs a
@@ -186,8 +173,7 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
 
     chain = functools.partial(
         _run_chain, shape=x.joints.shape[:2] + (3,), cfg=cfg, sched=sched,
-        ladder=ladder, hyps=range(hyp_offset, hyp_offset + cfg.hypotheses),
-        diagnostics=diagnostics)
+        ladder=ladder, hyps=range(hyp_offset, hyp_offset + cfg.hypotheses))
     plain = query(x.joints)
     if mode is FlipMode.NONE:
         return HypothesisSet(chain(plain, trace=trace))

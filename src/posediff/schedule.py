@@ -65,22 +65,23 @@ class NoiseSchedule:
         return 1.0 - self.beta
 
 
-def make_cosine_schedule(t_max: int, *, offset: float = COSINE_OFFSET,
-                         max_beta: float = MAX_BETA) -> NoiseSchedule:
-    """Squared-cosine schedule with the standard small-t offset.
+def make_cosine_schedule(t_max: int) -> NoiseSchedule:
+    """Squared-cosine schedule with the standard small-t offset
+    ``COSINE_OFFSET``.
 
     Betas are derived from the cosine alpha_bar curve and clipped from
-    above at ``max_beta``; alpha_bar is then rebuilt as the running
+    above at ``MAX_BETA``; alpha_bar is then rebuilt as the running
     product of (1 - beta) so the product identity holds exactly even
     where the clip was active.
     """
     if t_max < 2:
         raise ValueError(f"t_max must be >= 2, got {t_max}")
     ts = np.arange(t_max + 1, dtype=np.float64)
-    f = np.cos(((ts / t_max + offset) / (1.0 + offset)) * np.pi / 2.0) ** 2
+    f = np.cos(((ts / t_max + COSINE_OFFSET) / (1.0 + COSINE_OFFSET))
+               * np.pi / 2.0) ** 2
     ab_curve = f / f[0]
     beta = 1.0 - ab_curve[1:] / ab_curve[:-1]
-    beta = np.minimum(beta, max_beta)
+    beta = np.minimum(beta, MAX_BETA)
     return NoiseSchedule(beta=np.concatenate(([0.0], beta)))
 
 

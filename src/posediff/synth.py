@@ -1,16 +1,7 @@
-"""Synthetic data: random articulated poses, noisy 2D inputs, and
-controlled hypothesis clouds.
+"""Synthetic data: random articulated poses and noisy 2D inputs.
 
 Poses come from forward kinematics over the skeleton with per-joint
-random swings, so bone lengths are exact by construction. Hypothesis
-clouds perturb the ground truth under one of three error models:
-
-* ``iid_gaussian`` — isotropic per-joint error,
-* ``depth_ray`` — error split along/perpendicular to the camera ray,
-  the classic depth-ambiguity shape,
-* ``bimodal`` — mostly-correct joints with occasional large
-  displacements, the misdetection shape that selection-style
-  aggregation is designed to reject.
+random swings, so bone lengths are exact by construction.
 
 Realism is a non-goal; the generators exist to make ordering and
 invariance claims testable at desk scale.
@@ -22,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraIntrinsics, project
-from .core import HypothesisSet, PoseSeq2D, PoseSeq3D, Skeleton, DEFAULT_SKELETON
+from .core import PoseSeq2D, PoseSeq3D, Skeleton, DEFAULT_SKELETON
 from .rng import RngStream, stream_id
 
 DEFAULT_CAMERA = CameraIntrinsics.pinhole(fx=1100.0, fy=1100.0,
@@ -52,57 +43,14 @@ _REST_DIRECTIONS_17 = np.array([
 
 
 @dataclass(frozen=True)
-class IidGaussian:
-    """Isotropic Gaussian joint error."""
-
-    sigma_mm: float = 30.0
-
-    def __post_init__(self):
-        if self.sigma_mm < 0:
-            raise ValueError("sigma_mm must be >= 0")
-
-
-@dataclass(frozen=True)
-class DepthRay:
-    """Error along the camera ray vs perpendicular to it."""
-
-    sigma_ray_mm: float = 80.0
-    sigma_perp_mm: float = 5.0
-
-    def __post_init__(self):
-        if self.sigma_ray_mm < 0 or self.sigma_perp_mm < 0:
-            raise ValueError("sigmas must be >= 0")
-
-
-@dataclass(frozen=True)
-class Bimodal:
-    """Each joint is correct up to small noise, or displaced outright."""
-
-    offset_mm: float = 150.0
-    p_wrong: float = 0.3
-    sigma_correct_mm: float = 5.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_wrong <= 1.0:
-            raise ValueError(f"p_wrong must be in [0, 1], got {self.p_wrong}")
-        if self.offset_mm < 0 or self.sigma_correct_mm < 0:
-            raise ValueError("offset and sigma must be >= 0")
-
-
-HypothesisModel = IidGaussian | DepthRay | Bimodal
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to generate one synthetic benchmark."""
+    """Everything ``gen_poses`` reads to make a synthetic dataset."""
 
     skeleton: Skeleton = DEFAULT_SKELETON
     camera: CameraIntrinsics = DEFAULT_CAMERA
     pose_count: int = 100
     frames_per_pose: int = 1
     noise_2d_px: float = 0.0
-    hypothesis_count: int = 20
-    hypothesis_model: HypothesisModel = IidGaussian()
     seed: int = 0
     root_box_mm: tuple[tuple[float, float, float],
                        tuple[float, float, float]] = ((-800.0, -600.0, 3500.0),
@@ -114,8 +62,6 @@ class ScenarioConfig:
             raise ValueError("pose_count and frames_per_pose must be >= 1")
         if self.noise_2d_px < 0:
             raise ValueError("noise_2d_px must be >= 0")
-        if self.hypothesis_count < 1:
-            raise ValueError("hypothesis_count must be >= 1")
         lo, hi = self.root_box_mm
         if any(l > h for l, h in zip(lo, hi)):
             raise ValueError(f"root box is empty: {self.root_box_mm}")
@@ -175,54 +121,3 @@ def gen_poses(cfg: ScenarioConfig) -> list[tuple[PoseSeq3D, PoseSeq2D]]:
         out.append((gt, x))
     return out
 
-
-def _ray_frames(gt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal (ray, perp1, perp2) per joint for camera-at-origin."""
-    ray = gt / np.linalg.norm(gt, axis=-1, keepdims=True)
-    helper = np.tile(np.array([0.0, 0.0, 1.0]), gt.shape[:-1] + (1,))
-    parallel = np.abs(ray[..., 2]) > 0.9
-    helper[parallel] = np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(helper, ray)
-    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
-    e2 = np.cross(ray, e1)
-    return ray, e1, e2
-
-
-def gen_hypotheses(gt: PoseSeq3D, cfg: ScenarioConfig, *,
-                   scenario: int = 0) -> HypothesisSet:
-    """Perturb the ground truth into H hypotheses under the error model.
-
-    Hypothesis h draws from a stream keyed by (scenario, h), so
-    enlarging ``hypothesis_count`` extends the set without disturbing
-    existing members. Pass a distinct ``scenario`` per pose when
-    building a benchmark, otherwise clouds repeat across poses.
-    """
-    model = cfg.hypothesis_model
-    n, j = gt.num_frames, gt.num_joints
-    hyps = np.empty((cfg.hypothesis_count, n, j, 3))
-    for h in range(cfg.hypothesis_count):
-        rng = RngStream(cfg.seed, stream_id("synth_hyp", scenario, h))
-        if isinstance(model, IidGaussian):
-            hyps[h] = gt.joints + model.sigma_mm * rng.standard_normal((n, j, 3))
-        elif isinstance(model, DepthRay):
-            ray, e1, e2 = _ray_frames(gt.joints)
-            g = rng.standard_normal((3, n, j, 1))
-            hyps[h] = (gt.joints
-                       + model.sigma_ray_mm * g[0] * ray
-                       + model.sigma_perp_mm * (g[1] * e1 + g[2] * e2))
-        elif isinstance(model, Bimodal):
-            wrong = rng.uniform(0.0, 1.0, (n, j)) < model.p_wrong
-            dirs = rng.unit_vectors((n, j))
-            small = model.sigma_correct_mm * rng.standard_normal((n, j, 3))
-            displaced = gt.joints + model.offset_mm * dirs
-            hyps[h] = np.where(wrong[..., None], displaced, gt.joints + small)
-        else:
-            raise TypeError(f"unknown hypothesis model {model!r}")
-    return HypothesisSet(hyps)
-
-
-def gen_scenarios(cfg: ScenarioConfig
-                  ) -> list[tuple[PoseSeq3D, PoseSeq2D, HypothesisSet]]:
-    """Full benchmark: pose, 2D input, and hypothesis cloud per scenario."""
-    return [(gt, x, gen_hypotheses(gt, cfg, scenario=i))
-            for i, (gt, x) in enumerate(gen_poses(cfg))]

@@ -21,8 +21,9 @@ from posediff.metrics import compute_metrics, mpjpe, pck, pmpjpe
 from posediff.rng import RngStream, stream_id
 from posediff.sampler import FlipMode, run_sampler, SamplerConfig, SigmaMode
 from posediff.schedule import diffuse_array, make_cosine_schedule
-from posediff.synth import (Bimodal, gen_poses, gen_scenarios, IidGaussian,
-                            ScenarioConfig)
+from posediff.synth import gen_poses, ScenarioConfig
+
+from clouds import Bimodal, gen_scenarios
 
 IMAGE_WIDTH = 1000.0
 
@@ -54,9 +55,8 @@ def test_a01_perfect_oracle_recovers_ground_truth():
 def test_a02_selection_error_ordering():
     """jbest <= pbest <= worst hypothesis and jbest <= jpma, exactly,
     on every one of 1000 scenarios with H=20 iid hypotheses."""
-    cfg = ScenarioConfig(pose_count=1000, frames_per_pose=1,
-                         hypothesis_count=20, seed=11)
-    for gt, x, hs in gen_scenarios(cfg):
+    cfg = ScenarioConfig(pose_count=1000, frames_per_pose=1, seed=11)
+    for gt, x, hs in gen_scenarios(cfg, 20):
         errs = _per_hypothesis_mpjpe(hs, gt)
         e_jbest = mpjpe(agg_jbest(hs, gt).pose, gt)
         e_pbest = mpjpe(agg_pbest(hs, gt).pose, gt)
@@ -68,9 +68,8 @@ def test_a02_selection_error_ordering():
 
 def test_a03_single_hypothesis_collapse():
     """With H=1 all five aggregators are bitwise identical, metrics too."""
-    cfg = ScenarioConfig(pose_count=3, frames_per_pose=2, hypothesis_count=1,
-                         seed=2)
-    for gt, x, hs in gen_scenarios(cfg):
+    cfg = ScenarioConfig(pose_count=3, frames_per_pose=2, seed=2)
+    for gt, x, hs in gen_scenarios(cfg, 1):
         reports = [run_aggregator(m, hs, x=x, cam=cfg.camera, gt=gt)
                    for m in METHOD_NAMES]
         metrics = [compute_metrics(r.pose, gt) for r in reports]
@@ -107,12 +106,10 @@ def test_a05_joint_selection_beats_averaging_on_bimodal_clouds():
     one-sided 95% bootstrap interval excluding zero; < 60 s."""
     start = time.perf_counter()
     cfg = ScenarioConfig(pose_count=500, frames_per_pose=1, noise_2d_px=1.0,
-                         hypothesis_count=20,
-                         hypothesis_model=Bimodal(offset_mm=150.0,
-                                                  p_wrong=0.3),
                          seed=17)
     diffs = np.empty(cfg.pose_count)
-    for i, (gt, x, hs) in enumerate(gen_scenarios(cfg)):
+    model = Bimodal(offset_mm=150.0, p_wrong=0.3)
+    for i, (gt, x, hs) in enumerate(gen_scenarios(cfg, 20, model)):
         e_avg = mpjpe(agg_average(hs), gt)
         e_jpma = mpjpe(agg_jpma(hs, x, cfg.camera).pose, gt)
         diffs[i] = e_avg - e_jpma
@@ -131,10 +128,9 @@ def test_a06_hypothesis_count_sweep():
     """Over H = 1..20 prefixes of iid hypothesis sets: best error
     non-increasing, worst non-decreasing, mean within 2% of its H=1
     value."""
-    cfg = ScenarioConfig(pose_count=600, frames_per_pose=1,
-                         hypothesis_count=20, seed=23)
+    cfg = ScenarioConfig(pose_count=600, frames_per_pose=1, seed=23)
     errs = np.stack([_per_hypothesis_mpjpe(hs, gt)
-                     for gt, _, hs in gen_scenarios(cfg)])  # (poses, 20)
+                     for gt, _, hs in gen_scenarios(cfg, 20)])  # (poses, 20)
     best = [errs[:, :h].min(axis=1).mean() for h in range(1, 21)]
     worst = [errs[:, :h].max(axis=1).mean() for h in range(1, 21)]
     avg = [errs[:, :h].mean() for h in range(1, 21)]
@@ -150,8 +146,7 @@ def _loss_with_param(params, batch, layer, which, idx, value) -> float:
     ws = [w.copy() for w in params.weights]
     bs = [b.copy() for b in params.biases]
     (ws if which == "w" else bs)[layer][idx] = value
-    tweaked = DenoiserParams(weights=tuple(ws), biases=tuple(bs),
-                             pixel_scale=params.pixel_scale)
+    tweaked = DenoiserParams(weights=tuple(ws), biases=tuple(bs))
     return grad_loss(tweaked, batch)[0]
 
 

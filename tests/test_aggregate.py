@@ -29,7 +29,7 @@ def test_average_of_single_hypothesis_is_identity():
 # Hand-checkable scene: unit focal length, centered origin. Hypothesis A
 # nails joint 0 but misplaces joint 1; hypothesis B is the reverse.
 # With keypoints x = [(0,0), (0.5,0)]:
-#   joint 0: A=(0,0,2)->(0,0) err 0;     B=(0.1,0,1)->(0.1,0) err 0.1
+#   joint 0: A=(0,0,2)->(0,0) err 0;     B=(0.2,0,2)->(0.1,0) err 0.1
 #   joint 1: A=(1.2,0,2)->(0.6,0) err 0.1; B=(1,0,2)->(0.5,0) err 0
 # JPMA picks A's joint 0 and B's joint 1; PPMA totals tie at 0.1 and
 # the tie goes to the lower index, A.
@@ -37,7 +37,7 @@ def test_average_of_single_hypothesis_is_identity():
 def hand_scene():
     cam = CameraIntrinsics.pinhole(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
     hyp_a = np.array([[[0.0, 0.0, 2.0], [1.2, 0.0, 2.0]]])
-    hyp_b = np.array([[[0.1, 0.0, 1.0], [1.0, 0.0, 2.0]]])
+    hyp_b = np.array([[[0.2, 0.0, 2.0], [1.0, 0.0, 2.0]]])
     hs = HypothesisSet(np.stack([hyp_a, hyp_b]))
     x = PoseSeq2D(np.array([[[0.0, 0.0], [0.5, 0.0]]]))
     return cam, hs, x
@@ -45,7 +45,7 @@ def hand_scene():
 
 def test_jpma_hand_trace(hand_scene):
     cam, hs, x = hand_scene
-    rep = agg_jpma(hs, x, cam, z_min=0.5)
+    rep = agg_jpma(hs, x, cam)
     assert rep.method == "jpma"
     assert rep.feasible
     assert np.array_equal(rep.chosen, [[0, 1]])
@@ -56,7 +56,7 @@ def test_jpma_hand_trace(hand_scene):
 
 def test_ppma_hand_trace_tie_to_lowest_index(hand_scene):
     cam, hs, x = hand_scene
-    rep = agg_ppma(hs, x, cam, z_min=0.5)
+    rep = agg_ppma(hs, x, cam)
     assert np.array_equal(rep.chosen, [[0, 0]])
     np.testing.assert_array_equal(rep.pose.joints, hs.poses[0])
 

@@ -4,19 +4,19 @@ per-joint loops.
 The costs (pixel errors, distances and their per-frame reductions) are
 computed with numpy; the exclusion of behind-camera joints, the minimum
 and the lowest-index tie-break are plain loops here. The inputs contain
-duplicated hypotheses, so ties are common, and joints at or behind the
-camera's ``z_min``.
+duplicated hypotheses, so ties are common, and joints at or behind
+``DEFAULT_Z_MIN``.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from posediff.aggregate import agg_jbest, agg_jpma, agg_pbest, agg_ppma
-from posediff.camera import CameraIntrinsics, project_with_mask
+from posediff.camera import (DEFAULT_Z_MIN, CameraIntrinsics,
+                             project_with_mask)
 from posediff.core import HypothesisSet, PoseSeq2D, PoseSeq3D
 from posediff.errors import AggregationError
 
-Z_MIN = 1.0
 CAM = CameraIntrinsics.pinhole(fx=1000.0, fy=1000.0, cx=500.0, cy=500.0)
 
 
@@ -40,7 +40,7 @@ def _gather(poses, chosen):
 
 
 def _pixel_errors(poses, x):
-    uv, _ = project_with_mask(poses, CAM, z_min=Z_MIN)
+    uv, _ = project_with_mask(poses, CAM)
     return np.linalg.norm(uv - x[None], axis=-1)  # (H, N, J)
 
 
@@ -50,7 +50,8 @@ def ref_jpma(poses, x):
     chosen = np.zeros((n_frames, n_joints), dtype=np.int64)
     for n in range(n_frames):
         for j in range(n_joints):
-            allowed = [poses[h, n, j, 2] > Z_MIN for h in range(h_count)]
+            allowed = [poses[h, n, j, 2] > DEFAULT_Z_MIN
+                       for h in range(h_count)]
             best = _lowest_argmin(err[:, n, j], allowed)
             if best is None:
                 return None
@@ -67,7 +68,7 @@ def ref_ppma(poses, x):
         for h in range(h_count):
             ok = True
             for j in range(n_joints):
-                if not poses[h, n, j, 2] > Z_MIN:
+                if not poses[h, n, j, 2] > DEFAULT_Z_MIN:
                     ok = False
             allowed.append(ok)
         best = _lowest_argmin(totals[:, n], allowed)
@@ -101,8 +102,8 @@ def ref_jbest(poses, gt):
 
 @st.composite
 def scenes(draw):
-    """Hypotheses (some duplicated, some joints at or behind z_min),
-    ground truth and keypoints."""
+    """Hypotheses (some duplicated, some joints at or behind
+    DEFAULT_Z_MIN), ground truth and keypoints."""
     h_count = draw(st.integers(1, 5))
     n_frames = draw(st.integers(1, 3))
     n_joints = draw(st.integers(1, 4))
@@ -114,7 +115,7 @@ def scenes(draw):
     # Hypothesis h is a copy of hypothesis source[h] (itself when equal).
     source = [draw(st.integers(0, h)) for h in range(h_count)]
     poses = distinct[source].copy()
-    depth = st.sampled_from([Z_MIN, 0.0, -300.0])
+    depth = st.sampled_from([DEFAULT_Z_MIN, 0.0, -300.0])
     for h in range(h_count):
         for n in range(n_frames):
             for j in range(n_joints):
@@ -140,9 +141,9 @@ def test_reprojection_aggregators_match_loops(scene):
         chosen = ref(poses, x)
         if chosen is None:
             with pytest.raises(AggregationError):
-                agg(hs, kp, CAM, z_min=Z_MIN)
+                agg(hs, kp, CAM)
             continue
-        report = agg(hs, kp, CAM, z_min=Z_MIN)
+        report = agg(hs, kp, CAM)
         _check(report, chosen, poses)
         assert np.array_equal(report.reproj_error_px,
                               np.take_along_axis(err, chosen[None], 0)[0])

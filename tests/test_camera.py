@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from posediff.camera import (CameraIntrinsics, camera_from_dict,
                              camera_to_dict, load_camera, project,
                              project_with_mask)
-from posediff.core import PoseSeq3D
+from posediff.core import (DEFAULT_SKELETON, PoseSeq3D, flip_array2d,
+                           flip_array3d)
 from posediff.errors import BehindCameraError
 
 
@@ -22,7 +23,7 @@ def distorted_camera() -> CameraIntrinsics:
 def test_pinhole_worked_example(simple_camera):
     # (1, 2, 5) at any depth unit: X' = 0.2, Y' = 0.4
     p = PoseSeq3D(np.array([[[1.0, 2.0, 5.0]]]))
-    uv = project(p, simple_camera, z_min=0.1)
+    uv = project(p, simple_camera)
     assert np.array_equal(uv.joints, [[[700.0, 900.0]]])
 
 
@@ -58,9 +59,27 @@ def test_depth_scaling_invariance(distorted_camera):
         np.testing.assert_allclose(scaled, base, rtol=1e-12)
 
 
+@pytest.mark.parametrize("p1, close", [(0.0, True), (0.01, False)])
+def test_flip_is_the_projection_of_the_mirror_only_without_p1(p1, close):
+    # u -> 2*cx - u maps a pose's keypoints to those of its mirror
+    # (x -> -x, left and right swapped): k1-k3 are even in x' and p2
+    # moves only v, but the p1 r^2 shift of x_d keeps its sign
+    cam = CameraIntrinsics.distorted(fx=1100.0, fy=1150.0, cx=480.0,
+                                     cy=510.0, k1=0.02, k2=-0.005,
+                                     k3=0.0004, p1=p1, p2=0.01)
+    rng = np.random.default_rng(5)
+    pts = rng.normal(scale=600.0, size=(4, 17, 3))
+    pts[..., 2] += 3000.0
+    flipped = flip_array2d(project(PoseSeq3D(pts), cam).joints,
+                           DEFAULT_SKELETON, 2.0 * cam.cx)
+    mirrored = project(PoseSeq3D(flip_array3d(pts, DEFAULT_SKELETON)),
+                       cam).joints
+    gap = np.abs(flipped - mirrored).max()
+    assert (gap < 1e-9) if close else (gap > 1.0)
+
 def test_behind_camera_error_carries_location(simple_camera):
     pts = np.full((3, 2, 3), 2000.0)
-    pts[1, 1, 2] = 0.5  # at z_min=1 this is behind
+    pts[1, 1, 2] = 0.5  # within DEFAULT_Z_MIN (1 mm) of the camera: behind
     with pytest.raises(BehindCameraError) as info:
         project(PoseSeq3D(pts), simple_camera)
     assert info.value.frame == 1
@@ -70,7 +89,7 @@ def test_behind_camera_error_carries_location(simple_camera):
 def test_z_exactly_at_z_min_rejected(simple_camera):
     pts = np.full((1, 1, 3), 1.0)
     with pytest.raises(BehindCameraError):
-        project(PoseSeq3D(pts), simple_camera, z_min=1.0)
+        project(PoseSeq3D(pts), simple_camera)
 
 
 def test_project_with_mask(simple_camera):

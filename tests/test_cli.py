@@ -588,7 +588,8 @@ def test_bench_rows_equal_infer_metrics(runner, tmp_path, small_run, flip,
     ("target", "predict_eps", "predicts noise"),
     ("version", 99, "version 99"),
     ("num_joints", 5, "5 joints"),
-    ("signal_scale", 1.5, "signal scale 1.5")])
+    ("signal_scale", 1.5, "signal scale 1.5"),
+    ("pixel_scale", 0.002, "pixel scale 0.002")])
 def test_checkpoint_refused_exit_2(runner, tmp_path, small_run, command,
                                    field, value, words):
     # a noise-target, wrong-version, joint-mismatched or other-scale
@@ -686,22 +687,27 @@ def test_flip_modes_run_end_to_end(runner, tmp_path):
 
 @pytest.mark.parametrize("command", ["infer", "bench"])
 def test_flip_refuses_camera_without_positive_cx(runner, tmp_path, command):
-    # flips mirror about u = cx; a dataset camera with cx <= 0 is refused,
-    # naming the manifest and the value, before any output is made
-    cam = camera_to_dict(replace(DEFAULT_CAMERA, cx=-10.0))
-    cfg = _write_cfg(tmp_path, {**SMALL_CFG, "camera": cam})
-    data = tmp_path / "data"
-    res = runner.invoke(main, ["gen", "--config", str(cfg), "--out",
-                               str(data)])
-    assert res.exit_code == 0, res.output
-    args = [command, "--config", str(cfg), "--data", str(data), "--oracle",
-            "noisy", "--out", str(tmp_path / "out")]
-    res = runner.invoke(main, [*args, "--flip", "diffusion"])
-    _assert_clean_exit(res, 1, f"error: {data / 'manifest.json'}: camera cx")
-    assert "-10.0" in res.stderr
-    assert not (tmp_path / "out").exists()
-    res = runner.invoke(main, [*args, "--flip", "none"])
-    assert res.exit_code == 0, res.output
+    # flips mirror about u = cx; a dataset camera with cx <= 0, or with a
+    # tangential p1 that the mirror does not negate, is refused, naming
+    # the manifest and the value, before any output is made
+    for name, camera in (("cx", replace(DEFAULT_CAMERA, cx=-10.0)),
+                         ("p1", replace(DEFAULT_CAMERA, model="distorted",
+                                        p1=0.01))):
+        cfg = _write_cfg(tmp_path, {**SMALL_CFG,
+                                    "camera": camera_to_dict(camera)})
+        data, out = tmp_path / f"data_{name}", tmp_path / f"out_{name}"
+        res = runner.invoke(main, ["gen", "--config", str(cfg), "--out",
+                                   str(data)])
+        assert res.exit_code == 0, res.output
+        args = [command, "--config", str(cfg), "--data", str(data),
+                "--oracle", "noisy", "--out", str(out)]
+        res = runner.invoke(main, [*args, "--flip", "diffusion"])
+        _assert_clean_exit(res, 1,
+                           f"error: {data / 'manifest.json'}: camera {name}")
+        assert f"got {getattr(camera, name)}" in res.stderr
+        assert not out.exists()
+        res = runner.invoke(main, [*args, "--flip", "none"])
+        assert res.exit_code == 0, res.output
 
 
 class _NanStub(Denoiser):

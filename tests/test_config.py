@@ -46,6 +46,7 @@ def test_unknown_keys_rejected_everywhere():
             (None, "image_height", 1000),
             (None, "image_width", 1000),
             (None, "signal_scale", 2.0),
+            ("denoiser", "pixel_scale", 0.001),
             ("scenario", "hypothesis_count", 20),
             ("scenario", "hypothesis_model", {"kind": "iid_gaussian"}),
             ("denoiser", "target", "predict_eps"),
@@ -54,6 +55,35 @@ def test_unknown_keys_rejected_everywhere():
         with pytest.raises(ConfigError, match=key):
             config_from_dict(doc)
 
+
+SECTIONS = ("scenario", "denoiser", "train", "sampler", "metrics")
+# Every value a config document sets. A new knob is an edit here.
+SETTABLE = (
+    "seed", "out_dir", "t_max", "skeleton", "camera",
+    "scenario.pose_count", "scenario.frames_per_pose",
+    "scenario.noise_2d_px", "scenario.max_swing_deg",
+    "scenario.root_box_mm",
+    "denoiser.hidden_width", "denoiser.hidden_layers",
+    "denoiser.oracle_lambda", "denoiser.oracle_sigma_mm",
+    "train.steps", "train.batch_size", "train.learning_rate",
+    "train.weight_decay", "train.beta1", "train.beta2",
+    "sampler.hypotheses", "sampler.iterations", "sampler.sigma_mode",
+    "sampler.flip_mode",
+    "metrics.pck_threshold_mm", "metrics.pmpjpe_scale")
+
+
+def test_document_sets_exactly_the_listed_values():
+    doc = config_to_dict(RunConfig())
+    keys = [k for k in doc if k not in SECTIONS]
+    keys += [f"{s}.{k}" for s in SECTIONS for k in doc[s]]
+    assert sorted(keys) == sorted(SETTABLE)
+    assert len(SETTABLE) == 26
+    # each one loads on its own, at its default
+    for key in SETTABLE:
+        section, _, name = key.rpartition(".")
+        one = ({name: doc[name]} if not section
+               else {section: {name: doc[section][name]}})
+        assert config_from_dict(one) == RunConfig()
 
 def test_enum_and_model_parsing():
     cfg = config_from_dict({
@@ -243,9 +273,10 @@ def test_wrong_json_types_rejected(doc):
 @pytest.mark.parametrize("section, key, value", [
     ("denoiser", "oracle_lambda", 1.5), ("denoiser", "oracle_lambda", -0.1),
     ("denoiser", "oracle_sigma_mm", -2), ("metrics", "pck_threshold_mm", -1),
-    ("metrics", "pck_threshold_mm", 0), ("denoiser", "hidden_width", 3),
+    ("metrics", "pck_threshold_mm", 0), ("metrics", "pck_threshold_mm", 100),
+    ("denoiser", "hidden_width", 3),
     ("denoiser", "hidden_width", 0), ("denoiser", "hidden_layers", 0),
-    ("denoiser", "pixel_scale", -1), ("train", "beta1", 1.5),
+    ("train", "beta1", 1.5),
     ("train", "beta1", -0.5), ("train", "beta2", 1),
     ("train", "weight_decay", -5), ("train", "steps", 0),
     ("train", "batch_size", 0), ("train", "learning_rate", -1)])

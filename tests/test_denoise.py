@@ -178,8 +178,7 @@ def test_grad_matches_finite_differences():
         ws = [w.copy() for w in params.weights]
         bs = [b.copy() for b in params.biases]
         (ws if kind == "w" else bs)[layer][idx] += delta
-        p = DenoiserParams(weights=tuple(ws), biases=tuple(bs),
-                           pixel_scale=params.pixel_scale)
+        p = DenoiserParams(weights=tuple(ws), biases=tuple(bs))
         return grad_loss(p, batch)[0]
 
     for layer in range(params.num_layers):
@@ -282,12 +281,15 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(a, b)
     for a, b in zip(loaded.biases, params.biases):
         assert np.array_equal(a, b)
-    assert loaded.pixel_scale == params.pixel_scale
-    # the signal scale is fixed: a model trained at another is refused
-    _edit_header(path, signal_scale=1.5)
-    with pytest.raises(ValueError,
-                       match=f"^{re.escape(str(path))}: .*signal scale 1.5"):
-        load_checkpoint(path)
+    assert header["pixel_scale"] == 0.001
+    # the signal and pixel scales are fixed: a model trained at another
+    # is refused
+    for key, value in (("signal_scale", 1.5), ("pixel_scale", 0.002)):
+        save_checkpoint(path, params, t_max=123)
+        _edit_header(path, **{key: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                           f".*{key.replace('_', ' ')} {value}"):
+            load_checkpoint(path)
 
 
 def _edit_header(path, **fields):
@@ -366,7 +368,7 @@ def test_checkpoint_old_y0_target_field_loads(tmp_path):
     assert header == old_header
     for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
         assert np.array_equal(wa, wb)
-    assert (a.embed_dim, a.pixel_scale) == (b.embed_dim, b.pixel_scale)
+    assert a.embed_dim == b.embed_dim
 
 
 def test_checkpoint_rejects_truncated_payload(tmp_path):

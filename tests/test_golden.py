@@ -27,11 +27,11 @@ GOLDEN_CFG = {
 GOLDEN = {
     # flip: (digest of hyp/ and agg/, digest of config.json)
     "none": ("2740b2792ac32576a2b60f3d9591430df7649a799a944ada4a7e2f594a85f5dc",
-             "37d9c7f675349168cccaeb2544ba9b50f834c5b5827e3fe55e1aeeb69cc23835"),
+             "d26dc39de0632e7cb0511834284625bddd61c01ddf517e09aad3f2b0aff4a3bf"),
     "once": ("2f6285f55bf16cb183ec51f053cb475b28630d232a5bc217c607b33df411d9e8",
-             "43007b78b610b88c9ec1c07b87f1ccd3985c9504978a44318acd69f5863346ea"),
+             "765266c370b6b551e8828aec9305936aa97bf2bcbab9951ddb2acc3c2cad9fd6"),
     "diffusion": ("2f6285f55bf16cb183ec51f053cb475b28630d232a5bc217c607b33df411d9e8",
-                  "bf707e1855dc23f2b4106b83f588c4e5b1abb9cdce4907bfb52b63b31fb9948b"),
+                  "75fd0b28dce8f8e93e6c909c6b2d52d4fe7c167a66430d26415fef4b6a2f6977"),
 }
 
 

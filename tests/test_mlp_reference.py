@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from posediff.core import HypothesisSet, PoseSeq2D, PoseSeq3D
-from posediff.denoise import (DenoiserParams, TrainConfig, denoise,
-                              init_params, timestep_embedding, train)
+from posediff.denoise import (PIXEL_SCALE, DenoiserParams, TrainConfig,
+                              denoise, init_params, timestep_embedding, train)
 from posediff.rng import RngStream, stream_id
 from posediff.schedule import diffuse_array, make_cosine_schedule, to_signal_units
 
@@ -30,8 +30,7 @@ def _model(width: int = 16, joints: int = J) -> DenoiserParams:
     weights = [rng.normal(size=(o, i)) / np.sqrt(i)
                for i, o in zip(dims[:-1], dims[1:])]
     biases = [rng.normal(scale=0.3, size=o) for o in dims[1:]]
-    return DenoiserParams(weights=tuple(weights), biases=tuple(biases),
-                          pixel_scale=2e-3)
+    return DenoiserParams(weights=tuple(weights), biases=tuple(biases))
 
 
 def _reference_forward(model, inputs, emb, dtype=np.float32):
@@ -54,9 +53,9 @@ def _inputs(hypotheses, frames, joints, seed=3):
     return y, x
 
 
-def _features(model, y, x):
+def _features(y, x):
     """(rows, J*5) inputs of one hypothesis ``y``, in float64."""
-    feats = np.concatenate([y, x * model.pixel_scale], axis=-1)
+    feats = np.concatenate([y, x * PIXEL_SCALE], axis=-1)
     return feats.reshape(-1, feats.shape[-2] * 5)
 
 
@@ -72,7 +71,7 @@ def test_denoise_matches_textbook_forward(hypotheses, t):
         got = denoise(HypothesisSet(y), PoseSeq2D(x), t, model, 40).poses
         assert got.dtype == np.float64
         for h in range(hypotheses):
-            want = _reference_forward(model, _features(model, y[h], x), emb)
+            want = _reference_forward(model, _features(y[h], x), emb)
             assert np.array_equal(got[h], want.reshape(frames, J, 3)), frames
 
 
@@ -84,7 +83,7 @@ def test_float32_denoise_stays_close_to_float64():
     got = denoise(HypothesisSet(y), PoseSeq2D(x), t, model, 40).poses
     emb = timestep_embedding(float(t), model.embed_dim)
     worst = max(np.max(np.abs(got[h].reshape(256, -1) - _reference_forward(
-        model, _features(model, y[h], x), emb, np.float64))) for h in range(20))
+        model, _features(y[h], x), emb, np.float64))) for h in range(20))
     assert worst <= 1e-5
 
 
@@ -95,7 +94,6 @@ def _reference_train(dataset, cfg, sched):
     m = xs.shape[0]
     params = init_params(J, hidden_width=cfg.hidden_width,
                          hidden_layers=cfg.hidden_layers,
-                         pixel_scale=cfg.pixel_scale,
                          rng=RngStream(cfg.seed, stream_id("train", "init")))
     weights = [w.copy() for w in params.weights]
     biases = [b.copy() for b in params.biases]
@@ -119,7 +117,7 @@ def _reference_train(dataset, cfg, sched):
         eps = rng_eps.standard_normal((b, J, 3))
         targets = ys[idx].reshape(b, J * 3)
         noisy = diffuse_array(ys[idx], ts, sched, eps)
-        inputs = np.concatenate([noisy, xs[idx] * cfg.pixel_scale],
+        inputs = np.concatenate([noisy, xs[idx] * PIXEL_SCALE],
                                 axis=-1).reshape(b, J * 5)
         emb = timestep_embedding(ts.astype(np.float64), cfg.hidden_width)
 

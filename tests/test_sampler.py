@@ -8,9 +8,8 @@ from posediff.denoise import (ContractiveOracle, Denoiser, MlpDenoiser,
 from posediff.errors import NumericError
 from posediff.metrics import mpjpe
 from posediff.rng import RngStream, stream_id
-from posediff.sampler import (DdimDiagnostics, FlipMode, SamplerConfig,
-                              SigmaMode, _ddim_core, run_sampler,
-                              timestep_ladder)
+from posediff.sampler import (FlipMode, SamplerConfig, SigmaMode, _ddim_core,
+                              run_sampler, timestep_ladder)
 from posediff.schedule import diffuse_array, make_cosine_schedule
 from posediff.synth import ScenarioConfig, gen_poses
 
@@ -57,14 +56,14 @@ def test_ddim_step_zero_signal():
 
     # deterministic mode keeps the full eps coefficient sqrt(1-ab')
     out_d = _ddim_core(y, zero, t, t_next, sched, SigmaMode.DETERMINISTIC,
-                       None, None)
+                       None)
     np.testing.assert_allclose(out_d, np.sqrt(1 - ab_n) * eps_t, rtol=1e-12)
 
     # stochastic mode shrinks that coefficient and adds sigma * eps
     sigma = np.sqrt((1 - ab_n) / (1 - ab_t)) * np.sqrt(1 - ab_t / ab_n)
     eps = RngStream(3, stream_id("zsig")).standard_normal((2, 1, 3, 3))
     out_p = _ddim_core(y, zero, t, t_next, sched, SigmaMode.STOCHASTIC,
-                       eps, None)
+                       eps)
     np.testing.assert_allclose(
         out_p, np.sqrt(1 - ab_n - sigma ** 2) * eps_t + sigma * eps,
         rtol=1e-12)
@@ -80,7 +79,7 @@ def test_ddim_step_deterministic_consistency():
     for t, t_next in ((200, 150), (150, 60), (60, 1)):
         y_t = diffuse_array(y0, t, sched, eps)
         stepped = _ddim_core(y_t, y0, t, t_next, sched,
-                             SigmaMode.DETERMINISTIC, None, None)
+                             SigmaMode.DETERMINISTIC, None)
         np.testing.assert_allclose(stepped,
                                    diffuse_array(y0, t_next, sched, eps),
                                    rtol=1e-12, atol=1e-12)
@@ -97,10 +96,8 @@ def test_ddim_step_stochastic_sigma_formula():
     sigma = np.sqrt((1 - ab_n) / (1 - ab_t)) * np.sqrt(1 - ab_t / ab_n)
 
     eps = RngStream(9, stream_id("sigma_test")).standard_normal((1, 1, 2, 3))
-    out_p = _ddim_core(y, y0, t, t_next, sched, SigmaMode.STOCHASTIC, eps,
-                       None)
-    out_d = _ddim_core(y, y0, t, t_next, sched, SigmaMode.DETERMINISTIC, None,
-                       None)
+    out_p = _ddim_core(y, y0, t, t_next, sched, SigmaMode.STOCHASTIC, eps)
+    out_d = _ddim_core(y, y0, t, t_next, sched, SigmaMode.DETERMINISTIC, None)
     eps_t = (y - np.sqrt(ab_t) * y0) / np.sqrt(1 - ab_t)
     base = (np.sqrt(ab_n) * y0
             + np.sqrt(1 - ab_n - sigma ** 2) * eps_t)
@@ -223,16 +220,6 @@ def test_schedule_mismatch_rejected(monkeypatch):
     monkeypatch.setattr("posediff.sampler.hypothesis_normals", no_draw)
     with pytest.raises(ValueError, match="iterations 60 exceeds t_max 50"):
         run_sampler(x, den, cfg, make_cosine_schedule(50))
-
-
-def test_diagnostics_counter_is_plumbed():
-    sched = make_cosine_schedule(100)
-    gt, x = _setup(10)
-    den = ContractiveOracle(gt, 0.3)
-    diag = DdimDiagnostics()
-    cfg = SamplerConfig(hypotheses=2, iterations=5, seed=1)
-    run_sampler(x, den, cfg, sched, diagnostics=diag)
-    assert diag.clamp_events >= 0  # counter exists and never goes negative
 
 
 # --- flip augmentation -------------------------------------------------------

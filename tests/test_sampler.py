@@ -176,6 +176,49 @@ def test_sample_trace_last_equals_sample():
     assert np.array_equal(run_sampler(x, den, cfg, sched).poses, final.poses)
 
 
+@pytest.mark.parametrize("flip_mode", [FlipMode.NONE, FlipMode.DIFFUSION])
+def test_mlp_trace_entries_own_their_memory(flip_mode):
+    # every trace entry, and the result, must be an array of its own: a
+    # view of a buffer the chain or the denoiser reuses would change
+    # under the caller
+    sched = make_cosine_schedule(60)
+    den = MlpDenoiser(init_params(DEFAULT_SKELETON.num_joints,
+                                  hidden_width=16), 60)
+    _, x = gen_poses(ScenarioConfig(pose_count=1, frames_per_pose=5,
+                                    seed=4))[0]
+    cfg = SamplerConfig(hypotheses=3, iterations=4, seed=8,
+                        flip_mode=flip_mode)
+    trace = []
+    out = run_sampler(x, den, cfg, sched, DEFAULT_SKELETON, 1000.0,
+                      trace=trace)
+    arrays = [step.poses for step in trace] + [out.poses]
+    assert len(trace) == 4
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    assert np.array_equal(trace[-1].poses, out.poses)
+    assert not all(np.array_equal(trace[0].poses, step.poses)
+                   for step in trace[1:])
+
+
+def test_mlp_denoiser_reused_across_shapes_matches_fresh():
+    # one denoiser queried at a small, a large and the small shape again
+    # gives what a fresh denoiser gives for each
+    sched = make_cosine_schedule(60)
+    params = init_params(DEFAULT_SKELETON.num_joints, hidden_width=32)
+    shared = MlpDenoiser(params, 60)
+    for hypotheses, frames in ((3, 5), (20, 256), (3, 5)):
+        _, x = gen_poses(ScenarioConfig(pose_count=1, frames_per_pose=frames,
+                                        seed=6))[0]
+        for mode in FlipMode:
+            cfg = SamplerConfig(hypotheses=hypotheses, iterations=3, seed=9,
+                                flip_mode=mode)
+            got = run_sampler(x, shared, cfg, sched, DEFAULT_SKELETON, 1000.0)
+            want = run_sampler(x, MlpDenoiser(params, 60), cfg, sched,
+                               DEFAULT_SKELETON, 1000.0)
+            assert np.array_equal(got.poses, want.poses), (hypotheses, mode)
+
+
 def test_perfect_oracle_collapses_immediately():
     sched = make_cosine_schedule(100)
     gt, x = _setup(6)

@@ -64,6 +64,9 @@ def _reference_chain(predict, shape, cfg, sched, h, branch):
         eps_t = (y - np.sqrt(ab_t) * y0) / np.sqrt(1.0 - ab_t)
         sigma = float(np.sqrt((1.0 - ab_next) / (1.0 - ab_t))
                       * np.sqrt(1.0 - ab_t / ab_next))
+        if cfg.sigma_mode is SigmaMode.DETERMINISTIC:
+            y = np.sqrt(ab_next) * y0 + np.sqrt(1.0 - ab_next) * eps_t
+            continue
         z = RngStream(cfg.seed, stream_id("sampler_ddim", t, h, branch)
                       ).standard_normal(shape)
         y = (np.sqrt(ab_next) * y0
@@ -96,19 +99,34 @@ def _reference(x, den, cfg, sched, hyp_offset):
     return np.stack(rows)
 
 
-@pytest.mark.parametrize("flip_mode", list(FlipMode))
-@pytest.mark.parametrize("hypotheses, hyp_offset", [(1, 0), (3, 0), (3, 2)])
-def test_run_sampler_matches_textbook_ddim(flip_mode, hypotheses, hyp_offset):
-    frames = 5  # odd, so no product splits into equal halves
+def _check_against_reference(flip_mode, sigma_mode, hypotheses, hyp_offset,
+                             frames):
     sched = make_cosine_schedule(T_MAX)
     den = MlpDenoiser(_model(SKELETON.num_joints), T_MAX)
     x = np.random.default_rng(8).uniform(
         100.0, 900.0, size=(frames, SKELETON.num_joints, 2))
     cfg = SamplerConfig(hypotheses=hypotheses, iterations=ITERATIONS,
-                        sigma_mode=SigmaMode.STOCHASTIC,
-                        flip_mode=flip_mode, seed=SEED)
+                        sigma_mode=sigma_mode, flip_mode=flip_mode, seed=SEED)
     got = run_sampler(PoseSeq2D(x), den, cfg, sched, SKELETON, IMAGE_WIDTH,
                       hyp_offset=hyp_offset)
     want = _reference(x, den, cfg, sched, hyp_offset)
     assert got.poses.shape == want.shape
     assert np.array_equal(got.poses, want)
+
+
+@pytest.mark.parametrize("flip_mode", list(FlipMode))
+@pytest.mark.parametrize("hypotheses, hyp_offset", [(1, 0), (3, 0), (3, 2)])
+def test_run_sampler_matches_textbook_ddim(flip_mode, hypotheses, hyp_offset):
+    # 5 frames: odd, so no product splits into equal halves
+    _check_against_reference(flip_mode, SigmaMode.STOCHASTIC, hypotheses,
+                             hyp_offset, 5)
+
+
+@pytest.mark.parametrize("flip_mode", list(FlipMode))
+@pytest.mark.parametrize("sigma_mode, frames", [
+    (SigmaMode.DETERMINISTIC, 5), (SigmaMode.DETERMINISTIC, 256),
+    (SigmaMode.STOCHASTIC, 256)])
+def test_run_sampler_matches_textbook_ddim_every_sigma_and_length(
+        flip_mode, sigma_mode, frames):
+    # BLAS blocks 256 rows differently from a few
+    _check_against_reference(flip_mode, sigma_mode, 3, 2, frames)

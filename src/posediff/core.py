@@ -196,27 +196,40 @@ class HypothesisSet:
             yield self[h]
 
 
-def _mirrored(a: np.ndarray, skeleton: Skeleton) -> np.ndarray:
-    """A copy of a (..., J, D) array with each mirror pair swapped."""
+def _take_mirrored(a: np.ndarray, skeleton: Skeleton,
+                   out: np.ndarray | None) -> np.ndarray:
+    """``a`` (..., J, D) with each mirror pair swapped, gathered into
+    ``out`` (made when None), which must not overlap ``a``."""
     if skeleton.num_joints != a.shape[-2]:
         raise SkeletonError(
             f"skeleton has {skeleton.num_joints} joints, pose has {a.shape[-2]}")
-    return np.ascontiguousarray(a[..., skeleton.mirror_permutation(), :])
+    if out is None:
+        out = np.empty(a.shape, dtype=a.dtype)
+    elif np.may_share_memory(a, out):
+        raise ValueError("flip: out overlaps the input")
+    # "clip" never clips a permutation; "raise" would buffer the gather
+    return np.take(a, skeleton.mirror_permutation(), axis=-2, out=out,
+                   mode="clip")
 
 
-def flip_array3d(a: np.ndarray, skeleton: Skeleton) -> np.ndarray:
-    """Mirror a (..., J, 3) array: negate x, swap left/right joints."""
-    out = _mirrored(a, skeleton)
-    out[..., 0] = -out[..., 0]
+def flip_array3d(a: np.ndarray, skeleton: Skeleton,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Mirror a (..., J, 3) array: negate x, swap left/right joints.
+    Given ``out``, an array shaped like ``a`` that does not overlap it,
+    the result is written there and ``out`` is returned."""
+    out = _take_mirrored(a, skeleton, out)
+    np.negative(out[..., 0], out=out[..., 0])
     return out
 
 
-def flip_array2d(a: np.ndarray, skeleton: Skeleton, image_width: float) -> np.ndarray:
-    """Mirror a (..., J, 2) keypoint array about the vertical image axis."""
+def flip_array2d(a: np.ndarray, skeleton: Skeleton, image_width: float,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Mirror a (..., J, 2) keypoint array about the vertical image axis.
+    ``out`` is as for :func:`flip_array3d`."""
     if not image_width > 0:
         raise ValueError(f"image_width must be positive, got {image_width}")
-    out = _mirrored(a, skeleton)
-    out[..., 0] = image_width - out[..., 0]
+    out = _take_mirrored(a, skeleton, out)
+    np.subtract(image_width, out[..., 0], out=out[..., 0])
     return out
 
 

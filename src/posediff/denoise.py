@@ -30,8 +30,8 @@ from .core import HypothesisSet, PoseSeq2D, PoseSeq3D, Skeleton, flip_array3d
 from .errors import (NumericError, ShapeError, TrainingDivergedError,
                      json_object, require_field)
 from .rng import RngStream, hypothesis_normals, stream_id
-from .schedule import (SIGNAL_SCALE, NoiseSchedule, diffuse_array,
-                       to_millimeters, to_signal_units)
+from .schedule import (MM_PER_UNIT, SIGNAL_SCALE, NoiseSchedule,
+                       diffuse_array, to_signal_units)
 
 # 2D keypoints are multiplied by this before entering the network.
 PIXEL_SCALE = 1e-3
@@ -139,34 +139,32 @@ def init_params(num_joints: int, *, hidden_width: int = 128,
 
 
 def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
-             inputs: np.ndarray, emb: np.ndarray, *, check: bool = False):
+             inputs: np.ndarray, emb: np.ndarray, outs: Sequence[np.ndarray],
+             *, check: bool = False) -> np.ndarray:
     """Run the MLP with ``weights`` and ``biases`` on (..., J*5) inputs;
-    returns (output, activations).
+    returns the output, ``outs[-1]``.
 
     ``emb`` is the timestep embedding: one row per input row, or a
-    single (embed_dim,) row for all.
-
-    ``activations[0]`` is the input, ``activations[i]`` the output of
-    hidden layer i. With ``check`` the layers are screened for
-    non-finite values (used by the training path). Each layer works in
-    place on its own fresh product, in the order ``h @ w.T``, ``+ b``,
-    ``+ emb`` (first layer), ``tanh``, which fixes every rounding.
+    single (embed_dim,) row for all. Layer i writes its output into
+    ``outs[i]``, which must not overlap that layer's input; a hidden
+    layer's output is its activation. With ``check`` the layers are
+    screened for non-finite values (used by the training path). Each
+    layer works in place in the order ``h @ w.T``, ``+ b``, ``+ emb``
+    (first layer), ``tanh``, which fixes every rounding.
     """
-    acts = [inputs]
     h = inputs
     last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        h = h @ w.T
-        h += b
+    for i, (w, b, z) in enumerate(zip(weights, biases, outs)):
+        np.matmul(h, w.T, out=z)
+        z += b
         if i == 0:
-            h += emb
+            z += emb
         if i != last:
-            np.tanh(h, out=h)
-        if check and not np.all(np.isfinite(h)):
+            np.tanh(z, out=z)
+        if check and not np.all(np.isfinite(z)):
             raise NumericError("non-finite activation", layer=i)
-        if i != last:
-            acts.append(h)
-    return h, acts
+        h = z
+    return h
 
 
 def _first_non_finite(a: np.ndarray) -> int | None:
@@ -194,14 +192,36 @@ def y0_to_eps(y_t: np.ndarray, y0_hat: np.ndarray, t: int,
     return (y_t - np.sqrt(ab) * y0_hat) / np.sqrt(1.0 - ab)
 
 
+class _Scratch:
+    """Arrays that consecutive MLP queries reuse. A query overwrites
+    whatever it takes, so nothing in them outlives one query; a query
+    of another shape replaces them. Not reentrant: two threads must not
+    share one, and the package starts none."""
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...],
+             dtype: type = np.float64) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self._arrays[name] = np.empty(shape, dtype)
+        return a
+
+
 def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
-            t_max: int) -> HypothesisSet:
+            t_max: int, *, out: np.ndarray | None = None,
+            scratch: _Scratch | None = None) -> HypothesisSet | np.ndarray:
     """Apply the MLP to every hypothesis; returns clean-pose estimates.
 
     ``y_t`` is in diffusion signal units, and so is the output: the
     network regresses the clean pose directly, for t in [0, t_max]. The
     network runs in float32 on ``model.float32``; the estimates are
-    returned as float64.
+    float64. They are returned as a ``HypothesisSet``, or, given
+    ``out``, an (H, N, J, 3) float64 array, written there and ``out``
+    returned. The features and layer outputs live in ``scratch``, or in
+    fresh arrays when it is None. A non-finite estimate raises
+    ``NumericError`` naming the first hypothesis holding one.
     """
     if not 0 <= t <= t_max:
         raise ValueError(f"t={t} outside [0, {t_max}]")
@@ -212,25 +232,40 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
     if y_t.num_joints != model.num_joints:
         raise ShapeError(f"model expects {model.num_joints} joints, "
                          f"got {y_t.num_joints}")
+    scratch = scratch or _Scratch()
     h, n, j = y_t.count, y_t.num_frames, y_t.num_joints
     # Each joint's signal coordinates, then its scaled keypoint, cast to
-    # float32 as they are written.
-    feats = np.empty((h, n, j, 5), dtype=np.float32)
+    # float32 as they are written. The keypoints are written once, into
+    # one frame block whose whole rows are then copied to every
+    # hypothesis.
+    rows = scratch.take("keypoint_rows", (n, j, 5), np.float32)
+    rows[..., 3:] = x.joints * PIXEL_SCALE
+    feats = scratch.take("features", (h, n, j, 5), np.float32)
+    feats[...] = rows
     feats[..., :3] = y_t.poses
-    feats[..., 3:] = x.joints * PIXEL_SCALE
     weights, biases = model.float32
+    # Two buffers that the layers alternate between, so that none
+    # overwrites its own input.
+    size = h * n * max(w.shape[0] for w in weights)
+    pair = [scratch.take(name, (size,), np.float32) for name in "ab"]
+    outs = [pair[i % 2][:h * n * w.shape[0]].reshape(h, n, w.shape[0])
+            for i, w in enumerate(weights)]
     # One N-row product per hypothesis, so that BLAS rounding cannot
     # depend on H: H=5 gives the first five hypotheses of H=20 bitwise.
-    out, _ = _forward(weights, biases, feats.reshape(h, n, j * 5),
-                      timestep_embedding(float(t), model.embed_dim)
-                      .astype(np.float32))
-    # HypothesisSet screens the output for non-finite values, the one
-    # screen on this path; a failure is located only after it.
-    try:
-        return HypothesisSet(out.reshape(h, n, j, 3))
-    except ValueError:
+    est = _forward(weights, biases, feats.reshape(h, n, j * 5),
+                   timestep_embedding(float(t), model.embed_dim)
+                   .astype(np.float32), outs)
+    # The one screen on this path.
+    bad = _first_non_finite(est)
+    if bad is not None:
         raise NumericError(f"t={t}: clean estimate is not finite",
-                           hypothesis=_first_non_finite(out)) from None
+                           hypothesis=bad)
+    if out is not None:
+        np.copyto(out, est.reshape(h, n, j, 3))
+        return out
+    poses = est.reshape(h, n, j, 3).astype(np.float64)
+    poses.setflags(write=False)  # so that HypothesisSet takes it uncopied
+    return HypothesisSet(poses)
 
 
 @dataclass(frozen=True)
@@ -261,8 +296,10 @@ def _backward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
     its exact gradients are written into the given arrays."""
     # Overflow here is an expected divergence signal, screened by the
     # caller; keep numpy from warning about it.
+    outs = [np.empty(inputs.shape[:-1] + (w.shape[0],)) for w in weights]
+    acts = [inputs, *outs[:-1]]
     with np.errstate(over="ignore", invalid="ignore"):
-        out, acts = _forward(weights, biases, inputs, emb, check=True)
+        out = _forward(weights, biases, inputs, emb, outs, check=True)
         diff = out - targets
         loss = float(np.mean(diff * diff))
         g = 2.0 * diff / diff.size
@@ -576,16 +613,26 @@ class Denoiser(abc.ABC):
 
     def predict_screened(self, y_t: np.ndarray, x: np.ndarray, t: int, *,
                          hyp_offset: int = 0,
-                         mirrored: Skeleton | None = None) -> np.ndarray:
+                         mirrored: Skeleton | None = None,
+                         out: np.ndarray | None = None) -> np.ndarray:
         """``predict_clean``, refused unless finite: a non-finite estimate
         raises ``NumericError`` whose ``hypothesis`` is the index, within
-        this batch, of the first hypothesis holding one."""
-        out = self.predict_clean(y_t, x, t, hyp_offset=hyp_offset,
+        this batch, of the first hypothesis holding one.
+
+        Given ``out``, an (H, N, J, 3) float64 array, the estimate is
+        written there and ``out`` is returned; its contents are
+        unspecified after a refusal. This implementation copies
+        ``predict_clean``'s result in, so ``out`` may even be ``y_t``.
+        """
+        est = self.predict_clean(y_t, x, t, hyp_offset=hyp_offset,
                                  mirrored=mirrored)
-        bad = _first_non_finite(out)
+        bad = _first_non_finite(est)
         if bad is not None:
             raise NumericError(f"t={t}: clean estimate is not finite",
                                hypothesis=bad)
+        if out is None:
+            return est
+        np.copyto(out, est)
         return out
 
 
@@ -594,11 +641,14 @@ class MlpDenoiser(Denoiser):
     internally.
 
     ``t_max`` bounds the timesteps it accepts: the one it was trained to.
+    Its queries reuse one set of scratch arrays, so one instance must
+    not be queried from two threads at once.
     """
 
     def __init__(self, params: DenoiserParams, t_max: int):
         self.params = params
         self.t_max = t_max
+        self._scratch = _Scratch()
 
     @classmethod
     def from_checkpoint(cls, path: str | Path) -> "MlpDenoiser":
@@ -606,20 +656,32 @@ class MlpDenoiser(Denoiser):
         return cls(params, header["t_max"])
 
     def predict_clean(self, y_t: np.ndarray, x: np.ndarray, t: int, *,
-                      hyp_offset: int = 0,
-                      mirrored: Skeleton | None = None) -> np.ndarray:
-        units = to_signal_units(y_t)
-        units.setflags(write=False)  # so that HypothesisSet takes it uncopied
-        out = denoise(HypothesisSet(units), PoseSeq2D(x), t, self.params,
-                      self.t_max)
-        return to_millimeters(out.poses)
+                      hyp_offset: int = 0, mirrored: Skeleton | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
+        """As ``Denoiser.predict_clean``; given ``out``, an (H, N, J, 3)
+        float64 array, the estimate is written there and ``out`` is
+        returned. ``out`` may be ``y_t``: the input is read first."""
+        y_t = np.asarray(y_t, dtype=np.float64)
+        units = self._scratch.take("units", y_t.shape)
+        np.multiply(y_t, SIGNAL_SCALE / MM_PER_UNIT, out=units)
+        # A read-only view, so that HypothesisSet takes it uncopied; it
+        # lives for this query only.
+        units = units.view()
+        units.setflags(write=False)
+        if out is None:
+            out = np.empty(y_t.shape)
+        denoise(HypothesisSet(units), PoseSeq2D(x), t, self.params,
+                self.t_max, out=out, scratch=self._scratch)
+        out /= SIGNAL_SCALE / MM_PER_UNIT
+        return out
 
     def predict_screened(self, y_t: np.ndarray, x: np.ndarray, t: int, *,
                          hyp_offset: int = 0,
-                         mirrored: Skeleton | None = None) -> np.ndarray:
+                         mirrored: Skeleton | None = None,
+                         out: np.ndarray | None = None) -> np.ndarray:
         # denoise() screens its output already, and raises as promised
         return self.predict_clean(y_t, x, t, hyp_offset=hyp_offset,
-                                  mirrored=mirrored)
+                                  mirrored=mirrored, out=out)
 
 
 class _OracleBase(Denoiser):

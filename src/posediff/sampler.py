@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import (HypothesisSet, PoseSeq2D, Skeleton, flip_array2d,
                    flip_array3d)
-from .denoise import Denoiser, y0_to_eps
+from .denoise import Denoiser
 from .errors import NumericError
 from .rng import hypothesis_normals
 from .schedule import MM_PER_UNIT, SIGNAL_SCALE, NoiseSchedule
@@ -82,36 +82,60 @@ def _sigma_stochastic(ab_t: float, ab_next: float) -> float:
 
 def _ddim_core(y: np.ndarray, y0_hat: np.ndarray, t: int, t_next: int,
                sched: NoiseSchedule, sigma_mode: SigmaMode,
-               eps: np.ndarray | None) -> np.ndarray:
-    ab_next = sched.alpha_bar[t_next]
-    eps_t = y0_to_eps(y, y0_hat, t, sched)
+               eps: np.ndarray | None, *, out: np.ndarray | None = None,
+               work: np.ndarray | None = None) -> np.ndarray:
+    """One DDIM update (Song et al., 2021, eq. 12) of the state ``y``
+    from the clean estimate ``y0_hat``, both in signal units, in the
+    textbook order: ``eps_t = (y - sqrt(ab_t) y0) / sqrt(1 - ab_t)``,
+    then ``sqrt(ab_next) y0 + sqrt(coef) eps_t``, then ``+ sigma eps``.
+
+    The result goes into ``out``, which may be ``y``; ``work`` is a
+    temporary shaped like ``y`` that overlaps none of the others. Either
+    is made when None.
+    """
+    ab_t, ab_next = sched.alpha_bar[t], sched.alpha_bar[t_next]
     if sigma_mode is SigmaMode.STOCHASTIC:
-        sigma = _sigma_stochastic(sched.alpha_bar[t], ab_next)
+        sigma = _sigma_stochastic(ab_t, ab_next)
     else:
         sigma = 0.0
     # Analytically coef = ab_t*(1-ab_next)^2 / ((1-ab_t)*ab_next) >= 0,
     # so a negative value here is floating-point rounding.
     coef = max(1.0 - ab_next - sigma * sigma, 0.0)
-    out = np.sqrt(ab_next) * y0_hat + np.sqrt(coef) * eps_t
+    out = np.empty_like(y) if out is None else out
+    work = np.empty_like(y) if work is None else work
+    np.multiply(y0_hat, np.sqrt(ab_t), out=work)
+    np.subtract(y, work, out=out)
+    out /= np.sqrt(1.0 - ab_t)
+    out *= np.sqrt(coef)
+    np.multiply(y0_hat, np.sqrt(ab_next), out=work)
+    out += work
     if sigma > 0.0:
-        out = out + sigma * eps
+        np.multiply(eps, sigma, out=work)
+        out += work
     return out
 
 
-def _run_chain(predict: Callable[[np.ndarray, int], np.ndarray],
+def _run_chain(predict: Callable[..., np.ndarray],
                shape: tuple[int, ...], cfg: SamplerConfig,
                sched: NoiseSchedule, ladder: list[int], hyps: range, *,
                branch: int = 0,
                trace: list[HypothesisSet] | None = None) -> np.ndarray:
     """Run one reverse chain over the K steps of ``ladder``; returns the
-    final clean estimate in mm. ``predict(y_mm, t)`` is the denoiser
-    query of every step."""
+    final clean estimate in mm, read-only.
+
+    ``predict(y_mm, t, out, spare)`` is the denoiser query of every
+    step: it writes the estimate into ``out`` and may overwrite
+    ``y_mm`` and ``spare``. The chain owns these buffers and the state,
+    and every step works in them.
+    """
     to_mm = MM_PER_UNIT / SIGNAL_SCALE
     y = hypothesis_normals(cfg.seed, hyps, shape, "sampler_init",
                            branch=branch)
+    y_mm, spare, y0_mm = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     for k, t in enumerate(ladder):
+        np.multiply(y, to_mm, out=y_mm)
         try:
-            y0_mm = predict(y * to_mm, t)
+            predict(y_mm, t, y0_mm, spare)
         except NumericError as exc:
             if exc.hypothesis is None:
                 raise
@@ -119,14 +143,17 @@ def _run_chain(predict: Callable[[np.ndarray, int], np.ndarray],
             raise NumericError(f"step t={t}: hypothesis {h}: clean estimate "
                                f"is not finite", hypothesis=h) from exc
         if trace is not None:
-            trace.append(HypothesisSet(y0_mm))
+            trace.append(HypothesisSet(y0_mm))  # a copy: y0_mm is writable
         if k + 1 < len(ladder):
             eps = None
             if cfg.sigma_mode is SigmaMode.STOCHASTIC:
                 eps = hypothesis_normals(cfg.seed, hyps, shape,
                                          "sampler_ddim", t, branch=branch)
-            y = _ddim_core(y, y0_mm / to_mm, t, ladder[k + 1], sched,
-                           cfg.sigma_mode, eps)
+            np.divide(y0_mm, to_mm, out=spare)
+            _ddim_core(y, spare, t, ladder[k + 1], sched, cfg.sigma_mode,
+                       eps, out=y, work=y_mm)
+    # nothing else holds y0_mm, so HypothesisSet may take it uncopied
+    y0_mm.setflags(write=False)
     return y0_mm
 
 
@@ -168,8 +195,8 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
                          "single trace")
 
     def query(x2d, mirrored=None):
-        return lambda y_mm, t: denoiser.predict_screened(
-            y_mm, x2d, t, hyp_offset=hyp_offset, mirrored=mirrored)
+        return lambda y_mm, t, out, spare=None: denoiser.predict_screened(
+            y_mm, x2d, t, hyp_offset=hyp_offset, mirrored=mirrored, out=out)
 
     chain = functools.partial(
         _run_chain, shape=x.joints.shape[:2] + (3,), cfg=cfg, sched=sched,
@@ -179,10 +206,17 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
         return HypothesisSet(chain(plain, trace=trace))
     flipped = query(flip_array2d(x.joints, skeleton, image_width), skeleton)
     if mode is FlipMode.DIFFUSION:
-        def both(y_mm, t):
-            y0_mm = plain(y_mm, t)
-            other = flipped(flip_array3d(y_mm, skeleton), t)
-            return (y0_mm + flip_array3d(other, skeleton)) / 2.0
+        def both(y_mm, t, out, spare):
+            # the plain estimate waits in out; the flipped query reads
+            # spare and writes y_mm, which the chain no longer needs
+            plain(y_mm, t, out)
+            flipped(flip_array3d(y_mm, skeleton, out=spare), t, y_mm)
+            out += flip_array3d(y_mm, skeleton, out=spare)
+            out /= 2.0
         return HypothesisSet(chain(both, trace=trace))
-    out = chain(plain) + flip_array3d(chain(flipped, branch=1), skeleton)
-    return HypothesisSet(out / 2.0)
+    first = chain(plain)
+    out = flip_array3d(chain(flipped, branch=1), skeleton)
+    out += first
+    out /= 2.0
+    out.setflags(write=False)
+    return HypothesisSet(out)

@@ -223,6 +223,42 @@ def test_flip2d_requires_positive_width(tri_skeleton):
         flip_array2d(np.zeros((1, 3, 2)), tri_skeleton, image_width=0.0)
 
 
+def _loop_mirror(a, skeleton, reflect):
+    """Swap each mirror pair, then reflect x, one joint at a time."""
+    out = a.copy()
+    for left, right in skeleton.mirror_pairs:
+        out[..., left, :] = a[..., right, :]
+        out[..., right, :] = a[..., left, :]
+    out[..., 0] = reflect(out[..., 0])
+    return out
+
+
+def test_flips_into_out_equal_the_loop_mirror():
+    rng = np.random.default_rng(12)
+    p3 = rng.normal(size=(4, 6, 17, 3))
+    p2 = rng.uniform(0.0, 1000.0, size=(6, 17, 2))
+    for a, flip, reflect in (
+            (p3, lambda a, **k: flip_array3d(a, DEFAULT_SKELETON, **k),
+             lambda x: -x),
+            (p2, lambda a, **k: flip_array2d(a, DEFAULT_SKELETON, 1000.0, **k),
+             lambda u: 1000.0 - u)):
+        want = _loop_mirror(a, DEFAULT_SKELETON, reflect)
+        out = np.full_like(a, np.nan)
+        assert flip(a, out=out) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(flip(a), want)
+
+
+def test_flips_refuse_out_overlapping_input():
+    p3 = np.zeros((2, 17, 3))
+    for out in (p3, p3[::-1]):
+        with pytest.raises(ValueError, match="overlaps"):
+            flip_array3d(p3, DEFAULT_SKELETON, out=out)
+    p2 = np.zeros((2, 17, 2))
+    with pytest.raises(ValueError, match="overlaps"):
+        flip_array2d(p2, DEFAULT_SKELETON, 1000.0, out=p2)
+
+
 @settings(max_examples=30)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_flip3d_involution(seed):

@@ -7,13 +7,15 @@ queried with that hypothesis alone, and the mirror written as a loop
 over the skeleton's pairs. A stacked (H, N, ...) matmul equals its
 per-slice products bitwise, so one hypothesis at a time is a valid
 bitwise reference for the library's batched chain; concatenating the
-rows of all hypotheses into one product would not be.
+rows of all hypotheses into one product would not be. A contractive
+oracle, whose estimate carries the state's float64 bits, stands in for
+the network where the update's own rounding is pinned.
 """
 import numpy as np
 import pytest
 
-from posediff.core import PoseSeq2D, Skeleton
-from posediff.denoise import DenoiserParams, MlpDenoiser
+from posediff.core import PoseSeq2D, PoseSeq3D, Skeleton
+from posediff.denoise import ContractiveOracle, DenoiserParams, MlpDenoiser
 from posediff.rng import RngStream, stream_id
 from posediff.sampler import FlipMode, SamplerConfig, SigmaMode, run_sampler
 from posediff.schedule import MM_PER_UNIT, SIGNAL_SCALE, make_cosine_schedule
@@ -81,7 +83,8 @@ def _reference(x, den, cfg, sched, hyp_offset):
         return den.predict_clean(y_mm[None], x, t)[0]
 
     def flipped(y_mm, t):
-        return den.predict_clean(y_mm[None], x_flip, t)[0]
+        return den.predict_clean(y_mm[None], x_flip, t,
+                                 mirrored=SKELETON)[0]
 
     def both(y_mm, t):
         return (plain(y_mm, t) + _mirror(flipped(_mirror(y_mm), t))) / 2.0
@@ -100,11 +103,16 @@ def _reference(x, den, cfg, sched, hyp_offset):
 
 
 def _check_against_reference(flip_mode, sigma_mode, hypotheses, hyp_offset,
-                             frames):
+                             frames, oracle=False):
     sched = make_cosine_schedule(T_MAX)
-    den = MlpDenoiser(_model(SKELETON.num_joints), T_MAX)
     x = np.random.default_rng(8).uniform(
         100.0, 900.0, size=(frames, SKELETON.num_joints, 2))
+    if oracle:
+        gt = np.random.default_rng(9).normal(
+            scale=300.0, size=(frames, SKELETON.num_joints, 3))
+        den = ContractiveOracle(PoseSeq3D(gt), 0.3)
+    else:
+        den = MlpDenoiser(_model(SKELETON.num_joints), T_MAX)
     cfg = SamplerConfig(hypotheses=hypotheses, iterations=ITERATIONS,
                         sigma_mode=sigma_mode, flip_mode=flip_mode, seed=SEED)
     got = run_sampler(PoseSeq2D(x), den, cfg, sched, SKELETON, IMAGE_WIDTH,
@@ -130,3 +138,13 @@ def test_run_sampler_matches_textbook_ddim_every_sigma_and_length(
         flip_mode, sigma_mode, frames):
     # BLAS blocks 256 rows differently from a few
     _check_against_reference(flip_mode, sigma_mode, 3, 2, frames)
+
+
+@pytest.mark.parametrize("flip_mode", list(FlipMode))
+@pytest.mark.parametrize("sigma_mode", list(SigmaMode))
+def test_run_sampler_matches_textbook_ddim_through_the_state(flip_mode,
+                                                              sigma_mode):
+    # The MLP reads the state in float32, which rounds away a float64
+    # difference in the update; the contractive oracle returns the
+    # state's every bit, so this pins the update's own rounding.
+    _check_against_reference(flip_mode, sigma_mode, 3, 2, 5, oracle=True)

@@ -211,9 +211,6 @@ def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
 
     The overrides are written into ``config_to_dict(cfg)`` and read back
     with ``config_from_dict``, so they are checked like document values.
-    A field no document sets, ``TrainConfig.adam_eps``, comes back at
-    its default: the CLI overrides only configs built from a document
-    or ``RunConfig()``.
     """
     given = {k: v for k, v in overrides.items() if v is not None}
     sampler = ("hypotheses", "iterations", "sigma_mode", "flip_mode")

@@ -35,6 +35,8 @@ from .schedule import (MM_PER_UNIT, SIGNAL_SCALE, NoiseSchedule,
 
 # 2D keypoints are multiplied by this before entering the network.
 PIXEL_SCALE = 1e-3
+# The adaptive-moment update's guard against division by zero.
+ADAM_EPS = 1e-8
 
 
 def timestep_embedding(ts: float | np.ndarray, dim: int) -> np.ndarray:
@@ -349,7 +351,7 @@ def _adam_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     # p -= lr * ((m / corr1) / (sqrt(v / corr2) + eps))
     np.divide(v, corr2, out=t1)
     np.sqrt(t1, out=t1)
-    t1 += config.adam_eps
+    t1 += ADAM_EPS
     np.divide(m, corr1, out=t2)
     t2 /= t1
     t2 *= lr
@@ -365,7 +367,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
-    adam_eps: float = 1e-8
     weight_decay: float = 0.1
     seed: int = 0
     hidden_width: int = 128

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, project
+from .camera import DEFAULT_Z_MIN, CameraIntrinsics, project
 from .core import PoseSeq2D, PoseSeq3D, Skeleton, DEFAULT_SKELETON
 from .rng import RngStream, stream_id
 
@@ -69,6 +69,24 @@ class ScenarioConfig:
             raise ValueError("root box reaches behind the camera (z must be > 0)")
         if not 0.0 <= self.max_swing_deg < 180.0:
             raise ValueError("max_swing_deg must be in [0, 180)")
+        # Every rest direction lies in the image plane, and a bone swings
+        # at most max_swing_deg off it, so no joint comes nearer than its
+        # root by more than sin(swing) times its distance along the bones.
+        reach = _bone_reach(self.skeleton) * np.sin(
+            np.deg2rad(min(self.max_swing_deg, 90.0)))
+        if not lo[2] - reach > DEFAULT_Z_MIN:
+            raise ValueError(
+                f"root_box_mm starts at depth {lo[2]:g} mm, but a joint may "
+                f"come {reach:g} mm nearer than its root: to the camera's "
+                f"near plane at {DEFAULT_Z_MIN:g} mm")
+
+
+def _bone_reach(skeleton: Skeleton) -> float:
+    """The longest distance along the bones from the root to a joint."""
+    dist = [0.0] * skeleton.num_joints
+    for j in skeleton.topological_order()[1:]:
+        dist[j] = dist[skeleton.parents[j]] + skeleton.bone_lengths[j]
+    return max(dist)
 
 
 def _rest_directions(skeleton: Skeleton) -> np.ndarray:

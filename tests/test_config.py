@@ -1,18 +1,22 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from posediff.camera import CameraIntrinsics, camera_to_dict
+from posediff.camera import DISTORTED, CameraIntrinsics, camera_to_dict
 from posediff.config import (RunConfig, apply_overrides, config_from_dict,
                              config_sha256, config_to_dict, load_config)
-from posediff.core import DEFAULT_SKELETON
-from posediff.denoise import TrainConfig
+from posediff.core import DEFAULT_SKELETON, Skeleton
+from posediff.denoise import (ContractiveOracle, NoisyOracle, TrainConfig,
+                              init_params)
 from posediff.errors import ConfigError
-from posediff.sampler import FlipMode, SamplerConfig, SigmaMode
-from posediff.synth import ScenarioConfig
+from posediff.sampler import (FlipMode, SamplerConfig, SigmaMode,
+                              timestep_ladder)
+from posediff.schedule import make_cosine_schedule
+from posediff.synth import ScenarioConfig, gen_poses
 
 
 def test_defaults_from_empty_document():
@@ -183,6 +187,51 @@ def test_dict_round_trip():
     assert again == cfg
 
 
+# A value off the default for every field of every library config. A
+# field that config_to_dict left out would come back at its default.
+OFF_DEFAULT = {
+    "scenario": {
+        "skeleton": Skeleton(parents=(0, 0, 0), mirror_pairs=((1, 2),),
+                             bone_lengths=(0.0, 90.0, 90.0),
+                             joint_names=("root", "l", "r")),
+        "camera": CameraIntrinsics(fx=900.0, fy=950.0, cx=480.0, cy=360.0,
+                                   k1=0.1, k2=-0.02, k3=0.003, p1=0.001,
+                                   p2=-0.002, model=DISTORTED),
+        "pose_count": 7, "frames_per_pose": 3, "noise_2d_px": 1.5,
+        "seed": 9, "root_box_mm": ((-10.0, -20.0, 3000.0),
+                                   (10.0, 20.0, 4000.0)),
+        "max_swing_deg": 20.0},
+    "train": {"steps": 11, "batch_size": 5, "learning_rate": 0.01,
+              "beta1": 0.8, "beta2": 0.99, "weight_decay": 0.2, "seed": 9,
+              "hidden_width": 16, "hidden_layers": 3},
+    "sampler": {"hypotheses": 5, "iterations": 4,
+                "sigma_mode": SigmaMode.DETERMINISTIC,
+                "flip_mode": FlipMode.ONCE, "seed": 9},
+    "denoiser": {"oracle_lambda": 0.25, "oracle_sigma_mm": 7.0},
+    # 150 is the one threshold accepted
+    "metrics": {"pck_threshold_mm": 150.0, "pmpjpe_scale": False},
+}
+
+
+def test_every_library_config_field_survives_the_document():
+    default = RunConfig()
+    sections = {}
+    for name, values in OFF_DEFAULT.items():
+        lib = getattr(default, name)
+        assert set(values) == {f.name for f in fields(lib)}, name
+        for key, value in values.items():
+            assert value != getattr(lib, key) or key == "pck_threshold_mm"
+        sections[name] = replace(lib, **values)
+    cfg = RunConfig(seed=9, out_dir="elsewhere", t_max=300, **sections)
+    again = config_from_dict(config_to_dict(cfg))
+    for name, values in OFF_DEFAULT.items():
+        for key in values:
+            assert getattr(getattr(again, name), key) == values[key], (name,
+                                                                      key)
+    assert again == cfg
+    assert apply_overrides(cfg, hypotheses=6).train == cfg.train
+
+
 def test_hash_stable_and_ignores_out_dir():
     a = config_from_dict({"seed": 3, "out_dir": "x"})
     b = config_from_dict({"seed": 3, "out_dir": "y"})
@@ -318,3 +367,109 @@ def test_scenario_box_parsing():
         config_from_dict({"scenario": {"root_box_mm": [[0, 0], [1, 1]]}})
     with pytest.raises(ConfigError):
         config_from_dict({"scenario": {"root_box_mm": "big"}})
+
+
+# --- every document is refused at load or runs -------------------------------
+
+_WRONG = st.sampled_from([None, True, "1", [1], float("nan"), float("inf")])
+
+
+def _ints(lo, hi):
+    """Integers in [lo, hi]; one in ten is a float or a wrong type."""
+    return st.integers(0, 9).flatmap(
+        lambda i: st.one_of(st.floats(lo, hi), _WRONG) if i == 0
+        else st.integers(lo, hi))
+
+
+def _floats(lo, hi):
+    """Numbers in [lo, hi]; one in ten is a wrong type."""
+    return st.integers(0, 9).flatmap(
+        lambda i: _WRONG if i == 0
+        else st.one_of(st.floats(lo, hi), st.integers(int(lo), int(hi))))
+
+
+# Sizes stay small: t_max <= 300, pose_count <= 4, frames_per_pose <= 3,
+# H <= 6, width <= 20, so no document asks for a large schedule or batch.
+_SECTIONS = {
+    "scenario": {"pose_count": _ints(0, 4),
+                 "frames_per_pose": _ints(0, 3),
+                 "noise_2d_px": _floats(-0.5, 5),
+                 "max_swing_deg": _floats(-1, 181),
+                 "root_box_mm": st.sampled_from([
+                     [[-100, -100, 3000], [100, 100, 4000]],
+                     [[0, 0, 5], [1.5, 1, 10]], [[0, 0, -10], [1, 1, 10]],
+                     [[0, 0, 5], [1, 1, 1]], [[0, 0], [1, 1]], "box"])},
+    "train": {"steps": _ints(0, 30), "batch_size": _ints(0, 8),
+              "learning_rate": _floats(-0.1, 1),
+              "beta1": _floats(-0.1, 1.05), "beta2": _floats(-0.1, 1.05),
+              "weight_decay": _floats(-0.1, 1)},
+    "denoiser": {"hidden_width": _ints(-1, 20),
+                 "hidden_layers": _ints(0, 3),
+                 "oracle_lambda": _floats(-0.1, 1.05),
+                 "oracle_sigma_mm": _floats(-1, 50)},
+    "sampler": {"hypotheses": _ints(0, 6), "iterations": _ints(0, 12),
+                "sigma_mode": st.sampled_from(
+                    ["stochastic", "deterministic", "never", 1]),
+                "flip_mode": st.sampled_from(
+                    ["none", "once", "diffusion", "twice", None])},
+    "metrics": {"pck_threshold_mm": st.sampled_from([150, 150.0, 100, "150"]),
+                "pmpjpe_scale": st.sampled_from([True, False, 0, "true"])},
+}
+_TOP = {"seed": _ints(-3, 2 ** 70), "t_max": _ints(0, 300),
+        "out_dir": st.sampled_from(["out", "elsewhere", 3]),
+        "camera": st.sampled_from([
+            None, {"fx": 900, "fy": 900, "cx": 400, "cy": 300},
+            {"fx": 900, "fy": 900, "cx": -4, "cy": 300},
+            {"fx": 900, "fy": 900, "cx": 400, "cy": 300, "k1": 0.1,
+             "model": "distorted"},
+            {"fx": 0, "fy": 900, "cx": 400, "cy": 300},
+            {"fx": 900, "fy": 900, "cx": 400, "cy": 300, "k1": 0.1}]),
+        "skeleton": st.sampled_from([
+            None, {"parents": [0, 0, 0], "mirror_pairs": [[1, 2]],
+                   "bone_lengths": [0, 100, 100]},
+            {"parents": [0, 0], "mirror_pairs": [],
+             "bone_lengths": [0, -5]},
+            {"parents": [0, 2, 1], "mirror_pairs": [],
+             "bone_lengths": [0, 1, 1]}])}
+
+
+# (section, key, values); section None is the top level. The last
+# entries break a document's shape.
+_ENTRIES = ([(None, key, values) for key, values in _TOP.items()]
+            + [(section, key, values) for section, keys in _SECTIONS.items()
+               for key, values in keys.items()]
+            + [(None, "bogus", st.just(1)), ("train", "bogus", st.just(1)),
+               (None, "sampler", st.just([]))])
+
+
+@st.composite
+def _documents(draw):
+    """A few keys at once, so that most documents load."""
+    doc = {}
+    for section, key, values in draw(st.lists(st.sampled_from(_ENTRIES),
+                                              max_size=6)):
+        where = doc if section is None else doc.setdefault(section, {})
+        if isinstance(where, dict):
+            where[key] = draw(values)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents())
+def test_document_refused_at_load_or_builds_everything(doc):
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        return
+    sched = make_cosine_schedule(cfg.t_max)
+    timestep_ladder(sched.t_max, cfg.sampler.iterations)
+    for lib in (cfg.scenario, cfg.train, cfg.sampler, cfg.denoiser,
+                cfg.metrics):
+        replace(lib)
+    # the first pose alone: each pose has a stream of its own, and the
+    # default document asks for 100
+    gt, _ = gen_poses(replace(cfg.scenario, pose_count=1))[0]
+    init_params(gt.num_joints, hidden_width=cfg.train.hidden_width,
+                hidden_layers=cfg.train.hidden_layers)
+    ContractiveOracle(gt, cfg.denoiser.oracle_lambda)
+    NoisyOracle(gt, cfg.denoiser.oracle_sigma_mm, seed=cfg.seed)

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from posediff.core import HypothesisSet, PoseSeq2D, PoseSeq3D
-from posediff.denoise import (PIXEL_SCALE, DenoiserParams, TrainConfig,
-                              denoise, init_params, timestep_embedding, train)
+from posediff.denoise import (ADAM_EPS, PIXEL_SCALE, DenoiserParams,
+                              TrainConfig, denoise, init_params,
+                              timestep_embedding, train)
 from posediff.rng import RngStream, stream_id
 from posediff.schedule import diffuse_array, make_cosine_schedule, to_signal_units
 
@@ -150,7 +151,7 @@ def _reference_train(dataset, cfg, sched):
                 mom[i] = b1 * mom[i] + (1 - b1) * g_
                 var[i] = b2 * var[i] + (1 - b2) * g_ ** 2
                 step_size = (mom[i] / corr1) / (np.sqrt(var[i] / corr2)
-                                                + cfg.adam_eps)
+                                                + ADAM_EPS)
                 p -= lr * step_size
                 if decay:
                     p -= lr * cfg.weight_decay * p

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -57,6 +58,16 @@ def test_stream_id_rejects_ambiguous_types():
 def test_stream_id_in_range(parts):
     sid = stream_id(*parts)
     assert 0 <= sid < 2 ** 64
+
+
+def test_stream_id_takes_integers_beyond_128_bits():
+    ids = {stream_id(n) for n in (2 ** 127 - 1, 2 ** 127, 2 ** 200,
+                                  -2 ** 127, -2 ** 127 - 1)}
+    assert len(ids) == 5 and all(0 <= sid < 2 ** 64 for sid in ids)
+    # the 16-byte encoding of every smaller integer is unchanged
+    assert stream_id(5) == int.from_bytes(hashlib.blake2b(
+        b"i" + (5).to_bytes(16, "little", signed=True),
+        digest_size=8).digest(), "little")
 
 
 def test_spawn_differs_from_parent():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from posediff.camera import project
+from posediff.config import config_from_dict
 from posediff.core import DEFAULT_SKELETON
+from posediff.errors import ConfigError
 from posediff.synth import ScenarioConfig, gen_poses
 
 from clouds import Bimodal, IidGaussian, gen_hypotheses, gen_scenarios
@@ -166,3 +168,19 @@ def test_default_skeleton_compatible():
     gt, x = gen_poses(cfg)[0]
     assert gt.num_joints == DEFAULT_SKELETON.num_joints == 17
     assert x.num_joints == 17
+
+
+def test_root_box_letting_a_joint_reach_the_camera_refused():
+    # the default skeleton reaches 1171 mm along the bones from its root,
+    # so at a 35 degree swing a joint comes up to 672 mm nearer
+    with pytest.raises(ValueError, match="near plane"):
+        small_cfg(root_box_mm=((0.0, 0.0, 600.0), (1.0, 1.0, 700.0)))
+    with pytest.raises(ConfigError, match="near plane"):
+        config_from_dict({"scenario": {
+            "root_box_mm": [[0, 0, 5], [1.5, 1, 10]]}})
+    # a box just beyond the reach generates, and without swing no joint
+    # leaves its root's depth
+    for box, swing in ((((0.0, 0.0, 700.0), (1.0, 1.0, 800.0)), 35.0),
+                       (((0.0, 0.0, 2.0), (1.0, 1.0, 3.0)), 0.0)):
+        gen_poses(small_cfg(pose_count=20, root_box_mm=box,
+                            max_swing_deg=swing))

@@ -115,7 +115,7 @@ def _ddim_core(y: np.ndarray, y0_hat: np.ndarray, t: int, t_next: int,
     return out
 
 
-def _run_chain(predict: Callable[..., np.ndarray],
+def _run_chain(predict: Callable[..., object],
                shape: tuple[int, ...], cfg: SamplerConfig,
                sched: NoiseSchedule, ladder: list[int], hyps: range, *,
                branch: int = 0,

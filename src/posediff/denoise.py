@@ -234,7 +234,7 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
     if y_t.num_joints != model.num_joints:
         raise ShapeError(f"model expects {model.num_joints} joints, "
                          f"got {y_t.num_joints}")
-    scratch = scratch or _Scratch()
+    scratch = _Scratch() if scratch is None else scratch
     h, n, j = y_t.count, y_t.num_frames, y_t.num_joints
     # Each joint's signal coordinates, then its scaled keypoint, cast to
     # float32 as they are written. The keypoints are written once, into
@@ -623,7 +623,7 @@ class Denoiser(abc.ABC):
         Given ``out``, an (H, N, J, 3) float64 array, the estimate is
         written there and ``out`` is returned; its contents are
         unspecified after a refusal. This implementation copies
-        ``predict_clean``'s result in, so ``out`` may even be ``y_t``.
+        ``predict_clean``'s result in.
         """
         est = self.predict_clean(y_t, x, t, hyp_offset=hyp_offset,
                                  mirrored=mirrored)
@@ -661,7 +661,7 @@ class MlpDenoiser(Denoiser):
                       out: np.ndarray | None = None) -> np.ndarray:
         """As ``Denoiser.predict_clean``; given ``out``, an (H, N, J, 3)
         float64 array, the estimate is written there and ``out`` is
-        returned. ``out`` may be ``y_t``: the input is read first."""
+        returned."""
         y_t = np.asarray(y_t, dtype=np.float64)
         units = self._scratch.take("units", y_t.shape)
         np.multiply(y_t, SIGNAL_SCALE / MM_PER_UNIT, out=units)

@@ -38,13 +38,10 @@ def _absorb(h, parts):
         if isinstance(part, (bool, float)):
             raise TypeError(f"stream_id parts must be int or str, got {part!r}")
         if isinstance(part, (int, np.integer)):
-            part = int(part)
-            if -2 ** 127 <= part < 2 ** 127:
-                h.update(b"i")
-                h.update(part.to_bytes(16, "little", signed=True))
-            else:  # beyond 128 bits: in decimal, under a tag of its own
-                h.update(b"I")
-                h.update(str(part).encode("ascii") + b"\x00")
+            try:
+                h.update(b"i" + int(part).to_bytes(16, "little", signed=True))
+            except OverflowError:  # beyond 128 bits: decimal, tagged apart
+                h.update(b"I" + str(int(part)).encode("ascii") + b"\x00")
         elif isinstance(part, str):
             h.update(b"s")
             h.update(part.encode("utf-8"))

@@ -214,9 +214,5 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
             out += flip_array3d(y_mm, skeleton, out=spare)
             out /= 2.0
         return HypothesisSet(chain(both, trace=trace))
-    first = chain(plain)
-    out = flip_array3d(chain(flipped, branch=1), skeleton)
-    out += first
-    out /= 2.0
-    out.setflags(write=False)
-    return HypothesisSet(out)
+    out = chain(plain) + flip_array3d(chain(flipped, branch=1), skeleton)
+    return HypothesisSet(out / 2.0)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import abc
 import json
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -194,11 +195,12 @@ def y0_to_eps(y_t: np.ndarray, y0_hat: np.ndarray, t: int,
     return (y_t - np.sqrt(ab) * y0_hat) / np.sqrt(1.0 - ab)
 
 
-class _Scratch:
+class _Scratch(threading.local):
     """Arrays that consecutive MLP queries reuse. A query overwrites
     whatever it takes, so nothing in them outlives one query; a query
-    of another shape replaces them. Not reentrant: two threads must not
-    share one, and the package starts none."""
+    of another shape replaces them. Each thread sees arrays of its own,
+    so threads may query at once; two queries on one thread must not
+    overlap."""
 
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
@@ -604,6 +606,10 @@ class Denoiser(abc.ABC):
     actually read their inputs can ignore it because the sampler flips
     the inputs themselves. The sampler queries ``predict_screened``,
     which refuses a non-finite estimate.
+
+    The sampler may query one denoiser from several threads at once,
+    each on its own range of hypotheses, disjoint from the others; an
+    implementation keeps any state a query writes per thread.
     """
 
     @abc.abstractmethod
@@ -642,8 +648,8 @@ class MlpDenoiser(Denoiser):
     internally.
 
     ``t_max`` bounds the timesteps it accepts: the one it was trained to.
-    Its queries reuse one set of scratch arrays, so one instance must
-    not be queried from two threads at once.
+    Its queries reuse scratch arrays, one set per thread, so several
+    threads may query one instance at once.
     """
 
     def __init__(self, params: DenoiserParams, t_max: int):

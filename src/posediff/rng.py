@@ -9,8 +9,8 @@ labels instead of sharing a sequential generator.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
+import threading
 
 import numpy as np
 
@@ -119,11 +119,17 @@ class RngStream:
         return f"RngStream(seed={self.seed}, sid={self.sid})"
 
 
-@functools.cache
+_local = threading.local()
+
+
 def _shared_stream() -> RngStream:
-    # Built on first use: numpy loads numpy.random lazily, and importing
-    # the CLI should not pay for it.
-    return RngStream(0)
+    """The calling thread's stream for ``hypothesis_normals``. Built on
+    its first draw: numpy loads numpy.random lazily, and importing the
+    CLI should not pay for it."""
+    stream = getattr(_local, "stream", None)
+    if stream is None:
+        stream = _local.stream = RngStream(0)
+    return stream
 
 
 def hypothesis_normals(seed: int, hyps: range, shape: tuple[int, ...],
@@ -135,9 +141,10 @@ def hypothesis_normals(seed: int, hyps: range, shape: tuple[int, ...],
     depends only on its global hypothesis index: ``range(a, b)`` gives
     exactly rows ``a:b`` of ``range(0, b)``.
 
-    The rows are drawn by re-keying one stream shared by every call,
-    which gives the same numbers as fresh streams without building any.
-    So the function is not reentrant; the package starts no threads.
+    The rows are drawn by re-keying one stream that every call on the
+    calling thread shares, which gives the same numbers as fresh streams
+    without building any. Each thread has its own, so calls from several
+    threads may overlap.
     """
     stream = _shared_stream()
     prefix = _absorb(hashlib.blake2b(digest_size=8), label)

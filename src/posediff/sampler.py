@@ -15,6 +15,8 @@ never re-noised after the last denoiser call.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -27,6 +29,12 @@ from .denoise import Denoiser
 from .errors import NumericError
 from .rng import hypothesis_normals
 from .schedule import MM_PER_UNIT, SIGNAL_SCALE, NoiseSchedule
+
+# Hypothesis-frames (H * N) per chunk: run_sampler splits H hypotheses
+# of N frames into H * N // FRAMES_PER_CHUNK contiguous chunks, at least
+# 1 and at most H, and samples them on parallel threads. The size
+# follows from the input alone, never from the machine.
+FRAMES_PER_CHUNK = 2048
 
 
 class SigmaMode(Enum):
@@ -118,20 +126,22 @@ def _ddim_core(y: np.ndarray, y0_hat: np.ndarray, t: int, t_next: int,
 def _run_chain(predict: Callable[..., object],
                shape: tuple[int, ...], cfg: SamplerConfig,
                sched: NoiseSchedule, ladder: list[int], hyps: range, *,
-               branch: int = 0,
-               trace: list[HypothesisSet] | None = None) -> np.ndarray:
+               branch: int = 0, out: np.ndarray | None = None,
+               trace: list[np.ndarray] | None = None) -> np.ndarray:
     """Run one reverse chain over the K steps of ``ladder``; returns the
-    final clean estimate in mm, read-only.
+    final clean estimate in mm, in ``out`` when given.
 
     ``predict(y_mm, t, out, spare)`` is the denoiser query of every
     step: it writes the estimate into ``out`` and may overwrite
     ``y_mm`` and ``spare``. The chain owns these buffers and the state,
-    and every step works in them.
+    and every step works in them. Given ``trace``, one array per step,
+    each step's estimate is copied into its array.
     """
     to_mm = MM_PER_UNIT / SIGNAL_SCALE
     y = hypothesis_normals(cfg.seed, hyps, shape, "sampler_init",
                            branch=branch)
-    y_mm, spare, y0_mm = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    y_mm, spare = np.empty_like(y), np.empty_like(y)
+    y0_mm = np.empty_like(y) if out is None else out
     for k, t in enumerate(ladder):
         np.multiply(y, to_mm, out=y_mm)
         try:
@@ -143,7 +153,7 @@ def _run_chain(predict: Callable[..., object],
             raise NumericError(f"step t={t}: hypothesis {h}: clean estimate "
                                f"is not finite", hypothesis=h) from exc
         if trace is not None:
-            trace.append(HypothesisSet(y0_mm))  # a copy: y0_mm is writable
+            np.copyto(trace[k], y0_mm)
         if k + 1 < len(ladder):
             eps = None
             if cfg.sigma_mode is SigmaMode.STOCHASTIC:
@@ -152,9 +162,60 @@ def _run_chain(predict: Callable[..., object],
             np.divide(y0_mm, to_mm, out=spare)
             _ddim_core(y, spare, t, ladder[k + 1], sched, cfg.sigma_mode,
                        eps, out=y, work=y_mm)
-    # nothing else holds y0_mm, so HypothesisSet may take it uncopied
-    y0_mm.setflags(write=False)
     return y0_mm
+
+
+def _chunks(hypotheses: int, frames: int) -> list[range]:
+    """The contiguous hypothesis ranges sampled apart: C = H * N //
+    FRAMES_PER_CHUNK of them, at least 1 and at most H, the first
+    H mod C one hypothesis longer than the rest."""
+    count = min(max(hypotheses * frames // FRAMES_PER_CHUNK, 1), hypotheses)
+    size, extra = divmod(hypotheses, count)
+    ends = [i * size + min(i, extra) for i in range(count + 1)]
+    return [range(a, b) for a, b in zip(ends, ends[1:])]
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_parallel(task: Callable[[int], None],
+                  count: int) -> list[Exception | None]:
+    """Call ``task(i)`` for each i in ``range(count)``; returns what each
+    call raised, or None.
+
+    W = min(count, usable CPUs) workers share the calls, call i going to
+    worker i mod W: the calling thread is worker 0, and W - 1 helper
+    threads, under the caller's numpy error settings, are the rest.
+    """
+    workers = min(count, _usable_cpus())
+    errors: list[Exception | None] = [None] * count
+
+    def share(w):
+        for i in range(w, count, workers):
+            try:
+                task(i)
+            except Exception as exc:
+                errors[i] = exc
+
+    err = np.geterr()
+
+    def helper(w):
+        with np.errstate(**err):
+            share(w)
+
+    helpers = [threading.Thread(target=helper, args=(w,))
+               for w in range(1, workers)]
+    for thread in helpers:
+        thread.start()
+    try:
+        share(0)
+    finally:
+        for thread in helpers:
+            thread.join()
+    return errors
 
 
 def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
@@ -174,6 +235,11 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
     denoises both orientations every iteration and averages before the
     reverse update.
 
+    The hypotheses are sampled in contiguous chunks (see
+    ``FRAMES_PER_CHUNK``), each the batch split of its range, on up to
+    one thread per usable CPU. Every output is the same whatever the
+    chunks and the CPUs.
+
     Given a list, ``trace`` receives every iteration's clean estimate;
     the last one equals the result bitwise. ``once`` has two chains and
     so no single trace; it rejects one.
@@ -190,29 +256,60 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
             raise ValueError("flip augmentation needs a skeleton and image width")
         if not skeleton.mirror_pairs:
             raise ValueError("skeleton defines no mirror pairs, cannot flip")
+        x_flipped = flip_array2d(x.joints, skeleton, image_width)
     if mode is FlipMode.ONCE and trace is not None:
         raise ValueError("flip mode 'once' runs two chains, it has no "
                          "single trace")
+    shape = x.joints.shape[:2] + (3,)
+    poses = np.empty((cfg.hypotheses,) + shape)
+    steps = None if trace is None else [np.empty_like(poses) for _ in ladder]
 
-    def query(x2d, mirrored=None):
-        return lambda y_mm, t, out, spare=None: denoiser.predict_screened(
-            y_mm, x2d, t, hyp_offset=hyp_offset, mirrored=mirrored, out=out)
+    def sample(part: range) -> None:
+        """Sample hypotheses ``part`` of this call into their rows of
+        ``poses`` and of the trace's steps."""
+        first = hyp_offset + part.start
+        rows = slice(part.start, part.stop)
 
-    chain = functools.partial(
-        _run_chain, shape=x.joints.shape[:2] + (3,), cfg=cfg, sched=sched,
-        ladder=ladder, hyps=range(hyp_offset, hyp_offset + cfg.hypotheses))
-    plain = query(x.joints)
-    if mode is FlipMode.NONE:
-        return HypothesisSet(chain(plain, trace=trace))
-    flipped = query(flip_array2d(x.joints, skeleton, image_width), skeleton)
-    if mode is FlipMode.DIFFUSION:
-        def both(y_mm, t, out, spare):
-            # the plain estimate waits in out; the flipped query reads
-            # spare and writes y_mm, which the chain no longer needs
-            plain(y_mm, t, out)
-            flipped(flip_array3d(y_mm, skeleton, out=spare), t, y_mm)
-            out += flip_array3d(y_mm, skeleton, out=spare)
-            out /= 2.0
-        return HypothesisSet(chain(both, trace=trace))
-    out = chain(plain) + flip_array3d(chain(flipped, branch=1), skeleton)
-    return HypothesisSet(out / 2.0)
+        def query(x2d, mirrored=None):
+            return lambda y_mm, t, out, spare=None: denoiser.predict_screened(
+                y_mm, x2d, t, hyp_offset=first, mirrored=mirrored, out=out)
+
+        chain = functools.partial(
+            _run_chain, shape=shape, cfg=cfg, sched=sched, ladder=ladder,
+            hyps=range(first, first + len(part)))
+        traced = None if steps is None else [s[rows] for s in steps]
+        plain = query(x.joints)
+        if mode is FlipMode.NONE:
+            chain(plain, out=poses[rows], trace=traced)
+            return
+        flipped = query(x_flipped, skeleton)
+        if mode is FlipMode.DIFFUSION:
+            def both(y_mm, t, out, spare):
+                # the plain estimate waits in out; the flipped query reads
+                # spare and writes y_mm, which the chain no longer needs
+                plain(y_mm, t, out)
+                flipped(flip_array3d(y_mm, skeleton, out=spare), t, y_mm)
+                out += flip_array3d(y_mm, skeleton, out=spare)
+                out /= 2.0
+            chain(both, out=poses[rows], trace=traced)
+            return
+        out = chain(plain, out=poses[rows])
+        out += flip_array3d(chain(flipped, branch=1), skeleton)
+        out /= 2.0
+
+    chunks = _chunks(cfg.hypotheses, x.num_frames)
+    failed = [exc for exc in _run_parallel(lambda i: sample(chunks[i]),
+                                           len(chunks))
+              if exc is not None]
+    if len(failed) > 1:
+        # The chunks may fail at different steps. The error raised is
+        # the one that sampling every hypothesis as one chunk meets.
+        sample(range(cfg.hypotheses))
+    if failed:
+        raise failed[0]
+    if steps is not None:
+        for step in steps:
+            step.setflags(write=False)  # so HypothesisSet takes it uncopied
+            trace.append(HypothesisSet(step))
+    poses.setflags(write=False)
+    return HypothesisSet(poses)

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,33 @@ def test_hypothesis_normals_after_a_part_used_buffer(first_shape):
     for i, h in enumerate(hyps):
         ref = RngStream(3, stream_id("after", 9, h, 1)).standard_normal((2, 3))
         assert np.array_equal(out[i], ref)
+
+
+def test_hypothesis_normals_from_two_threads_match_serial_calls():
+    # each thread re-keys a stream of its own, so two threads drawing at
+    # once get exactly what the same calls give one after the other
+    shape = (64, 17, 3)  # large enough that numpy fills without the GIL
+    calls = [[(seed, range(h, h + 8), label) for h in (0, 5, 20)]
+             for seed, label in ((1, "left"), (2, "right"))]
+    want = [[hypothesis_normals(seed, hyps, shape, label, branch=0)
+             for seed, hyps, label in thread] for thread in calls]
+    barrier = threading.Barrier(2)
+    got = [None, None]
+
+    def draw(i):
+        barrier.wait()
+        got[i] = [hypothesis_normals(seed, hyps, shape, label, branch=0)
+                  for _ in range(4) for seed, hyps, label in calls[i]]
+
+    threads = [threading.Thread(target=draw, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for i in range(2):
+        assert len(got[i]) == 4 * len(want[i])
+        for j, rows in enumerate(got[i]):
+            assert np.array_equal(rows, want[i][j % len(want[i])]), (i, j)
 
 
 def test_cli_import_does_not_load_numpy_random():

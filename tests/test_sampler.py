@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,11 +205,14 @@ def test_mlp_trace_entries_own_their_memory(flip_mode):
 
 def test_mlp_denoiser_reused_across_shapes_matches_fresh():
     # one denoiser queried at a small, a large and the small shape again
-    # gives what a fresh denoiser gives for each
+    # gives what a fresh denoiser gives for each; then two threads query
+    # it at once, at different shapes
     sched = make_cosine_schedule(60)
     params = init_params(DEFAULT_SKELETON.num_joints, hidden_width=32)
     shared = MlpDenoiser(params, 60)
-    for hypotheses, frames in ((3, 5), (20, 256), (3, 5)):
+    shapes = ((3, 5), (20, 256), (3, 5))
+    runs = {}
+    for hypotheses, frames in shapes:
         _, x = gen_poses(ScenarioConfig(pose_count=1, frames_per_pose=frames,
                                         seed=6))[0]
         for mode in FlipMode:
@@ -217,6 +222,27 @@ def test_mlp_denoiser_reused_across_shapes_matches_fresh():
             want = run_sampler(x, MlpDenoiser(params, 60), cfg, sched,
                                DEFAULT_SKELETON, 1000.0)
             assert np.array_equal(got.poses, want.poses), (hypotheses, mode)
+            runs[hypotheses, mode] = x, cfg, want.poses
+
+    barrier = threading.Barrier(2)
+    got = {}
+
+    def query(key):
+        x, cfg, _ = runs[key]
+        barrier.wait()
+        got[key] = run_sampler(x, shared, cfg, sched, DEFAULT_SKELETON,
+                               1000.0).poses
+
+    for mode in FlipMode:
+        keys = [(hypotheses, mode) for hypotheses, _ in shapes[:2]]
+        threads = [threading.Thread(target=query, args=(key,))
+                   for key in keys]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for key in keys:
+            assert np.array_equal(got[key], runs[key][2]), key
 
 
 def test_perfect_oracle_collapses_immediately():

@@ -15,13 +15,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import posediff
-from posediff import sampler
+from posediff import cli, sampler
 from posediff.core import DEFAULT_SKELETON
-from posediff.denoise import (ContractiveOracle, MlpDenoiser, NoisyOracle,
-                              PerfectOracle, init_params)
-from posediff.sampler import FlipMode, SamplerConfig, SigmaMode, run_sampler
+from posediff.denoise import (ContractiveOracle, Denoiser, MlpDenoiser,
+                              NoisyOracle, PerfectOracle, init_params)
+from posediff.errors import NumericError
+from posediff.sampler import (FlipMode, SamplerConfig, SigmaMode, run_sampler,
+                              timestep_ladder)
 from posediff.schedule import make_cosine_schedule
 from posediff.synth import ScenarioConfig, gen_poses
 
@@ -130,3 +133,120 @@ def test_cli_infer_on_one_cpu_writes_the_same_bytes(tmp_path):
                          for p in sorted(root.rglob("*")) if p.is_file()}
     assert outputs["all"]
     assert outputs["one"] == outputs["all"]
+
+
+def test_chunks_follow_the_shape():
+    # the rule: H * N // FRAMES_PER_CHUNK chunks, at least 1 and at most
+    # H, contiguous, the longer ones first
+    per = sampler.FRAMES_PER_CHUNK
+    assert sampler._chunks(20, 4) == [range(20)]
+    assert sampler._chunks(20, 2 * per // 20 - 1) == [range(20)]
+    assert sampler._chunks(20, 2 * per // 20 + 1) == [range(10), range(10, 20)]
+    assert sampler._chunks(20, 3 * per // 20 + 1) == [
+        range(7), range(7, 14), range(14, 20)]
+    assert sampler._chunks(3, 10 * per) == [range(1), range(1, 2),
+                                            range(2, 3)]
+    # the benchmark's long sequences split in two
+    assert len(sampler._chunks(20, 256)) == 2
+
+
+class _Recorder(Denoiser):
+    """Zeros; records the hypotheses of every query."""
+
+    def __init__(self):
+        self.queries = set()
+
+    def predict_clean(self, y_t, x, t, *, hyp_offset=0, mirrored=None):
+        self.queries.add(range(hyp_offset, hyp_offset + len(y_t)))
+        return np.zeros_like(y_t)
+
+
+@pytest.mark.parametrize("chunks", CHUNKS)
+def test_each_chunk_is_queried_as_its_own_batch(monkeypatch, chunks):
+    _force_chunks(monkeypatch, chunks, 7)
+    _, x = _keypoints(7)
+    den = _Recorder()
+    run_sampler(x, den, SamplerConfig(hypotheses=H, iterations=2),
+                make_cosine_schedule(20), hyp_offset=4)
+    want = {range(4 + r.start, 4 + r.stop) for r in sampler._chunks(H, 7)}
+    assert len(want) == chunks
+    assert den.queries == want
+
+
+class _NanFrom(Denoiser):
+    """Zeros, except NaN for global hypothesis h from timestep
+    ``start[h]`` down."""
+
+    def __init__(self, start: dict[int, int]):
+        self.start = start
+
+    def predict_clean(self, y_t, x, t, *, hyp_offset=0, mirrored=None):
+        out = np.zeros_like(y_t)
+        for h, t_first in self.start.items():
+            if t <= t_first and 0 <= h - hyp_offset < len(out):
+                out[h - hyp_offset, -1, 0, 2] = np.nan
+        return out
+
+
+# 20 hypotheses of 256 frames are sampled in two chunks; hypothesis 15
+# of the second fails from step 2, hypothesis 3 of the first from step 5
+T_MAX, K, FRAMES = 40, 8, 256
+LADDER = timestep_ladder(T_MAX, K)
+FAILING = {15: LADDER[2], 3: LADDER[5]}
+
+
+@pytest.mark.parametrize("chunks", [None, 1, 3])
+@pytest.mark.parametrize("flip_mode", list(FlipMode))
+def test_failing_chunks_raise_what_one_chunk_raises(monkeypatch, chunks,
+                                                    flip_mode):
+    # one chunk stops at step 2 and names hypothesis 15, the lowest
+    # failing one there; so must every split, whichever chunk fails
+    # first in time
+    if chunks is not None:
+        _force_chunks(monkeypatch, chunks, FRAMES)
+    _, x = _keypoints(FRAMES)
+    cfg = SamplerConfig(hypotheses=H, iterations=K, flip_mode=flip_mode)
+    with pytest.raises(NumericError, match=f"^step t={LADDER[2]}: "
+                                           f"hypothesis 15: ") as info:
+        run_sampler(x, _NanFrom(FAILING), cfg, make_cosine_schedule(T_MAX),
+                    DEFAULT_SKELETON, 1000.0)
+    assert info.value.hypothesis == 15
+
+
+class _Refuses(Denoiser):
+    """Refuses any batch holding hypothesis 12."""
+
+    def predict_clean(self, y_t, x, t, *, hyp_offset=0, mirrored=None):
+        if hyp_offset <= 12 < hyp_offset + len(y_t):
+            raise KeyError("hypothesis 12 is refused")
+        return np.zeros_like(y_t)
+
+
+def test_other_errors_reach_the_caller_unchanged():
+    _, x = _keypoints(FRAMES)
+    with pytest.raises(KeyError) as info:
+        run_sampler(x, _Refuses(), SamplerConfig(hypotheses=H, iterations=3),
+                    make_cosine_schedule(T_MAX))
+    assert info.type is KeyError
+    assert info.value.args == ("hypothesis 12 is refused",)
+
+
+def test_cli_failing_chunks_exit_1_naming_the_sequence(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(
+        '{"seed": 3, "t_max": %d, "scenario": {"pose_count": 1, '
+        '"frames_per_pose": %d}, "sampler": {"hypotheses": %d, '
+        '"iterations": %d}}' % (T_MAX, FRAMES, H, K))
+    runner = CliRunner()
+    res = runner.invoke(cli.main, ["gen", "--config", "cfg.json", "--out",
+                                   "data"])
+    assert res.exit_code == 0, res.output
+    monkeypatch.setattr(cli, "_denoisers",
+                        lambda cfg, ds, checkpoint, oracle: [_NanFrom(FAILING)])
+    res = runner.invoke(cli.main, ["infer", "--config", "cfg.json", "--data",
+                                   "data", "--oracle", "perfect", "--flip",
+                                   "diffusion", "--out", "out"])
+    assert res.exit_code == 1, res.output
+    assert (f"error: sampling sequence 0 (seq_0000): step t={LADDER[2]}: "
+            f"hypothesis 15: clean estimate is not finite") in res.stderr
+    assert "Traceback" not in res.stderr

@@ -157,31 +157,39 @@ def test_hypothesis_normals_after_a_part_used_buffer(first_shape):
         assert np.array_equal(out[i], ref)
 
 
-def test_hypothesis_normals_from_two_threads_match_serial_calls():
-    # each thread re-keys a stream of its own, so two threads drawing at
-    # once get exactly what the same calls give one after the other
+def test_hypothesis_normals_from_threads_match_serial_calls():
+    # each thread re-keys a stream of its own, so threads drawing at once
+    # get exactly what the same calls give one after the other; more
+    # threads than cores, switching often
     shape = (64, 17, 3)  # large enough that numpy fills without the GIL
-    calls = [[(seed, range(h, h + 8), label) for h in (0, 5, 20)]
-             for seed, label in ((1, "left"), (2, "right"))]
+    calls = [[(seed, range(h, h + 8), f"thread {seed}") for h in (0, 5, 20)]
+             for seed in range(4)]
     want = [[hypothesis_normals(seed, hyps, shape, label, branch=0)
              for seed, hyps, label in thread] for thread in calls]
-    barrier = threading.Barrier(2)
-    got = [None, None]
+    barrier = threading.Barrier(len(calls))
+    got = [None] * len(calls)
 
     def draw(i):
-        barrier.wait()
+        barrier.wait(timeout=60)
         got[i] = [hypothesis_normals(seed, hyps, shape, label, branch=0)
                   for _ in range(4) for seed, hyps, label in calls[i]]
 
-    threads = [threading.Thread(target=draw, args=(i,)) for i in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    for i in range(2):
-        assert len(got[i]) == 4 * len(want[i])
-        for j, rows in enumerate(got[i]):
-            assert np.array_equal(rows, want[i][j % len(want[i])]), (i, j)
+    threads = [threading.Thread(target=draw, args=(i,))
+               for i in range(len(calls))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i, rows in enumerate(got):
+        assert len(rows) == 4 * len(want[i])
+        for j, a in enumerate(rows):
+            assert np.array_equal(a, want[i][j % len(want[i])]), (i, j)
 
 
 def test_cli_import_does_not_load_numpy_random():

@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -205,8 +206,8 @@ def test_mlp_trace_entries_own_their_memory(flip_mode):
 
 def test_mlp_denoiser_reused_across_shapes_matches_fresh():
     # one denoiser queried at a small, a large and the small shape again
-    # gives what a fresh denoiser gives for each; then two threads query
-    # it at once, at different shapes
+    # gives what a fresh denoiser gives for each; then four threads,
+    # more than the cores, query it at once, two at each shape
     sched = make_cosine_schedule(60)
     params = init_params(DEFAULT_SKELETON.num_joints, hidden_width=32)
     shared = MlpDenoiser(params, 60)
@@ -224,25 +225,32 @@ def test_mlp_denoiser_reused_across_shapes_matches_fresh():
             assert np.array_equal(got.poses, want.poses), (hypotheses, mode)
             runs[hypotheses, mode] = x, cfg, want.poses
 
-    barrier = threading.Barrier(2)
+    barrier = threading.Barrier(4)
     got = {}
 
-    def query(key):
+    def query(i, key):
         x, cfg, _ = runs[key]
-        barrier.wait()
-        got[key] = run_sampler(x, shared, cfg, sched, DEFAULT_SKELETON,
-                               1000.0).poses
+        barrier.wait(timeout=60)
+        got[i, key] = run_sampler(x, shared, cfg, sched, DEFAULT_SKELETON,
+                                  1000.0).poses
 
-    for mode in FlipMode:
-        keys = [(hypotheses, mode) for hypotheses, _ in shapes[:2]]
-        threads = [threading.Thread(target=query, args=(key,))
-                   for key in keys]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for key in keys:
-            assert np.array_equal(got[key], runs[key][2]), key
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for mode in FlipMode:
+            threads = [threading.Thread(target=query,
+                                        args=(i, (hypotheses, mode)))
+                       for i in range(2) for hypotheses, _ in shapes[:2]]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for (i, key), poses in got.items():
+        assert np.array_equal(poses, runs[key][2]), (i, key)
+    assert len(got) == 4 * len(FlipMode)
 
 
 def test_perfect_oracle_collapses_immediately():

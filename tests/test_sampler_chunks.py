@@ -105,7 +105,7 @@ def _cli(cwd: Path, *args: str, cpu: str | None = None) -> None:
     if cpu is not None:
         argv = ["taskset", "-c", cpu] + argv
     done = subprocess.run(argv, cwd=cwd, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
     assert done.returncode == 0, done.stderr
 
 

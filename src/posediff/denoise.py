@@ -170,15 +170,6 @@ def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
     return h
 
 
-def _first_non_finite(a: np.ndarray) -> int | None:
-    """Index along the first axis of the first entry of ``a`` that holds
-    a non-finite value; None when every value is finite."""
-    finite = np.isfinite(a)
-    if finite.all():
-        return None
-    return int(np.argmin(finite.reshape(len(a), -1).all(axis=1)))
-
-
 def eps_to_y0(y_t: np.ndarray, eps_hat: np.ndarray, t: int,
               sched: NoiseSchedule) -> np.ndarray:
     """Invert the forward process: recover y0 from a noise estimate."""
@@ -214,18 +205,17 @@ class _Scratch(threading.local):
 
 
 def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
-            t_max: int, *, out: np.ndarray | None = None,
-            scratch: _Scratch | None = None) -> HypothesisSet | np.ndarray:
-    """Apply the MLP to every hypothesis; returns clean-pose estimates.
+            t_max: int, out: np.ndarray, *,
+            scratch: _Scratch | None = None) -> np.ndarray:
+    """Apply the MLP to every hypothesis; writes the clean-pose
+    estimates into ``out``, an (H, N, J, 3) float64 array, unscreened,
+    and returns ``out``.
 
     ``y_t`` is in diffusion signal units, and so is the output: the
     network regresses the clean pose directly, for t in [0, t_max]. The
     network runs in float32 on ``model.float32``; the estimates are
-    float64. They are returned as a ``HypothesisSet``, or, given
-    ``out``, an (H, N, J, 3) float64 array, written there and ``out``
-    returned. The features and layer outputs live in ``scratch``, or in
-    fresh arrays when it is None. A non-finite estimate raises
-    ``NumericError`` naming the first hypothesis holding one.
+    float64. The features and layer outputs live in ``scratch``, or in
+    fresh arrays when it is None.
     """
     if not 0 <= t <= t_max:
         raise ValueError(f"t={t} outside [0, {t_max}]")
@@ -259,17 +249,8 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
     est = _forward(weights, biases, feats.reshape(h, n, j * 5),
                    timestep_embedding(float(t), model.embed_dim)
                    .astype(np.float32), outs)
-    # The one screen on this path.
-    bad = _first_non_finite(est)
-    if bad is not None:
-        raise NumericError(f"t={t}: clean estimate is not finite",
-                           hypothesis=bad)
-    if out is not None:
-        np.copyto(out, est.reshape(h, n, j, 3))
-        return out
-    poses = est.reshape(h, n, j, 3).astype(np.float64)
-    poses.setflags(write=False)  # so that HypothesisSet takes it uncopied
-    return HypothesisSet(poses)
+    np.copyto(out, est.reshape(h, n, j, 3))
+    return out
 
 
 @dataclass(frozen=True)
@@ -604,8 +585,8 @@ class Denoiser(abc.ABC):
     of a larger batch. ``mirrored`` tells input-blind oracles that the
     query is for the left/right-flipped problem; implementations that
     actually read their inputs can ignore it because the sampler flips
-    the inputs themselves. The sampler queries ``predict_screened``,
-    which refuses a non-finite estimate.
+    the inputs themselves. The sampler screens every estimate it reads,
+    so an implementation need not.
 
     The sampler may query one denoiser from several threads at once,
     each on its own range of hypotheses, disjoint from the others; an
@@ -613,34 +594,12 @@ class Denoiser(abc.ABC):
     """
 
     @abc.abstractmethod
-    def predict_clean(self, y_t: np.ndarray, x: np.ndarray, t: int, *,
-                      hyp_offset: int = 0,
+    def predict_clean(self, y_t: np.ndarray, x: np.ndarray, t: int,
+                      out: np.ndarray, *, hyp_offset: int = 0,
                       mirrored: Skeleton | None = None) -> np.ndarray:
-        """(H, N, J, 3) mm noisy poses plus (N, J, 2) px -> (H, N, J, 3) mm."""
-
-    def predict_screened(self, y_t: np.ndarray, x: np.ndarray, t: int, *,
-                         hyp_offset: int = 0,
-                         mirrored: Skeleton | None = None,
-                         out: np.ndarray | None = None) -> np.ndarray:
-        """``predict_clean``, refused unless finite: a non-finite estimate
-        raises ``NumericError`` whose ``hypothesis`` is the index, within
-        this batch, of the first hypothesis holding one.
-
-        Given ``out``, an (H, N, J, 3) float64 array, the estimate is
-        written there and ``out`` is returned; its contents are
-        unspecified after a refusal. This implementation copies
-        ``predict_clean``'s result in.
-        """
-        est = self.predict_clean(y_t, x, t, hyp_offset=hyp_offset,
-                                 mirrored=mirrored)
-        bad = _first_non_finite(est)
-        if bad is not None:
-            raise NumericError(f"t={t}: clean estimate is not finite",
-                               hypothesis=bad)
-        if out is None:
-            return est
-        np.copyto(out, est)
-        return out
+        """(H, N, J, 3) mm noisy poses plus (N, J, 2) px -> (H, N, J, 3)
+        mm, written into ``out``, a float64 array that does not overlap
+        ``y_t``; returns ``out``."""
 
 
 class MlpDenoiser(Denoiser):
@@ -662,33 +621,17 @@ class MlpDenoiser(Denoiser):
         params, header = load_checkpoint(path)
         return cls(params, header["t_max"])
 
-    def predict_clean(self, y_t: np.ndarray, x: np.ndarray, t: int, *,
-                      hyp_offset: int = 0, mirrored: Skeleton | None = None,
-                      out: np.ndarray | None = None) -> np.ndarray:
-        """As ``Denoiser.predict_clean``; given ``out``, an (H, N, J, 3)
-        float64 array, the estimate is written there and ``out`` is
-        returned."""
-        y_t = np.asarray(y_t, dtype=np.float64)
+    def predict_clean(self, y_t, x, t, out, *, hyp_offset=0, mirrored=None):
         units = self._scratch.take("units", y_t.shape)
         np.multiply(y_t, SIGNAL_SCALE / MM_PER_UNIT, out=units)
         # A read-only view, so that HypothesisSet takes it uncopied; it
         # lives for this query only.
         units = units.view()
         units.setflags(write=False)
-        if out is None:
-            out = np.empty(y_t.shape)
         denoise(HypothesisSet(units), PoseSeq2D(x), t, self.params,
-                self.t_max, out=out, scratch=self._scratch)
+                self.t_max, out, scratch=self._scratch)
         out /= SIGNAL_SCALE / MM_PER_UNIT
         return out
-
-    def predict_screened(self, y_t: np.ndarray, x: np.ndarray, t: int, *,
-                         hyp_offset: int = 0,
-                         mirrored: Skeleton | None = None,
-                         out: np.ndarray | None = None) -> np.ndarray:
-        # denoise() screens its output already, and raises as promised
-        return self.predict_clean(y_t, x, t, hyp_offset=hyp_offset,
-                                  mirrored=mirrored, out=out)
 
 
 class _OracleBase(Denoiser):
@@ -709,9 +652,9 @@ class _OracleBase(Denoiser):
 class PerfectOracle(_OracleBase):
     """Returns the ground truth regardless of input."""
 
-    def predict_clean(self, y_t, x, t, *, hyp_offset=0, mirrored=None):
-        gt = self._gt_for(y_t, mirrored)
-        return np.broadcast_to(gt, y_t.shape).copy()
+    def predict_clean(self, y_t, x, t, out, *, hyp_offset=0, mirrored=None):
+        np.copyto(out, self._gt_for(y_t, mirrored))
+        return out
 
 
 class ContractiveOracle(_OracleBase):
@@ -727,9 +670,10 @@ class ContractiveOracle(_OracleBase):
             raise ValueError(f"lam must be in [0, 1), got {lam}")
         self.lam = lam
 
-    def predict_clean(self, y_t, x, t, *, hyp_offset=0, mirrored=None):
-        gt = self._gt_for(y_t, mirrored)
-        return self.lam * gt[None] + (1.0 - self.lam) * y_t
+    def predict_clean(self, y_t, x, t, out, *, hyp_offset=0, mirrored=None):
+        np.multiply(y_t, 1.0 - self.lam, out=out)
+        out += self.lam * self._gt_for(y_t, mirrored)
+        return out
 
 
 class NoisyOracle(_OracleBase):
@@ -754,12 +698,14 @@ class NoisyOracle(_OracleBase):
         self.sigma = sigma
         self.seed = seed
 
-    def predict_clean(self, y_t, x, t, *, hyp_offset=0, mirrored=None):
+    def predict_clean(self, y_t, x, t, out, *, hyp_offset=0, mirrored=None):
         gt = self._gt_for(y_t, mirrored)
         hyps = range(hyp_offset, hyp_offset + y_t.shape[0])
         noise = hypothesis_normals(self.seed, hyps, y_t.shape[1:],
                                    "oracle_noisy", int(t),
                                    branch=0 if mirrored is None else 1)
         scale = self.sigma if self.sigma.ndim == 0 else self.sigma[:, None]
-        return gt + scale * noise
+        np.multiply(noise, scale, out=out)
+        out += gt
+        return out
 

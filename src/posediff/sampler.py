@@ -123,6 +123,15 @@ def _ddim_core(y: np.ndarray, y0_hat: np.ndarray, t: int, t_next: int,
     return out
 
 
+def _first_non_finite(a: np.ndarray) -> int | None:
+    """Index along the first axis of the first entry of ``a`` that holds
+    a non-finite value; None when every value is finite."""
+    finite = np.isfinite(a)
+    if finite.all():
+        return None
+    return int(np.argmin(finite.reshape(len(a), -1).all(axis=1)))
+
+
 def _run_chain(predict: Callable[..., object],
                shape: tuple[int, ...], cfg: SamplerConfig,
                sched: NoiseSchedule, ladder: list[int], hyps: range, *,
@@ -144,14 +153,12 @@ def _run_chain(predict: Callable[..., object],
     y0_mm = np.empty_like(y) if out is None else out
     for k, t in enumerate(ladder):
         np.multiply(y, to_mm, out=y_mm)
-        try:
-            predict(y_mm, t, y0_mm, spare)
-        except NumericError as exc:
-            if exc.hypothesis is None:
-                raise
-            h = hyps[exc.hypothesis]
+        predict(y_mm, t, y0_mm, spare)
+        bad = _first_non_finite(y0_mm)
+        if bad is not None:
+            h = hyps[bad]
             raise NumericError(f"step t={t}: hypothesis {h}: clean estimate "
-                               f"is not finite", hypothesis=h) from exc
+                               f"is not finite", hypothesis=h)
         if trace is not None:
             np.copyto(trace[k], y0_mm)
         if k + 1 < len(ladder):
@@ -271,8 +278,8 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
         rows = slice(part.start, part.stop)
 
         def query(x2d, mirrored=None):
-            return lambda y_mm, t, out, spare=None: denoiser.predict_screened(
-                y_mm, x2d, t, hyp_offset=first, mirrored=mirrored, out=out)
+            return lambda y_mm, t, out, spare=None: denoiser.predict_clean(
+                y_mm, x2d, t, out, hyp_offset=first, mirrored=mirrored)
 
         chain = functools.partial(
             _run_chain, shape=shape, cfg=cfg, sched=sched, ladder=ladder,

@@ -713,8 +713,8 @@ def test_flip_refuses_camera_without_positive_cx(runner, tmp_path, command):
 class _NanStub(Denoiser):
     """Zeros, except NaN for hypothesis 2 at the second step."""
 
-    def predict_clean(self, y_t, x, t, *, hyp_offset=0, mirrored=None):
-        out = np.zeros_like(y_t)
+    def predict_clean(self, y_t, x, t, out, *, hyp_offset=0, mirrored=None):
+        out.fill(0.0)
         if t == 40:
             out[2 - hyp_offset] = np.nan
         return out

@@ -108,9 +108,9 @@ def test_zero_weights_emit_output_bias():
     params = _tiny_params(out_bias=bias)
     y_t = HypothesisSet(np.random.default_rng(0).normal(size=(3, 2, 2, 3)))
     x = random_keypoints(np.random.default_rng(1), frames=2, joints=2)
-    out = denoise(y_t, x, 4, params, 10)
+    out = denoise(y_t, x, 4, params, 10, np.empty((3, 2, 2, 3)))
     expect = np.broadcast_to(bias.reshape(2, 3), (3, 2, 2, 3))
-    np.testing.assert_array_equal(out.poses, expect)
+    np.testing.assert_array_equal(out, expect)
 
 
 def test_denoise_validates_shapes():
@@ -118,12 +118,14 @@ def test_denoise_validates_shapes():
     y = HypothesisSet(np.zeros((1, 2, 2, 3)))
     x = PoseSeq2D(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
-        denoise(y, x, 11, params, 10)
+        denoise(y, x, 11, params, 10, np.empty((1, 2, 2, 3)))
     with pytest.raises(ShapeError):
-        denoise(y, PoseSeq2D(np.zeros((3, 2, 2))), 1, params, 10)
+        denoise(y, PoseSeq2D(np.zeros((3, 2, 2))), 1, params, 10,
+                np.empty((1, 2, 2, 3)))
     with pytest.raises(ShapeError):
         denoise(HypothesisSet(np.zeros((1, 2, 3, 3))),
-                PoseSeq2D(np.zeros((2, 3, 2))), 1, params, 10)
+                PoseSeq2D(np.zeros((2, 3, 2))), 1, params, 10,
+                np.empty((1, 2, 3, 3)))
 
 
 def test_network_reads_its_conditioning():
@@ -132,9 +134,9 @@ def test_network_reads_its_conditioning():
     y = HypothesisSet(np.zeros((1, 1, 2, 3)))
     xa = PoseSeq2D(np.full((1, 2, 2), 100.0))
     xb = PoseSeq2D(np.full((1, 2, 2), 900.0))
-    oa = denoise(y, xa, 3, params, 10)
-    ob = denoise(y, xb, 3, params, 10)
-    assert not np.allclose(oa.poses, ob.poses)
+    oa = denoise(y, xa, 3, params, 10, np.empty((1, 1, 2, 3)))
+    ob = denoise(y, xb, 3, params, 10, np.empty((1, 1, 2, 3)))
+    assert not np.allclose(oa, ob)
 
 
 # --- conversions -------------------------------------------------------------
@@ -391,7 +393,7 @@ def test_mlp_denoiser_from_checkpoint(tmp_path):
     assert den.t_max == 40
     y_t = np.random.default_rng(10).normal(scale=500.0, size=(2, 1, 2, 3))
     x = np.random.default_rng(11).uniform(0, 1000, size=(1, 2, 2))
-    out = den.predict_clean(y_t, x, 5)
+    out = den.predict_clean(y_t, x, 5, np.empty_like(y_t))
     assert out.shape == (2, 1, 2, 3)
     assert np.all(np.isfinite(out))
 
@@ -402,7 +404,7 @@ def test_perfect_oracle_returns_gt(tri_skeleton):
     gt = random_pose(np.random.default_rng(12), frames=2, joints=3)
     den = PerfectOracle(gt)
     y_t = np.random.default_rng(13).normal(size=(4, 2, 3, 3))
-    out = den.predict_clean(y_t, None, 5)
+    out = den.predict_clean(y_t, None, 5, np.empty_like(y_t))
     assert out.shape == (4, 2, 3, 3)
     for h in range(4):
         assert np.array_equal(out[h], gt.joints)
@@ -413,21 +415,23 @@ def test_perfect_oracle_mirrored_branch(tri_skeleton):
     gt = random_pose(np.random.default_rng(14), frames=1, joints=3)
     den = PerfectOracle(gt)
     y_t = np.zeros((1, 1, 3, 3))
-    out = den.predict_clean(y_t, None, 5, mirrored=tri_skeleton)
+    out = den.predict_clean(y_t, None, 5, np.empty_like(y_t),
+                          mirrored=tri_skeleton)
     assert np.array_equal(out[0], flip_array3d(gt.joints, tri_skeleton))
 
 
 def test_oracle_shape_check():
     gt = random_pose(np.random.default_rng(15), frames=2, joints=3)
     with pytest.raises(ShapeError):
-        PerfectOracle(gt).predict_clean(np.zeros((1, 2, 4, 3)), None, 5)
+        PerfectOracle(gt).predict_clean(np.zeros((1, 2, 4, 3)), None, 5,
+                                        np.empty((1, 2, 4, 3)))
 
 
 def test_contractive_oracle_blend():
     gt = random_pose(np.random.default_rng(16), frames=1, joints=3)
     den = ContractiveOracle(gt, 0.25)
     y_t = np.random.default_rng(17).normal(size=(2, 1, 3, 3))
-    out = den.predict_clean(y_t, None, 3)
+    out = den.predict_clean(y_t, None, 3, np.empty_like(y_t))
     np.testing.assert_allclose(out, 0.25 * gt.joints + 0.75 * y_t, rtol=1e-15)
     with pytest.raises(ValueError):
         ContractiveOracle(gt, 1.0)
@@ -439,15 +443,17 @@ def test_noisy_oracle_keyed_reproducibility():
     gt = random_pose(np.random.default_rng(18), frames=2, joints=3)
     den = NoisyOracle(gt, 20.0, seed=5)
     y_t = np.zeros((4, 2, 3, 3))
-    full = den.predict_clean(y_t, None, 9)
-    again = den.predict_clean(y_t, None, 9)
+    full = den.predict_clean(y_t, None, 9, np.empty_like(y_t))
+    again = den.predict_clean(y_t, None, 9, np.empty_like(y_t))
     assert np.array_equal(full, again)
     # batch split: hypotheses keep their draws under any batching
-    lo = den.predict_clean(y_t[:2], None, 9, hyp_offset=0)
-    hi = den.predict_clean(y_t[2:], None, 9, hyp_offset=2)
+    lo = den.predict_clean(y_t[:2], None, 9, np.empty_like(y_t[:2]),
+                           hyp_offset=0)
+    hi = den.predict_clean(y_t[2:], None, 9, np.empty_like(y_t[2:]),
+                           hyp_offset=2)
     assert np.array_equal(np.concatenate([lo, hi]), full)
     # other timestep, other draw
-    other = den.predict_clean(y_t, None, 8)
+    other = den.predict_clean(y_t, None, 8, np.empty_like(y_t))
     assert not np.array_equal(other, full)
 
 
@@ -455,8 +461,9 @@ def test_noisy_oracle_mirror_branch_distinct(tri_skeleton):
     gt = random_pose(np.random.default_rng(19), frames=1, joints=3)
     den = NoisyOracle(gt, 10.0, seed=6)
     y_t = np.zeros((1, 1, 3, 3))
-    plain = den.predict_clean(y_t, None, 4)
-    mirrored = den.predict_clean(y_t, None, 4, mirrored=tri_skeleton)
+    plain = den.predict_clean(y_t, None, 4, np.empty_like(y_t))
+    mirrored = den.predict_clean(y_t, None, 4, np.empty_like(y_t),
+                                 mirrored=tri_skeleton)
     assert not np.array_equal(plain, mirrored)
 
 
@@ -464,7 +471,7 @@ def test_noisy_oracle_sigma_validation():
     gt = random_pose(np.random.default_rng(20), frames=1, joints=3)
     assert np.array_equal(
         NoisyOracle(gt, 0.0).predict_clean(np.zeros((1, 1, 3, 3)), None,
-                                           2)[0],
+                                           2, np.empty((1, 1, 3, 3)))[0],
         gt.joints)
     with pytest.raises(ValueError):
         NoisyOracle(gt, -1.0)
@@ -473,7 +480,8 @@ def test_noisy_oracle_sigma_validation():
     with pytest.raises(ShapeError):
         NoisyOracle(gt, np.zeros(4))
     per_joint = NoisyOracle(gt, np.array([0.0, 50.0, 0.0]), seed=1)
-    out = per_joint.predict_clean(np.zeros((1, 1, 3, 3)), None, 2)
+    out = per_joint.predict_clean(np.zeros((1, 1, 3, 3)), None, 2,
+                                  np.empty((1, 1, 3, 3)))
     err = out[0] - gt.joints
     assert np.all(err[:, 0] == 0.0) and np.all(err[:, 2] == 0.0)
     assert np.any(err[:, 1] != 0.0)

@@ -69,7 +69,8 @@ def test_denoise_matches_textbook_forward(hypotheses, t):
     # rows differently from a few
     for frames in (4, 7, 256):
         y, x = _inputs(hypotheses, frames, J)
-        got = denoise(HypothesisSet(y), PoseSeq2D(x), t, model, 40).poses
+        got = denoise(HypothesisSet(y), PoseSeq2D(x), t, model, 40,
+                      np.empty_like(y))
         assert got.dtype == np.float64
         for h in range(hypotheses):
             want = _reference_forward(model, _features(y[h], x), emb)
@@ -81,7 +82,8 @@ def test_float32_denoise_stays_close_to_float64():
     joints, t = 17, 7
     model = _model(width=128, joints=joints)
     y, x = _inputs(20, 256, joints)
-    got = denoise(HypothesisSet(y), PoseSeq2D(x), t, model, 40).poses
+    got = denoise(HypothesisSet(y), PoseSeq2D(x), t, model, 40,
+                  np.empty_like(y))
     emb = timestep_embedding(float(t), model.embed_dim)
     worst = max(np.max(np.abs(got[h].reshape(256, -1) - _reference_forward(
         model, _features(y[h], x), emb, np.float64))) for h in range(20))

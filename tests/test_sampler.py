@@ -383,8 +383,10 @@ def test_flip_average_formula(tri_skeleton):
     out = run_sampler(x, den, cfg, sched, tri_skeleton, 1000.0).poses
 
     shape = (1, 1, 3, 3)
-    plain = den.predict_clean(np.zeros(shape), x.joints, 50, hyp_offset=0)
-    other = den.predict_clean(np.zeros(shape), x.joints, 50, hyp_offset=0,
+    plain = den.predict_clean(np.zeros(shape), x.joints, 50,
+                              np.empty(shape), hyp_offset=0)
+    other = den.predict_clean(np.zeros(shape), x.joints, 50,
+                              np.empty(shape), hyp_offset=0,
                               mirrored=tri_skeleton)
     expect = (plain + flip_array3d(other, tri_skeleton)) / 2.0
     assert np.array_equal(out, expect)
@@ -406,15 +408,19 @@ def test_sample_shape_and_finiteness(seed):
 # --- non-finite denoiser output ----------------------------------------------
 
 class _NanAt(Denoiser):
-    """Zeros, except one NaN for global hypothesis ``hyp`` at step ``t``."""
+    """Zeros, except one NaN at step ``t`` for global hypothesis
+    ``plain`` of the plain query and ``mirrored`` of the mirrored one;
+    None fails no hypothesis."""
 
-    def __init__(self, hyp: int, t: int):
-        self.hyp, self.t = hyp, t
+    def __init__(self, t: int, plain: int | None, mirrored: int | None):
+        self.t, self.plain, self.mirrored = t, plain, mirrored
 
-    def predict_clean(self, y_t, x, t, *, hyp_offset=0, mirrored=None):
-        out = np.zeros_like(y_t)
-        if t == self.t and hyp_offset <= self.hyp < hyp_offset + len(out):
-            out[self.hyp - hyp_offset, -1, 1, 2] = np.nan
+    def predict_clean(self, y_t, x, t, out, *, hyp_offset=0, mirrored=None):
+        out.fill(0.0)
+        h = self.plain if mirrored is None else self.mirrored
+        if (t == self.t and h is not None
+                and hyp_offset <= h < hyp_offset + len(out)):
+            out[h - hyp_offset, -1, 1, 2] = np.nan
         return out
 
 
@@ -428,12 +434,32 @@ def test_non_finite_estimate_names_step_and_hypothesis(tri_skeleton,
     t = timestep_ladder(50, 4)[2]
     with pytest.raises(NumericError,
                        match=f"^step t={t}: hypothesis 6: ") as info:
-        run_sampler(x, _NanAt(6, t), cfg, sched, tri_skeleton, 1000.0,
+        run_sampler(x, _NanAt(t, 6, 6), cfg, sched, tri_skeleton, 1000.0,
                     hyp_offset=5)
     assert info.value.hypothesis == 6
 
 
-def test_non_finite_mlp_output_names_step_and_hypothesis():
+@pytest.mark.parametrize("plain, mirrored, named", [
+    (None, 6, 6),  # the mirrored query alone fails
+    (7, 5, 5),     # both fail: the lower hypothesis of the average
+])
+def test_diffusion_flip_screens_the_averaged_estimate(tri_skeleton, plain,
+                                                      mirrored, named):
+    sched = make_cosine_schedule(50)
+    _, x = _setup(5)
+    cfg = SamplerConfig(hypotheses=10, iterations=4,
+                        flip_mode=FlipMode.DIFFUSION)
+    t = timestep_ladder(50, 4)[1]
+    with pytest.raises(NumericError,
+                       match=f"^step t={t}: hypothesis {named}: ") as info:
+        run_sampler(x, _NanAt(t, plain, mirrored), cfg, sched,
+                    tri_skeleton, 1000.0)
+    assert info.value.hypothesis == named
+
+
+@pytest.mark.parametrize("flip_mode", list(FlipMode))
+def test_non_finite_mlp_output_names_step_and_hypothesis(tri_skeleton,
+                                                         flip_mode):
     # a last layer that overflows: every output is non-finite, so the
     # first bad hypothesis is the batch's first
     sched = make_cosine_schedule(50)
@@ -442,8 +468,9 @@ def test_non_finite_mlp_output_names_step_and_hypothesis():
     params = type(params)(
         weights=(params.weights[0], np.full_like(params.weights[1], 1e308)),
         biases=params.biases)
-    cfg = SamplerConfig(hypotheses=2, iterations=3)
+    cfg = SamplerConfig(hypotheses=2, iterations=3, flip_mode=flip_mode)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             NumericError, match="^step t=50: hypothesis 4: ") as info:
-        run_sampler(x, MlpDenoiser(params, 50), cfg, sched, hyp_offset=4)
+        run_sampler(x, MlpDenoiser(params, 50), cfg, sched, tri_skeleton,
+                    1000.0, hyp_offset=4)
     assert info.value.hypothesis == 4

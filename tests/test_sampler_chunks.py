@@ -156,9 +156,10 @@ class _Recorder(Denoiser):
     def __init__(self):
         self.queries = set()
 
-    def predict_clean(self, y_t, x, t, *, hyp_offset=0, mirrored=None):
+    def predict_clean(self, y_t, x, t, out, *, hyp_offset=0, mirrored=None):
         self.queries.add(range(hyp_offset, hyp_offset + len(y_t)))
-        return np.zeros_like(y_t)
+        out.fill(0.0)
+        return out
 
 
 @pytest.mark.parametrize("chunks", CHUNKS)
@@ -180,8 +181,8 @@ class _NanFrom(Denoiser):
     def __init__(self, start: dict[int, int]):
         self.start = start
 
-    def predict_clean(self, y_t, x, t, *, hyp_offset=0, mirrored=None):
-        out = np.zeros_like(y_t)
+    def predict_clean(self, y_t, x, t, out, *, hyp_offset=0, mirrored=None):
+        out.fill(0.0)
         for h, t_first in self.start.items():
             if t <= t_first and 0 <= h - hyp_offset < len(out):
                 out[h - hyp_offset, -1, 0, 2] = np.nan
@@ -216,10 +217,11 @@ def test_failing_chunks_raise_what_one_chunk_raises(monkeypatch, chunks,
 class _Refuses(Denoiser):
     """Refuses any batch holding hypothesis 12."""
 
-    def predict_clean(self, y_t, x, t, *, hyp_offset=0, mirrored=None):
+    def predict_clean(self, y_t, x, t, out, *, hyp_offset=0, mirrored=None):
         if hyp_offset <= 12 < hyp_offset + len(y_t):
             raise KeyError("hypothesis 12 is refused")
-        return np.zeros_like(y_t)
+        out.fill(0.0)
+        return out
 
 
 def test_other_errors_reach_the_caller_unchanged():

@@ -80,10 +80,12 @@ def _reference(x, den, cfg, sched, hyp_offset):
     x_flip = _mirror(x, IMAGE_WIDTH)
 
     def plain(y_mm, t):
-        return den.predict_clean(y_mm[None], x, t)[0]
+        return den.predict_clean(y_mm[None], x, t,
+                                 np.empty((1,) + y_mm.shape))[0]
 
     def flipped(y_mm, t):
         return den.predict_clean(y_mm[None], x_flip, t,
+                                 np.empty((1,) + y_mm.shape),
                                  mirrored=SKELETON)[0]
 
     def both(y_mm, t):

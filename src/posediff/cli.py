@@ -459,6 +459,9 @@ def render(gt_path, hyp_paths, camera_path, skeleton_path, out_dir, width,
         pose = load_poses(path)
         if not isinstance(pose, PoseSeq3D):
             raise ConfigError(f"{path} holds 2D data, need 3D poses")
+        if pose.num_joints != skel.num_joints:
+            raise ConfigError(f"{path} holds {pose.num_joints} joints, the "
+                              f"skeleton has {skel.num_joints}")
         return pose
 
     gt = load3d(gt_path) if gt_path else None

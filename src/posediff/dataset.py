@@ -105,8 +105,11 @@ def load_dataset(root: str | Path) -> Dataset:
         raise PoseFileSchemaError(
             f"{path}: num_joints {num_joints} does not match skeleton "
             f"({skeleton.num_joints})")
+    entries = need(manifest, "sequences", list)
+    if not entries:
+        raise PoseFileSchemaError(f"{path}: lists no sequences")
     sequences = []
-    for i, entry in enumerate(need(manifest, "sequences", list)):
+    for i, entry in enumerate(entries):
         where = f"{path}: sequence {i}"
         name = need(entry, "name", str, where)
         seq = f"{path}: sequence {name}"

@@ -12,9 +12,9 @@ from click.testing import CliRunner
 from posediff.camera import camera_to_dict
 from posediff.cli import main
 from posediff.config import config_from_dict, config_sha256
-from posediff.core import DEFAULT_SKELETON, skeleton_to_dict
+from posediff.core import DEFAULT_SKELETON, PoseSeq3D, skeleton_to_dict
 from posediff.dataset import load_dataset
-from posediff.poseio import load_poses
+from posediff.poseio import load_poses, save_poses
 from posediff.rng import stream_id
 from posediff.sampler import FlipMode, run_sampler
 from posediff.schedule import make_cosine_schedule
@@ -405,6 +405,24 @@ def test_missing_dataset_exit_2(runner, tmp_path, command, source):
     assert "line " not in res.stderr
 
 
+@pytest.mark.parametrize("command, source", [
+    ("infer", ["--oracle", "noisy"]), ("bench", ["--oracle", "noisy"]),
+    ("train", [])])
+def test_empty_dataset_exit_1(runner, tmp_path, command, source):
+    # a manifest listing no sequences is refused as it loads, before
+    # any output is made
+    cfg, data = _gen(runner, tmp_path)
+    manifest = json.loads((data / "manifest.json").read_text())
+    (data / "manifest.json").write_text(
+        json.dumps({**manifest, "sequences": []}))
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--config", str(cfg), "--data",
+                               str(data), *source, "--out", str(out)])
+    _assert_clean_exit(res, 1, f"error: {data / 'manifest.json'}: lists no "
+                               f"sequences")
+    assert not out.exists()
+
+
 def test_manifest_errors_name_the_manifest_exit_1(runner, tmp_path):
     cfg, data = _gen(runner, tmp_path)
     manifest = json.loads((data / "manifest.json").read_text())
@@ -667,6 +685,17 @@ def test_render_rejects_2d_input(runner, tmp_path):
         "--out", str(tmp_path / "x")])
     assert res.exit_code == 2
     assert "2D" in res.output
+
+
+@pytest.mark.parametrize("option", ["--gt", "--hyp"])
+def test_render_joint_count_mismatch_exit_2(runner, tmp_path, option):
+    poses = tmp_path / "three_joints.jsonl"
+    save_poses(PoseSeq3D(np.full((2, 3, 3), [0.0, 0.0, 3000.0])), poses)
+    out = tmp_path / "svg"
+    res = runner.invoke(main, ["render", option, str(poses), "--out",
+                               str(out)])
+    _assert_clean_exit(res, 2, f"{poses} holds 3 joints, the skeleton has 17")
+    assert not out.exists()
 
 
 def test_render_needs_something(runner, tmp_path):

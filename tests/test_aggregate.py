@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from posediff.aggregate import (METHOD_NAMES, agg_average, agg_jbest,
                                 agg_jpma, agg_pbest, agg_ppma, run_aggregator)
-from posediff.camera import CameraIntrinsics
+from posediff.camera import DEFAULT_Z_MIN, CameraIntrinsics
 from posediff.core import HypothesisSet, PoseSeq2D, PoseSeq3D
 from posediff.errors import AggregationError, ShapeError
 
@@ -211,3 +211,41 @@ def test_report_chosen_shape_check():
         AggregationReport(method="jpma", pose=pose,
                           chosen=np.zeros((2, 2), dtype=np.int64),
                           reproj_error_px=None, feasible=True)
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stacked_sequences_equal_per_sequence_calls(method, seed):
+    # the CLI aggregates a dataset's sequences over their stacked frames;
+    # every method works frame by frame, so that must equal one call per
+    # sequence, concatenated, bitwise: through a distorted camera, with
+    # joints at or behind the camera and tied hypotheses
+    rng = np.random.default_rng(seed)
+    cam = CameraIntrinsics.distorted(fx=1100.0, fy=1150.0, cx=480.0,
+                                     cy=510.0, k1=0.02, k2=-0.005,
+                                     k3=0.0004, p1=0.001, p2=-0.002)
+    counts = (4, 7, 1, 9)
+    ends = np.cumsum(counts)
+    poses = rng.normal(scale=200.0, size=(20, ends[-1], 5, 3))
+    poses[..., 2] += 2000.0
+    poses[3] = poses[1]                 # a tie on every cost
+    poses[7, 2:5, 4] = poses[6, 2:5, 4]  # a tie on some joints only
+    poses[0, 1, 2, 2] = -5.0            # behind the camera
+    poses[2, 8, :2, 2] = DEFAULT_Z_MIN  # at the near plane, excluded
+    poses[5, 13:16, 3, 2] = 0.0
+    x = rng.uniform(0.0, 1000.0, size=(ends[-1], 5, 2))
+    gt = poses[9] + rng.normal(scale=20.0, size=poses.shape[1:])
+    whole = run_aggregator(method, HypothesisSet(poses), x=PoseSeq2D(x),
+                           cam=cam, gt=PoseSeq3D(gt))
+    parts = [run_aggregator(method, HypothesisSet(poses[:, a:b]),
+                            x=PoseSeq2D(x[a:b]), cam=cam,
+                            gt=PoseSeq3D(gt[a:b]))
+             for a, b in zip((0, *ends[:-1]), ends)]
+    assert np.array_equal(whole.pose.joints,
+                          np.concatenate([p.pose.joints for p in parts]))
+    for field in ("chosen", "reproj_error_px"):
+        got, want = getattr(whole, field), [getattr(p, field) for p in parts]
+        if got is None:
+            assert all(w is None for w in want)
+        else:
+            assert np.array_equal(got, np.concatenate(want))

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posediff.camera import (CameraIntrinsics, camera_from_dict,
-                             camera_to_dict, load_camera, project,
-                             project_with_mask)
+from posediff.camera import (DEFAULT_Z_MIN, CameraIntrinsics,
+                             camera_from_dict, camera_to_dict, load_camera,
+                             project, project_array, project_with_mask)
 from posediff.core import (DEFAULT_SKELETON, PoseSeq3D, flip_array2d,
                            flip_array3d)
 from posediff.errors import BehindCameraError
@@ -104,6 +104,27 @@ def test_project_with_mask(simple_camera):
     # valid joints must agree with plain projection
     good = PoseSeq3D(pts[1:])
     np.testing.assert_array_equal(uv[1], project(good, simple_camera).joints[0])
+
+
+@pytest.mark.parametrize("camera", ["simple_camera", "distorted_camera"])
+def test_project_with_mask_is_project_array_where_valid(camera, request):
+    # bitwise: the plain projection on the valid entries, 0 on the
+    # others, and the input left as it was
+    cam = request.getfixturevalue(camera)
+    rng = np.random.default_rng(3)
+    pts = rng.normal(scale=300.0, size=(4, 6, 5, 3))
+    pts[..., 2] += 2500.0
+    pts[0, 1, 2, 2] = -5.0
+    pts[1, 2, :3, 2] = DEFAULT_Z_MIN
+    pts[2, 3, 4, 2] = 0.0
+    pts[3, 0, 1, 2] = np.nextafter(DEFAULT_Z_MIN, np.inf)
+    before = pts.copy()
+    uv, valid = project_with_mask(pts, cam)
+    assert np.array_equal(pts, before)
+    assert uv.shape == pts.shape[:-1] + (2,)
+    assert np.array_equal(valid, pts[..., 2] > DEFAULT_Z_MIN)
+    assert np.array_equal(uv[valid], project_array(pts[valid], cam))
+    assert not np.any(uv[~valid])
 
 
 def test_ray_invariance_two_depths(simple_camera):

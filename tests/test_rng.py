@@ -157,6 +157,20 @@ def test_hypothesis_normals_after_a_part_used_buffer(first_shape):
         assert np.array_equal(out[i], ref)
 
 
+def test_hypothesis_normals_match_fresh_streams_past_many_keys():
+    # 600 distinct (label, hyps, branch) keys, more than any cache of
+    # row ids holds, each drawn under two seeds, one of them near 2^64;
+    # then the first keys again, long evicted
+    keys = [(("many", k), range(k % 3, k % 3 + 2), k % 2) for k in range(600)]
+    for key in keys + keys[:20]:
+        label, hyps, branch = key
+        for seed in (5, 2 ** 64 - 1):
+            out = hypothesis_normals(seed, hyps, (3,), *label, branch=branch)
+            for i, h in enumerate(hyps):
+                ref = RngStream(seed, stream_id(*label, h, branch))
+                assert np.array_equal(out[i], ref.standard_normal((3,))), key
+
+
 def test_hypothesis_normals_from_threads_match_serial_calls():
     # each thread re-keys a stream of its own, so threads drawing at once
     # get exactly what the same calls give one after the other; more

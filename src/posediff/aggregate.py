@@ -60,7 +60,8 @@ def _reprojection_errors(hs: HypothesisSet, x: PoseSeq2D,
     """Per-hypothesis pixel errors, (H, N, J); excluded joints are +inf."""
     _check_shape(hs, x, "keypoints are")
     uv, valid = project_with_mask(hs.poses, cam)
-    err = np.linalg.norm(uv - x.joints[None], axis=-1)
+    uv -= x.joints
+    err = _norms(uv)
     err[~valid] = np.inf
     return err
 
@@ -68,12 +69,20 @@ def _reprojection_errors(hs: HypothesisSet, x: PoseSeq2D,
 def _distances(hs: HypothesisSet, gt: PoseSeq3D) -> np.ndarray:
     """Per-hypothesis joint distances to the ground truth, (H, N, J)."""
     _check_shape(hs, gt, "ground truth is")
-    return np.linalg.norm(hs.poses - gt.joints[None], axis=-1)
+    return _norms(hs.poses - gt.joints)
+
+
+def _norms(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis of ``diff``, which is squared
+    in place: for real input, exactly ``np.linalg.norm(diff, axis=-1)``."""
+    np.square(diff, out=diff)
+    err = np.add.reduce(diff, axis=-1)
+    return np.sqrt(err, out=err)
 
 
 # Why no hypothesis may be chosen, for an (H, N, J) or an (H, N) cost.
-_DEAD = {3: "every hypothesis is behind the camera for frame {}, joint {}",
-         2: "every hypothesis has a behind-camera joint in frame {}"}
+_DEAD = {3: "every hypothesis is behind the camera for joint {}",
+         2: "every hypothesis has a behind-camera joint"}
 
 
 def _select(method: str, hs: HypothesisSet, cost: np.ndarray,
@@ -84,8 +93,8 @@ def _select(method: str, hs: HypothesisSet, cost: np.ndarray,
     error reported for the chosen joints."""
     dead = np.all(np.isinf(cost), axis=0)
     if np.any(dead):
-        raise AggregationError(_DEAD[cost.ndim].format(
-            *map(int, np.argwhere(dead)[0])))
+        frame, *joint = map(int, np.argwhere(dead)[0])
+        raise AggregationError(_DEAD[cost.ndim].format(*joint), frame=frame)
     chosen = cost.argmin(axis=0)
     if chosen.ndim == 1:
         chosen = np.repeat(chosen[:, None], hs.num_joints, axis=1)

@@ -67,6 +67,30 @@ class CameraIntrinsics:
                    k1=k1, k2=k2, k3=k3, p1=p1, p2=p2, model=DISTORTED)
 
 
+def _project_into(points: np.ndarray, z: np.ndarray, cam: CameraIntrinsics,
+                  out: np.ndarray) -> np.ndarray:
+    """Write the pixels of (..., 3) ``points`` seen at depths ``z`` into
+    ``out`` (..., 2) and return it. The one projection formula: each
+    coordinate is normalized, distorted and scaled in place."""
+    u, v = out[..., 0], out[..., 1]
+    np.divide(points[..., 0], z, out=u)
+    np.divide(points[..., 1], z, out=v)
+    if cam.model == DISTORTED:
+        r2 = u * u + v * v
+        d_r = 1.0 + cam.k1 * r2 + cam.k2 * r2 * r2 + cam.k3 * r2 * r2 * r2
+        d_t = 2.0 * cam.p1 * u * u + 2.0 * cam.p2 * v * v
+        d_r += d_t
+        u *= d_r
+        u += cam.p1 * r2
+        v *= d_r
+        v += cam.p2 * r2
+    u *= cam.fx
+    u += cam.cx
+    v *= cam.fy
+    v += cam.cy
+    return out
+
+
 def project_array(points: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
     """Project (..., 3) camera-frame points to (..., 2) pixels.
 
@@ -74,20 +98,8 @@ def project_array(points: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
     rejecting points at or behind the image plane.
     """
     points = np.asarray(points, dtype=np.float64)
-    z = points[..., 2]
-    xn = points[..., 0] / z
-    yn = points[..., 1] / z
-    if cam.model == DISTORTED:
-        r2 = xn * xn + yn * yn
-        d_r = 1.0 + cam.k1 * r2 + cam.k2 * r2 * r2 + cam.k3 * r2 * r2 * r2
-        d_t = 2.0 * cam.p1 * xn * xn + 2.0 * cam.p2 * yn * yn
-        xd = xn * (d_r + d_t) + cam.p1 * r2
-        yd = yn * (d_r + d_t) + cam.p2 * r2
-    else:
-        xd, yd = xn, yn
-    u = cam.fx * xd + cam.cx
-    v = cam.fy * yd + cam.cy
-    return np.stack([u, v], axis=-1)
+    return _project_into(points, points[..., 2], cam,
+                         np.empty(points.shape[:-1] + (2,)))
 
 
 def project(pose: PoseSeq3D, cam: CameraIntrinsics) -> PoseSeq2D:
@@ -111,9 +123,8 @@ def project_with_mask(points: np.ndarray,
     """
     points = np.asarray(points, dtype=np.float64)
     valid = points[..., 2] > DEFAULT_Z_MIN
-    safe = points.copy()
-    safe[..., 2] = np.where(valid, points[..., 2], 1.0)
-    uv = project_array(safe, cam)
+    z = np.where(valid, points[..., 2], 1.0)
+    uv = _project_into(points, z, cam, np.empty(valid.shape + (2,)))
     uv[~valid] = 0.0
     return uv, valid
 

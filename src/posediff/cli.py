@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -22,16 +23,19 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .aggregate import METHOD_INPUTS, METHOD_NAMES, run_aggregator
+from .aggregate import (METHOD_INPUTS, METHOD_NAMES, AggregationReport,
+                        run_aggregator)
 from .camera import load_camera
 from .config import (RunConfig, apply_overrides, config_sha256,
                      config_to_dict, load_config)
-from .core import (DEFAULT_SKELETON, HypothesisSet, PoseSeq3D, load_skeleton)
+from .core import (DEFAULT_SKELETON, HypothesisSet, PoseSeq2D, PoseSeq3D,
+                   load_skeleton)
 from .dataset import MANIFEST_NAME, Dataset, load_dataset, save_dataset
 from .denoise import (ContractiveOracle, Denoiser, MlpDenoiser, NoisyOracle,
                       PerfectOracle, save_checkpoint, train)
-from .errors import (ConfigError, MissingGroundTruthError, NumericError,
-                     PoseDiffError, TrainingDivergedError)
+from .errors import (AggregationError, ConfigError, DegenerateAlignmentError,
+                     MissingGroundTruthError, NumericError, PoseDiffError,
+                     TrainingDivergedError)
 from .metrics import MetricReport, compute_metrics
 from .poseio import load_poses, save_poses
 from .render import render_sequence
@@ -197,45 +201,70 @@ def _denoisers(cfg: RunConfig, ds: Dataset, checkpoint: str | None,
     return dens
 
 
+def _frame_slices(ds: Dataset) -> list[slice]:
+    """Where each sequence's frames sit among the dataset's frames,
+    stacked in sequence order."""
+    ends = itertools.accumulate(seq.num_frames for seq in ds.sequences)
+    return [slice(end - seq.num_frames, end)
+            for seq, end in zip(ds.sequences, ends)]
+
+
 def _sample_all(cfg: RunConfig, ds: Dataset,
-                denoisers: list[Denoiser]) -> list[HypothesisSet]:
-    """Sample every sequence at ``cfg``, each with its own seed. Flips
-    mirror with the dataset's skeleton and about its camera's principal
-    point, which made the keypoints."""
+                denoisers: list[Denoiser]) -> HypothesisSet:
+    """Sample every sequence at ``cfg``, each with its own seed, into
+    one read-only (H, frames, J, 3) set over the dataset's frames,
+    stacked in sequence order (see ``_frame_slices``). Flips mirror with
+    the dataset's skeleton and about its camera's principal point, which
+    made the keypoints."""
     sched = make_cosine_schedule(cfg.t_max)
-    all_hs = []
+    slices = _frame_slices(ds)
+    poses = np.empty((cfg.sampler.hypotheses, slices[-1].stop,
+                      ds.skeleton.num_joints, 3))
     for i, (seq, den) in enumerate(zip(ds.sequences, denoisers)):
         scfg = replace(cfg.sampler, seed=stream_id("sequence", cfg.seed, i))
         try:
-            all_hs.append(run_sampler(seq.keypoints, den, scfg, sched,
-                                      ds.skeleton, 2.0 * ds.camera.cx))
+            hs = run_sampler(seq.keypoints, den, scfg, sched, ds.skeleton,
+                             2.0 * ds.camera.cx)
         except NumericError as exc:
             raise NumericError(f"sampling sequence {i} ({seq.name}): {exc}",
                                hypothesis=exc.hypothesis) from exc
-    return all_hs
+        poses[:, slices[i]] = hs.poses
+    poses.setflags(write=False)
+    return HypothesisSet(poses)
 
 
-def _score(cfg: RunConfig, ds: Dataset, all_hs: list[HypothesisSet],
-           methods: list[str]) -> tuple[dict[str, list], list[dict]]:
-    """Aggregate every sequence with each method. Returns method -> one
-    AggregationReport per sequence, and one metric row per method over
-    all frames pooled (no rows without ground truth)."""
-    reports = {m: [run_aggregator(m, hs, x=seq.keypoints, cam=ds.camera,
-                                  gt=seq.gt)
-                   for seq, hs in zip(ds.sequences, all_hs)]
-               for m in methods}
-    if not ds.has_gt:
-        return reports, []
-    gt = PoseSeq3D(np.concatenate([s.gt.joints for s in ds.sequences]))
-    h, k = all_hs[0].count, cfg.sampler.iterations
-    rows = []
-    for m in methods:
-        pred = np.concatenate([r.pose.joints for r in reports[m]])
-        pooled = compute_metrics(PoseSeq3D(pred), gt,
-                                 with_scale=cfg.metrics.pmpjpe_scale,
-                                 pck_threshold_mm=cfg.metrics.pck_threshold_mm)
-        rows.append({"method": m, "H": h, "K": k, **{
-            name: repr(value) for name, value in asdict(pooled).items()}})
+def _score(cfg: RunConfig, ds: Dataset, hs: HypothesisSet,
+           methods: list[str]) -> tuple[dict[str, AggregationReport],
+                                        list[dict]]:
+    """Aggregate ``hs``, the dataset's stacked frames, once with each
+    method. Every method works frame by frame, so this equals one call
+    per sequence, bitwise. Returns method -> its AggregationReport over
+    the stacked frames, and one metric row per method over all frames
+    (no rows without ground truth). An error in one frame names its
+    sequence and the frame within it."""
+    x = PoseSeq2D(np.concatenate([s.keypoints.joints for s in ds.sequences]))
+    gt = (PoseSeq3D(np.concatenate([s.gt.joints for s in ds.sequences]))
+          if ds.has_gt else None)
+    try:
+        reports = {m: run_aggregator(m, hs, x=x, cam=ds.camera, gt=gt)
+                   for m in methods}
+        pooled = {} if gt is None else {
+            m: compute_metrics(reports[m].pose, gt,
+                               with_scale=cfg.metrics.pmpjpe_scale,
+                               pck_threshold_mm=cfg.metrics.pck_threshold_mm)
+            for m in methods}
+    except (AggregationError, DegenerateAlignmentError) as exc:
+        if exc.frame is None:
+            raise
+        i, frames = next((i, frames)
+                         for i, frames in enumerate(_frame_slices(ds))
+                         if exc.frame < frames.stop)
+        raise type(exc)(exc.reason, frame=exc.frame - frames.start,
+                        context=f"scoring sequence {i} "
+                                f"({ds.sequences[i].name})") from exc
+    rows = [{"method": m, "H": hs.count, "K": cfg.sampler.iterations,
+             **{name: repr(value) for name, value in asdict(report).items()}}
+            for m, report in pooled.items()]
     return reports, rows
 
 
@@ -328,22 +357,26 @@ def infer(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     root = Path(cfg.out_dir)
     root.mkdir(parents=True, exist_ok=True)
 
-    all_hs = _sample_all(cfg, ds, denoisers)
-    reports, rows = _score(cfg, ds, all_hs, methods)
+    hs = _sample_all(cfg, ds, denoisers)
+    reports, rows = _score(cfg, ds, hs, methods)
 
+    # The files are per sequence: each takes its frames of the stack.
+    slices = _frame_slices(ds)
     if save_hypotheses:
-        for seq, hs in zip(ds.sequences, all_hs):
+        for seq, frames in zip(ds.sequences, slices):
             hyp_dir = root / "hyp" / seq.name
             hyp_dir.mkdir(parents=True, exist_ok=True)
             for h in range(hs.count):
-                save_poses(hs[h], hyp_dir / f"h_{h:03d}.jsonl")
+                save_poses(PoseSeq3D(hs.poses[h, frames]),
+                           hyp_dir / f"h_{h:03d}.jsonl")
     for m in methods:
         agg_dir = root / "agg" / m
         agg_dir.mkdir(parents=True, exist_ok=True)
-        for seq, rep in zip(ds.sequences, reports[m]):
-            save_poses(rep.pose, agg_dir / f"{seq.name}.jsonl")
+        for seq, frames in zip(ds.sequences, slices):
+            save_poses(PoseSeq3D(reports[m].pose.joints[frames]),
+                       agg_dir / f"{seq.name}.jsonl")
         (agg_dir / "meta.json").write_text(json.dumps(
-            {"method": m, "feasible_in_production": reports[m][0].feasible},
+            {"method": m, "feasible_in_production": reports[m].feasible},
             indent=2, sort_keys=True) + "\n")
 
     if ds.has_gt:
@@ -414,11 +447,11 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     cell_rows: dict[tuple[int, int], list[dict]] = {}
     for k in ks_values:
         kcfg = apply_overrides(cfg, hypotheses=h_max, iterations=k)
-        all_hs = _sample_all(kcfg, ds, denoisers)
+        hs = _sample_all(kcfg, ds, denoisers)
         for h in hs_values:
-            prefixes = [HypothesisSet(hs.poses[:h]) for hs in all_hs]
-            cell_rows[h, k] = _score(kcfg, ds, prefixes, methods)[1]
-        del all_hs, prefixes
+            cell_rows[h, k] = _score(kcfg, ds, HypothesisSet(hs.poses[:h]),
+                                     methods)[1]
+        del hs
     rows = [row for h in hs_values for k in ks_values
             for row in cell_rows[h, k]]
     _write_metric_rows(root / "bench.csv", rows)

@@ -55,11 +55,26 @@ class BehindCameraError(PoseDiffError, ValueError):
         self.z = z
 
 
-class AggregationError(PoseDiffError, ValueError):
+class _FrameError(PoseDiffError, ValueError):
+    """A problem with one frame of a pose sequence.
+
+    ``frame`` is that frame's index, where known, and ``reason`` the
+    message without it; ``context`` names what the frame belongs to.
+    """
+
+    def __init__(self, reason: str, frame: int | None = None,
+                 context: str | None = None):
+        where = None if frame is None else f"frame {frame}"
+        super().__init__(": ".join(filter(None, (context, where, reason))))
+        self.reason = reason
+        self.frame = frame
+
+
+class AggregationError(_FrameError):
     """No hypothesis is usable for some frame or joint."""
 
 
-class DegenerateAlignmentError(PoseDiffError, ValueError):
+class DegenerateAlignmentError(_FrameError):
     """Procrustes alignment is ill-posed (collinear or collapsed joints)."""
 
 

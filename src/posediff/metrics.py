@@ -52,7 +52,8 @@ def align_frame(pred: np.ndarray, gt: np.ndarray, *,
     the summed squared joint error, and returns the transformed
     prediction in the input's shape. Raises when either cloud of some
     frame is coincident or collinear, where the rotation is not
-    identifiable; for a stack the message names the first such frame.
+    identifiable; for a stack the error's ``frame`` is the first such
+    frame.
     """
     if (pred.shape != gt.shape or pred.ndim not in (2, 3)
             or pred.shape[-1] != 3):
@@ -85,8 +86,7 @@ def align_frame(pred: np.ndarray, gt: np.ndarray, *,
     if bad.any():
         k = int(np.argmax(bad))
         message = next(msg for mask, msg in problems if mask[k])
-        raise DegenerateAlignmentError(
-            f"frame {k}: {message}" if stacked else message)
+        raise DegenerateAlignmentError(message, frame=k if stacked else None)
 
     pn = p0 / norm_p[:, None, None]
     gn = g0 / norm_g[:, None, None]

@@ -9,16 +9,17 @@ labels instead of sharing a sequential generator.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-# Philox's counter and buffer at the start of every stream. The state
-# setter copies them, so one read-only array serves every re-key.
-_ZEROS4 = np.zeros(4, dtype=np.uint64)
-_ZEROS4.setflags(write=False)
+# How many (hyps, branch, label) keys ``hypothesis_normals`` keeps the
+# row ids of. A K-step chain of the noisy oracle draws under 2K keys per
+# branch and hypothesis range; a bench over K in {5, 10} under 20.
+_ROW_ID_KEYS = 256
 
 
 def stream_id(*parts: int | str) -> int:
@@ -67,22 +68,27 @@ class RngStream:
         self.sid = int(sid) & _MASK64
         key = np.array([self.seed, self.sid], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
+        # Philox's state at counter 0 with an empty output buffer, which
+        # is where every stream starts; ``_rekey`` sets its key.
+        self._start = {"bit_generator": "Philox",
+                       "state": {"counter": [0, 0, 0, 0],
+                                 "key": [self.seed, self.sid]},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
 
     def _rekey(self, seed: int, sid: int) -> None:
         """Reset to the state of a fresh ``RngStream(seed, sid)``.
 
         Philox is counter-based: counter 0 under key ``[seed, sid]``
         with an empty output buffer is exactly where a new generator
-        starts, so no object is built.
+        starts, so no object is built. The state setter copies the
+        values, so the one dict this stream owns serves every re-key.
         """
         self.seed = int(seed) & _MASK64
         self.sid = int(sid) & _MASK64
-        self._gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _ZEROS4,
-                      "key": np.array([self.seed, self.sid], dtype=np.uint64)},
-            "buffer": _ZEROS4, "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
+        key = self._start["state"]["key"]
+        key[0], key[1] = self.seed, self.sid
+        self._gen.bit_generator.state = self._start
 
     def spawn(self, *parts: int | str) -> "RngStream":
         """Child stream whose id mixes this stream's id with ``parts``."""
@@ -132,6 +138,15 @@ def _shared_stream() -> RngStream:
     return stream
 
 
+@functools.lru_cache(maxsize=_ROW_ID_KEYS, typed=True)
+def _row_ids(hyps: range, branch: int, *label: int | str) -> tuple[int, ...]:
+    """``stream_id(*label, h, branch)`` for each ``h`` in ``hyps``. They
+    do not depend on the seed. ``typed`` keeps ``True`` apart from ``1``,
+    so a bool part is refused on every call."""
+    prefix = _absorb(hashlib.blake2b(digest_size=8), label)
+    return tuple(_digest(_absorb(prefix.copy(), (h, branch))) for h in hyps)
+
+
 def hypothesis_normals(seed: int, hyps: range, shape: tuple[int, ...],
                        *label: int | str, branch: int) -> np.ndarray:
     """Standard normals of shape ``(len(hyps),) + shape``, one stream each.
@@ -144,12 +159,13 @@ def hypothesis_normals(seed: int, hyps: range, shape: tuple[int, ...],
     The rows are drawn by re-keying one stream that every call on the
     calling thread shares, which gives the same numbers as fresh streams
     without building any. Each thread has its own, so calls from several
-    threads may overlap.
+    threads may overlap. The row ids of the last 256 ``(hyps, branch,
+    label)`` keys are kept: every sequence of a dataset draws under the
+    same keys with its own seed, so each id is hashed once.
     """
     stream = _shared_stream()
-    prefix = _absorb(hashlib.blake2b(digest_size=8), label)
     out = np.empty((len(hyps),) + shape)
-    for i, h in enumerate(hyps):
-        stream._rekey(seed, _digest(_absorb(prefix.copy(), (h, branch))))
+    for i, sid in enumerate(_row_ids(hyps, branch, *label)):
+        stream._rekey(seed, sid)
         out[i] = stream.standard_normal(shape)
     return out

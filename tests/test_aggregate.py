@@ -101,11 +101,14 @@ def test_jpma_excludes_behind_camera_joints(simple_camera):
 
 
 def test_jpma_all_hypotheses_behind_camera(simple_camera):
-    poses = np.full((2, 1, 2, 3), 1000.0)
-    poses[:, 0, 1, 2] = -1.0  # joint 1 behind in every hypothesis
-    x = PoseSeq2D(np.full((1, 2, 2), 500.0))
-    with pytest.raises(AggregationError):
+    poses = np.full((2, 3, 2, 3), 1000.0)
+    poses[:, 2, 1, 2] = -1.0  # frame 2, joint 1 behind in every hypothesis
+    x = PoseSeq2D(np.full((3, 2, 2), 500.0))
+    with pytest.raises(AggregationError) as info:
         agg_jpma(HypothesisSet(poses), x, simple_camera)
+    assert info.value.frame == 2
+    assert str(info.value) == ("frame 2: every hypothesis is behind the "
+                               "camera for joint 1")
 
 
 def test_ppma_excludes_whole_frame_on_partial_violation(simple_camera):
@@ -123,8 +126,10 @@ def test_ppma_all_hypotheses_dead_frame(simple_camera):
     poses[0, 1, 0, 2] = -1.0
     poses[1, 1, 1, 2] = -1.0
     x = PoseSeq2D(np.full((2, 2, 2), 500.0))
-    with pytest.raises(AggregationError):
+    with pytest.raises(AggregationError) as info:
         agg_ppma(HypothesisSet(poses), x, simple_camera)
+    assert info.value.frame == 1
+    assert info.value.reason == "every hypothesis has a behind-camera joint"
 
 
 def test_selection_ties_resolve_to_lowest_index(simple_camera):

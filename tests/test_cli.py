@@ -13,7 +13,7 @@ from posediff.camera import camera_to_dict
 from posediff.cli import main
 from posediff.config import config_from_dict, config_sha256
 from posediff.core import DEFAULT_SKELETON, PoseSeq3D, skeleton_to_dict
-from posediff.dataset import load_dataset
+from posediff.dataset import load_dataset, save_dataset
 from posediff.poseio import load_poses, save_poses
 from posediff.rng import stream_id
 from posediff.sampler import FlipMode, run_sampler
@@ -21,7 +21,7 @@ from posediff.schedule import make_cosine_schedule
 from posediff import cli
 from posediff.denoise import (Denoiser, MlpDenoiser, NoisyOracle,
                               PerfectOracle, load_checkpoint, save_checkpoint)
-from posediff.synth import DEFAULT_CAMERA
+from posediff.synth import DEFAULT_CAMERA, gen_poses
 
 
 # Tiny scenario: fast end to end, still multi-pose and multi-frame.
@@ -764,3 +764,44 @@ def test_non_finite_estimate_exit_1_names_sequence(runner, tmp_path,
     _assert_clean_exit(res, 1, "error: sampling sequence 1 (seq_0001): "
                                "step t=40: hypothesis 2: clean estimate is "
                                "not finite")
+
+
+def _three_sequences(root: Path, edit) -> Path:
+    """A dataset of three 4-frame synthetic sequences; ``edit`` changes
+    the ground-truth joints of sequence 1 in place."""
+    scenario = replace(config_from_dict(SMALL_CFG).scenario, pose_count=3,
+                       frames_per_pose=4)
+    seqs = []
+    for i, (gt, kp) in enumerate(gen_poses(scenario)):
+        joints = gt.joints.copy()
+        if i == 1:
+            edit(joints)
+        seqs.append((kp, PoseSeq3D(joints)))
+    save_dataset(root / "data", scenario.skeleton, scenario.camera, seqs)
+    return root / "data"
+
+
+def _behind_camera(joints):
+    joints[2, 5, 2] = -10.0
+
+
+def _collinear(joints):
+    joints[3] = np.outer(np.arange(17.0), [10.0, 20.0, 5.0]) + [0, 0, 3000.0]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_behind_camera,
+     "frame 2: every hypothesis is behind the camera for joint 5"),
+    (_collinear, "frame 3: prediction joints are collinear"),
+])
+def test_scoring_error_exit_1_names_sequence_and_frame(runner, tmp_path,
+                                                       edit, message):
+    # the frames of all sequences are scored as one stack; a frame that
+    # cannot be aggregated, or aligned for P-MPJPE, is named by its
+    # sequence and its index there, not by its index in the stack
+    data = _three_sequences(tmp_path, edit)
+    res = runner.invoke(main, ["infer", "--config", str(_write_cfg(tmp_path)),
+                               "--data", str(data), "--oracle", "perfect",
+                               "--out", str(tmp_path / "out")])
+    _assert_clean_exit(res, 1, f"error: scoring sequence 1 (seq_0001): "
+                               f"{message}\n")

@@ -175,8 +175,9 @@ def test_degenerate_frame_in_stack_is_named(which, kind, message):
     else:
         target[4] = 250.0
     with pytest.raises(DegenerateAlignmentError,
-                       match=f"^frame 4: {message}"):
+                       match=f"^frame 4: {message}") as info:
         align_frame(pred, gt)
+    assert info.value.frame == 4
     with pytest.raises(DegenerateAlignmentError, match="frame 4"):
         pmpjpe(PoseSeq3D(pred), PoseSeq3D(gt))
 

@@ -223,12 +223,14 @@ def _sample_all(cfg: RunConfig, ds: Dataset,
     for i, (seq, den) in enumerate(zip(ds.sequences, denoisers)):
         scfg = replace(cfg.sampler, seed=stream_id("sequence", cfg.seed, i))
         try:
-            hs = run_sampler(seq.keypoints, den, scfg, sched, ds.skeleton,
-                             2.0 * ds.camera.cx)
+            # copied without a name, so no sequence's result stays
+            # alive while the next one samples
+            poses[:, slices[i]] = run_sampler(
+                seq.keypoints, den, scfg, sched, ds.skeleton,
+                2.0 * ds.camera.cx).poses
         except NumericError as exc:
             raise NumericError(f"sampling sequence {i} ({seq.name}): {exc}",
                                hypothesis=exc.hypothesis) from exc
-        poses[:, slices[i]] = hs.poses
     poses.setflags(write=False)
     return HypothesisSet(poses)
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posediff.aggregate import (METHOD_NAMES, agg_average, agg_jbest,
-                                agg_jpma, agg_pbest, agg_ppma, run_aggregator)
+from posediff.aggregate import (METHOD_INPUTS, METHOD_NAMES, agg_average,
+                                agg_jbest, agg_jpma, agg_pbest, agg_ppma,
+                                run_aggregator)
 from posediff.camera import DEFAULT_Z_MIN, CameraIntrinsics
 from posediff.core import HypothesisSet, PoseSeq2D, PoseSeq3D
 from posediff.errors import AggregationError, ShapeError
@@ -199,6 +200,18 @@ def test_run_aggregator_validation(simple_camera):
         run_aggregator("median", hs)
     rep = run_aggregator("avg", hs)
     assert rep.method == "avg" and rep.feasible and rep.chosen is None
+
+
+@pytest.mark.parametrize("method, feasible",
+                         [("avg", True), ("jpma", True), ("ppma", True),
+                          ("pbest", False), ("jbest", False)])
+def test_feasible_means_no_ground_truth_read(simple_camera, method, feasible):
+    hs = HypothesisSet(np.full((2, 1, 3, 3), 100.0))
+    gt = PoseSeq3D(np.full((1, 3, 3), 100.0))
+    x = PoseSeq2D(np.full((1, 3, 2), 500.0))
+    rep = run_aggregator(method, hs, x=x, cam=simple_camera, gt=gt)
+    assert rep.feasible is feasible
+    assert feasible == ("ground truth" not in METHOD_INPUTS[method])
 
 
 def test_shape_mismatches_rejected(simple_camera):

@@ -249,13 +249,18 @@ def test_train_overfits_single_sample():
     assert res.final_loss < 1e-3
 
 
-def test_train_divergence_reports_step():
+@pytest.mark.parametrize("learning_rate, step",
+                         [(1e2, 159), (1e3, 76), (1e6, 30), (1e18, 8)])
+def test_train_divergence_reports_step(learning_rate, step):
+    # the step at which the loss or a gradient first turns non-finite
     sched = make_cosine_schedule(20)
-    cfg = TrainConfig(steps=200, batch_size=4, learning_rate=1e18,
+    cfg = TrainConfig(steps=200, batch_size=4, learning_rate=learning_rate,
                       hidden_width=4, hidden_layers=1, seed=3)
     with pytest.raises(TrainingDivergedError) as info:
         train(_one_frame_dataset(3), cfg, sched)
-    assert 0 <= info.value.step < 200
+    assert info.value.step == step
+    assert str(info.value) == (f"training diverged at step {step}: loss or "
+                               f"gradient became non-finite")
 
 
 def test_train_validates_inputs():

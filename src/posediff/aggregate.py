@@ -26,14 +26,12 @@ class AggregationReport:
     pose-level methods repeat their per-frame choice across joints.
     ``reproj_error_px`` is the winning joint's pixel error for the
     reprojection methods, None for the ground-truth oracles.
-    ``feasible`` marks methods usable without ground truth.
     """
 
     method: str
     pose: PoseSeq3D
     chosen: np.ndarray | None
     reproj_error_px: np.ndarray | None
-    feasible: bool
 
     def __post_init__(self):
         if self.chosen is None:
@@ -45,6 +43,11 @@ class AggregationReport:
         chosen = chosen.copy()
         chosen.setflags(write=False)
         object.__setattr__(self, "chosen", chosen)
+
+    @property
+    def feasible(self) -> bool:
+        """Whether the method runs in production: it reads no ground truth."""
+        return "ground truth" not in METHOD_INPUTS[self.method]
 
 
 def _check_shape(hs: HypothesisSet, other: PoseSeq2D | PoseSeq3D,
@@ -101,8 +104,7 @@ def _select(method: str, hs: HypothesisSet, cost: np.ndarray,
     pose = np.take_along_axis(hs.poses, chosen[None, ..., None], axis=0)[0]
     if err is not None:
         err = np.take_along_axis(err, chosen[None], axis=0)[0]
-    feasible = "ground truth" not in METHOD_INPUTS[method]
-    return AggregationReport(method, PoseSeq3D(pose), chosen, err, feasible)
+    return AggregationReport(method, PoseSeq3D(pose), chosen, err)
 
 
 def agg_average(hs: HypothesisSet) -> PoseSeq3D:
@@ -166,9 +168,7 @@ def run_aggregator(method: str, hs: HypothesisSet, *,
     if missing:
         raise ValueError(f"{method} needs {' and '.join(missing)}")
     if method == "avg":
-        return AggregationReport(method="avg", pose=agg_average(hs),
-                                 chosen=None, reproj_error_px=None,
-                                 feasible=True)
+        return AggregationReport("avg", agg_average(hs), None, None)
     if method == "jpma":
         return agg_jpma(hs, x, cam)
     if method == "ppma":

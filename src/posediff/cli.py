@@ -252,8 +252,7 @@ def _score(cfg: RunConfig, ds: Dataset, hs: HypothesisSet,
                    for m in methods}
         pooled = {} if gt is None else {
             m: compute_metrics(reports[m].pose, gt,
-                               with_scale=cfg.metrics.pmpjpe_scale,
-                               pck_threshold_mm=cfg.metrics.pck_threshold_mm)
+                               with_scale=cfg.metrics.pmpjpe_scale)
             for m in methods}
     except (AggregationError, DegenerateAlignmentError) as exc:
         if exc.frame is None:

@@ -57,7 +57,7 @@ class DenoiserSettings:
 
 @dataclass(frozen=True)
 class MetricSettings:
-    pck_threshold_mm: float = 150.0
+    pck_threshold_mm: float = PCK_DEFAULT_THRESHOLD_MM
     pmpjpe_scale: bool = True
 
     def __post_init__(self):

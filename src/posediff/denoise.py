@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import HypothesisSet, PoseSeq2D, PoseSeq3D, Skeleton, flip_array3d
-from .errors import (NumericError, ShapeError, TrainingDivergedError,
-                     json_object, require_field)
+from .errors import (ShapeError, TrainingDivergedError, json_object,
+                     require_field)
 from .rng import RngStream, hypothesis_normals, stream_id
 from .schedule import (MM_PER_UNIT, SIGNAL_SCALE, NoiseSchedule,
                        diffuse_array, to_signal_units)
@@ -63,7 +63,7 @@ class DenoiserParams:
     ``weights[i]`` has shape (fan_out, fan_in); layer 0 consumes the
     J*5 per-frame feature vector, the final layer emits J*3. The
     timestep embedding is added to the first pre-activation, so
-    ``embed_dim`` is the first hidden width.
+    ``embed_dim`` is the first hidden width, which must be even and >= 2.
     """
 
     weights: tuple[np.ndarray, ...]
@@ -94,6 +94,9 @@ class DenoiserParams:
         j = self.weights[0].shape[1] // 5
         if self.weights[-1].shape[0] != j * 3:
             raise ShapeError(f"last layer must emit {j * 3} values for {j} joints")
+        if self.embed_dim < 2 or self.embed_dim % 2 != 0:
+            raise ShapeError(f"first hidden width must be even and >= 2 for "
+                             f"the timestep embedding, got {self.embed_dim}")
 
     @property
     def num_joints(self) -> int:
@@ -127,10 +130,6 @@ def init_params(num_joints: int, *, hidden_width: int = 128,
                 hidden_layers: int = 2,
                 rng: RngStream | None = None) -> DenoiserParams:
     """Random initialization, one stream per layer."""
-    if hidden_layers < 1:
-        raise ValueError(f"need at least one hidden layer, got {hidden_layers}")
-    if hidden_width < 2 or hidden_width % 2 != 0:
-        raise ValueError(f"hidden width must be even and >= 2, got {hidden_width}")
     rng = rng or RngStream(0, stream_id("denoiser_init"))
     dims = [num_joints * 5] + [hidden_width] * hidden_layers + [num_joints * 3]
     weights, biases = [], []
@@ -142,17 +141,17 @@ def init_params(num_joints: int, *, hidden_width: int = 128,
 
 
 def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
-             inputs: np.ndarray, emb: np.ndarray, outs: Sequence[np.ndarray],
-             *, check: bool = False) -> np.ndarray:
+             inputs: np.ndarray, emb: np.ndarray,
+             outs: Sequence[np.ndarray]) -> np.ndarray:
     """Run the MLP with ``weights`` and ``biases`` on (..., J*5) inputs;
     returns the output, ``outs[-1]``.
 
     ``emb`` is the timestep embedding: one row per input row, or a
     single (embed_dim,) row for all. Layer i writes its output into
     ``outs[i]``, which must not overlap that layer's input; a hidden
-    layer's output is its activation. With ``check`` the layers are
-    screened for non-finite values (used by the training path). Each
-    layer works in place in the order ``h @ w.T``, ``+ b``, ``+ emb``
+    layer's output is its activation. Nothing is screened: a NaN in
+    any layer reaches the output (tanh maps ±inf to ±1). Each layer
+    works in place in the order ``h @ w.T``, ``+ b``, ``+ emb``
     (first layer), ``tanh``, which fixes every rounding.
     """
     h = inputs
@@ -164,8 +163,6 @@ def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
             z += emb
         if i != last:
             np.tanh(z, out=z)
-        if check and not np.all(np.isfinite(z)):
-            raise NumericError("non-finite activation", layer=i)
         h = z
     return h
 
@@ -284,7 +281,7 @@ def _backward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
     outs = [np.empty(inputs.shape[:-1] + (w.shape[0],)) for w in weights]
     acts = [inputs, *outs[:-1]]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _forward(weights, biases, inputs, emb, outs, check=True)
+        out = _forward(weights, biases, inputs, emb, outs)
         diff = out - targets
         loss = float(np.mean(diff * diff))
         g = 2.0 * diff / diff.size
@@ -301,8 +298,8 @@ def grad_loss(model: DenoiserParams, batch: TrainBatch
               ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Loss and exact gradients for one batch.
 
-    Returns (loss, weight_grads, bias_grads) where loss is the mean
-    squared error of the raw network output against the batch targets.
+    Returns (loss, weight_grads, bias_grads), unscreened, where loss is the
+    mean squared error of the raw network output against the batch targets.
     """
     weight_grads, bias_grads = _flat_views(
         np.empty(sum(a.size for a in model.weights + model.biases)), model)
@@ -438,12 +435,9 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
         y_noisy = diffuse_array(targets, ts, sched, eps)
         # each joint's signal coordinates, then its scaled keypoint
         inputs = np.concatenate([y_noisy, xs_scaled[idx]], axis=-1)
-        try:
-            loss = _backward(weights, biases, inputs.reshape(b, j * 5),
-                             emb_table[ts], targets.reshape(b, j * 3),
-                             grad_w, grad_b)
-        except NumericError as exc:
-            raise TrainingDivergedError(step, str(exc)) from exc
+        loss = _backward(weights, biases, inputs.reshape(b, j * 5),
+                         emb_table[ts], targets.reshape(b, j * 3),
+                         grad_w, grad_b)
         if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
             raise TrainingDivergedError(step)
         history[step] = loss

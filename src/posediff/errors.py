@@ -79,27 +79,20 @@ class DegenerateAlignmentError(_FrameError):
 
 
 class NumericError(PoseDiffError, ArithmeticError):
-    """A computation produced non-finite values.
+    """A computation produced non-finite values. ``hypothesis`` is the
+    global index of the first hypothesis affected, where known."""
 
-    ``layer`` is the network layer and ``hypothesis`` the index of the
-    first hypothesis affected, where known.
-    """
-
-    def __init__(self, message: str, layer: int | None = None,
-                 hypothesis: int | None = None):
-        if layer is not None:
-            message = f"layer {layer}: {message}"
+    def __init__(self, message: str, hypothesis: int | None = None):
         super().__init__(message)
-        self.layer = layer
         self.hypothesis = hypothesis
 
 
 class TrainingDivergedError(PoseDiffError, RuntimeError):
-    """Training loss or gradients became non-finite."""
+    """Training loss or gradients became non-finite at ``step``."""
 
-    def __init__(self, step: int, message: str = ""):
-        detail = message or "loss or gradient became non-finite"
-        super().__init__(f"training diverged at step {step}: {detail}")
+    def __init__(self, step: int):
+        super().__init__(f"training diverged at step {step}: loss or "
+                         f"gradient became non-finite")
         self.step = step
 
 

@@ -142,11 +142,10 @@ class MetricReport:
 
 
 def compute_metrics(pred: PoseSeq3D, gt: PoseSeq3D, *,
-                    with_scale: bool = True,
-                    pck_threshold_mm: float = PCK_DEFAULT_THRESHOLD_MM) -> MetricReport:
+                    with_scale: bool = True) -> MetricReport:
     return MetricReport(
         mpjpe_mm=mpjpe(pred, gt),
         pmpjpe_mm=pmpjpe(pred, gt, with_scale=with_scale),
-        pck150=pck(pred, gt, pck_threshold_mm),
+        pck150=pck(pred, gt),
         auc=auc(pred, gt),
     )

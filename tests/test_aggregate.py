@@ -228,7 +228,7 @@ def test_report_chosen_shape_check():
     with pytest.raises(ShapeError):
         AggregationReport(method="jpma", pose=pose,
                           chosen=np.zeros((2, 2), dtype=np.int64),
-                          reproj_error_px=None, feasible=True)
+                          reproj_error_px=None)
 
 
 @pytest.mark.parametrize("method", METHOD_NAMES)

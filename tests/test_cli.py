@@ -647,6 +647,28 @@ def test_checkpoint_beyond_float32_exit_2(runner, tmp_path, small_run,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["infer", "bench"])
+def test_odd_width_checkpoint_exit_2(runner, tmp_path, small_run, command):
+    # the timestep embedding needs an even first hidden width; weights of
+    # any other width are refused as the checkpoint loads, by its path
+    cfg, data, ckpt = small_run
+    j = DEFAULT_SKELETON.num_joints
+    shapes = {"w0": [5, j * 5], "b0": [5], "w1": [j * 3, 5], "b1": [j * 3]}
+    header = json.loads(ckpt.read_bytes().split(b"\n", 1)[0])
+    header.update(embed_dim=5, tensors=[{"name": name, "shape": shape}
+                                        for name, shape in shapes.items()])
+    payload = np.zeros(sum(int(np.prod(s)) for s in shapes.values()), "<f8")
+    bad = tmp_path / "odd.ckpt"
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + payload.tobytes())
+    res = runner.invoke(main, [
+        command, "--config", str(cfg), "--data", str(data), "--checkpoint",
+        str(bad), "--out", str(tmp_path / "out")])
+    _assert_clean_exit(res, 2, f"error: {bad}: first hidden width must be "
+                               f"even and >= 2 for the timestep embedding, "
+                               f"got 5\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_render_command(runner, tmp_path):
     cfg, data = _gen(runner, tmp_path)
     out = tmp_path / "svg"

@@ -74,6 +74,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         DenoiserParams(weights=(np.full((4, 10), np.nan), np.zeros((6, 4))),
                        biases=(np.zeros(4), np.zeros(6)))
+    for width in (5, 0):  # the timestep embedding needs an even width >= 2
+        with pytest.raises(ShapeError, match=f"first hidden width .* {width}$"):
+            DenoiserParams(weights=(np.zeros((width, 10)), np.zeros((6, width))),
+                           biases=(np.zeros(width), np.zeros(6)))
 
 
 def test_params_are_frozen_copies():

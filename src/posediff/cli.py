@@ -183,6 +183,10 @@ def _denoisers(cfg: RunConfig, ds: Dataset, checkpoint: str | None,
         if den.t_max != cfg.t_max:
             raise ConfigError(f"checkpoint was trained with t_max "
                               f"{den.t_max}, config says {cfg.t_max}")
+        if den.params.num_joints != ds.skeleton.num_joints:
+            raise ConfigError(f"{path}: the model is for "
+                              f"{den.params.num_joints} joints, the dataset "
+                              f"has {ds.skeleton.num_joints}")
         return [den] * len(ds.sequences)
     dens = []
     for i, seq in enumerate(ds.sequences):

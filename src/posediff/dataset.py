@@ -86,6 +86,9 @@ def save_dataset(root: str | Path, skeleton: Skeleton, camera: CameraIntrinsics,
 
 
 def load_dataset(root: str | Path) -> Dataset:
+    """The dataset under ``root``. Each sequence name becomes a file
+    name in the outputs, so a name must be unique, not empty, ``.`` or
+    ``..``, and without ``/``, ``\\`` or NUL."""
     root = Path(root)
     path = root / MANIFEST_NAME
     if not path.exists():
@@ -108,10 +111,17 @@ def load_dataset(root: str | Path) -> Dataset:
     entries = need(manifest, "sequences", list)
     if not entries:
         raise PoseFileSchemaError(f"{path}: lists no sequences")
-    sequences = []
+    sequences, index = [], {}
     for i, entry in enumerate(entries):
         where = f"{path}: sequence {i}"
         name = need(entry, "name", str, where)
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise PoseFileSchemaError(f"{where}: name {name!r} cannot name "
+                                      f"a file")
+        if name in index:
+            raise PoseFileSchemaError(f"{where}: name {name!r} is also "
+                                      f"sequence {index[name]}'s")
+        index[name] = i
         seq = f"{path}: sequence {name}"
         kp = load_poses(root / need(entry, "keypoints", str, where))
         if not isinstance(kp, PoseSeq2D):
@@ -125,10 +135,11 @@ def load_dataset(root: str | Path) -> Dataset:
                 raise PoseFileSchemaError(
                     f"{seq}: gt frame count {gt.num_frames} != keypoint "
                     f"frame count {kp.num_frames}")
-        if kp.num_joints != num_joints:
-            raise PoseFileSchemaError(
-                f"{seq}: joint count {kp.num_joints} does not match "
-                f"manifest ({num_joints})")
+        for what, poses in (("keypoint", kp), ("gt", gt)):
+            if poses is not None and poses.num_joints != num_joints:
+                raise PoseFileSchemaError(
+                    f"{seq}: {what} joint count {poses.num_joints} does not "
+                    f"match manifest ({num_joints})")
         if need(entry, "frames", int, where) != kp.num_frames:
             raise PoseFileSchemaError(
                 f"{seq}: manifest says {entry['frames']} frames, file "

@@ -20,7 +20,8 @@ from posediff.sampler import FlipMode, run_sampler
 from posediff.schedule import make_cosine_schedule
 from posediff import cli
 from posediff.denoise import (Denoiser, MlpDenoiser, NoisyOracle,
-                              PerfectOracle, load_checkpoint, save_checkpoint)
+                              PerfectOracle, init_params, load_checkpoint,
+                              save_checkpoint)
 from posediff.synth import DEFAULT_CAMERA, gen_poses
 
 
@@ -667,6 +668,59 @@ def test_odd_width_checkpoint_exit_2(runner, tmp_path, small_run, command):
                                f"even and >= 2 for the timestep embedding, "
                                f"got 5\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "bench"])
+def test_checkpoint_for_other_skeleton_exit_2(runner, tmp_path, small_run,
+                                              command):
+    # a 16-joint model on the 17-joint dataset is refused before any
+    # output is made, naming the file and both joint counts
+    cfg, data, _ = small_run
+    bad = tmp_path / "j16.ckpt"
+    save_checkpoint(bad, init_params(16, hidden_width=8),
+                    t_max=SMALL_CFG["t_max"])
+    res = runner.invoke(main, [
+        command, "--config", str(cfg), "--data", str(data), "--checkpoint",
+        str(bad), "--out", str(tmp_path / "out")])
+    _assert_clean_exit(res, 2, f"error: {bad}: the model is for 16 joints, "
+                               f"the dataset has 17\n")
+    assert not (tmp_path / "out").exists()
+
+
+def _rename(i, name):
+    def edit(data):
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["sequences"][i]["name"] = name
+        (data / "manifest.json").write_text(json.dumps(manifest))
+    return edit
+
+
+def _drop_gt_joint(data):
+    path = data / "gt" / "seq_0001.jsonl"
+    save_poses(PoseSeq3D(load_poses(path).joints[:, :16]), path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_rename(2, "../../escaped"),
+     "sequence 2: name '../../escaped' cannot name a file"),
+    (_rename(1, "seq_0000"), "sequence 1: name 'seq_0000' is also sequence 0's"),
+    (_drop_gt_joint,
+     "sequence seq_0001: gt joint count 16 does not match manifest (17)"),
+], ids=["escaping-name", "repeated-name", "gt-joints"])
+def test_bad_sequence_exit_1_before_output(runner, tmp_path, edit, message):
+    # sequence names become file names under --out: one that escapes
+    # it, or that would overwrite another sequence's files, is refused
+    # as the dataset loads, as is ground truth of another skeleton; no
+    # file is written anywhere
+    cfg, data = _gen(runner, tmp_path)
+    edit(data)
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "run" / "out"
+    res = runner.invoke(main, ["infer", "--config", str(cfg), "--data",
+                               str(data), "--oracle", "noisy", "--aggregator",
+                               "avg,jbest", "--out", str(out)])
+    _assert_clean_exit(res, 1, f"error: {data / 'manifest.json'}: {message}\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_render_command(runner, tmp_path):

@@ -99,6 +99,40 @@ def test_joint_count_cross_checks(tmp_path, tri_skeleton, simple_camera):
         load_dataset(tmp_path)
 
 
+def test_gt_joint_count_cross_check(tmp_path, tri_skeleton, simple_camera):
+    # a gt file must hold the manifest's joints, as a keypoint file must
+    rng = np.random.default_rng(8)
+    save_dataset(tmp_path, tri_skeleton, simple_camera, _pairs(rng))
+    from posediff.poseio import save_poses
+    save_poses(_pairs(rng, n=1, joints=2)[0][1],
+               tmp_path / "gt" / "seq_0001.jsonl")
+    with pytest.raises(PoseFileSchemaError, match=(
+            "sequence seq_0001: gt joint count 2 does not match manifest "
+            r"\(3\)$")):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("name", [
+    "", ".", "..", "../escaped", "a/b", "a\\b", "a\0b", "seq_0000"])
+def test_sequence_name_must_be_a_new_file_name(tmp_path, tri_skeleton,
+                                              simple_camera, name):
+    # every command writes files named after the sequence: a name that
+    # leaves its directory, or that an earlier sequence has, is refused
+    save_dataset(tmp_path, tri_skeleton, simple_camera,
+                 _pairs(np.random.default_rng(9), n=3))
+
+    def rename(doc):
+        doc["sequences"][1]["name"] = name
+
+    _manifest_edit(tmp_path, rename)
+    why = ("is also sequence 0's" if name == "seq_0000"
+           else "cannot name a file")
+    with pytest.raises(PoseFileSchemaError) as info:
+        load_dataset(tmp_path)
+    assert str(info.value) == (f"{tmp_path / MANIFEST_NAME}: sequence 1: "
+                               f"name {name!r} {why}")
+
+
 def test_frame_count_cross_check(tmp_path, tri_skeleton, simple_camera):
     save_dataset(tmp_path, tri_skeleton, simple_camera,
                  _pairs(np.random.default_rng(5)))

@@ -35,8 +35,8 @@ CHUNKS = (1, 2, 3)
 def _force_chunks(monkeypatch, chunks: int, frames: int) -> None:
     """Make ``run_sampler`` split H hypotheses of ``frames`` frames into
     ``chunks`` chunks."""
-    monkeypatch.setattr(sampler, "FRAMES_PER_CHUNK", H * frames // chunks,
-                        raising=False)
+    monkeypatch.setattr(sampler, "FRAMES_PER_CHUNK", H * frames // chunks)
+    assert len(sampler._chunks(H, frames)) == chunks
 
 
 def _at_every_count(monkeypatch, x, den, cfg, sched, hyp_offset):

@@ -111,17 +111,17 @@ def load_dataset(root: str | Path) -> Dataset:
     entries = need(manifest, "sequences", list)
     if not entries:
         raise PoseFileSchemaError(f"{path}: lists no sequences")
-    sequences, index = [], {}
+    sequences, taken = [], {}
     for i, entry in enumerate(entries):
         where = f"{path}: sequence {i}"
         name = need(entry, "name", str, where)
         if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
             raise PoseFileSchemaError(f"{where}: name {name!r} cannot name "
                                       f"a file")
-        if name in index:
+        if name in taken:
             raise PoseFileSchemaError(f"{where}: name {name!r} is also "
-                                      f"sequence {index[name]}'s")
-        index[name] = i
+                                      f"sequence {taken[name]}'s")
+        taken[name] = i
         seq = f"{path}: sequence {name}"
         kp = load_poses(root / need(entry, "keypoints", str, where))
         if not isinstance(kp, PoseSeq2D):

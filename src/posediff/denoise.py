@@ -150,8 +150,8 @@ def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
     single (embed_dim,) row for all. Layer i writes its output into
     ``outs[i]``, which must not overlap that layer's input; a hidden
     layer's output is its activation. Nothing is screened: a NaN in
-    any layer reaches the output (tanh maps ±inf to ±1). Each layer
-    works in place in the order ``h @ w.T``, ``+ b``, ``+ emb``
+    any layer reaches the output, and tanh maps +-inf to +-1. Each
+    layer works in place in the order ``h @ w.T``, ``+ b``, ``+ emb``
     (first layer), ``tanh``, which fixes every rounding.
     """
     h = inputs

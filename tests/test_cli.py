@@ -18,7 +18,7 @@ from posediff.poseio import load_poses, save_poses
 from posediff.rng import stream_id
 from posediff.sampler import FlipMode, run_sampler
 from posediff.schedule import make_cosine_schedule
-from posediff import cli
+from posediff import cli, sampler
 from posediff.denoise import (Denoiser, MlpDenoiser, NoisyOracle,
                               PerfectOracle, init_params, load_checkpoint,
                               save_checkpoint)
@@ -572,34 +572,71 @@ def small_run(tmp_path_factory):
     return cfg, data, run / "model.ckpt"
 
 
+def _bench_rows(runner, root, common, hs, ks) -> list[dict]:
+    """The rows of bench over the grid ``hs`` x ``ks``; they keep the
+    grid order: H outer, K inner, as given."""
+    out = root / "bench"
+    res = runner.invoke(main, ["bench", *common, "--hypotheses", ",".join(hs),
+                               "--iterations", ",".join(ks),
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    rows = _read_rows(out / "bench.csv")
+    grid = [(h, k) for h in hs for k in ks]
+    methods = len(rows) // len(grid)
+    assert [(r["H"], r["K"]) for r in rows[::methods]] == grid
+    return rows
+
+
+def _infer_rows(runner, root, common, hs, ks) -> list[dict]:
+    """The metric rows of one infer per cell of the grid, in bench's
+    order."""
+    expected = []
+    for h in hs:
+        for k in ks:
+            inf = root / f"infer_{h}_{k}"
+            res = runner.invoke(main, ["infer", *common, "--hypotheses", h,
+                                       "--iterations", k, "--out", str(inf),
+                                       "--no-save-hypotheses"])
+            assert res.exit_code == 0, res.output
+            expected += _read_rows(inf / "metrics.csv")
+    return expected
+
+
+# With t_max 50, K=5's ladder {50, 40, ..., 10} lies inside K=10's
+# {50, 45, ..., 5}, so the two K share most of their noise keys; K=3
+# {50, 33, 17} and K=2 {50, 25} share only t=50.
+@pytest.mark.parametrize("iterations", [("3", "2"), ("10", "5")],
+                         ids=["3,2", "10,5"])
 @pytest.mark.parametrize("flip", ["none", "once", "diffusion"])
 @pytest.mark.parametrize("source", ["oracle", "checkpoint"])
 def test_bench_rows_equal_infer_metrics(runner, tmp_path, small_run, flip,
-                                        source):
-    # every bench cell must be exactly what infer reports at that (H, K),
-    # and the rows keep the grid order: H outer, K inner, as given
+                                        source, iterations):
+    # every bench cell must be exactly what infer reports at that (H, K)
     cfg, data, ckpt = small_run
     den = (["--oracle", "noisy"] if source == "oracle"
            else ["--checkpoint", str(ckpt)])
     common = ["--config", str(cfg), "--data", str(data), *den,
               "--flip", flip, "--aggregator", "avg,jpma,ppma,pbest,jbest"]
-    out = tmp_path / "bench"
-    res = runner.invoke(main, ["bench", *common, "--hypotheses", "3,1,2",
-                               "--iterations", "3,2", "--out", str(out)])
-    assert res.exit_code == 0, res.output
-    rows = _read_rows(out / "bench.csv")
-    grid = [(h, k) for h in ("3", "1", "2") for k in ("3", "2")]
-    assert [(r["H"], r["K"]) for r in rows[::5]] == grid
+    grid = (("3", "1", "2"), iterations)
+    assert (_bench_rows(runner, tmp_path, common, *grid)
+            == _infer_rows(runner, tmp_path, common, *grid))
 
-    expected = []
-    for h, k in grid:
-        inf = tmp_path / f"infer_{h}_{k}"
-        res = runner.invoke(main, ["infer", *common, "--hypotheses", h,
-                                   "--iterations", k, "--out", str(inf),
-                                   "--no-save-hypotheses"])
-        assert res.exit_code == 0, res.output
-        expected += _read_rows(inf / "metrics.csv")
-    assert rows == expected
+
+@pytest.mark.parametrize("flip", ["none", "once", "diffusion"])
+def test_chunked_bench_rows_equal_infer_metrics(runner, tmp_path, small_run,
+                                                monkeypatch, flip):
+    # bench with one chunk per hypothesis, so that helper threads draw
+    # their own rows, against infer with one chunk per sequence
+    cfg, data, _ = small_run
+    common = ["--config", str(cfg), "--data", str(data), "--oracle", "noisy",
+              "--flip", flip, "--aggregator", "avg,jpma,ppma,pbest"]
+    grid = (("3", "2"), ("10", "5"))
+    with monkeypatch.context() as m:
+        m.setattr(sampler, "FRAMES_PER_CHUNK", 1)
+        assert len(sampler._chunks(3, 2)) == 3
+        rows = _bench_rows(runner, tmp_path, common, *grid)
+    assert len(sampler._chunks(3, 2)) == 1
+    assert rows == _infer_rows(runner, tmp_path, common, *grid)
 
 
 @pytest.mark.parametrize("command", ["infer", "bench"])

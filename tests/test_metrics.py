@@ -282,3 +282,39 @@ def test_compute_metrics_respects_options():
     loose = compute_metrics(pred, gt, with_scale=True)
     assert loose.pmpjpe_mm < 1e-9
     assert strict.pmpjpe_mm > 1.0
+
+
+def _errors_on_thresholds() -> tuple[PoseSeq3D, PoseSeq3D, np.ndarray]:
+    """A (prediction, ground truth) pair whose joint errors are exact
+    zeros, every AUC threshold, and one ulp either side of some."""
+    thresholds = np.arange(0.0, AUC_MAX_MM + AUC_STEP_MM / 2, AUC_STEP_MM)
+    errors = np.concatenate([
+        [0.0, 0.0, 1e-150, 1e-12], thresholds, thresholds[1:],
+        np.nextafter(thresholds[1:], 0.0), np.nextafter(thresholds[1:], np.inf),
+        [PCK_DEFAULT_THRESHOLD_MM, 151.0, 1e6]])
+    errors = np.concatenate([errors, np.zeros(-len(errors) % 3)])
+    errors = errors.reshape(-1, 3)
+    # a triangle in the y-z plane, so that no frame is collinear; each
+    # joint moves by its error along x, and the norm of (e, 0, 0) is e
+    gt = np.zeros(errors.shape + (3,))
+    gt[:, 1, 1] = gt[:, 2, 2] = 100.0
+    pred = gt.copy()
+    pred[..., 0] = errors
+    pred, gt = PoseSeq3D(pred), PoseSeq3D(gt)
+    assert np.array_equal(joint_errors(pred, gt), errors)
+    return pred, gt, errors
+
+
+def test_pck_and_auc_are_boolean_means_on_thresholds():
+    # bitwise the means of errors < th, and of errors == 0 at 0 mm
+    pred, gt, errors = _errors_on_thresholds()
+    thresholds = np.arange(0.0, AUC_MAX_MM + AUC_STEP_MM / 2, AUC_STEP_MM)
+    for th in thresholds[1:]:
+        assert pck(pred, gt, threshold_mm=th) == (errors < th).mean()
+    want_auc = float(np.mean([(errors == 0.0).mean()]
+                             + [(errors < th).mean() for th in thresholds[1:]]))
+    assert auc(pred, gt) == want_auc
+    report = compute_metrics(pred, gt)
+    assert report.pck150 == (errors < PCK_DEFAULT_THRESHOLD_MM).mean()
+    assert report.auc == want_auc
+    assert report.mpjpe_mm == errors.mean()

@@ -58,6 +58,48 @@ def _check_shape(hs: HypothesisSet, other: PoseSeq2D | PoseSeq3D,
             f"({other.num_frames}, {other.num_joints})")
 
 
+class SharedCostSet(HypothesisSet):
+    """A hypothesis set whose aggregators share their costs, with each
+    other and with the set's prefixes.
+
+    A cost is the per-hypothesis reprojection error (jpma, ppma) or
+    ground-truth distance (pbest, jbest). Each is computed over the
+    whole set the first time an aggregator asks for it with given
+    inputs, and kept. ``first(h)`` is the set of the first h
+    hypotheses, whose aggregators read the first h rows of those costs.
+    That equals computing them on the h alone, bitwise: every cost is
+    computed per hypothesis, and every selection's ties go to the lowest
+    index, as an argmin over a prefix does.
+    """
+
+    def __init__(self, poses: np.ndarray):
+        super().__init__(poses)
+        object.__setattr__(self, "_whole", self)
+        object.__setattr__(self, "_costs", {})
+
+    def first(self, h: int) -> "SharedCostSet":
+        """The first ``h`` hypotheses, sharing this set's costs."""
+        if not 1 <= h <= self.count:
+            raise ValueError(f"first {h} of {self.count} hypotheses")
+        prefix = SharedCostSet(self.poses[:h])
+        object.__setattr__(prefix, "_whole", self._whole)
+        object.__setattr__(prefix, "_costs", self._costs)
+        return prefix
+
+
+def _cost(hs: HypothesisSet, cost, *inputs) -> np.ndarray:
+    """``cost(hs, *inputs)``; for a SharedCostSet, the first rows of that
+    cost over its whole set, computed once per cost and inputs."""
+    if not isinstance(hs, SharedCostSet):
+        return cost(hs, *inputs)
+    key = (cost, *inputs)
+    if key not in hs._costs:
+        whole = cost(hs._whole, *inputs)
+        whole.setflags(write=False)
+        hs._costs[key] = whole
+    return hs._costs[key][:hs.count]
+
+
 def _reprojection_errors(hs: HypothesisSet, x: PoseSeq2D,
                          cam: CameraIntrinsics) -> np.ndarray:
     """Per-hypothesis pixel errors, (H, N, J); excluded joints are +inf."""
@@ -121,7 +163,7 @@ def agg_jpma(hs: HypothesisSet, x: PoseSeq2D,
     input. Behind-camera joints are skipped; a joint with no surviving
     hypothesis is an error.
     """
-    err = _reprojection_errors(hs, x, cam)
+    err = _cost(hs, _reprojection_errors, x, cam)
     return _select("jpma", hs, err, err)
 
 
@@ -132,18 +174,18 @@ def agg_ppma(hs: HypothesisSet, x: PoseSeq2D,
     A hypothesis with any behind-camera joint in a frame is excluded
     for that whole frame (its total is not comparable).
     """
-    err = _reprojection_errors(hs, x, cam)
+    err = _cost(hs, _reprojection_errors, x, cam)
     return _select("ppma", hs, err.sum(axis=2), err)
 
 
 def agg_pbest(hs: HypothesisSet, gt: PoseSeq3D) -> AggregationReport:
     """Oracle: per frame, the hypothesis with the lowest mean joint error."""
-    return _select("pbest", hs, _distances(hs, gt).mean(axis=2))
+    return _select("pbest", hs, _cost(hs, _distances, gt).mean(axis=2))
 
 
 def agg_jbest(hs: HypothesisSet, gt: PoseSeq3D) -> AggregationReport:
     """Oracle: per joint, the hypothesis closest to the ground truth."""
-    return _select("jbest", hs, _distances(hs, gt))
+    return _select("jbest", hs, _cost(hs, _distances, gt))
 
 
 # Aggregator names accepted by the CLI, in output order, with the inputs

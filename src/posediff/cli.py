@@ -24,7 +24,7 @@ import click
 import numpy as np
 
 from .aggregate import (METHOD_INPUTS, METHOD_NAMES, AggregationReport,
-                        run_aggregator)
+                        SharedCostSet, run_aggregator)
 from .camera import load_camera
 from .config import (RunConfig, apply_overrides, config_sha256,
                      config_to_dict, load_config)
@@ -36,11 +36,11 @@ from .denoise import (ContractiveOracle, Denoiser, MlpDenoiser, NoisyOracle,
 from .errors import (AggregationError, ConfigError, DegenerateAlignmentError,
                      MissingGroundTruthError, NumericError, PoseDiffError,
                      TrainingDivergedError)
-from .metrics import MetricReport, compute_metrics
+from .metrics import GroundTruth, MetricReport, compute_metrics
 from .poseio import load_poses, save_poses
 from .render import render_sequence
-from .rng import stream_id
-from .sampler import FlipMode, run_sampler
+from .rng import serve_repeats, stream_id
+from .sampler import FlipMode, draws_asked_by, run_sampler
 from .schedule import make_cosine_schedule, save_schedule_csv
 from .synth import DEFAULT_CAMERA, gen_poses
 
@@ -181,7 +181,7 @@ def _denoisers(cfg: RunConfig, ds: Dataset, checkpoint: str | None,
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if den.t_max != cfg.t_max:
-            raise ConfigError(f"checkpoint was trained with t_max "
+            raise ConfigError(f"{path}: checkpoint was trained with t_max "
                               f"{den.t_max}, config says {cfg.t_max}")
         if den.params.num_joints != ds.skeleton.num_joints:
             raise ConfigError(f"{path}: the model is for "
@@ -213,44 +213,66 @@ def _frame_slices(ds: Dataset) -> list[slice]:
             for seq, end in zip(ds.sequences, ends)]
 
 
-def _sample_all(cfg: RunConfig, ds: Dataset,
-                denoisers: list[Denoiser]) -> HypothesisSet:
-    """Sample every sequence at ``cfg``, each with its own seed, into
-    one read-only (H, frames, J, 3) set over the dataset's frames,
-    stacked in sequence order (see ``_frame_slices``). Flips mirror with
-    the dataset's skeleton and about its camera's principal point, which
-    made the keypoints."""
-    sched = make_cosine_schedule(cfg.t_max)
+def _sample_all(cfgs: list[RunConfig], ds: Dataset,
+                denoisers: list[Denoiser]) -> list[SharedCostSet]:
+    """Sample every sequence at each of ``cfgs``, which differ at most in
+    H and K, each sequence with its own seed: one read-only (H, frames,
+    J, 3) set per config over the dataset's frames, stacked in sequence
+    order (see ``_frame_slices``). Flips mirror with the dataset's
+    skeleton and about its camera's principal point, which made the
+    keypoints.
+
+    A sequence's chains run one after another in one ``serve_repeats``
+    scope, and each keeps only the draws that a later one can ask for:
+    a noise key that two ladders share, as K=5's and K=10's share
+    K=5's, is drawn once per sequence."""
+    sched = make_cosine_schedule(cfgs[0].t_max)
     slices = _frame_slices(ds)
-    poses = np.empty((cfg.sampler.hypotheses, slices[-1].stop,
-                      ds.skeleton.num_joints, 3))
+    poses = [np.empty((cfg.sampler.hypotheses, slices[-1].stop,
+                       ds.skeleton.num_joints, 3)) for cfg in cfgs]
     for i, (seq, den) in enumerate(zip(ds.sequences, denoisers)):
-        scfg = replace(cfg.sampler, seed=stream_id("sequence", cfg.seed, i))
-        try:
-            # copied without a name, so no sequence's result stays
-            # alive while the next one samples
-            poses[:, slices[i]] = run_sampler(
-                seq.keypoints, den, scfg, sched, ds.skeleton,
-                2.0 * ds.camera.cx).poses
-        except NumericError as exc:
-            raise NumericError(f"sampling sequence {i} ({seq.name}): {exc}",
-                               hypothesis=exc.hypothesis) from exc
-    poses.setflags(write=False)
-    return HypothesisSet(poses)
+        with serve_repeats() as served:
+            for j, cfg in enumerate(cfgs):
+                served.keeps = draws_asked_by(
+                    [later.sampler for later in cfgs[j + 1:]], sched.t_max)
+                scfg = replace(cfg.sampler,
+                               seed=stream_id("sequence", cfg.seed, i))
+                try:
+                    # copied without a name, so no sequence's result
+                    # stays alive while the next one samples
+                    poses[j][:, slices[i]] = run_sampler(
+                        seq.keypoints, den, scfg, sched, ds.skeleton,
+                        2.0 * ds.camera.cx).poses
+                except NumericError as exc:
+                    raise NumericError(
+                        f"sampling sequence {i} ({seq.name}): {exc}",
+                        hypothesis=exc.hypothesis) from exc
+                served.forget()
+    for stack in poses:
+        stack.setflags(write=False)
+    return [SharedCostSet(stack) for stack in poses]
+
+
+def _stacked_inputs(ds: Dataset) -> tuple[PoseSeq2D, GroundTruth | None]:
+    """The dataset's keypoints and ground truth (None without) over its
+    stacked frames. The ground truth computes its half of P-MPJPE's
+    alignment once, for every scoring against it."""
+    x = PoseSeq2D(np.concatenate([s.keypoints.joints for s in ds.sequences]))
+    gt = (GroundTruth(np.concatenate([s.gt.joints for s in ds.sequences]))
+          if ds.has_gt else None)
+    return x, gt
 
 
 def _score(cfg: RunConfig, ds: Dataset, hs: HypothesisSet,
-           methods: list[str]) -> tuple[dict[str, AggregationReport],
-                                        list[dict]]:
+           methods: list[str], x: PoseSeq2D,
+           gt: GroundTruth | None) -> tuple[dict[str, AggregationReport],
+                                           list[dict]]:
     """Aggregate ``hs``, the dataset's stacked frames, once with each
-    method. Every method works frame by frame, so this equals one call
-    per sequence, bitwise. Returns method -> its AggregationReport over
-    the stacked frames, and one metric row per method over all frames
-    (no rows without ground truth). An error in one frame names its
-    sequence and the frame within it."""
-    x = PoseSeq2D(np.concatenate([s.keypoints.joints for s in ds.sequences]))
-    gt = (PoseSeq3D(np.concatenate([s.gt.joints for s in ds.sequences]))
-          if ds.has_gt else None)
+    method, against ``_stacked_inputs(ds)``. Every method works frame by
+    frame, so this equals one call per sequence, bitwise. Returns method
+    -> its AggregationReport over the stacked frames, and one metric row
+    per method over all frames (no rows without ground truth). An error
+    in one frame names its sequence and the frame within it."""
     try:
         reports = {m: run_aggregator(m, hs, x=x, cam=ds.camera, gt=gt)
                    for m in methods}
@@ -362,8 +384,8 @@ def infer(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     root = Path(cfg.out_dir)
     root.mkdir(parents=True, exist_ok=True)
 
-    hs = _sample_all(cfg, ds, denoisers)
-    reports, rows = _score(cfg, ds, hs, methods)
+    (hs,) = _sample_all([cfg], ds, denoisers)
+    reports, rows = _score(cfg, ds, hs, methods, *_stacked_inputs(ds))
 
     # The files are per sequence: each takes its frames of the stack.
     slices = _frame_slices(ds)
@@ -445,20 +467,18 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     root.mkdir(parents=True, exist_ok=True)
 
     # One sample per K at the largest H serves every H: the sampler
-    # gives H=h as the first h hypotheses of any larger H, bitwise.
-    # K is the outer loop, and each K's hypotheses are dropped before
-    # the next K is sampled, so one K's hypotheses are alive at a time.
+    # gives H=h as the first h hypotheses of any larger H, bitwise, and
+    # each H's aggregators read the first h rows of that sample's
+    # costs. Every K is sampled before the first is scored, so that a
+    # sequence draws the noise its K share once: every K's hypotheses
+    # are alive at once.
     h_max = max(hs_values)
-    cell_rows: dict[tuple[int, int], list[dict]] = {}
-    for k in ks_values:
-        kcfg = apply_overrides(cfg, hypotheses=h_max, iterations=k)
-        hs = _sample_all(kcfg, ds, denoisers)
-        for h in hs_values:
-            cell_rows[h, k] = _score(kcfg, ds, HypothesisSet(hs.poses[:h]),
-                                     methods)[1]
-        del hs
-    rows = [row for h in hs_values for k in ks_values
-            for row in cell_rows[h, k]]
+    kcfgs = [apply_overrides(cfg, hypotheses=h_max, iterations=k)
+             for k in ks_values]
+    sampled = _sample_all(kcfgs, ds, denoisers)
+    x, gt = _stacked_inputs(ds)
+    rows = [row for h in hs_values for kcfg, hs in zip(kcfgs, sampled)
+            for row in _score(kcfg, ds, hs.first(h), methods, x, gt)[1]]
     _write_metric_rows(root / "bench.csv", rows)
     _write_config_copy(root, cfg)
     _write_manifest(root, "bench", cfg, data=str(data_dir),

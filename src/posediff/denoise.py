@@ -422,31 +422,36 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
     history = np.empty(config.steps)
     order = np.empty(0, dtype=np.int64)
     epoch = 0
-    for step in range(config.steps):
-        while order.size < config.batch_size:
-            order = np.concatenate([order, rng_perm.spawn(epoch).permutation(m)])
-            epoch += 1
-        idx, order = order[:config.batch_size], order[config.batch_size:]
-        b = len(idx)
+    # Overflow anywhere in a step, its update too, is an expected
+    # divergence signal, which the guard reports at the step whose loss
+    # or gradient it reaches.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.steps):
+            while order.size < config.batch_size:
+                order = np.concatenate(
+                    [order, rng_perm.spawn(epoch).permutation(m)])
+                epoch += 1
+            idx, order = order[:config.batch_size], order[config.batch_size:]
+            b = len(idx)
 
-        ts = rng_t.integers(0, sched.t_max + 1, b)
-        eps = rng_eps.standard_normal((b, j, 3))
-        targets = y_units[idx]
-        y_noisy = diffuse_array(targets, ts, sched, eps)
-        # each joint's signal coordinates, then its scaled keypoint
-        inputs = np.concatenate([y_noisy, xs_scaled[idx]], axis=-1)
-        loss = _backward(weights, biases, inputs.reshape(b, j * 5),
-                         emb_table[ts], targets.reshape(b, j * 3),
-                         grad_w, grad_b)
-        if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
-            raise TrainingDivergedError(step)
-        history[step] = loss
+            ts = rng_t.integers(0, sched.t_max + 1, b)
+            eps = rng_eps.standard_normal((b, j, 3))
+            targets = y_units[idx]
+            y_noisy = diffuse_array(targets, ts, sched, eps)
+            # each joint's signal coordinates, then its scaled keypoint
+            inputs = np.concatenate([y_noisy, xs_scaled[idx]], axis=-1)
+            loss = _backward(weights, biases, inputs.reshape(b, j * 5),
+                             emb_table[ts], targets.reshape(b, j * 3),
+                             grad_w, grad_b)
+            if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
+                raise TrainingDivergedError(step)
+            history[step] = loss
 
-        _adam_step(flat, grad, m_p, v_p, step, config, scratch)
-        # decoupled weight decay: p -= lr * weight_decay * p, weights only
-        t1 = scratch[0][:n_w]
-        np.multiply(flat[:n_w], decay, out=t1)
-        flat[:n_w] -= t1
+            _adam_step(flat, grad, m_p, v_p, step, config, scratch)
+            # decoupled weight decay: p -= lr * weight_decay * p, weights only
+            t1 = scratch[0][:n_w]
+            np.multiply(flat[:n_w], decay, out=t1)
+            flat[:n_w] -= t1
 
     final = DenoiserParams(weights=tuple(weights), biases=tuple(biases))
     return TrainResult(params=final, loss_history=history,

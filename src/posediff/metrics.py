@@ -8,6 +8,7 @@ fractions.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,19 +43,75 @@ def mpjpe(pred: PoseSeq3D, gt: PoseSeq3D) -> float:
     return float(joint_errors(pred, gt).mean())
 
 
-def align_frame(pred: np.ndarray, gt: np.ndarray, *,
+def _collinear(sv: np.ndarray) -> np.ndarray:
+    """The collinearity rule, per frame, on the singular values of a
+    stack of centred clouds."""
+    return sv[:, 1] <= _COLLINEAR_RTOL * sv[:, 0]
+
+
+def _collinear_screened(p0: np.ndarray) -> np.ndarray:
+    """``_collinear`` of the centred (F, J, 3) clouds ``p0``, with an SVD
+    only for frames that a cheap exact screen does not clear.
+
+    With G = p0^T p0, e2 the sum of its principal 2x2 minors and tr its
+    trace, e2 <= 3 l0 l1 and l0 <= tr for its eigenvalues l0 >= l1 >=
+    l2. So e2 > 1e-6 tr^2 gives s1/s0 = sqrt(l1/l0) > 5.8e-4: five
+    orders above the rule's bound, far outside either side's rounding.
+    """
+    gram = p0.transpose(0, 2, 1) @ p0
+    d0, d1, d2 = gram[:, 0, 0], gram[:, 1, 1], gram[:, 2, 2]
+    e2 = (d0 * d1 - gram[:, 0, 1] ** 2 + d0 * d2 - gram[:, 0, 2] ** 2
+          + d1 * d2 - gram[:, 1, 2] ** 2)
+    tr = d0 + d1 + d2
+    unclear = ~(e2 > 1e-6 * tr * tr)
+    collinear = np.zeros(len(p0), dtype=bool)
+    if unclear.any():
+        collinear[unclear] = _collinear(
+            np.linalg.svd(p0[unclear], compute_uv=False))
+    return collinear
+
+
+class _Target:
+    """The ground truth's half of aligning (F, J, 3) frames onto ``g``:
+    its centroids, norms, collinearity and normalised centred clouds."""
+
+    def __init__(self, g: np.ndarray):
+        self.mu = g.mean(axis=1, keepdims=True)
+        g0 = g - self.mu
+        self.norm = np.linalg.norm(g0, axis=(1, 2))
+        self.collinear = _collinear(np.linalg.svd(g0, compute_uv=False))
+        # A coincident frame divides by zero here; it is refused before
+        # its cloud is read.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.unit = g0 / self.norm[:, None, None]
+
+
+class GroundTruth(PoseSeq3D):
+    """A ground-truth sequence that computes its half of the P-MPJPE
+    alignment once, on its first use, for every prediction scored or
+    aligned against it. Results equal those of the plain sequence,
+    bitwise."""
+
+    @functools.cached_property
+    def _target(self) -> _Target:
+        return _Target(self.joints)
+
+
+def align_frame(pred: np.ndarray, gt: np.ndarray | GroundTruth, *,
                 with_scale: bool = True) -> np.ndarray:
     """Similarity-align predicted frames onto their ground truth.
 
     Takes one (J, 3) frame or an (F, J, 3) stack aligned frame by frame
-    in one batched pass. For each frame finds rotation R (reflections
-    excluded), translation, and optionally a uniform scale minimizing
-    the summed squared joint error, and returns the transformed
-    prediction in the input's shape. Raises when either cloud of some
-    frame is coincident or collinear, where the rotation is not
-    identifiable; for a stack the error's ``frame`` is the first such
-    frame.
+    in one batched pass; ``gt`` may be a ``GroundTruth`` for a stack.
+    For each frame finds rotation R (reflections excluded), translation,
+    and optionally a uniform scale minimizing the summed squared joint
+    error, and returns the transformed prediction in the input's shape.
+    Raises when either cloud of some frame is coincident or collinear,
+    where the rotation is not identifiable; for a stack the error's
+    ``frame`` is the first such frame.
     """
+    target = gt._target if isinstance(gt, GroundTruth) else None
+    gt = gt.joints if target is not None else gt
     if (pred.shape != gt.shape or pred.ndim not in (2, 3)
             or pred.shape[-1] != 3):
         raise ShapeError(f"align_frame: bad shapes {pred.shape} vs {gt.shape}")
@@ -64,23 +121,18 @@ def align_frame(pred: np.ndarray, gt: np.ndarray, *,
     stacked = pred.ndim == 3
     if not stacked:
         pred, gt = pred[None], gt[None]
+    if target is None:
+        target = _Target(gt)
 
     mu_p = pred.mean(axis=1, keepdims=True)
-    mu_g = gt.mean(axis=1, keepdims=True)
     p0 = pred - mu_p
-    g0 = gt - mu_g
     norm_p = np.linalg.norm(p0, axis=(1, 2))
-    norm_g = np.linalg.norm(g0, axis=(1, 2))
-    sv_p = np.linalg.svd(p0, compute_uv=False)
-    sv_g = np.linalg.svd(g0, compute_uv=False)
     # Checked in this order within a frame; the first bad frame is named.
     problems = (
-        ((norm_p == 0.0) | (norm_g == 0.0),
+        ((norm_p == 0.0) | (target.norm == 0.0),
          "all joints coincide, alignment undefined"),
-        (sv_p[:, 1] <= _COLLINEAR_RTOL * sv_p[:, 0],
-         "prediction joints are collinear"),
-        (sv_g[:, 1] <= _COLLINEAR_RTOL * sv_g[:, 0],
-         "ground truth joints are collinear"),
+        (_collinear_screened(p0), "prediction joints are collinear"),
+        (target.collinear, "ground truth joints are collinear"),
     )
     bad = np.any([mask for mask, _ in problems], axis=0)
     if bad.any():
@@ -89,8 +141,7 @@ def align_frame(pred: np.ndarray, gt: np.ndarray, *,
         raise DegenerateAlignmentError(message, frame=k if stacked else None)
 
     pn = p0 / norm_p[:, None, None]
-    gn = g0 / norm_g[:, None, None]
-    u, s, vt = np.linalg.svd(pn.transpose(0, 2, 1) @ gn)
+    u, s, vt = np.linalg.svd(pn.transpose(0, 2, 1) @ target.unit)
     rot = u @ vt
     # Where that is a reflection, flip the axis with the smallest
     # singular value to stay in SO(3).
@@ -98,16 +149,25 @@ def align_frame(pred: np.ndarray, gt: np.ndarray, *,
     u[flip, :, -1] *= -1.0
     s[flip, -1] *= -1.0
     rot[flip] = u[flip] @ vt[flip]
-    scale = s.sum(axis=1) * norm_g / norm_p if with_scale else np.ones(len(p0))
-    aligned = scale[:, None, None] * p0 @ rot + mu_g
+    scale = (s.sum(axis=1) * target.norm / norm_p if with_scale
+             else np.ones(len(p0)))
+    aligned = scale[:, None, None] * p0 @ rot + target.mu
     return aligned if stacked else aligned[0]
 
 
 def pmpjpe(pred: PoseSeq3D, gt: PoseSeq3D, *, with_scale: bool = True) -> float:
     """MPJPE after per-frame similarity alignment of pred onto gt."""
     p, g = _paired(pred, gt)
-    aligned = align_frame(p, g, with_scale=with_scale)
+    aligned = align_frame(p, gt if isinstance(gt, GroundTruth) else g,
+                          with_scale=with_scale)
     return float(np.linalg.norm(aligned - g, axis=-1).mean(axis=1).mean())
+
+
+def _below(errors: np.ndarray, thresholds) -> np.ndarray:
+    """The fraction of ``errors`` strictly below each threshold, counted
+    on one sorted copy: bitwise the mean of ``errors < th``."""
+    ordered = np.sort(errors, axis=None)
+    return ordered.searchsorted(thresholds, side="left") / ordered.size
 
 
 def pck(pred: PoseSeq3D, gt: PoseSeq3D,
@@ -115,7 +175,19 @@ def pck(pred: PoseSeq3D, gt: PoseSeq3D,
     """Fraction of joints with error strictly below the threshold."""
     if not threshold_mm > 0:
         raise ValueError(f"threshold must be positive, got {threshold_mm}")
-    return float((joint_errors(pred, gt) < threshold_mm).mean())
+    return float(_below(joint_errors(pred, gt), [threshold_mm])[0])
+
+
+# The AUC thresholds above 0 mm, then PCK's: one sorted pass counts all.
+_THRESHOLDS = np.append(
+    np.arange(0.0, AUC_MAX_MM + AUC_STEP_MM / 2, AUC_STEP_MM)[1:],
+    PCK_DEFAULT_THRESHOLD_MM)
+
+
+def _auc(errors: np.ndarray, below: np.ndarray) -> float:
+    """AUC from the joint errors and their fractions below each of the
+    AUC thresholds above 0 mm."""
+    return float(np.mean([(errors == 0.0).mean(), *below]))
 
 
 def auc(pred: PoseSeq3D, gt: PoseSeq3D) -> float:
@@ -125,10 +197,7 @@ def auc(pred: PoseSeq3D, gt: PoseSeq3D) -> float:
     scores exactly 1.
     """
     errors = joint_errors(pred, gt)
-    thresholds = np.arange(0.0, AUC_MAX_MM + AUC_STEP_MM / 2, AUC_STEP_MM)
-    fractions = [(errors == 0.0).mean()]
-    fractions += [(errors < th).mean() for th in thresholds[1:]]
-    return float(np.mean(fractions))
+    return _auc(errors, _below(errors, _THRESHOLDS[:-1]))
 
 
 @dataclass(frozen=True)
@@ -143,9 +212,14 @@ class MetricReport:
 
 def compute_metrics(pred: PoseSeq3D, gt: PoseSeq3D, *,
                     with_scale: bool = True) -> MetricReport:
+    """The four metrics of ``pred`` against ``gt``, from one joint-error
+    array. A ``GroundTruth`` serves its half of P-MPJPE's alignment to
+    every call."""
+    errors = joint_errors(pred, gt)
+    below = _below(errors, _THRESHOLDS)
     return MetricReport(
-        mpjpe_mm=mpjpe(pred, gt),
+        mpjpe_mm=float(errors.mean()),
         pmpjpe_mm=pmpjpe(pred, gt, with_scale=with_scale),
-        pck150=pck(pred, gt),
-        auc=auc(pred, gt),
+        pck150=float(below[-1]),
+        auc=_auc(errors, below[:-1]),
     )

@@ -9,9 +9,11 @@ labels instead of sharing a sequential generator.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import threading
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -147,6 +149,42 @@ def _row_ids(hyps: range, branch: int, *label: int | str) -> tuple[int, ...]:
     return tuple(_digest(_absorb(prefix.copy(), (h, branch))) for h in hyps)
 
 
+class DrawScope:
+    """The draws of ``hypothesis_normals`` kept on one thread for reuse;
+    see ``serve_repeats``.
+
+    ``keeps(label)`` says whether a new draw under ``label`` is kept:
+    set it to what a later consumer can still ask for. It keeps nothing
+    until set.
+    """
+
+    def __init__(self):
+        self.keeps: Callable[[tuple], bool] = lambda label: False
+        self._held: dict[tuple, tuple[tuple, np.ndarray]] = {}
+
+    def forget(self) -> None:
+        """Drop the held draws whose label ``keeps`` rejects."""
+        self._held = {key: held for key, held in self._held.items()
+                      if self.keeps(held[0])}
+
+
+@contextlib.contextmanager
+def serve_repeats() -> Iterator[DrawScope]:
+    """A scope in which ``hypothesis_normals`` on the calling thread
+    serves a key it drew before, and kept, from that first draw.
+
+    A row is a pure function of its key, so a served draw equals a new
+    one bitwise. Kept draws are read-only, and they are dropped when the
+    scope ends. Other threads draw as they do outside it.
+    """
+    scope = DrawScope()
+    outer, _local.scope = getattr(_local, "scope", None), scope
+    try:
+        yield scope
+    finally:
+        _local.scope = outer
+
+
 def hypothesis_normals(seed: int, hyps: range, shape: tuple[int, ...],
                        *label: int | str, branch: int) -> np.ndarray:
     """Standard normals of shape ``(len(hyps),) + shape``, one stream each.
@@ -161,11 +199,21 @@ def hypothesis_normals(seed: int, hyps: range, shape: tuple[int, ...],
     without building any. Each thread has its own, so calls from several
     threads may overlap. The row ids of the last 256 ``(hyps, branch,
     label)`` keys are kept: every sequence of a dataset draws under the
-    same keys with its own seed, so each id is hashed once.
+    same keys with its own seed, so each id is hashed once. Inside a
+    ``serve_repeats`` scope of the calling thread, a key drawn and kept
+    before is served from that draw, read-only.
     """
+    ids = _row_ids(hyps, branch, *label)
+    scope = getattr(_local, "scope", None)
+    key = (seed, ids, tuple(shape))
+    if scope is not None and key in scope._held:
+        return scope._held[key][1]
     stream = _shared_stream()
     out = np.empty((len(hyps),) + shape)
-    for i, sid in enumerate(_row_ids(hyps, branch, *label)):
+    for i, sid in enumerate(ids):
         stream._rekey(seed, sid)
         out[i] = stream.standard_normal(shape)
+    if scope is not None and scope.keeps(label):
+        out.setflags(write=False)
+        scope._held[key] = (label, out)
     return out

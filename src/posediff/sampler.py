@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,6 +35,10 @@ from .schedule import MM_PER_UNIT, SIGNAL_SCALE, NoiseSchedule
 # 1 and at most H, and samples them on parallel threads. The size
 # follows from the input alone, never from the machine.
 FRAMES_PER_CHUNK = 2048
+
+# The labels of a chain's noise: its initial state, and the DDIM update
+# at timestep t.
+_INIT, _UPDATE = "sampler_init", "sampler_ddim"
 
 
 class SigmaMode(Enum):
@@ -81,6 +85,30 @@ def timestep_ladder(t_max: int, iterations: int) -> list[int]:
     ladder = [int(np.floor(t_max * (1.0 - k / iterations) + 0.5))
               for k in range(iterations)]
     return ladder
+
+
+def draws_asked_by(cfgs: Sequence[SamplerConfig],
+                   t_max: int) -> Callable[[tuple], bool]:
+    """Whether a chain at one of ``cfgs`` can ask for a noise draw under
+    ``label``: every chain draws its initial state, a stochastic chain
+    draws a DDIM update at each step of its ladder but the last, and a
+    denoiser draws under ``(purpose, t)`` at any step ``t`` of it. For
+    ``DrawScope.keeps``; the seed, hypotheses and branch of a draw are
+    not asked, since chains of one sequence share them."""
+    steps, updates = set(), set()
+    for cfg in cfgs:
+        ladder = timestep_ladder(t_max, cfg.iterations)
+        steps.update(ladder)
+        if cfg.sigma_mode is SigmaMode.STOCHASTIC:
+            updates.update(ladder[:-1])
+
+    def asked(label: tuple) -> bool:
+        purpose, *t = label
+        if purpose == _INIT:
+            return bool(cfgs)
+        return len(t) == 1 and t[0] in (updates if purpose == _UPDATE
+                                        else steps)
+    return asked
 
 
 def _sigma_stochastic(ab_t: float, ab_next: float) -> float:
@@ -147,8 +175,8 @@ def _run_chain(predict: Callable[..., object],
     each step's estimate is copied into its array.
     """
     to_mm = MM_PER_UNIT / SIGNAL_SCALE
-    y = hypothesis_normals(cfg.seed, hyps, shape, "sampler_init",
-                           branch=branch)
+    # a copy: a draw served inside ``serve_repeats`` is read-only
+    y = hypothesis_normals(cfg.seed, hyps, shape, _INIT, branch=branch).copy()
     y_mm, spare = np.empty_like(y), np.empty_like(y)
     y0_mm = np.empty_like(y) if out is None else out
     for k, t in enumerate(ladder):
@@ -164,8 +192,8 @@ def _run_chain(predict: Callable[..., object],
         if k + 1 < len(ladder):
             eps = None
             if cfg.sigma_mode is SigmaMode.STOCHASTIC:
-                eps = hypothesis_normals(cfg.seed, hyps, shape,
-                                         "sampler_ddim", t, branch=branch)
+                eps = hypothesis_normals(cfg.seed, hyps, shape, _UPDATE, t,
+                                         branch=branch)
             np.divide(y0_mm, to_mm, out=spare)
             _ddim_core(y, spare, t, ladder[k + 1], sched, cfg.sigma_mode,
                        eps, out=y, work=y_mm)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posediff.aggregate import (METHOD_INPUTS, METHOD_NAMES, agg_average,
-                                agg_jbest, agg_jpma, agg_pbest, agg_ppma,
-                                run_aggregator)
+from posediff import aggregate
+from posediff.aggregate import (METHOD_INPUTS, METHOD_NAMES, SharedCostSet,
+                                agg_average, agg_jbest, agg_jpma, agg_pbest,
+                                agg_ppma, run_aggregator)
 from posediff.camera import DEFAULT_Z_MIN, CameraIntrinsics
 from posediff.core import HypothesisSet, PoseSeq2D, PoseSeq3D
 from posediff.errors import AggregationError, ShapeError
@@ -267,3 +268,76 @@ def test_stacked_sequences_equal_per_sequence_calls(method, seed):
             assert all(w is None for w in want)
         else:
             assert np.array_equal(got, np.concatenate(want))
+
+
+def _assert_same_report(got, want):
+    assert got.method == want.method
+    assert np.array_equal(got.pose.joints, want.pose.joints)
+    for field in ("chosen", "reproj_error_px"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None and b is None) or np.array_equal(a, b), field
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shared_costs_equal_fresh_sets_at_every_prefix(monkeypatch, seed):
+    # every method on the first h hypotheses of a SharedCostSet is what
+    # it is on those h alone, bitwise, with ties across the prefix edge,
+    # behind-camera joints and a frame where only late hypotheses see a
+    # joint; the projection runs once for the whole set
+    rng = np.random.default_rng(seed)
+    cam = CameraIntrinsics.distorted(fx=1100.0, fy=1150.0, cx=480.0,
+                                     cy=510.0, k1=0.02, k2=-0.005,
+                                     k3=0.0004, p1=0.001, p2=-0.002)
+    poses = rng.normal(scale=200.0, size=(12, 6, 5, 3))
+    poses[..., 2] += 2000.0
+    poses[4] = poses[2]                  # ties inside the prefix
+    poses[9] = poses[3]                  # and across its edge
+    poses[0, 1, 2, 2] = -5.0             # behind the camera
+    poses[:3, 4, 1, 2] = DEFAULT_Z_MIN   # only h >= 3 see this joint
+    x = PoseSeq2D(rng.uniform(0.0, 1000.0, size=(6, 5, 2)))
+    gt = PoseSeq3D(poses[5, :] + rng.normal(scale=20.0, size=(6, 5, 3)))
+    kwargs = dict(x=x, cam=cam, gt=gt)
+    cells = [(h, m) for h in (12, 1, 3, 4, 10) for m in METHOD_NAMES]
+    want = {}
+    for h, method in cells:
+        try:
+            want[h, method] = run_aggregator(
+                method, HypothesisSet(poses[:h]), **kwargs)
+        except AggregationError as exc:
+            want[h, method] = exc
+    assert any(isinstance(w, AggregationError) for w in want.values())
+
+    projected = []
+    real = aggregate.project_with_mask
+
+    def counted(points, camera):
+        projected.append(points.shape[0])
+        return real(points, camera)
+    monkeypatch.setattr(aggregate, "project_with_mask", counted)
+    shared = SharedCostSet(poses)
+    for h, method in cells:
+        if isinstance(want[h, method], AggregationError):
+            with pytest.raises(AggregationError,
+                               match=f"^{want[h, method]}$"):
+                run_aggregator(method, shared.first(h), **kwargs)
+        else:
+            _assert_same_report(
+                run_aggregator(method, shared.first(h), **kwargs),
+                want[h, method])
+    assert projected == [12]
+    assert all(not cost.flags.writeable for cost in shared._costs.values())
+
+
+def test_shared_cost_set_prefix_rules():
+    shared = SharedCostSet(np.full((3, 1, 3, 3), 100.0))
+    assert shared.first(3).count == 3
+    assert np.array_equal(shared.first(2).poses, shared.poses[:2])
+    for h in (0, 4, -1):
+        with pytest.raises(ValueError):
+            shared.first(h)
+    # a cost is kept per input: other keypoints are another cost
+    cam = CameraIntrinsics.pinhole(fx=1000.0, fy=1000.0, cx=500.0, cy=500.0)
+    near = agg_jpma(shared.first(2), PoseSeq2D(np.full((1, 3, 2), 500.0)), cam)
+    far = agg_jpma(shared.first(2), PoseSeq2D(np.full((1, 3, 2), 400.0)), cam)
+    assert len(shared._costs) == 2
+    assert not np.array_equal(near.reproj_error_px, far.reproj_error_px)

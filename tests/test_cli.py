@@ -248,7 +248,8 @@ def test_checkpoint_config_mismatch_exit_2(runner, tmp_path):
         "infer", "--config", str(cfg2), "--data", str(data), "--checkpoint",
         str(run / "model.ckpt"), "--out", str(tmp_path / "z")])
     assert res.exit_code == 2
-    assert "t_max" in res.output
+    assert (f"{run / 'model.ckpt'}: checkpoint was trained with t_max 50, "
+            f"config says 60") in res.output
 
 
 def _strip_gt(data: Path) -> None:

@@ -254,7 +254,8 @@ def test_train_overfits_single_sample():
 
 
 @pytest.mark.parametrize("learning_rate, step",
-                         [(1e2, 159), (1e3, 76), (1e6, 30), (1e18, 8)])
+                         [(1e2, 159), (1e3, 76), (1e6, 30), (1e18, 8),
+                          (1e200, 1), (1e300, 1)])
 def test_train_divergence_reports_step(learning_rate, step):
     # the step at which the loss or a gradient first turns non-finite
     sched = make_cosine_schedule(20)

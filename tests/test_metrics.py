@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from posediff.core import PoseSeq3D
 from posediff.errors import DegenerateAlignmentError, ShapeError
+from posediff import metrics
 from posediff.metrics import (AUC_MAX_MM, AUC_STEP_MM,
-                              PCK_DEFAULT_THRESHOLD_MM, align_frame, auc,
-                              compute_metrics, joint_errors, mpjpe, pck,
-                              pmpjpe)
+                              PCK_DEFAULT_THRESHOLD_MM, GroundTruth,
+                              align_frame, auc, compute_metrics,
+                              joint_errors, mpjpe, pck, pmpjpe)
 
 from conftest import random_pose
 
@@ -180,6 +181,27 @@ def test_degenerate_frame_in_stack_is_named(which, kind, message):
     assert info.value.frame == 4
     with pytest.raises(DegenerateAlignmentError, match="frame 4"):
         pmpjpe(PoseSeq3D(pred), PoseSeq3D(gt))
+    with pytest.raises(DegenerateAlignmentError,
+                       match=f"^frame 4: {message}") as info:
+        align_frame(pred, GroundTruth(gt))
+    assert info.value.frame == 4
+
+
+@pytest.mark.parametrize("gt_kind, message", [
+    ("collinear", "prediction joints are collinear"),
+    ("coincident", "all joints coincide")])
+def test_degenerate_precedence_within_a_frame(gt_kind, message):
+    # coincident, then prediction collinear, then ground truth collinear;
+    # a collinear prediction is named before any later frame
+    pred, gt = _stack(np.random.default_rng(15), frames=5, joints=6)
+    line = np.outer(np.arange(6.0), [1.0, 2.0, -0.5]) + 100.0
+    pred[1] = line
+    gt[1] = line if gt_kind == "collinear" else 250.0
+    gt[3] = 250.0
+    for target in (gt, GroundTruth(gt)):
+        with pytest.raises(DegenerateAlignmentError,
+                           match=f"^frame 1: {message}"):
+            align_frame(pred, target)
 
 
 @settings(max_examples=30, deadline=None)
@@ -318,3 +340,64 @@ def test_pck_and_auc_are_boolean_means_on_thresholds():
     assert report.pck150 == (errors < PCK_DEFAULT_THRESHOLD_MM).mean()
     assert report.auc == want_auc
     assert report.mpjpe_mm == errors.mean()
+
+
+@pytest.mark.parametrize("with_scale", [True, False])
+def test_ground_truth_scores_bitwise(with_scale):
+    # a prepared ground truth, reused across predictions, changes no bit
+    rng = np.random.default_rng(21)
+    gt = random_pose(rng, frames=40, joints=17)
+    prepared = GroundTruth(gt.joints)
+    for scale_mm in (0.0, 5.0, 40.0, 300.0, 40.0):
+        pred = _perturb(gt, rng, scale_mm)
+        assert (compute_metrics(pred, prepared, with_scale=with_scale)
+                == compute_metrics(pred, gt, with_scale=with_scale))
+        assert (pmpjpe(pred, prepared, with_scale=with_scale)
+                == pmpjpe(pred, gt, with_scale=with_scale))
+        assert np.array_equal(
+            align_frame(pred.joints, prepared, with_scale=with_scale),
+            align_frame(pred.joints, gt.joints, with_scale=with_scale))
+    with pytest.raises(ShapeError):
+        align_frame(pred.joints[0], prepared)
+
+
+def _clouds(rng, singular_values, count=64, joints=17) -> np.ndarray:
+    """``count`` centred (joints, 3) clouds with the given singular
+    values, each in a random orientation."""
+    out = np.empty((count, joints, 3))
+    for k in range(count):
+        a = rng.normal(size=(joints, 3))
+        q, _ = np.linalg.qr(a - a.mean(axis=0))
+        rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        out[k] = (q * singular_values) @ rot.T * rng.uniform(1e-3, 1e4)
+    return out
+
+
+@pytest.mark.parametrize("ratio", [1e-8, 2e-9, 1e-9, 5e-10, 5.7e-4, 5.8e-4,
+                                   5.9e-4, 7.0e-4, 7.1e-4, 9.9e-4, 1.01e-3])
+@pytest.mark.parametrize("third", [0.0, 0.5, 1.0])
+def test_collinearity_screen_agrees_with_the_svd_rule(ratio, third):
+    # s1/s0 = ratio near the rule's bound (1e-9) and near where the
+    # screen starts clearing clouds; s2 = third * s1
+    p0 = _clouds(np.random.default_rng(int(ratio * 1e12) + int(third * 10)),
+                 (1.0, ratio, third * ratio))
+    rule = metrics._collinear(np.linalg.svd(p0, compute_uv=False))
+    svd, decomposed = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        decomposed.append(len(a))
+        return svd(a, *args, **kwargs)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np.linalg, "svd", counted)
+        assert np.array_equal(metrics._collinear_screened(p0), rule)
+    # e2 / tr^2 is about (1 + third^2) ratio^2 here, so the screen
+    # clears every cloud well past its 1e-6 and none well before it
+    e2 = (1.0 + third ** 2 + third ** 2 * ratio ** 2) * ratio ** 2
+    if e2 > 1.05e-6:
+        assert decomposed == []
+    elif e2 < 0.95e-6:
+        assert decomposed == [len(p0)]
+    if ratio >= 1e-8:
+        assert not rule.any()
+    elif ratio <= 5e-10:
+        assert rule.all()

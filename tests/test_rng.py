@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import posediff
-from posediff.rng import RngStream, hypothesis_normals, stream_id
+from posediff.rng import (RngStream, hypothesis_normals, serve_repeats,
+                          stream_id)
 
 
 def test_same_key_same_draws():
@@ -215,3 +216,82 @@ def test_cli_import_does_not_load_numpy_random():
                           text=True, env={**os.environ, "PYTHONPATH": path},
                           check=True)
     assert done.stdout.strip() == "False"
+
+
+def _count_draws(monkeypatch) -> list[int]:
+    """A one-item list counting ``RngStream.standard_normal`` calls."""
+    calls = [0]
+    real = RngStream.standard_normal
+
+    def counted(self, shape=()):
+        calls[0] += 1
+        return real(self, shape)
+    monkeypatch.setattr(RngStream, "standard_normal", counted)
+    return calls
+
+
+def _draw(label=("served", 7), seed=9):
+    return hypothesis_normals(seed, range(2, 6), (4, 3), *label, branch=1)
+
+
+def test_served_draw_equals_a_new_one_and_is_read_only(monkeypatch):
+    outside = _draw()
+    calls = _count_draws(monkeypatch)
+    with serve_repeats() as served:
+        served.keeps = lambda label: True
+        first = _draw()
+        assert calls[0] == 4  # one per row
+        again = _draw()
+        assert calls[0] == 4 and again is first
+    assert np.array_equal(first, outside)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        again[0, 0, 0] = 0.0
+    # another seed, shape, hypothesis range or branch is another key
+    with serve_repeats() as served:
+        served.keeps = lambda label: True
+        kept = _draw()
+        assert _draw(seed=10) is not kept
+        for hyps, shape, branch in ((range(2, 5), (4, 3), 1),
+                                    (range(2, 6), (3, 4), 1),
+                                    (range(2, 6), (4, 3), 0)):
+            other = hypothesis_normals(9, hyps, shape, "served", 7,
+                                       branch=branch)
+            assert other is not kept
+
+
+def test_scope_keeps_what_keeps_accepts_until_forgotten(monkeypatch):
+    calls = _count_draws(monkeypatch)
+    with serve_repeats() as served:
+        assert _draw().flags.writeable  # keeps nothing until set
+        served.keeps = lambda label: label[1] == 1
+        kept, passed = _draw(("keys", 1)), _draw(("keys", 2))
+        assert not kept.flags.writeable and passed.flags.writeable
+        before = calls[0]
+        assert _draw(("keys", 1)) is kept
+        assert _draw(("keys", 2)) is not passed
+        assert calls[0] == before + 4
+        served.keeps = lambda label: False
+        served.forget()
+        again = _draw(("keys", 1))
+        assert again is not kept and np.array_equal(again, kept)
+
+
+def test_nothing_is_served_after_the_scope_or_on_another_thread(monkeypatch):
+    calls = _count_draws(monkeypatch)
+    with serve_repeats() as served:
+        served.keeps = lambda label: True
+        inside = _draw()
+        other = []
+        thread = threading.Thread(target=lambda: other.append(_draw()))
+        thread.start()
+        thread.join(timeout=60)
+        assert calls[0] == 8
+        assert other[0] is not inside and other[0].flags.writeable
+        assert np.array_equal(other[0], inside)
+        with serve_repeats():  # a scope within restores the outer one
+            assert _draw() is not inside
+        assert _draw() is inside
+    after = _draw()
+    assert after is not inside and after.flags.writeable
+    assert calls[0] == 16 and np.array_equal(after, inside)

@@ -112,9 +112,13 @@ def _reprojection_errors(hs: HypothesisSet, x: PoseSeq2D,
 
 
 def _distances(hs: HypothesisSet, gt: PoseSeq3D) -> np.ndarray:
-    """Per-hypothesis joint distances to the ground truth, (H, N, J)."""
+    """Per-hypothesis joint distances to the ground truth, (H, N, J),
+    one hypothesis at a time: no (H, N, J, 3) difference is made."""
     _check_shape(hs, gt, "ground truth is")
-    return _norms(hs.poses - gt.joints)
+    dist = np.empty(hs.poses.shape[:-1])
+    for h, pose in enumerate(hs.poses):
+        dist[h] = _norms(pose - gt.joints)
+    return dist
 
 
 def _norms(diff: np.ndarray) -> np.ndarray:

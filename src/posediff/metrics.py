@@ -57,13 +57,15 @@ def _collinear_screened(p0: np.ndarray) -> np.ndarray:
     trace, e2 <= 3 l0 l1 and l0 <= tr for its eigenvalues l0 >= l1 >=
     l2. So e2 > 1e-6 tr^2 gives s1/s0 = sqrt(l1/l0) > 5.8e-4: five
     orders above the rule's bound, far outside either side's rounding.
+    A frame whose products overflow is not cleared.
     """
-    gram = p0.transpose(0, 2, 1) @ p0
-    d0, d1, d2 = gram[:, 0, 0], gram[:, 1, 1], gram[:, 2, 2]
-    e2 = (d0 * d1 - gram[:, 0, 1] ** 2 + d0 * d2 - gram[:, 0, 2] ** 2
-          + d1 * d2 - gram[:, 1, 2] ** 2)
-    tr = d0 + d1 + d2
-    unclear = ~(e2 > 1e-6 * tr * tr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = p0.transpose(0, 2, 1) @ p0
+        d0, d1, d2 = gram[:, 0, 0], gram[:, 1, 1], gram[:, 2, 2]
+        e2 = (d0 * d1 - gram[:, 0, 1] ** 2 + d0 * d2 - gram[:, 0, 2] ** 2
+              + d1 * d2 - gram[:, 1, 2] ** 2)
+        tr = d0 + d1 + d2
+        unclear = ~(e2 > 1e-6 * tr * tr)
     collinear = np.zeros(len(p0), dtype=bool)
     if unclear.any():
         collinear[unclear] = _collinear(

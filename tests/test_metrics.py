@@ -401,3 +401,17 @@ def test_collinearity_screen_agrees_with_the_svd_rule(ratio, third):
         assert not rule.any()
     elif ratio <= 5e-10:
         assert rule.all()
+
+
+@pytest.mark.parametrize("scale", [1e60, 1e100, 1e140])
+def test_collinearity_screen_overflow_falls_back_to_the_rule(scale):
+    # the Gram products overflow long before the norms do; such frames
+    # go to the SVD rule, without a warning
+    rng = np.random.default_rng(5)
+    p0 = _clouds(rng, (1.0, 0.5, 0.2), count=8) * scale
+    rule = metrics._collinear(np.linalg.svd(p0, compute_uv=False))
+    assert np.array_equal(metrics._collinear_screened(p0), rule)
+    gt = PoseSeq3D(rng.normal(size=(3, 6, 3)) * scale)
+    pred = PoseSeq3D(gt.joints + rng.normal(size=(3, 6, 3)) * scale * 0.1)
+    report = compute_metrics(pred, gt)
+    assert 0.0 < report.pmpjpe_mm < scale and 0.0 < report.mpjpe_mm < scale

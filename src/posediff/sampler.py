@@ -103,11 +103,12 @@ def draws_asked_by(cfgs: Sequence[SamplerConfig],
             updates.update(ladder[:-1])
 
     def asked(label: tuple) -> bool:
-        purpose, *t = label
-        if purpose == _INIT:
+        if label == (_INIT,):
             return bool(cfgs)
-        return len(t) == 1 and t[0] in (updates if purpose == _UPDATE
-                                        else steps)
+        if len(label) != 2:
+            return False
+        purpose, t = label
+        return t in (updates if purpose == _UPDATE else steps)
     return asked
 
 

@@ -91,7 +91,8 @@ def test_float32_denoise_stays_close_to_float64():
 
 
 def _reference_train(dataset, cfg, sched):
-    """(weights, biases, loss history) of a per-tensor training loop."""
+    """(weights, biases, loss history) of a per-tensor training loop,
+    which draws each step's batch on its own."""
     xs = np.concatenate([x.joints for x, _ in dataset])
     ys = to_signal_units(np.concatenate([y.joints for _, y in dataset]))
     m = xs.shape[0]
@@ -160,7 +161,10 @@ def _reference_train(dataset, cfg, sched):
     return weights, biases, np.array(history)
 
 
-def test_train_matches_per_tensor_adam():
+# At batch 7 a draw of 256 samples is 36 steps: 30 steps fall short of
+# one draw, 36 fill it exactly, and 77 span three, the last one short.
+@pytest.mark.parametrize("steps", [30, 36, 77])
+def test_train_matches_per_tensor_adam(steps):
     rng = np.random.default_rng(4)
     dataset = []
     for _ in range(3):
@@ -169,7 +173,7 @@ def test_train_matches_per_tensor_adam():
         kp = rng.uniform(0.0, 1000.0, size=(5, J, 2))
         dataset.append((PoseSeq2D(kp), PoseSeq3D(gt)))
     sched = make_cosine_schedule(20)
-    cfg = TrainConfig(steps=30, batch_size=7, learning_rate=1e-2,
+    cfg = TrainConfig(steps=steps, batch_size=7, learning_rate=1e-2,
                       weight_decay=0.3, hidden_width=16,
                       hidden_layers=2, seed=5)
     got = train(dataset, cfg, sched)

@@ -38,6 +38,10 @@ from .schedule import (MM_PER_UNIT, SIGNAL_SCALE, NoiseSchedule,
 PIXEL_SCALE = 1e-3
 # The adaptive-moment update's guard against division by zero.
 ADAM_EPS = 1e-8
+# Training draws the batches of this many samples at once: each draw
+# covers SAMPLES_PER_DRAW // batch_size steps, at least one. Its arrays
+# set the loop's peak memory.
+SAMPLES_PER_DRAW = 256
 
 
 def timestep_embedding(ts: float | np.ndarray, dim: int) -> np.ndarray:
@@ -422,36 +426,46 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
     history = np.empty(config.steps)
     order = np.empty(0, dtype=np.int64)
     epoch = 0
+    b = config.batch_size
+    per_draw = max(1, SAMPLES_PER_DRAW // b)
     # Overflow anywhere in a step, its update too, is an expected
     # divergence signal, which the guard reports at the step whose loss
     # or gradient it reaches.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(config.steps):
-            while order.size < config.batch_size:
+        for first in range(0, config.steps, per_draw):
+            # The batches of the next steps in one draw: the streams give
+            # the same numbers in one call as in one call per step.
+            steps = range(first, min(first + per_draw, config.steps))
+            n = len(steps) * b
+            while order.size < n:
                 order = np.concatenate(
                     [order, rng_perm.spawn(epoch).permutation(m)])
                 epoch += 1
-            idx, order = order[:config.batch_size], order[config.batch_size:]
-            b = len(idx)
+            idx, order = order[:n], order[n:]
 
-            ts = rng_t.integers(0, sched.t_max + 1, b)
-            eps = rng_eps.standard_normal((b, j, 3))
+            ts = rng_t.integers(0, sched.t_max + 1, n)
+            eps = rng_eps.standard_normal((n, j, 3))
             targets = y_units[idx]
             y_noisy = diffuse_array(targets, ts, sched, eps)
             # each joint's signal coordinates, then its scaled keypoint
             inputs = np.concatenate([y_noisy, xs_scaled[idx]], axis=-1)
-            loss = _backward(weights, biases, inputs.reshape(b, j * 5),
-                             emb_table[ts], targets.reshape(b, j * 3),
-                             grad_w, grad_b)
-            if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
-                raise TrainingDivergedError(step)
-            history[step] = loss
+            inputs = inputs.reshape(n, j * 5)
+            targets = targets.reshape(n, j * 3)
+            embs = emb_table[ts]
+            for step in steps:
+                rows = slice((step - first) * b, (step - first + 1) * b)
+                loss = _backward(weights, biases, inputs[rows], embs[rows],
+                                 targets[rows], grad_w, grad_b)
+                if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
+                    raise TrainingDivergedError(step)
+                history[step] = loss
 
-            _adam_step(flat, grad, m_p, v_p, step, config, scratch)
-            # decoupled weight decay: p -= lr * weight_decay * p, weights only
-            t1 = scratch[0][:n_w]
-            np.multiply(flat[:n_w], decay, out=t1)
-            flat[:n_w] -= t1
+                _adam_step(flat, grad, m_p, v_p, step, config, scratch)
+                # decoupled weight decay: p -= lr * weight_decay * p,
+                # weights only
+                t1 = scratch[0][:n_w]
+                np.multiply(flat[:n_w], decay, out=t1)
+                flat[:n_w] -= t1
 
     final = DenoiserParams(weights=tuple(weights), biases=tuple(biases))
     return TrainResult(params=final, loss_history=history,

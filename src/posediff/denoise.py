@@ -11,9 +11,13 @@ embedding added to the first hidden pre-activation. It is deliberately
 small: the point is an end-to-end differentiable reference with exact
 gradients, not capacity.
 
-Training, the checkpoint on disk and everything the sampler does with
-an estimate are float64. Inference runs the network in float32, on
-copies of the weights made once per ``DenoiserParams``.
+The network runs in float32: training runs its forward and backward
+passes and the optimizer in float32, and inference runs it on float32
+copies of the weights made once per ``DenoiserParams``. Widening
+float32 to float64 is exact, so the float64 checkpoint on disk holds
+the trained weights, and inference runs exactly the network that was
+trained. ``grad_loss`` and everything the sampler does with an
+estimate stay float64.
 """
 from __future__ import annotations
 
@@ -279,10 +283,15 @@ def _backward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
               weight_grads: list[np.ndarray],
               bias_grads: list[np.ndarray]) -> float:
     """Mean squared error of the raw network output against ``targets``;
-    its exact gradients are written into the given arrays."""
+    its exact gradients are written into the given arrays.
+
+    It runs in the dtype of ``weights``: the inputs, embedding, targets,
+    biases and gradient arrays must share it.
+    """
     # Overflow here is an expected divergence signal, screened by the
     # caller; keep numpy from warning about it.
-    outs = [np.empty(inputs.shape[:-1] + (w.shape[0],)) for w in weights]
+    outs = [np.empty(inputs.shape[:-1] + (w.shape[0],), w.dtype)
+            for w in weights]
     acts = [inputs, *outs[:-1]]
     with np.errstate(over="ignore", invalid="ignore"):
         out = _forward(weights, biases, inputs, emb, outs)
@@ -318,27 +327,33 @@ def _adam_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
                scratch: tuple[np.ndarray, np.ndarray]) -> None:
     """One adaptive-moment update of ``p`` in place, from gradient ``g``
     and the moments ``m`` and ``v``, which it updates too. ``scratch``
-    holds two arrays shaped like ``p``; no other array is allocated."""
+    holds two arrays shaped like ``p``; no other array is allocated.
+
+    Each coefficient is a float64 expression rounded once to ``p``'s
+    dtype, so no scalar widens the arithmetic, whatever numpy's casting
+    rules; a coefficient beyond that dtype's range becomes infinite.
+    """
     lr, b1, b2 = config.learning_rate, config.beta1, config.beta2
-    corr1 = 1.0 - b1 ** (step + 1)
-    corr2 = 1.0 - b2 ** (step + 1)
+    f = p.dtype.type
+    corr1 = f(1.0 - b1 ** (step + 1))
+    corr2 = f(1.0 - b2 ** (step + 1))
     t1, t2 = scratch
     # m = b1 * m + (1 - b1) * g
-    np.multiply(m, b1, out=m)
-    np.multiply(g, 1 - b1, out=t1)
+    np.multiply(m, f(b1), out=m)
+    np.multiply(g, f(1 - b1), out=t1)
     m += t1
     # v = b2 * v + (1 - b2) * g ** 2
     np.square(g, out=t1)
-    t1 *= 1 - b2
-    np.multiply(v, b2, out=v)
+    np.multiply(t1, f(1 - b2), out=t1)
+    np.multiply(v, f(b2), out=v)
     v += t1
     # p -= lr * ((m / corr1) / (sqrt(v / corr2) + eps))
     np.divide(v, corr2, out=t1)
     np.sqrt(t1, out=t1)
-    t1 += ADAM_EPS
+    np.add(t1, f(ADAM_EPS), out=t1)
     np.divide(m, corr1, out=t2)
     t2 /= t1
-    t2 *= lr
+    np.multiply(t2, f(lr), out=t2)
     p -= t2
 
 
@@ -389,6 +404,11 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
     regression target is the scaled clean pose. The optimizer is
     adaptive-moment with decoupled weight decay applied to weight
     matrices only.
+
+    The samples are drawn in float64, ``SAMPLES_PER_DRAW`` at a time,
+    and cast to float32; the network, its gradients, the moments and the
+    weight decay run in float32. The returned weights are the float32
+    ones, widened, and the loss history holds each step's float32 loss.
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
@@ -406,12 +426,13 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
     rng_t = RngStream(config.seed, stream_id("train", "timesteps"))
     rng_eps = RngStream(config.seed, stream_id("train", "noise"))
 
-    # Weights and biases are views into one flat buffer, weights first,
-    # and so are the gradients: one finite check, one optimizer pass,
-    # and weight decay on the prefix. The step reads the views without
-    # the copy and validation of a new DenoiserParams per step; the
-    # per-step guard below screens the loss and gradients instead.
-    flat = np.concatenate([a.ravel() for a in params.weights + params.biases])
+    # Weights and biases are views into one flat float32 buffer, weights
+    # first, and so are the gradients: one finite check, one optimizer
+    # pass, and weight decay on the prefix. The step reads the views
+    # without the copy and validation of a new DenoiserParams per step;
+    # the per-step guard below screens the loss and gradients instead.
+    flat = np.concatenate([a.ravel() for a in params.weights + params.biases],
+                          dtype=np.float32)
     weights, biases = _flat_views(flat, params)
     grad = np.empty_like(flat)
     grad_w, grad_b = _flat_views(grad, params)
@@ -420,7 +441,7 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
     n_w = sum(w.size for w in weights)
     decay = config.learning_rate * config.weight_decay
     emb_table = timestep_embedding(np.arange(sched.t_max + 1, dtype=np.float64),
-                                   config.hidden_width)
+                                   config.hidden_width).astype(np.float32)
     xs_scaled = xs * PIXEL_SCALE
 
     history = np.empty(config.steps)
@@ -428,9 +449,10 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
     epoch = 0
     b = config.batch_size
     per_draw = max(1, SAMPLES_PER_DRAW // b)
-    # Overflow anywhere in a step, its update too, is an expected
-    # divergence signal, which the guard reports at the step whose loss
-    # or gradient it reaches.
+    # Overflow anywhere in a step, its update and the rounding of its
+    # coefficients to float32 too, is an expected divergence signal,
+    # which the guard reports at the step whose loss or gradient it
+    # reaches.
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, config.steps, per_draw):
             # The batches of the next steps in one draw: the streams give
@@ -448,9 +470,9 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
             targets = y_units[idx]
             y_noisy = diffuse_array(targets, ts, sched, eps)
             # each joint's signal coordinates, then its scaled keypoint
-            inputs = np.concatenate([y_noisy, xs_scaled[idx]], axis=-1)
-            inputs = inputs.reshape(n, j * 5)
-            targets = targets.reshape(n, j * 3)
+            inputs = np.concatenate([y_noisy, xs_scaled[idx]], axis=-1,
+                                    dtype=np.float32).reshape(n, j * 5)
+            targets = targets.astype(np.float32).reshape(n, j * 3)
             embs = emb_table[ts]
             for step in steps:
                 rows = slice((step - first) * b, (step - first + 1) * b)
@@ -464,7 +486,7 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
                 # decoupled weight decay: p -= lr * weight_decay * p,
                 # weights only
                 t1 = scratch[0][:n_w]
-                np.multiply(flat[:n_w], decay, out=t1)
+                np.multiply(flat[:n_w], np.float32(decay), out=t1)
                 flat[:n_w] -= t1
 
     final = DenoiserParams(weights=tuple(weights), biases=tuple(biases))

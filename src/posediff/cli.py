@@ -40,7 +40,7 @@ from .metrics import GroundTruth, MetricReport, compute_metrics
 from .poseio import load_poses, save_poses
 from .render import render_sequence
 from .rng import serve_repeats, stream_id
-from .sampler import FlipMode, draws_asked_by, run_sampler
+from .sampler import FlipMode, run_sampler
 from .schedule import make_cosine_schedule, save_schedule_csv
 from .synth import DEFAULT_CAMERA, gen_poses
 
@@ -223,9 +223,9 @@ def _sample_all(cfgs: list[RunConfig], ds: Dataset,
     keypoints.
 
     A sequence's chains run one after another in one ``serve_repeats``
-    scope, and each keeps only the draws that a later one can ask for:
-    a noise key that two ladders share, as K=5's and K=10's share
-    K=5's, is drawn once per sequence."""
+    scope, and every chain but the last holds its draws: a noise key
+    that two ladders share, as K=5's and K=10's share K=5's, is drawn
+    once per sequence, in any order of ``cfgs``."""
     sched = make_cosine_schedule(cfgs[0].t_max)
     slices = _frame_slices(ds)
     poses = [np.empty((cfg.sampler.hypotheses, slices[-1].stop,
@@ -233,8 +233,7 @@ def _sample_all(cfgs: list[RunConfig], ds: Dataset,
     for i, (seq, den) in enumerate(zip(ds.sequences, denoisers)):
         with serve_repeats() as served:
             for j, cfg in enumerate(cfgs):
-                served.keeps = draws_asked_by(
-                    [later.sampler for later in cfgs[j + 1:]], sched.t_max)
+                served.keep = j + 1 < len(cfgs)
                 scfg = replace(cfg.sampler,
                                seed=stream_id("sequence", cfg.seed, i))
                 try:
@@ -247,7 +246,6 @@ def _sample_all(cfgs: list[RunConfig], ds: Dataset,
                     raise NumericError(
                         f"sampling sequence {i} ({seq.name}): {exc}",
                         hypothesis=exc.hypothesis) from exc
-                served.forget()
     for stack in poses:
         stack.setflags(write=False)
     return [SharedCostSet(stack) for stack in poses]
@@ -498,8 +496,10 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
 @click.option("--skeleton", "skeleton_path", type=click.Path(), default=None,
               help="Skeleton JSON (default: built-in 17-joint skeleton).")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-@click.option("--width", type=int, default=1000, show_default=True)
-@click.option("--height", type=int, default=1000, show_default=True)
+@click.option("--width", type=click.IntRange(min=1), default=1000,
+              show_default=True)
+@click.option("--height", type=click.IntRange(min=1), default=1000,
+              show_default=True)
 @_guard
 def render(gt_path, hyp_paths, camera_path, skeleton_path, out_dir, width,
            height):

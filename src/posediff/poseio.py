@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from pathlib import Path
 
 import numpy as np
 
 from .core import PoseSeq2D, PoseSeq3D
-from .errors import (PoseFileParseError, PoseFileSchemaError, json_object,
-                     require_field)
+from .errors import (PoseFileParseError, PoseFileSchemaError, finite_number,
+                     json_object, require_field)
 
 
 def _parse_line(text: str, line_no: int, path: str | Path) -> dict:
@@ -74,12 +75,15 @@ def load_poses(path: str | Path) -> PoseSeq3D | PoseSeq2D:
                 raise PoseFileSchemaError(
                     f"{path}: expected {dims} coordinates per joint", line=idx)
             for v in row:
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                # math.isfinite raises on an integer too large for a
+                # float; finite_number refuses it, as it does a bool
+                if not (math.isfinite(v) if type(v) is float
+                        else finite_number(v) is not None):
+                    kind = ("non-numeric" if isinstance(v, bool) or not
+                            isinstance(v, (int, float)) else "non-finite")
                     raise PoseFileParseError(
-                        f"{path}: non-numeric coordinate {v!r}", line=idx)
-                if not math.isfinite(v):
-                    raise PoseFileParseError(
-                        f"{path}: non-finite coordinate {v!r}", line=idx)
+                        f"{path}: {kind} coordinate {reprlib.repr(v)}",
+                        line=idx)
         frames.append(joints)
     if not frames:
         raise PoseFileParseError(f"{path}: no frame records after header")

@@ -13,7 +13,7 @@ import contextlib
 import functools
 import hashlib
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -150,31 +150,25 @@ def _row_ids(hyps: range, branch: int, *label: int | str) -> tuple[int, ...]:
 
 
 class DrawScope:
-    """The draws of ``hypothesis_normals`` kept on one thread for reuse;
-    see ``serve_repeats``.
-
-    ``keeps(label)`` says whether a new draw under ``label`` is kept:
-    set it to what a later consumer can still ask for. It keeps nothing
-    until set.
+    """The draws of ``hypothesis_normals`` held on one thread for reuse;
+    see ``serve_repeats``. While ``keep`` is set, as it is at first,
+    every new draw is held; cleared, new draws pass through, and what is
+    held is still served.
     """
 
     def __init__(self):
-        self.keeps: Callable[[tuple], bool] = lambda label: False
-        self._held: dict[tuple, tuple[tuple, np.ndarray]] = {}
-
-    def forget(self) -> None:
-        """Drop the held draws whose label ``keeps`` rejects."""
-        self._held = {key: held for key, held in self._held.items()
-                      if self.keeps(held[0])}
+        self.keep = True
+        self._held: dict[tuple, np.ndarray] = {}
 
 
 @contextlib.contextmanager
 def serve_repeats() -> Iterator[DrawScope]:
     """A scope in which ``hypothesis_normals`` on the calling thread
-    serves a key it drew before, and kept, from that first draw.
+    serves a key it drew, while the scope's ``keep`` was set, from that
+    first draw.
 
     A row is a pure function of its key, so a served draw equals a new
-    one bitwise. Kept draws are read-only, and they are dropped when the
+    one bitwise. Held draws are read-only, and they are dropped when the
     scope ends. Other threads draw as they do outside it.
     """
     scope = DrawScope()
@@ -200,20 +194,21 @@ def hypothesis_normals(seed: int, hyps: range, shape: tuple[int, ...],
     threads may overlap. The row ids of the last 256 ``(hyps, branch,
     label)`` keys are kept: every sequence of a dataset draws under the
     same keys with its own seed, so each id is hashed once. Inside a
-    ``serve_repeats`` scope of the calling thread, a key drawn and kept
-    before is served from that draw, read-only.
+    ``serve_repeats`` scope of the calling thread, a key drawn before
+    while the scope's ``keep`` was set is served from that draw,
+    read-only.
     """
     ids = _row_ids(hyps, branch, *label)
     scope = getattr(_local, "scope", None)
     key = (seed, ids, tuple(shape))
     if scope is not None and key in scope._held:
-        return scope._held[key][1]
+        return scope._held[key]
     stream = _shared_stream()
     out = np.empty((len(hyps),) + shape)
     for i, sid in enumerate(ids):
         stream._rekey(seed, sid)
         out[i] = stream.standard_normal(shape)
-    if scope is not None and scope.keeps(label):
+    if scope is not None and scope.keep:
         out.setflags(write=False)
-        scope._held[key] = (label, out)
+        scope._held[key] = out
     return out

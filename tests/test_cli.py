@@ -15,8 +15,8 @@ from posediff.config import config_from_dict, config_sha256
 from posediff.core import DEFAULT_SKELETON, PoseSeq3D, skeleton_to_dict
 from posediff.dataset import load_dataset, save_dataset
 from posediff.poseio import load_poses, save_poses
-from posediff.rng import stream_id
-from posediff.sampler import FlipMode, run_sampler
+from posediff.rng import RngStream, stream_id
+from posediff.sampler import FlipMode, run_sampler, timestep_ladder
 from posediff.schedule import make_cosine_schedule
 from posediff import cli, sampler
 from posediff.denoise import (Denoiser, MlpDenoiser, NoisyOracle,
@@ -354,6 +354,36 @@ def test_bench_grid_and_jbest_monotone(runner, tmp_path):
     # H=1: selection cannot help, methods coincide
     h1 = {r["method"]: r["mpjpe_mm"] for r in rows if r["H"] == "1"}
     assert h1["avg"] == h1["jbest"]
+
+
+def test_bench_draws_each_noise_key_once_per_sequence(runner, tmp_path,
+                                                     monkeypatch):
+    # every chain of a sequence but the last holds its draws, so in any
+    # order of the grid a key is drawn once: the initial state, a DDIM
+    # update at each step of a ladder but its last, and the noisy
+    # oracle's error at each step, one call per hypothesis row
+    cfg, data = _gen(runner, tmp_path)
+    sequences = len(load_dataset(data).sequences)
+    calls = [0]
+    real = RngStream.standard_normal
+
+    def counted(self, shape=()):
+        calls[0] += 1
+        return real(self, shape)
+    monkeypatch.setattr(RngStream, "standard_normal", counted)
+    for ks in (("5", "10"), ("10", "5"), ("3", "2")):
+        calls[0] = 0
+        res = runner.invoke(main, [
+            "bench", "--config", str(cfg), "--data", str(data), "--oracle",
+            "noisy", "--hypotheses", "1,4", "--iterations", ",".join(ks),
+            "--aggregator", "avg", "--out", str(tmp_path / "_".join(ks))])
+        assert res.exit_code == 0, res.output
+        keys = {("init",)}
+        for k in ks:
+            ladder = timestep_ladder(SMALL_CFG["t_max"], int(k))
+            keys |= ({("ddim", t) for t in ladder[:-1]}
+                     | {("oracle", t) for t in ladder})
+        assert calls[0] == sequences * 4 * len(keys), ks
 
 
 def _assert_clean_exit(res, code: int, key: str) -> None:
@@ -809,6 +839,30 @@ def test_render_joint_count_mismatch_exit_2(runner, tmp_path, option):
     res = runner.invoke(main, ["render", option, str(poses), "--out",
                                str(out)])
     _assert_clean_exit(res, 2, f"{poses} holds 3 joints, the skeleton has 17")
+    assert not out.exists()
+
+
+def test_render_overflowing_coordinate_exit_1(runner, tmp_path):
+    poses = tmp_path / "big3d.jsonl"
+    save_poses(PoseSeq3D(np.full((2, 17, 3), [0.0, 0.0, 3000.0])), poses)
+    lines = poses.read_text().splitlines()
+    lines[2] = lines[2].replace("3000.0", "9" * 400, 1)
+    poses.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "svg"
+    res = runner.invoke(main, ["render", "--gt", str(poses), "--out",
+                               str(out)])
+    _assert_clean_exit(res, 1, f"error: line 3: {poses}: non-finite ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", [["--width", "0"], ["--height", "-5"]])
+def test_render_size_below_1_exit_2(runner, tmp_path, size):
+    cfg, data = _gen(runner, tmp_path)
+    out = tmp_path / "svg"
+    res = runner.invoke(main, [
+        "render", "--gt", str(data / "gt" / "seq_0000.jsonl"), *size,
+        "--out", str(out)])
+    assert res.exit_code == 2 and size[0] in res.output
     assert not out.exists()
 
 

@@ -118,6 +118,20 @@ def test_infinity_constant_rejected(tmp_path):
         load_poses(path)
 
 
+@pytest.mark.parametrize("literal", ["1e400", "9" * 400],
+                         ids=["1e400", "400-digit-integer"])
+def test_overflowing_coordinate_rejected(tmp_path, literal):
+    # 1e400 parses as an infinity, and a 400-digit integer has no float
+    path = _write(tmp_path, [
+        '{"J": 1, "dims": 3}',
+        '{"frame": 0, "joints": [[1.0, 2.0, 3.0]]}',
+        f'{{"frame": 1, "joints": [[1.0, {literal}, 3.0]]}}',
+    ])
+    with pytest.raises(PoseFileParseError) as info:
+        load_poses(path)
+    assert str(info.value).startswith(f"line 3: {path}: non-finite ")
+
+
 def test_boolean_coordinate_rejected(tmp_path):
     path = _write(tmp_path, [
         '{"J": 1, "dims": 3}',

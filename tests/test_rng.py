@@ -237,8 +237,7 @@ def _draw(label=("served", 7), seed=9):
 def test_served_draw_equals_a_new_one_and_is_read_only(monkeypatch):
     outside = _draw()
     calls = _count_draws(monkeypatch)
-    with serve_repeats() as served:
-        served.keeps = lambda label: True
+    with serve_repeats():
         first = _draw()
         assert calls[0] == 4  # one per row
         again = _draw()
@@ -248,8 +247,7 @@ def test_served_draw_equals_a_new_one_and_is_read_only(monkeypatch):
     with pytest.raises(ValueError):
         again[0, 0, 0] = 0.0
     # another seed, shape, hypothesis range or branch is another key
-    with serve_repeats() as served:
-        served.keeps = lambda label: True
+    with serve_repeats():
         kept = _draw()
         assert _draw(seed=10) is not kept
         for hyps, shape, branch in ((range(2, 5), (4, 3), 1),
@@ -260,27 +258,30 @@ def test_served_draw_equals_a_new_one_and_is_read_only(monkeypatch):
             assert other is not kept
 
 
-def test_scope_keeps_what_keeps_accepts_until_forgotten(monkeypatch):
+def test_scope_holds_what_it_draws_while_keep_is_set(monkeypatch):
+    new = _draw(("keys", 1)), _draw(("keys", 2))
     calls = _count_draws(monkeypatch)
     with serve_repeats() as served:
-        assert _draw().flags.writeable  # keeps nothing until set
-        served.keeps = lambda label: label[1] == 1
-        kept, passed = _draw(("keys", 1)), _draw(("keys", 2))
-        assert not kept.flags.writeable and passed.flags.writeable
+        assert served.keep  # holds from the start
+        held = _draw(("keys", 1))
+        assert not held.flags.writeable
+        with pytest.raises(ValueError):
+            held[0, 0, 0] = 0.0
+        served.keep = False
+        fresh = _draw(("keys", 2))
+        assert fresh.flags.writeable and np.array_equal(fresh, new[1])
         before = calls[0]
-        assert _draw(("keys", 1)) is kept
-        assert _draw(("keys", 2)) is not passed
+        # what was held is still served; what passed is drawn anew
+        assert _draw(("keys", 1)) is held
+        again = _draw(("keys", 2))
+        assert again is not fresh and again.flags.writeable
         assert calls[0] == before + 4
-        served.keeps = lambda label: False
-        served.forget()
-        again = _draw(("keys", 1))
-        assert again is not kept and np.array_equal(again, kept)
+    assert np.array_equal(held, new[0])
 
 
 def test_nothing_is_served_after_the_scope_or_on_another_thread(monkeypatch):
     calls = _count_draws(monkeypatch)
-    with serve_repeats() as served:
-        served.keeps = lambda label: True
+    with serve_repeats():
         inside = _draw()
         other = []
         thread = threading.Thread(target=lambda: other.append(_draw()))

@@ -12,7 +12,7 @@ from posediff.errors import NumericError
 from posediff.metrics import mpjpe
 from posediff.rng import RngStream, serve_repeats, stream_id
 from posediff.sampler import (FlipMode, SamplerConfig, SigmaMode, _ddim_core,
-                              draws_asked_by, run_sampler, timestep_ladder)
+                              run_sampler, timestep_ladder)
 from posediff.schedule import diffuse_array, make_cosine_schedule
 from posediff.synth import ScenarioConfig, gen_poses
 
@@ -478,28 +478,6 @@ def test_non_finite_mlp_output_names_step_and_hypothesis(tri_skeleton,
 
 # --- chains of one sequence sharing their draws ------------------------------
 
-def test_draws_asked_by_follow_the_ladders():
-    # t_max 50: K=10 steps 50, 45, ..., 5; K=5 steps 50, 40, ..., 10
-    asked = draws_asked_by([SamplerConfig(iterations=5)], 50)
-    assert asked(("sampler_init",))
-    assert [t for t in range(51) if asked(("sampler_ddim", t))] == [
-        20, 30, 40, 50]
-    assert [t for t in range(51) if asked(("oracle_noisy", t))] == [
-        10, 20, 30, 40, 50]
-    assert not any(asked(label) for label in (
-        (), ("oracle_noisy",), ("other", 10, 1)))
-    both = draws_asked_by([SamplerConfig(iterations=k) for k in (3, 2)], 50)
-    assert [t for t in range(51) if both(("sampler_ddim", t))] == [33, 50]
-    # no DDIM draws without noise injection, and none asked of no chain
-    quiet = draws_asked_by([SamplerConfig(
-        iterations=5, sigma_mode=SigmaMode.DETERMINISTIC)], 50)
-    assert not any(quiet(("sampler_ddim", t)) for t in range(51))
-    assert quiet(("oracle_noisy", 40))
-    nothing = draws_asked_by([], 50)
-    assert not any(nothing(label) for label in (
-        ("sampler_init",), ("sampler_ddim", 50), ("oracle_noisy", 50)))
-
-
 def _noise_keys(cfg: SamplerConfig, t_max: int) -> set[tuple]:
     """The (label, branch) keys a chain at ``cfg`` draws under: ``once``
     runs a second chain on branch 1, and the denoiser of a flipped
@@ -512,18 +490,18 @@ def _noise_keys(cfg: SamplerConfig, t_max: int) -> set[tuple]:
             | {("oracle", t, b) for t in ladder for b in queries})
 
 
-@pytest.mark.parametrize("ks, kept_none", [((5, 10), [10, 0]),
-                                           ((10, 5), [10, 0]),
-                                           ((3, 2), [3, 0]),
+@pytest.mark.parametrize("ks, kept_none", [((5, 10), [10, 10]),
+                                           ((10, 5), [20, 20]),
+                                           ((3, 2), [6, 6]),
                                            ((10,), [0])])
 @pytest.mark.parametrize("flip", [FlipMode.NONE, FlipMode.ONCE,
                                   FlipMode.DIFFUSION])
 def test_chains_in_one_scope_equal_chains_apart(monkeypatch, tri_skeleton,
                                                 ks, kept_none, flip):
-    # each chain keeps only what a later chain asks for: with t_max 50,
-    # K=5's initial state, 4 DDIM and 5 oracle draws lie on K=10's
-    # ladder, and K=3 and K=2 share their initial state and t=50; each
-    # chain's draws are the same, served or new
+    # every chain but the last holds what it draws: with t_max 50, K=5's
+    # initial state, 4 DDIM and 5 oracle draws lie on K=10's ladder, and
+    # K=3 and K=2 share their initial state and t=50; each chain's draws
+    # are the same, served or new
     sched = make_cosine_schedule(50)
     gt, x = _setup(6, frames=3)
     den = NoisyOracle(gt, 20.0, seed=3)
@@ -541,16 +519,16 @@ def test_chains_in_one_scope_equal_chains_apart(monkeypatch, tri_skeleton,
     together, held = [], []
     with serve_repeats() as served:
         for j, cfg in enumerate(cfgs):
-            served.keeps = draws_asked_by(cfgs[j + 1:], sched.t_max)
+            served.keep = j + 1 < len(cfgs)
             together.append(run_sampler(x, den, cfg, sched, tri_skeleton,
                                         1000.0).poses)
-            served.forget()
             held.append(len(served._held))
     for a, b in zip(apart, together):
         assert np.array_equal(a, b)
     keys = [_noise_keys(cfg, 50) for cfg in cfgs]
-    assert held == [len(set().union(*keys[:j + 1]) & set().union(*keys[j + 1:]))
-                    for j in range(len(cfgs))]
+    # every chain but the last holds its keys; the last adds none
+    holding = [len(set().union(*keys[:j + 1])) for j in range(len(cfgs) - 1)]
+    assert held == holding + (holding[-1:] or [0])
     if flip is FlipMode.NONE:
         assert held == kept_none
     # every distinct key is drawn once, one call per hypothesis row

@@ -27,7 +27,7 @@ from .aggregate import (METHOD_INPUTS, METHOD_NAMES, AggregationReport,
                         SharedCostSet, run_aggregator)
 from .camera import load_camera
 from .config import (RunConfig, apply_overrides, config_sha256,
-                     config_to_dict, load_config)
+                     config_to_dict, load_config, require_file)
 from .core import (DEFAULT_SKELETON, HypothesisSet, PoseSeq2D, PoseSeq3D,
                    load_skeleton)
 from .dataset import MANIFEST_NAME, Dataset, load_dataset, save_dataset
@@ -174,8 +174,7 @@ def _denoisers(cfg: RunConfig, ds: Dataset, checkpoint: str | None,
         raise ConfigError("give exactly one of --checkpoint or --oracle")
     if checkpoint is not None:
         path = Path(checkpoint)
-        if not path.exists():
-            raise ConfigError(f"checkpoint not found: {path}")
+        require_file(path, "checkpoint")
         try:
             den = MlpDenoiser.from_checkpoint(path)
         except ValueError as exc:

@@ -95,6 +95,15 @@ class RunConfig:
                               f"exceeds t_max {self.t_max}")
 
 
+def require_file(path: Path, what: str) -> None:
+    """Refuse a ``path`` that is missing or is not a file, naming it
+    as the ``what`` file."""
+    if not path.exists():
+        raise ConfigError(f"{what} file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"{what} path is not a file: {path}")
+
+
 def _source(value, base_dir: Path | None, what: str, default, load,
             from_dict):
     """A skeleton or camera given as null, a file path or an object."""
@@ -107,8 +116,7 @@ def _source(value, base_dir: Path | None, what: str, default, load,
     path = Path(value)
     if base_dir is not None and not path.is_absolute():
         path = base_dir / path
-    if not path.exists():
-        raise ConfigError(f"{what} file not found: {path}")
+    require_file(path, what)
     return load(path)
 
 
@@ -156,8 +164,7 @@ def config_from_dict(doc: dict, *, base_dir: Path | None = None) -> RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    require_file(path, "config")
     doc = json_object(path.read_text(), str(path), ConfigError)
     return config_from_dict(doc, base_dir=path.parent)
 

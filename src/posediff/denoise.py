@@ -13,7 +13,9 @@ gradients, not capacity.
 
 The network runs in float32: training runs its forward and backward
 passes and the optimizer in float32, and inference runs it on float32
-copies of the weights made once per ``DenoiserParams``. Widening
+copies of the weights made once per ``DenoiserParams``, with the first
+layer split into its state and keypoint columns so that the keypoint
+half is computed once per query, not once per hypothesis. Widening
 float32 to float64 is exact, so the float64 checkpoint on disk holds
 the trained weights, and inference runs exactly the network that was
 trained. ``grad_loss`` and everything the sampler does with an
@@ -133,6 +135,22 @@ class DenoiserParams:
             return a
         return (tuple(map(cast, self.weights)), tuple(map(cast, self.biases)))
 
+    @cached_property
+    def first_layer_split(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only float32 (Wy, Wk), cut on first use from the first
+        layer of ``float32``: Wy holds its J*3 state columns and Wk its
+        J*2 keypoint columns, each in joint order, so that
+        ``[y, kp] @ W0.T == y @ Wy.T + kp @ Wk.T`` up to rounding."""
+        w0 = self.float32[0][0]
+        per_joint = w0.reshape(w0.shape[0], self.num_joints, 5)
+
+        def cut(cols):
+            a = np.ascontiguousarray(per_joint[..., cols]).reshape(
+                w0.shape[0], -1)
+            a.setflags(write=False)
+            return a
+        return cut(slice(0, 3)), cut(slice(3, 5))
+
 
 def init_params(num_joints: int, *, hidden_width: int = 128,
                 hidden_layers: int = 2,
@@ -149,26 +167,27 @@ def init_params(num_joints: int, *, hidden_width: int = 128,
 
 
 def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
-             inputs: np.ndarray, emb: np.ndarray,
+             inputs: np.ndarray, first: Sequence[np.ndarray],
              outs: Sequence[np.ndarray]) -> np.ndarray:
-    """Run the MLP with ``weights`` and ``biases`` on (..., J*5) inputs;
-    returns the output, ``outs[-1]``.
+    """Run the MLP with ``weights`` on (..., fan-in) inputs; returns the
+    output, ``outs[-1]``.
 
-    ``emb`` is the timestep embedding: one row per input row, or a
-    single (embed_dim,) row for all. Layer i writes its output into
-    ``outs[i]``, which must not overlap that layer's input; a hidden
-    layer's output is its activation. Nothing is screened: a NaN in
-    any layer reaches the output, and tanh maps +-inf to +-1. Each
-    layer works in place in the order ``h @ w.T``, ``+ b``, ``+ emb``
-    (first layer), ``tanh``, which fixes every rounding.
+    The first layer adds the terms ``first`` after its product, in that
+    order, and layer i > 0 adds ``biases[i - 1]``: training gives the
+    first layer its bias and then the timestep embedding, and inference
+    gives it the per-query term of ``denoise``. Layer i writes its
+    output into ``outs[i]``, which must not overlap that layer's input;
+    a hidden layer's output is its activation. Nothing is screened: a
+    NaN in any layer reaches the output, and tanh maps +-inf to +-1.
+    Each layer works in place in the order ``h @ w.T``, each added term,
+    ``tanh``, which fixes every rounding.
     """
     h = inputs
     last = len(weights) - 1
-    for i, (w, b, z) in enumerate(zip(weights, biases, outs)):
+    for i, (w, z) in enumerate(zip(weights, outs)):
         np.matmul(h, w.T, out=z)
-        z += b
-        if i == 0:
-            z += emb
+        for term in first if i == 0 else (biases[i - 1],):
+            z += term
         if i != last:
             np.tanh(z, out=z)
         h = z
@@ -219,8 +238,12 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
     ``y_t`` is in diffusion signal units, and so is the output: the
     network regresses the clean pose directly, for t in [0, t_max]. The
     network runs in float32 on ``model.float32``; the estimates are
-    float64. The features and layer outputs live in ``scratch``, or in
-    fresh arrays when it is None.
+    float64. The first layer's pre-activation ``[y, kp] @ W0.T + b0 +
+    emb(t)`` is computed as ``y @ Wy.T + c``, where the keypoint term
+    ``c = kp @ Wk.T + b0 + emb(t)`` is made once per query and shared
+    by every hypothesis. The float32 state and keypoints, ``c`` and the
+    layer outputs live in ``scratch``, or in fresh arrays when it is
+    None.
     """
     if not 0 <= t <= t_max:
         raise ValueError(f"t={t} outside [0, {t_max}]")
@@ -233,16 +256,18 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
                          f"got {y_t.num_joints}")
     scratch = _Scratch() if scratch is None else scratch
     h, n, j = y_t.count, y_t.num_frames, y_t.num_joints
-    # Each joint's signal coordinates, then its scaled keypoint, cast to
-    # float32 as they are written. The keypoints are written once, into
-    # one frame block whose whole rows are then copied to every
-    # hypothesis.
-    rows = scratch.take("keypoint_rows", (n, j, 5), np.float32)
-    rows[..., 3:] = x.joints * PIXEL_SCALE
-    feats = scratch.take("features", (h, n, j, 5), np.float32)
-    feats[...] = rows
-    feats[..., :3] = y_t.poses
     weights, biases = model.float32
+    w_y, w_k = model.first_layer_split
+    # The scaled keypoints, cast to float32 as they are written, and the
+    # query's share of the first pre-activation.
+    kp = scratch.take("keypoints", (n, j * 2), np.float32)
+    np.multiply(x.joints.reshape(n, j * 2), PIXEL_SCALE, out=kp)
+    c = scratch.take("condition", (n, model.hidden_width), np.float32)
+    np.matmul(kp, w_k.T, out=c)
+    c += biases[0]
+    c += timestep_embedding(float(t), model.embed_dim).astype(np.float32)
+    state = scratch.take("state", (h, n, j * 3), np.float32)
+    np.copyto(state, y_t.poses.reshape(h, n, j * 3))
     # Two buffers that the layers alternate between, so that none
     # overwrites its own input.
     size = h * n * max(w.shape[0] for w in weights)
@@ -251,9 +276,7 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
             for i, w in enumerate(weights)]
     # One N-row product per hypothesis, so that BLAS rounding cannot
     # depend on H: H=5 gives the first five hypotheses of H=20 bitwise.
-    est = _forward(weights, biases, feats.reshape(h, n, j * 5),
-                   timestep_embedding(float(t), model.embed_dim)
-                   .astype(np.float32), outs)
+    est = _forward((w_y, *weights[1:]), biases[1:], state, (c,), outs)
     np.copyto(out, est.reshape(h, n, j, 3))
     return out
 
@@ -294,7 +317,7 @@ def _backward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
             for w in weights]
     acts = [inputs, *outs[:-1]]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _forward(weights, biases, inputs, emb, outs)
+        out = _forward(weights, biases[1:], inputs, (biases[0], emb), outs)
         diff = out - targets
         loss = float(np.mean(diff * diff))
         g = 2.0 * diff / diff.size
@@ -643,7 +666,9 @@ class MlpDenoiser(Denoiser):
 
     ``t_max`` bounds the timesteps it accepts: the one it was trained to.
     Its queries reuse scratch arrays, one set per thread, so several
-    threads may query one instance at once.
+    threads may query one instance at once: the state in signal units,
+    its float32 cast, the scaled keypoints, the per-query keypoint term
+    of the first layer and the layer outputs.
     """
 
     def __init__(self, params: DenoiserParams, t_max: int):

@@ -88,10 +88,17 @@ def test_gen_deterministic_across_out_dirs(runner, tmp_path):
 
 
 def test_missing_config_file_exit_2(runner, tmp_path):
-    res = runner.invoke(main, ["gen", "--config",
-                               str(tmp_path / "absent.json")])
-    assert res.exit_code == 2
-    assert "error:" in res.output
+    # a missing config, a directory in its place and a config whose
+    # camera is a directory each exit 2 naming the role, making no --out
+    (tmp_path / "dir.json").mkdir()
+    camera_dir = _write_cfg(tmp_path, {"camera": "dir.json"})
+    for cfg, words in ((tmp_path / "absent.json", "config file not found"),
+                       (tmp_path / "dir.json", "config path is not a file"),
+                       (camera_dir, "camera path is not a file")):
+        res = runner.invoke(main, ["gen", "--config", str(cfg), "--out",
+                                   str(tmp_path / "out")])
+        _assert_clean_exit(res, 2, f"error: {words}: ")
+        assert not (tmp_path / "out").exists()
 
 
 def test_bad_config_key_exit_2(runner, tmp_path):
@@ -694,6 +701,22 @@ def test_checkpoint_refused_exit_2(runner, tmp_path, small_run, command,
     _assert_clean_exit(res, 2, words)
     assert str(bad) in res.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "bench"])
+def test_checkpoint_not_a_file_exit_2(runner, tmp_path, small_run, command):
+    # a missing checkpoint and a directory in its place are refused by
+    # the option's role and path, and no output directory is made
+    cfg, data, _ = small_run
+    (tmp_path / "dir.ckpt").mkdir()
+    for name, words in (("absent.ckpt", "checkpoint file not found"),
+                        ("dir.ckpt", "checkpoint path is not a file")):
+        res = runner.invoke(main, [
+            command, "--config", str(cfg), "--data", str(data),
+            "--checkpoint", str(tmp_path / name), "--out",
+            str(tmp_path / "out")])
+        _assert_clean_exit(res, 2, f"error: {words}: {tmp_path / name}\n")
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["infer", "bench"])

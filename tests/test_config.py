@@ -156,6 +156,10 @@ def test_camera_and_skeleton_sources(tmp_path):
     assert inline.scenario.camera == cam
     with pytest.raises(ConfigError, match="not found"):
         config_from_dict({"camera": "missing.json"}, base_dir=tmp_path)
+    (tmp_path / "dir.json").mkdir()
+    for what in ("camera", "skeleton"):
+        with pytest.raises(ConfigError, match=f"^{what} path is not a file"):
+            config_from_dict({what: "dir.json"}, base_dir=tmp_path)
     with pytest.raises(ConfigError):
         config_from_dict({"camera": 7})
     with pytest.raises(ConfigError):
@@ -165,6 +169,8 @@ def test_camera_and_skeleton_sources(tmp_path):
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.json")
+    with pytest.raises(ConfigError, match="^config path is not a file"):
+        load_config(tmp_path)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):

@@ -2,16 +2,19 @@
 bitwise.
 
 The forward reference runs one hypothesis at a time, in float32, and
-builds a fresh array for every step: ``h @ w.T + b``, then ``+ emb`` on
-the first layer, then ``tanh``. A float64 run of the same loop bounds
-how far the float32 pass strays. The training reference, in float32,
-is a per-tensor loop: forward, exact backward pass, and adaptive-moment
-updates (Kingma & Ba, 2015) with decoupled weight decay (Loshchilov &
-Hutter, 2019) on the weight matrices only, each tensor with its own
-moment arrays. It draws its samples in float64 and casts them to
-float32, and rounds each coefficient, a float64 expression, to float32,
-where the library does; a float64 run of it bounds how far float32
-training strays. Both run on the same machine as the library, so any
+builds a fresh array for every step. Its first layer is split as the
+library splits it, by the columns of W0: the state columns Wy and the
+keypoint columns Wk. It computes ``y @ Wy.T + c``, where ``c = kp @
+Wk.T + b0 + emb``; every later layer is ``h @ w.T + b``; each hidden
+layer ends in ``tanh``. A float64 run of the textbook loop over the
+concatenated (y, kp) features bounds how far the float32 pass strays.
+The training reference, in float32, is a per-tensor loop: forward,
+exact backward pass, and adaptive-moment updates (Kingma & Ba, 2015)
+with decoupled weight decay (Loshchilov & Hutter, 2019) on the weight
+matrices only, each tensor with its own moment arrays. It draws its
+samples in float64 and casts them to float32, and rounds each
+coefficient, a float64 expression, to float32, where the library does;
+a float64 run of it bounds how far float32 training strays. Both run on the same machine as the library, so any
 reordering of a floating-point operation in the library shows as a
 changed bit.
 """
@@ -51,6 +54,25 @@ def _reference_forward(model, inputs, emb, dtype=np.float32):
     return h
 
 
+def _split_reference_forward(model, y, x, emb):
+    """The float32 forward pass of one hypothesis ``y``, (rows, J, 3),
+    on keypoints ``x``, (rows, J, 2), with the first layer split into
+    its state and keypoint columns; fresh arrays for every step."""
+    f = np.float32
+    rows, joints = x.shape[:2]
+    w0 = model.weights[0].astype(f).reshape(-1, joints, 5)
+    w_y = w0[..., :3].reshape(-1, joints * 3)
+    w_k = w0[..., 3:].reshape(-1, joints * 2)
+    kp = (x * PIXEL_SCALE).astype(f).reshape(rows, joints * 2)
+    c = kp @ w_k.T + model.biases[0].astype(f) + emb.astype(f)
+    h = np.tanh(y.astype(f).reshape(rows, joints * 3) @ w_y.T + c)
+    last = model.num_layers - 1
+    for i in range(1, model.num_layers):
+        z = h @ model.weights[i].astype(f).T + model.biases[i].astype(f)
+        h = z if i == last else np.tanh(z)
+    return h
+
+
 def _inputs(hypotheses, frames, joints, seed=3):
     rng = np.random.default_rng(seed)
     y = rng.normal(scale=2.0, size=(hypotheses, frames, joints, 3))
@@ -77,7 +99,7 @@ def test_denoise_matches_textbook_forward(hypotheses, t):
                       np.empty_like(y))
         assert got.dtype == np.float64
         for h in range(hypotheses):
-            want = _reference_forward(model, _features(y[h], x), emb)
+            want = _split_reference_forward(model, y[h], x, emb)
             assert np.array_equal(got[h], want.reshape(frames, J, 3)), frames
 
 
@@ -92,6 +114,40 @@ def test_float32_denoise_stays_close_to_float64():
     worst = max(np.max(np.abs(got[h].reshape(256, -1) - _reference_forward(
         model, _features(y[h], x), emb, np.float64))) for h in range(20))
     assert worst <= 1e-5
+
+
+def test_first_layer_split_is_made_once_and_exact():
+    model = _model(width=16)
+    w_y, w_k = model.first_layer_split
+    again = model.first_layer_split
+    assert again[0] is w_y and again[1] is w_k
+    for a, cols in ((w_y, 3), (w_k, 2)):
+        assert a.dtype == np.float32 and a.shape == (16, J * cols)
+        assert not a.flags.writeable
+    # the columns back in the J x 5 order are float32's W0, bit for bit
+    joined = np.empty((16, J, 5), np.float32)
+    joined[..., :3] = w_y.reshape(16, J, 3)
+    joined[..., 3:] = w_k.reshape(16, J, 2)
+    w0 = model.float32[0][0]
+    assert np.array_equal(joined.reshape(16, J * 5).view(np.uint32),
+                          w0.view(np.uint32))
+
+
+@pytest.mark.parametrize("frames", [4, 7, 256])
+def test_hypotheses_do_not_reach_each_other(frames):
+    # every hypothesis of a query shares the keypoint term; each must
+    # get what it gets alone, and equal states equal estimates
+    joints, t = 17, 7
+    model = _model(width=128, joints=joints)
+    y, x = _inputs(20, frames, joints)
+    y[11] = y[4]
+    got = denoise(HypothesisSet(y), PoseSeq2D(x), t, model, 40,
+                  np.empty_like(y))
+    for h in range(20):
+        alone = denoise(HypothesisSet(y[h:h + 1]), PoseSeq2D(x), t, model,
+                        40, np.empty_like(y[:1]))
+        assert np.array_equal(got[h], alone[0]), h
+    assert np.array_equal(got[11], got[4])
 
 
 def _dataset(sequences, frames, joints):

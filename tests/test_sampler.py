@@ -476,6 +476,25 @@ def test_non_finite_mlp_output_names_step_and_hypothesis(tri_skeleton,
     assert info.value.hypothesis == 4
 
 
+def test_overflowing_first_layer_names_step_and_hypothesis(tri_skeleton):
+    # every weight, the first layer's too, is infinite in float32: the
+    # split of the first layer is cut from the float32 weights on the
+    # first query, inside the sampler's errstate, and every output is
+    # non-finite
+    sched = make_cosine_schedule(50)
+    _, x = _setup(6)
+    params = init_params(x.num_joints, hidden_width=8, hidden_layers=1)
+    params = type(params)(
+        weights=tuple(np.full_like(w, 1e308) for w in params.weights),
+        biases=params.biases)
+    cfg = SamplerConfig(hypotheses=2, iterations=3)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericError, match="^step t=50: hypothesis 4: ") as info:
+        run_sampler(x, MlpDenoiser(params, 50), cfg, sched, tri_skeleton,
+                    1000.0, hyp_offset=4)
+    assert info.value.hypothesis == 4
+
+
 # --- chains of one sequence sharing their draws ------------------------------
 
 def _noise_keys(cfg: SamplerConfig, t_max: int) -> set[tuple]:

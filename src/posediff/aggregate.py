@@ -102,12 +102,15 @@ def _cost(hs: HypothesisSet, cost, *inputs) -> np.ndarray:
 
 def _reprojection_errors(hs: HypothesisSet, x: PoseSeq2D,
                          cam: CameraIntrinsics) -> np.ndarray:
-    """Per-hypothesis pixel errors, (H, N, J); excluded joints are +inf."""
+    """Per-hypothesis pixel errors, (H, N, J), one hypothesis at a time:
+    no (H, N, J, 2) projection is made. Excluded joints are +inf."""
     _check_shape(hs, x, "keypoints are")
-    uv, valid = project_with_mask(hs.poses, cam)
-    uv -= x.joints
-    err = _norms(uv)
-    err[~valid] = np.inf
+    err = np.empty(hs.poses.shape[:-1])
+    for h, pose in enumerate(hs.poses):
+        uv, valid = project_with_mask(pose, cam)
+        uv -= x.joints
+        err[h] = _norms(uv)
+        err[h][~valid] = np.inf
     return err
 
 

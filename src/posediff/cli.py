@@ -217,7 +217,8 @@ def _sample_all(cfgs: list[RunConfig], ds: Dataset,
     """Sample every sequence at each of ``cfgs``, which differ at most in
     H and K, each sequence with its own seed: one read-only (H, frames,
     J, 3) set per config over the dataset's frames, stacked in sequence
-    order (see ``_frame_slices``). Flips mirror with the dataset's
+    order (see ``_frame_slices``); each sequence is sampled straight
+    into its frames of the stack. Flips mirror with the dataset's
     skeleton and about its camera's principal point, which made the
     keypoints.
 
@@ -236,11 +237,8 @@ def _sample_all(cfgs: list[RunConfig], ds: Dataset,
                 scfg = replace(cfg.sampler,
                                seed=stream_id("sequence", cfg.seed, i))
                 try:
-                    # copied without a name, so no sequence's result
-                    # stays alive while the next one samples
-                    poses[j][:, slices[i]] = run_sampler(
-                        seq.keypoints, den, scfg, sched, ds.skeleton,
-                        2.0 * ds.camera.cx).poses
+                    run_sampler(seq.keypoints, den, scfg, sched, ds.skeleton,
+                                2.0 * ds.camera.cx, out=poses[j][:, slices[i]])
                 except NumericError as exc:
                     raise NumericError(
                         f"sampling sequence {i} ({seq.name}): {exc}",

@@ -221,7 +221,7 @@ class _Scratch(threading.local):
         self._arrays: dict[str, np.ndarray] = {}
 
     def take(self, name: str, shape: tuple[int, ...],
-             dtype: type = np.float64) -> np.ndarray:
+             dtype: type = np.float32) -> np.ndarray:
         a = self._arrays.get(name)
         if a is None or a.shape != shape or a.dtype != dtype:
             a = self._arrays[name] = np.empty(shape, dtype)
@@ -243,7 +243,8 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
     ``c = kp @ Wk.T + b0 + emb(t)`` is made once per query and shared
     by every hypothesis. The float32 state and keypoints, ``c`` and the
     layer outputs live in ``scratch``, or in fresh arrays when it is
-    None.
+    None. ``y_t`` may be a view of ``out``: it is read into the float32
+    state before the estimate is written.
     """
     if not 0 <= t <= t_max:
         raise ValueError(f"t={t} outside [0, {t_max}]")
@@ -260,18 +261,18 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
     w_y, w_k = model.first_layer_split
     # The scaled keypoints, cast to float32 as they are written, and the
     # query's share of the first pre-activation.
-    kp = scratch.take("keypoints", (n, j * 2), np.float32)
+    kp = scratch.take("keypoints", (n, j * 2))
     np.multiply(x.joints.reshape(n, j * 2), PIXEL_SCALE, out=kp)
-    c = scratch.take("condition", (n, model.hidden_width), np.float32)
+    c = scratch.take("condition", (n, model.hidden_width))
     np.matmul(kp, w_k.T, out=c)
     c += biases[0]
     c += timestep_embedding(float(t), model.embed_dim).astype(np.float32)
-    state = scratch.take("state", (h, n, j * 3), np.float32)
+    state = scratch.take("state", (h, n, j * 3))
     np.copyto(state, y_t.poses.reshape(h, n, j * 3))
     # Two buffers that the layers alternate between, so that none
     # overwrites its own input.
     size = h * n * max(w.shape[0] for w in weights)
-    pair = [scratch.take(name, (size,), np.float32) for name in "ab"]
+    pair = [scratch.take(name, (size,)) for name in "ab"]
     outs = [pair[i % 2][:h * n * w.shape[0]].reshape(h, n, w.shape[0])
             for i, w in enumerate(weights)]
     # One N-row product per hypothesis, so that BLAS rounding cannot
@@ -665,10 +666,10 @@ class MlpDenoiser(Denoiser):
     internally.
 
     ``t_max`` bounds the timesteps it accepts: the one it was trained to.
-    Its queries reuse scratch arrays, one set per thread, so several
-    threads may query one instance at once: the state in signal units,
-    its float32 cast, the scaled keypoints, the per-query keypoint term
-    of the first layer and the layer outputs.
+    Its queries reuse float32 scratch arrays, one set per thread, so
+    several threads may query one instance at once: the state, the
+    scaled keypoints, the per-query keypoint term of the first layer and
+    the layer outputs. The state in signal units waits in ``out``.
     """
 
     def __init__(self, params: DenoiserParams, t_max: int):
@@ -682,11 +683,11 @@ class MlpDenoiser(Denoiser):
         return cls(params, header["t_max"])
 
     def predict_clean(self, y_t, x, t, out, *, hyp_offset=0, mirrored=None):
-        units = self._scratch.take("units", y_t.shape)
-        np.multiply(y_t, SIGNAL_SCALE / MM_PER_UNIT, out=units)
+        np.multiply(y_t, SIGNAL_SCALE / MM_PER_UNIT, out=out)
         # A read-only view, so that HypothesisSet takes it uncopied; it
-        # lives for this query only.
-        units = units.view()
+        # lives for this query only, and denoise() reads it before it
+        # writes the estimate over it.
+        units = out.view()
         units.setflags(write=False)
         denoise(HypothesisSet(units), PoseSeq2D(x), t, self.params,
                 self.t_max, out, scratch=self._scratch)

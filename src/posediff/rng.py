@@ -96,8 +96,12 @@ class RngStream:
         """Child stream whose id mixes this stream's id with ``parts``."""
         return RngStream(self.seed, stream_id(self.sid, *parts))
 
-    def standard_normal(self, shape: tuple[int, ...] | int = ()) -> np.ndarray:
-        return self._gen.standard_normal(shape)
+    def standard_normal(self, shape: tuple[int, ...] | int = (),
+                        out: np.ndarray | None = None) -> np.ndarray:
+        """Standard normals of ``shape``; given ``out``, a C-contiguous
+        float64 array of that shape, they are written there and ``out``
+        is returned."""
+        return self._gen.standard_normal(shape, out=out)
 
     def uniform(self, low: float, high: float,
                 shape: tuple[int, ...] | int = ()) -> np.ndarray:
@@ -180,7 +184,8 @@ def serve_repeats() -> Iterator[DrawScope]:
 
 
 def hypothesis_normals(seed: int, hyps: range, shape: tuple[int, ...],
-                       *label: int | str, branch: int) -> np.ndarray:
+                       *label: int | str, branch: int,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Standard normals of shape ``(len(hyps),) + shape``, one stream each.
 
     Row i is hypothesis ``hyps[i]``, drawn from
@@ -193,22 +198,36 @@ def hypothesis_normals(seed: int, hyps: range, shape: tuple[int, ...],
     without building any. Each thread has its own, so calls from several
     threads may overlap. The row ids of the last 256 ``(hyps, branch,
     label)`` keys are kept: every sequence of a dataset draws under the
-    same keys with its own seed, so each id is hashed once. Inside a
-    ``serve_repeats`` scope of the calling thread, a key drawn before
-    while the scope's ``keep`` was set is served from that draw,
-    read-only.
+    same keys with its own seed, so each id is hashed once.
+
+    Given ``out``, a writable float64 array of the result's shape whose
+    rows are C-contiguous, the rows are drawn into it and it is
+    returned. Inside a ``serve_repeats`` scope of the calling thread, a
+    key drawn before while the scope's ``keep`` was set is served from
+    that draw, and a new draw while ``keep`` is set is held: either way
+    the held array is returned as it is, read-only, and ``out`` is left
+    untouched.
     """
+    full = (len(hyps),) + tuple(shape)
+    if out is not None and (out.shape != full or out.dtype != np.float64
+                            or not out.flags.writeable):
+        raise ValueError(f"out must be a writable float64 array of shape "
+                         f"{full}, got {out.dtype} {out.shape}, writable "
+                         f"{out.flags.writeable}")
     ids = _row_ids(hyps, branch, *label)
     scope = getattr(_local, "scope", None)
     key = (seed, ids, tuple(shape))
     if scope is not None and key in scope._held:
         return scope._held[key]
+    hold = scope is not None and scope.keep
+    if out is None or hold:
+        out = np.empty(full)
     stream = _shared_stream()
-    out = np.empty((len(hyps),) + shape)
     for i, sid in enumerate(ids):
         stream._rekey(seed, sid)
-        out[i] = stream.standard_normal(shape)
-    if scope is not None and scope.keep:
+        # ``out[i, ...]`` is a view even where ``out[i]`` is a scalar
+        stream.standard_normal(shape, out=out[i, ...])
+    if hold:
         out.setflags(write=False)
         scope._held[key] = out
     return out

@@ -143,34 +143,39 @@ def _run_chain(predict: Callable[..., object],
     ``predict(y_mm, t, out, spare)`` is the denoiser query of every
     step: it writes the estimate into ``out`` and may overwrite
     ``y_mm`` and ``spare``. The chain owns these buffers and the state,
-    and every step works in them. Given ``trace``, one array per step,
-    each step's estimate is copied into its array.
+    and every step works in them: the initial state is drawn into the
+    state, each estimate becomes signal units in place once it is
+    screened and traced, and each step's DDIM noise is drawn into
+    ``spare``. Given ``trace``, one array per step, each step's
+    estimate is copied into its array.
     """
     to_mm = MM_PER_UNIT / SIGNAL_SCALE
-    # a copy: a draw served inside ``serve_repeats`` is read-only
-    y = hypothesis_normals(cfg.seed, hyps, shape, "sampler_init",
-                           branch=branch).copy()
-    y_mm, spare = np.empty_like(y), np.empty_like(y)
-    y0_mm = np.empty_like(y) if out is None else out
+    y, y_mm, spare = (np.empty((len(hyps),) + shape) for _ in range(3))
+    init = hypothesis_normals(cfg.seed, hyps, shape, "sampler_init",
+                              branch=branch, out=y)
+    if init is not y:  # served inside ``serve_repeats``, read-only
+        np.copyto(y, init)
+    y0 = np.empty_like(y) if out is None else out
     for k, t in enumerate(ladder):
         np.multiply(y, to_mm, out=y_mm)
-        predict(y_mm, t, y0_mm, spare)
-        bad = _first_non_finite(y0_mm)
+        predict(y_mm, t, y0, spare)
+        bad = _first_non_finite(y0)
         if bad is not None:
             h = hyps[bad]
             raise NumericError(f"step t={t}: hypothesis {h}: clean estimate "
                                f"is not finite", hypothesis=h)
         if trace is not None:
-            np.copyto(trace[k], y0_mm)
+            np.copyto(trace[k], y0)
         if k + 1 < len(ladder):
             eps = None
             if cfg.sigma_mode is SigmaMode.STOCHASTIC:
                 eps = hypothesis_normals(cfg.seed, hyps, shape,
-                                         "sampler_ddim", t, branch=branch)
-            np.divide(y0_mm, to_mm, out=spare)
-            _ddim_core(y, spare, t, ladder[k + 1], sched, cfg.sigma_mode,
+                                         "sampler_ddim", t, branch=branch,
+                                         out=spare)
+            np.divide(y0, to_mm, out=y0)
+            _ddim_core(y, y0, t, ladder[k + 1], sched, cfg.sigma_mode,
                        eps, out=y, work=y_mm)
-    return y0_mm
+    return y0
 
 
 def _chunks(hypotheses: int, frames: int) -> list[range]:
@@ -229,7 +234,8 @@ def _run_parallel(task: Callable[[int], None],
 def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
                 sched: NoiseSchedule, skeleton: Skeleton | None = None,
                 image_width: float | None = None, *, hyp_offset: int = 0,
-                trace: list[HypothesisSet] | None = None) -> HypothesisSet:
+                trace: list[HypothesisSet] | None = None,
+                out: np.ndarray | None = None) -> HypothesisSet:
     """Generate H hypotheses for a 2D sequence.
 
     ``cfg.flip_mode`` selects the flip augmentation, which needs a
@@ -256,6 +262,11 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
     ``cfg.iterations``. A non-finite clean estimate raises
     ``NumericError`` naming the step and the global index of the first
     hypothesis holding one.
+
+    Given ``out``, a writable float64 (H, N, J, 3) array, such as a
+    frame slice of a larger stack, the hypotheses are written there,
+    and the result is a read-only view of it. Any other ``out`` is
+    refused with ``ValueError`` before anything is drawn.
     """
     ladder = timestep_ladder(sched.t_max, cfg.iterations)
     mode = cfg.flip_mode
@@ -269,12 +280,19 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
         raise ValueError("flip mode 'once' runs two chains, it has no "
                          "single trace")
     shape = x.joints.shape[:2] + (3,)
-    poses = np.empty((cfg.hypotheses,) + shape)
-    steps = None if trace is None else [np.empty_like(poses) for _ in ladder]
+    full = (cfg.hypotheses,) + shape
+    if out is None:
+        out = np.empty(full)
+    elif (out.shape != full or out.dtype != np.float64
+          or not out.flags.writeable):
+        raise ValueError(f"out must be a writable float64 array of shape "
+                         f"{full}, got {out.dtype} {out.shape}, writable "
+                         f"{out.flags.writeable}")
+    steps = None if trace is None else [np.empty(full) for _ in ladder]
 
     def sample(part: range) -> None:
         """Sample hypotheses ``part`` of this call into their rows of
-        ``poses`` and of the trace's steps."""
+        ``out`` and of the trace's steps."""
         first = hyp_offset + part.start
         rows = slice(part.start, part.stop)
 
@@ -288,7 +306,7 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
         traced = None if steps is None else [s[rows] for s in steps]
         plain = query(x.joints)
         if mode is FlipMode.NONE:
-            chain(plain, out=poses[rows], trace=traced)
+            chain(plain, out=out[rows], trace=traced)
             return
         flipped = query(x_flipped, skeleton)
         if mode is FlipMode.DIFFUSION:
@@ -299,11 +317,11 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
                 flipped(flip_array3d(y_mm, skeleton, out=spare), t, y_mm)
                 out += flip_array3d(y_mm, skeleton, out=spare)
                 out /= 2.0
-            chain(both, out=poses[rows], trace=traced)
+            chain(both, out=out[rows], trace=traced)
             return
-        out = chain(plain, out=poses[rows])
-        out += flip_array3d(chain(flipped, branch=1), skeleton)
-        out /= 2.0
+        est = chain(plain, out=out[rows])
+        est += flip_array3d(chain(flipped, branch=1), skeleton)
+        est /= 2.0
 
     chunks = _chunks(cfg.hypotheses, x.num_frames)
     failed = [exc for exc in _run_parallel(lambda i: sample(chunks[i]),
@@ -319,5 +337,6 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
         for step in steps:
             step.setflags(write=False)  # so HypothesisSet takes it uncopied
             trace.append(HypothesisSet(step))
+    poses = out.view()
     poses.setflags(write=False)
     return HypothesisSet(poses)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -283,7 +285,8 @@ def test_shared_costs_equal_fresh_sets_at_every_prefix(monkeypatch, seed):
     # every method on the first h hypotheses of a SharedCostSet is what
     # it is on those h alone, bitwise, with ties across the prefix edge,
     # behind-camera joints and a frame where only late hypotheses see a
-    # joint; the projection runs once for the whole set
+    # joint; each hypothesis of the whole set is projected once, on its
+    # own
     rng = np.random.default_rng(seed)
     cam = CameraIntrinsics.distorted(fx=1100.0, fy=1150.0, cx=480.0,
                                      cy=510.0, k1=0.02, k2=-0.005,
@@ -311,7 +314,7 @@ def test_shared_costs_equal_fresh_sets_at_every_prefix(monkeypatch, seed):
     real = aggregate.project_with_mask
 
     def counted(points, camera):
-        projected.append(points.shape[0])
+        projected.append(points.shape)
         return real(points, camera)
     monkeypatch.setattr(aggregate, "project_with_mask", counted)
     shared = SharedCostSet(poses)
@@ -324,7 +327,7 @@ def test_shared_costs_equal_fresh_sets_at_every_prefix(monkeypatch, seed):
             _assert_same_report(
                 run_aggregator(method, shared.first(h), **kwargs),
                 want[h, method])
-    assert projected == [12]
+    assert projected == [(6, 5, 3)] * 12
     assert all(not cost.flags.writeable for cost in shared._costs.values())
 
 
@@ -341,3 +344,28 @@ def test_shared_cost_set_prefix_rules():
     far = agg_jpma(shared.first(2), PoseSeq2D(np.full((1, 3, 2), 400.0)), cam)
     assert len(shared._costs) == 2
     assert not np.array_equal(near.reproj_error_px, far.reproj_error_px)
+
+
+def test_reprojection_makes_one_hypothesis_at_a_time():
+    # numpy's buffers are traced: the errors peak below their own (H, N,
+    # J) array plus one hypothesis's projection, taken as eight (N, J)
+    # float64 arrays (its pixels, depths, norms, mask and numpy's own
+    # buffers), so no (H, N, J, 2) pixel array is made
+    h, n, j = 20, 64, 17
+    rng = np.random.default_rng(4)
+    poses = rng.normal(scale=200.0, size=(h, n, j, 3))
+    poses[..., 2] += 3000.0
+    poses[3, 5, 2, 2] = -1.0  # behind the camera
+    hs = HypothesisSet(poses)
+    x = PoseSeq2D(rng.uniform(0.0, 1000.0, size=(n, j, 2)))
+    cam = CameraIntrinsics.pinhole(1100.0, 1100.0, 500.0, 500.0)
+    want = aggregate._reprojection_errors(hs, x, cam)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = aggregate._reprojection_errors(hs, x, cam)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want) and got[3, 5, 2] == np.inf
+    assert peak < h * n * j * 8 + 8 * n * j * 8

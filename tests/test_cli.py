@@ -374,9 +374,9 @@ def test_bench_draws_each_noise_key_once_per_sequence(runner, tmp_path,
     calls = [0]
     real = RngStream.standard_normal
 
-    def counted(self, shape=()):
+    def counted(self, shape=(), out=None):
         calls[0] += 1
-        return real(self, shape)
+        return real(self, shape, out=out)
     monkeypatch.setattr(RngStream, "standard_normal", counted)
     for ks in (("5", "10"), ("10", "5"), ("3", "2")):
         calls[0] = 0

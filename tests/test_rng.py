@@ -223,9 +223,9 @@ def _count_draws(monkeypatch) -> list[int]:
     calls = [0]
     real = RngStream.standard_normal
 
-    def counted(self, shape=()):
+    def counted(self, shape=(), out=None):
         calls[0] += 1
-        return real(self, shape)
+        return real(self, shape, out=out)
     monkeypatch.setattr(RngStream, "standard_normal", counted)
     return calls
 
@@ -296,3 +296,49 @@ def test_nothing_is_served_after_the_scope_or_on_another_thread(monkeypatch):
     after = _draw()
     assert after is not inside and after.flags.writeable
     assert calls[0] == 16 and np.array_equal(after, inside)
+
+
+def _normals(label, out=None, shape=(4, 3)):
+    return hypothesis_normals(9, range(3, 7), shape, "into", label,
+                              branch=1, out=out)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (5,), (4, 3), (2, 17, 3)])
+def test_drawing_into_out_equals_a_new_draw(shape):
+    # () is the shape where out[i] is a scalar, not a view of the row
+    want = _normals(1, shape=shape)
+    out = np.full(want.shape, np.nan)
+    assert _normals(1, out, shape) is out
+    assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("shape", [(), (4, 3)])
+def test_held_draws_are_served_as_they_are_and_leave_out_alone(shape):
+    want = [_normals(label, shape=shape) for label in (1, 2)]
+    with serve_repeats() as served:
+        out = np.full(want[0].shape, np.nan)
+        # keep is set: a new draw is held, not written into out
+        held = _normals(1, out, shape)
+        assert held is not out and not held.flags.writeable
+        assert np.array_equal(held, want[0])
+        assert _normals(1, out, shape) is held
+        served.keep = False
+        # what was held is still served; a new key is drawn into out
+        assert _normals(1, out, shape) is held
+        assert np.isnan(out).all()
+        assert _normals(2, out, shape) is out
+        assert np.array_equal(out, want[1])
+
+
+@pytest.mark.parametrize("bad", ["shape", "rows", "dtype", "read-only"])
+def test_a_bad_out_is_refused_before_any_draw(monkeypatch, bad):
+    out = {"shape": lambda: np.empty((4, 3, 4)),
+           "rows": lambda: np.empty((5, 4, 3)),
+           "dtype": lambda: np.empty((4, 4, 3), np.float32),
+           "read-only": lambda: np.empty((4, 4, 3))}[bad]()
+    out.setflags(write=bad != "read-only")
+    calls = _count_draws(monkeypatch)
+    with pytest.raises(ValueError, match="^out must be a writable float64 "
+                                         r"array of shape \(4, 4, 3\)"):
+        _normals(1, out)
+    assert calls[0] == 0

@@ -1,10 +1,12 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from posediff import sampler
 from posediff.core import DEFAULT_SKELETON, flip_array3d
 from posediff.denoise import (ContractiveOracle, Denoiser, MlpDenoiser,
                               NoisyOracle, PerfectOracle, init_params)
@@ -251,6 +253,36 @@ def test_mlp_denoiser_reused_across_shapes_matches_fresh():
     for (i, key), poses in got.items():
         assert np.array_equal(poses, runs[key][2]), (i, key)
     assert len(got) == 4 * len(FlipMode)
+
+
+def test_sampling_allocates_nothing_state_sized_but_its_buffers(monkeypatch):
+    # numpy's buffers are traced: one call peaks below its result, the
+    # chain's state, millimeter state and temporary, the MLP's scratch
+    # and half a state array for everything else, so no step may make
+    # a state-sized temporary
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
+    h, n, j = 8, 128, DEFAULT_SKELETON.num_joints
+    assert len(sampler._chunks(h, n)) == 1
+    _, x = gen_poses(ScenarioConfig(pose_count=1, frames_per_pose=n,
+                                    seed=2))[0]
+    params = init_params(j)
+    sched = make_cosine_schedule(50)
+    cfg = SamplerConfig(hypotheses=h, iterations=4, seed=3,
+                        flip_mode=FlipMode.DIFFUSION)
+    # the float32 weights and the row ids are made once, not per call
+    run_sampler(x, MlpDenoiser(params, 50), cfg, sched, DEFAULT_SKELETON,
+                1000.0)
+    den = MlpDenoiser(params, 50)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_sampler(x, den, cfg, sched, DEFAULT_SKELETON, 1000.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    state = h * n * j * 3 * 8
+    scratch = sum(a.nbytes for a in den._scratch._arrays.values())
+    assert peak < 4 * state + scratch + state // 2
 
 
 def test_perfect_oracle_collapses_immediately():
@@ -531,9 +563,9 @@ def test_chains_in_one_scope_equal_chains_apart(monkeypatch, tri_skeleton,
     calls = [0]
     real = RngStream.standard_normal
 
-    def counted(self, shape=()):
+    def counted(self, shape=(), out=None):
         calls[0] += 1
-        return real(self, shape)
+        return real(self, shape, out=out)
     monkeypatch.setattr(RngStream, "standard_normal", counted)
     together, held = [], []
     with serve_repeats() as served:

@@ -23,6 +23,7 @@ from posediff.core import DEFAULT_SKELETON
 from posediff.denoise import (ContractiveOracle, Denoiser, MlpDenoiser,
                               NoisyOracle, PerfectOracle, init_params)
 from posediff.errors import NumericError
+from posediff.rng import RngStream
 from posediff.sampler import (FlipMode, SamplerConfig, SigmaMode, run_sampler,
                               timestep_ladder)
 from posediff.schedule import make_cosine_schedule
@@ -96,6 +97,58 @@ def test_oracle_outputs_do_not_depend_on_chunk_count(monkeypatch, oracle,
                         sigma_mode=sigma_mode, flip_mode=flip_mode)
     _assert_bitwise_equal(_at_every_count(monkeypatch, x, den, cfg, sched,
                                           hyp_offset=3))
+
+
+@pytest.mark.parametrize("chunks", CHUNKS)
+@pytest.mark.parametrize("sigma_mode", list(SigmaMode))
+@pytest.mark.parametrize("flip_mode", list(FlipMode))
+def test_sampling_into_a_slice_of_a_stack_equals_a_new_result(
+        monkeypatch, chunks, sigma_mode, flip_mode):
+    # the CLI samples each sequence into its frames of one stack; the
+    # MLP also keeps the state in signal units there between queries
+    frames = 7
+    _force_chunks(monkeypatch, chunks, frames)
+    sched = make_cosine_schedule(200)
+    den = MlpDenoiser(init_params(DEFAULT_SKELETON.num_joints), 200)
+    _, x = _keypoints(frames)
+    cfg = SamplerConfig(hypotheses=H, iterations=3, seed=3,
+                        sigma_mode=sigma_mode, flip_mode=flip_mode)
+    runs = []
+    for into in (False, True):
+        stack = np.full((H, frames + 5, DEFAULT_SKELETON.num_joints, 3), 7.0)
+        out = stack[:, 3:3 + frames] if into else None
+        trace = None if flip_mode is FlipMode.ONCE else []
+        hs = run_sampler(x, den, cfg, sched, DEFAULT_SKELETON, 1000.0,
+                         hyp_offset=2, trace=trace, out=out)
+        runs.append((hs.poses,
+                     None if trace is None else [s.poses for s in trace]))
+    _assert_bitwise_equal(runs)
+    got = runs[1][0]
+    assert np.shares_memory(got, out) and got.shape == out.shape
+    assert not got.flags.writeable and out.flags.writeable
+    # the frames around the slice are untouched
+    assert np.all(stack[:, :3] == 7.0) and np.all(stack[:, 3 + frames:] == 7.0)
+
+
+@pytest.mark.parametrize("bad", ["hypotheses", "frames", "dtype",
+                                 "read-only"])
+def test_sampler_refuses_a_bad_out_before_drawing(monkeypatch, bad):
+    j = DEFAULT_SKELETON.num_joints
+    out = {"hypotheses": lambda: np.empty((H - 1, 7, j, 3)),
+           "frames": lambda: np.empty((H, 8, j, 3)),
+           "dtype": lambda: np.empty((H, 7, j, 3), np.float32),
+           "read-only": lambda: np.empty((H, 7, j, 3))}[bad]()
+    out.setflags(write=bad != "read-only")
+    drawn = []
+    monkeypatch.setattr(RngStream, "standard_normal",
+                        lambda *a, **k: drawn.append(a))
+    den = _Recorder()
+    _, x = _keypoints(7)
+    with pytest.raises(ValueError, match="^out must be a writable float64 "
+                                         rf"array of shape \({H}, 7, {j}, 3\)"):
+        run_sampler(x, den, SamplerConfig(hypotheses=H, iterations=2),
+                    make_cosine_schedule(20), out=out)
+    assert drawn == [] and den.queries == set()
 
 
 def _cli(cwd: Path, *args: str, cpu: str | None = None) -> None:

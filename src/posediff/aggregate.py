@@ -143,14 +143,19 @@ def _select(method: str, hs: HypothesisSet, cost: np.ndarray,
     or per frame of an (H, N) cost; ties go to the lowest index. An
     infinite cost excludes a hypothesis. ``err`` is the (H, N, J) pixel
     error reported for the chosen joints."""
-    dead = np.all(np.isinf(cost), axis=0)
+    # Costs are never NaN and never negative, so the lowest cost is
+    # infinite only where every hypothesis is excluded, and the first
+    # index that holds it is argmin's, with no transposed copy of cost.
+    low = cost.min(axis=0)
+    dead = np.isinf(low)
     if np.any(dead):
         frame, *joint = map(int, np.argwhere(dead)[0])
         raise AggregationError(_DEAD[cost.ndim].format(*joint), frame=frame)
-    chosen = cost.argmin(axis=0)
+    chosen = (cost == low).argmax(axis=0)
     if chosen.ndim == 1:
         chosen = np.repeat(chosen[:, None], hs.num_joints, axis=1)
     pose = np.take_along_axis(hs.poses, chosen[None, ..., None], axis=0)[0]
+    pose.setflags(write=False)  # fresh, so PoseSeq3D takes it uncopied
     if err is not None:
         err = np.take_along_axis(err, chosen[None], axis=0)[0]
     return AggregationReport(method, PoseSeq3D(pose), chosen, err)
@@ -158,7 +163,9 @@ def _select(method: str, hs: HypothesisSet, cost: np.ndarray,
 
 def agg_average(hs: HypothesisSet) -> PoseSeq3D:
     """Elementwise mean over hypotheses."""
-    return PoseSeq3D(hs.poses.mean(axis=0))
+    mean = hs.poses.mean(axis=0)
+    mean.setflags(write=False)  # fresh, so PoseSeq3D takes it uncopied
+    return PoseSeq3D(mean)
 
 
 def agg_jpma(hs: HypothesisSet, x: PoseSeq2D,

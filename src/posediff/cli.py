@@ -252,8 +252,12 @@ def _stacked_inputs(ds: Dataset) -> tuple[PoseSeq2D, GroundTruth | None]:
     """The dataset's keypoints and ground truth (None without) over its
     stacked frames. The ground truth computes its half of P-MPJPE's
     alignment once, for every scoring against it."""
-    x = PoseSeq2D(np.concatenate([s.keypoints.joints for s in ds.sequences]))
-    gt = (GroundTruth(np.concatenate([s.gt.joints for s in ds.sequences]))
+    def stacked(arrays):
+        a = np.concatenate(arrays)
+        a.setflags(write=False)  # fresh, so the wrapper takes it uncopied
+        return a
+    x = PoseSeq2D(stacked([s.keypoints.joints for s in ds.sequences]))
+    gt = (GroundTruth(stacked([s.gt.joints for s in ds.sequences]))
           if ds.has_gt else None)
     return x, gt
 

@@ -48,6 +48,11 @@ ADAM_EPS = 1e-8
 # covers SAMPLES_PER_DRAW // batch_size steps, at least one. Its arrays
 # set the loop's peak memory.
 SAMPLES_PER_DRAW = 256
+# Inference runs the network over blocks of about this many rows:
+# max(1, min(H, ROWS_PER_BLOCK // N)) hypotheses of N frames at a time,
+# so its scratch holds one block whatever H. Smaller blocks make more,
+# shorter numpy calls, which two sampling threads overlap worse.
+ROWS_PER_BLOCK = 512
 
 
 def timestep_embedding(ts: float | np.ndarray, dim: int) -> np.ndarray:
@@ -241,10 +246,14 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
     float64. The first layer's pre-activation ``[y, kp] @ W0.T + b0 +
     emb(t)`` is computed as ``y @ Wy.T + c``, where the keypoint term
     ``c = kp @ Wk.T + b0 + emb(t)`` is made once per query and shared
-    by every hypothesis. The float32 state and keypoints, ``c`` and the
-    layer outputs live in ``scratch``, or in fresh arrays when it is
-    None. ``y_t`` may be a view of ``out``: it is read into the float32
-    state before the estimate is written.
+    by every hypothesis. The layers run over blocks of
+    ``max(1, min(H, ROWS_PER_BLOCK // N))`` hypotheses in turn, the last
+    block holding the rest; each hypothesis is its own N-row product
+    whatever its block, so the blocks change no bit. The float32 state
+    and layer outputs of one block, the keypoints and ``c`` live in
+    ``scratch``, or in fresh arrays when it is None. ``y_t`` may be a
+    view of ``out``: each block's hypotheses are read into the float32
+    state before their estimates are written.
     """
     if not 0 <= t <= t_max:
         raise ValueError(f"t={t} outside [0, {t_max}]")
@@ -267,18 +276,23 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
     np.matmul(kp, w_k.T, out=c)
     c += biases[0]
     c += timestep_embedding(float(t), model.embed_dim).astype(np.float32)
-    state = scratch.take("state", (h, n, j * 3))
-    np.copyto(state, y_t.poses.reshape(h, n, j * 3))
+    step = max(1, min(h, ROWS_PER_BLOCK // n))
+    state = scratch.take("state", (step, n, j * 3))
     # Two buffers that the layers alternate between, so that none
     # overwrites its own input.
-    size = h * n * max(w.shape[0] for w in weights)
+    size = step * n * max(w.shape[0] for w in weights)
     pair = [scratch.take(name, (size,)) for name in "ab"]
-    outs = [pair[i % 2][:h * n * w.shape[0]].reshape(h, n, w.shape[0])
+    outs = [pair[i % 2][:step * n * w.shape[0]].reshape(step, n, w.shape[0])
             for i, w in enumerate(weights)]
-    # One N-row product per hypothesis, so that BLAS rounding cannot
-    # depend on H: H=5 gives the first five hypotheses of H=20 bitwise.
-    est = _forward((w_y, *weights[1:]), biases[1:], state, (c,), outs)
-    np.copyto(out, est.reshape(h, n, j, 3))
+    poses = y_t.poses.reshape(h, n, j * 3)
+    for lo in range(0, h, step):
+        rows = min(step, h - lo)
+        np.copyto(state[:rows], poses[lo:lo + rows])
+        # One N-row product per hypothesis, so that BLAS rounding cannot
+        # depend on H: H=5 gives the first five hypotheses of H=20 bitwise.
+        est = _forward((w_y, *weights[1:]), biases[1:], state[:rows], (c,),
+                       [z[:rows] for z in outs])
+        np.copyto(out[lo:lo + rows], est.reshape(rows, n, j, 3))
     return out
 
 
@@ -667,9 +681,11 @@ class MlpDenoiser(Denoiser):
 
     ``t_max`` bounds the timesteps it accepts: the one it was trained to.
     Its queries reuse float32 scratch arrays, one set per thread, so
-    several threads may query one instance at once: the state, the
-    scaled keypoints, the per-query keypoint term of the first layer and
-    the layer outputs. The state in signal units waits in ``out``.
+    several threads may query one instance at once: the scaled
+    keypoints, the per-query keypoint term of the first layer, and the
+    state and layer outputs of one block of ``denoise``, about
+    ``ROWS_PER_BLOCK`` rows whatever H. The state in signal units waits
+    in ``out``.
     """
 
     def __init__(self, params: DenoiserParams, t_max: int):
@@ -762,9 +778,12 @@ class NoisyOracle(_OracleBase):
     def predict_clean(self, y_t, x, t, out, *, hyp_offset=0, mirrored=None):
         gt = self._gt_for(y_t, mirrored)
         hyps = range(hyp_offset, hyp_offset + y_t.shape[0])
-        noise = hypothesis_normals(self.seed, hyps, y_t.shape[1:],
-                                   "oracle_noisy", int(t),
-                                   branch=0 if mirrored is None else 1)
+        # The rows are drawn into ``out`` where they can be; a draw held
+        # by ``serve_repeats`` comes back instead, read-only.
+        noise = hypothesis_normals(
+            self.seed, hyps, y_t.shape[1:], "oracle_noisy", int(t),
+            branch=0 if mirrored is None else 1,
+            out=out if out[0].flags.c_contiguous else None)
         scale = self.sigma if self.sigma.ndim == 0 else self.sigma[:, None]
         np.multiply(noise, scale, out=out)
         out += gt

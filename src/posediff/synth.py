@@ -117,7 +117,8 @@ def gen_poses(cfg: ScenarioConfig) -> list[tuple[PoseSeq3D, PoseSeq2D]]:
     order = skeleton.topological_order()
     lo = np.array(cfg.root_box_mm[0])
     hi = np.array(cfg.root_box_mm[1])
-    max_swing = np.deg2rad(cfg.max_swing_deg)
+    # abs: -0.0 passes the range check, and numpy refuses uniform(0, -0)
+    max_swing = abs(np.deg2rad(cfg.max_swing_deg))
     out = []
     for p in range(cfg.pose_count):
         rng = RngStream(cfg.seed, stream_id("synth_pose", p))

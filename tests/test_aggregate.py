@@ -148,6 +148,27 @@ def test_selection_ties_resolve_to_lowest_index(simple_camera):
     assert np.all(agg_jbest(hs, pose).chosen == 0)
 
 
+@pytest.mark.parametrize("shape", [(7, 9, 4), (7, 9)])
+def test_selection_matches_argmin_on_ties_and_inf(shape):
+    # costs of a few values and inf, so that most entries tie: the
+    # choice is numpy's argmin, the lowest index of the lowest cost
+    rng = np.random.default_rng(8)
+    cost = rng.choice([0.5, 1.0, 2.0, np.inf], size=shape)
+    cost[-1][np.all(np.isinf(cost), axis=0)] = 2.0
+    poses = rng.normal(size=(7, 9, 4, 3))
+    rep = aggregate._select("pbest", HypothesisSet(poses), cost)
+    want = np.argmin(cost, axis=0)
+    if want.ndim == 1:
+        want = np.repeat(want[:, None], 4, axis=1)
+    assert np.array_equal(rep.chosen, want)
+    assert np.array_equal(rep.pose.joints, np.take_along_axis(
+        poses, want[None, ..., None], axis=0)[0])
+    cost[:, 5] = np.inf
+    with pytest.raises(AggregationError) as info:
+        aggregate._select("pbest", HypothesisSet(poses), cost)
+    assert info.value.frame == 5
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_selection_closure(seed):

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from posediff.denoise import (ContractiveOracle, DenoiserParams, MlpDenoiser,
                               init_params, load_checkpoint, save_checkpoint,
                               timestep_embedding, train, TrainBatch, y0_to_eps)
 from posediff.errors import ShapeError, TrainingDivergedError
-from posediff.rng import RngStream, stream_id
+from posediff.rng import (RngStream, hypothesis_normals, serve_repeats,
+                          stream_id)
 from posediff.schedule import diffuse_array, make_cosine_schedule
 
 from conftest import random_keypoints, random_pose
@@ -467,6 +469,37 @@ def test_noisy_oracle_keyed_reproducibility():
     # other timestep, other draw
     other = den.predict_clean(y_t, None, 8, np.empty_like(y_t))
     assert not np.array_equal(other, full)
+
+
+def test_noisy_oracle_draws_into_out():
+    # one query draws its noise into out and scales it there, making no
+    # state-sized temporary (numpy's broadcasts buffer at most 8192
+    # values); a draw held by serve_repeats and an out whose rows are
+    # not contiguous give the same bits
+    h, n = 8, 1024
+    gt = random_pose(np.random.default_rng(21), frames=n, joints=3)
+    sigma = np.array([5.0, 20.0, 40.0])
+    den = NoisyOracle(gt, sigma, seed=7)
+    y_t = np.zeros((h, n, 3, 3))
+    want = (hypothesis_normals(7, range(h), (n, 3, 3), "oracle_noisy", 6,
+                               branch=0) * sigma[:, None] + gt.joints)
+    out = np.empty_like(y_t)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        den.predict_clean(y_t, None, 6, out)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes // 4
+    assert np.array_equal(out, want)
+    with serve_repeats():
+        held = den.predict_clean(y_t, None, 6, np.empty_like(y_t))
+        served = den.predict_clean(y_t, None, 6, np.empty_like(y_t))
+    strided = np.empty((h, 2 * n, 3, 3))[:, ::2]
+    den.predict_clean(y_t, None, 6, strided)
+    for got in (held, served, strided):
+        assert np.array_equal(got, want)
 
 
 def test_noisy_oracle_mirror_branch_distinct(tri_skeleton):

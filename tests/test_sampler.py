@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from posediff import sampler
 from posediff.core import DEFAULT_SKELETON, flip_array3d
-from posediff.denoise import (ContractiveOracle, Denoiser, MlpDenoiser,
-                              NoisyOracle, PerfectOracle, init_params)
+from posediff.denoise import (ROWS_PER_BLOCK, ContractiveOracle, Denoiser,
+                              MlpDenoiser, NoisyOracle, PerfectOracle,
+                              init_params)
 from posediff.errors import NumericError
 from posediff.metrics import mpjpe
 from posediff.rng import RngStream, serve_repeats, stream_id
@@ -207,13 +208,14 @@ def test_mlp_trace_entries_own_their_memory(flip_mode):
 
 
 def test_mlp_denoiser_reused_across_shapes_matches_fresh():
-    # one denoiser queried at a small, a large and the small shape again
-    # gives what a fresh denoiser gives for each; then four threads,
-    # more than the cores, query it at once, two at each shape
+    # one denoiser queried at a small, a large, a middle and the small
+    # shape again gives what a fresh denoiser gives for each; then six
+    # threads, more than the cores, query it at once, two at each shape.
+    # 20 hypotheses of 80 frames run in blocks of 6 and a last one of 2
     sched = make_cosine_schedule(60)
     params = init_params(DEFAULT_SKELETON.num_joints, hidden_width=32)
     shared = MlpDenoiser(params, 60)
-    shapes = ((3, 5), (20, 256), (3, 5))
+    shapes = ((3, 5), (20, 256), (20, 80), (3, 5))
     runs = {}
     for hypotheses, frames in shapes:
         _, x = gen_poses(ScenarioConfig(pose_count=1, frames_per_pose=frames,
@@ -224,10 +226,11 @@ def test_mlp_denoiser_reused_across_shapes_matches_fresh():
             got = run_sampler(x, shared, cfg, sched, DEFAULT_SKELETON, 1000.0)
             want = run_sampler(x, MlpDenoiser(params, 60), cfg, sched,
                                DEFAULT_SKELETON, 1000.0)
-            assert np.array_equal(got.poses, want.poses), (hypotheses, mode)
-            runs[hypotheses, mode] = x, cfg, want.poses
+            key = hypotheses, frames, mode
+            assert np.array_equal(got.poses, want.poses), key
+            runs[key] = x, cfg, want.poses
 
-    barrier = threading.Barrier(4)
+    barrier = threading.Barrier(6)
     got = {}
 
     def query(i, key):
@@ -240,9 +243,8 @@ def test_mlp_denoiser_reused_across_shapes_matches_fresh():
     sys.setswitchinterval(1e-5)
     try:
         for mode in FlipMode:
-            threads = [threading.Thread(target=query,
-                                        args=(i, (hypotheses, mode)))
-                       for i in range(2) for hypotheses, _ in shapes[:2]]
+            threads = [threading.Thread(target=query, args=(i, (*shape, mode)))
+                       for i in range(2) for shape in shapes[:3]]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -252,7 +254,26 @@ def test_mlp_denoiser_reused_across_shapes_matches_fresh():
         sys.setswitchinterval(interval)
     for (i, key), poses in got.items():
         assert np.array_equal(poses, runs[key][2]), (i, key)
-    assert len(got) == 4 * len(FlipMode)
+    assert len(got) == 6 * len(FlipMode)
+
+
+def test_mlp_scratch_holds_one_block():
+    # an H=20, N=256 query keeps the state and layer outputs of one
+    # block of about ROWS_PER_BLOCK rows, not of all 5120
+    h, n, j = 20, 256, DEFAULT_SKELETON.num_joints
+    params = init_params(j)
+    den = MlpDenoiser(params, 50)
+    rng = np.random.default_rng(12)
+    y = rng.normal(scale=300.0, size=(h, n, j, 3))
+    x = rng.uniform(0.0, 1000.0, size=(n, j, 2))
+    den.predict_clean(y, x, 20, np.empty_like(y))
+    width = params.hidden_width
+    rows = max(1, min(h, ROWS_PER_BLOCK // n)) * n
+    assert rows < h * n
+    block = rows * (j * 3 + 2 * width) * 4
+    per_query = n * (j * 2 + width) * 4  # the keypoints and their term
+    scratch = sum(a.nbytes for a in den._scratch._arrays.values())
+    assert scratch == block + per_query
 
 
 def test_sampling_allocates_nothing_state_sized_but_its_buffers(monkeypatch):

@@ -65,6 +65,14 @@ def test_pixel_noise_perturbs_projection():
     assert drift.max() < 2.0 * 6.0  # 6 sigma
 
 
+def test_negative_zero_swing_is_zero_swing():
+    # -0.0 passes the range check; the poses are those of 0.0
+    for (gta, xa), (gtb, xb) in zip(gen_poses(small_cfg(max_swing_deg=-0.0)),
+                                    gen_poses(small_cfg(max_swing_deg=0.0))):
+        assert np.array_equal(gta.joints, gtb.joints)
+        assert np.array_equal(xa.joints, xb.joints)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         small_cfg(pose_count=0)

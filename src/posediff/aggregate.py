@@ -74,7 +74,10 @@ class SharedCostSet(HypothesisSet):
 
     def __init__(self, poses: np.ndarray):
         super().__init__(poses)
-        object.__setattr__(self, "_whole", self)
+        # the set whose costs these are, None on a whole set: a set that
+        # referred to itself would outlive its last reference until the
+        # cyclic collector ran, with its poses and every cost it holds
+        object.__setattr__(self, "_whole", None)
         object.__setattr__(self, "_costs", {})
 
     def first(self, h: int) -> "SharedCostSet":
@@ -82,9 +85,12 @@ class SharedCostSet(HypothesisSet):
         if not 1 <= h <= self.count:
             raise ValueError(f"first {h} of {self.count} hypotheses")
         prefix = SharedCostSet(self.poses[:h])
-        object.__setattr__(prefix, "_whole", self._whole)
+        object.__setattr__(prefix, "_whole", self._whole_set())
         object.__setattr__(prefix, "_costs", self._costs)
         return prefix
+
+    def _whole_set(self) -> "SharedCostSet":
+        return self if self._whole is None else self._whole
 
 
 def _cost(hs: HypothesisSet, cost, *inputs) -> np.ndarray:
@@ -94,7 +100,7 @@ def _cost(hs: HypothesisSet, cost, *inputs) -> np.ndarray:
         return cost(hs, *inputs)
     key = (cost, *inputs)
     if key not in hs._costs:
-        whole = cost(hs._whole, *inputs)
+        whole = cost(hs._whole_set(), *inputs)
         whole.setflags(write=False)
         hs._costs[key] = whole
     return hs._costs[key][:hs.count]

@@ -13,6 +13,7 @@ other pipeline error.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import itertools
@@ -46,6 +47,12 @@ from .synth import DEFAULT_CAMERA, gen_poses
 
 DEFAULT_AGGREGATORS = "avg,jpma,ppma"
 CSV_COLUMNS = ("method", "H", "K", *(f.name for f in fields(MetricReport)))
+# ``infer`` samples, aggregates and writes the dataset's sequences a
+# group at a time: consecutive sequences, the group closing once it
+# holds at least this many frames, so no sequence is split. The
+# hypotheses held stay near this many frames whatever the dataset's
+# length.
+FRAMES_PER_GROUP = 256
 
 
 def _guard(fn):
@@ -204,41 +211,60 @@ def _denoisers(cfg: RunConfig, ds: Dataset, checkpoint: str | None,
     return dens
 
 
-def _frame_slices(ds: Dataset) -> list[slice]:
-    """Where each sequence's frames sit among the dataset's frames,
-    stacked in sequence order."""
-    ends = itertools.accumulate(seq.num_frames for seq in ds.sequences)
-    return [slice(end - seq.num_frames, end)
-            for seq, end in zip(ds.sequences, ends)]
+def _groups(ds: Dataset) -> list[range]:
+    """The dataset's sequences in groups of consecutive indices, in
+    order: a group closes once it holds at least ``FRAMES_PER_GROUP``
+    frames, and the last one holds the rest."""
+    groups, start, frames = [], 0, 0
+    for i, seq in enumerate(ds.sequences):
+        frames += seq.num_frames
+        if frames >= FRAMES_PER_GROUP:
+            groups.append(range(start, i + 1))
+            start, frames = i + 1, 0
+    if start < len(ds.sequences):
+        groups.append(range(start, len(ds.sequences)))
+    return groups
+
+
+def _frame_slices(ds: Dataset, group: range) -> list[slice]:
+    """Where the frames of each sequence of ``group`` sit among the
+    group's frames, stacked in sequence order."""
+    seqs = [ds.sequences[i] for i in group]
+    ends = itertools.accumulate(seq.num_frames for seq in seqs)
+    return [slice(end - seq.num_frames, end) for seq, end in zip(seqs, ends)]
 
 
 def _sample_all(cfgs: list[RunConfig], ds: Dataset,
-                denoisers: list[Denoiser]) -> list[SharedCostSet]:
-    """Sample every sequence at each of ``cfgs``, which differ at most in
-    H and K, each sequence with its own seed: one read-only (H, frames,
-    J, 3) set per config over the dataset's frames, stacked in sequence
-    order (see ``_frame_slices``); each sequence is sampled straight
-    into its frames of the stack. Flips mirror with the dataset's
-    skeleton and about its camera's principal point, which made the
-    keypoints.
+                denoisers: list[Denoiser],
+                group: range) -> list[SharedCostSet]:
+    """Sample every sequence of ``group`` at each of ``cfgs``, which
+    differ at most in H and K, each sequence with its own seed: one
+    read-only (H, frames, J, 3) set per config over the group's frames,
+    stacked in sequence order (see ``_frame_slices``); each sequence is
+    sampled straight into its frames of the stack. A sequence's seed,
+    its denoiser and the errors that name it follow its index in the
+    dataset. Flips mirror with the dataset's skeleton and about its
+    camera's principal point, which made the keypoints.
 
     A sequence's chains run one after another in one ``serve_repeats``
     scope, and every chain but the last holds its draws: a noise key
     that two ladders share, as K=5's and K=10's share K=5's, is drawn
     once per sequence, in any order of ``cfgs``."""
     sched = make_cosine_schedule(cfgs[0].t_max)
-    slices = _frame_slices(ds)
+    slices = _frame_slices(ds, group)
     poses = [np.empty((cfg.sampler.hypotheses, slices[-1].stop,
                        ds.skeleton.num_joints, 3)) for cfg in cfgs]
-    for i, (seq, den) in enumerate(zip(ds.sequences, denoisers)):
+    for i, frames in zip(group, slices):
+        seq = ds.sequences[i]
         with serve_repeats() as served:
             for j, cfg in enumerate(cfgs):
                 served.keep = j + 1 < len(cfgs)
                 scfg = replace(cfg.sampler,
                                seed=stream_id("sequence", cfg.seed, i))
                 try:
-                    run_sampler(seq.keypoints, den, scfg, sched, ds.skeleton,
-                                2.0 * ds.camera.cx, out=poses[j][:, slices[i]])
+                    run_sampler(seq.keypoints, denoisers[i], scfg, sched,
+                                ds.skeleton, 2.0 * ds.camera.cx,
+                                out=poses[j][:, frames])
                 except NumericError as exc:
                     raise NumericError(
                         f"sampling sequence {i} ({seq.name}): {exc}",
@@ -248,50 +274,100 @@ def _sample_all(cfgs: list[RunConfig], ds: Dataset,
     return [SharedCostSet(stack) for stack in poses]
 
 
-def _stacked_inputs(ds: Dataset) -> tuple[PoseSeq2D, GroundTruth | None]:
-    """The dataset's keypoints and ground truth (None without) over its
-    stacked frames. The ground truth computes its half of P-MPJPE's
-    alignment once, for every scoring against it."""
+def _stacked_inputs(ds: Dataset,
+                    group: range) -> tuple[PoseSeq2D, GroundTruth | None]:
+    """The keypoints and ground truth (None without) of the sequences
+    ``group`` over their stacked frames. The ground truth computes its
+    half of P-MPJPE's alignment once, for every scoring against it."""
     def stacked(arrays):
         a = np.concatenate(arrays)
         a.setflags(write=False)  # fresh, so the wrapper takes it uncopied
         return a
-    x = PoseSeq2D(stacked([s.keypoints.joints for s in ds.sequences]))
-    gt = (GroundTruth(stacked([s.gt.joints for s in ds.sequences]))
+    seqs = [ds.sequences[i] for i in group]
+    x = PoseSeq2D(stacked([s.keypoints.joints for s in seqs]))
+    gt = (GroundTruth(stacked([s.gt.joints for s in seqs]))
           if ds.has_gt else None)
     return x, gt
 
 
-def _score(cfg: RunConfig, ds: Dataset, hs: HypothesisSet,
-           methods: list[str], x: PoseSeq2D,
-           gt: GroundTruth | None) -> tuple[dict[str, AggregationReport],
-                                           list[dict]]:
-    """Aggregate ``hs``, the dataset's stacked frames, once with each
-    method, against ``_stacked_inputs(ds)``. Every method works frame by
-    frame, so this equals one call per sequence, bitwise. Returns method
-    -> its AggregationReport over the stacked frames, and one metric row
-    per method over all frames (no rows without ground truth). An error
-    in one frame names its sequence and the frame within it."""
+@contextlib.contextmanager
+def _naming_frames(ds: Dataset, group: range):
+    """Re-raise an aggregation or alignment error in one of the stacked
+    frames of the sequences ``group`` naming its sequence, by its index
+    in the dataset, and the frame within it."""
     try:
-        reports = {m: run_aggregator(m, hs, x=x, cam=ds.camera, gt=gt)
-                   for m in methods}
-        pooled = {} if gt is None else {
-            m: compute_metrics(reports[m].pose, gt,
-                               with_scale=cfg.metrics.pmpjpe_scale)
-            for m in methods}
+        yield
     except (AggregationError, DegenerateAlignmentError) as exc:
         if exc.frame is None:
             raise
         i, frames = next((i, frames)
-                         for i, frames in enumerate(_frame_slices(ds))
+                         for i, frames in zip(group, _frame_slices(ds, group))
                          if exc.frame < frames.stop)
         raise type(exc)(exc.reason, frame=exc.frame - frames.start,
                         context=f"scoring sequence {i} "
                                 f"({ds.sequences[i].name})") from exc
-    rows = [{"method": m, "H": hs.count, "K": cfg.sampler.iterations,
+
+
+def _score(ds: Dataset, group: range, hs: HypothesisSet, methods: list[str],
+           x: PoseSeq2D,
+           gt: GroundTruth | None) -> dict[str, AggregationReport]:
+    """Aggregate ``hs``, the stacked frames of the sequences ``group``,
+    once with each method, against ``_stacked_inputs(ds, group)``. Every
+    method works frame by frame, so this equals one call per sequence,
+    bitwise. Returns method -> its AggregationReport over those frames.
+    An error in one frame names its sequence and the frame within it."""
+    with _naming_frames(ds, group):
+        return {m: run_aggregator(m, hs, x=x, cam=ds.camera, gt=gt)
+                for m in methods}
+
+
+def _metric_rows(cfg: RunConfig, ds: Dataset, hypotheses: int,
+                 poses: dict[str, PoseSeq3D], gt: GroundTruth) -> list[dict]:
+    """One metric row per method of ``poses``, its estimates over every
+    frame of the dataset, stacked in sequence order, against their
+    ground truth ``gt``. An error in one frame names its sequence and
+    the frame within it."""
+    with _naming_frames(ds, range(len(ds.sequences))):
+        pooled = {m: compute_metrics(pose, gt,
+                                     with_scale=cfg.metrics.pmpjpe_scale)
+                  for m, pose in poses.items()}
+    return [{"method": m, "H": hypotheses, "K": cfg.sampler.iterations,
              **{name: repr(value) for name, value in asdict(report).items()}}
             for m, report in pooled.items()]
-    return reports, rows
+
+
+def _infer_group(cfg: RunConfig, ds: Dataset, denoisers: list[Denoiser],
+                 group: range, methods: list[str], root: Path,
+                 save_hypotheses: bool,
+                 pooled: dict[str, np.ndarray]) -> None:
+    """Sample and aggregate the sequences ``group`` and write their
+    files: each hypothesis with ``save_hypotheses``, and each method's
+    poses, with its meta.json at the first group. ``pooled`` maps a
+    method to the group's frames of an array over the dataset's, which
+    receive its poses; it is empty without ground truth."""
+    (hs,) = _sample_all([cfg], ds, denoisers, group)
+    reports = _score(ds, group, hs, methods, *_stacked_inputs(ds, group))
+    # The files are per sequence: each takes its frames of the stack.
+    slices = _frame_slices(ds, group)
+    if save_hypotheses:
+        for i, frames in zip(group, slices):
+            hyp_dir = root / "hyp" / ds.sequences[i].name
+            hyp_dir.mkdir(parents=True, exist_ok=True)
+            for h in range(hs.count):
+                save_poses(PoseSeq3D(hs.poses[h, frames]),
+                           hyp_dir / f"h_{h:03d}.jsonl")
+    for m in methods:
+        agg_dir = root / "agg" / m
+        agg_dir.mkdir(parents=True, exist_ok=True)
+        for i, frames in zip(group, slices):
+            save_poses(PoseSeq3D(reports[m].pose.joints[frames]),
+                       agg_dir / f"{ds.sequences[i].name}.jsonl")
+        if group.start == 0:
+            (agg_dir / "meta.json").write_text(json.dumps(
+                {"method": m, "feasible_in_production": reports[m].feasible},
+                indent=2, sort_keys=True) + "\n")
+        if m in pooled:
+            pooled[m][...] = reports[m].pose.joints
 
 
 def _write_metric_rows(path: Path, rows: list[dict]) -> None:
@@ -383,29 +459,25 @@ def infer(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     root = Path(cfg.out_dir)
     root.mkdir(parents=True, exist_ok=True)
 
-    (hs,) = _sample_all([cfg], ds, denoisers)
-    reports, rows = _score(cfg, ds, hs, methods, *_stacked_inputs(ds))
-
-    # The files are per sequence: each takes its frames of the stack.
-    slices = _frame_slices(ds)
-    if save_hypotheses:
-        for seq, frames in zip(ds.sequences, slices):
-            hyp_dir = root / "hyp" / seq.name
-            hyp_dir.mkdir(parents=True, exist_ok=True)
-            for h in range(hs.count):
-                save_poses(PoseSeq3D(hs.poses[h, frames]),
-                           hyp_dir / f"h_{h:03d}.jsonl")
-    for m in methods:
-        agg_dir = root / "agg" / m
-        agg_dir.mkdir(parents=True, exist_ok=True)
-        for seq, frames in zip(ds.sequences, slices):
-            save_poses(PoseSeq3D(reports[m].pose.joints[frames]),
-                       agg_dir / f"{seq.name}.jsonl")
-        (agg_dir / "meta.json").write_text(json.dumps(
-            {"method": m, "feasible_in_production": reports[m].feasible},
-            indent=2, sort_keys=True) + "\n")
+    # One group of sequences at a time is sampled, aggregated and
+    # written, so the hypotheses held stay near FRAMES_PER_GROUP frames.
+    # The metrics pool each method's poses over all frames.
+    everything = range(len(ds.sequences))
+    slices = _frame_slices(ds, everything)
+    pooled = {m: np.empty((slices[-1].stop, ds.skeleton.num_joints, 3))
+              for m in methods} if ds.has_gt else {}
+    for group in _groups(ds):
+        frames = slice(slices[group[0]].start, slices[group[-1]].stop)
+        _infer_group(cfg, ds, denoisers, group, methods, root,
+                     save_hypotheses,
+                     {m: a[frames] for m, a in pooled.items()})
 
     if ds.has_gt:
+        for poses in pooled.values():
+            poses.setflags(write=False)  # so PoseSeq3D takes it uncopied
+        rows = _metric_rows(cfg, ds, cfg.sampler.hypotheses,
+                            {m: PoseSeq3D(a) for m, a in pooled.items()},
+                            _stacked_inputs(ds, everything)[1])
         _write_metric_rows(root / "metrics.csv", rows)
         for row in rows:
             click.echo(f"{row['method']}: mpjpe "
@@ -474,10 +546,15 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     h_max = max(hs_values)
     kcfgs = [apply_overrides(cfg, hypotheses=h_max, iterations=k)
              for k in ks_values]
-    sampled = _sample_all(kcfgs, ds, denoisers)
-    x, gt = _stacked_inputs(ds)
+    everything = range(len(ds.sequences))
+    sampled = _sample_all(kcfgs, ds, denoisers, everything)
+    x, gt = _stacked_inputs(ds, everything)
+    # one cell's reports are alive at a time
     rows = [row for h in hs_values for kcfg, hs in zip(kcfgs, sampled)
-            for row in _score(kcfg, ds, hs.first(h), methods, x, gt)[1]]
+            for row in _metric_rows(kcfg, ds, h, {
+                m: report.pose for m, report in _score(
+                    ds, everything, hs.first(h), methods, x, gt).items()},
+                gt)]
     _write_metric_rows(root / "bench.csv", rows)
     _write_config_copy(root, cfg)
     _write_manifest(root, "bench", cfg, data=str(data_dir),

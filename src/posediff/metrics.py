@@ -85,7 +85,8 @@ class _Target:
         # A coincident frame divides by zero here; it is refused before
         # its cloud is read.
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.unit = g0 / self.norm[:, None, None]
+            g0 /= self.norm[:, None, None]
+        self.unit = g0
 
 
 class GroundTruth(PoseSeq3D):
@@ -153,7 +154,10 @@ def align_frame(pred: np.ndarray, gt: np.ndarray | GroundTruth, *,
     rot[flip] = u[flip] @ vt[flip]
     scale = (s.sum(axis=1) * target.norm / norm_p if with_scale
              else np.ones(len(p0)))
-    aligned = scale[:, None, None] * p0 @ rot + target.mu
+    # scale * p0 @ rot + mu, in the buffers of p0 and pn
+    p0 *= scale[:, None, None]
+    aligned = np.matmul(p0, rot, out=pn)
+    aligned += target.mu
     return aligned if stacked else aligned[0]
 
 
@@ -162,7 +166,8 @@ def pmpjpe(pred: PoseSeq3D, gt: PoseSeq3D, *, with_scale: bool = True) -> float:
     p, g = _paired(pred, gt)
     aligned = align_frame(p, gt if isinstance(gt, GroundTruth) else g,
                           with_scale=with_scale)
-    return float(np.linalg.norm(aligned - g, axis=-1).mean(axis=1).mean())
+    aligned -= g
+    return float(np.linalg.norm(aligned, axis=-1).mean(axis=1).mean())
 
 
 def _below(errors: np.ndarray, thresholds) -> np.ndarray:
@@ -216,12 +221,14 @@ def compute_metrics(pred: PoseSeq3D, gt: PoseSeq3D, *,
                     with_scale: bool = True) -> MetricReport:
     """The four metrics of ``pred`` against ``gt``, from one joint-error
     array. A ``GroundTruth`` serves its half of P-MPJPE's alignment to
-    every call."""
+    every call. P-MPJPE comes first, so that its alignment's arrays and
+    the joint errors are never alive at once."""
+    pmpjpe_mm = pmpjpe(pred, gt, with_scale=with_scale)
     errors = joint_errors(pred, gt)
     below = _below(errors, _THRESHOLDS)
     return MetricReport(
         mpjpe_mm=float(errors.mean()),
-        pmpjpe_mm=pmpjpe(pred, gt, with_scale=with_scale),
+        pmpjpe_mm=pmpjpe_mm,
         pck150=float(below[-1]),
         auc=_auc(errors, below[:-1]),
     )

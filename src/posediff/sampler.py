@@ -99,7 +99,9 @@ def _ddim_core(y: np.ndarray, y0_hat: np.ndarray, t: int, t_next: int,
 
     The result goes into ``out``, which may be ``y``; ``work`` is a
     temporary shaped like ``y`` that overlaps none of the others. Either
-    is made when None.
+    is made when None. ``eps`` is the noise, or a function that returns
+    it given ``out=``, an array to draw it into: it is called with
+    ``work`` once the update has no more use for it.
     """
     ab_t, ab_next = sched.alpha_bar[t], sched.alpha_bar[t_next]
     if sigma_mode is SigmaMode.STOCHASTIC:
@@ -118,6 +120,8 @@ def _ddim_core(y: np.ndarray, y0_hat: np.ndarray, t: int, t_next: int,
     np.multiply(y0_hat, np.sqrt(ab_next), out=work)
     out += work
     if sigma > 0.0:
+        if callable(eps):
+            eps = eps(out=work)
         np.multiply(eps, sigma, out=work)
         out += work
     return out
@@ -132,50 +136,51 @@ def _first_non_finite(a: np.ndarray) -> int | None:
     return int(np.argmin(finite.reshape(len(a), -1).all(axis=1)))
 
 
-def _run_chain(predict: Callable[..., object],
-               shape: tuple[int, ...], cfg: SamplerConfig,
-               sched: NoiseSchedule, ladder: list[int], hyps: range, *,
-               branch: int = 0, out: np.ndarray | None = None,
+def _run_chain(predict: Callable[..., object], cfg: SamplerConfig,
+               sched: NoiseSchedule, ladder: list[int], hyps: range,
+               y: np.ndarray, y_mm: np.ndarray, out: np.ndarray, *,
+               branch: int = 0,
                trace: list[np.ndarray] | None = None) -> np.ndarray:
-    """Run one reverse chain over the K steps of ``ladder``; returns the
-    final clean estimate in mm, in ``out`` when given.
+    """Run one reverse chain over the K steps of ``ladder`` in the
+    caller's (len(hyps), N, J, 3) arrays ``y``, ``y_mm`` and ``out``,
+    which do not overlap; returns ``out``, the final clean estimate in
+    mm.
 
-    ``predict(y_mm, t, out, spare)`` is the denoiser query of every
-    step: it writes the estimate into ``out`` and may overwrite
-    ``y_mm`` and ``spare``. The chain owns these buffers and the state,
-    and every step works in them: the initial state is drawn into the
-    state, each estimate becomes signal units in place once it is
-    screened and traced, and each step's DDIM noise is drawn into
-    ``spare``. Given ``trace``, one array per step, each step's
-    estimate is copied into its array.
+    ``predict(y_mm, t, out)`` is the denoiser query of every step: it
+    writes the estimate into ``out`` and may overwrite ``y_mm``. Every
+    step works in the three arrays: the initial state is drawn into the
+    state ``y``, which ``y_mm`` holds in mm for each query, each
+    estimate becomes signal units in place once it is screened and
+    traced, and each step's DDIM noise is drawn into ``y_mm`` once the
+    update has no more use for it. Given ``trace``, one array per step,
+    each step's estimate is copied into its array.
     """
     to_mm = MM_PER_UNIT / SIGNAL_SCALE
-    y, y_mm, spare = (np.empty((len(hyps),) + shape) for _ in range(3))
+    shape = y.shape[1:]
     init = hypothesis_normals(cfg.seed, hyps, shape, "sampler_init",
                               branch=branch, out=y)
     if init is not y:  # served inside ``serve_repeats``, read-only
         np.copyto(y, init)
-    y0 = np.empty_like(y) if out is None else out
     for k, t in enumerate(ladder):
         np.multiply(y, to_mm, out=y_mm)
-        predict(y_mm, t, y0, spare)
-        bad = _first_non_finite(y0)
+        predict(y_mm, t, out)
+        bad = _first_non_finite(out)
         if bad is not None:
             h = hyps[bad]
             raise NumericError(f"step t={t}: hypothesis {h}: clean estimate "
                                f"is not finite", hypothesis=h)
         if trace is not None:
-            np.copyto(trace[k], y0)
+            np.copyto(trace[k], out)
         if k + 1 < len(ladder):
             eps = None
             if cfg.sigma_mode is SigmaMode.STOCHASTIC:
-                eps = hypothesis_normals(cfg.seed, hyps, shape,
-                                         "sampler_ddim", t, branch=branch,
-                                         out=spare)
-            np.divide(y0, to_mm, out=y0)
-            _ddim_core(y, y0, t, ladder[k + 1], sched, cfg.sigma_mode,
+                eps = functools.partial(hypothesis_normals, cfg.seed, hyps,
+                                        shape, "sampler_ddim", t,
+                                        branch=branch)
+            np.divide(out, to_mm, out=out)
+            _ddim_core(y, out, t, ladder[k + 1], sched, cfg.sigma_mode,
                        eps, out=y, work=y_mm)
-    return y0
+    return out
 
 
 def _chunks(hypotheses: int, frames: int) -> list[range]:
@@ -297,20 +302,25 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
         rows = slice(part.start, part.stop)
 
         def query(x2d, mirrored=None):
-            return lambda y_mm, t, out, spare=None: denoiser.predict_clean(
+            return lambda y_mm, t, out: denoiser.predict_clean(
                 y_mm, x2d, t, out, hyp_offset=first, mirrored=mirrored)
 
+        # the chains' state and state in mm, and with a flip a third
+        # array: the flipped query's input, or the second chain's estimate
+        bufs = [np.empty((len(part),) + shape)
+                for _ in range(2 if mode is FlipMode.NONE else 3)]
         chain = functools.partial(
-            _run_chain, shape=shape, cfg=cfg, sched=sched, ladder=ladder,
-            hyps=range(first, first + len(part)))
+            _run_chain, cfg=cfg, sched=sched, ladder=ladder,
+            hyps=range(first, first + len(part)), y=bufs[0], y_mm=bufs[1])
         traced = None if steps is None else [s[rows] for s in steps]
         plain = query(x.joints)
         if mode is FlipMode.NONE:
             chain(plain, out=out[rows], trace=traced)
             return
         flipped = query(x_flipped, skeleton)
+        spare = bufs[2]
         if mode is FlipMode.DIFFUSION:
-            def both(y_mm, t, out, spare):
+            def both(y_mm, t, out):
                 # the plain estimate waits in out; the flipped query reads
                 # spare and writes y_mm, which the chain no longer needs
                 plain(y_mm, t, out)
@@ -319,8 +329,11 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
                 out /= 2.0
             chain(both, out=out[rows], trace=traced)
             return
+        # the second chain's estimate goes into spare, and its flip into
+        # the state, which neither chain reads again
         est = chain(plain, out=out[rows])
-        est += flip_array3d(chain(flipped, branch=1), skeleton)
+        est += flip_array3d(chain(flipped, branch=1, out=spare), skeleton,
+                            out=bufs[0])
         est /= 2.0
 
     chunks = _chunks(cfg.hypotheses, x.num_frames)

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -365,6 +367,27 @@ def test_shared_cost_set_prefix_rules():
     far = agg_jpma(shared.first(2), PoseSeq2D(np.full((1, 3, 2), 400.0)), cam)
     assert len(shared._costs) == 2
     assert not np.array_equal(near.reproj_error_px, far.reproj_error_px)
+
+
+def test_shared_cost_set_dies_with_its_last_reference():
+    # with the cyclic collector off, a set and the costs it caches go as
+    # soon as nothing refers to it, so no set may refer to itself; a
+    # prefix keeps its whole set, and the costs, alive
+    cam = CameraIntrinsics.pinhole(fx=1000.0, fy=1000.0, cx=500.0, cy=500.0)
+    x = PoseSeq2D(np.full((1, 3, 2), 500.0))
+    gc.disable()
+    try:
+        shared = SharedCostSet(np.full((3, 1, 3, 3), 100.0))
+        agg_jpma(shared, x, cam)
+        assert len(shared._costs) == 1
+        whole, prefix = weakref.ref(shared), shared.first(2)
+        agg_ppma(prefix, x, cam)
+        del shared
+        assert whole() is not None and len(prefix._costs) == 1
+        del prefix
+        assert whole() is None
+    finally:
+        gc.enable()
 
 
 def test_reprojection_makes_one_hypothesis_at_a_time():

@@ -1,6 +1,8 @@
 import csv
+import gc
 import json
 import shutil
+import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -957,15 +959,15 @@ def test_non_finite_estimate_exit_1_names_sequence(runner, tmp_path,
                                "not finite")
 
 
-def _three_sequences(root: Path, edit) -> Path:
-    """A dataset of three 4-frame synthetic sequences; ``edit`` changes
-    the ground-truth joints of sequence 1 in place."""
-    scenario = replace(config_from_dict(SMALL_CFG).scenario, pose_count=3,
-                       frames_per_pose=4)
+def _sequences(root: Path, edit, count: int = 3, edited: int = 1) -> Path:
+    """A dataset of ``count`` 4-frame synthetic sequences; ``edit``
+    changes the ground-truth joints of sequence ``edited`` in place."""
+    scenario = replace(config_from_dict(SMALL_CFG).scenario,
+                       pose_count=count, frames_per_pose=4)
     seqs = []
     for i, (gt, kp) in enumerate(gen_poses(scenario)):
         joints = gt.joints.copy()
-        if i == 1:
+        if i == edited:
             edit(joints)
         seqs.append((kp, PoseSeq3D(joints)))
     save_dataset(root / "data", scenario.skeleton, scenario.camera, seqs)
@@ -990,9 +992,131 @@ def test_scoring_error_exit_1_names_sequence_and_frame(runner, tmp_path,
     # the frames of all sequences are scored as one stack; a frame that
     # cannot be aggregated, or aligned for P-MPJPE, is named by its
     # sequence and its index there, not by its index in the stack
-    data = _three_sequences(tmp_path, edit)
+    data = _sequences(tmp_path, edit)
     res = runner.invoke(main, ["infer", "--config", str(_write_cfg(tmp_path)),
                                "--data", str(data), "--oracle", "perfect",
                                "--out", str(tmp_path / "out")])
     _assert_clean_exit(res, 1, f"error: scoring sequence 1 (seq_0001): "
                                f"{message}\n")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_behind_camera,
+     "frame 2: every hypothesis is behind the camera for joint 5"),
+    (_collinear, "frame 3: prediction joints are collinear"),
+])
+def test_scoring_error_in_a_later_group_names_sequence_and_frame(
+        runner, tmp_path, monkeypatch, edit, message):
+    # four sequences of 4 frames in two groups of two: a frame of the
+    # second group's second sequence that cannot be aggregated, or
+    # aligned for P-MPJPE over all frames, is named by the sequence's
+    # index in the dataset and the frame's there. The first group's
+    # files stay in --out, and after a failed alignment every group's
+    monkeypatch.setattr(cli, "FRAMES_PER_GROUP", 5)
+    data = _sequences(tmp_path, edit, count=4, edited=3)
+    assert cli._groups(load_dataset(data)) == [range(0, 2), range(2, 4)]
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["infer", "--config", str(_write_cfg(tmp_path)),
+                               "--data", str(data), "--oracle", "perfect",
+                               "--out", str(out)])
+    _assert_clean_exit(res, 1, f"error: scoring sequence 3 (seq_0003): "
+                               f"{message}\n")
+    written = {i for i in range(4)
+               if (out / "agg" / "avg" / f"seq_{i:04d}.jsonl").exists()}
+    assert written == ({0, 1} if edit is _behind_camera else {0, 1, 2, 3})
+    assert (out / "hyp" / "seq_0001" / "h_003.jsonl").exists()
+    assert not (out / "metrics.csv").exists()
+
+
+def test_sampling_error_in_a_later_group_names_sequence(runner, tmp_path,
+                                                        monkeypatch):
+    # three sequences of 2 frames in groups of two and one: the third
+    # sequence's denoiser fails, and the error names it by its index in
+    # the dataset; the first group's files stay in --out
+    cfg, data = _gen(runner, tmp_path)
+    monkeypatch.setattr(cli, "FRAMES_PER_GROUP", 3)
+    assert cli._groups(load_dataset(data)) == [range(0, 2), range(2, 3)]
+
+    def denoisers(cfg, ds, checkpoint, oracle):
+        return [PerfectOracle(ds.sequences[0].gt),
+                PerfectOracle(ds.sequences[1].gt), _NanStub()]
+    monkeypatch.setattr(cli, "_denoisers", denoisers)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["infer", "--config", str(cfg), "--data",
+                               str(data), "--oracle", "perfect", "--out",
+                               str(out)])
+    _assert_clean_exit(res, 1, "error: sampling sequence 2 (seq_0002): "
+                               "step t=40: hypothesis 2: clean estimate is "
+                               "not finite")
+    assert (out / "agg" / "jpma" / "seq_0001.jsonl").exists()
+    assert (out / "hyp" / "seq_0001" / "h_003.jsonl").exists()
+    assert not (out / "hyp" / "seq_0002").exists()
+    assert not (out / "agg" / "jpma" / "seq_0002.jsonl").exists()
+
+
+def _tree(root: Path) -> dict[Path, bytes]:
+    """Every file under ``root`` by its relative path, with ``root``
+    itself written as OUT in the config copy and the run manifest."""
+    tree = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name in ("config.json", "run_manifest.json"):
+            data = data.replace(str(root).encode(), b"OUT")
+        tree[path.relative_to(root)] = data
+    return tree
+
+
+@pytest.mark.parametrize("save", ["--save-hypotheses", "--no-save-hypotheses"])
+@pytest.mark.parametrize("flip", ["none", "diffusion"])
+@pytest.mark.parametrize("source", ["oracle", "checkpoint"])
+def test_infer_files_do_not_depend_on_groups(runner, tmp_path, small_run,
+                                             monkeypatch, source, flip, save):
+    # one group per sequence, groups of two and one, and one group for
+    # the whole dataset write the same files, byte for byte, bar the
+    # --out path inside config.json and run_manifest.json
+    cfg, data, ckpt = small_run
+    den = (["--oracle", "noisy"] if source == "oracle"
+           else ["--checkpoint", str(ckpt)])
+    trees = []
+    for size, groups in ((1, 3), (3, 2), (10 ** 9, 1)):
+        monkeypatch.setattr(cli, "FRAMES_PER_GROUP", size)
+        assert len(cli._groups(load_dataset(data))) == groups
+        out = tmp_path / f"groups_{size}"
+        res = runner.invoke(main, [
+            "infer", "--config", str(cfg), "--data", str(data), *den,
+            "--flip", flip, save, "--aggregator", "avg,jpma,ppma,pbest,jbest",
+            "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        trees.append(_tree(out))
+    assert (Path("hyp") / "seq_0002" / "h_003.jsonl" in trees[0]) == (
+        save == "--save-hypotheses")
+    assert trees[0] == trees[1] == trees[2]
+
+
+def test_infer_holds_one_group_of_hypotheses_at_a_time(runner, tmp_path,
+                                                      monkeypatch):
+    # four sequences of 4 frames, each its own group: with the cyclic
+    # collector off, each group's hypotheses are gone before the next
+    # group's set is made, so infer never holds more of them than one
+    # group's
+    data = _sequences(tmp_path, lambda joints: None, count=4)
+    monkeypatch.setattr(cli, "FRAMES_PER_GROUP", 4, raising=False)
+    made, held = [], []
+
+    class Recorded(cli.SharedCostSet):
+        def __init__(self, poses):
+            super().__init__(poses)
+            made.append(weakref.ref(self))
+            held.append(sum(s.poses.nbytes for s in (r() for r in made)
+                            if s is not None))
+    monkeypatch.setattr(cli, "SharedCostSet", Recorded)
+    gc.disable()
+    try:
+        res = runner.invoke(main, [
+            "infer", "--config", str(_write_cfg(tmp_path)), "--data",
+            str(data), "--oracle", "noisy", "--out", str(tmp_path / "out")])
+    finally:
+        gc.enable()
+    assert res.exit_code == 0, res.output
+    one_group = 4 * 4 * DEFAULT_SKELETON.num_joints * 3 * 8  # H=4, 4 frames
+    assert held == [one_group] * 4

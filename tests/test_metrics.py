@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -304,6 +306,30 @@ def test_compute_metrics_respects_options():
     loose = compute_metrics(pred, gt, with_scale=True)
     assert loose.pmpjpe_mm < 1e-9
     assert strict.pmpjpe_mm > 1.0
+
+
+@pytest.mark.parametrize("with_scale", [True, False])
+def test_compute_metrics_holds_at_most_three_pose_arrays(with_scale):
+    # numpy's buffers are traced: with the ground truth's half of the
+    # alignment made beforehand, as every scoring but a sequence's first
+    # finds it, one call over 1024 frames peaks below three (F, J, 3)
+    # float64 arrays, so P-MPJPE scales, rotates and shifts the
+    # prediction in its own two buffers and no joint errors wait through
+    # it
+    rng = np.random.default_rng(12)
+    gt = GroundTruth(random_pose(rng, frames=1024, joints=17).joints)
+    pred = _perturb(gt, rng, 30.0)
+    want = compute_metrics(pred, PoseSeq3D(gt.joints), with_scale=with_scale)
+    assert gt._target is not None
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = compute_metrics(pred, gt, with_scale=with_scale)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 3 * pred.joints.nbytes
 
 
 def _errors_on_thresholds() -> tuple[PoseSeq3D, PoseSeq3D, np.ndarray]:

@@ -306,6 +306,36 @@ def test_sampling_allocates_nothing_state_sized_but_its_buffers(monkeypatch):
     assert peak < 4 * state + scratch + state // 2
 
 
+def test_flip_once_peaks_no_higher_than_diffusion(monkeypatch):
+    # numpy's buffers are traced: the second chain of flip mode once
+    # writes into a third array, as the flipped query of diffusion reads
+    # one, and its flip goes into the state, so once holds no more
+    # state-sized arrays than diffusion; the allowance is for Python's
+    # own small objects, far below one state array
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
+    h, n, j = 8, 128, DEFAULT_SKELETON.num_joints
+    _, x = gen_poses(ScenarioConfig(pose_count=1, frames_per_pose=n,
+                                    seed=2))[0]
+    params = init_params(j)
+    sched = make_cosine_schedule(50)
+    peaks = {}
+    for mode in (FlipMode.DIFFUSION, FlipMode.ONCE):
+        cfg = SamplerConfig(hypotheses=h, iterations=4, seed=3,
+                            flip_mode=mode)
+        run_sampler(x, MlpDenoiser(params, 50), cfg, sched, DEFAULT_SKELETON,
+                    1000.0)
+        den = MlpDenoiser(params, 50)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_sampler(x, den, cfg, sched, DEFAULT_SKELETON, 1000.0)
+            peaks[mode] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    state = h * n * j * 3 * 8
+    assert peaks[FlipMode.ONCE] <= peaks[FlipMode.DIFFUSION] + state // 64
+
+
 def test_perfect_oracle_collapses_immediately():
     sched = make_cosine_schedule(100)
     gt, x = _setup(6)

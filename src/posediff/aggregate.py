@@ -81,9 +81,12 @@ class SharedCostSet(HypothesisSet):
         object.__setattr__(self, "_costs", {})
 
     def first(self, h: int) -> "SharedCostSet":
-        """The first ``h`` hypotheses, sharing this set's costs."""
+        """The first ``h`` hypotheses, sharing this set's costs: the set
+        itself at its full count."""
         if not 1 <= h <= self.count:
             raise ValueError(f"first {h} of {self.count} hypotheses")
+        if h == self.count:
+            return self
         prefix = SharedCostSet(self.poses[:h])
         object.__setattr__(prefix, "_whole", self._whole_set())
         object.__setattr__(prefix, "_costs", self._costs)

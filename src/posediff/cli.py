@@ -13,7 +13,6 @@ other pipeline error.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import itertools
@@ -37,7 +36,7 @@ from .denoise import (ContractiveOracle, Denoiser, MlpDenoiser, NoisyOracle,
 from .errors import (AggregationError, ConfigError, DegenerateAlignmentError,
                      MissingGroundTruthError, NumericError, PoseDiffError,
                      TrainingDivergedError)
-from .metrics import GroundTruth, MetricReport, compute_metrics
+from .metrics import GroundTruth, MetricReport, frame_errors, pool_metrics
 from .poseio import load_poses, save_poses
 from .render import render_sequence
 from .rng import serve_repeats, stream_id
@@ -47,7 +46,7 @@ from .synth import DEFAULT_CAMERA, gen_poses
 
 DEFAULT_AGGREGATORS = "avg,jpma,ppma"
 CSV_COLUMNS = ("method", "H", "K", *(f.name for f in fields(MetricReport)))
-# ``infer`` samples, aggregates and writes the dataset's sequences a
+# ``infer`` and ``bench`` sample and score the dataset's sequences a
 # group at a time: consecutive sequences, the group closing once it
 # holds at least this many frames, so no sequence is split. The
 # hypotheses held stay near this many frames whatever the dataset's
@@ -290,13 +289,61 @@ def _stacked_inputs(ds: Dataset,
     return x, gt
 
 
-@contextlib.contextmanager
-def _naming_frames(ds: Dataset, group: range):
-    """Re-raise an aggregation or alignment error in one of the stacked
-    frames of the sequences ``group`` naming its sequence, by its index
-    in the dataset, and the frame within it."""
+def _write_group(ds: Dataset, root: Path, save_hypotheses: bool,
+                 group: range, hs: HypothesisSet,
+                 reports: dict[str, AggregationReport]) -> None:
+    """Write ``infer``'s files of the sequences ``group``: each
+    hypothesis of ``hs`` with ``save_hypotheses``, and each method's
+    poses, with its meta.json at the first group. The files are per
+    sequence: each takes its frames of the stack."""
+    slices = _frame_slices(ds, group)
+    if save_hypotheses:
+        for i, frames in zip(group, slices):
+            hyp_dir = root / "hyp" / ds.sequences[i].name
+            hyp_dir.mkdir(parents=True, exist_ok=True)
+            for h in range(hs.count):
+                save_poses(PoseSeq3D(hs.poses[h, frames]),
+                           hyp_dir / f"h_{h:03d}.jsonl")
+    for m, report in reports.items():
+        agg_dir = root / "agg" / m
+        agg_dir.mkdir(parents=True, exist_ok=True)
+        for i, frames in zip(group, slices):
+            save_poses(PoseSeq3D(report.pose.joints[frames]),
+                       agg_dir / f"{ds.sequences[i].name}.jsonl")
+        if group.start == 0:
+            (agg_dir / "meta.json").write_text(json.dumps(
+                {"method": m, "feasible_in_production": report.feasible},
+                indent=2, sort_keys=True) + "\n")
+
+
+def _score_group(kcfgs: list[RunConfig], hs_values: list[int], ds: Dataset,
+                 denoisers: list[Denoiser], group: range, methods: list[str],
+                 write) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
+    """Sample the sequences ``group`` once per K of ``kcfgs``, which are
+    at the largest of ``hs_values``, and aggregate each (H, K) cell's
+    first H hypotheses, H outer and K inner, once with each method over
+    the group's stacked frames; ``write``, if given, takes each cell's
+    set and reports. Returns (H, K, method) -> its ``frame_errors``
+    over those frames, nothing without ground truth. An error in one
+    frame names its sequence, by its index in the dataset, and the frame
+    within it."""
+    sampled = _sample_all(kcfgs, ds, denoisers, group)
+    x, gt = _stacked_inputs(ds, group)
+    parts = {}
     try:
-        yield
+        for h in hs_values:
+            for kcfg, hs in zip(kcfgs, sampled):
+                cell = hs.first(h)
+                reports = {m: run_aggregator(m, cell, x=x, cam=ds.camera,
+                                             gt=gt) for m in methods}
+                if write is not None:
+                    write(group, cell, reports)
+                if gt is None:
+                    continue
+                for m, report in reports.items():
+                    parts[h, kcfg.sampler.iterations, m] = frame_errors(
+                        report.pose, gt,
+                        with_scale=kcfg.metrics.pmpjpe_scale)
     except (AggregationError, DegenerateAlignmentError) as exc:
         if exc.frame is None:
             raise
@@ -306,68 +353,25 @@ def _naming_frames(ds: Dataset, group: range):
         raise type(exc)(exc.reason, frame=exc.frame - frames.start,
                         context=f"scoring sequence {i} "
                                 f"({ds.sequences[i].name})") from exc
+    return parts
 
 
-def _score(ds: Dataset, group: range, hs: HypothesisSet, methods: list[str],
-           x: PoseSeq2D,
-           gt: GroundTruth | None) -> dict[str, AggregationReport]:
-    """Aggregate ``hs``, the stacked frames of the sequences ``group``,
-    once with each method, against ``_stacked_inputs(ds, group)``. Every
-    method works frame by frame, so this equals one call per sequence,
-    bitwise. Returns method -> its AggregationReport over those frames.
-    An error in one frame names its sequence and the frame within it."""
-    with _naming_frames(ds, group):
-        return {m: run_aggregator(m, hs, x=x, cam=ds.camera, gt=gt)
-                for m in methods}
-
-
-def _metric_rows(cfg: RunConfig, ds: Dataset, hypotheses: int,
-                 poses: dict[str, PoseSeq3D], gt: GroundTruth) -> list[dict]:
-    """One metric row per method of ``poses``, its estimates over every
-    frame of the dataset, stacked in sequence order, against their
-    ground truth ``gt``. An error in one frame names its sequence and
-    the frame within it."""
-    with _naming_frames(ds, range(len(ds.sequences))):
-        pooled = {m: compute_metrics(pose, gt,
-                                     with_scale=cfg.metrics.pmpjpe_scale)
-                  for m, pose in poses.items()}
-    return [{"method": m, "H": hypotheses, "K": cfg.sampler.iterations,
-             **{name: repr(value) for name, value in asdict(report).items()}}
-            for m, report in pooled.items()]
-
-
-def _infer_group(cfg: RunConfig, ds: Dataset, denoisers: list[Denoiser],
-                 group: range, methods: list[str], root: Path,
-                 save_hypotheses: bool,
-                 pooled: dict[str, np.ndarray]) -> None:
-    """Sample and aggregate the sequences ``group`` and write their
-    files: each hypothesis with ``save_hypotheses``, and each method's
-    poses, with its meta.json at the first group. ``pooled`` maps a
-    method to the group's frames of an array over the dataset's, which
-    receive its poses; it is empty without ground truth."""
-    (hs,) = _sample_all([cfg], ds, denoisers, group)
-    reports = _score(ds, group, hs, methods, *_stacked_inputs(ds, group))
-    # The files are per sequence: each takes its frames of the stack.
-    slices = _frame_slices(ds, group)
-    if save_hypotheses:
-        for i, frames in zip(group, slices):
-            hyp_dir = root / "hyp" / ds.sequences[i].name
-            hyp_dir.mkdir(parents=True, exist_ok=True)
-            for h in range(hs.count):
-                save_poses(PoseSeq3D(hs.poses[h, frames]),
-                           hyp_dir / f"h_{h:03d}.jsonl")
-    for m in methods:
-        agg_dir = root / "agg" / m
-        agg_dir.mkdir(parents=True, exist_ok=True)
-        for i, frames in zip(group, slices):
-            save_poses(PoseSeq3D(reports[m].pose.joints[frames]),
-                       agg_dir / f"{ds.sequences[i].name}.jsonl")
-        if group.start == 0:
-            (agg_dir / "meta.json").write_text(json.dumps(
-                {"method": m, "feasible_in_production": reports[m].feasible},
-                indent=2, sort_keys=True) + "\n")
-        if m in pooled:
-            pooled[m][...] = reports[m].pose.joints
+def _scored_rows(kcfgs: list[RunConfig], hs_values: list[int], ds: Dataset,
+                 denoisers: list[Denoiser], methods: list[str],
+                 write=None) -> list[dict]:
+    """``_score_group`` over each group of ``ds`` in turn, so that one
+    group's hypotheses are held at a time, and one metric row per (H, K,
+    method), in that order, pooling its frame errors over every frame
+    of the dataset; no rows without ground truth."""
+    parts = {}
+    for group in _groups(ds):
+        for key, part in _score_group(kcfgs, hs_values, ds, denoisers, group,
+                                      methods, write).items():
+            parts.setdefault(key, []).append(part)
+    return [{"method": m, "H": h, "K": k,
+             **{name: repr(value)
+                for name, value in asdict(pool_metrics(pieces)).items()}}
+            for (h, k, m), pieces in parts.items()]
 
 
 def _write_metric_rows(path: Path, rows: list[dict]) -> None:
@@ -461,23 +465,10 @@ def infer(config_path, seed, out_dir, data_dir, checkpoint, oracle,
 
     # One group of sequences at a time is sampled, aggregated and
     # written, so the hypotheses held stay near FRAMES_PER_GROUP frames.
-    # The metrics pool each method's poses over all frames.
-    everything = range(len(ds.sequences))
-    slices = _frame_slices(ds, everything)
-    pooled = {m: np.empty((slices[-1].stop, ds.skeleton.num_joints, 3))
-              for m in methods} if ds.has_gt else {}
-    for group in _groups(ds):
-        frames = slice(slices[group[0]].start, slices[group[-1]].stop)
-        _infer_group(cfg, ds, denoisers, group, methods, root,
-                     save_hypotheses,
-                     {m: a[frames] for m, a in pooled.items()})
-
+    rows = _scored_rows([cfg], [cfg.sampler.hypotheses], ds, denoisers,
+                        methods, functools.partial(_write_group, ds, root,
+                                                   save_hypotheses))
     if ds.has_gt:
-        for poses in pooled.values():
-            poses.setflags(write=False)  # so PoseSeq3D takes it uncopied
-        rows = _metric_rows(cfg, ds, cfg.sampler.hypotheses,
-                            {m: PoseSeq3D(a) for m, a in pooled.items()},
-                            _stacked_inputs(ds, everything)[1])
         _write_metric_rows(root / "metrics.csv", rows)
         for row in rows:
             click.echo(f"{row['method']}: mpjpe "
@@ -540,21 +531,11 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     # One sample per K at the largest H serves every H: the sampler
     # gives H=h as the first h hypotheses of any larger H, bitwise, and
     # each H's aggregators read the first h rows of that sample's
-    # costs. Every K is sampled before the first is scored, so that a
-    # sequence draws the noise its K share once: every K's hypotheses
-    # are alive at once.
-    h_max = max(hs_values)
-    kcfgs = [apply_overrides(cfg, hypotheses=h_max, iterations=k)
+    # costs. A group samples every K before the first is scored, so
+    # that a sequence draws the noise its K share once.
+    kcfgs = [apply_overrides(cfg, hypotheses=max(hs_values), iterations=k)
              for k in ks_values]
-    everything = range(len(ds.sequences))
-    sampled = _sample_all(kcfgs, ds, denoisers, everything)
-    x, gt = _stacked_inputs(ds, everything)
-    # one cell's reports are alive at a time
-    rows = [row for h in hs_values for kcfg, hs in zip(kcfgs, sampled)
-            for row in _metric_rows(kcfg, ds, h, {
-                m: report.pose for m, report in _score(
-                    ds, everything, hs.first(h), methods, x, gt).items()},
-                gt)]
+    rows = _scored_rows(kcfgs, hs_values, ds, denoisers, methods)
     _write_metric_rows(root / "bench.csv", rows)
     _write_config_copy(root, cfg)
     _write_manifest(root, "bench", cfg, data=str(data_dir),

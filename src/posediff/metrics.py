@@ -163,11 +163,7 @@ def align_frame(pred: np.ndarray, gt: np.ndarray | GroundTruth, *,
 
 def pmpjpe(pred: PoseSeq3D, gt: PoseSeq3D, *, with_scale: bool = True) -> float:
     """MPJPE after per-frame similarity alignment of pred onto gt."""
-    p, g = _paired(pred, gt)
-    aligned = align_frame(p, gt if isinstance(gt, GroundTruth) else g,
-                          with_scale=with_scale)
-    aligned -= g
-    return float(np.linalg.norm(aligned, axis=-1).mean(axis=1).mean())
+    return float(frame_errors(pred, gt, with_scale=with_scale)[1].mean())
 
 
 def _below(errors: np.ndarray, thresholds) -> np.ndarray:
@@ -217,18 +213,38 @@ class MetricReport:
     auc: float
 
 
-def compute_metrics(pred: PoseSeq3D, gt: PoseSeq3D, *,
-                    with_scale: bool = True) -> MetricReport:
-    """The four metrics of ``pred`` against ``gt``, from one joint-error
-    array. A ``GroundTruth`` serves its half of P-MPJPE's alignment to
-    every call. P-MPJPE comes first, so that its alignment's arrays and
-    the joint errors are never alive at once."""
-    pmpjpe_mm = pmpjpe(pred, gt, with_scale=with_scale)
-    errors = joint_errors(pred, gt)
+def frame_errors(pred: PoseSeq3D, gt: PoseSeq3D, *,
+                 with_scale: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The per-frame part of the metrics of ``pred`` against ``gt``: the
+    (F, J) joint errors and each frame's P-MPJPE, (F,). A
+    ``GroundTruth`` serves its half of P-MPJPE's alignment to every
+    call. The joint errors take the aligned frames' buffer once their
+    P-MPJPE is taken, so no third pose-sized array is made."""
+    p, g = _paired(pred, gt)
+    aligned = align_frame(p, gt if isinstance(gt, GroundTruth) else g,
+                          with_scale=with_scale)
+    aligned -= g
+    frame_pmpjpe = np.linalg.norm(aligned, axis=-1).mean(axis=1)
+    return (np.linalg.norm(np.subtract(p, g, out=aligned), axis=-1),
+            frame_pmpjpe)
+
+
+def pool_metrics(parts: list[tuple[np.ndarray, np.ndarray]]) -> MetricReport:
+    """The four metrics over every frame of ``parts``, ``frame_errors``
+    results in frame order: bitwise those of one call over all the
+    frames."""
+    errors = np.concatenate([e for e, _ in parts])
     below = _below(errors, _THRESHOLDS)
     return MetricReport(
         mpjpe_mm=float(errors.mean()),
-        pmpjpe_mm=pmpjpe_mm,
+        pmpjpe_mm=float(np.concatenate([p for _, p in parts]).mean()),
         pck150=float(below[-1]),
         auc=_auc(errors, below[:-1]),
     )
+
+
+def compute_metrics(pred: PoseSeq3D, gt: PoseSeq3D, *,
+                    with_scale: bool = True) -> MetricReport:
+    """The four metrics of ``pred`` against ``gt``, from one joint-error
+    array."""
+    return pool_metrics([frame_errors(pred, gt, with_scale=with_scale)])

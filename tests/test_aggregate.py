@@ -358,6 +358,8 @@ def test_shared_cost_set_prefix_rules():
     shared = SharedCostSet(np.full((3, 1, 3, 3), 100.0))
     assert shared.first(3).count == 3
     assert np.array_equal(shared.first(2).poses, shared.poses[:2])
+    # at its full count a set is its own prefix: no second set is made
+    assert shared.first(3) is shared
     for h in (0, 4, -1):
         with pytest.raises(ValueError):
             shared.first(h)

@@ -1,5 +1,6 @@
 import csv
 import gc
+import importlib
 import json
 import shutil
 import weakref
@@ -10,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from posediff.camera import camera_to_dict
 from posediff.cli import main
 from posediff.config import config_from_dict, config_sha256
-from posediff.core import DEFAULT_SKELETON, PoseSeq3D, skeleton_to_dict
+from posediff.core import (DEFAULT_SKELETON, PoseSeq2D, PoseSeq3D,
+                           skeleton_to_dict)
 from posediff.dataset import load_dataset, save_dataset
 from posediff.poseio import load_poses, save_poses
 from posediff.rng import RngStream, stream_id
@@ -1009,9 +1012,10 @@ def test_scoring_error_in_a_later_group_names_sequence_and_frame(
         runner, tmp_path, monkeypatch, edit, message):
     # four sequences of 4 frames in two groups of two: a frame of the
     # second group's second sequence that cannot be aggregated, or
-    # aligned for P-MPJPE over all frames, is named by the sequence's
-    # index in the dataset and the frame's there. The first group's
-    # files stay in --out, and after a failed alignment every group's
+    # aligned for P-MPJPE, is named by the sequence's index in the
+    # dataset and the frame's there. The first group's files stay in
+    # --out; a group's files are written before its frames are aligned,
+    # so after a failed alignment the failing group's stay too
     monkeypatch.setattr(cli, "FRAMES_PER_GROUP", 5)
     data = _sequences(tmp_path, edit, count=4, edited=3)
     assert cli._groups(load_dataset(data)) == [range(0, 2), range(2, 4)]
@@ -1026,6 +1030,50 @@ def test_scoring_error_in_a_later_group_names_sequence_and_frame(
     assert written == ({0, 1} if edit is _behind_camera else {0, 1, 2, 3})
     assert (out / "hyp" / "seq_0001" / "h_003.jsonl").exists()
     assert not (out / "metrics.csv").exists()
+
+
+def test_alignment_error_in_the_first_group_stops_the_run(runner, tmp_path,
+                                                         monkeypatch):
+    # a frame of the first group that cannot be aligned for P-MPJPE
+    # stops the run before the second group is sampled: the first
+    # group's files stay, and no later group's, nor metrics.csv, are
+    # written
+    monkeypatch.setattr(cli, "FRAMES_PER_GROUP", 5)
+    data = _sequences(tmp_path, _collinear, count=4, edited=1)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["infer", "--config", str(_write_cfg(tmp_path)),
+                               "--data", str(data), "--oracle", "perfect",
+                               "--out", str(out)])
+    _assert_clean_exit(res, 1, "error: scoring sequence 1 (seq_0001): "
+                               "frame 3: prediction joints are collinear\n")
+    for m in ("avg", "jpma", "ppma"):
+        written = {i for i in range(4)
+                   if (out / "agg" / m / f"seq_{i:04d}.jsonl").exists()}
+        assert written == {0, 1}, m
+    assert not (out / "hyp" / "seq_0002").exists()
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_behind_camera,
+     "frame 2: every hypothesis is behind the camera for joint 5"),
+    (_collinear, "frame 3: prediction joints are collinear"),
+])
+def test_bench_scoring_error_in_a_later_group_names_sequence_and_frame(
+        runner, tmp_path, monkeypatch, edit, message):
+    # bench scores group by group as infer does: the error names the
+    # sequence by its index in the dataset and the frame's there, and no
+    # bench.csv is written
+    monkeypatch.setattr(cli, "FRAMES_PER_GROUP", 5)
+    data = _sequences(tmp_path, edit, count=4, edited=3)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["bench", "--config", str(_write_cfg(tmp_path)),
+                               "--data", str(data), "--oracle", "perfect",
+                               "--hypotheses", "1,2", "--iterations", "2,3",
+                               "--out", str(out)])
+    _assert_clean_exit(res, 1, f"error: scoring sequence 3 (seq_0003): "
+                               f"{message}\n")
+    assert not (out / "bench.csv").exists()
 
 
 def test_sampling_error_in_a_later_group_names_sequence(runner, tmp_path,
@@ -1066,6 +1114,22 @@ def _tree(root: Path) -> dict[Path, bytes]:
     return tree
 
 
+def _trees_at_group_sizes(runner, tmp_path, monkeypatch, data,
+                          args) -> list[dict[Path, bytes]]:
+    """The files of ``args`` run with one group per sequence, groups of
+    two and one, and one group for the whole three-sequence dataset
+    ``data``, each under its own --out."""
+    trees = []
+    for size, groups in ((1, 3), (3, 2), (10 ** 9, 1)):
+        monkeypatch.setattr(cli, "FRAMES_PER_GROUP", size)
+        assert len(cli._groups(load_dataset(data))) == groups
+        out = tmp_path / f"groups_{size}"
+        res = runner.invoke(main, [*args, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        trees.append(_tree(out))
+    return trees
+
+
 @pytest.mark.parametrize("save", ["--save-hypotheses", "--no-save-hypotheses"])
 @pytest.mark.parametrize("flip", ["none", "diffusion"])
 @pytest.mark.parametrize("source", ["oracle", "checkpoint"])
@@ -1077,28 +1141,85 @@ def test_infer_files_do_not_depend_on_groups(runner, tmp_path, small_run,
     cfg, data, ckpt = small_run
     den = (["--oracle", "noisy"] if source == "oracle"
            else ["--checkpoint", str(ckpt)])
-    trees = []
-    for size, groups in ((1, 3), (3, 2), (10 ** 9, 1)):
-        monkeypatch.setattr(cli, "FRAMES_PER_GROUP", size)
-        assert len(cli._groups(load_dataset(data))) == groups
-        out = tmp_path / f"groups_{size}"
-        res = runner.invoke(main, [
-            "infer", "--config", str(cfg), "--data", str(data), *den,
-            "--flip", flip, save, "--aggregator", "avg,jpma,ppma,pbest,jbest",
-            "--out", str(out)])
-        assert res.exit_code == 0, res.output
-        trees.append(_tree(out))
+    trees = _trees_at_group_sizes(runner, tmp_path, monkeypatch, data, [
+        "infer", "--config", str(cfg), "--data", str(data), *den,
+        "--flip", flip, save, "--aggregator", "avg,jpma,ppma,pbest,jbest"])
     assert (Path("hyp") / "seq_0002" / "h_003.jsonl" in trees[0]) == (
         save == "--save-hypotheses")
     assert trees[0] == trees[1] == trees[2]
 
 
-def test_infer_holds_one_group_of_hypotheses_at_a_time(runner, tmp_path,
-                                                      monkeypatch):
-    # four sequences of 4 frames, each its own group: with the cyclic
-    # collector off, each group's hypotheses are gone before the next
-    # group's set is made, so infer never holds more of them than one
-    # group's
+@pytest.mark.parametrize("flip", ["none", "diffusion"])
+@pytest.mark.parametrize("source", ["oracle", "checkpoint"])
+def test_bench_csv_does_not_depend_on_groups(runner, tmp_path, small_run,
+                                             monkeypatch, source, flip):
+    # bench pools each row's frame errors over the groups: its bench.csv
+    # is the same, byte for byte, whatever the groups
+    cfg, data, ckpt = small_run
+    den = (["--oracle", "noisy"] if source == "oracle"
+           else ["--checkpoint", str(ckpt)])
+    trees = _trees_at_group_sizes(runner, tmp_path, monkeypatch, data, [
+        "bench", "--config", str(cfg), "--data", str(data), *den,
+        "--flip", flip, "--hypotheses", "3,1,4", "--iterations", "10,5",
+        "--aggregator", "avg,jpma,ppma,pbest,jbest"])
+    assert len(_read_rows(tmp_path / "groups_1" / "bench.csv")) == 30
+    assert trees[0] == trees[1] == trees[2]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(lengths=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       hypotheses=st.integers(1, 4), iterations=st.integers(1, 4),
+       flip=st.sampled_from(["none", "once", "diffusion"]),
+       source=st.sampled_from(["oracle", "checkpoint"]),
+       frames_per_group=st.integers(1, 12),
+       frames_per_chunk=st.integers(1, 40),
+       rows_per_block=st.integers(1, 30), workers=st.integers(1, 3))
+def test_outputs_do_not_depend_on_how_the_work_is_split(
+        small_run, tmp_path_factory, lengths, hypotheses, iterations, flip,
+        source, frames_per_group, frames_per_chunk, rows_per_block, workers):
+    # the groups of sequences, the chunks of hypotheses sampled apart,
+    # the workers that sample them and the MLP's blocks of rows change
+    # no byte of infer's files or of bench.csv, bar the --out path in
+    # config.json and run_manifest.json
+    cfg, _, ckpt = small_run
+    root = tmp_path_factory.mktemp("split")
+    scenario = replace(config_from_dict(SMALL_CFG).scenario,
+                       pose_count=len(lengths), frames_per_pose=max(lengths))
+    save_dataset(root / "data", scenario.skeleton, scenario.camera,
+                 [(PoseSeq2D(kp.joints[:n]), PoseSeq3D(gt.joints[:n]))
+                  for (gt, kp), n in zip(gen_poses(scenario), lengths)])
+    common = ["--config", str(cfg), "--data", str(root / "data"), "--flip",
+              flip, "--aggregator", "avg,jpma,ppma,pbest,jbest",
+              *(["--oracle", "noisy"] if source == "oracle"
+                else ["--checkpoint", str(ckpt)])]
+    commands = {
+        "infer": ["infer", *common, "--hypotheses", str(hypotheses),
+                  "--iterations", str(iterations)],
+        "bench": ["bench", *common,
+                  "--hypotheses", ",".join(map(str, sorted({1, hypotheses}))),
+                  "--iterations", f"{iterations},{iterations + 1}"]}
+    runner = CliRunner()
+
+    def tree(name, args):
+        out = root / name
+        res = runner.invoke(main, [*args, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        return _tree(out)
+    for command, args in commands.items():
+        want = tree(f"{command}_defaults", args)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cli, "FRAMES_PER_GROUP", frames_per_group)
+            m.setattr(sampler, "FRAMES_PER_CHUNK", frames_per_chunk)
+            m.setattr(sampler, "_usable_cpus", lambda: workers)
+            m.setattr(importlib.import_module("posediff.denoise"),
+                      "ROWS_PER_BLOCK", rows_per_block)
+            assert tree(f"{command}_split", args) == want, command
+
+
+def _held_hypotheses(runner, tmp_path, monkeypatch, args) -> list[int]:
+    """Run ``args`` on four sequences of 4 frames, each its own group,
+    with the cyclic collector off; as each sampled set is made, the
+    bytes of hypotheses held by every set still alive."""
     data = _sequences(tmp_path, lambda joints: None, count=4)
     monkeypatch.setattr(cli, "FRAMES_PER_GROUP", 4, raising=False)
     made, held = [], []
@@ -1113,10 +1234,29 @@ def test_infer_holds_one_group_of_hypotheses_at_a_time(runner, tmp_path,
     gc.disable()
     try:
         res = runner.invoke(main, [
-            "infer", "--config", str(_write_cfg(tmp_path)), "--data",
+            *args, "--config", str(_write_cfg(tmp_path)), "--data",
             str(data), "--oracle", "noisy", "--out", str(tmp_path / "out")])
     finally:
         gc.enable()
     assert res.exit_code == 0, res.output
+    return held
+
+
+def test_infer_holds_one_group_of_hypotheses_at_a_time(runner, tmp_path,
+                                                      monkeypatch):
+    # each group's hypotheses are gone before the next group's set is
+    # made, so infer never holds more of them than one group's
+    held = _held_hypotheses(runner, tmp_path, monkeypatch, ["infer"])
     one_group = 4 * 4 * DEFAULT_SKELETON.num_joints * 3 * 8  # H=4, 4 frames
     assert held == [one_group] * 4
+
+
+def test_bench_holds_one_group_of_hypotheses_at_a_time(runner, tmp_path,
+                                                      monkeypatch):
+    # bench samples each group once per K, at the largest H: each K's
+    # set holds the group's frames, and is gone before the next group's
+    # first set is made
+    held = _held_hypotheses(runner, tmp_path, monkeypatch, [
+        "bench", "--hypotheses", "1,3", "--iterations", "2,3"])
+    one_group = 3 * 4 * DEFAULT_SKELETON.num_joints * 3 * 8  # H=3, 4 frames
+    assert held == [one_group, 2 * one_group] * 4

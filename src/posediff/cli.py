@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import json
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -210,55 +209,50 @@ def _denoisers(cfg: RunConfig, ds: Dataset, checkpoint: str | None,
     return dens
 
 
-def _groups(ds: Dataset) -> list[range]:
-    """The dataset's sequences in groups of consecutive indices, in
-    order: a group closes once it holds at least ``FRAMES_PER_GROUP``
-    frames, and the last one holds the rest."""
-    groups, start, frames = [], 0, 0
+def _groups(ds: Dataset) -> list[list[tuple[int, slice]]]:
+    """The dataset's sequences in groups of consecutive ones, in order:
+    a group closes once it holds at least ``FRAMES_PER_GROUP`` frames,
+    and the last one holds the rest. A group is the (index in the
+    dataset, frames) pair of each of its sequences, the frames being
+    where the sequence sits among the group's frames, stacked in
+    sequence order."""
+    groups, group, frames = [], [], 0
     for i, seq in enumerate(ds.sequences):
+        group.append((i, slice(frames, frames + seq.num_frames)))
         frames += seq.num_frames
         if frames >= FRAMES_PER_GROUP:
-            groups.append(range(start, i + 1))
-            start, frames = i + 1, 0
-    if start < len(ds.sequences):
-        groups.append(range(start, len(ds.sequences)))
+            groups.append(group)
+            group, frames = [], 0
+    if group:
+        groups.append(group)
     return groups
 
 
-def _frame_slices(ds: Dataset, group: range) -> list[slice]:
-    """Where the frames of each sequence of ``group`` sit among the
-    group's frames, stacked in sequence order."""
-    seqs = [ds.sequences[i] for i in group]
-    ends = itertools.accumulate(seq.num_frames for seq in seqs)
-    return [slice(end - seq.num_frames, end) for seq, end in zip(seqs, ends)]
-
-
-def _sample_all(cfgs: list[RunConfig], ds: Dataset,
-                denoisers: list[Denoiser],
-                group: range) -> list[SharedCostSet]:
-    """Sample every sequence of ``group`` at each of ``cfgs``, which
-    differ at most in H and K, each sequence with its own seed: one
-    read-only (H, frames, J, 3) set per config over the group's frames,
-    stacked in sequence order (see ``_frame_slices``); each sequence is
-    sampled straight into its frames of the stack. A sequence's seed,
-    its denoiser and the errors that name it follow its index in the
-    dataset. Flips mirror with the dataset's skeleton and about its
-    camera's principal point, which made the keypoints.
+def _sample_all(cfg: RunConfig, hs_values: list[int], ks_values: list[int],
+                ds: Dataset, denoisers: list[Denoiser],
+                group: list[tuple[int, slice]]) -> list[SharedCostSet]:
+    """Sample every sequence of ``group`` at the largest of
+    ``hs_values`` once per K of ``ks_values``, each sequence with its
+    own seed: one read-only (H, frames, J, 3) set per K over the group's
+    frames, each sequence sampled straight into its frames of the stack.
+    A sequence's seed, its denoiser and the errors that name it follow
+    its index in the dataset. Flips mirror with the dataset's skeleton
+    and about its camera's principal point, which made the keypoints.
 
     A sequence's chains run one after another in one ``serve_repeats``
     scope, and every chain but the last holds its draws: a noise key
     that two ladders share, as K=5's and K=10's share K=5's, is drawn
-    once per sequence, in any order of ``cfgs``."""
-    sched = make_cosine_schedule(cfgs[0].t_max)
-    slices = _frame_slices(ds, group)
-    poses = [np.empty((cfg.sampler.hypotheses, slices[-1].stop,
-                       ds.skeleton.num_joints, 3)) for cfg in cfgs]
-    for i, frames in zip(group, slices):
+    once per sequence, in any order of ``ks_values``."""
+    sched = make_cosine_schedule(cfg.t_max)
+    h = max(hs_values)
+    poses = [np.empty((h, group[-1][1].stop, ds.skeleton.num_joints, 3))
+             for _ in ks_values]
+    for i, frames in group:
         seq = ds.sequences[i]
         with serve_repeats() as served:
-            for j, cfg in enumerate(cfgs):
-                served.keep = j + 1 < len(cfgs)
-                scfg = replace(cfg.sampler,
+            for j, k in enumerate(ks_values):
+                served.keep = j + 1 < len(ks_values)
+                scfg = replace(cfg.sampler, hypotheses=h, iterations=k,
                                seed=stream_id("sequence", cfg.seed, i))
                 try:
                     run_sampler(seq.keypoints, denoisers[i], scfg, sched,
@@ -273,32 +267,15 @@ def _sample_all(cfgs: list[RunConfig], ds: Dataset,
     return [SharedCostSet(stack) for stack in poses]
 
 
-def _stacked_inputs(ds: Dataset,
-                    group: range) -> tuple[PoseSeq2D, GroundTruth | None]:
-    """The keypoints and ground truth (None without) of the sequences
-    ``group`` over their stacked frames. The ground truth computes its
-    half of P-MPJPE's alignment once, for every scoring against it."""
-    def stacked(arrays):
-        a = np.concatenate(arrays)
-        a.setflags(write=False)  # fresh, so the wrapper takes it uncopied
-        return a
-    seqs = [ds.sequences[i] for i in group]
-    x = PoseSeq2D(stacked([s.keypoints.joints for s in seqs]))
-    gt = (GroundTruth(stacked([s.gt.joints for s in seqs]))
-          if ds.has_gt else None)
-    return x, gt
-
-
 def _write_group(ds: Dataset, root: Path, save_hypotheses: bool,
-                 group: range, hs: HypothesisSet,
+                 group: list[tuple[int, slice]], hs: HypothesisSet,
                  reports: dict[str, AggregationReport]) -> None:
-    """Write ``infer``'s files of the sequences ``group``: each
+    """Write ``infer``'s files of the sequences of ``group``: each
     hypothesis of ``hs`` with ``save_hypotheses``, and each method's
     poses, with its meta.json at the first group. The files are per
     sequence: each takes its frames of the stack."""
-    slices = _frame_slices(ds, group)
     if save_hypotheses:
-        for i, frames in zip(group, slices):
+        for i, frames in group:
             hyp_dir = root / "hyp" / ds.sequences[i].name
             hyp_dir.mkdir(parents=True, exist_ok=True)
             for h in range(hs.count):
@@ -307,32 +284,42 @@ def _write_group(ds: Dataset, root: Path, save_hypotheses: bool,
     for m, report in reports.items():
         agg_dir = root / "agg" / m
         agg_dir.mkdir(parents=True, exist_ok=True)
-        for i, frames in zip(group, slices):
+        for i, frames in group:
             save_poses(PoseSeq3D(report.pose.joints[frames]),
                        agg_dir / f"{ds.sequences[i].name}.jsonl")
-        if group.start == 0:
+        if group[0][0] == 0:
             (agg_dir / "meta.json").write_text(json.dumps(
                 {"method": m, "feasible_in_production": report.feasible},
                 indent=2, sort_keys=True) + "\n")
 
 
-def _score_group(kcfgs: list[RunConfig], hs_values: list[int], ds: Dataset,
-                 denoisers: list[Denoiser], group: range, methods: list[str],
+def _score_group(cfg: RunConfig, hs_values: list[int], ks_values: list[int],
+                 ds: Dataset, denoisers: list[Denoiser],
+                 group: list[tuple[int, slice]], methods: list[str],
                  write) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
-    """Sample the sequences ``group`` once per K of ``kcfgs``, which are
-    at the largest of ``hs_values``, and aggregate each (H, K) cell's
-    first H hypotheses, H outer and K inner, once with each method over
-    the group's stacked frames; ``write``, if given, takes each cell's
-    set and reports. Returns (H, K, method) -> its ``frame_errors``
-    over those frames, nothing without ground truth. An error in one
-    frame names its sequence, by its index in the dataset, and the frame
-    within it."""
-    sampled = _sample_all(kcfgs, ds, denoisers, group)
-    x, gt = _stacked_inputs(ds, group)
+    """Sample the sequences of ``group`` once per K of ``ks_values`` at
+    the largest of ``hs_values``, and aggregate each (H, K) cell's first
+    H hypotheses, H outer and K inner, once with each method over the
+    group's stacked frames, against the stacked keypoints and ground
+    truth, whose half of P-MPJPE's alignment is computed once;
+    ``write``, if given, takes each cell's set and reports. Returns (H,
+    K, method) -> its ``frame_errors`` over those frames, nothing
+    without ground truth. An error in one frame names its sequence, by
+    its index in the dataset, and the frame within it."""
+    sampled = _sample_all(cfg, hs_values, ks_values, ds, denoisers, group)
+
+    def stacked(arrays):
+        a = np.concatenate(arrays)
+        a.setflags(write=False)  # fresh, so the wrapper takes it uncopied
+        return a
+    seqs = [ds.sequences[i] for i, _ in group]
+    x = PoseSeq2D(stacked([s.keypoints.joints for s in seqs]))
+    gt = (GroundTruth(stacked([s.gt.joints for s in seqs]))
+          if ds.has_gt else None)
     parts = {}
     try:
         for h in hs_values:
-            for kcfg, hs in zip(kcfgs, sampled):
+            for k, hs in zip(ks_values, sampled):
                 cell = hs.first(h)
                 reports = {m: run_aggregator(m, cell, x=x, cam=ds.camera,
                                              gt=gt) for m in methods}
@@ -341,14 +328,12 @@ def _score_group(kcfgs: list[RunConfig], hs_values: list[int], ds: Dataset,
                 if gt is None:
                     continue
                 for m, report in reports.items():
-                    parts[h, kcfg.sampler.iterations, m] = frame_errors(
-                        report.pose, gt,
-                        with_scale=kcfg.metrics.pmpjpe_scale)
+                    parts[h, k, m] = frame_errors(
+                        report.pose, gt, with_scale=cfg.metrics.pmpjpe_scale)
     except (AggregationError, DegenerateAlignmentError) as exc:
         if exc.frame is None:
             raise
-        i, frames = next((i, frames)
-                         for i, frames in zip(group, _frame_slices(ds, group))
+        i, frames = next((i, frames) for i, frames in group
                          if exc.frame < frames.stop)
         raise type(exc)(exc.reason, frame=exc.frame - frames.start,
                         context=f"scoring sequence {i} "
@@ -356,8 +341,8 @@ def _score_group(kcfgs: list[RunConfig], hs_values: list[int], ds: Dataset,
     return parts
 
 
-def _scored_rows(kcfgs: list[RunConfig], hs_values: list[int], ds: Dataset,
-                 denoisers: list[Denoiser], methods: list[str],
+def _scored_rows(cfg: RunConfig, hs_values: list[int], ks_values: list[int],
+                 ds: Dataset, denoisers: list[Denoiser], methods: list[str],
                  write=None) -> list[dict]:
     """``_score_group`` over each group of ``ds`` in turn, so that one
     group's hypotheses are held at a time, and one metric row per (H, K,
@@ -365,8 +350,9 @@ def _scored_rows(kcfgs: list[RunConfig], hs_values: list[int], ds: Dataset,
     of the dataset; no rows without ground truth."""
     parts = {}
     for group in _groups(ds):
-        for key, part in _score_group(kcfgs, hs_values, ds, denoisers, group,
-                                      methods, write).items():
+        for key, part in _score_group(cfg, hs_values, ks_values, ds,
+                                      denoisers, group, methods,
+                                      write).items():
             parts.setdefault(key, []).append(part)
     return [{"method": m, "H": h, "K": k,
              **{name: repr(value)
@@ -446,12 +432,10 @@ def train_cmd(config_path, seed, out_dir, data_dir):
 @click.option("--iterations", type=int, default=None, help="DDIM steps K.")
 @click.option("--save-hypotheses/--no-save-hypotheses", default=True,
               help="Write each hypothesis as a pose file.")
-@click.option("--dump-schedule", is_flag=True,
-              help="Also write the noise schedule as CSV.")
 @_guard
 def infer(config_path, seed, out_dir, data_dir, checkpoint, oracle,
           hypotheses, iterations, aggregators, flip_mode, sigma_mode,
-          save_hypotheses, dump_schedule):
+          save_hypotheses):
     """Sample pose hypotheses and aggregate them into final poses."""
     cfg = _load_cfg(config_path, seed=seed, out_dir=out_dir,
                     hypotheses=hypotheses, iterations=iterations,
@@ -465,9 +449,10 @@ def infer(config_path, seed, out_dir, data_dir, checkpoint, oracle,
 
     # One group of sequences at a time is sampled, aggregated and
     # written, so the hypotheses held stay near FRAMES_PER_GROUP frames.
-    rows = _scored_rows([cfg], [cfg.sampler.hypotheses], ds, denoisers,
-                        methods, functools.partial(_write_group, ds, root,
-                                                   save_hypotheses))
+    rows = _scored_rows(cfg, [cfg.sampler.hypotheses],
+                        [cfg.sampler.iterations], ds, denoisers, methods,
+                        functools.partial(_write_group, ds, root,
+                                          save_hypotheses))
     if ds.has_gt:
         _write_metric_rows(root / "metrics.csv", rows)
         for row in rows:
@@ -476,9 +461,6 @@ def infer(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     else:
         click.echo("dataset has no ground truth, metrics skipped", err=True)
 
-    if dump_schedule:
-        save_schedule_csv(make_cosine_schedule(cfg.t_max),
-                          root / "schedule.csv")
     _write_config_copy(root, cfg)
     _write_manifest(root, "infer", cfg, data=str(data_dir),
                     checkpoint=checkpoint, oracle=oracle,
@@ -533,9 +515,7 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     # each H's aggregators read the first h rows of that sample's
     # costs. A group samples every K before the first is scored, so
     # that a sequence draws the noise its K share once.
-    kcfgs = [apply_overrides(cfg, hypotheses=max(hs_values), iterations=k)
-             for k in ks_values]
-    rows = _scored_rows(kcfgs, hs_values, ds, denoisers, methods)
+    rows = _scored_rows(cfg, hs_values, ks_values, ds, denoisers, methods)
     _write_metric_rows(root / "bench.csv", rows)
     _write_config_copy(root, cfg)
     _write_manifest(root, "bench", cfg, data=str(data_dir),

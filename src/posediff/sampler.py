@@ -281,6 +281,9 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
         if not skeleton.mirror_pairs:
             raise ValueError("skeleton defines no mirror pairs, cannot flip")
         x_flipped = flip_array2d(x.joints, skeleton, image_width)
+        # read-only, so that every flipped query's PoseSeq2D takes it
+        # uncopied
+        x_flipped.setflags(write=False)
     if mode is FlipMode.ONCE and trace is not None:
         raise ValueError("flip mode 'once' runs two chains, it has no "
                          "single trace")

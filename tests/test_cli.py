@@ -18,7 +18,8 @@ from posediff.cli import main
 from posediff.config import config_from_dict, config_sha256
 from posediff.core import (DEFAULT_SKELETON, PoseSeq2D, PoseSeq3D,
                            skeleton_to_dict)
-from posediff.dataset import load_dataset, save_dataset
+from posediff.dataset import (Dataset, Sequence, load_dataset,
+                              save_dataset)
 from posediff.poseio import load_poses, save_poses
 from posediff.rng import RngStream, stream_id
 from posediff.sampler import FlipMode, run_sampler, timestep_ladder
@@ -564,6 +565,13 @@ def test_invalid_counts_exit_2(runner, tmp_path):
         assert res.exit_code == 2, res.output
         assert "must be >= 1" in res.output
         assert not out.exists()
+    # the noise schedule is gen's to write: infer takes no --dump-schedule
+    out = tmp_path / "schedule"
+    res = runner.invoke(main, ["infer", *common, "--oracle", "noisy",
+                               "--dump-schedule", "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "--dump-schedule" in res.output
+    assert not out.exists()
     # the bad cell is last; no cell may be sampled before it is refused
     out = tmp_path / "bench"
     res = runner.invoke(main, ["bench", *common, "--oracle", "noisy",
@@ -1018,7 +1026,9 @@ def test_scoring_error_in_a_later_group_names_sequence_and_frame(
     # so after a failed alignment the failing group's stay too
     monkeypatch.setattr(cli, "FRAMES_PER_GROUP", 5)
     data = _sequences(tmp_path, edit, count=4, edited=3)
-    assert cli._groups(load_dataset(data)) == [range(0, 2), range(2, 4)]
+    assert cli._groups(load_dataset(data)) == [
+        [(0, slice(0, 4)), (1, slice(4, 8))],
+        [(2, slice(0, 4)), (3, slice(4, 8))]]
     out = tmp_path / "out"
     res = runner.invoke(main, ["infer", "--config", str(_write_cfg(tmp_path)),
                                "--data", str(data), "--oracle", "perfect",
@@ -1083,7 +1093,8 @@ def test_sampling_error_in_a_later_group_names_sequence(runner, tmp_path,
     # the dataset; the first group's files stay in --out
     cfg, data = _gen(runner, tmp_path)
     monkeypatch.setattr(cli, "FRAMES_PER_GROUP", 3)
-    assert cli._groups(load_dataset(data)) == [range(0, 2), range(2, 3)]
+    assert cli._groups(load_dataset(data)) == [
+        [(0, slice(0, 2)), (1, slice(2, 4))], [(2, slice(0, 2))]]
 
     def denoisers(cfg, ds, checkpoint, oracle):
         return [PerfectOracle(ds.sequences[0].gt),
@@ -1100,6 +1111,35 @@ def test_sampling_error_in_a_later_group_names_sequence(runner, tmp_path,
     assert (out / "hyp" / "seq_0001" / "h_003.jsonl").exists()
     assert not (out / "hyp" / "seq_0002").exists()
     assert not (out / "agg" / "jpma" / "seq_0002.jsonl").exists()
+
+
+@pytest.mark.parametrize("size, lengths, indices", [
+    # a group closes at exactly FRAMES_PER_GROUP frames
+    (4, [2, 2, 2, 2], [[0, 1], [2, 3]]),
+    (4, [1, 3, 4], [[0, 1], [2]]),
+    # a sequence longer than that is a group of its own
+    (4, [9, 2, 2], [[0], [1, 2]]),
+    (4, [2, 2, 9, 3, 1], [[0, 1], [2], [3, 4]]),
+    # the last group holds the rest
+    (5, [3, 3, 1], [[0, 1], [2]]),
+    (100, [3, 3], [[0, 1]]),
+    (1, [2, 1, 3], [[0], [1], [2]]),
+])
+def test_groups_close_at_frames_per_group(monkeypatch, size, lengths,
+                                          indices):
+    # each group is the (index in the dataset, frames) pair of each of its
+    # sequences; the frames tile the group's stack in sequence order
+    monkeypatch.setattr(cli, "FRAMES_PER_GROUP", size)
+    seqs = tuple(Sequence(f"seq_{i:04d}", PoseSeq2D(np.zeros((n, 17, 2))),
+                          None) for i, n in enumerate(lengths))
+    groups = cli._groups(Dataset(DEFAULT_SKELETON, DEFAULT_CAMERA, seqs))
+    assert [[i for i, _ in group] for group in groups] == indices
+    for group in groups:
+        ends = [0] + [frames.stop for _, frames in group]
+        assert [frames.start for _, frames in group] == ends[:-1]
+        assert [frames.stop - frames.start for _, frames in group] == [
+            lengths[i] for i, _ in group]
+        assert ends[-1] == sum(lengths[i] for i, _ in group)
 
 
 def _tree(root: Path) -> dict[Path, bytes]:

@@ -1,3 +1,4 @@
+import importlib
 import sys
 import threading
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from posediff import sampler
-from posediff.core import DEFAULT_SKELETON, flip_array3d
+from posediff.core import DEFAULT_SKELETON, PoseSeq2D, flip_array3d
 from posediff.denoise import (ROWS_PER_BLOCK, ContractiveOracle, Denoiser,
                               MlpDenoiser, NoisyOracle, PerfectOracle,
                               init_params)
@@ -334,6 +335,42 @@ def test_flip_once_peaks_no_higher_than_diffusion(monkeypatch):
             tracemalloc.stop()
     state = h * n * j * 3 * 8
     assert peaks[FlipMode.ONCE] <= peaks[FlipMode.DIFFUSION] + state // 64
+
+
+@pytest.mark.parametrize("mode", [FlipMode.ONCE, FlipMode.DIFFUSION])
+def test_flipped_queries_share_one_keypoint_buffer(monkeypatch, mode):
+    # run_sampler flips the keypoints once and freezes them, so every
+    # flipped query of the call reads that one buffer, uncopied, as the
+    # plain queries read the input's; the hypotheses equal those of
+    # queries that each read a fresh copy of their keypoints. The spy
+    # holds every buffer it sees, so no two copies can share an address
+    module = importlib.import_module("posediff.denoise")
+    real = module.denoise
+    seen = []
+
+    def spy(y_t, x, *args, **kwargs):
+        seen.append(x.joints)
+        return real(y_t, x, *args, **kwargs)
+
+    def copying(y_t, x, *args, **kwargs):
+        return real(y_t, PoseSeq2D(x.joints.copy()), *args, **kwargs)
+
+    _, x = gen_poses(ScenarioConfig(pose_count=1, frames_per_pose=16,
+                                    seed=4))[0]
+    den = MlpDenoiser(init_params(DEFAULT_SKELETON.num_joints,
+                                  hidden_width=16), 50)
+    cfg = SamplerConfig(hypotheses=6, iterations=5, seed=8, flip_mode=mode)
+    sched = make_cosine_schedule(50)
+    runs = []
+    for query in (spy, copying):
+        monkeypatch.setattr(module, "denoise", query)
+        runs.append(run_sampler(x, den, cfg, sched, DEFAULT_SKELETON,
+                                1000.0).poses)
+    flipped = [kp for kp in seen if kp is not x.joints]
+    assert len(flipped) == len(seen) // 2 >= cfg.iterations
+    assert all(kp is flipped[0] for kp in flipped)
+    assert not flipped[0].flags.writeable
+    assert np.array_equal(runs[0], runs[1])
 
 
 def test_perfect_oracle_collapses_immediately():

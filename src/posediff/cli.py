@@ -299,13 +299,15 @@ def _score_group(cfg: RunConfig, hs_values: list[int], ks_values: list[int],
                  write) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
     """Sample the sequences of ``group`` once per K of ``ks_values`` at
     the largest of ``hs_values``, and aggregate each (H, K) cell's first
-    H hypotheses, H outer and K inner, once with each method over the
-    group's stacked frames, against the stacked keypoints and ground
-    truth, whose half of P-MPJPE's alignment is computed once;
-    ``write``, if given, takes each cell's set and reports. Returns (H,
-    K, method) -> its ``frame_errors`` over those frames, nothing
-    without ground truth. An error in one frame names its sequence, by
-    its index in the dataset, and the frame within it."""
+    H hypotheses once with each method over the group's stacked frames,
+    against the stacked keypoints and ground truth, whose half of
+    P-MPJPE's alignment is computed once; ``write``, if given, takes
+    each cell's set and reports. The cells go K by K, each K's for every
+    H, and each K's set, with the costs it cached, is dropped before the
+    next K's first aggregation. Returns (H, K, method) -> its
+    ``frame_errors`` over those frames, nothing without ground truth. An
+    error in one frame names its sequence, by its index in the dataset,
+    and the frame within it."""
     sampled = _sample_all(cfg, hs_values, ks_values, ds, denoisers, group)
 
     def stacked(arrays):
@@ -318,8 +320,11 @@ def _score_group(cfg: RunConfig, hs_values: list[int], ks_values: list[int],
           if ds.has_gt else None)
     parts = {}
     try:
-        for h in hs_values:
-            for k, hs in zip(ks_values, sampled):
+        for k in ks_values:
+            # K's set leaves the list, so rebinding ``hs`` to the next
+            # K's drops it and every cost it cached
+            hs = sampled.pop(0)
+            for h in hs_values:
                 cell = hs.first(h)
                 reports = {m: run_aggregator(m, cell, x=x, cam=ds.camera,
                                              gt=gt) for m in methods}
@@ -346,8 +351,10 @@ def _scored_rows(cfg: RunConfig, hs_values: list[int], ks_values: list[int],
                  write=None) -> list[dict]:
     """``_score_group`` over each group of ``ds`` in turn, so that one
     group's hypotheses are held at a time, and one metric row per (H, K,
-    method), in that order, pooling its frame errors over every frame
-    of the dataset; no rows without ground truth."""
+    method), pooling its frame errors over every frame of the dataset:
+    in the order of the grids as given, H outer, then K, then method
+    (whatever order the groups score them in); no rows without ground
+    truth."""
     parts = {}
     for group in _groups(ds):
         for key, part in _score_group(cfg, hs_values, ks_values, ds,
@@ -355,9 +362,10 @@ def _scored_rows(cfg: RunConfig, hs_values: list[int], ks_values: list[int],
                                       write).items():
             parts.setdefault(key, []).append(part)
     return [{"method": m, "H": h, "K": k,
-             **{name: repr(value)
-                for name, value in asdict(pool_metrics(pieces)).items()}}
-            for (h, k, m), pieces in parts.items()]
+             **{name: repr(value) for name, value
+                in asdict(pool_metrics(parts[h, k, m])).items()}}
+            for h in hs_values for k in ks_values for m in methods
+            if (h, k, m) in parts]
 
 
 def _write_metric_rows(path: Path, rows: list[dict]) -> None:
@@ -514,7 +522,8 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     # gives H=h as the first h hypotheses of any larger H, bitwise, and
     # each H's aggregators read the first h rows of that sample's
     # costs. A group samples every K before the first is scored, so
-    # that a sequence draws the noise its K share once.
+    # that a sequence draws the noise its K share once, and then scores
+    # K by K, dropping each K's set before the next K's.
     rows = _scored_rows(cfg, hs_values, ks_values, ds, denoisers, methods)
     _write_metric_rows(root / "bench.csv", rows)
     _write_config_copy(root, cfg)

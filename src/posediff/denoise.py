@@ -671,8 +671,10 @@ class Denoiser(abc.ABC):
                       out: np.ndarray, *, hyp_offset: int = 0,
                       mirrored: Skeleton | None = None) -> np.ndarray:
         """(H, N, J, 3) mm noisy poses plus (N, J, 2) px -> (H, N, J, 3)
-        mm, written into ``out``, a float64 array that does not overlap
-        ``y_t``; returns ``out``."""
+        mm, written into ``out``, a float64 array that is ``y_t`` itself
+        or does not overlap it; returns ``out``. In place, the result is
+        bitwise the one a separate ``out`` gets: an implementation is
+        done with each value of ``y_t`` before it writes over it."""
 
 
 class MlpDenoiser(Denoiser):

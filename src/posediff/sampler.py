@@ -147,8 +147,9 @@ def _run_chain(predict: Callable[..., object], cfg: SamplerConfig,
     mm.
 
     ``predict(y_mm, t, out)`` is the denoiser query of every step: it
-    writes the estimate into ``out`` and may overwrite ``y_mm``. Every
-    step works in the three arrays: the initial state is drawn into the
+    writes the estimate into ``out`` and may overwrite ``y_mm``, as flip
+    ``diffusion``'s does with its plain query's estimate. Every step
+    works in the three arrays: the initial state is drawn into the
     state ``y``, which ``y_mm`` holds in mm for each query, each
     estimate becomes signal units in place once it is screened and
     traced, and each step's DDIM noise is drawn into ``y_mm`` once the
@@ -252,7 +253,12 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
     ``once`` runs a second, independent chain on the flipped inputs and
     averages the two at the end. ``diffusion`` runs one chain that
     denoises both orientations every iteration and averages before the
-    reverse update.
+    reverse update. ``none`` and ``diffusion`` hold two arrays a chunk
+    besides ``out``: ``diffusion`` runs each of its two queries in place,
+    the flipped one in ``out`` and the plain one in the millimeter
+    state, and adds them a hypothesis at a time through a
+    one-hypothesis temporary. ``once`` holds a third array, its second
+    chain's estimate.
 
     The hypotheses are sampled in contiguous chunks (see
     ``FRAMES_PER_CHUNK``), each the batch split of its range, on up to
@@ -308,10 +314,10 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
             return lambda y_mm, t, out: denoiser.predict_clean(
                 y_mm, x2d, t, out, hyp_offset=first, mirrored=mirrored)
 
-        # the chains' state and state in mm, and with a flip a third
-        # array: the flipped query's input, or the second chain's estimate
+        # the chains' state and state in mm, and with flip once a third
+        # array: the second chain's estimate
         bufs = [np.empty((len(part),) + shape)
-                for _ in range(2 if mode is FlipMode.NONE else 3)]
+                for _ in range(3 if mode is FlipMode.ONCE else 2)]
         chain = functools.partial(
             _run_chain, cfg=cfg, sched=sched, ladder=ladder,
             hyps=range(first, first + len(part)), y=bufs[0], y_mm=bufs[1])
@@ -321,21 +327,30 @@ def run_sampler(x: PoseSeq2D, denoiser: Denoiser, cfg: SamplerConfig,
             chain(plain, out=out[rows], trace=traced)
             return
         flipped = query(x_flipped, skeleton)
-        spare = bufs[2]
         if mode is FlipMode.DIFFUSION:
+            tmp = np.empty(shape)
+
             def both(y_mm, t, out):
-                # the plain estimate waits in out; the flipped query reads
-                # spare and writes y_mm, which the chain no longer needs
-                plain(y_mm, t, out)
-                flipped(flip_array3d(y_mm, skeleton, out=spare), t, y_mm)
-                out += flip_array3d(y_mm, skeleton, out=spare)
+                # The flipped query runs in place in out and the plain one
+                # in y_mm, which the chain no longer needs; the sum is the
+                # plain estimate plus the flipped one's flip, as ever. Both
+                # flips go a hypothesis at a time: out may be a frame slice
+                # of a larger stack, and np.take buffers a whole copy of a
+                # non-contiguous array.
+                for y_h, out_h in zip(y_mm, out):
+                    flip_array3d(y_h, skeleton, out=out_h)
+                flipped(out, t, out)
+                plain(y_mm, t, y_mm)
+                for y_h, out_h in zip(y_mm, out):
+                    np.add(y_h, flip_array3d(out_h, skeleton, out=tmp),
+                           out=out_h)
                 out /= 2.0
             chain(both, out=out[rows], trace=traced)
             return
-        # the second chain's estimate goes into spare, and its flip into
-        # the state, which neither chain reads again
+        # the second chain's estimate goes into the third array, and its
+        # flip into the state, which neither chain reads again
         est = chain(plain, out=out[rows])
-        est += flip_array3d(chain(flipped, branch=1, out=spare), skeleton,
+        est += flip_array3d(chain(flipped, branch=1, out=bufs[2]), skeleton,
                             out=bufs[0])
         est /= 2.0
 

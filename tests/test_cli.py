@@ -1256,13 +1256,16 @@ def test_outputs_do_not_depend_on_how_the_work_is_split(
             assert tree(f"{command}_split", args) == want, command
 
 
-def _held_hypotheses(runner, tmp_path, monkeypatch, args) -> list[int]:
+def _held_hypotheses(runner, tmp_path, monkeypatch,
+                     args) -> tuple[list[int], list[int]]:
     """Run ``args`` on four sequences of 4 frames, each its own group,
     with the cyclic collector off; as each sampled set is made, the
-    bytes of hypotheses held by every set still alive."""
+    bytes of hypotheses held by every set still alive, and at each
+    aggregation, how many sets made before the one it reads are still
+    alive."""
     data = _sequences(tmp_path, lambda joints: None, count=4)
     monkeypatch.setattr(cli, "FRAMES_PER_GROUP", 4, raising=False)
-    made, held = [], []
+    made, held, stale = [], [], []
 
     class Recorded(cli.SharedCostSet):
         def __init__(self, poses):
@@ -1270,7 +1273,15 @@ def _held_hypotheses(runner, tmp_path, monkeypatch, args) -> list[int]:
             made.append(weakref.ref(self))
             held.append(sum(s.poses.nbytes for s in (r() for r in made)
                             if s is not None))
+
+    def run_aggregator(method, hs, **inputs):
+        whole = hs._whole_set()
+        i = next(i for i, r in enumerate(made) if r() is whole)
+        stale.append(sum(r() is not None for r in made[:i]))
+        return real(method, hs, **inputs)
+    real = cli.run_aggregator
     monkeypatch.setattr(cli, "SharedCostSet", Recorded)
+    monkeypatch.setattr(cli, "run_aggregator", run_aggregator)
     gc.disable()
     try:
         res = runner.invoke(main, [
@@ -1279,16 +1290,17 @@ def _held_hypotheses(runner, tmp_path, monkeypatch, args) -> list[int]:
     finally:
         gc.enable()
     assert res.exit_code == 0, res.output
-    return held
+    return held, stale
 
 
 def test_infer_holds_one_group_of_hypotheses_at_a_time(runner, tmp_path,
                                                       monkeypatch):
     # each group's hypotheses are gone before the next group's set is
     # made, so infer never holds more of them than one group's
-    held = _held_hypotheses(runner, tmp_path, monkeypatch, ["infer"])
+    held, stale = _held_hypotheses(runner, tmp_path, monkeypatch, ["infer"])
     one_group = 4 * 4 * DEFAULT_SKELETON.num_joints * 3 * 8  # H=4, 4 frames
     assert held == [one_group] * 4
+    assert stale == [0] * 4 * 3  # four groups, three methods
 
 
 def test_bench_holds_one_group_of_hypotheses_at_a_time(runner, tmp_path,
@@ -1296,7 +1308,33 @@ def test_bench_holds_one_group_of_hypotheses_at_a_time(runner, tmp_path,
     # bench samples each group once per K, at the largest H: each K's
     # set holds the group's frames, and is gone before the next group's
     # first set is made
-    held = _held_hypotheses(runner, tmp_path, monkeypatch, [
+    held, _ = _held_hypotheses(runner, tmp_path, monkeypatch, [
         "bench", "--hypotheses", "1,3", "--iterations", "2,3"])
     one_group = 3 * 4 * DEFAULT_SKELETON.num_joints * 3 * 8  # H=3, 4 frames
     assert held == [one_group, 2 * one_group] * 4
+
+
+def test_bench_releases_each_k_before_the_next(runner, tmp_path,
+                                               monkeypatch):
+    # bench scores one K's cells for every H before the next K's, and
+    # drops each K's set, with the costs it cached, before the next K's
+    # first aggregation
+    _, stale = _held_hypotheses(runner, tmp_path, monkeypatch, [
+        "bench", "--hypotheses", "1,3", "--iterations", "2,3"])
+    assert stale == [0] * 4 * 2 * 2 * 3  # groups x K x H x methods
+
+
+def test_bench_rows_follow_the_grids_as_given(runner, tmp_path):
+    # bench scores K by K, but writes its rows in the grids' given order,
+    # H outer, then K, then method, unsorted grids too
+    cfg, data = _gen(runner, tmp_path)
+    out = tmp_path / "bench"
+    res = runner.invoke(main, [
+        "bench", "--config", str(cfg), "--data", str(data), "--oracle",
+        "noisy", "--out", str(out), "--hypotheses", "3,1",
+        "--iterations", "3,2", "--aggregator", "jbest,ppma,avg"])
+    assert res.exit_code == 0, res.output
+    assert [(r["H"], r["K"], r["method"])
+            for r in _read_rows(out / "bench.csv")] == [
+        (h, k, m) for h in ("3", "1") for k in ("3", "2")
+        for m in ("jbest", "ppma", "avg")]

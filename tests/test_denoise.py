@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from posediff.core import HypothesisSet, PoseSeq2D
+from posediff.core import DEFAULT_SKELETON, HypothesisSet, PoseSeq2D
 from posediff.denoise import (ContractiveOracle, DenoiserParams, MlpDenoiser,
                               NoisyOracle, PerfectOracle, TrainConfig, denoise, eps_to_y0, grad_loss,
                               init_params, load_checkpoint, save_checkpoint,
@@ -410,6 +410,40 @@ def test_mlp_denoiser_from_checkpoint(tmp_path):
     out = den.predict_clean(y_t, x, 5, np.empty_like(y_t))
     assert out.shape == (2, 1, 2, 3)
     assert np.all(np.isfinite(out))
+
+
+# --- the predict_clean contract ----------------------------------------------
+
+def _every_denoiser(j, n):
+    """One denoiser of each kind for n frames of j joints; the MLP has
+    non-zero biases, so every layer's add is seen."""
+    rng = np.random.default_rng(22)
+    params = init_params(j, rng=RngStream(23, stream_id("in_place")))
+    params = DenoiserParams(
+        weights=params.weights,
+        biases=tuple(rng.normal(scale=0.5, size=b.shape)
+                     for b in params.biases))
+    gt = random_pose(rng, frames=n, joints=j)
+    return [MlpDenoiser(params, 50), PerfectOracle(gt),
+            ContractiveOracle(gt, 0.25), NoisyOracle(gt, 20.0, seed=24)]
+
+
+@pytest.mark.parametrize("mirrored", [None, DEFAULT_SKELETON])
+def test_predict_clean_in_place_matches_separate_out(mirrored):
+    # out may be y_t itself: each denoiser reads a hypothesis of y_t
+    # before it writes its estimate, so in place gives the same bits
+    h, n, j = 3, 7, DEFAULT_SKELETON.num_joints
+    rng = np.random.default_rng(25)
+    y_t = rng.normal(scale=300.0, size=(h, n, j, 3))
+    x = rng.uniform(0.0, 1000.0, size=(n, j, 2))
+    for den in _every_denoiser(j, n):
+        want = den.predict_clean(y_t, x, 20, np.empty_like(y_t),
+                                 hyp_offset=2, mirrored=mirrored)
+        y = y_t.copy()
+        got = den.predict_clean(y, x, 20, y, hyp_offset=2,
+                                mirrored=mirrored)
+        assert got is y
+        assert np.array_equal(got, want), type(den).__name__
 
 
 # --- oracles -----------------------------------------------------------------

@@ -277,20 +277,10 @@ def test_mlp_scratch_holds_one_block():
     assert scratch == block + per_query
 
 
-def test_sampling_allocates_nothing_state_sized_but_its_buffers(monkeypatch):
-    # numpy's buffers are traced: one call peaks below its result, the
-    # chain's state, millimeter state and temporary, the MLP's scratch
-    # and half a state array for everything else, so no step may make
-    # a state-sized temporary
-    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
-    h, n, j = 8, 128, DEFAULT_SKELETON.num_joints
-    assert len(sampler._chunks(h, n)) == 1
-    _, x = gen_poses(ScenarioConfig(pose_count=1, frames_per_pose=n,
-                                    seed=2))[0]
-    params = init_params(j)
+def _sampling_peak(x, params, cfg, out=None):
+    """Bytes ``run_sampler`` traces beyond what it started with, on a
+    fresh MlpDenoiser after a warm-up call; and that denoiser."""
     sched = make_cosine_schedule(50)
-    cfg = SamplerConfig(hypotheses=h, iterations=4, seed=3,
-                        flip_mode=FlipMode.DIFFUSION)
     # the float32 weights and the row ids are made once, not per call
     run_sampler(x, MlpDenoiser(params, 50), cfg, sched, DEFAULT_SKELETON,
                 1000.0)
@@ -298,43 +288,57 @@ def test_sampling_allocates_nothing_state_sized_but_its_buffers(monkeypatch):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        run_sampler(x, den, cfg, sched, DEFAULT_SKELETON, 1000.0)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        run_sampler(x, den, cfg, sched, DEFAULT_SKELETON, 1000.0, out=out)
+        return tracemalloc.get_traced_memory()[1] - before, den
     finally:
         tracemalloc.stop()
+
+
+def test_sampling_allocates_nothing_state_sized_but_its_buffers(monkeypatch):
+    # numpy's buffers are traced: one call peaks below its result, the
+    # chain's state and millimeter state, the MLP's scratch and half a
+    # state array for everything else, so no step may make a state-sized
+    # temporary
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
+    h, n, j = 8, 128, DEFAULT_SKELETON.num_joints
+    assert len(sampler._chunks(h, n)) == 1
+    _, x = gen_poses(ScenarioConfig(pose_count=1, frames_per_pose=n,
+                                    seed=2))[0]
+    cfg = SamplerConfig(hypotheses=h, iterations=4, seed=3,
+                        flip_mode=FlipMode.DIFFUSION)
+    peak, den = _sampling_peak(x, init_params(j), cfg)
     state = h * n * j * 3 * 8
     scratch = sum(a.nbytes for a in den._scratch._arrays.values())
-    assert peak < 4 * state + scratch + state // 2
+    assert peak < 3 * state + scratch + state // 2
 
 
-def test_flip_once_peaks_no_higher_than_diffusion(monkeypatch):
-    # numpy's buffers are traced: the second chain of flip mode once
-    # writes into a third array, as the flipped query of diffusion reads
-    # one, and its flip goes into the state, so once holds no more
-    # state-sized arrays than diffusion; the allowance is for Python's
-    # own small objects, far below one state array
+def test_flip_peaks_hold_one_array_per_flip_mode(monkeypatch):
+    # numpy's buffers are traced. Flip diffusion runs its queries in
+    # place, so beyond what flip none holds it adds one hypothesis, the
+    # temporary of its flips, and the flipped keypoints; flip once adds
+    # a third state array, its second chain's estimate, and little else.
+    # A frame slice of a larger stack as out holds the diffusion bound:
+    # np.take into a non-contiguous out would buffer a whole copy of it.
+    # The allowance is for Python's own small objects, far below one
+    # hypothesis.
     monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
     h, n, j = 8, 128, DEFAULT_SKELETON.num_joints
     _, x = gen_poses(ScenarioConfig(pose_count=1, frames_per_pose=n,
                                     seed=2))[0]
     params = init_params(j)
-    sched = make_cosine_schedule(50)
-    peaks = {}
-    for mode in (FlipMode.DIFFUSION, FlipMode.ONCE):
-        cfg = SamplerConfig(hypotheses=h, iterations=4, seed=3,
-                            flip_mode=mode)
-        run_sampler(x, MlpDenoiser(params, 50), cfg, sched, DEFAULT_SKELETON,
-                    1000.0)
-        den = MlpDenoiser(params, 50)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            run_sampler(x, den, cfg, sched, DEFAULT_SKELETON, 1000.0)
-            peaks[mode] = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
     state = h * n * j * 3 * 8
-    assert peaks[FlipMode.ONCE] <= peaks[FlipMode.DIFFUSION] + state // 64
+    hypothesis = n * j * 3 * 8
+    keypoints = x.joints.nbytes
+    small = state // 64
+    stack = np.empty((h, n + 5, j, 3))
+    for out in (None, stack[:, 3:3 + n]):
+        peaks = {mode: _sampling_peak(x, params, SamplerConfig(
+                     hypotheses=h, iterations=4, seed=3, flip_mode=mode),
+                     out)[0]
+                 for mode in FlipMode}
+        assert (peaks[FlipMode.DIFFUSION]
+                <= peaks[FlipMode.NONE] + hypothesis + keypoints + small)
+        assert peaks[FlipMode.ONCE] <= peaks[FlipMode.DIFFUSION] + state
 
 
 @pytest.mark.parametrize("mode", [FlipMode.ONCE, FlipMode.DIFFUSION])

@@ -7,8 +7,8 @@ reverse process to generate H candidate poses; an aggregator collapses
 them into one final pose, optionally using per-joint reprojection onto
 the 2D evidence.
 """
-from .aggregate import (AggregationReport, METHOD_NAMES, SharedCostSet,
-                        agg_average, agg_jbest, agg_jpma, agg_pbest, agg_ppma,
+from .aggregate import (AggregationReport, METHOD_NAMES, agg_average,
+                        agg_jbest, agg_jpma, agg_pbest, agg_ppma,
                         run_aggregator)
 from .camera import (CameraIntrinsics, DEFAULT_Z_MIN, camera_from_dict,
                      camera_to_dict, load_camera, project, project_with_mask)
@@ -27,8 +27,8 @@ from .errors import (AggregationError, BehindCameraError, ConfigError,
                      NumericError, PoseDiffError, PoseFileParseError,
                      PoseFileSchemaError, ShapeError, SkeletonError,
                      TrainingDivergedError)
-from .metrics import (GroundTruth, MetricReport, align_frame, auc,
-                      compute_metrics, joint_errors, mpjpe, pck, pmpjpe)
+from .metrics import (MetricReport, align_frame, auc, compute_metrics,
+                      joint_errors, mpjpe, pck, pmpjpe)
 from .poseio import load_poses, save_poses
 from .render import render_frame, render_sequence
 from .rng import RngStream, hypothesis_normals, serve_repeats, stream_id

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraIntrinsics, project_with_mask
-from .core import HypothesisSet, PoseSeq2D, PoseSeq3D
+from .core import HypothesisSet, PoseSeq2D, PoseSeq3D, derived
 from .errors import AggregationError, ShapeError
 
 
@@ -58,55 +58,17 @@ def _check_shape(hs: HypothesisSet, other: PoseSeq2D | PoseSeq3D,
             f"({other.num_frames}, {other.num_joints})")
 
 
-class SharedCostSet(HypothesisSet):
-    """A hypothesis set whose aggregators share their costs, with each
-    other and with the set's prefixes.
-
-    A cost is the per-hypothesis reprojection error (jpma, ppma) or
-    ground-truth distance (pbest, jbest). Each is computed over the
-    whole set the first time an aggregator asks for it with given
-    inputs, and kept. ``first(h)`` is the set of the first h
-    hypotheses, whose aggregators read the first h rows of those costs.
-    That equals computing them on the h alone, bitwise: every cost is
-    computed per hypothesis, and every selection's ties go to the lowest
-    index, as an argmin over a prefix does.
-    """
-
-    def __init__(self, poses: np.ndarray):
-        super().__init__(poses)
-        # the set whose costs these are, None on a whole set: a set that
-        # referred to itself would outlive its last reference until the
-        # cyclic collector ran, with its poses and every cost it holds
-        object.__setattr__(self, "_whole", None)
-        object.__setattr__(self, "_costs", {})
-
-    def first(self, h: int) -> "SharedCostSet":
-        """The first ``h`` hypotheses, sharing this set's costs: the set
-        itself at its full count."""
-        if not 1 <= h <= self.count:
-            raise ValueError(f"first {h} of {self.count} hypotheses")
-        if h == self.count:
-            return self
-        prefix = SharedCostSet(self.poses[:h])
-        object.__setattr__(prefix, "_whole", self._whole_set())
-        object.__setattr__(prefix, "_costs", self._costs)
-        return prefix
-
-    def _whole_set(self) -> "SharedCostSet":
-        return self if self._whole is None else self._whole
-
-
 def _cost(hs: HypothesisSet, cost, *inputs) -> np.ndarray:
-    """``cost(hs, *inputs)``; for a SharedCostSet, the first rows of that
-    cost over its whole set, computed once per cost and inputs."""
-    if not isinstance(hs, SharedCostSet):
-        return cost(hs, *inputs)
-    key = (cost, *inputs)
-    if key not in hs._costs:
-        whole = cost(hs._whole_set(), *inputs)
-        whole.setflags(write=False)
-        hs._costs[key] = whole
-    return hs._costs[key][:hs.count]
+    """``cost(hs, *inputs)``, a per-hypothesis reprojection error (jpma,
+    ppma) or ground-truth distance (pbest, jbest), read-only: the first
+    rows of that cost over the set ``hs`` was taken from by ``first``,
+    computed once per cost and inputs. That equals computing it on
+    ``hs`` alone, bitwise: every cost is computed per hypothesis, and
+    every selection's ties go to the lowest index, as an argmin over a
+    prefix does."""
+    whole = derived(hs.whole_set(), cost, *inputs)
+    whole.setflags(write=False)
+    return whole[:hs.count]
 
 
 def _reprojection_errors(hs: HypothesisSet, x: PoseSeq2D,

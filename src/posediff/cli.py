@@ -23,7 +23,7 @@ import click
 import numpy as np
 
 from .aggregate import (METHOD_INPUTS, METHOD_NAMES, AggregationReport,
-                        SharedCostSet, run_aggregator)
+                        run_aggregator)
 from .camera import load_camera
 from .config import (RunConfig, apply_overrides, config_sha256,
                      config_to_dict, load_config, require_file)
@@ -35,7 +35,7 @@ from .denoise import (ContractiveOracle, Denoiser, MlpDenoiser, NoisyOracle,
 from .errors import (AggregationError, ConfigError, DegenerateAlignmentError,
                      MissingGroundTruthError, NumericError, PoseDiffError,
                      TrainingDivergedError)
-from .metrics import GroundTruth, MetricReport, frame_errors, pool_metrics
+from .metrics import MetricReport, frame_errors, pool_metrics
 from .poseio import load_poses, save_poses
 from .render import render_sequence
 from .rng import serve_repeats, stream_id
@@ -110,6 +110,17 @@ def _sampling(fn):
 def _load_cfg(config_path: str | None, **overrides) -> RunConfig:
     cfg = load_config(config_path) if config_path else RunConfig()
     return apply_overrides(cfg, **overrides)
+
+
+def _out_dir(path: str | Path) -> Path:
+    """The output directory ``path``, made with its parents. A file in
+    its way is a usage error that names ``--out``."""
+    root = Path(path)
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"--out {root}: {exc.strerror}") from exc
+    return root
 
 
 def _write_manifest(root: Path, command: str, cfg: RunConfig,
@@ -230,11 +241,12 @@ def _groups(ds: Dataset) -> list[list[tuple[int, slice]]]:
 
 def _sample_all(cfg: RunConfig, hs_values: list[int], ks_values: list[int],
                 ds: Dataset, denoisers: list[Denoiser],
-                group: list[tuple[int, slice]]) -> list[SharedCostSet]:
+                group: list[tuple[int, slice]]) -> list[HypothesisSet]:
     """Sample every sequence of ``group`` at the largest of
     ``hs_values`` once per K of ``ks_values``, each sequence with its
     own seed: one read-only (H, frames, J, 3) set per K over the group's
-    frames, each sequence sampled straight into its frames of the stack.
+    frames, each sequence sampled straight into its frames of the stack,
+    whose ``first(h)`` prefixes share the costs it computes.
     A sequence's seed, its denoiser and the errors that name it follow
     its index in the dataset. Flips mirror with the dataset's skeleton
     and about its camera's principal point, which made the keypoints.
@@ -264,7 +276,7 @@ def _sample_all(cfg: RunConfig, hs_values: list[int], ks_values: list[int],
                         hypothesis=exc.hypothesis) from exc
     for stack in poses:
         stack.setflags(write=False)
-    return [SharedCostSet(stack) for stack in poses]
+    return [HypothesisSet(stack) for stack in poses]
 
 
 def _write_group(ds: Dataset, root: Path, save_hypotheses: bool,
@@ -300,11 +312,12 @@ def _score_group(cfg: RunConfig, hs_values: list[int], ks_values: list[int],
     """Sample the sequences of ``group`` once per K of ``ks_values`` at
     the largest of ``hs_values``, and aggregate each (H, K) cell's first
     H hypotheses once with each method over the group's stacked frames,
-    against the stacked keypoints and ground truth, whose half of
-    P-MPJPE's alignment is computed once; ``write``, if given, takes
-    each cell's set and reports. The cells go K by K, each K's for every
-    H, and each K's set, with the costs it cached, is dropped before the
-    next K's first aggregation. Returns (H, K, method) -> its
+    against the stacked keypoints and ground truth; ``write``, if given,
+    takes each cell's set and reports. Each K's set computes its costs,
+    and the ground truth its half of P-MPJPE's alignment, once, on first
+    use. The cells go K by K, each K's for every H, and each K's set,
+    with the costs it computed, is dropped before the next K's first
+    aggregation. Returns (H, K, method) -> its
     ``frame_errors`` over those frames, nothing without ground truth. An
     error in one frame names its sequence, by its index in the dataset,
     and the frame within it."""
@@ -316,13 +329,13 @@ def _score_group(cfg: RunConfig, hs_values: list[int], ks_values: list[int],
         return a
     seqs = [ds.sequences[i] for i, _ in group]
     x = PoseSeq2D(stacked([s.keypoints.joints for s in seqs]))
-    gt = (GroundTruth(stacked([s.gt.joints for s in seqs]))
+    gt = (PoseSeq3D(stacked([s.gt.joints for s in seqs]))
           if ds.has_gt else None)
     parts = {}
     try:
         for k in ks_values:
             # K's set leaves the list, so rebinding ``hs`` to the next
-            # K's drops it and every cost it cached
+            # K's drops it and every cost it computed
             hs = sampled.pop(0)
             for h in hs_values:
                 cell = hs.first(h)
@@ -389,8 +402,7 @@ def main():
 def gen(config_path, seed, out_dir, dump_schedule):
     """Generate a synthetic dataset (3D ground truth + 2D keypoints)."""
     cfg = _load_cfg(config_path, seed=seed, out_dir=out_dir)
-    root = Path(cfg.out_dir)
-    root.mkdir(parents=True, exist_ok=True)
+    root = _out_dir(cfg.out_dir)
     pairs = gen_poses(cfg.scenario)
     save_dataset(root, cfg.scenario.skeleton, cfg.scenario.camera,
                  [(kp, gt) for gt, kp in pairs],
@@ -414,8 +426,7 @@ def train_cmd(config_path, seed, out_dir, data_dir):
     ds = _load_data(data_dir)
     if not ds.has_gt:
         raise MissingGroundTruthError("training needs ground truth poses")
-    root = Path(cfg.out_dir)
-    root.mkdir(parents=True, exist_ok=True)
+    root = _out_dir(cfg.out_dir)
     sched = make_cosine_schedule(cfg.t_max)
     result = train([(s.keypoints, s.gt) for s in ds.sequences],
                    cfg.train, sched)
@@ -452,8 +463,7 @@ def infer(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     methods = _parse_aggregators(aggregators, ds.has_gt)
     denoisers = _denoisers(cfg, ds, checkpoint, oracle)
     _check_flip_camera(cfg, data_dir, ds)
-    root = Path(cfg.out_dir)
-    root.mkdir(parents=True, exist_ok=True)
+    root = _out_dir(cfg.out_dir)
 
     # One group of sequences at a time is sampled, aggregated and
     # written, so the hypotheses held stay near FRAMES_PER_GROUP frames.
@@ -515,8 +525,7 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     methods = _parse_aggregators(aggregators, ds.has_gt)
     denoisers = _denoisers(cfg, ds, checkpoint, oracle)
     _check_flip_camera(cfg, data_dir, ds)
-    root = Path(cfg.out_dir)
-    root.mkdir(parents=True, exist_ok=True)
+    root = _out_dir(cfg.out_dir)
 
     # One sample per K at the largest H serves every H: the sampler
     # gives H=h as the first h hypotheses of any larger H, bitwise, and
@@ -583,8 +592,7 @@ def render(gt_path, hyp_paths, camera_path, skeleton_path, out_dir, width,
                                          height=height)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    root = Path(out_dir)
-    root.mkdir(parents=True, exist_ok=True)
+    root = _out_dir(out_dir)
     for k, svg in enumerate(svgs):
         (root / f"frame_{k:04d}.svg").write_text(svg)
     for warning in warnings:

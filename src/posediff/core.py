@@ -7,7 +7,9 @@ Conventions used throughout the package:
   camera).
 * 2D keypoints live in pixel coordinates, u right, v down.
 * Arrays are float64 and frozen (``writeable=False``) on construction,
-  so downstream code can hold references without defensive copies.
+  so downstream code can hold references without defensive copies,
+  and a value derived from a pose object is computed once
+  (:func:`derived`).
 """
 from __future__ import annotations
 
@@ -34,6 +36,19 @@ def _frozen_f64(a, ndim: int, last: int, what: str) -> np.ndarray:
         arr = arr.copy()  # never flip flags on a caller-owned array
     arr.setflags(write=False)
     return arr
+
+
+def derived(obj, fn, *inputs):
+    """``fn(obj, *inputs)``, computed on the first call with this ``fn``
+    and these inputs and kept in ``obj.__dict__`` for every later one.
+    A pose object's arrays are read-only, so what is derived from them
+    does not go stale. The inputs are keys: they must be hashable, and
+    ``obj`` keeps them alive."""
+    memo = obj.__dict__.setdefault("_derived", {})
+    key = (fn, *inputs)
+    if key not in memo:
+        memo[key] = fn(obj, *inputs)
+    return memo[key]
 
 
 @dataclass(frozen=True)
@@ -187,6 +202,23 @@ class HypothesisSet:
 
     def __len__(self) -> int:
         return self.count
+
+    def first(self, h: int) -> "HypothesisSet":
+        """The first ``h`` hypotheses, the set itself at its full count.
+        A prefix records its whole set, so that what is derived from
+        the whole set serves it too (the aggregators' costs); a whole
+        set refers to no set, so it goes with its last reference."""
+        if not 1 <= h <= self.count:
+            raise ValueError(f"first {h} of {self.count} hypotheses")
+        if h == self.count:
+            return self
+        prefix = HypothesisSet(self.poses[:h])
+        prefix.__dict__["_whole"] = self.whole_set()
+        return prefix
+
+    def whole_set(self) -> "HypothesisSet":
+        """The set that ``first`` took this one from, else itself."""
+        return self.__dict__.get("_whole", self)
 
     def __getitem__(self, h: int) -> PoseSeq3D:
         return PoseSeq3D(self.poses[h])

@@ -8,12 +8,11 @@ fractions.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PoseSeq3D
+from .core import PoseSeq3D, derived
 from .errors import DegenerateAlignmentError, ShapeError
 
 PCK_DEFAULT_THRESHOLD_MM = 150.0
@@ -74,10 +73,12 @@ def _collinear_screened(p0: np.ndarray) -> np.ndarray:
 
 
 class _Target:
-    """The ground truth's half of aligning (F, J, 3) frames onto ``g``:
-    its centroids, norms, collinearity and normalised centred clouds."""
+    """The ground truth's half of aligning (F, J, 3) frames onto ``gt``,
+    a ``PoseSeq3D`` or its joints: its centroids, norms, collinearity
+    and normalised centred clouds."""
 
-    def __init__(self, g: np.ndarray):
+    def __init__(self, gt: PoseSeq3D | np.ndarray):
+        g = gt.joints if isinstance(gt, PoseSeq3D) else gt
         self.mu = g.mean(axis=1, keepdims=True)
         g0 = g - self.mu
         self.norm = np.linalg.norm(g0, axis=(1, 2))
@@ -89,23 +90,14 @@ class _Target:
         self.unit = g0
 
 
-class GroundTruth(PoseSeq3D):
-    """A ground-truth sequence that computes its half of the P-MPJPE
-    alignment once, on its first use, for every prediction scored or
-    aligned against it. Results equal those of the plain sequence,
-    bitwise."""
-
-    @functools.cached_property
-    def _target(self) -> _Target:
-        return _Target(self.joints)
-
-
-def align_frame(pred: np.ndarray, gt: np.ndarray | GroundTruth, *,
+def align_frame(pred: np.ndarray, gt: np.ndarray | PoseSeq3D, *,
                 with_scale: bool = True) -> np.ndarray:
     """Similarity-align predicted frames onto their ground truth.
 
     Takes one (J, 3) frame or an (F, J, 3) stack aligned frame by frame
-    in one batched pass; ``gt`` may be a ``GroundTruth`` for a stack.
+    in one batched pass; ``gt`` may be a ``PoseSeq3D`` for a stack,
+    which computes its half of the alignment once, for every prediction
+    aligned against it.
     For each frame finds rotation R (reflections excluded), translation,
     and optionally a uniform scale minimizing the summed squared joint
     error, and returns the transformed prediction in the input's shape.
@@ -113,19 +105,18 @@ def align_frame(pred: np.ndarray, gt: np.ndarray | GroundTruth, *,
     where the rotation is not identifiable; for a stack the error's
     ``frame`` is the first such frame.
     """
-    target = gt._target if isinstance(gt, GroundTruth) else None
-    gt = gt.joints if target is not None else gt
-    if (pred.shape != gt.shape or pred.ndim not in (2, 3)
+    g = gt.joints if isinstance(gt, PoseSeq3D) else gt
+    if (pred.shape != g.shape or pred.ndim not in (2, 3)
             or pred.shape[-1] != 3):
-        raise ShapeError(f"align_frame: bad shapes {pred.shape} vs {gt.shape}")
+        raise ShapeError(f"align_frame: bad shapes {pred.shape} vs {g.shape}")
     if pred.shape[-2] < 3:
         raise DegenerateAlignmentError(
             f"alignment needs at least 3 joints, got {pred.shape[-2]}")
     stacked = pred.ndim == 3
     if not stacked:
-        pred, gt = pred[None], gt[None]
-    if target is None:
-        target = _Target(gt)
+        pred, g = pred[None], g[None]
+    target = (derived(gt, _Target) if isinstance(gt, PoseSeq3D)
+              else _Target(g))
 
     mu_p = pred.mean(axis=1, keepdims=True)
     p0 = pred - mu_p
@@ -216,13 +207,12 @@ class MetricReport:
 def frame_errors(pred: PoseSeq3D, gt: PoseSeq3D, *,
                  with_scale: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """The per-frame part of the metrics of ``pred`` against ``gt``: the
-    (F, J) joint errors and each frame's P-MPJPE, (F,). A
-    ``GroundTruth`` serves its half of P-MPJPE's alignment to every
-    call. The joint errors take the aligned frames' buffer once their
-    P-MPJPE is taken, so no third pose-sized array is made."""
+    (F, J) joint errors and each frame's P-MPJPE, (F,). ``gt``
+    computes its half of P-MPJPE's alignment once, for every call. The
+    joint errors take the aligned frames' buffer once their P-MPJPE is
+    taken, so no third pose-sized array is made."""
     p, g = _paired(pred, gt)
-    aligned = align_frame(p, gt if isinstance(gt, GroundTruth) else g,
-                          with_scale=with_scale)
+    aligned = align_frame(p, gt, with_scale=with_scale)
     aligned -= g
     frame_pmpjpe = np.linalg.norm(aligned, axis=-1).mean(axis=1)
     return (np.linalg.norm(np.subtract(p, g, out=aligned), axis=-1),

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from posediff import aggregate
-from posediff.aggregate import (METHOD_INPUTS, METHOD_NAMES, SharedCostSet,
-                                agg_average, agg_jbest, agg_jpma, agg_pbest,
-                                agg_ppma, run_aggregator)
+from posediff.aggregate import (METHOD_INPUTS, METHOD_NAMES, agg_average,
+                                agg_jbest, agg_jpma, agg_pbest, agg_ppma,
+                                run_aggregator)
 from posediff.camera import DEFAULT_Z_MIN, CameraIntrinsics
 from posediff.core import HypothesisSet, PoseSeq2D, PoseSeq3D
+from posediff.denoise import NoisyOracle
 from posediff.errors import AggregationError, ShapeError
+from posediff.sampler import SamplerConfig, run_sampler
+from posediff.schedule import make_cosine_schedule
 
 from conftest import random_keypoints, random_pose
 
@@ -305,7 +308,7 @@ def _assert_same_report(got, want):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_shared_costs_equal_fresh_sets_at_every_prefix(monkeypatch, seed):
-    # every method on the first h hypotheses of a SharedCostSet is what
+    # every method on the first h hypotheses of a HypothesisSet is what
     # it is on those h alone, bitwise, with ties across the prefix edge,
     # behind-camera joints and a frame where only late hypotheses see a
     # joint; each hypothesis of the whole set is projected once, on its
@@ -340,7 +343,7 @@ def test_shared_costs_equal_fresh_sets_at_every_prefix(monkeypatch, seed):
         projected.append(points.shape)
         return real(points, camera)
     monkeypatch.setattr(aggregate, "project_with_mask", counted)
-    shared = SharedCostSet(poses)
+    shared = HypothesisSet(poses)
     for h, method in cells:
         if isinstance(want[h, method], AggregationError):
             with pytest.raises(AggregationError,
@@ -351,11 +354,11 @@ def test_shared_costs_equal_fresh_sets_at_every_prefix(monkeypatch, seed):
                 run_aggregator(method, shared.first(h), **kwargs),
                 want[h, method])
     assert projected == [(6, 5, 3)] * 12
-    assert all(not cost.flags.writeable for cost in shared._costs.values())
+    assert all(not cost.flags.writeable for cost in shared._derived.values())
 
 
-def test_shared_cost_set_prefix_rules():
-    shared = SharedCostSet(np.full((3, 1, 3, 3), 100.0))
+def test_hypothesis_set_prefix_rules():
+    shared = HypothesisSet(np.full((3, 1, 3, 3), 100.0))
     assert shared.first(3).count == 3
     assert np.array_equal(shared.first(2).poses, shared.poses[:2])
     # at its full count a set is its own prefix: no second set is made
@@ -367,11 +370,11 @@ def test_shared_cost_set_prefix_rules():
     cam = CameraIntrinsics.pinhole(fx=1000.0, fy=1000.0, cx=500.0, cy=500.0)
     near = agg_jpma(shared.first(2), PoseSeq2D(np.full((1, 3, 2), 500.0)), cam)
     far = agg_jpma(shared.first(2), PoseSeq2D(np.full((1, 3, 2), 400.0)), cam)
-    assert len(shared._costs) == 2
+    assert len(shared._derived) == 2
     assert not np.array_equal(near.reproj_error_px, far.reproj_error_px)
 
 
-def test_shared_cost_set_dies_with_its_last_reference():
+def test_hypothesis_set_dies_with_its_last_reference():
     # with the cyclic collector off, a set and the costs it caches go as
     # soon as nothing refers to it, so no set may refer to itself; a
     # prefix keeps its whole set, and the costs, alive
@@ -379,17 +382,42 @@ def test_shared_cost_set_dies_with_its_last_reference():
     x = PoseSeq2D(np.full((1, 3, 2), 500.0))
     gc.disable()
     try:
-        shared = SharedCostSet(np.full((3, 1, 3, 3), 100.0))
+        shared = HypothesisSet(np.full((3, 1, 3, 3), 100.0))
         agg_jpma(shared, x, cam)
-        assert len(shared._costs) == 1
+        assert len(shared._derived) == 1
         whole, prefix = weakref.ref(shared), shared.first(2)
         agg_ppma(prefix, x, cam)
         del shared
-        assert whole() is not None and len(prefix._costs) == 1
+        assert whole() is not None and len(prefix.whole_set()._derived) == 1
         del prefix
         assert whole() is None
     finally:
         gc.enable()
+
+
+def test_a_sampled_set_shares_its_costs_without_opting_in(monkeypatch):
+    # a plain run_sampler result projects each hypothesis once, for
+    # jpma, then ppma, then every prefix of it
+    rng = np.random.default_rng(8)
+    gt = random_pose(rng, frames=3, joints=5)
+    x = random_keypoints(rng, frames=3, joints=5)
+    cam = CameraIntrinsics.pinhole(fx=1000.0, fy=1000.0, cx=500.0, cy=500.0)
+    hs = run_sampler(x, NoisyOracle(gt, 20.0, seed=2),
+                     SamplerConfig(hypotheses=6, iterations=3, seed=4),
+                     make_cosine_schedule(60))
+    projected = []
+    real = aggregate.project_with_mask
+
+    def counted(points, camera):
+        projected.append(points.shape)
+        return real(points, camera)
+    monkeypatch.setattr(aggregate, "project_with_mask", counted)
+    agg_jpma(hs, x, cam)
+    agg_ppma(hs, x, cam)
+    for h in range(1, hs.count + 1):
+        agg_jpma(hs.first(h), x, cam)
+        agg_ppma(hs.first(h), x, cam)
+    assert projected == [(3, 5, 3)] * 6
 
 
 def test_reprojection_makes_one_hypothesis_at_a_time():

@@ -599,6 +599,30 @@ def test_t_max_below_two_exit_2_before_output(runner, tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("command",
+                         ["gen", "train", "infer", "bench", "render"])
+def test_out_blocked_by_a_file_exit_2(small_run, runner, tmp_path, command,
+                                      under):
+    # an --out that names a file, or a path under one, is a usage error
+    cfg, data, _ = small_run
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if under else afile
+    args = {"gen": [],
+            "train": ["--data", str(data)],
+            "infer": ["--data", str(data), "--oracle", "noisy"],
+            "bench": ["--data", str(data), "--oracle", "noisy",
+                      "--hypotheses", "1", "--iterations", "2"]}
+    if command == "render":
+        cmd = ["render", "--gt", str(data / "gt" / "seq_0000.jsonl")]
+    else:
+        cmd = [command, "--config", str(cfg), *args[command]]
+    res = runner.invoke(main, [*cmd, "--out", str(out)])
+    _assert_clean_exit(res, 2, f"--out {out}: ")
+    assert afile.read_text() == "kept\n"
+
+
 def test_bench_deterministic(runner, tmp_path):
     cfg, data = _gen(runner, tmp_path)
     args = ["bench", "--config", str(cfg), "--data", str(data), "--oracle",
@@ -1267,7 +1291,7 @@ def _held_hypotheses(runner, tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "FRAMES_PER_GROUP", 4, raising=False)
     made, held, stale = [], [], []
 
-    class Recorded(cli.SharedCostSet):
+    class Recorded(cli.HypothesisSet):
         def __init__(self, poses):
             super().__init__(poses)
             made.append(weakref.ref(self))
@@ -1275,12 +1299,12 @@ def _held_hypotheses(runner, tmp_path, monkeypatch,
                             if s is not None))
 
     def run_aggregator(method, hs, **inputs):
-        whole = hs._whole_set()
+        whole = hs.whole_set()
         i = next(i for i, r in enumerate(made) if r() is whole)
         stale.append(sum(r() is not None for r in made[:i]))
         return real(method, hs, **inputs)
     real = cli.run_aggregator
-    monkeypatch.setattr(cli, "SharedCostSet", Recorded)
+    monkeypatch.setattr(cli, "HypothesisSet", Recorded)
     monkeypatch.setattr(cli, "run_aggregator", run_aggregator)
     gc.disable()
     try:

@@ -8,9 +8,9 @@ from posediff.core import PoseSeq3D
 from posediff.errors import DegenerateAlignmentError, ShapeError
 from posediff import metrics
 from posediff.metrics import (AUC_MAX_MM, AUC_STEP_MM,
-                              PCK_DEFAULT_THRESHOLD_MM, GroundTruth,
-                              align_frame, auc, compute_metrics,
-                              joint_errors, mpjpe, pck, pmpjpe)
+                              PCK_DEFAULT_THRESHOLD_MM, align_frame, auc,
+                              compute_metrics, joint_errors, mpjpe, pck,
+                              pmpjpe)
 
 from conftest import random_pose
 
@@ -185,7 +185,7 @@ def test_degenerate_frame_in_stack_is_named(which, kind, message):
         pmpjpe(PoseSeq3D(pred), PoseSeq3D(gt))
     with pytest.raises(DegenerateAlignmentError,
                        match=f"^frame 4: {message}") as info:
-        align_frame(pred, GroundTruth(gt))
+        align_frame(pred, PoseSeq3D(gt))
     assert info.value.frame == 4
 
 
@@ -200,7 +200,7 @@ def test_degenerate_precedence_within_a_frame(gt_kind, message):
     pred[1] = line
     gt[1] = line if gt_kind == "collinear" else 250.0
     gt[3] = 250.0
-    for target in (gt, GroundTruth(gt)):
+    for target in (gt, PoseSeq3D(gt)):
         with pytest.raises(DegenerateAlignmentError,
                            match=f"^frame 1: {message}"):
             align_frame(pred, target)
@@ -317,10 +317,10 @@ def test_compute_metrics_holds_at_most_three_pose_arrays(with_scale):
     # prediction in its own two buffers and no joint errors wait through
     # it
     rng = np.random.default_rng(12)
-    gt = GroundTruth(random_pose(rng, frames=1024, joints=17).joints)
+    gt = PoseSeq3D(random_pose(rng, frames=1024, joints=17).joints)
     pred = _perturb(gt, rng, 30.0)
     want = compute_metrics(pred, PoseSeq3D(gt.joints), with_scale=with_scale)
-    assert gt._target is not None
+    compute_metrics(pred, gt, with_scale=with_scale)  # prepares gt
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -371,20 +371,38 @@ def test_pck_and_auc_are_boolean_means_on_thresholds():
 @pytest.mark.parametrize("with_scale", [True, False])
 def test_ground_truth_scores_bitwise(with_scale):
     # a prepared ground truth, reused across predictions, changes no bit
+    # against one that prepares afresh for each
     rng = np.random.default_rng(21)
-    gt = random_pose(rng, frames=40, joints=17)
-    prepared = GroundTruth(gt.joints)
+    joints = random_pose(rng, frames=40, joints=17).joints
+    prepared = PoseSeq3D(joints)
     for scale_mm in (0.0, 5.0, 40.0, 300.0, 40.0):
-        pred = _perturb(gt, rng, scale_mm)
+        pred = _perturb(prepared, rng, scale_mm)
         assert (compute_metrics(pred, prepared, with_scale=with_scale)
-                == compute_metrics(pred, gt, with_scale=with_scale))
+                == compute_metrics(pred, PoseSeq3D(joints),
+                                   with_scale=with_scale))
         assert (pmpjpe(pred, prepared, with_scale=with_scale)
-                == pmpjpe(pred, gt, with_scale=with_scale))
+                == pmpjpe(pred, PoseSeq3D(joints), with_scale=with_scale))
         assert np.array_equal(
             align_frame(pred.joints, prepared, with_scale=with_scale),
-            align_frame(pred.joints, gt.joints, with_scale=with_scale))
+            align_frame(pred.joints, joints, with_scale=with_scale))
     with pytest.raises(ShapeError):
         align_frame(pred.joints[0], prepared)
+
+
+def test_a_plain_ground_truth_is_prepared_once(monkeypatch):
+    # every call against one PoseSeq3D reuses its half of the alignment
+    made = []
+
+    class Counted(metrics._Target):
+        def __init__(self, gt):
+            made.append(gt)
+            super().__init__(gt)
+    monkeypatch.setattr(metrics, "_Target", Counted)
+    rng = np.random.default_rng(5)
+    gt = random_pose(rng, frames=8, joints=6)
+    for scale_mm in (10.0, 30.0):
+        compute_metrics(_perturb(gt, rng, scale_mm), gt)
+    assert [g is gt for g in made] == [True]
 
 
 def _clouds(rng, singular_values, count=64, joints=17) -> np.ndarray:

@@ -65,7 +65,7 @@ def _guard(fn):
             _fail(3, str(exc))
         except MissingGroundTruthError as exc:
             _fail(4, str(exc))
-        except (PoseDiffError, ValueError, OSError) as exc:
+        except (PoseDiffError, ValueError, OSError, MemoryError) as exc:
             _fail(1, str(exc))
     return wrapper
 
@@ -113,8 +113,9 @@ def _load_cfg(config_path: str | None, **overrides) -> RunConfig:
 
 
 def _out_dir(path: str | Path) -> Path:
-    """The output directory ``path``, made with its parents. A file in
-    its way is a usage error that names ``--out``."""
+    """The output directory ``path``, or a directory under it, made with
+    its parents. A file in its way is a usage error that names
+    ``--out``."""
     root = Path(path)
     try:
         root.mkdir(parents=True, exist_ok=True)
@@ -284,18 +285,17 @@ def _write_group(ds: Dataset, root: Path, save_hypotheses: bool,
                  reports: dict[str, AggregationReport]) -> None:
     """Write ``infer``'s files of the sequences of ``group``: each
     hypothesis of ``hs`` with ``save_hypotheses``, and each method's
-    poses, with its meta.json at the first group. The files are per
-    sequence: each takes its frames of the stack."""
+    poses, with its meta.json at the first group, into the
+    ``agg/<method>`` directories ``infer`` made before sampling. The
+    files are per sequence: each takes its frames of the stack."""
     if save_hypotheses:
         for i, frames in group:
-            hyp_dir = root / "hyp" / ds.sequences[i].name
-            hyp_dir.mkdir(parents=True, exist_ok=True)
+            hyp_dir = _out_dir(root / "hyp" / ds.sequences[i].name)
             for h in range(hs.count):
                 save_poses(PoseSeq3D(hs.poses[h, frames]),
                            hyp_dir / f"h_{h:03d}.jsonl")
     for m, report in reports.items():
         agg_dir = root / "agg" / m
-        agg_dir.mkdir(parents=True, exist_ok=True)
         for i, frames in group:
             save_poses(PoseSeq3D(report.pose.joints[frames]),
                        agg_dir / f"{ds.sequences[i].name}.jsonl")
@@ -403,6 +403,8 @@ def gen(config_path, seed, out_dir, dump_schedule):
     """Generate a synthetic dataset (3D ground truth + 2D keypoints)."""
     cfg = _load_cfg(config_path, seed=seed, out_dir=out_dir)
     root = _out_dir(cfg.out_dir)
+    for sub in ("kp", "gt"):
+        _out_dir(root / sub)
     pairs = gen_poses(cfg.scenario)
     save_dataset(root, cfg.scenario.skeleton, cfg.scenario.camera,
                  [(kp, gt) for gt, kp in pairs],
@@ -464,6 +466,10 @@ def infer(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     denoisers = _denoisers(cfg, ds, checkpoint, oracle)
     _check_flip_camera(cfg, data_dir, ds)
     root = _out_dir(cfg.out_dir)
+    # before sampling, so that a file in the way stops the run before
+    # any pose file is written
+    for m in methods:
+        _out_dir(root / "agg" / m)
 
     # One group of sequences at a time is sampled, aggregated and
     # written, so the hypotheses held stay near FRAMES_PER_GROUP frames.

@@ -760,21 +760,15 @@ class NoisyOracle(_OracleBase):
 
     The draw is keyed by (timestep, global hypothesis index, mirror
     branch), so repeated runs and batch splits reproduce exactly.
-    ``sigma_mm`` may be a scalar or a per-joint vector.
+    ``sigma_mm`` is the error's standard deviation, one for every
+    joint and axis.
     """
 
-    def __init__(self, gt: PoseSeq3D, sigma_mm: float | np.ndarray,
-                 seed: int = 0):
+    def __init__(self, gt: PoseSeq3D, sigma_mm: float, seed: int = 0):
         super().__init__(gt)
-        sigma = np.asarray(sigma_mm, dtype=np.float64)
-        if np.any(sigma < 0):
+        self.sigma = float(sigma_mm)
+        if self.sigma < 0:
             raise ValueError("sigma_mm must be >= 0")
-        if sigma.ndim not in (0, 1):
-            raise ShapeError("sigma_mm must be scalar or per-joint")
-        if sigma.ndim == 1 and sigma.shape[0] != gt.num_joints:
-            raise ShapeError(f"sigma_mm has {sigma.shape[0]} entries for "
-                             f"{gt.num_joints} joints")
-        self.sigma = sigma
         self.seed = seed
 
     def predict_clean(self, y_t, x, t, out, *, hyp_offset=0, mirrored=None):
@@ -786,8 +780,7 @@ class NoisyOracle(_OracleBase):
             self.seed, hyps, y_t.shape[1:], "oracle_noisy", int(t),
             branch=0 if mirrored is None else 1,
             out=out if out[0].flags.c_contiguous else None)
-        scale = self.sigma if self.sigma.ndim == 0 else self.sigma[:, None]
-        np.multiply(noise, scale, out=out)
+        np.multiply(noise, self.sigma, out=out)
         out += gt
         return out
 

@@ -49,8 +49,9 @@ def _collinear(sv: np.ndarray) -> np.ndarray:
 
 
 def _collinear_screened(p0: np.ndarray) -> np.ndarray:
-    """``_collinear`` of the centred (F, J, 3) clouds ``p0``, with an SVD
-    only for frames that a cheap exact screen does not clear.
+    """``_collinear`` of the centred (F, J, 3) clouds ``p0``, predicted or
+    ground truth, with an SVD only for frames that a cheap exact screen
+    does not clear.
 
     With G = p0^T p0, e2 the sum of its principal 2x2 minors and tr its
     trace, e2 <= 3 l0 l1 and l0 <= tr for its eigenvalues l0 >= l1 >=
@@ -73,16 +74,15 @@ def _collinear_screened(p0: np.ndarray) -> np.ndarray:
 
 
 class _Target:
-    """The ground truth's half of aligning (F, J, 3) frames onto ``gt``,
-    a ``PoseSeq3D`` or its joints: its centroids, norms, collinearity
-    and normalised centred clouds."""
+    """The ground truth's half of aligning (F, J, 3) frames onto ``gt``:
+    its centroids, norms, collinearity, by the prediction's screen, and
+    normalised centred clouds."""
 
-    def __init__(self, gt: PoseSeq3D | np.ndarray):
-        g = gt.joints if isinstance(gt, PoseSeq3D) else gt
-        self.mu = g.mean(axis=1, keepdims=True)
-        g0 = g - self.mu
+    def __init__(self, gt: PoseSeq3D):
+        self.mu = gt.joints.mean(axis=1, keepdims=True)
+        g0 = gt.joints - self.mu
         self.norm = np.linalg.norm(g0, axis=(1, 2))
-        self.collinear = _collinear(np.linalg.svd(g0, compute_uv=False))
+        self.collinear = _collinear_screened(g0)
         # A coincident frame divides by zero here; it is refused before
         # its cloud is read.
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -90,33 +90,26 @@ class _Target:
         self.unit = g0
 
 
-def align_frame(pred: np.ndarray, gt: np.ndarray | PoseSeq3D, *,
+def align_frame(pred: np.ndarray, gt: PoseSeq3D, *,
                 with_scale: bool = True) -> np.ndarray:
-    """Similarity-align predicted frames onto their ground truth.
-
-    Takes one (J, 3) frame or an (F, J, 3) stack aligned frame by frame
-    in one batched pass; ``gt`` may be a ``PoseSeq3D`` for a stack,
-    which computes its half of the alignment once, for every prediction
+    """Similarity-align an (F, J, 3) stack of predicted frames onto the
+    frames of ``gt``, frame by frame in one batched pass. ``gt``
+    computes its half of the alignment once, for every prediction
     aligned against it.
     For each frame finds rotation R (reflections excluded), translation,
     and optionally a uniform scale minimizing the summed squared joint
-    error, and returns the transformed prediction in the input's shape.
+    error, and returns the transformed prediction, (F, J, 3).
     Raises when either cloud of some frame is coincident or collinear,
-    where the rotation is not identifiable; for a stack the error's
-    ``frame`` is the first such frame.
+    where the rotation is not identifiable; the error's ``frame`` is
+    the first such frame.
     """
-    g = gt.joints if isinstance(gt, PoseSeq3D) else gt
-    if (pred.shape != g.shape or pred.ndim not in (2, 3)
-            or pred.shape[-1] != 3):
-        raise ShapeError(f"align_frame: bad shapes {pred.shape} vs {g.shape}")
-    if pred.shape[-2] < 3:
+    if pred.shape != gt.joints.shape:
+        raise ShapeError(
+            f"align_frame: bad shapes {pred.shape} vs {gt.joints.shape}")
+    if pred.shape[1] < 3:
         raise DegenerateAlignmentError(
-            f"alignment needs at least 3 joints, got {pred.shape[-2]}")
-    stacked = pred.ndim == 3
-    if not stacked:
-        pred, g = pred[None], g[None]
-    target = (derived(gt, _Target) if isinstance(gt, PoseSeq3D)
-              else _Target(g))
+            f"alignment needs at least 3 joints, got {pred.shape[1]}")
+    target = derived(gt, _Target)
 
     mu_p = pred.mean(axis=1, keepdims=True)
     p0 = pred - mu_p
@@ -132,7 +125,7 @@ def align_frame(pred: np.ndarray, gt: np.ndarray | PoseSeq3D, *,
     if bad.any():
         k = int(np.argmax(bad))
         message = next(msg for mask, msg in problems if mask[k])
-        raise DegenerateAlignmentError(message, frame=k if stacked else None)
+        raise DegenerateAlignmentError(message, frame=k)
 
     pn = p0 / norm_p[:, None, None]
     u, s, vt = np.linalg.svd(pn.transpose(0, 2, 1) @ target.unit)
@@ -149,7 +142,7 @@ def align_frame(pred: np.ndarray, gt: np.ndarray | PoseSeq3D, *,
     p0 *= scale[:, None, None]
     aligned = np.matmul(p0, rot, out=pn)
     aligned += target.mu
-    return aligned if stacked else aligned[0]
+    return aligned
 
 
 def pmpjpe(pred: PoseSeq3D, gt: PoseSeq3D, *, with_scale: bool = True) -> float:

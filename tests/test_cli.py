@@ -623,6 +623,32 @@ def test_out_blocked_by_a_file_exit_2(small_run, runner, tmp_path, command,
     assert afile.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("command, blocked, made", [
+    ("infer", "agg", "agg/avg"),
+    ("infer", "hyp/seq_0000", "hyp/seq_0000"),
+    ("gen", "kp", "kp"),
+], ids=["infer-agg", "infer-hyp", "gen-kp"])
+def test_out_subdirectory_blocked_by_a_file_exit_2(small_run, runner,
+                                                   tmp_path, command,
+                                                   blocked, made):
+    # a file where a command makes a directory under --out is a usage
+    # error that names --out and that directory; infer makes each
+    # agg/<method> before sampling, and gen kp/ and gt/ before writing
+    cfg, data, _ = small_run
+    out = tmp_path / "out"
+    (out / blocked).parent.mkdir(parents=True, exist_ok=True)
+    (out / blocked).write_text("kept\n")
+    args = {"gen": [],
+            "infer": ["--data", str(data), "--oracle", "noisy",
+                      "--aggregator", "avg,jpma"]}[command]
+    res = runner.invoke(main, [command, "--config", str(cfg), *args,
+                               "--out", str(out)])
+    _assert_clean_exit(res, 2, f"--out {out / made}: ")
+    assert (out / blocked).read_text() == "kept\n"
+    if blocked != "hyp/seq_0000":
+        assert sorted(out.rglob("*")) == [out / blocked]
+
+
 def test_bench_deterministic(runner, tmp_path):
     cfg, data = _gen(runner, tmp_path)
     args = ["bench", "--config", str(cfg), "--data", str(data), "--oracle",
@@ -994,6 +1020,19 @@ def test_non_finite_estimate_exit_1_names_sequence(runner, tmp_path,
                                "not finite")
 
 
+def test_allocation_failure_exit_1(runner, tmp_path, monkeypatch):
+    # memory the machine refuses is an error line, not a traceback
+    cfg, data = _gen(runner, tmp_path)
+
+    def run_sampler(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+    monkeypatch.setattr(cli, "run_sampler", run_sampler)
+    res = runner.invoke(main, ["infer", "--config", str(cfg), "--data",
+                               str(data), "--oracle", "noisy", "--out",
+                               str(tmp_path / "out")])
+    _assert_clean_exit(res, 1, "error: Unable to allocate 7.45 GiB")
+
+
 def _sequences(root: Path, edit, count: int = 3, edited: int = 1) -> Path:
     """A dataset of ``count`` 4-frame synthetic sequences; ``edit``
     changes the ground-truth joints of sequence ``edited`` in place."""
@@ -1230,6 +1269,7 @@ def test_bench_csv_does_not_depend_on_groups(runner, tmp_path, small_run,
     assert trees[0] == trees[1] == trees[2]
 
 
+@pytest.mark.bitwise
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(lengths=st.lists(st.integers(1, 6), min_size=1, max_size=4),
        hypotheses=st.integers(1, 4), iterations=st.integers(1, 4),

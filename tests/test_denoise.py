@@ -428,6 +428,7 @@ def _every_denoiser(j, n):
             ContractiveOracle(gt, 0.25), NoisyOracle(gt, 20.0, seed=24)]
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("mirrored", [None, DEFAULT_SKELETON])
 def test_predict_clean_in_place_matches_separate_out(mirrored):
     # out may be y_t itself: each denoiser reads a hypothesis of y_t
@@ -512,11 +513,10 @@ def test_noisy_oracle_draws_into_out():
     # not contiguous give the same bits
     h, n = 8, 1024
     gt = random_pose(np.random.default_rng(21), frames=n, joints=3)
-    sigma = np.array([5.0, 20.0, 40.0])
-    den = NoisyOracle(gt, sigma, seed=7)
+    den = NoisyOracle(gt, 20.0, seed=7)
     y_t = np.zeros((h, n, 3, 3))
     want = (hypothesis_normals(7, range(h), (n, 3, 3), "oracle_noisy", 6,
-                               branch=0) * sigma[:, None] + gt.joints)
+                               branch=0) * 20.0 + gt.joints)
     out = np.empty_like(y_t)
     tracemalloc.start()
     try:
@@ -554,13 +554,3 @@ def test_noisy_oracle_sigma_validation():
         gt.joints)
     with pytest.raises(ValueError):
         NoisyOracle(gt, -1.0)
-    with pytest.raises(ShapeError):
-        NoisyOracle(gt, np.zeros((2, 2)))
-    with pytest.raises(ShapeError):
-        NoisyOracle(gt, np.zeros(4))
-    per_joint = NoisyOracle(gt, np.array([0.0, 50.0, 0.0]), seed=1)
-    out = per_joint.predict_clean(np.zeros((1, 1, 3, 3)), None, 2,
-                                  np.empty((1, 1, 3, 3)))
-    err = out[0] - gt.joints
-    assert np.all(err[:, 0] == 0.0) and np.all(err[:, 2] == 0.0)
-    assert np.any(err[:, 1] != 0.0)

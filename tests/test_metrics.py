@@ -106,22 +106,22 @@ def test_collinear_target_degenerate():
 
 def test_too_few_joints_degenerate():
     with pytest.raises(DegenerateAlignmentError):
-        align_frame(np.zeros((2, 3)), np.ones((2, 3)))
+        align_frame(np.zeros((1, 2, 3)), PoseSeq3D(np.ones((1, 2, 3))))
 
 
 def test_coincident_joints_degenerate():
     with pytest.raises(DegenerateAlignmentError):
-        align_frame(np.random.default_rng(0).normal(size=(4, 3)),
-                    np.ones((4, 3)))
+        align_frame(np.random.default_rng(0).normal(size=(1, 4, 3)),
+                    PoseSeq3D(np.ones((1, 4, 3))))
 
 
 def test_align_frame_recovers_target():
     rng = np.random.default_rng(7)
     gt = random_pose(rng, frames=1, joints=9)
     r = _random_rotation(rng)
-    pred = 0.6 * gt.joints[0] @ r.T + 55.0
-    aligned = align_frame(pred, gt.joints[0])
-    np.testing.assert_allclose(aligned, gt.joints[0], atol=1e-8)
+    pred = 0.6 * gt.joints @ r.T + 55.0
+    aligned = align_frame(pred, gt)
+    np.testing.assert_allclose(aligned, gt.joints, atol=1e-8)
 
 
 def _stack(rng, frames=12, joints=9):
@@ -134,11 +134,12 @@ def _stack(rng, frames=12, joints=9):
 @pytest.mark.parametrize("with_scale", [True, False])
 def test_align_stack_matches_single_frames(with_scale):
     pred, gt = _stack(np.random.default_rng(12))
-    stacked = align_frame(pred, gt, with_scale=with_scale)
+    stacked = align_frame(pred, PoseSeq3D(gt), with_scale=with_scale)
     assert stacked.shape == pred.shape
     for k in range(pred.shape[0]):
-        single = align_frame(pred[k], gt[k], with_scale=with_scale)
-        assert np.abs(stacked[k] - single).max() <= 1e-12
+        single = align_frame(pred[k:k + 1], PoseSeq3D(gt[k:k + 1]),
+                             with_scale=with_scale)
+        assert np.abs(stacked[k] - single[0]).max() <= 1e-12
 
 
 def _reference_pmpjpe(pred, gt, with_scale):
@@ -177,10 +178,6 @@ def test_degenerate_frame_in_stack_is_named(which, kind, message):
         target[4] = np.outer(np.arange(6.0), [1.0, 2.0, -0.5]) + 100.0
     else:
         target[4] = 250.0
-    with pytest.raises(DegenerateAlignmentError,
-                       match=f"^frame 4: {message}") as info:
-        align_frame(pred, gt)
-    assert info.value.frame == 4
     with pytest.raises(DegenerateAlignmentError, match="frame 4"):
         pmpjpe(PoseSeq3D(pred), PoseSeq3D(gt))
     with pytest.raises(DegenerateAlignmentError,
@@ -200,10 +197,9 @@ def test_degenerate_precedence_within_a_frame(gt_kind, message):
     pred[1] = line
     gt[1] = line if gt_kind == "collinear" else 250.0
     gt[3] = 250.0
-    for target in (gt, PoseSeq3D(gt)):
-        with pytest.raises(DegenerateAlignmentError,
-                           match=f"^frame 1: {message}"):
-            align_frame(pred, target)
+    with pytest.raises(DegenerateAlignmentError,
+                       match=f"^frame 1: {message}"):
+        align_frame(pred, PoseSeq3D(gt))
 
 
 @settings(max_examples=30, deadline=None)
@@ -384,7 +380,8 @@ def test_ground_truth_scores_bitwise(with_scale):
                 == pmpjpe(pred, PoseSeq3D(joints), with_scale=with_scale))
         assert np.array_equal(
             align_frame(pred.joints, prepared, with_scale=with_scale),
-            align_frame(pred.joints, joints, with_scale=with_scale))
+            align_frame(pred.joints, PoseSeq3D(joints),
+                        with_scale=with_scale))
     with pytest.raises(ShapeError):
         align_frame(pred.joints[0], prepared)
 
@@ -417,6 +414,14 @@ def _clouds(rng, singular_values, count=64, joints=17) -> np.ndarray:
     return out
 
 
+def _assert_target_screened(clouds):
+    # the ground truth's side goes through the same screen: its
+    # collinearity is the SVD rule on the clouds it centres
+    g0 = clouds - clouds.mean(axis=1, keepdims=True)
+    rule = metrics._collinear(np.linalg.svd(g0, compute_uv=False))
+    assert np.array_equal(metrics._Target(PoseSeq3D(clouds)).collinear, rule)
+
+
 @pytest.mark.parametrize("ratio", [1e-8, 2e-9, 1e-9, 5e-10, 5.7e-4, 5.8e-4,
                                    5.9e-4, 7.0e-4, 7.1e-4, 9.9e-4, 1.01e-3])
 @pytest.mark.parametrize("third", [0.0, 0.5, 1.0])
@@ -445,6 +450,7 @@ def test_collinearity_screen_agrees_with_the_svd_rule(ratio, third):
         assert not rule.any()
     elif ratio <= 5e-10:
         assert rule.all()
+    _assert_target_screened(p0)
 
 
 @pytest.mark.parametrize("scale", [1e60, 1e100, 1e140])
@@ -455,6 +461,9 @@ def test_collinearity_screen_overflow_falls_back_to_the_rule(scale):
     p0 = _clouds(rng, (1.0, 0.5, 0.2), count=8) * scale
     rule = metrics._collinear(np.linalg.svd(p0, compute_uv=False))
     assert np.array_equal(metrics._collinear_screened(p0), rule)
+    _assert_target_screened(p0)
+    # and so do coincident clouds, whose products are all zero
+    _assert_target_screened(np.full((2, 17, 3), 250.0))
     gt = PoseSeq3D(rng.normal(size=(3, 6, 3)) * scale)
     pred = PoseSeq3D(gt.joints + rng.normal(size=(3, 6, 3)) * scale * 0.1)
     report = compute_metrics(pred, gt)

@@ -29,6 +29,8 @@ from posediff.denoise import (ADAM_EPS, PIXEL_SCALE, DenoiserParams,
 from posediff.rng import RngStream, stream_id
 from posediff.schedule import diffuse_array, make_cosine_schedule, to_signal_units
 
+pytestmark = pytest.mark.bitwise
+
 J = 5
 
 

@@ -208,6 +208,7 @@ def test_mlp_trace_entries_own_their_memory(flip_mode):
                    for step in trace[1:])
 
 
+@pytest.mark.bitwise
 def test_mlp_denoiser_reused_across_shapes_matches_fresh():
     # one denoiser queried at a small, a large, a middle and the small
     # shape again gives what a fresh denoiser gives for each; then six

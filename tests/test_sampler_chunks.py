@@ -29,6 +29,8 @@ from posediff.sampler import (FlipMode, SamplerConfig, SigmaMode, run_sampler,
 from posediff.schedule import make_cosine_schedule
 from posediff.synth import ScenarioConfig, gen_poses
 
+pytestmark = pytest.mark.bitwise
+
 H = 20
 CHUNKS = (1, 2, 3)
 

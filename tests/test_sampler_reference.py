@@ -20,6 +20,8 @@ from posediff.rng import RngStream, stream_id
 from posediff.sampler import FlipMode, SamplerConfig, SigmaMode, run_sampler
 from posediff.schedule import MM_PER_UNIT, SIGNAL_SCALE, make_cosine_schedule
 
+pytestmark = pytest.mark.bitwise
+
 SKELETON = Skeleton(parents=(0, 0, 1, 0, 3), mirror_pairs=((1, 3), (2, 4)),
                     bone_lengths=(0.0, 100.0, 90.0, 100.0, 90.0))
 IMAGE_WIDTH = 1000.0

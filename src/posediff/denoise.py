@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import abc
 import json
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,8 +49,8 @@ ADAM_EPS = 1e-8
 SAMPLES_PER_DRAW = 256
 # Inference runs the network over blocks of about this many rows:
 # max(1, min(H, ROWS_PER_BLOCK // N)) hypotheses of N frames at a time,
-# so its scratch holds one block whatever H. Smaller blocks make more,
-# shorter numpy calls, which two sampling threads overlap worse.
+# so a query's arrays hold one block whatever H. Smaller blocks make
+# more, shorter numpy calls, which two sampling threads overlap worse.
 ROWS_PER_BLOCK = 512
 
 
@@ -215,27 +214,8 @@ def y0_to_eps(y_t: np.ndarray, y0_hat: np.ndarray, t: int,
     return (y_t - np.sqrt(ab) * y0_hat) / np.sqrt(1.0 - ab)
 
 
-class _Scratch(threading.local):
-    """Arrays that consecutive MLP queries reuse. A query overwrites
-    whatever it takes, so nothing in them outlives one query; a query
-    of another shape replaces them. Each thread sees arrays of its own,
-    so threads may query at once; two queries on one thread must not
-    overlap."""
-
-    def __init__(self):
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, shape: tuple[int, ...],
-             dtype: type = np.float32) -> np.ndarray:
-        a = self._arrays.get(name)
-        if a is None or a.shape != shape or a.dtype != dtype:
-            a = self._arrays[name] = np.empty(shape, dtype)
-        return a
-
-
 def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
-            t_max: int, out: np.ndarray, *,
-            scratch: _Scratch | None = None) -> np.ndarray:
+            t_max: int, out: np.ndarray) -> np.ndarray:
     """Apply the MLP to every hypothesis; writes the clean-pose
     estimates into ``out``, an (H, N, J, 3) float64 array, unscreened,
     and returns ``out``.
@@ -249,9 +229,9 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
     by every hypothesis. The layers run over blocks of
     ``max(1, min(H, ROWS_PER_BLOCK // N))`` hypotheses in turn, the last
     block holding the rest; each hypothesis is its own N-row product
-    whatever its block, so the blocks change no bit. The float32 state
-    and layer outputs of one block, the keypoints and ``c`` live in
-    ``scratch``, or in fresh arrays when it is None. ``y_t`` may be a
+    whatever its block, so the blocks change no bit. Each call makes
+    its own float32 arrays and drops them on return: the keypoints,
+    ``c``, one block's state and one output per layer. ``y_t`` may be a
     view of ``out``: each block's hypotheses are read into the float32
     state before their estimates are written.
     """
@@ -264,26 +244,19 @@ def denoise(y_t: HypothesisSet, x: PoseSeq2D, t: int, model: DenoiserParams,
     if y_t.num_joints != model.num_joints:
         raise ShapeError(f"model expects {model.num_joints} joints, "
                          f"got {y_t.num_joints}")
-    scratch = _Scratch() if scratch is None else scratch
     h, n, j = y_t.count, y_t.num_frames, y_t.num_joints
     weights, biases = model.float32
     w_y, w_k = model.first_layer_split
     # The scaled keypoints, cast to float32 as they are written, and the
     # query's share of the first pre-activation.
-    kp = scratch.take("keypoints", (n, j * 2))
+    kp = np.empty((n, j * 2), np.float32)
     np.multiply(x.joints.reshape(n, j * 2), PIXEL_SCALE, out=kp)
-    c = scratch.take("condition", (n, model.hidden_width))
-    np.matmul(kp, w_k.T, out=c)
+    c = kp @ w_k.T
     c += biases[0]
     c += timestep_embedding(float(t), model.embed_dim).astype(np.float32)
     step = max(1, min(h, ROWS_PER_BLOCK // n))
-    state = scratch.take("state", (step, n, j * 3))
-    # Two buffers that the layers alternate between, so that none
-    # overwrites its own input.
-    size = step * n * max(w.shape[0] for w in weights)
-    pair = [scratch.take(name, (size,)) for name in "ab"]
-    outs = [pair[i % 2][:step * n * w.shape[0]].reshape(step, n, w.shape[0])
-            for i, w in enumerate(weights)]
+    state = np.empty((step, n, j * 3), np.float32)
+    outs = [np.empty((step, n, w.shape[0]), np.float32) for w in weights]
     poses = y_t.poses.reshape(h, n, j * 3)
     for lo in range(0, h, step):
         rows = min(step, h - lo)
@@ -362,9 +335,9 @@ def grad_loss(model: DenoiserParams, batch: TrainBatch
 
 def _adam_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
                step: int, config: "TrainConfig",
-               scratch: tuple[np.ndarray, np.ndarray]) -> None:
+               temps: tuple[np.ndarray, np.ndarray]) -> None:
     """One adaptive-moment update of ``p`` in place, from gradient ``g``
-    and the moments ``m`` and ``v``, which it updates too. ``scratch``
+    and the moments ``m`` and ``v``, which it updates too. ``temps``
     holds two arrays shaped like ``p``; no other array is allocated.
 
     Each coefficient is a float64 expression rounded once to ``p``'s
@@ -375,7 +348,7 @@ def _adam_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     f = p.dtype.type
     corr1 = f(1.0 - b1 ** (step + 1))
     corr2 = f(1.0 - b2 ** (step + 1))
-    t1, t2 = scratch
+    t1, t2 = temps
     # m = b1 * m + (1 - b1) * g
     np.multiply(m, f(b1), out=m)
     np.multiply(g, f(1 - b1), out=t1)
@@ -475,7 +448,7 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
     grad = np.empty_like(flat)
     grad_w, grad_b = _flat_views(grad, params)
     m_p, v_p = np.zeros_like(flat), np.zeros_like(flat)
-    scratch = (np.empty_like(flat), np.empty_like(flat))
+    temps = (np.empty_like(flat), np.empty_like(flat))
     n_w = sum(w.size for w in weights)
     decay = config.learning_rate * config.weight_decay
     emb_table = timestep_embedding(np.arange(sched.t_max + 1, dtype=np.float64),
@@ -520,10 +493,10 @@ def train(dataset: list[tuple[PoseSeq2D, PoseSeq3D]],
                     raise TrainingDivergedError(step)
                 history[step] = loss
 
-                _adam_step(flat, grad, m_p, v_p, step, config, scratch)
+                _adam_step(flat, grad, m_p, v_p, step, config, temps)
                 # decoupled weight decay: p -= lr * weight_decay * p,
                 # weights only
-                t1 = scratch[0][:n_w]
+                t1 = temps[0][:n_w]
                 np.multiply(flat[:n_w], np.float32(decay), out=t1)
                 flat[:n_w] -= t1
 
@@ -682,18 +655,13 @@ class MlpDenoiser(Denoiser):
     internally.
 
     ``t_max`` bounds the timesteps it accepts: the one it was trained to.
-    Its queries reuse float32 scratch arrays, one set per thread, so
-    several threads may query one instance at once: the scaled
-    keypoints, the per-query keypoint term of the first layer, and the
-    state and layer outputs of one block of ``denoise``, about
-    ``ROWS_PER_BLOCK`` rows whatever H. The state in signal units waits
-    in ``out``.
+    It holds nothing a query writes, so several threads may query one
+    instance at once. The state in signal units waits in ``out``.
     """
 
     def __init__(self, params: DenoiserParams, t_max: int):
         self.params = params
         self.t_max = t_max
-        self._scratch = _Scratch()
 
     @classmethod
     def from_checkpoint(cls, path: str | Path) -> "MlpDenoiser":
@@ -708,7 +676,7 @@ class MlpDenoiser(Denoiser):
         units = out.view()
         units.setflags(write=False)
         denoise(HypothesisSet(units), PoseSeq2D(x), t, self.params,
-                self.t_max, out, scratch=self._scratch)
+                self.t_max, out)
         out /= SIGNAL_SCALE / MM_PER_UNIT
         return out
 

@@ -259,28 +259,66 @@ def test_mlp_denoiser_reused_across_shapes_matches_fresh():
     assert len(got) == 6 * len(FlipMode)
 
 
-def test_mlp_scratch_holds_one_block():
-    # an H=20, N=256 query keeps the state and layer outputs of one
-    # block of about ROWS_PER_BLOCK rows, not of all 5120
-    h, n, j = 20, 256, DEFAULT_SKELETON.num_joints
-    params = init_params(j)
-    den = MlpDenoiser(params, 50)
+def _query_bytes(params, n, rows):
+    """Bytes of the float32 arrays one MLP query over N frames holds
+    while it runs a block of ``rows`` rows: the block's state and each
+    layer's output, the scaled keypoints and their term of the first
+    layer."""
+    j, width = params.num_joints, params.hidden_width
+    block = rows * (j * 3 + sum(w.shape[0] for w in params.weights)) * 4
+    return block + n * (j * 2 + width) * 4
+
+
+def _traced_query(params, h, n):
+    """(peak, held): the bytes one H x N query on a fresh MlpDenoiser
+    traces beyond what it started with, at its peak and on return,
+    after a warm-up query on another instance makes the float32
+    weights. The keypoints are read-only, as the sampler passes them,
+    so the query takes them uncopied."""
+    j = params.num_joints
     rng = np.random.default_rng(12)
     y = rng.normal(scale=300.0, size=(h, n, j, 3))
     x = rng.uniform(0.0, 1000.0, size=(n, j, 2))
-    den.predict_clean(y, x, 20, np.empty_like(y))
-    width = params.hidden_width
+    x.setflags(write=False)
+    out = np.empty_like(y)
+    MlpDenoiser(params, 50).predict_clean(y, x, 20, out)
+    den = MlpDenoiser(params, 50)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        den.predict_clean(y, x, 20, out)
+        now, peak = tracemalloc.get_traced_memory()
+        return peak - before, now - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_mlp_query_holds_one_block():
+    # an H=20, N=256 query holds the state and layer outputs of one
+    # block of about ROWS_PER_BLOCK rows, not of all 5120, beside its
+    # keypoint arrays. The allowance, far below one block, is for
+    # numpy's float64 buffer casting the scaled keypoints to float32,
+    # the timestep embedding and Python's own small objects.
+    h, n = 20, 256
+    params = init_params(DEFAULT_SKELETON.num_joints)
     rows = max(1, min(h, ROWS_PER_BLOCK // n)) * n
     assert rows < h * n
-    block = rows * (j * 3 + 2 * width) * 4
-    per_query = n * (j * 2 + width) * 4  # the keypoints and their term
-    scratch = sum(a.nbytes for a in den._scratch._arrays.values())
-    assert scratch == block + per_query
+    query = _query_bytes(params, n, rows)
+    peak, _ = _traced_query(params, h, n)
+    assert query <= peak < query + np.getbufsize() * 8 + 16 * 1024
+
+
+def test_mlp_query_keeps_nothing():
+    # each query drops the arrays it made: the denoiser holds no state
+    # between queries
+    params = init_params(DEFAULT_SKELETON.num_joints)
+    _, held = _traced_query(params, 20, 256)
+    assert held < 1024
 
 
 def _sampling_peak(x, params, cfg, out=None):
     """Bytes ``run_sampler`` traces beyond what it started with, on a
-    fresh MlpDenoiser after a warm-up call; and that denoiser."""
+    fresh MlpDenoiser after a warm-up call."""
     sched = make_cosine_schedule(50)
     # the float32 weights and the row ids are made once, not per call
     run_sampler(x, MlpDenoiser(params, 50), cfg, sched, DEFAULT_SKELETON,
@@ -290,16 +328,16 @@ def _sampling_peak(x, params, cfg, out=None):
     try:
         before = tracemalloc.get_traced_memory()[0]
         run_sampler(x, den, cfg, sched, DEFAULT_SKELETON, 1000.0, out=out)
-        return tracemalloc.get_traced_memory()[1] - before, den
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
 
 
 def test_sampling_allocates_nothing_state_sized_but_its_buffers(monkeypatch):
     # numpy's buffers are traced: one call peaks below its result, the
-    # chain's state and millimeter state, the MLP's scratch and half a
-    # state array for everything else, so no step may make a state-sized
-    # temporary
+    # chain's state and millimeter state, the arrays of one MLP query and
+    # half a state array for everything else, so no step may make a
+    # state-sized temporary
     monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
     h, n, j = 8, 128, DEFAULT_SKELETON.num_joints
     assert len(sampler._chunks(h, n)) == 1
@@ -307,10 +345,11 @@ def test_sampling_allocates_nothing_state_sized_but_its_buffers(monkeypatch):
                                     seed=2))[0]
     cfg = SamplerConfig(hypotheses=h, iterations=4, seed=3,
                         flip_mode=FlipMode.DIFFUSION)
-    peak, den = _sampling_peak(x, init_params(j), cfg)
+    params = init_params(j)
+    peak = _sampling_peak(x, params, cfg)
     state = h * n * j * 3 * 8
-    scratch = sum(a.nbytes for a in den._scratch._arrays.values())
-    assert peak < 3 * state + scratch + state // 2
+    query = _query_bytes(params, n, max(1, min(h, ROWS_PER_BLOCK // n)) * n)
+    assert peak < 3 * state + query + state // 2
 
 
 def test_flip_peaks_hold_one_array_per_flip_mode(monkeypatch):
@@ -335,7 +374,7 @@ def test_flip_peaks_hold_one_array_per_flip_mode(monkeypatch):
     for out in (None, stack[:, 3:3 + n]):
         peaks = {mode: _sampling_peak(x, params, SamplerConfig(
                      hypotheses=h, iterations=4, seed=3, flip_mode=mode),
-                     out)[0]
+                     out)
                  for mode in FlipMode}
         assert (peaks[FlipMode.DIFFUSION]
                 <= peaks[FlipMode.NONE] + hypothesis + keypoints + small)

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import PoseSeq2D, PoseSeq3D
-from .errors import (BehindCameraError, json_object, reject_unknown_keys,
-                     require_field)
+from .errors import (BehindCameraError, json_object, read_utf8,
+                     reject_unknown_keys, require_field)
 
 # Joints closer than this to the image plane do not project meaningfully.
 DEFAULT_Z_MIN = 1.0  # mm
@@ -155,5 +155,5 @@ def camera_from_dict(d: dict, where: str = "camera") -> CameraIntrinsics:
 
 
 def load_camera(path: str | Path) -> CameraIntrinsics:
-    return camera_from_dict(json_object(Path(path).read_text(), str(path)),
+    return camera_from_dict(json_object(read_utf8(path), str(path)),
                             str(path))

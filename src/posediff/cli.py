@@ -35,7 +35,8 @@ from .denoise import (ContractiveOracle, Denoiser, MlpDenoiser, NoisyOracle,
 from .errors import (AggregationError, ConfigError, DegenerateAlignmentError,
                      MissingGroundTruthError, NumericError, PoseDiffError,
                      TrainingDivergedError)
-from .metrics import MetricReport, frame_errors, pool_metrics
+from .metrics import (ALIGN_MIN_JOINTS, MetricReport, frame_errors,
+                      pool_metrics)
 from .poseio import load_poses, save_poses
 from .render import render_sequence
 from .rng import serve_repeats, stream_id
@@ -166,21 +167,35 @@ def _load_data(data_dir: str) -> Dataset:
 
 
 def _check_flip_camera(cfg: RunConfig, data_dir: str, ds: Dataset) -> None:
-    """Flips mirror keypoints about the camera's principal point,
+    """Flips swap the skeleton's mirror pairs, so it needs some, and
+    mirror keypoints about the camera's principal point,
     ``u -> 2*cx - u``, so they need a camera with a positive ``cx``.
     The flipped keypoints are the projection of the mirrored pose only
     when ``p1`` is 0: mirroring negates x', but not the ``p1 r^2``
     shift of the distorted x."""
-    if cfg.sampler.flip_mode is FlipMode.NONE:
+    mode = cfg.sampler.flip_mode
+    if mode is FlipMode.NONE:
         return
+    manifest = Path(data_dir) / MANIFEST_NAME
+    if not ds.skeleton.mirror_pairs:
+        raise ValueError(f"{manifest}: skeleton defines no mirror pairs, "
+                         f"cannot flip (flip mode '{mode.value}')")
     for name, ok, rule in (("cx", ds.camera.cx > 0, "positive"),
                            ("p1", ds.camera.p1 == 0.0, "0")):
         if not ok:
             raise ValueError(
-                f"{Path(data_dir) / MANIFEST_NAME}: camera {name} must be "
-                f"{rule} to flip keypoints about 2*cx (flip mode "
-                f"'{cfg.sampler.flip_mode.value}'), got "
+                f"{manifest}: camera {name} must be {rule} to flip "
+                f"keypoints about 2*cx (flip mode '{mode.value}'), got "
                 f"{getattr(ds.camera, name)}")
+
+
+def _check_scorable(data_dir: str, ds: Dataset) -> None:
+    """Metrics align each frame of a dataset with ground truth, which
+    needs ``ALIGN_MIN_JOINTS`` joints or more."""
+    if ds.has_gt and ds.skeleton.num_joints < ALIGN_MIN_JOINTS:
+        raise ValueError(f"{Path(data_dir) / MANIFEST_NAME}: metrics need "
+                         f"{ALIGN_MIN_JOINTS} or more joints to align, the "
+                         f"skeleton has {ds.skeleton.num_joints}")
 
 
 def _denoisers(cfg: RunConfig, ds: Dataset, checkpoint: str | None,
@@ -465,6 +480,7 @@ def infer(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     methods = _parse_aggregators(aggregators, ds.has_gt)
     denoisers = _denoisers(cfg, ds, checkpoint, oracle)
     _check_flip_camera(cfg, data_dir, ds)
+    _check_scorable(data_dir, ds)
     root = _out_dir(cfg.out_dir)
     # before sampling, so that a file in the way stops the run before
     # any pose file is written
@@ -531,6 +547,7 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
     methods = _parse_aggregators(aggregators, ds.has_gt)
     denoisers = _denoisers(cfg, ds, checkpoint, oracle)
     _check_flip_camera(cfg, data_dir, ds)
+    _check_scorable(data_dir, ds)
     root = _out_dir(cfg.out_dir)
 
     # One sample per K at the largest H serves every H: the sampler

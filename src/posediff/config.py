@@ -19,7 +19,7 @@ from .core import (DEFAULT_SKELETON, load_skeleton, skeleton_from_dict,
                    skeleton_to_dict)
 from .denoise import TrainConfig
 from .errors import (ConfigError, PoseDiffError, finite_number, json_object,
-                     reject_unknown_keys, require_field)
+                     read_utf8, reject_unknown_keys, require_field)
 from .metrics import PCK_DEFAULT_THRESHOLD_MM
 from .sampler import FlipMode, SamplerConfig, SigmaMode
 from .synth import DEFAULT_CAMERA, ScenarioConfig
@@ -165,7 +165,7 @@ def config_from_dict(doc: dict, *, base_dir: Path | None = None) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     require_file(path, "config")
-    doc = json_object(path.read_text(), str(path), ConfigError)
+    doc = json_object(read_utf8(path, ConfigError), str(path), ConfigError)
     return config_from_dict(doc, base_dir=path.parent)
 
 

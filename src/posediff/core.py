@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import (ShapeError, SkeletonError, finite_number, json_object,
-                     reject_unknown_keys, require_field)
+                     read_utf8, reject_unknown_keys, require_field)
 
 
 def _frozen_f64(a, ndim: int, last: int, what: str) -> np.ndarray:
@@ -338,5 +338,5 @@ def skeleton_from_dict(d: dict,
 
 
 def load_skeleton(path: str | Path) -> Skeleton:
-    d = json_object(Path(path).read_text(), str(path), SkeletonError)
+    d = json_object(read_utf8(path, SkeletonError), str(path), SkeletonError)
     return skeleton_from_dict(d, str(path))

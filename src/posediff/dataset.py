@@ -18,7 +18,8 @@ from pathlib import Path
 from .camera import CameraIntrinsics, camera_from_dict, camera_to_dict
 from .core import PoseSeq2D, PoseSeq3D, Skeleton, skeleton_from_dict, \
     skeleton_to_dict
-from .errors import PoseFileSchemaError, json_object, require_field
+from .errors import (PoseFileSchemaError, json_object, read_utf8,
+                     require_field)
 from .poseio import load_poses, save_poses
 
 MANIFEST_NAME = "manifest.json"
@@ -93,7 +94,8 @@ def load_dataset(root: str | Path) -> Dataset:
     path = root / MANIFEST_NAME
     if not path.exists():
         raise PoseFileSchemaError(f"{path}: not found")
-    manifest = json_object(path.read_text(), str(path), PoseFileSchemaError)
+    manifest = json_object(read_utf8(path, PoseFileSchemaError), str(path),
+                           PoseFileSchemaError)
     if manifest.get("format") != _MANIFEST_MAGIC:
         raise PoseFileSchemaError(f"{path}: not a dataset manifest")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+from pathlib import Path
 
 
 class PoseDiffError(Exception):
@@ -106,6 +107,15 @@ class ConfigError(PoseDiffError, ValueError):
 
 def _reject_non_finite(token: str):
     raise ValueError(f"non-finite constant {token}")
+
+
+def read_utf8(path: str | Path, error=ValueError) -> str:
+    """The text of the file at ``path``, which must be UTF-8, else
+    ``error`` naming the file and the first byte that is not."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 ({exc})") from exc
 
 
 def json_object(text: str | bytes, where: str, error=ValueError) -> dict:

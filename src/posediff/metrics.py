@@ -22,6 +22,7 @@ AUC_STEP_MM = 5.0
 # A frame whose centered joint cloud has second singular value below
 # this multiple of the first is treated as collinear.
 _COLLINEAR_RTOL = 1e-9
+ALIGN_MIN_JOINTS = 3  # fewer joints fix no rotation
 
 
 def _paired(pred: PoseSeq3D, gt: PoseSeq3D) -> tuple[np.ndarray, np.ndarray]:
@@ -106,9 +107,10 @@ def align_frame(pred: np.ndarray, gt: PoseSeq3D, *,
     if pred.shape != gt.joints.shape:
         raise ShapeError(
             f"align_frame: bad shapes {pred.shape} vs {gt.joints.shape}")
-    if pred.shape[1] < 3:
+    if pred.shape[1] < ALIGN_MIN_JOINTS:
         raise DegenerateAlignmentError(
-            f"alignment needs at least 3 joints, got {pred.shape[1]}")
+            f"alignment needs at least {ALIGN_MIN_JOINTS} joints, got "
+            f"{pred.shape[1]}")
     target = derived(gt, _Target)
 
     mu_p = pred.mean(axis=1, keepdims=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import PoseSeq2D, PoseSeq3D
 from .errors import (PoseFileParseError, PoseFileSchemaError, finite_number,
-                     json_object, require_field)
+                     json_object, read_utf8, require_field)
 
 
 def _parse_line(text: str, line_no: int, path: str | Path) -> dict:
@@ -36,7 +36,7 @@ def save_poses(pose: PoseSeq3D | PoseSeq2D, path: str | Path) -> None:
 
 
 def load_poses(path: str | Path) -> PoseSeq3D | PoseSeq2D:
-    lines = Path(path).read_text().splitlines()
+    lines = read_utf8(path, PoseFileParseError).splitlines()
     if not lines or not any(line.strip() for line in lines):
         raise PoseFileParseError(f"{path}: empty pose file")
 

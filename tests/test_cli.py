@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from posediff.camera import camera_to_dict
 from posediff.cli import main
 from posediff.config import config_from_dict, config_sha256
-from posediff.core import (DEFAULT_SKELETON, PoseSeq2D, PoseSeq3D,
+from posediff.core import (DEFAULT_SKELETON, PoseSeq2D, PoseSeq3D, Skeleton,
                            skeleton_to_dict)
 from posediff.dataset import (Dataset, Sequence, load_dataset,
                               save_dataset)
@@ -991,6 +991,104 @@ def test_flip_refuses_camera_without_positive_cx(runner, tmp_path, command):
         assert not out.exists()
         res = runner.invoke(main, [*args, "--flip", "none"])
         assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("command", ["infer", "bench"])
+def test_flip_refuses_skeleton_without_mirror_pairs(runner, tmp_path,
+                                                    command):
+    # a flip swaps the skeleton's mirror pairs; a dataset skeleton with
+    # none is refused, naming the manifest, before any output is made
+    scenario = config_from_dict(SMALL_CFG).scenario
+    data, out = tmp_path / "data", tmp_path / "out"
+    save_dataset(data, replace(scenario.skeleton, mirror_pairs=()),
+                 scenario.camera,
+                 [(kp, gt) for gt, kp in gen_poses(scenario)])
+    args = [command, "--config", str(_write_cfg(tmp_path)), "--data",
+            str(data), "--oracle", "noisy", "--out", str(out)]
+    for mode in ("once", "diffusion"):
+        res = runner.invoke(main, [*args, "--flip", mode])
+        _assert_clean_exit(res, 1, f"error: {data / 'manifest.json'}: "
+                                   f"skeleton defines no mirror pairs")
+        assert not out.exists()
+    res = runner.invoke(main, [*args, "--flip", "none"])
+    assert res.exit_code == 0, res.output
+
+
+def _two_joint_data(root: Path, with_gt: bool) -> Path:
+    """A dataset of two 3-frame sequences of a 2-joint skeleton."""
+    rng = np.random.default_rng(5)
+    skel = Skeleton(parents=(0, 0), mirror_pairs=(),
+                    bone_lengths=(0.0, 250.0))
+    seqs = []
+    for _ in range(2):
+        gt = rng.normal(scale=100.0, size=(3, 2, 3)) + [0.0, 0.0, 3000.0]
+        seqs.append((PoseSeq2D(rng.uniform(300.0, 700.0, size=(3, 2, 2))),
+                     PoseSeq3D(gt) if with_gt else None))
+    save_dataset(root, skel, DEFAULT_CAMERA, seqs)
+    return root
+
+
+@pytest.mark.parametrize("command", ["infer", "bench"])
+def test_scoring_refuses_fewer_than_3_joints(runner, tmp_path, command):
+    # P-MPJPE aligns 3 or more joints; a dataset with ground truth and
+    # fewer is refused, naming the manifest and its joint count, before
+    # anything is sampled or made
+    data = _two_joint_data(tmp_path / "data", with_gt=True)
+    out = tmp_path / "out"
+    res = runner.invoke(main, [
+        command, "--config", str(_write_cfg(tmp_path)), "--data", str(data),
+        "--oracle", "noisy", "--out", str(out)])
+    _assert_clean_exit(res, 1, f"error: {data / 'manifest.json'}: metrics "
+                               f"need 3 or more joints to align, the "
+                               f"skeleton has 2\n")
+    assert not out.exists()
+
+
+def test_infer_without_ground_truth_takes_fewer_than_3_joints(runner,
+                                                              tmp_path):
+    # nothing is aligned without ground truth, so 2 joints run
+    data = _two_joint_data(tmp_path / "data", with_gt=False)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_params(2), t_max=SMALL_CFG["t_max"])
+    out = tmp_path / "out"
+    res = runner.invoke(main, [
+        "infer", "--config", str(_write_cfg(tmp_path)), "--data", str(data),
+        "--checkpoint", str(ckpt), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert load_poses(out / "agg" / "ppma" / "seq_0001.jsonl").num_joints == 2
+
+
+def _utf16(path: Path) -> Path:
+    """``path`` rewritten as UTF-16 with its byte-order mark: JSON that
+    ``json.loads`` would take as bytes, but not UTF-8."""
+    path.write_bytes(b"\xff\xfe" + '{"J": 2}'.encode("utf-16-le"))
+    return path
+
+
+@pytest.mark.parametrize("role, code", [
+    ("config", 2), ("manifest", 1), ("keypoints", 1), ("gt", 1),
+    ("camera", 2), ("skeleton", 2)])
+def test_non_utf8_file_names_the_file(runner, tmp_path, role, code):
+    # every JSON file a command reads must be UTF-8; one that is not is
+    # named, with the exit code of any other malformed file in its role
+    cfg, data = _gen(runner, tmp_path)
+    out, side = tmp_path / "out", tmp_path / f"{role}.json"
+    gt = data / "gt" / "seq_0000.jsonl"
+    infer = ["infer", "--config", str(cfg), "--data", str(data), "--oracle",
+             "noisy", "--out", str(out)]
+    render = ["render", "--gt", str(gt), "--out", str(out)]
+    bad, args = {
+        "config": (cfg, infer),
+        "manifest": (data / "manifest.json", infer),
+        "keypoints": (data / "kp" / "seq_0001.jsonl", infer),
+        "gt": (gt, render),
+        "camera": (side, [*render, "--camera", str(side)]),
+        "skeleton": (side, [*render, "--skeleton", str(side)]),
+    }[role]
+    _utf16(bad)
+    res = runner.invoke(main, args)
+    _assert_clean_exit(res, code, f"error: {bad}: not UTF-8 (")
+    assert not out.exists()
 
 
 class _NanStub(Denoiser):

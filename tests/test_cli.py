@@ -969,49 +969,39 @@ def test_flip_modes_run_end_to_end(runner, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["infer", "bench"])
-def test_flip_refuses_camera_without_positive_cx(runner, tmp_path, command):
-    # flips mirror about u = cx; a dataset camera with cx <= 0, or with a
-    # tangential p1 that the mirror does not negate, is refused, naming
-    # the manifest and the value, before any output is made
-    for name, camera in (("cx", replace(DEFAULT_CAMERA, cx=-10.0)),
-                         ("p1", replace(DEFAULT_CAMERA, model="distorted",
-                                        p1=0.01))):
-        cfg = _write_cfg(tmp_path, {**SMALL_CFG,
-                                    "camera": camera_to_dict(camera)})
+def test_flip_refuses_a_dataset_it_cannot_mirror(runner, tmp_path, command):
+    # a flip swaps the skeleton's mirror pairs and mirrors keypoints
+    # about u = cx; a dataset skeleton with no mirror pairs, or a camera
+    # with cx <= 0 or with a tangential p1 that the mirror does not
+    # negate, is refused in both flip modes, naming the manifest (and
+    # the value), before any output is made
+    no_pairs = skeleton_to_dict(replace(DEFAULT_SKELETON, mirror_pairs=()))
+    cx = replace(DEFAULT_CAMERA, cx=-10.0)
+    p1 = replace(DEFAULT_CAMERA, model="distorted", p1=0.01)
+    for name, extra, message in (
+            ("pairs", {"skeleton": no_pairs},
+             "skeleton defines no mirror pairs"),
+            ("cx", {"camera": camera_to_dict(cx)},
+             "camera cx must be positive"),
+            ("p1", {"camera": camera_to_dict(p1)}, "camera p1 must be 0")):
+        cfg = _write_cfg(tmp_path, {**SMALL_CFG, **extra})
         data, out = tmp_path / f"data_{name}", tmp_path / f"out_{name}"
         res = runner.invoke(main, ["gen", "--config", str(cfg), "--out",
                                    str(data)])
         assert res.exit_code == 0, res.output
         args = [command, "--config", str(cfg), "--data", str(data),
                 "--oracle", "noisy", "--out", str(out)]
-        res = runner.invoke(main, [*args, "--flip", "diffusion"])
-        _assert_clean_exit(res, 1,
-                           f"error: {data / 'manifest.json'}: camera {name}")
-        assert f"got {getattr(camera, name)}" in res.stderr
-        assert not out.exists()
+        for mode in ("once", "diffusion"):
+            res = runner.invoke(main, [*args, "--flip", mode])
+            _assert_clean_exit(res, 1, f"error: {data / 'manifest.json'}: "
+                                       f"{message}")
+            assert f"(flip mode '{mode}')" in res.stderr
+            assert not out.exists()
+        if name != "pairs":
+            value = getattr(cx if name == "cx" else p1, name)
+            assert f"got {value}" in res.stderr
         res = runner.invoke(main, [*args, "--flip", "none"])
         assert res.exit_code == 0, res.output
-
-
-@pytest.mark.parametrize("command", ["infer", "bench"])
-def test_flip_refuses_skeleton_without_mirror_pairs(runner, tmp_path,
-                                                    command):
-    # a flip swaps the skeleton's mirror pairs; a dataset skeleton with
-    # none is refused, naming the manifest, before any output is made
-    scenario = config_from_dict(SMALL_CFG).scenario
-    data, out = tmp_path / "data", tmp_path / "out"
-    save_dataset(data, replace(scenario.skeleton, mirror_pairs=()),
-                 scenario.camera,
-                 [(kp, gt) for gt, kp in gen_poses(scenario)])
-    args = [command, "--config", str(_write_cfg(tmp_path)), "--data",
-            str(data), "--oracle", "noisy", "--out", str(out)]
-    for mode in ("once", "diffusion"):
-        res = runner.invoke(main, [*args, "--flip", mode])
-        _assert_clean_exit(res, 1, f"error: {data / 'manifest.json'}: "
-                                   f"skeleton defines no mirror pairs")
-        assert not out.exists()
-    res = runner.invoke(main, [*args, "--flip", "none"])
-    assert res.exit_code == 0, res.output
 
 
 def _two_joint_data(root: Path, with_gt: bool) -> Path:

@@ -20,7 +20,7 @@ from .core import (DEFAULT_SKELETON, HypothesisSet, JOINT_NAMES_17, PoseSeq2D,
 from .dataset import Dataset, Sequence, load_dataset, save_dataset
 from .denoise import (ContractiveOracle, Denoiser, DenoiserParams,
                       MlpDenoiser, NoisyOracle, PerfectOracle, TrainConfig,
-                      TrainResult, denoise, init_params, load_checkpoint,
+                      TrainResult, init_params, load_checkpoint,
                       save_checkpoint, timestep_embedding, train)
 from .errors import (AggregationError, BehindCameraError, ConfigError,
                      DegenerateAlignmentError, MissingGroundTruthError,

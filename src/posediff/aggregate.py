@@ -58,23 +58,11 @@ def _check_shape(hs: HypothesisSet, other: PoseSeq2D | PoseSeq3D,
             f"({other.num_frames}, {other.num_joints})")
 
 
-def _cost(hs: HypothesisSet, cost, *inputs) -> np.ndarray:
-    """``cost(hs, *inputs)``, a per-hypothesis reprojection error (jpma,
-    ppma) or ground-truth distance (pbest, jbest), read-only: the first
-    rows of that cost over the set ``hs`` was taken from by ``first``,
-    computed once per cost and inputs. That equals computing it on
-    ``hs`` alone, bitwise: every cost is computed per hypothesis, and
-    every selection's ties go to the lowest index, as an argmin over a
-    prefix does."""
-    whole = derived(hs.whole_set(), cost, *inputs)
-    whole.setflags(write=False)
-    return whole[:hs.count]
-
-
 def _reprojection_errors(hs: HypothesisSet, x: PoseSeq2D,
                          cam: CameraIntrinsics) -> np.ndarray:
-    """Per-hypothesis pixel errors, (H, N, J), one hypothesis at a time:
-    no (H, N, J, 2) projection is made. Excluded joints are +inf."""
+    """Per-hypothesis pixel errors, (H, N, J), read-only, one hypothesis
+    at a time: no (H, N, J, 2) projection is made. Excluded joints are
+    +inf."""
     _check_shape(hs, x, "keypoints are")
     err = np.empty(hs.poses.shape[:-1])
     for h, pose in enumerate(hs.poses):
@@ -82,16 +70,19 @@ def _reprojection_errors(hs: HypothesisSet, x: PoseSeq2D,
         uv -= x.joints
         err[h] = _norms(uv)
         err[h][~valid] = np.inf
+    err.setflags(write=False)
     return err
 
 
 def _distances(hs: HypothesisSet, gt: PoseSeq3D) -> np.ndarray:
     """Per-hypothesis joint distances to the ground truth, (H, N, J),
-    one hypothesis at a time: no (H, N, J, 3) difference is made."""
+    read-only, one hypothesis at a time: no (H, N, J, 3) difference is
+    made."""
     _check_shape(hs, gt, "ground truth is")
     dist = np.empty(hs.poses.shape[:-1])
     for h, pose in enumerate(hs.poses):
         dist[h] = _norms(pose - gt.joints)
+    dist.setflags(write=False)
     return dist
 
 
@@ -148,7 +139,7 @@ def agg_jpma(hs: HypothesisSet, x: PoseSeq2D,
     input. Behind-camera joints are skipped; a joint with no surviving
     hypothesis is an error.
     """
-    err = _cost(hs, _reprojection_errors, x, cam)
+    err = derived(hs, _reprojection_errors, x, cam)
     return _select("jpma", hs, err, err)
 
 
@@ -159,18 +150,18 @@ def agg_ppma(hs: HypothesisSet, x: PoseSeq2D,
     A hypothesis with any behind-camera joint in a frame is excluded
     for that whole frame (its total is not comparable).
     """
-    err = _cost(hs, _reprojection_errors, x, cam)
+    err = derived(hs, _reprojection_errors, x, cam)
     return _select("ppma", hs, err.sum(axis=2), err)
 
 
 def agg_pbest(hs: HypothesisSet, gt: PoseSeq3D) -> AggregationReport:
     """Oracle: per frame, the hypothesis with the lowest mean joint error."""
-    return _select("pbest", hs, _cost(hs, _distances, gt).mean(axis=2))
+    return _select("pbest", hs, derived(hs, _distances, gt).mean(axis=2))
 
 
 def agg_jbest(hs: HypothesisSet, gt: PoseSeq3D) -> AggregationReport:
     """Oracle: per joint, the hypothesis closest to the ground truth."""
-    return _select("jbest", hs, _cost(hs, _distances, gt))
+    return _select("jbest", hs, derived(hs, _distances, gt))
 
 
 # Aggregator names accepted by the CLI, in output order, with the inputs

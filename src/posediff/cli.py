@@ -261,8 +261,7 @@ def _sample_all(cfg: RunConfig, hs_values: list[int], ks_values: list[int],
     """Sample every sequence of ``group`` at the largest of
     ``hs_values`` once per K of ``ks_values``, each sequence with its
     own seed: one read-only (H, frames, J, 3) set per K over the group's
-    frames, each sequence sampled straight into its frames of the stack,
-    whose ``first(h)`` prefixes share the costs it computes.
+    frames, each sequence sampled straight into its frames of the stack.
     A sequence's seed, its denoiser and the errors that name it follow
     its index in the dataset. Flips mirror with the dataset's skeleton
     and about its camera's principal point, which made the keypoints.
@@ -328,14 +327,13 @@ def _score_group(cfg: RunConfig, hs_values: list[int], ks_values: list[int],
     the largest of ``hs_values``, and aggregate each (H, K) cell's first
     H hypotheses once with each method over the group's stacked frames,
     against the stacked keypoints and ground truth; ``write``, if given,
-    takes each cell's set and reports. Each K's set computes its costs,
-    and the ground truth its half of P-MPJPE's alignment, once, on first
-    use. The cells go K by K, each K's for every H, and each K's set,
-    with the costs it computed, is dropped before the next K's first
-    aggregation. Returns (H, K, method) -> its
-    ``frame_errors`` over those frames, nothing without ground truth. An
-    error in one frame names its sequence, by its index in the dataset,
-    and the frame within it."""
+    takes each cell's set and reports. Each cell's set computes its
+    costs, and the ground truth its half of P-MPJPE's alignment, once, on
+    first use. The cells go K by K, each K's for every H, and each K's
+    set is dropped before the next K's first aggregation. Returns (H, K,
+    method) -> its ``frame_errors`` over those frames, nothing without
+    ground truth. An error in one frame names its sequence, by its index
+    in the dataset, and the frame within it."""
     sampled = _sample_all(cfg, hs_values, ks_values, ds, denoisers, group)
 
     def stacked(arrays):
@@ -350,7 +348,7 @@ def _score_group(cfg: RunConfig, hs_values: list[int], ks_values: list[int],
     try:
         for k in ks_values:
             # K's set leaves the list, so rebinding ``hs`` to the next
-            # K's drops it and every cost it computed
+            # K's drops it
             hs = sampled.pop(0)
             for h in hs_values:
                 cell = hs.first(h)
@@ -552,10 +550,10 @@ def bench(config_path, seed, out_dir, data_dir, checkpoint, oracle,
 
     # One sample per K at the largest H serves every H: the sampler
     # gives H=h as the first h hypotheses of any larger H, bitwise, and
-    # each H's aggregators read the first h rows of that sample's
-    # costs. A group samples every K before the first is scored, so
-    # that a sequence draws the noise its K share once, and then scores
-    # K by K, dropping each K's set before the next K's.
+    # each H's aggregators read that sample's first h rows. A group
+    # samples every K before the first is scored, so that a sequence
+    # draws the noise its K share once, and then scores K by K,
+    # dropping each K's set before the next K's.
     rows = _scored_rows(cfg, hs_values, ks_values, ds, denoisers, methods)
     _write_metric_rows(root / "bench.csv", rows)
     _write_config_copy(root, cfg)

@@ -81,6 +81,10 @@ class RunConfig:
     metrics: MetricSettings = MetricSettings()
 
     def __post_init__(self):
+        # RngStream keys on the seed's low 64 bits; a seed beyond them
+        # would draw another seed's data under its own config hash.
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         # The library configs carry their own seeds; one that disagreed
         # would run with another seed than config.json records.
         for name in ("sampler", "train", "scenario"):

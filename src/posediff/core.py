@@ -204,21 +204,10 @@ class HypothesisSet:
         return self.count
 
     def first(self, h: int) -> "HypothesisSet":
-        """The first ``h`` hypotheses, the set itself at its full count.
-        A prefix records its whole set, so that what is derived from
-        the whole set serves it too (the aggregators' costs); a whole
-        set refers to no set, so it goes with its last reference."""
+        """The first ``h`` hypotheses, the set itself at its full count."""
         if not 1 <= h <= self.count:
             raise ValueError(f"first {h} of {self.count} hypotheses")
-        if h == self.count:
-            return self
-        prefix = HypothesisSet(self.poses[:h])
-        prefix.__dict__["_whole"] = self.whole_set()
-        return prefix
-
-    def whole_set(self) -> "HypothesisSet":
-        """The set that ``first`` took this one from, else itself."""
-        return self.__dict__.get("_whole", self)
+        return self if h == self.count else HypothesisSet(self.poses[:h])
 
     def __getitem__(self, h: int) -> PoseSeq3D:
         return PoseSeq3D(self.poses[h])

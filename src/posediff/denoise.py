@@ -578,12 +578,20 @@ def load_checkpoint(path: str | Path) -> tuple[DenoiserParams, dict]:
     flat = np.frombuffer(raw[nl + 1:], dtype="<f8")
     try:
         shapes = [(t["name"], t["shape"]) for t in header["tensors"]]
-        for name, shape in shapes:
+        order = [f"{kind}{i}" for i in range(len(shapes) // 2 + 1)
+                 for kind in "wb"]
+        for k, (name, shape) in enumerate(shapes):
+            if name != order[k]:
+                raise ValueError(f"{path}: checkpoint header: tensor {k} "
+                                 f"is {name!r}, expected {order[k]!r}")
             if not (isinstance(shape, list) and all(
                     type(n) is int and n >= 0 for n in shape)):
                 raise ValueError(f"{path}: checkpoint header: tensor "
                                  f"{name!r} has shape {shape!r}, not a list "
                                  f"of non-negative integers")
+        if len(shapes) % 2:
+            raise ValueError(f"{path}: checkpoint header: tensor "
+                             f"{order[len(shapes)]!r} is missing")
         need = sum(int(np.prod(s)) for _, s in shapes)
         if flat.size != need:
             raise ValueError(f"{path}: payload holds {flat.size} floats, "

@@ -311,8 +311,8 @@ def test_shared_costs_equal_fresh_sets_at_every_prefix(monkeypatch, seed):
     # every method on the first h hypotheses of a HypothesisSet is what
     # it is on those h alone, bitwise, with ties across the prefix edge,
     # behind-camera joints and a frame where only late hypotheses see a
-    # joint; each hypothesis of the whole set is projected once, on its
-    # own
+    # joint; each prefix projects each of its hypotheses once, on its
+    # own, for jpma and ppma both
     rng = np.random.default_rng(seed)
     cam = CameraIntrinsics.distorted(fx=1100.0, fy=1150.0, cx=480.0,
                                      cy=510.0, k1=0.02, k2=-0.005,
@@ -326,7 +326,8 @@ def test_shared_costs_equal_fresh_sets_at_every_prefix(monkeypatch, seed):
     x = PoseSeq2D(rng.uniform(0.0, 1000.0, size=(6, 5, 2)))
     gt = PoseSeq3D(poses[5, :] + rng.normal(scale=20.0, size=(6, 5, 3)))
     kwargs = dict(x=x, cam=cam, gt=gt)
-    cells = [(h, m) for h in (12, 1, 3, 4, 10) for m in METHOD_NAMES]
+    counts = (12, 1, 3, 4, 10)
+    cells = [(h, m) for h in counts for m in METHOD_NAMES]
     want = {}
     for h, method in cells:
         try:
@@ -344,17 +345,20 @@ def test_shared_costs_equal_fresh_sets_at_every_prefix(monkeypatch, seed):
         return real(points, camera)
     monkeypatch.setattr(aggregate, "project_with_mask", counted)
     shared = HypothesisSet(poses)
-    for h, method in cells:
-        if isinstance(want[h, method], AggregationError):
-            with pytest.raises(AggregationError,
-                               match=f"^{want[h, method]}$"):
-                run_aggregator(method, shared.first(h), **kwargs)
-        else:
-            _assert_same_report(
-                run_aggregator(method, shared.first(h), **kwargs),
-                want[h, method])
-    assert projected == [(6, 5, 3)] * 12
-    assert all(not cost.flags.writeable for cost in shared._derived.values())
+    for h in counts:
+        cell = shared.first(h)
+        for method in METHOD_NAMES:
+            if isinstance(want[h, method], AggregationError):
+                with pytest.raises(AggregationError,
+                                   match=f"^{want[h, method]}$"):
+                    run_aggregator(method, cell, **kwargs)
+            else:
+                _assert_same_report(run_aggregator(method, cell, **kwargs),
+                                    want[h, method])
+        assert len(cell._derived) == 2  # one error, one distance
+        assert all(not cost.flags.writeable
+                   for cost in cell._derived.values())
+    assert projected == [(6, 5, 3)] * sum(counts)
 
 
 def test_hypothesis_set_prefix_rules():
@@ -366,18 +370,22 @@ def test_hypothesis_set_prefix_rules():
     for h in (0, 4, -1):
         with pytest.raises(ValueError):
             shared.first(h)
-    # a cost is kept per input: other keypoints are another cost
+    # a prefix is a plain set over a view of the rows: it computes its
+    # own costs, one per input (other keypoints are another cost), and
+    # leaves the set it was taken from as it was
     cam = CameraIntrinsics.pinhole(fx=1000.0, fy=1000.0, cx=500.0, cy=500.0)
-    near = agg_jpma(shared.first(2), PoseSeq2D(np.full((1, 3, 2), 500.0)), cam)
-    far = agg_jpma(shared.first(2), PoseSeq2D(np.full((1, 3, 2), 400.0)), cam)
-    assert len(shared._derived) == 2
+    prefix = shared.first(2)
+    assert np.shares_memory(prefix.poses, shared.poses)
+    near = agg_jpma(prefix, PoseSeq2D(np.full((1, 3, 2), 500.0)), cam)
+    far = agg_jpma(prefix, PoseSeq2D(np.full((1, 3, 2), 400.0)), cam)
+    assert len(prefix._derived) == 2 and "_derived" not in vars(shared)
     assert not np.array_equal(near.reproj_error_px, far.reproj_error_px)
 
 
 def test_hypothesis_set_dies_with_its_last_reference():
     # with the cyclic collector off, a set and the costs it caches go as
-    # soon as nothing refers to it, so no set may refer to itself; a
-    # prefix keeps its whole set, and the costs, alive
+    # soon as nothing refers to it, so no set may refer to itself or to
+    # the set it was taken from: a prefix keeps only the rows it views
     cam = CameraIntrinsics.pinhole(fx=1000.0, fy=1000.0, cx=500.0, cy=500.0)
     x = PoseSeq2D(np.full((1, 3, 2), 500.0))
     gc.disable()
@@ -387,17 +395,20 @@ def test_hypothesis_set_dies_with_its_last_reference():
         assert len(shared._derived) == 1
         whole, prefix = weakref.ref(shared), shared.first(2)
         agg_ppma(prefix, x, cam)
+        assert len(prefix._derived) == 1
+        part = weakref.ref(prefix)
         del shared
-        assert whole() is not None and len(prefix.whole_set()._derived) == 1
+        assert whole() is None and part() is not None
         del prefix
-        assert whole() is None
+        assert part() is None
     finally:
         gc.enable()
 
 
 def test_a_sampled_set_shares_its_costs_without_opting_in(monkeypatch):
     # a plain run_sampler result projects each hypothesis once, for
-    # jpma, then ppma, then every prefix of it
+    # jpma, then ppma, and so does each prefix of it; at its full count
+    # the prefix is the set, and projects nothing more
     rng = np.random.default_rng(8)
     gt = random_pose(rng, frames=3, joints=5)
     x = random_keypoints(rng, frames=3, joints=5)
@@ -415,9 +426,10 @@ def test_a_sampled_set_shares_its_costs_without_opting_in(monkeypatch):
     agg_jpma(hs, x, cam)
     agg_ppma(hs, x, cam)
     for h in range(1, hs.count + 1):
-        agg_jpma(hs.first(h), x, cam)
-        agg_ppma(hs.first(h), x, cam)
-    assert projected == [(3, 5, 3)] * 6
+        cell = hs.first(h)
+        agg_jpma(cell, x, cam)
+        agg_ppma(cell, x, cam)
+    assert projected == [(3, 5, 3)] * (6 + 1 + 2 + 3 + 4 + 5)
 
 
 def test_reprojection_makes_one_hypothesis_at_a_time():

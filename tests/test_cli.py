@@ -1,6 +1,5 @@
 import csv
 import gc
-import importlib
 import json
 import shutil
 import weakref
@@ -24,7 +23,7 @@ from posediff.poseio import load_poses, save_poses
 from posediff.rng import RngStream, stream_id
 from posediff.sampler import FlipMode, run_sampler, timestep_ladder
 from posediff.schedule import make_cosine_schedule
-from posediff import cli, sampler
+from posediff import cli, denoise, sampler
 from posediff.denoise import (Denoiser, MlpDenoiser, NoisyOracle,
                               PerfectOracle, init_params, load_checkpoint,
                               save_checkpoint)
@@ -112,6 +111,26 @@ def test_bad_config_key_exit_2(runner, tmp_path):
     res = runner.invoke(main, ["gen", "--config", str(cfg)])
     assert res.exit_code == 2
     assert "seeed" in res.output
+
+
+def test_seed_outside_64_bits_exit_2(runner, tmp_path):
+    # the random streams key on a seed's low 64 bits, so a seed outside
+    # [0, 2**64) would make another seed's data: refused, from the flag
+    # or the document, before --out; the largest 64-bit seed runs
+    out = tmp_path / "out"
+    for seed in (-1, 2 ** 64):
+        for cfg, flag in ((_write_cfg(tmp_path), ["--seed", str(seed)]),
+                          (_write_cfg(tmp_path, {**SMALL_CFG, "seed": seed}),
+                           [])):
+            res = runner.invoke(main, ["gen", "--config", str(cfg), *flag,
+                                       "--out", str(out)])
+            _assert_clean_exit(
+                res, 2, f"error: seed must be in [0, 2**64), got {seed}")
+            assert not out.exists()
+    res = runner.invoke(main, ["gen", "--config", str(_write_cfg(tmp_path)),
+                               "--seed", str(2 ** 64 - 1), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert json.loads((out / "config.json").read_text())["seed"] == 2 ** 64 - 1
 
 
 def test_bad_config_type_exit_2(runner, tmp_path):
@@ -1403,8 +1422,7 @@ def test_outputs_do_not_depend_on_how_the_work_is_split(
             m.setattr(cli, "FRAMES_PER_GROUP", frames_per_group)
             m.setattr(sampler, "FRAMES_PER_CHUNK", frames_per_chunk)
             m.setattr(sampler, "_usable_cpus", lambda: workers)
-            m.setattr(importlib.import_module("posediff.denoise"),
-                      "ROWS_PER_BLOCK", rows_per_block)
+            m.setattr(denoise, "ROWS_PER_BLOCK", rows_per_block)
             assert tree(f"{command}_split", args) == want, command
 
 
@@ -1427,8 +1445,9 @@ def _held_hypotheses(runner, tmp_path, monkeypatch,
                             if s is not None))
 
     def run_aggregator(method, hs, **inputs):
-        whole = hs.whole_set()
-        i = next(i for i, r in enumerate(made) if r() is whole)
+        # a cell's set is its K's set or a prefix viewing its rows
+        i = next(i for i, s in enumerate(r() for r in made)
+                 if s is not None and np.shares_memory(s.poses, hs.poses))
         stale.append(sum(r() is not None for r in made[:i]))
         return real(method, hs, **inputs)
     real = cli.run_aggregator

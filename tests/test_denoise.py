@@ -344,6 +344,27 @@ def test_checkpoint_rejects_garbage(tmp_path):
         _edit_header(p, **fields)
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: .*{words}"):
             load_checkpoint(p)
+    # tensors go w0, b0, w1, b1, ... as save_checkpoint writes them: an
+    # extra tensor, a repeated one or an unpaired weight is refused by
+    # name, each with a payload that matches its header
+    save_checkpoint(p, init_params(3, hidden_width=4, hidden_layers=1),
+                    t_max=10)
+    header, payload = p.read_bytes().split(b"\n", 1)
+    tensors = json.loads(header)["tensors"]
+    w0 = payload[:8 * int(np.prod(tensors[0]["shape"]))]
+    extra = np.zeros(5).astype("<f8").tobytes()
+    for listed, data, words in (
+            (tensors + [{"name": "junk", "shape": [5]}], payload + extra,
+             "tensor 4 is 'junk', expected 'w2'"),
+            ([tensors[0]] + tensors, w0 + payload,
+             "tensor 1 is 'w0', expected 'b0'"),
+            (tensors + [{"name": "w2", "shape": [5]}], payload + extra,
+             "tensor 'b2' is missing")):
+        p.write_bytes(header + b"\n" + data)
+        _edit_header(p, tensors=listed)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: "
+                                             f"checkpoint header: {words}$"):
+            load_checkpoint(p)
 
 
 def test_checkpoint_rejects_values_beyond_float32(tmp_path):

@@ -7,11 +7,20 @@ imported name that the module never reads; ``__init__.py`` imports to
 re-export, so it is exempt. The other fails on a ``_name`` bound at the
 top of a module that no module of the package reads, by name or as an
 attribute.
+
+Two more tests hold the package's public names: each
+``posediff.<module>`` attribute is that module, not a name re-exported
+over it, and each backticked ``posediff.<module>.<name>`` in README.md
+resolves from the package.
 """
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
+
+import posediff
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "posediff"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -138,3 +147,23 @@ def test_the_scan_sees_a_dead_private_name():
     }
     assert _dead(modules) == ["a.py:2: _dead", "a.py:2: _also",
                               "a.py:5: _Gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_attribute_is_its_submodule(path):
+    # a re-exported function of the module's own name would rebind the
+    # package attribute, so ``posediff.denoise.X`` would read the function
+    module = importlib.import_module(f"posediff.{path.stem}")
+    assert getattr(posediff, path.stem) is module
+
+
+def test_readme_dotted_names_resolve():
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    names = [m.group(0) for span in re.findall(r"`([^`]+)`", prose)
+             for m in re.finditer(r"\bposediff(?:\.\w+){2}", span)]
+    assert names
+    for dotted in names:
+        _, module, name = dotted.split(".")
+        importlib.import_module(f"posediff.{module}")
+        assert hasattr(getattr(posediff, module), name), dotted

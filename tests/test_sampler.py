@@ -1,4 +1,3 @@
-import importlib
 import sys
 import threading
 import tracemalloc
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posediff import sampler
+from posediff import denoise, sampler
 from posediff.core import DEFAULT_SKELETON, PoseSeq2D, flip_array3d
 from posediff.denoise import (ROWS_PER_BLOCK, ContractiveOracle, Denoiser,
                               MlpDenoiser, NoisyOracle, PerfectOracle,
@@ -388,8 +387,7 @@ def test_flipped_queries_share_one_keypoint_buffer(monkeypatch, mode):
     # plain queries read the input's; the hypotheses equal those of
     # queries that each read a fresh copy of their keypoints. The spy
     # holds every buffer it sees, so no two copies can share an address
-    module = importlib.import_module("posediff.denoise")
-    real = module.denoise
+    real = denoise.denoise
     seen = []
 
     def spy(y_t, x, *args, **kwargs):
@@ -407,7 +405,7 @@ def test_flipped_queries_share_one_keypoint_buffer(monkeypatch, mode):
     sched = make_cosine_schedule(50)
     runs = []
     for query in (spy, copying):
-        monkeypatch.setattr(module, "denoise", query)
+        monkeypatch.setattr(denoise, "denoise", query)
         runs.append(run_sampler(x, den, cfg, sched, DEFAULT_SKELETON,
                                 1000.0).poses)
     flipped = [kp for kp in seen if kp is not x.joints]
